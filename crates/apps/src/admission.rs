@@ -8,7 +8,7 @@
 //! fault storm through: bounded in-flight work per app means the storm's
 //! backlog cannot outlive the storm.
 
-use adhoc_core::resilience::{FrontDoor, Permit, Rejected, Workload};
+use adhoc_sim::{FrontDoor, Permit, Rejected, Workload};
 use std::sync::Arc;
 
 /// The eight applications of Table 2, in registry order.

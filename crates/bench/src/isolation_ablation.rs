@@ -7,9 +7,9 @@
 //! of frequently-updated statistics rows. Reading the statistics at
 //! Serializable drags them into commit certification and aborts the
 //! transaction whenever the background writer touches them; reading them
-//! through [`HintProxy::read_committed_read`] keeps them out.
+//! through [`Coordinator::read_committed_read`] keeps them out.
 
-use adhoc_core::hints::HintProxy;
+use adhoc_orm::coord::Coordinator;
 use adhoc_storage::{Column, ColumnType, Database, DbError, EngineProfile, IsolationLevel, Schema};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -69,7 +69,7 @@ fn run_config(hinted: bool) -> IsolationAblationRow {
 
 fn run_config_n(hinted: bool, txns_per_worker: usize) -> IsolationAblationRow {
     let db = Arc::new(build_db());
-    let proxy = Arc::new(HintProxy::new((*db).clone()));
+    let coord = Arc::new(Coordinator::new((*db).clone()));
     let counters_schema = db.schema("counters").expect("schema");
     let stop = Arc::new(AtomicBool::new(false));
 
@@ -95,7 +95,7 @@ fn run_config_n(hinted: bool, txns_per_worker: usize) -> IsolationAblationRow {
         let workers: Vec<_> = (0..WORKERS)
             .map(|_| {
                 let db = Arc::clone(&db);
-                let proxy = Arc::clone(&proxy);
+                let coord = Arc::clone(&coord);
                 let schema = counters_schema.clone();
                 s.spawn(move || {
                     for i in 0..txns_per_worker {
@@ -106,7 +106,7 @@ fn run_config_n(hinted: bool, txns_per_worker: usize) -> IsolationAblationRow {
                                     // Infallible here (engine supports the
                                     // hint); `expect` keeps the closure's error
                                     // type the engine's own.
-                                    proxy
+                                    coord
                                         .read_committed_read(t, "statistics", id)
                                         .expect("per-op isolation hint");
                                 } else {

@@ -18,9 +18,11 @@
 //! Rendered to `BENCH_resilience.json` by `paper-eval bench-json`.
 
 use adhoc_apps::admission::{Admission, APPS};
-use adhoc_core::resilience::{BreakerState, CircuitBreaker, Deadline, RetryBudget, Workload};
 use adhoc_kv::{Client, KvError, Store};
-use adhoc_sim::{Clock, FaultKind, FaultPlan, FaultRule, LatencyModel, VirtualClock};
+use adhoc_sim::{
+    BreakerState, CircuitBreaker, Clock, Deadline, FaultKind, FaultPlan, FaultRule, LatencyModel,
+    RetryBudget, VirtualClock, Workload,
+};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;

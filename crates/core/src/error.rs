@@ -14,18 +14,6 @@ pub enum ToolkitError {
     Orm(OrmError),
     /// Lock backend error.
     Lock(LockError),
-    /// An optimistic transaction's continuation id was not found
-    /// (expired or never saved).
-    NoSuchContinuation {
-        /// The unknown continuation id.
-        id: u64,
-    },
-    /// A [`RetryPolicy`](crate::retry::RetryPolicy)-driven operation kept
-    /// failing retryably until its attempt budget or deadline ran out.
-    RetriesExhausted {
-        /// Attempts made before giving up.
-        attempts: u32,
-    },
 }
 
 impl ToolkitError {
@@ -66,12 +54,6 @@ impl fmt::Display for ToolkitError {
             ToolkitError::Db(e) => write!(f, "{e}"),
             ToolkitError::Orm(e) => write!(f, "{e}"),
             ToolkitError::Lock(e) => write!(f, "{e}"),
-            ToolkitError::NoSuchContinuation { id } => {
-                write!(f, "no saved optimistic transaction with id {id}")
-            }
-            ToolkitError::RetriesExhausted { attempts } => {
-                write!(f, "gave up after {attempts} attempts")
-            }
         }
     }
 }
@@ -96,17 +78,11 @@ mod tests {
         assert!(!e.is_retryable());
         let e: ToolkitError = LockError::Deadlock { key: "k".into() }.into();
         assert!(e.is_retryable());
-        assert!(!ToolkitError::NoSuchContinuation { id: 7 }.is_retryable());
-        // The budget is spent; retrying *more* is not the answer.
-        assert!(!ToolkitError::RetriesExhausted { attempts: 3 }.is_retryable());
     }
 
     #[test]
     fn display_passthrough() {
         let e: ToolkitError = LockError::Backend("x".into()).into();
         assert!(e.to_string().contains('x'));
-        assert!(ToolkitError::NoSuchContinuation { id: 7 }
-            .to_string()
-            .contains('7'));
     }
 }

@@ -18,42 +18,28 @@
 //! * [`validation`] — the two validation-procedure implementations
 //!   (§3.2.2): ORM-assisted (atomic) and hand-crafted (atomic or, as found
 //!   in Discourse/SCM Suite, non-atomic).
-//! * [`optimistic`] — the §6 proposal made concrete: an ORM-layer
-//!   optimistic transaction with tracked read/write sets, atomic
-//!   validate-and-commit, and save/restore *continuations* for
-//!   multi-request interactions (§3.1.2).
-//! * [`hints`] — the §6 "proxy module for existing hints": one interface
-//!   over explicit user/row/table locks with a database-table fallback when
-//!   the engine lacks advisory locks (Table 7).
 //! * [`checker`] — the periodic consistency checker ("fsck for the
 //!   database") the paper observed applications running (§3.4.2).
 //! * [`monitor`] — a runtime hazard detector (the §6 "development support
 //!   tools"): flags lock-after-read RMWs, expired-lease releases and
 //!   mixed-coordination tables as they happen.
-//! * [`saga`] — the classic Sagas alternative to multi-request ad hoc
-//!   transactions (§3.1.2), for the semantic comparison the paper draws.
-//! * [`retry`] — one [`retry::RetryPolicy`] behind every coordination
-//!   path's retry loop (§3.4.1), with a toolkit-wide [`retry::Retryable`]
-//!   classification replacing each site's hand-rolled backoff arithmetic.
+//!
+//! The §6 *cures* live one layer down, once each: the OCC primitive and
+//! its continuations in `adhoc_orm::occ`, the coordination-hints proxy in
+//! `adhoc_orm::coord`, the retry policy and the admission/breaker
+//! primitives in `adhoc_sim`.
 
 #![warn(missing_docs)]
 
 pub mod checker;
 pub mod error;
-pub mod hints;
 pub mod locks;
 pub mod monitor;
-pub mod optimistic;
-pub mod resilience;
-pub mod retry;
-pub mod saga;
 pub mod taxonomy;
 pub mod validation;
 
 pub use error::ToolkitError;
 pub use locks::{AdHocLock, Guard, LockError};
-pub use resilience::{FrontDoor, Rejected, Workload};
-pub use retry::{BackoffPolicy, RetryObserver, RetryPolicy, Retryable};
 
 /// Result alias for toolkit operations.
 pub type Result<T> = std::result::Result<T, ToolkitError>;

@@ -87,7 +87,7 @@ impl fmt::Display for Hazard {
 pub enum RetryEvent {
     /// A retryable failure; the loop backs off and re-attempts.
     Retried {
-        /// Which loop (e.g. `"KV-SETNX"`, `"dbt"`, `"occ"`).
+        /// Which loop (e.g. `"KV-SETNX"`, `"dbt"`, `"orm-occ"`).
         label: String,
         /// Zero-based attempt that just failed.
         attempt: u32,

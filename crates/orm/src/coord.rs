@@ -21,8 +21,8 @@
 //! * **In-transaction hints**: explicit row locks, table locks, and
 //!   per-operation isolation reads, capability-gated per Table 7a.
 //!
-//! `adhoc-core`'s `HintProxy` is now a thin compatibility shim over this
-//! module; the cured app variants use it directly.
+//! This is the only hints façade in the workspace: the cured app
+//! variants, the isolation ablation and the examples all call it directly.
 
 use crate::error::OrmError;
 use crate::Result;
@@ -573,7 +573,7 @@ mod tests {
     use super::*;
     use adhoc_kv::Store;
     use adhoc_sim::{LatencyModel, RealClock};
-    use adhoc_storage::EngineProfile;
+    use adhoc_storage::{EngineProfile, IsolationLevel};
     use std::sync::atomic::{AtomicBool, Ordering};
 
     fn db() -> Database {
@@ -652,24 +652,24 @@ mod tests {
     }
 
     #[test]
-    fn fallback_lock_blocks_until_released() {
-        let coord = std::sync::Arc::new(
-            Coordinator::new(db()).with_support(CoordSupport::without_user_locks()),
-        );
-        let g = coord.user_lock("k").unwrap();
-        let done = std::sync::Arc::new(AtomicBool::new(false));
-        let c2 = std::sync::Arc::clone(&coord);
-        let d2 = std::sync::Arc::clone(&done);
-        let h = std::thread::spawn(move || {
-            let g2 = c2.user_lock("k").unwrap();
-            d2.store(true, Ordering::SeqCst);
-            g2.unlock().unwrap();
-        });
-        std::thread::sleep(Duration::from_millis(40));
-        assert!(!done.load(Ordering::SeqCst));
-        g.unlock().unwrap();
-        h.join().unwrap();
-        assert!(done.load(Ordering::SeqCst));
+    fn user_lock_blocks_until_released_on_either_mechanism() {
+        for support in [CoordSupport::full(), CoordSupport::without_user_locks()] {
+            let coord = std::sync::Arc::new(Coordinator::new(db()).with_support(support));
+            let g = coord.user_lock("k").unwrap();
+            let done = std::sync::Arc::new(AtomicBool::new(false));
+            let c2 = std::sync::Arc::clone(&coord);
+            let d2 = std::sync::Arc::clone(&done);
+            let h = std::thread::spawn(move || {
+                let g2 = c2.user_lock("k").unwrap();
+                d2.store(true, Ordering::SeqCst);
+                g2.unlock().unwrap();
+            });
+            std::thread::sleep(Duration::from_millis(40));
+            assert!(!done.load(Ordering::SeqCst), "{}", g.mechanism());
+            g.unlock().unwrap();
+            h.join().unwrap();
+            assert!(done.load(Ordering::SeqCst));
+        }
     }
 
     #[test]
@@ -701,5 +701,75 @@ mod tests {
         assert!(coord.table_lock(&mut txn, "any", LockMode::Shared).is_err());
         assert!(coord.read_committed_read(&mut txn, "any", 1).is_err());
         txn.abort();
+    }
+
+    /// A database with one `orders(id, total)` row: id 1, the given total.
+    fn orders(total: i64) -> Database {
+        let database = db();
+        database
+            .create_table(
+                Schema::new(
+                    "orders",
+                    vec![
+                        Column::new("id", ColumnType::Int),
+                        Column::new("total", ColumnType::Int),
+                    ],
+                    "id",
+                )
+                .unwrap(),
+            )
+            .unwrap();
+        database
+            .run(IsolationLevel::ReadCommitted, |t| {
+                t.insert("orders", &[("id", 1.into()), ("total", total.into())])
+                    .map(|_| ())
+            })
+            .unwrap();
+        database
+    }
+
+    #[test]
+    fn row_lock_holds_until_commit() {
+        let database = orders(0);
+        let coord = Coordinator::new(database.clone());
+        let mut txn = database.begin();
+        coord.row_lock(&mut txn, "orders", 1).unwrap();
+        // A concurrent writer blocks until we commit.
+        let (wrote, written) = std::sync::mpsc::channel();
+        let db2 = database.clone();
+        let h = std::thread::spawn(move || {
+            db2.run(IsolationLevel::ReadCommitted, |t| {
+                t.update("orders", 1, &[("total", 5.into())])
+            })
+            .unwrap();
+            wrote.send(()).unwrap();
+        });
+        assert!(written.recv_timeout(Duration::from_millis(40)).is_err());
+        txn.commit().unwrap();
+        written.recv().unwrap();
+        h.join().unwrap();
+    }
+
+    #[test]
+    fn per_op_isolation_hint_reads_latest() {
+        let database = orders(10);
+        let coord = Coordinator::new(database.clone());
+        let mut txn = database.begin_with(IsolationLevel::RepeatableRead);
+        assert_eq!(
+            txn.get("orders", 1).unwrap().unwrap().values[1].as_int(),
+            10
+        );
+        database
+            .run(IsolationLevel::ReadCommitted, |t| {
+                t.update("orders", 1, &[("total", 99.into())])
+            })
+            .unwrap();
+        // The snapshot still says 10; the hinted read sees the commit.
+        let hinted = coord
+            .read_committed_read(&mut txn, "orders", 1)
+            .unwrap()
+            .unwrap();
+        assert_eq!(hinted.values[1].as_int(), 99);
+        txn.commit().unwrap();
     }
 }

@@ -615,6 +615,26 @@ mod tests {
     }
 
     #[test]
+    fn deleted_read_row_conflicts() {
+        let orm = fixture();
+        let mut occ = OccTxn::new();
+        occ.read(&orm, "skus", 1).unwrap().unwrap();
+        orm.delete("skus", 1).unwrap();
+        occ.stage_update("skus", 1, &[("note", "mine".into())]);
+        assert!(matches!(
+            occ.commit(&orm),
+            Err(OrmError::OccConflict { column, .. }) if column == "<row>"
+        ));
+    }
+
+    #[test]
+    fn empty_transaction_commits_trivially() {
+        let occ = OccTxn::new();
+        assert!(occ.is_empty());
+        occ.commit(&fixture()).unwrap();
+    }
+
+    #[test]
     fn stage_save_runs_validations_in_the_commit_txn() {
         let orm = fixture();
         let mut occ = OccTxn::new();
@@ -747,7 +767,9 @@ mod tests {
     #[test]
     fn run_occ_does_not_retry_validation_failures() {
         let orm = fixture();
+        let mut calls = 0;
         let err = run_occ(&orm, &policy(), None, |occ| {
+            calls += 1;
             let mut sku = occ.read(&orm, "skus", 1)?.expect("seeded");
             sku.set("quantity", -1)?;
             occ.stage_save(&sku)?;
@@ -755,6 +777,7 @@ mod tests {
         })
         .unwrap_err();
         assert!(matches!(err, OrmError::ValidationFailed { .. }));
+        assert_eq!(calls, 1, "a non-retryable error must not be re-attempted");
     }
 
     #[test]

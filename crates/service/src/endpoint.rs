@@ -1,6 +1,6 @@
 //! Request types: one endpoint per studied scenario.
 
-use adhoc_core::resilience::Workload;
+use adhoc_sim::Workload;
 use std::time::Duration;
 
 /// A named request type over one of the eight studied applications.

@@ -17,7 +17,7 @@
 //!   bucket (one atomic in-process admission — the cure).
 //! * [`Service`] — the queueing front door itself: rate limiting and
 //!   queue-depth caps at arrival, deadline-aware shedding and bounded
-//!   in-flight admission ([`adhoc_core::resilience::FrontDoor`]) at
+//!   in-flight admission ([`adhoc_sim::FrontDoor`]) at
 //!   service, a [`RetryBudget`](adhoc_sim::RetryBudget) around handler
 //!   retries, and a read-only degraded mode. [`StackConfig`] selects the
 //!   naive / breaker-only / full ablation the metastability bench sweeps.

@@ -16,9 +16,8 @@ use adhoc_apps::admission::Admission;
 use adhoc_apps::Mode;
 use adhoc_apps::{broadleaf, discourse, jumpserver, mastodon, redmine, saleor, scm_suite, spree};
 use adhoc_core::locks::{KvSetNxLock, MemLock};
-use adhoc_core::resilience::Rejected;
 use adhoc_kv::{Client, Store};
-use adhoc_sim::{LatencyModel, RetryBudget, SharedClock, Transport};
+use adhoc_sim::{LatencyModel, Rejected, RetryBudget, SharedClock, Transport, Workload};
 use adhoc_storage::{Database, EngineProfile};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -351,7 +350,7 @@ impl Service {
                 return Err(ServiceError::RateLimited);
             }
         }
-        if req.endpoint.workload() == adhoc_core::resilience::Workload::Write {
+        if req.endpoint.workload() == Workload::Write {
             if let Some(admission) = &self.admission {
                 if admission.door(req.endpoint.app()).is_read_only() {
                     self.read_only_refused.fetch_add(1, Ordering::Relaxed);

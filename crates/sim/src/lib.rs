@@ -23,9 +23,9 @@
 //!   explorer, so the paper's races are found and replayed by *schedule*
 //!   (compact `SCHED=` witness strings), not by wall-clock luck.
 //! * [`resilience`] — absolute [`Deadline`]s, token-bucket
-//!   [`RetryBudget`]s and a deterministic [`CircuitBreaker`], the
-//!   primitives that keep a fault storm from becoming a metastable
-//!   retry storm.
+//!   [`RetryBudget`]s, a deterministic [`CircuitBreaker`] and the
+//!   [`FrontDoor`] admission gate, the primitives that keep a fault
+//!   storm from becoming a metastable retry storm.
 //! * [`transport`] — the shared simulated-wire shim ([`Transport`]):
 //!   admission (deadline + breaker), the wire hop (yield + count + latency
 //!   charge), and outcome bookkeeping, extracted once for the KV client and
@@ -46,7 +46,10 @@ pub mod transport;
 pub use clock::{Clock, RealClock, SharedClock, VirtualClock};
 pub use faults::{FaultKind, FaultPlan, FaultRecord, FaultRule, InjectedFault, OpClass};
 pub use latency::LatencyModel;
-pub use resilience::{BreakerState, CircuitBreaker, Deadline, RetryBudget};
+pub use resilience::{
+    BreakerState, CircuitBreaker, Deadline, DoorStats, FrontDoor, Permit, Rejected, RetryBudget,
+    Workload,
+};
 pub use retry::{BackoffPolicy, GiveUp, RetryObserver, RetryPolicy, RetryTimer};
 pub use sched::{
     record, replay, yield_point, CounterExample, Exploration, Explorer, SchedPoint, Trial,

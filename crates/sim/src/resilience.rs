@@ -1,12 +1,12 @@
-//! Resilience primitives: absolute deadlines, retry budgets, and a
-//! deterministic circuit breaker.
+//! Resilience primitives: absolute deadlines, retry budgets, a
+//! deterministic circuit breaker, and an admission-control front door.
 //!
 //! §3.4 of the paper shows what failure handling looks like when every
 //! call site improvises it: unbounded retries, no deadline, and no notion
 //! of shared blame when a backend degrades. Under a correlated fault storm
 //! those habits compose into *metastable* collapse — each request retries
 //! independently, the retry traffic keeps the backend saturated, and the
-//! system stays down after the original fault has healed. The three
+//! system stays down after the original fault has healed. The four
 //! primitives here are the standard antidotes, built deterministically on
 //! the virtual clock so every test and every schedule witness replays
 //! bit-for-bit:
@@ -21,10 +21,14 @@
 //! * [`CircuitBreaker`] — the closed → open → half-open machine that stops
 //!   sending work to a backend that keeps failing, probes it once per
 //!   cooldown, and closes again on the first success.
+//! * [`FrontDoor`] — bounded-concurrency admission control with load
+//!   shedding and a read-only degraded mode: work beyond capacity is shed
+//!   at the door instead of queueing behind a slow backend.
 
 use crate::clock::Clock;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 // ---------------------------------------------------------------------------
@@ -344,11 +348,161 @@ impl CircuitBreaker {
     }
 }
 
+// ---------------------------------------------------------------------------
+// FrontDoor
+// ---------------------------------------------------------------------------
+
+/// Why the front door refused a request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rejected {
+    /// The bounded queue is full: the request is shed immediately rather
+    /// than parked behind work that will miss its deadline anyway.
+    Shed,
+    /// The app is in read-only degraded mode and the request is a write.
+    ReadOnly,
+}
+
+impl std::fmt::Display for Rejected {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Rejected::Shed => write!(f, "shed: admission queue full"),
+            Rejected::ReadOnly => write!(f, "rejected: app is in read-only degraded mode"),
+        }
+    }
+}
+
+/// Whether an admitted request intends to write.
+///
+/// Degraded mode only refuses [`Workload::Write`]; reads keep flowing, so
+/// a partitioned backend degrades to stale-but-available instead of
+/// unavailable — the per-app knob the overload runbooks in the studied
+/// applications implement by hand (when they implement it at all).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Workload {
+    /// Read-only request: admitted even in degraded mode.
+    Read,
+    /// Mutating request: refused while degraded.
+    Write,
+}
+
+/// Bounded-concurrency admission control for one application.
+///
+/// The front door is the first thing a request meets: at most `capacity`
+/// requests are in flight at once, and everything beyond that is shed
+/// *immediately* ([`Rejected::Shed`]) instead of queueing. Shedding at
+/// the door is the anti-metastability move — queued work behind a slow
+/// backend keeps deadlines expiring and retries flowing long after the
+/// fault clears, while shed work leaves the system the moment it arrives.
+///
+/// Operators (or the breaker-watching automation in the oracle) can also
+/// flip the app into read-only degraded mode: writes are refused with
+/// [`Rejected::ReadOnly`] while reads pass, bounding the blast radius of
+/// a partitioned write path.
+///
+/// All state is atomic; the door takes no locks and never blocks.
+#[derive(Debug)]
+pub struct FrontDoor {
+    /// Application label (diagnostics only).
+    app: &'static str,
+    capacity: usize,
+    in_flight: AtomicUsize,
+    read_only: AtomicBool,
+    admitted: AtomicU64,
+    shed: AtomicU64,
+    refused_writes: AtomicU64,
+}
+
+/// Counters describing what a [`FrontDoor`] has done so far.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct DoorStats {
+    /// Requests admitted (permits handed out).
+    pub admitted: u64,
+    /// Requests shed because the door was at capacity.
+    pub shed: u64,
+    /// Writes refused while in read-only degraded mode.
+    pub refused_writes: u64,
+    /// Requests in flight right now.
+    pub in_flight: usize,
+}
+
+impl FrontDoor {
+    /// A front door admitting at most `capacity` concurrent requests for
+    /// the application labelled `app`.
+    pub fn new(app: &'static str, capacity: usize) -> Arc<Self> {
+        Arc::new(Self {
+            app,
+            capacity: capacity.max(1),
+            in_flight: AtomicUsize::new(0),
+            read_only: AtomicBool::new(false),
+            admitted: AtomicU64::new(0),
+            shed: AtomicU64::new(0),
+            refused_writes: AtomicU64::new(0),
+        })
+    }
+
+    /// The application this door fronts.
+    pub fn app(&self) -> &'static str {
+        self.app
+    }
+
+    /// Try to admit one request. Returns an RAII [`Permit`] releasing the
+    /// slot on drop, or the reason the request was refused. Never blocks.
+    pub fn admit(self: &Arc<Self>, workload: Workload) -> Result<Permit, Rejected> {
+        if workload == Workload::Write && self.read_only.load(Ordering::Acquire) {
+            self.refused_writes.fetch_add(1, Ordering::Relaxed);
+            return Err(Rejected::ReadOnly);
+        }
+        // Optimistically take a slot; back out if it overshot capacity.
+        let prev = self.in_flight.fetch_add(1, Ordering::AcqRel);
+        if prev >= self.capacity {
+            self.in_flight.fetch_sub(1, Ordering::AcqRel);
+            self.shed.fetch_add(1, Ordering::Relaxed);
+            return Err(Rejected::Shed);
+        }
+        self.admitted.fetch_add(1, Ordering::Relaxed);
+        Ok(Permit {
+            door: Arc::clone(self),
+        })
+    }
+
+    /// Enter or leave read-only degraded mode.
+    pub fn set_read_only(&self, degraded: bool) {
+        self.read_only.store(degraded, Ordering::Release);
+    }
+
+    /// Is the app currently degraded to read-only?
+    pub fn is_read_only(&self) -> bool {
+        self.read_only.load(Ordering::Acquire)
+    }
+
+    /// Counters so far.
+    pub fn stats(&self) -> DoorStats {
+        DoorStats {
+            admitted: self.admitted.load(Ordering::Relaxed),
+            shed: self.shed.load(Ordering::Relaxed),
+            refused_writes: self.refused_writes.load(Ordering::Relaxed),
+            in_flight: self.in_flight.load(Ordering::Acquire),
+        }
+    }
+}
+
+/// RAII admission permit from [`FrontDoor::admit`]; dropping it frees the
+/// concurrency slot.
+#[derive(Debug)]
+pub struct Permit {
+    door: Arc<FrontDoor>,
+}
+
+impl Drop for Permit {
+    fn drop(&mut self) {
+        self.door.in_flight.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::clock::VirtualClock;
-    use std::sync::Arc;
 
     const MS: fn(u64) -> Duration = Duration::from_millis;
 
@@ -436,5 +590,55 @@ mod tests {
         assert_eq!(br.state(MS(1)), BreakerState::Closed, "streak was broken");
         br.record_failure(MS(2));
         assert_eq!(br.state(MS(2)), BreakerState::Open);
+    }
+
+    #[test]
+    fn door_bounds_concurrency_and_sheds_the_rest() {
+        let door = FrontDoor::new("discourse", 2);
+        let a = door.admit(Workload::Write).unwrap();
+        let _b = door.admit(Workload::Read).unwrap();
+        assert_eq!(door.admit(Workload::Read).unwrap_err(), Rejected::Shed);
+        assert_eq!(door.stats().shed, 1);
+        assert_eq!(door.stats().in_flight, 2);
+        // Releasing a permit frees the slot immediately.
+        drop(a);
+        let _c = door.admit(Workload::Write).unwrap();
+        assert_eq!(door.stats().admitted, 3);
+    }
+
+    #[test]
+    fn read_only_mode_refuses_writes_but_admits_reads() {
+        let door = FrontDoor::new("mastodon", 8);
+        door.set_read_only(true);
+        assert!(door.is_read_only());
+        assert_eq!(door.admit(Workload::Write).unwrap_err(), Rejected::ReadOnly);
+        let _r = door.admit(Workload::Read).unwrap();
+        assert_eq!(door.stats().refused_writes, 1);
+        assert_eq!(door.stats().admitted, 1);
+        // Leaving degraded mode restores writes.
+        door.set_read_only(false);
+        let _w = door.admit(Workload::Write).unwrap();
+    }
+
+    #[test]
+    fn permits_release_on_panic_unwind() {
+        let door = FrontDoor::new("spree", 1);
+        let result = std::panic::catch_unwind({
+            let door = Arc::clone(&door);
+            move || {
+                let _p = door.admit(Workload::Write).unwrap();
+                panic!("handler died");
+            }
+        });
+        assert!(result.is_err());
+        assert_eq!(door.stats().in_flight, 0, "permit released by unwind");
+        door.admit(Workload::Write).unwrap();
+    }
+
+    #[test]
+    fn zero_capacity_is_clamped_to_one() {
+        let door = FrontDoor::new("redmine", 0);
+        let _p = door.admit(Workload::Read).unwrap();
+        assert_eq!(door.admit(Workload::Read).unwrap_err(), Rejected::Shed);
     }
 }

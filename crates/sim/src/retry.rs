@@ -739,4 +739,31 @@ mod tests {
         let events = rec.0.into_inner();
         assert_eq!(events, vec!["retry occ#0", "give-up occ@2 (attempts)"]);
     }
+
+    #[test]
+    fn observer_is_silent_on_success_and_hard_errors() {
+        let rec = Recorder(Mutex::new(Vec::new()));
+        let policy = RetryPolicy::exponential(4, Duration::ZERO, Duration::ZERO);
+        let ok: Result<u32, GiveUp<&str>> = policy.run("ok", Some(&rec), |_| true, |_| Ok(7));
+        assert_eq!(ok.unwrap(), 7);
+        let hard: Result<(), GiveUp<&str>> =
+            policy.run("hard", Some(&rec), |_| false, |_| Err("fatal"));
+        assert!(!hard.unwrap_err().retryable);
+        assert!(
+            rec.0.into_inner().is_empty(),
+            "no retry happened, so the observer must hear nothing"
+        );
+    }
+
+    #[test]
+    fn observer_reports_deadline_exhaustion_as_deadline() {
+        let rec = Recorder(Mutex::new(Vec::new()));
+        // Deadline already spent at the first failure; the attempt budget
+        // (unbounded) is not the binding constraint.
+        let policy = RetryPolicy::fixed(Duration::ZERO, Duration::ZERO);
+        let out: Result<(), GiveUp<&str>> =
+            policy.run("poll", Some(&rec), |_| true, |_| Err("busy"));
+        assert_eq!(out.unwrap_err().attempts, 1);
+        assert_eq!(rec.0.into_inner(), vec!["give-up poll@1 (deadline)"]);
+    }
 }

@@ -5,8 +5,7 @@
 
 use adhoc_transactions::apps::{discourse, Mode};
 use adhoc_transactions::core::locks::MemLock;
-use adhoc_transactions::core::optimistic::{ContinuationStore, OptimisticTransaction};
-use adhoc_transactions::core::validation::CommitOutcome;
+use adhoc_transactions::orm::{ContinuationStore, OccTxn};
 use adhoc_transactions::storage::{Database, EngineProfile};
 use std::sync::Arc;
 
@@ -70,17 +69,24 @@ fn main() {
     // --- The §6 proposal: an optimistic continuation doing the same flow ---
     let store = ContinuationStore::new();
     let tid = {
-        let mut txn = OptimisticTransaction::new();
+        let mut txn = OccTxn::new();
         txn.read(forum.orm(), "posts", post)
             .expect("read")
             .expect("post exists");
         store.save(txn) // request 1 ends; nothing is locked
     };
     let mut txn = store.restore(tid).expect("restore");
-    txn.write("posts", post, &[("content", "via continuation".into())]);
-    let outcome = txn.commit(forum.orm()).expect("commit");
-    println!("OCC   continuation-based edit across requests: {outcome:?}");
-    assert_eq!(outcome, CommitOutcome::Committed);
+    txn.stage_update("posts", post, &[("content", "via continuation".into())]);
+    txn.commit(forum.orm()).expect("nothing moved while parked");
+    let content = forum
+        .orm()
+        .find_required("posts", post)
+        .expect("post")
+        .get_str("content")
+        .expect("content")
+        .to_string();
+    println!("OCC   continuation-based edit across requests: {content:?}");
+    assert_eq!(content, "via continuation");
 
     println!("\nAll forum flows coordinated correctly.");
 }

@@ -7,18 +7,13 @@
 //! 2. The deadlock watchdog — restoring the engine's victim-abort contract
 //!    to application locks (§3.3.1 / Finding 5).
 //! 3. OCC continuations — a multi-request edit without holding anything.
-//! 4. A saga — the §3.1.2 alternative, with compensation on failure.
-//! 5. The consistency checker — the "fsck" style periodic repair (§3.4.2).
+//! 4. The consistency checker — the "fsck" style periodic repair (§3.4.2).
 //!
 //! Run with `cargo run --example toolkit_tour`.
 
 use adhoc_transactions::core::checker::{column_invariant, ConsistencyChecker};
-use adhoc_transactions::core::hints::HintProxy;
 use adhoc_transactions::core::locks::{AdHocLock, LockError, WatchdogLock};
-use adhoc_transactions::core::optimistic::{ContinuationStore, OptimisticTransaction};
-use adhoc_transactions::core::saga::{Saga, SagaOutcome};
-use adhoc_transactions::core::validation::CommitOutcome;
-use adhoc_transactions::orm::{EntityDef, Orm, Registry};
+use adhoc_transactions::orm::{ContinuationStore, Coordinator, EntityDef, OccTxn, Orm, Registry};
 use adhoc_transactions::storage::{
     Column, ColumnType, Database, EngineProfile, IsolationLevel, Predicate, Schema,
 };
@@ -39,23 +34,9 @@ fn shop() -> (Database, Orm) {
         .unwrap(),
     )
     .unwrap();
-    db.create_table(
-        Schema::new(
-            "ledger",
-            vec![
-                Column::new("id", ColumnType::Int),
-                Column::new("amount", ColumnType::Int),
-            ],
-            "id",
-        )
-        .unwrap(),
-    )
-    .unwrap();
     let orm = Orm::new(
         db.clone(),
-        Registry::new()
-            .register(EntityDef::new("items"))
-            .register(EntityDef::new("ledger")),
+        Registry::new().register(EntityDef::new("items")),
     );
     orm.create(
         "items",
@@ -70,9 +51,9 @@ fn main() {
 
     // -----------------------------------------------------------------
     println!("1. Coordination hints (Table 7)");
-    let proxy = HintProxy::new(db.clone());
+    let coord = Coordinator::new(db.clone());
     // A user lock stands in for any hand-rolled SETNX/synchronized lock.
-    let guard = proxy.user_lock("restock:item=1").expect("user lock");
+    let guard = coord.user_lock("restock:item=1").expect("user lock");
     orm.transaction(|t| {
         t.raw().update("items", 1, &[("stock", 12.into())])?;
         Ok(())
@@ -82,7 +63,7 @@ fn main() {
     // Per-op isolation: inside a serializable transaction, read the price
     // board at Read Committed so it never drags us into certification.
     db.run(IsolationLevel::Serializable, |t| {
-        let latest = proxy
+        let latest = coord
             .read_committed_read(t, "items", 1)
             .expect("hint supported")
             .expect("row");
@@ -125,62 +106,23 @@ fn main() {
     // -----------------------------------------------------------------
     println!("3. OCC continuation across requests (§6)");
     let store = ContinuationStore::new();
-    let mut txn = OptimisticTransaction::new();
+    let mut txn = OccTxn::new();
     txn.read(&orm, "items", 1).expect("request 1 read");
     let tid = store.save(txn);
     // ... the user thinks; nothing is locked ...
     let mut txn = store.restore(tid).expect("request 2 restore");
-    txn.write("items", 1, &[("price", 30.into())]);
-    let outcome = txn.commit(&orm).expect("commit");
-    println!("   price edit across two requests: {outcome:?}");
-    assert_eq!(outcome, CommitOutcome::Committed);
+    txn.stage_update("items", 1, &[("price", 30.into())]);
+    txn.commit(&orm).expect("nothing moved while parked");
+    let price = orm
+        .find_required("items", 1)
+        .unwrap()
+        .get_int("price")
+        .unwrap();
+    println!("   price edit across two requests: committed, price = {price}");
+    assert_eq!(price, 30);
 
     // -----------------------------------------------------------------
-    println!("4. Saga with compensation (§3.1.2)");
-    let saga = Saga::new()
-        .step(
-            "reserve",
-            |t| {
-                t.find_for_update("items", 1)?;
-                let stock = t.find_required("items", 1)?.get_int("stock")?;
-                t.raw()
-                    .update("items", 1, &[("stock", (stock - 1).into())])?;
-                Ok(())
-            },
-            |t| {
-                t.find_for_update("items", 1)?;
-                let stock = t.find_required("items", 1)?.get_int("stock")?;
-                t.raw()
-                    .update("items", 1, &[("stock", (stock + 1).into())])?;
-                Ok(())
-            },
-        )
-        .step(
-            "charge",
-            |t| {
-                // Fails: ledger row 99 does not exist (gateway refused).
-                t.find_required("ledger", 99)?;
-                Ok(())
-            },
-            |_| Ok(()),
-        );
-    match saga.run(&orm).expect("saga engine") {
-        SagaOutcome::Compensated {
-            failed_step,
-            compensated,
-        } => println!("   '{failed_step}' failed; compensated {compensated:?} — stock restored"),
-        other => panic!("expected compensation, got {other:?}"),
-    }
-    assert_eq!(
-        orm.find_required("items", 1)
-            .unwrap()
-            .get_int("stock")
-            .unwrap(),
-        12
-    );
-
-    // -----------------------------------------------------------------
-    println!("5. Consistency checker (§3.4.2)");
+    println!("4. Consistency checker (§3.4.2)");
     // Corrupt the shop the way a crashed ad hoc transaction would.
     orm.transaction(|t| {
         t.raw().update("items", 1, &[("stock", (-3).into())])?;

@@ -4,14 +4,18 @@
 //! tests can use every subsystem through one dependency. Library users
 //! should normally depend on the individual crates instead:
 //!
-//! * [`adhoc_sim`] — clocks, latency model, seeded RNG, statistics helpers.
+//! * [`adhoc_sim`] — clocks, latency model, seeded RNG, statistics helpers,
+//!   the one retry policy, and the deadline / retry-budget / breaker /
+//!   front-door admission primitives.
 //! * [`adhoc_kv`] — the Redis-like key–value substrate.
 //! * [`adhoc_storage`] — the in-memory RDBMS substrate (MySQL-like and
 //!   PostgreSQL-like engine profiles).
-//! * [`adhoc_orm`] — the Active-Record-style ORM substrate.
+//! * [`adhoc_orm`] — the Active-Record-style ORM substrate, plus the §6
+//!   cures: the OCC primitive with continuations (`occ`) and the
+//!   coordination-hints proxy (`coord`).
 //! * [`adhoc_core`] — the ad hoc transaction toolkit: taxonomy, the seven
-//!   lock implementations, validation strategies, the optimistic transaction
-//!   framework, and the coordination-hints proxy.
+//!   lock implementations, validation strategies, the consistency checker,
+//!   and the hazard monitor.
 //! * [`adhoc_apps`] — modeled workloads for the eight studied applications.
 //! * [`adhoc_study`] — the 91-case study corpus and paper-table generators.
 //! * [`adhoc_service`] — the web-tier front door over the eight apps:

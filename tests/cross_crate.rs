@@ -3,11 +3,9 @@
 
 use adhoc_transactions::apps::{broadleaf, mastodon, spree, Mode};
 use adhoc_transactions::core::checker::{referential_integrity, ConsistencyChecker};
-use adhoc_transactions::core::hints::HintProxy;
 use adhoc_transactions::core::locks::{AdHocLock, DbTableLock, KvSetNxLock, MemLock};
-use adhoc_transactions::core::optimistic::{ContinuationStore, OptimisticTransaction};
-use adhoc_transactions::core::validation::CommitOutcome;
 use adhoc_transactions::kv::{Client, Store};
+use adhoc_transactions::orm::{ContinuationStore, Coordinator, OccTxn, OrmError};
 use adhoc_transactions::sim::{LatencyModel, RealClock};
 use adhoc_transactions::storage::{Database, EngineProfile, IsolationLevel};
 use adhoc_transactions::study;
@@ -91,17 +89,17 @@ fn hint_proxy_replaces_ad_hoc_payment_lock() {
         Mode::AdHoc,
     ));
     app.seed_order(1).unwrap();
-    let proxy = Arc::new(HintProxy::new(db));
+    let coord = Coordinator::new(db);
 
     let created: usize = std::thread::scope(|s| {
         (0..6)
             .map(|_| {
                 let app = Arc::clone(&app);
-                let proxy = Arc::clone(&proxy);
+                let coord = coord.clone();
                 s.spawn(move || {
                     // The proxy's user lock replaces `add_payment`'s
                     // internal predicate lock.
-                    let guard = proxy.user_lock("payments:order=1").unwrap();
+                    let guard = coord.user_lock("payments:order=1").unwrap();
                     let created = app.add_payment_json(1).unwrap(); // uncoordinated API...
                     guard.unlock().unwrap(); // ...made safe by the hint
                     created as usize
@@ -131,7 +129,7 @@ fn continuation_vs_direct_edit_race() {
     let post = app.seed_post(1, "original", 0).unwrap();
 
     let store = ContinuationStore::new();
-    let mut txn = OptimisticTransaction::new();
+    let mut txn = OccTxn::new();
     txn.read(app.orm(), "posts", post).unwrap().unwrap();
     let tid = store.save(txn);
 
@@ -140,8 +138,11 @@ fn continuation_vs_direct_edit_race() {
     app.commit_edit(&token, "direct edit").unwrap();
 
     let mut txn = store.restore(tid).unwrap();
-    txn.write("posts", post, &[("content", "continuation edit".into())]);
-    assert_eq!(txn.commit(app.orm()).unwrap(), CommitOutcome::Conflict);
+    txn.stage_update("posts", post, &[("content", "continuation edit".into())]);
+    assert!(matches!(
+        txn.commit(app.orm()),
+        Err(OrmError::OccConflict { .. })
+    ));
     assert_eq!(
         app.orm()
             .find_required("posts", post)

@@ -20,11 +20,11 @@
 //! windowed [`FaultPlan`], so both worlds replay bit-for-bit.
 
 use adhoc_transactions::apps::admission::{Admission, APPS};
-use adhoc_transactions::core::resilience::{
-    BreakerState, CircuitBreaker, Deadline, Permit, RetryBudget, Workload,
-};
 use adhoc_transactions::kv::{Client, KvError, Store};
-use adhoc_transactions::sim::{Clock, FaultKind, FaultPlan, FaultRule, LatencyModel, VirtualClock};
+use adhoc_transactions::sim::{
+    BreakerState, CircuitBreaker, Clock, Deadline, FaultKind, FaultPlan, FaultRule, LatencyModel,
+    Permit, RetryBudget, VirtualClock, Workload,
+};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;

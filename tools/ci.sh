@@ -13,8 +13,18 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+# The whole workspace, not just the root package: the unit tests inside
+# crates/* (core, orm::occ, orm::coord, sim::retry, ...) run only here.
+# The timeout turns a hang into a failure: the known two-thread engine
+# stall (ROADMAP item 1) can park a multi-threaded test forever.
+echo "==> cargo test -q --workspace"
+timeout 900 cargo test -q --workspace
+
+# The stand-alone benchmark crate path-depends on crates/* from outside
+# the workspace, so only this step notices a PR deleting a public item
+# it imports.
+echo "==> benchmark self-tests"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 # Bounded interleaving-explorer smoke gate: fixed seed, fixed 128-schedule
 # budget per scenario (see tests/schedule_explorer.rs). Deterministic, so
