@@ -4,6 +4,7 @@ use crate::error::OrmError;
 use crate::Result;
 use adhoc_storage::{Row, Schema, Value};
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// A many-to-many touch cascade: when this entity is saved, follow
 /// `join_table` from `fk_column`'s value to the parents and touch their
@@ -152,7 +153,8 @@ pub struct Obj {
     pub entity: String,
     /// Primary key.
     pub id: i64,
-    schema: Schema,
+    /// The table's one shared schema instance (never a per-object copy).
+    schema: Arc<Schema>,
     row: Row,
     dirty: BTreeSet<String>,
     /// `lock_version` value at load time (for optimistic locking).
@@ -160,10 +162,9 @@ pub struct Obj {
 }
 
 impl Obj {
-    pub(crate) fn from_row(entity: &str, schema: Schema, id: i64, row: Row) -> Self {
+    pub(crate) fn from_row(entity: &str, schema: Arc<Schema>, id: i64, row: Row) -> Self {
         let loaded_version = schema
-            .column_index("lock_version")
-            .ok()
+            .position("lock_version")
             .map(|idx| row.at(idx).as_int());
         Self {
             entity: entity.to_string(),
@@ -207,8 +208,10 @@ impl Obj {
 
     /// Assign a field, marking it dirty.
     pub fn set(&mut self, column: &str, value: impl Into<Value>) -> Result<()> {
-        self.row = self.row.with(&self.schema, column, value.into())?;
-        self.dirty.insert(column.to_string());
+        self.row.values[self.schema.column_index(column)?] = value.into();
+        if !self.dirty.contains(column) {
+            self.dirty.insert(column.to_string());
+        }
         Ok(())
     }
 
@@ -262,7 +265,7 @@ mod tests {
             ],
         )
         .unwrap();
-        Obj::from_row("posts", s, 1, row)
+        Obj::from_row("posts", Arc::new(s), 1, row)
     }
 
     #[test]
@@ -320,7 +323,7 @@ mod tests {
         .unwrap();
         let row = adhoc_storage::schema::row_from_pairs(&s, &[("id", 1.into()), ("v", 2.into())])
             .unwrap();
-        let o = Obj::from_row("plain", s, 1, row);
+        let o = Obj::from_row("plain", Arc::new(s), 1, row);
         assert_eq!(o.loaded_version, None);
     }
 

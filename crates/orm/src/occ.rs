@@ -304,18 +304,16 @@ impl OccTxn {
                 let current = t.raw().get_for_update(&r.entity, r.id)?;
                 match current {
                     Some(row) if r.found => {
-                        orm.db().with_schema(&r.entity, |schema| -> Result<()> {
-                            for (col, expected) in &r.fields {
-                                if row.get(schema, col)? != expected {
-                                    return Err(OrmError::OccConflict {
-                                        entity: r.entity.clone(),
-                                        id: r.id,
-                                        column: col.clone(),
-                                    });
-                                }
+                        let schema = orm.db().schema(&r.entity)?;
+                        for (col, expected) in &r.fields {
+                            if row.get(&schema, col)? != expected {
+                                return Err(OrmError::OccConflict {
+                                    entity: r.entity.clone(),
+                                    id: r.id,
+                                    column: col.clone(),
+                                });
                             }
-                            Ok(())
-                        })??;
+                        }
                     }
                     None if !r.found => {}
                     _ => {

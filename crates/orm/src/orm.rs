@@ -1,7 +1,7 @@
 //! The ORM runtime: finders, `save()` with generated cascades, transaction
 //! blocks, and the MiniSql bypass.
 
-use crate::entity::{Obj, Registry, Validation};
+use crate::entity::{EntityDef, Obj, Registry, Validation};
 use crate::error::OrmError;
 use crate::Result;
 use adhoc_storage::{Database, Footprint, IsolationLevel, Predicate, Row, Transaction, Value};
@@ -188,15 +188,18 @@ impl OrmTxn<'_> {
     }
 
     /// Run the entity's `validates` rules against current database state.
-    fn run_validations(
+    /// `value_of` resolves a column of the row being written (`None` when
+    /// the write does not carry it).
+    fn run_validations<'v>(
         &mut self,
-        entity: &str,
+        def: &EntityDef,
         obj_id: Option<i64>,
-        row_pairs: &[(&str, Value)],
+        value_of: impl Fn(&str) -> Option<&'v Value>,
     ) -> Result<()> {
-        let def = self.orm.registry.get(entity)?.clone();
-        let value_of = |col: &str| -> Option<&Value> {
-            row_pairs.iter().find(|(n, _)| *n == col).map(|(_, v)| v)
+        let failed = |column: &str, rule| OrmError::ValidationFailed {
+            entity: def.name.clone(),
+            column: column.to_string(),
+            rule,
         };
         for v in &def.validations {
             match v {
@@ -207,21 +210,13 @@ impl OrmTxn<'_> {
                         Some(_) => true,
                     };
                     if !ok {
-                        return Err(OrmError::ValidationFailed {
-                            entity: entity.to_string(),
-                            column: column.clone(),
-                            rule: "presence",
-                        });
+                        return Err(failed(column, "presence"));
                     }
                 }
                 Validation::NonNegative { column } => {
                     if let Some(Value::Int(n)) = value_of(column) {
                         if *n < 0 {
-                            return Err(OrmError::ValidationFailed {
-                                entity: entity.to_string(),
-                                column: column.clone(),
-                                rule: "non_negative",
-                            });
+                            return Err(failed(column, "non_negative"));
                         }
                     }
                 }
@@ -234,13 +229,9 @@ impl OrmTxn<'_> {
                         }
                         let existing = self
                             .txn
-                            .scan(entity, &Predicate::Eq(column.clone(), value.clone()))?;
+                            .scan(&def.name, &Predicate::Eq(column.clone(), value.clone()))?;
                         if existing.iter().any(|(id, _)| Some(*id) != obj_id) {
-                            return Err(OrmError::ValidationFailed {
-                                entity: entity.to_string(),
-                                column: column.clone(),
-                                rule: "uniqueness",
-                            });
+                            return Err(failed(column, "uniqueness"));
                         }
                     }
                 }
@@ -250,8 +241,7 @@ impl OrmTxn<'_> {
     }
 
     /// Touch cascades generated by `save` (§3.1.1's hidden statements).
-    fn run_touches(&mut self, entity: &str, obj: &Obj) -> Result<()> {
-        let def = self.orm.registry.get(entity)?.clone();
+    fn run_touches(&mut self, def: &EntityDef, obj: &Obj) -> Result<()> {
         for (fk, parent) in &def.touches {
             let parent_id = obj.get_int(fk)?;
             let tick = self.orm.now_tick();
@@ -277,79 +267,65 @@ impl OrmTxn<'_> {
     /// `obj.save!`: validations, the UPDATE itself (optimistically locked
     /// when configured), then the generated touch cascades.
     pub fn save(&mut self, obj: &mut Obj) -> Result<()> {
-        let entity = obj.entity.clone();
-        let def = self.orm.registry.get(&entity)?.clone();
+        // Borrow the definition through the `&Orm`, not through `self`, so
+        // it stays usable across the statements below.
+        let orm = self.orm;
+        let def = orm.registry.get(&obj.entity)?;
+        self.run_validations(def, Some(obj.id), |col| {
+            obj.schema().position(col).map(|i| obj.row().at(i))
+        })?;
 
-        let all_pairs: Vec<(String, Value)> = obj
-            .schema()
-            .columns
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (c.name.clone(), obj.row().at(i).clone()))
-            .collect();
-        let pair_refs: Vec<(&str, Value)> = all_pairs
-            .iter()
-            .map(|(n, v)| (n.as_str(), v.clone()))
-            .collect();
-        self.run_validations(&entity, Some(obj.id), &pair_refs)?;
-
-        let mut pairs: Vec<(String, Value)> = obj
+        let mut pairs: Vec<(&str, Value)> = obj
             .dirty_columns()
-            .map(|c| (c.to_string(), obj.get(c).unwrap().clone()))
-            .collect::<Vec<_>>();
+            .map(|c| Ok((c, obj.get(c)?.clone())))
+            .collect::<Result<_>>()?;
         if def.timestamps {
-            pairs.push(("updated_at".to_string(), self.orm.now_tick().into()));
+            pairs.push(("updated_at", orm.now_tick().into()));
         }
 
         if def.optimistic_lock {
-            let loaded = obj.loaded_version.ok_or_else(|| OrmError::StaleObject {
-                entity: entity.clone(),
+            let stale = || OrmError::StaleObject {
+                entity: obj.entity.clone(),
                 id: obj.id,
-            })?;
-            pairs.push(("lock_version".to_string(), (loaded + 1).into()));
+            };
+            let loaded = obj.loaded_version.ok_or_else(stale)?;
+            pairs.push(("lock_version", (loaded + 1).into()));
             let pred = Predicate::And(vec![
                 Predicate::eq("id", obj.id),
                 Predicate::eq("lock_version", loaded),
             ]);
-            let pair_refs: Vec<(&str, Value)> =
-                pairs.iter().map(|(n, v)| (n.as_str(), v.clone())).collect();
-            let affected = self.txn.update_where(&entity, &pred, &pair_refs)?;
-            if affected == 0 {
-                return Err(OrmError::StaleObject { entity, id: obj.id });
+            if self.txn.update_where(&obj.entity, &pred, &pairs)? == 0 {
+                return Err(stale());
             }
             obj.bump_loaded_version();
         } else if !pairs.is_empty() {
-            let pair_refs: Vec<(&str, Value)> =
-                pairs.iter().map(|(n, v)| (n.as_str(), v.clone())).collect();
-            self.txn.update(&entity, obj.id, &pair_refs)?;
+            self.txn.update(&obj.entity, obj.id, &pairs)?;
         }
 
-        self.run_touches(&entity, obj)?;
+        self.run_touches(def, obj)?;
         obj.clear_dirty();
         Ok(())
     }
 
     /// `Entity.create!(…)`.
     pub fn create(&mut self, entity: &str, pairs: &[(&str, Value)]) -> Result<Obj> {
-        let def = self.orm.registry.get(entity)?.clone();
-        let mut pairs: Vec<(String, Value)> = pairs
-            .iter()
-            .map(|(n, v)| (n.to_string(), v.clone()))
-            .collect();
-        if def.timestamps && !pairs.iter().any(|(n, _)| n == "updated_at") {
-            pairs.push(("updated_at".to_string(), self.orm.now_tick().into()));
+        let orm = self.orm;
+        let def = orm.registry.get(entity)?;
+        let mut pairs = pairs.to_vec();
+        if def.timestamps && !pairs.iter().any(|(n, _)| *n == "updated_at") {
+            pairs.push(("updated_at", orm.now_tick().into()));
         }
-        if def.optimistic_lock && !pairs.iter().any(|(n, _)| n == "lock_version") {
-            pairs.push(("lock_version".to_string(), 0.into()));
+        if def.optimistic_lock && !pairs.iter().any(|(n, _)| *n == "lock_version") {
+            pairs.push(("lock_version", 0.into()));
         }
-        let pair_refs: Vec<(&str, Value)> =
-            pairs.iter().map(|(n, v)| (n.as_str(), v.clone())).collect();
-        self.run_validations(entity, None, &pair_refs)?;
-        let id = self.txn.insert(entity, &pair_refs)?;
+        self.run_validations(def, None, |col| {
+            pairs.iter().find(|(n, _)| *n == col).map(|(_, v)| v)
+        })?;
+        let id = self.txn.insert(entity, &pairs)?;
         let obj = self
             .find(entity, id)?
             .expect("just inserted row must be visible to this transaction");
-        self.run_touches(entity, &obj)?;
+        self.run_touches(def, &obj)?;
         Ok(obj)
     }
 

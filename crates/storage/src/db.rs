@@ -119,7 +119,7 @@ pub(crate) struct DbInner {
     /// transaction wrapper skips the lock + `Arc` clone.
     retry_observed: AtomicBool,
     /// Table catalog: name → id, id → shared table handle. Read-mostly —
-    /// statements clone an `Arc<Table>`, never the schema.
+    /// statements clone an `Arc<Table>`, callers an `Arc<Schema>`.
     catalog: RwLock<Catalog>,
     /// The row-state shards. Index with [`shard_of`].
     shards: Box<[Mutex<Shard>]>,
@@ -234,17 +234,10 @@ impl Database {
         Ok(())
     }
 
-    /// A clone of a table's schema.
-    pub fn schema(&self, table: &str) -> Result<Schema> {
-        Ok(self.resolve_table(table)?.schema.clone())
-    }
-
-    /// Run `f` against a table's schema without cloning it. Hot commit
-    /// paths that resolve column names per row (the OCC validation loop)
-    /// use this; [`schema`](Self::schema) clones the column vector on
-    /// every call.
-    pub fn with_schema<R>(&self, table: &str, f: impl FnOnce(&Schema) -> R) -> Result<R> {
-        Ok(f(&self.resolve_table(table)?.schema))
+    /// A table's schema: the one shared, immutable instance (a reference
+    /// count bump, never a copy of the column list).
+    pub fn schema(&self, table: &str) -> Result<Arc<Schema>> {
+        Ok(Arc::clone(&self.resolve_table(table)?.schema))
     }
 
     /// Resolve a table by name to its shared handle (statements hold the

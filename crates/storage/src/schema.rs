@@ -96,15 +96,18 @@ impl Schema {
         Ok(self)
     }
 
+    /// Position of a named column, `None` when the table has no such
+    /// column — for callers to whom a miss is an answer, not an error.
+    pub fn position(&self, name: &str) -> Option<usize> {
+        self.columns.iter().position(|c| c.name == name)
+    }
+
     /// Position of a named column.
     pub fn column_index(&self, name: &str) -> Result<usize> {
-        self.columns
-            .iter()
-            .position(|c| c.name == name)
-            .ok_or_else(|| DbError::NoSuchColumn {
-                table: self.table.clone(),
-                column: name.to_string(),
-            })
+        self.position(name).ok_or_else(|| DbError::NoSuchColumn {
+            table: self.table.clone(),
+            column: name.to_string(),
+        })
     }
 
     /// Validate a full row against the schema (arity, types, nullability).

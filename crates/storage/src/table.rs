@@ -27,6 +27,7 @@ use crate::Result;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
+use std::sync::Arc;
 
 /// Global commit timestamp. 0 = "before any commit".
 pub type CommitTs = u64;
@@ -118,8 +119,10 @@ pub(crate) type IndexScan = (Vec<i64>, (Option<Value>, Option<Value>));
 pub struct Table {
     /// Positional table id within the database.
     pub id: usize,
-    /// The table's schema.
-    pub schema: Schema,
+    /// The table's schema: immutable after creation and shared by
+    /// reference count with every statement, ORM object and caller of
+    /// [`Database::schema`](crate::Database::schema).
+    pub schema: Arc<Schema>,
     index: Mutex<TableIndex>,
     next_auto_id: std::sync::atomic::AtomicI64,
 }
@@ -142,7 +145,7 @@ impl Table {
             .collect();
         Self {
             id,
-            schema,
+            schema: Arc::new(schema),
             index: Mutex::new(TableIndex {
                 pk_set: BTreeSet::new(),
                 indexes,
@@ -197,34 +200,39 @@ impl Table {
         Self::pk_neighbors_in(&self.index.lock().pk_set, interval)
     }
 
+    /// Two ordered look-ups, whatever the table's size: the nearest key
+    /// strictly below the low bound's value and strictly above the high's
+    /// (for a primary key, `Included` and `Excluded` bounds have the same
+    /// outside neighbour — a key equal to an excluded bound is neither in
+    /// the interval nor a neighbour).
     fn pk_neighbors_in(
         pk_set: &BTreeSet<i64>,
         interval: &ValueInterval,
     ) -> (Option<Value>, Option<Value>) {
-        let prev = pk_set
-            .iter()
-            .rev()
-            .find(|id| {
-                let v = Value::Int(**id);
-                !interval.contains(&v)
-                    && match &interval.low {
-                        Bound::Unbounded => false,
-                        Bound::Included(b) | Bound::Excluded(b) => v < *b,
-                    }
-            })
-            .map(|id| Value::Int(*id));
-        let next = pk_set
-            .iter()
-            .find(|id| {
-                let v = Value::Int(**id);
-                !interval.contains(&v)
-                    && match &interval.high {
-                        Bound::Unbounded => false,
-                        Bound::Included(b) | Bound::Excluded(b) => v > *b,
-                    }
-            })
-            .map(|id| Value::Int(*id));
-        (prev, next)
+        let prev = match &interval.low {
+            Bound::Unbounded => None,
+            Bound::Included(Value::Int(b)) | Bound::Excluded(Value::Int(b)) => {
+                pk_set.range(..*b).next_back()
+            }
+            // Non-integer bounds on an integer primary key: as rare as in
+            // `pk_candidates_in`, and served by the same filter.
+            Bound::Included(b) | Bound::Excluded(b) => {
+                pk_set.iter().rev().find(|id| Value::Int(**id) < *b)
+            }
+        };
+        let next = match &interval.high {
+            Bound::Unbounded => None,
+            Bound::Included(Value::Int(b)) | Bound::Excluded(Value::Int(b)) => {
+                pk_set.range((Bound::Excluded(*b), Bound::Unbounded)).next()
+            }
+            Bound::Included(b) | Bound::Excluded(b) => {
+                pk_set.iter().find(|id| Value::Int(**id) > *b)
+            }
+        };
+        (
+            prev.map(|id| Value::Int(*id)),
+            next.map(|id| Value::Int(*id)),
+        )
     }
 
     /// Candidates and gap neighbours for a primary-key scan, under one
@@ -243,12 +251,6 @@ impl Table {
     /// All primary keys with any committed history.
     pub fn all_ids(&self) -> Vec<i64> {
         self.index.lock().pk_set.iter().copied().collect()
-    }
-
-    /// Index positions declared on this table (from the immutable schema —
-    /// no lock).
-    pub fn indexed_columns(&self) -> Vec<usize> {
-        self.schema.indexes.iter().map(|(col, _)| *col).collect()
     }
 
     /// Whether `column` (by position) has an index, and its uniqueness
@@ -625,5 +627,84 @@ mod tests {
             t.index_candidates(id_col, &ValueInterval::all()),
             Err(DbError::NoIndex { .. })
         ));
+    }
+
+    /// The linear walk `pk_neighbors_in` replaced, kept as the oracle.
+    fn pk_neighbors_walk(
+        pk_set: &BTreeSet<i64>,
+        interval: &ValueInterval,
+    ) -> (Option<Value>, Option<Value>) {
+        let prev = pk_set
+            .iter()
+            .rev()
+            .find(|id| {
+                let v = Value::Int(**id);
+                !interval.contains(&v)
+                    && match &interval.low {
+                        Bound::Unbounded => false,
+                        Bound::Included(b) | Bound::Excluded(b) => v < *b,
+                    }
+            })
+            .map(|id| Value::Int(*id));
+        let next = pk_set
+            .iter()
+            .find(|id| {
+                let v = Value::Int(**id);
+                !interval.contains(&v)
+                    && match &interval.high {
+                        Bound::Unbounded => false,
+                        Bound::Included(b) | Bound::Excluded(b) => v > *b,
+                    }
+            })
+            .map(|id| Value::Int(*id));
+        (prev, next)
+    }
+
+    fn bound_kinds(v: &Value) -> [Bound<Value>; 3] {
+        [
+            Bound::Unbounded,
+            Bound::Included(v.clone()),
+            Bound::Excluded(v.clone()),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Plan equivalence: the two ordered look-ups return exactly what
+        /// the walk returned, for every bound-kind pair and for bound
+        /// values below, on, between and above the keys — over empty,
+        /// singleton, dense (stride 1) and sparse (stride 7) key sets, and
+        /// for bounds that are not integers at all.
+        #[test]
+        fn pk_neighbors_match_the_linear_walk(
+            keys in proptest::collection::vec(-12i64..12, 0..10),
+            stride in proptest::prop_oneof![proptest::Just(1i64), proptest::Just(7i64)],
+        ) {
+            let pk_set: BTreeSet<i64> = keys.iter().map(|k| k * stride).collect();
+            let mut values: Vec<Value> = pk_set
+                .iter()
+                .flat_map(|k| [k - 1, *k, k + 1])
+                .chain([-100, 0, 100])
+                .map(Value::Int)
+                .collect();
+            values.extend([Value::Null, Value::Bool(true), Value::from("m")]);
+            for low_value in &values {
+                for high_value in &values {
+                    for low in bound_kinds(low_value) {
+                        for high in bound_kinds(high_value) {
+                            let interval = ValueInterval { low: low.clone(), high };
+                            proptest::prop_assert_eq!(
+                                Table::pk_neighbors_in(&pk_set, &interval),
+                                pk_neighbors_walk(&pk_set, &interval),
+                                "keys {:?}, interval {:?}",
+                                pk_set,
+                                interval
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -585,20 +585,20 @@ impl Transaction {
         self.statement()?;
         let t = self.resolve(table)?;
         let tid = t.id;
-        let pk_name = t.schema.columns[t.schema.primary_key].name.clone();
+        let pk_name = t.schema.columns[t.schema.primary_key].name.as_str();
 
         // Assign the primary key.
         let explicit_pk = pairs
             .iter()
             .find(|(n, _)| *n == pk_name)
-            .map(|(_, v)| v.clone())
+            .map(|(_, v)| v)
             .filter(|v| !v.is_null());
         let id = match explicit_pk {
-            Some(Value::Int(v)) => v,
+            Some(Value::Int(v)) => *v,
             Some(other) => {
                 return Err(DbError::TypeMismatch {
                     table: table.to_string(),
-                    column: pk_name,
+                    column: pk_name.to_string(),
                     expected: crate::value::ColumnType::Int,
                     found: other.column_type(),
                 })
@@ -610,11 +610,10 @@ impl Transaction {
             .filter(|(n, _)| *n != pk_name)
             .map(|(n, v)| (*n, v.clone()))
             .collect();
-        full_pairs.push((pk_name.as_str(), Value::Int(id)));
+        full_pairs.push((pk_name, Value::Int(id)));
         let row = row_from_pairs(&t.schema, &full_pairs)?;
 
         // Gap-lock (insert intention) checks, MySQL-like only.
-        let indexed = t.indexed_columns();
         if self.profile() == EngineProfile::MySqlLike {
             self.db.locks().check_insert_within(
                 self.id,
@@ -623,7 +622,7 @@ impl Transaction {
                 &Value::Int(id),
                 self.wait_cap(),
             )?;
-            for col in &indexed {
+            for (col, _) in &t.schema.indexes {
                 self.db.locks().check_insert_within(
                     self.id,
                     tid,
@@ -642,7 +641,7 @@ impl Transaction {
             LockMode::Exclusive,
             self.wait_cap(),
         )?;
-        for col in indexed.iter().filter(|c| t.index_on(**c) == Some(true)) {
+        for (col, _) in t.schema.indexes.iter().filter(|(_, unique)| *unique) {
             let key = row.at(*col).clone();
             if !key.is_null() {
                 self.db
@@ -651,17 +650,10 @@ impl Transaction {
             }
         }
         t.check_unique(&row, None)?;
-        if self.latest(tid, id).is_some() {
+        if self.latest(tid, id).is_some() || matches!(self.pending_row(tid, id), Some(Some(_))) {
             return Err(DbError::UniqueViolation {
                 table: table.to_string(),
-                column: pk_name,
-                value: id.to_string(),
-            });
-        }
-        if matches!(self.pending_row(tid, id), Some(Some(_))) {
-            return Err(DbError::UniqueViolation {
-                table: table.to_string(),
-                column: pk_name,
+                column: pk_name.to_string(),
                 value: id.to_string(),
             });
         }
@@ -728,29 +720,42 @@ impl Transaction {
             }
         };
 
-        // Only tables with a unique secondary index need the pre-image for
-        // the changed-key check; everywhere else the base row can be
-        // mutated in place without another copy.
-        let base_for_unique = if t.schema.indexes.iter().any(|(_, unique)| *unique) {
-            Some(base.clone())
-        } else {
-            None
-        };
-        let mut new_row = base;
-        for (col, value) in pairs {
-            new_row.values[t.schema.column_index(col)?] = value.clone();
-        }
-        t.schema.validate_row(&new_row)?;
-        if let Some(base) = &base_for_unique {
-            self.lock_and_check_unique_changes(&t, id, base, &new_row)?;
-        }
+        self.buffer_update(&t, id, base, pairs)
+    }
 
+    /// The write half of `update` / `update_where`: apply the assignments
+    /// to `row` (the caller's own copy of the base image) in place,
+    /// validate, lock and re-check the unique keys they change, and buffer
+    /// the result.
+    fn buffer_update(
+        &mut self,
+        t: &Table,
+        id: i64,
+        mut row: Row,
+        pairs: &[(&str, Value)],
+    ) -> Result<()> {
+        // Only tables with a unique secondary index need the pre-image for
+        // the changed-key check; everywhere else the base row is mutated
+        // in place without another copy.
+        let pre_image = t
+            .schema
+            .indexes
+            .iter()
+            .any(|(_, unique)| *unique)
+            .then(|| row.clone());
+        for (col, value) in pairs {
+            row.values[t.schema.column_index(col)?] = value.clone();
+        }
+        t.schema.validate_row(&row)?;
+        if let Some(base) = &pre_image {
+            self.lock_and_check_unique_changes(t, id, base, &row)?;
+        }
         self.pending.push(Pending {
-            table: tid,
+            table: t.id,
             id,
-            row: Some(new_row),
+            row: Some(row),
         });
-        self.observe_write(table, id);
+        self.observe_write(&t.schema.table, id);
         Ok(())
     }
 
@@ -806,18 +811,18 @@ impl Transaction {
         base: &Row,
         new_row: &Row,
     ) -> Result<()> {
-        for col in t
-            .indexed_columns()
-            .into_iter()
-            .filter(|c| t.index_on(*c) == Some(true))
-        {
-            let key = new_row.at(col).clone();
-            if key.is_null() || base.at(col) == &key {
+        for (col, _) in t.schema.indexes.iter().filter(|(_, unique)| *unique) {
+            let key = new_row.at(*col);
+            if key.is_null() || base.at(*col) == key {
                 continue;
             }
-            self.db
-                .locks()
-                .lock_unique_key_within(self.id, t.id, col, key, self.wait_cap())?;
+            self.db.locks().lock_unique_key_within(
+                self.id,
+                t.id,
+                *col,
+                key.clone(),
+                self.wait_cap(),
+            )?;
             t.check_unique(new_row, Some(id))?;
         }
         Ok(())
@@ -899,18 +904,7 @@ impl Transaction {
 
         let count = targets.len();
         for (id, base) in targets {
-            let mut new_row = base.clone();
-            for (col, value) in pairs {
-                new_row = new_row.with(&t.schema, col, value.clone())?;
-            }
-            t.schema.validate_row(&new_row)?;
-            self.lock_and_check_unique_changes(&t, id, &base, &new_row)?;
-            self.pending.push(Pending {
-                table: tid,
-                id,
-                row: Some(new_row),
-            });
-            self.observe_write(table, id);
+            self.buffer_update(&t, id, base, pairs)?;
         }
         Ok(count)
     }

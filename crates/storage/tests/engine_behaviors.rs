@@ -3,7 +3,8 @@
 //! isolation level. Each test names the paper section it reproduces.
 
 use adhoc_storage::{
-    Column, ColumnType, Database, DbError, EngineProfile, IsolationLevel, Predicate, Schema,
+    Column, ColumnType, Database, DbConfig, DbError, EngineProfile, IsolationLevel, Predicate,
+    Schema,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -768,4 +769,64 @@ fn explicit_table_locks() {
     t1.commit().unwrap();
     h.join().unwrap();
     assert!(locked.load(Ordering::SeqCst));
+}
+
+/// The primary-key plan is two ordered look-ups, and it must find the same
+/// gap the walk over the key set found: on a 4,096-row table (keys 10, 20,
+/// …) a MySQL-like Repeatable Read `UPDATE … WHERE id = k` locks exactly
+/// `(k − 10, k + 10)` — an insert into that gap waits (here: times out),
+/// one just outside it does not — and the PostgreSQL-like profile takes
+/// no gap lock at all. The schema handed out is the one shared instance.
+#[test]
+fn pk_update_where_gap_lock_on_a_large_table() {
+    for profile in [EngineProfile::MySqlLike, EngineProfile::PostgresLike] {
+        let db = Database::new(
+            DbConfig::in_memory(profile).with_lock_wait_timeout(Duration::from_millis(30)),
+        );
+        db.create_table(
+            Schema::new(
+                "t",
+                vec![
+                    Column::new("id", ColumnType::Int),
+                    Column::new("v", ColumnType::Int),
+                ],
+                "id",
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        assert!(Arc::ptr_eq(
+            &db.schema("t").unwrap(),
+            &db.schema("t").unwrap()
+        ));
+        let mut seed = db.begin();
+        for i in 1..=4096 {
+            seed.insert("t", &[("id", (i * 10).into()), ("v", 0.into())])
+                .unwrap();
+        }
+        seed.commit().unwrap();
+
+        let k = 20_480;
+        let mut writer = db.begin_with(IsolationLevel::RepeatableRead);
+        let affected = writer
+            .update_where("t", &Predicate::eq("id", k), &[("v", 1.into())])
+            .unwrap();
+        assert_eq!(affected, 1);
+
+        let mut inside = db.begin_with(IsolationLevel::ReadCommitted);
+        let got = inside.insert("t", &[("id", (k + 5).into()), ("v", 0.into())]);
+        let mut outside = db.begin_with(IsolationLevel::ReadCommitted);
+        outside
+            .insert("t", &[("id", (k + 15).into()), ("v", 0.into())])
+            .unwrap();
+        outside.commit().unwrap();
+        match profile {
+            EngineProfile::MySqlLike => assert!(
+                matches!(got, Err(DbError::LockWaitTimeout { .. })),
+                "insert into the locked gap must wait: {got:?}"
+            ),
+            EngineProfile::PostgresLike => assert_eq!(got.unwrap(), k + 5),
+        }
+        writer.commit().unwrap();
+    }
 }

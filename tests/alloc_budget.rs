@@ -1,0 +1,175 @@
+//! A timing-free guard on the request path's per-statement cost: heap
+//! allocations per `orm.find`, per `find + set + save` and per
+//! `update_where(pk = k)` must not depend on how many rows the table holds
+//! (plans are index look-ups) and must not creep back up (metadata is
+//! shared, never copied — a `schema.clone()` on the path shows up here as
+//! one allocation per column). Counting allocations instead of asserting
+//! wall-clock time keeps the guard exact and machine-independent.
+//!
+//! One `#[test]` only: the counter is per thread, and the file must stay
+//! free of tests that could run beside the measured one.
+
+use adhoc_transactions::orm::{EntityDef, Orm, Registry};
+use adhoc_transactions::storage::{
+    Column, ColumnType, Database, EngineProfile, IsolationLevel, Predicate, Schema,
+};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocations made by this thread (const-initialised and without a
+    /// destructor, so touching it inside the allocator allocates nothing).
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the only addition is a thread-local counter bump
+// that neither allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations on `layout` pass through as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc`/`realloc` with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        // SAFETY: as for `dealloc`; `new_size` is the caller's to vouch for.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Rows measured per operation; each is warmed identically first so lazily
+/// grown engine state (lock table, version-chain capacity) is the same on
+/// every table size.
+const SAMPLE: i64 = 16;
+
+/// Allocations per operation, as recorded when this guard was introduced
+/// (CHANGES.md, PR 21). Lower them when the path gets leaner; raising one
+/// needs a reason.
+const BUDGET_FIND: u64 = 4;
+const BUDGET_FIND_SET_SAVE: u64 = 20;
+const BUDGET_UPDATE_WHERE_PK: u64 = 11;
+
+fn fixture(rows: i64) -> Orm {
+    // MySQL-like, so the primary-key plan's gap neighbours are computed
+    // and gap-locked — the path that used to walk the whole key set.
+    let db = Database::in_memory(EngineProfile::MySqlLike);
+    db.create_table(
+        Schema::new(
+            "posts",
+            vec![
+                Column::new("id", ColumnType::Int),
+                Column::new("title", ColumnType::Str),
+                Column::new("author", ColumnType::Str),
+                Column::new("score", ColumnType::Int),
+                Column::new("updated_at", ColumnType::Int),
+                Column::new("lock_version", ColumnType::Int),
+            ],
+            "id",
+        )
+        .unwrap(),
+    )
+    .unwrap();
+    let orm = Orm::new(
+        db,
+        Registry::new().register(
+            EntityDef::new("posts")
+                .with_lock_version()
+                .with_timestamps(),
+        ),
+    );
+    orm.transaction(|t| {
+        for id in 1..=rows {
+            t.create(
+                "posts",
+                &[
+                    ("id", id.into()),
+                    ("title", "a title".into()),
+                    ("author", "someone".into()),
+                    ("score", 0.into()),
+                ],
+            )?;
+        }
+        Ok(())
+    })
+    .unwrap();
+    orm
+}
+
+/// One measured operation on row `id`.
+type Op = fn(&Orm, i64);
+
+fn find(orm: &Orm, id: i64) {
+    assert!(orm.find("posts", id).unwrap().is_some());
+}
+
+fn find_set_save(orm: &Orm, id: i64) {
+    let mut post = orm.find_required("posts", id).unwrap();
+    post.set("score", id).unwrap();
+    orm.save(&mut post).unwrap();
+}
+
+fn update_where_pk(orm: &Orm, id: i64) {
+    let affected = orm
+        .db()
+        .run(IsolationLevel::RepeatableRead, |t| {
+            t.update_where("posts", &Predicate::eq("id", id), &[("score", 7.into())])
+        })
+        .unwrap();
+    assert_eq!(affected, 1);
+}
+
+/// Allocations per call of `op`, averaged over `SAMPLE` mid-table rows
+/// that have each been through `op` twice already.
+fn per_op(orm: &Orm, rows: i64, op: Op) -> u64 {
+    let ids = (rows / 2)..(rows / 2 + SAMPLE);
+    for _ in 0..2 {
+        ids.clone().for_each(|id| op(orm, id));
+    }
+    let before = ALLOCS.with(Cell::get);
+    ids.for_each(|id| op(orm, id));
+    let total = ALLOCS.with(Cell::get) - before;
+    assert_eq!(
+        total % SAMPLE as u64,
+        0,
+        "every sampled row should cost the same"
+    );
+    total / SAMPLE as u64
+}
+
+#[test]
+fn allocations_per_statement_are_table_size_independent_and_within_budget() {
+    let (small, large) = (fixture(128), fixture(8_192));
+    let ops: [(&str, Op, u64); 3] = [
+        ("orm.find", find, BUDGET_FIND),
+        ("find + set + save", find_set_save, BUDGET_FIND_SET_SAVE),
+        (
+            "update_where(pk = k)",
+            update_where_pk,
+            BUDGET_UPDATE_WHERE_PK,
+        ),
+    ];
+    for (name, op, budget) in ops {
+        let (at_128, at_8192) = (per_op(&small, 128, op), per_op(&large, 8_192, op));
+        println!("{name}: {at_128} allocations at 128 rows, {at_8192} at 8,192");
+        assert_eq!(
+            at_128, at_8192,
+            "{name}: allocations must not depend on the table's size"
+        );
+        assert!(
+            at_8192 <= budget,
+            "{name}: {at_8192} allocations, budget {budget}"
+        );
+    }
+}

@@ -26,6 +26,19 @@ timeout 900 cargo test -q --workspace
 echo "==> benchmark self-tests"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
+# Benchmark smoke: the pipeline rejects a PR on which a larger share of
+# operations fails, so run each workload briefly here first. Only the
+# verdict is read — the last stdout line is the result object — and no
+# timing is asserted.
+echo "==> benchmark smoke (six workloads x 2 s, correct + zero failed)"
+for workload in svc_mixed svc_read app_adhoc_wal app_dbt app_cured app_confluent; do
+  bash benchmark/run.sh --workload "$workload" --seed 7 --seconds 2 --trace 0 | tail -n 1 |
+    python3 -c 'import json, sys
+r = json.loads(sys.stdin.read())
+if r["correct"] is not True or r["failed"] != 0:
+    sys.exit("benchmark smoke: %s: correct=%s failed=%s" % (sys.argv[1], r["correct"], r["failed"]))' "$workload"
+done
+
 # Bounded interleaving-explorer smoke gate: fixed seed, fixed 128-schedule
 # budget per scenario (see tests/schedule_explorer.rs). Deterministic, so
 # the timeout guards only against accidental budget inflation.
