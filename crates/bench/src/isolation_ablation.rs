@@ -10,7 +10,9 @@
 //! through [`Coordinator::read_committed_read`] keeps them out.
 
 use adhoc_orm::coord::Coordinator;
-use adhoc_storage::{Column, ColumnType, Database, DbError, EngineProfile, IsolationLevel, Schema};
+use adhoc_storage::{
+    Column, ColumnType, Database, DbError, EngineProfile, IsolationLevel, Schema, Transaction,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -63,6 +65,32 @@ fn build_db() -> Database {
     db
 }
 
+/// Non-critical reads: the order dashboard numbers.
+fn read_dashboard(t: &mut Transaction, coord: &Coordinator, hinted: bool) -> Result<(), DbError> {
+    for id in 1..=STATS_ROWS {
+        if hinted {
+            // Infallible here (engine supports the hint); `expect` keeps
+            // the error type the engine's own.
+            coord
+                .read_committed_read(t, "statistics", id)
+                .expect("per-op isolation hint");
+        } else {
+            t.get("statistics", id)?;
+        }
+    }
+    Ok(())
+}
+
+/// Critical RMW: the hot counter.
+fn bump_counter(t: &mut Transaction, schema: &Schema) -> Result<(), DbError> {
+    let row = t.get("counters", 1)?.ok_or(DbError::NoSuchRow {
+        table: "counters".into(),
+        id: 1,
+    })?;
+    let value = row.get_int(schema, "value")?;
+    t.update("counters", 1, &[("value", (value + 1).into())])
+}
+
 fn run_config(hinted: bool) -> IsolationAblationRow {
     run_config_n(hinted, TXNS_PER_WORKER)
 }
@@ -100,28 +128,9 @@ fn run_config_n(hinted: bool, txns_per_worker: usize) -> IsolationAblationRow {
                 s.spawn(move || {
                     for i in 0..txns_per_worker {
                         db.run_with_retries(IsolationLevel::Serializable, 100_000, |t| {
-                            // Non-critical reads: the order dashboard numbers.
-                            for id in 1..=STATS_ROWS {
-                                if hinted {
-                                    // Infallible here (engine supports the
-                                    // hint); `expect` keeps the closure's error
-                                    // type the engine's own.
-                                    coord
-                                        .read_committed_read(t, "statistics", id)
-                                        .expect("per-op isolation hint");
-                                } else {
-                                    t.get("statistics", id)?;
-                                }
-                            }
+                            read_dashboard(t, &coord, hinted)?;
                             std::thread::yield_now(); // request "think time"
-                                                      // Critical RMW: the hot counter.
-                            let row = t.get("counters", 1)?.ok_or(DbError::NoSuchRow {
-                                table: "counters".into(),
-                                id: 1,
-                            })?;
-                            let value = row.get_int(&schema, "value")?;
-                            t.update("counters", 1, &[("value", (value + 1).into())])?;
-                            Ok(())
+                            bump_counter(t, &schema)
                         })
                         .expect("worker txn");
                         let _ = i;
@@ -136,6 +145,15 @@ fn run_config_n(hinted: bool, txns_per_worker: usize) -> IsolationAblationRow {
         stop.store(true, Ordering::Relaxed);
     });
     let elapsed = started.elapsed();
+    // Every worker transaction committed exactly once: the serialization
+    // failures below are retries, not losses.
+    let counter = db
+        .latest_committed("counters", 1)
+        .expect("counters table")
+        .expect("counter row")
+        .get_int(&counters_schema, "value")
+        .expect("value column");
+    assert_eq!(counter, (WORKERS * txns_per_worker) as i64);
 
     IsolationAblationRow {
         label: if hinted {
@@ -157,22 +175,43 @@ pub fn run_isolation_ablation() -> Vec<IsolationAblationRow> {
 mod tests {
     use super::*;
 
-    /// The hint's promise: taking the non-critical reads out of
-    /// certification eliminates almost all serialization failures. (The
-    /// few remaining come from the hot-counter ww conflicts both
-    /// configurations share.)
+    /// The worker transaction with the interleaving forced instead of
+    /// raced: the dashboard rows are read, *then* a writer commits to one
+    /// of them, *then* the critical RMW commits.
+    fn commit_around_a_dashboard_write(hinted: bool) -> Result<(), DbError> {
+        let db = build_db();
+        let coord = Coordinator::new(db.clone());
+        let mut t = db.begin_with(IsolationLevel::Serializable);
+        read_dashboard(&mut t, &coord, hinted)?;
+        db.run(IsolationLevel::ReadCommitted, |w| {
+            w.update("statistics", 1, &[("value", 7.into())])
+        })?;
+        let schema = db.schema("counters")?;
+        bump_counter(&mut t, &schema)?;
+        t.commit()
+    }
+
+    /// The hint's promise, on every schedule: a dashboard write landing
+    /// between the non-critical reads and the commit aborts the
+    /// transaction that read them at Serializable and leaves the hinted
+    /// one alone. How many such writes land in a threaded run — the
+    /// abort *counts* of `paper-eval ablation-isolation` — is up to the
+    /// OS scheduler, so the ablation itself is checked for shape only:
+    /// both rows ran and every worker transaction committed exactly once
+    /// (asserted inside `run_config_n`).
     #[test]
     fn per_op_hint_slashes_serialization_failures() {
         let _serial = crate::SERIAL_MEASUREMENTS.lock();
+        assert!(matches!(
+            commit_around_a_dashboard_write(false),
+            Err(DbError::SerializationFailure { .. })
+        ));
+        commit_around_a_dashboard_write(true).expect("hinted reads stay out of certification");
+
         let rows = run_isolation_ablation();
-        let (plain, hinted) = (&rows[0], &rows[1]);
-        assert!(
-            plain.serialization_failures > hinted.serialization_failures * 2,
-            "hint must remove most aborts: {rows:?}"
-        );
-        // Every worker transaction still committed exactly once in both
-        // configurations (the counter is exact) — checked implicitly by
-        // run_with_retries succeeding; the failure counts above are
-        // retries, not losses.
+        for row in &rows {
+            assert!(row.throughput_rps.is_finite() && row.throughput_rps > 0.0);
+        }
+        println!("serialization aborts, plain vs hinted: {rows:?}");
     }
 }

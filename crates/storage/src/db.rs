@@ -13,15 +13,14 @@
 //! with disjoint footprints proceed in parallel with no shared lock; the
 //! old engine-global `commit_gate` is gone.
 //!
-//! Commit timestamps come from per-thread epoch blocks (refilled from a
-//! shared counter once per block — see [`crate::epoch`]), drawn while the
-//! shard locks are held, so each shard's log stays timestamp-ordered.
-//! Because timestamps can be drawn out of order *across* shards, snapshots
-//! come from a separate `applied` watermark that only advances once every
-//! commit at or below it has fully installed — a begin can never observe a
-//! half-applied commit (the old single-gate design enforced this with the
-//! global mutex; the watermark enforces it without one, batch-advancing
-//! per epoch through a lock-free completion ring).
+//! Commit timestamps are dense draws from one shared counter (see
+//! [`crate::epoch`]), taken while the shard locks are held, so each
+//! shard's log stays timestamp-ordered. Because commits retire out of
+//! order *across* shards, snapshots come from a separate `applied`
+//! watermark that only advances once every commit at or below it has
+//! fully installed — a begin can never observe a half-applied commit.
+//! Out-of-order completions wait in a lock-free ring, and every completer
+//! advances the watermark over whatever is published next to it.
 
 use crate::engine::{AccessEvent, DbConfig, EngineProfile, IsolationLevel, StatementObserver};
 use crate::epoch::EpochSpine;
@@ -125,10 +124,9 @@ pub(crate) struct DbInner {
     shards: Box<[Mutex<Shard>]>,
     pub locks: LockManager,
     next_txn: AtomicU64,
-    /// Commit-timestamp allocator and `applied` watermark, fused: blocks
-    /// of timestamps are drawn per thread (under the committing
-    /// transaction's shard locks) and the watermark batch-advances per
-    /// epoch via a completion ring — see [`crate::epoch`].
+    /// Commit-timestamp counter (drawn under the committing transaction's
+    /// shard locks) and the `applied` watermark that follows it through a
+    /// completion ring — see [`crate::epoch`].
     epoch: EpochSpine,
     /// Active transactions and their begin snapshots, striped by
     /// `txn_id % ACTIVE_STRIPES` so begin/finish on different transactions
@@ -319,9 +317,8 @@ impl Database {
         min
     }
 
-    /// Draw the next commit timestamp (from the calling thread's epoch
-    /// block when it has one). Must be called with the write-set shard
-    /// locks held so every shard log stays timestamp-ordered.
+    /// Draw the next commit timestamp. Must be called with the write-set
+    /// shard locks held so every shard log stays timestamp-ordered.
     pub(crate) fn draw_commit_ts(&self) -> CommitTs {
         self.inner.epoch.draw()
     }
@@ -331,8 +328,7 @@ impl Database {
     /// (and everyone else's) sees the commit. Called *after* the shard
     /// guards are dropped. Under the deterministic scheduler the wait never
     /// parks: there is no yield point between drawing a timestamp and
-    /// retiring it, and any timestamp gap is an unclaimed block remainder
-    /// the epoch sweep revokes synchronously.
+    /// retiring it, so commits retire in draw order.
     pub(crate) fn complete_commit(&self, ts: CommitTs) {
         self.inner.epoch.complete(ts);
     }
@@ -404,9 +400,9 @@ impl Database {
         }
         // Holding every shard mutex stops new timestamps from being drawn,
         // so waiting out the allocator frontier leaves no commit that could
-        // conflict with a future serializable read unlogged. Unclaimed
-        // block remainders below the frontier are revoked by the sweep, so
-        // under the deterministic scheduler this never parks.
+        // conflict with a future serializable read unlogged. Under the
+        // deterministic scheduler every drawn timestamp has already
+        // retired (no yield point in between), so this never parks.
         self.inner.epoch.wait_covered(self.inner.epoch.last_drawn());
         self.inner.ssi_seen.store(true, Ordering::SeqCst);
         drop(guards);
@@ -779,8 +775,7 @@ impl Database {
         });
     }
 
-    /// Advance the timestamp frontiers to cover a recovered commit (and
-    /// invalidate any cached timestamp blocks that now sit below them), so
+    /// Advance the timestamp frontiers to cover a recovered commit, so
     /// post-recovery commits draw fresh timestamps and new snapshots see
     /// every recovered version.
     pub(crate) fn note_recovered_ts(&self, ts: CommitTs) {

@@ -1,134 +1,70 @@
-//! Epoch-batched commit-timestamp spine.
+//! Commit-timestamp spine: a dense timestamp counter and the `applied`
+//! snapshot watermark that follows it.
 //!
-//! PR 3's sharded commit path still funneled every commit through two
-//! global serialization points: one `fetch_add` on the timestamp counter
-//! per commit, and — far worse — a `BinaryHeap` under a mutex plus a
-//! condvar broadcast for every out-of-order completion of the `applied_ts`
-//! watermark. This module replaces both:
+//! Timestamps are drawn under the write-set shard locks, so they retire
+//! out of order across shards; snapshots therefore come from `applied`,
+//! which only covers `ts` once every commit at or below `ts` has fully
+//! installed. One rule moves it: **whoever moves the watermark looks at
+//! the next slot.**
 //!
-//! * **Per-thread timestamp blocks.** Threads draw *blocks* of commit
-//!   timestamps from the global counter and retire them one commit at a
-//!   time from a thread-local slot, so a thread committing back-to-back
-//!   touches the shared counter once per block instead of once per commit.
-//!   Blocks are *adaptive*: a slot only grows its block size while its
-//!   completions keep hitting the in-order fast path (a mono-writer
-//!   epoch), and collapses back to direct draws the moment commits
-//!   interleave. That keeps the watermark dense exactly when threads
-//!   interleave — the case where unclaimed block remainders would
-//!   otherwise stall visibility.
-//! * **Revocable remainders.** An unclaimed block remainder is published
-//!   in the slot as a packed `(limit, remaining)` word. The watermark
-//!   sweep *revokes* a remainder (one CAS) when it needs the timestamps to
-//!   advance: revoked timestamps were never assigned to any commit, so the
-//!   sweep treats them as holes and skips the whole range at once.
-//! * **Completion ring.** Out-of-order completions publish into a
-//!   fixed-size ring of atomics (`ring[ts % RING] = ts`) instead of a
-//!   heap under a mutex. A single sweeper (mutex `try_lock`, never
-//!   blocking) batch-advances `applied` over every consecutive published
-//!   or revocable timestamp and then publishes the watermark with one
-//!   store — the watermark advances *per epoch*, not per commit. In-order
-//!   completions still advance with one CAS and touch neither the ring
-//!   nor any lock.
+//! * [`EpochSpine::draw`] is one `fetch_add`: timestamps are dense, so
+//!   every timestamp below the frontier belongs to a commit that will
+//!   retire it, and the watermark never has a hole to skip.
+//! * [`EpochSpine::complete`] advances `applied` with one CAS when the
+//!   commit retires in order; otherwise it publishes into the completion
+//!   ring (`ring[ts % RING] = ts`). Either way it then runs
+//!   [`EpochSpine::advance`] — CAS `applied` forward while the next ring
+//!   slot is published — wakes parked waiters, and waits for coverage.
 //!
-//! ## Contracts preserved
+//! Any number of threads may advance at once; each step is a CAS from the
+//! value the slot was checked against, so `applied` is monotonic and
+//! there is no sweeper lock to lose a race for. Liveness is two SeqCst
+//! store-then-load pairings, and nothing else:
 //!
-//! * **Acked ⇒ visible**: [`EpochSpine::complete`] returns only once
-//!   `applied >= ts`, so a committer's next begin (and everyone else's)
-//!   sees its commit — unchanged from the heap design.
-//! * **Deterministic schedules**: under the cooperative scheduler the
-//!   sweep revokes remainders synchronously and never parks (there is no
-//!   yield point between drawing a timestamp and retiring it, so every
-//!   gap at a scheduling boundary is an unclaimed remainder). Parking
-//!   under the scheduler would deadlock the run; it is asserted
-//!   unreachable.
-//! * **Monotonic watermark**: `applied` only moves via the in-order CAS
-//!   or the sweeper's `fetch_max`, so concurrent advances never move the
-//!   snapshot backwards.
+//! 1. *Publisher / advancer.* A publisher stores its ring slot and
+//!    **then** reads `applied`; an advancer moves `applied` and **then**
+//!    reads the next ring slot. One of them sees the other, so a
+//!    published timestamp adjacent to the watermark is never left behind.
+//! 2. *Parker / advancer.* A parker bumps `parked` and **then** re-reads
+//!    `applied` under `park`; an advancer moves `applied` and **then**
+//!    reads `parked`, notifying under `park`. Either the advancer sees
+//!    the parker or the parker sees the advance.
+//!
+//! ## Contracts
+//!
+//! * **Acked ⇒ visible**: `complete` returns only once `applied >= ts`,
+//!   so the committer's next begin (and everyone else's) sees its commit.
+//! * **Monotonic watermark**: `applied` moves only by CAS from `a` to
+//!   `a + 1` (and `fetch_max` at recovery).
+//! * **Deterministic schedules**: there is no yield point between drawing
+//!   a timestamp and retiring it, so under the cooperative scheduler
+//!   commits retire in draw order and nothing ever waits. Parking there
+//!   would deadlock the run; it is asserted unreachable.
 
 use crate::table::CommitTs;
 use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
 
 /// Completion-ring capacity. Publications are bounded to `RING` ahead of
-/// the watermark (see [`EpochSpine::publish`]), so a slot can never hold
+/// the watermark (see [`EpochSpine::complete`]), so a slot never holds
 /// two live timestamps. Must be a power of two.
-const RING: usize = 4096;
+const RING: u64 = 4096;
 
-/// Per-thread block slots. Threads hash onto slots by a process-wide
-/// counter; collisions are correct (the slot word is CAS-managed), just
-/// less batched.
-const TS_SLOTS: usize = 64;
-
-/// Bits reserved in the slot word for the unclaimed-count field.
-/// Block sizes must stay below `1 << BLOCK_BITS`.
-const BLOCK_BITS: u32 = 6;
-
-/// Largest adaptive block: one shared-counter touch per this many commits.
-const BLOCK_MAX: u64 = 16;
-
-/// In-order completion streak after which a slot is considered a
-/// mono-writer epoch and starts drawing full blocks.
-const GROW_STREAK: u32 = 8;
-
-/// One per-thread timestamp slot: a packed `(limit << BLOCK_BITS) | rem`
-/// word whose unclaimed range is `[limit - rem, limit)`, plus the
-/// in-order-completion streak that drives the adaptive block size.
-/// Padded so slots never share a cache line.
-#[repr(align(128))]
-#[derive(Default)]
-struct TsSlot {
-    block: AtomicU64,
-    streak: AtomicU32,
-}
-
-#[inline]
-fn pack(limit: u64, rem: u64) -> u64 {
-    debug_assert!(rem < (1 << BLOCK_BITS));
-    (limit << BLOCK_BITS) | rem
-}
-
-#[inline]
-fn unpack(v: u64) -> (u64, u64) {
-    (v >> BLOCK_BITS, v & ((1 << BLOCK_BITS) - 1))
-}
-
-/// Process-wide slot assignment: threads pick up a slot index once and
-/// keep it for life. Indexes wrap, so long-running processes with many
-/// short-lived threads share slots — handled by the CAS protocol.
-fn slot_index() -> usize {
-    static NEXT_SLOT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static SLOT: usize = NEXT_SLOT.fetch_add(1, Ordering::Relaxed) % TS_SLOTS;
-    }
-    SLOT.with(|s| *s)
-}
-
-/// The commit-timestamp allocator and `applied` watermark, fused: both
-/// sides must cooperate for revocation to be sound.
+/// The commit-timestamp allocator and the `applied` watermark.
 pub(crate) struct EpochSpine {
-    /// Timestamp allocator frontier: every ts in `[1, next]` has been
-    /// handed to a block or a direct draw.
+    /// Allocator frontier: exactly the timestamps `1..=next` are drawn.
     next: AtomicU64,
     /// Snapshot watermark: every commit with `ts <= applied` is fully
-    /// installed (or its timestamp was revoked unused).
+    /// installed.
     applied: AtomicU64,
-    /// Out-of-order completion ring: `ring[ts & (RING-1)] == ts` marks a
-    /// published, not-yet-swept completion. Entries at or below `applied`
-    /// are dead and simply overwritten by later publications.
+    /// Completion ring: `ring[ts % RING] == ts` marks an out-of-order
+    /// completion the watermark has yet to pass. Entries at or below
+    /// `applied` are dead and overwritten by later publications.
     ring: Box<[AtomicU64]>,
-    /// Per-thread block slots.
-    slots: Box<[TsSlot]>,
-    /// At most one sweeper at a time; only ever `try_lock`ed, so the
-    /// sweep never blocks anyone — losers know the winner will observe
-    /// their (already published) state.
-    sweep: Mutex<()>,
     /// Parking lot for threads waiting on watermark coverage.
     park: Mutex<()>,
     cv: Condvar,
-    /// Dekker pairing with `applied` (both SeqCst): a parker increments
-    /// this before re-reading `applied`; an advancer reads it after
-    /// publishing `applied`. Either the advancer sees the parker (and
-    /// notifies under `park`) or the parker sees the advance.
+    /// Parkers announced (pairing 2 of the module doc).
     parked: AtomicUsize,
 }
 
@@ -138,8 +74,6 @@ impl EpochSpine {
             next: AtomicU64::new(0),
             applied: AtomicU64::new(0),
             ring: (0..RING).map(|_| AtomicU64::new(0)).collect(),
-            slots: (0..TS_SLOTS).map(|_| TsSlot::default()).collect(),
-            sweep: Mutex::new(()),
             park: Mutex::new(()),
             cv: Condvar::new(),
             parked: AtomicUsize::new(0),
@@ -149,270 +83,99 @@ impl EpochSpine {
     /// The snapshot new begins read at.
     #[inline]
     pub(crate) fn snapshot(&self) -> CommitTs {
-        self.applied.load(Ordering::Acquire)
+        self.applied.load(SeqCst)
     }
 
     /// The allocator frontier: no timestamp above this has been drawn.
     pub(crate) fn last_drawn(&self) -> CommitTs {
-        self.next.load(Ordering::Acquire)
+        self.next.load(SeqCst)
     }
 
     /// Draw one commit timestamp. Must be called with the write-set shard
     /// locks held so every shard log stays timestamp-ordered.
     pub(crate) fn draw(&self) -> CommitTs {
-        let slot = &self.slots[slot_index()];
-        loop {
-            let v = slot.block.load(Ordering::Relaxed);
-            let (limit, rem) = unpack(v);
-            if rem > 0 {
-                // Claim the bottom of the unclaimed range.
-                let ts = limit - rem;
-                if slot
-                    .block
-                    .compare_exchange_weak(
-                        v,
-                        pack(limit, rem - 1),
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    )
-                    .is_ok()
-                {
-                    return ts;
-                }
-                continue; // revoked or shared-slot contention: re-read
-            }
-            let size = if slot.streak.load(Ordering::Relaxed) >= GROW_STREAK {
-                BLOCK_MAX
-            } else {
-                1
-            };
-            if size <= 1 {
-                return self.next.fetch_add(1, Ordering::Relaxed) + 1;
-            }
-            let base = self.next.fetch_add(size, Ordering::Relaxed);
-            let ts = base + 1;
-            // Publish the remainder [base + 2, base + size + 1) so the
-            // sweep can revoke it if we go idle.
-            let installed = slot
-                .block
-                .compare_exchange(
-                    v,
-                    pack(base + size + 1, size - 1),
-                    Ordering::Release,
-                    Ordering::Relaxed,
-                )
-                .is_ok();
-            if !installed {
-                // A thread sharing this slot refilled it first. Our
-                // reserved remainder can never be revoked through the
-                // slot, so retire it as holes right now — otherwise the
-                // watermark could never pass it.
-                for hole in (base + 2)..(base + size + 1) {
-                    self.publish(hole);
-                }
-            }
-            return ts;
-        }
+        self.next.fetch_add(1, SeqCst) + 1
     }
 
-    /// Retire a drawn timestamp and wait until the watermark covers it,
-    /// so the committer's next begin (and everyone else's) sees the
-    /// commit. Called *after* the shard guards are dropped.
+    #[inline]
+    fn slot(&self, ts: CommitTs) -> &AtomicU64 {
+        &self.ring[(ts & (RING - 1)) as usize]
+    }
+
+    /// Retire a drawn timestamp and wait until the watermark covers it.
+    /// Called *after* the shard guards are dropped.
     pub(crate) fn complete(&self, ts: CommitTs) {
-        // In-order fast path: a consecutive completion advances the
-        // watermark with one CAS and touches neither the ring nor a lock.
+        // In order: one CAS, no ring traffic. Out of order: publish, at
+        // most `RING` ahead of the watermark so the slot's previous
+        // tenant (`ts - RING`) is already dead.
         if self
             .applied
-            .compare_exchange(ts - 1, ts, Ordering::SeqCst, Ordering::Relaxed)
-            .is_ok()
+            .compare_exchange(ts - 1, ts, SeqCst, SeqCst)
+            .is_err()
         {
-            let slot = &self.slots[slot_index()];
-            let streak = slot.streak.load(Ordering::Relaxed);
-            if streak < u32::MAX {
-                slot.streak.store(streak + 1, Ordering::Relaxed);
-            }
-            if self.parked.load(Ordering::SeqCst) > 0 {
-                // Successors may be parked on us: sweep what our advance
-                // unblocked, then wake the parking lot (the sweep alone
-                // is not enough — see `wait_covered`'s re-check).
-                self.try_sweep();
-                let _guard = self.park.lock();
-                self.cv.notify_all();
-            }
-            return;
+            self.wait_covered(ts.saturating_sub(RING));
+            self.slot(ts).store(ts, SeqCst);
         }
-        // Out of order: publish into the ring and wait for coverage.
-        self.slots[slot_index()].streak.store(0, Ordering::Relaxed);
-        self.publish(ts);
+        self.advance();
         self.wait_covered(ts);
     }
 
-    /// Publish a completed (or revoked-as-hole) timestamp into the ring.
-    /// Bounded to `RING` ahead of the watermark so a ring slot never
-    /// holds two live timestamps.
-    fn publish(&self, ts: CommitTs) {
-        if ts > RING as u64 {
-            self.wait_covered(ts - RING as u64);
-        }
-        self.ring[(ts as usize) & (RING - 1)].store(ts, Ordering::Release);
-    }
-
-    /// Block until `applied >= ts`, sweeping (and revoking unclaimed
-    /// block remainders) on the way. Never parks under the deterministic
-    /// scheduler: every gap at a scheduling boundary is a revocable
-    /// remainder, so the synchronous sweep always closes it.
-    pub(crate) fn wait_covered(&self, ts: CommitTs) {
-        if self.applied.load(Ordering::Acquire) >= ts {
-            return;
-        }
+    /// Move `applied` over every consecutively published timestamp, then
+    /// wake the parking lot. Lock-free; any thread may run it at any
+    /// time, and every thread that moved `applied` or published must.
+    fn advance(&self) {
         loop {
-            // Order matters: advertise the park *before* sweeping, so an
-            // advancer that publishes coverage is guaranteed to either see
-            // us (and notify under `park`) or be seen by our re-check.
-            self.parked.fetch_add(1, Ordering::SeqCst);
-            let swept = self.try_sweep();
-            if self.applied.load(Ordering::SeqCst) >= ts {
-                self.parked.fetch_sub(1, Ordering::SeqCst);
-                return;
+            let a = self.applied.load(SeqCst);
+            if self.slot(a + 1).load(SeqCst) != a + 1 {
+                break;
             }
-            if !swept {
-                // Lost the sweep race. The holder's walk may predate the
-                // publications we need, and its notify can fire while it
-                // still holds the sweep lock — so a park here could sleep
-                // on information nobody will ever refresh (every other
-                // thread may re-park the same way and the holder may then
-                // exit). Never park on a sweep we didn't run: retry until
-                // the lock frees and we observe the frontier ourselves.
-                self.parked.fetch_sub(1, Ordering::SeqCst);
-                std::thread::yield_now();
-                continue;
-            }
-            // Our own sweep saw the gap claimed and in flight: its
-            // completer must advance past it and will check `parked`
-            // (which we set before sweeping) when it does.
-            {
-                let mut guard = self.park.lock();
-                if self.applied.load(Ordering::SeqCst) < ts {
-                    assert!(
-                        !adhoc_sim::sched::under_scheduler(),
-                        "watermark parked under the deterministic scheduler \
-                         (ts {ts}): a commit is suspended mid-install, which \
-                         no yield point should allow"
-                    );
-                    self.cv.wait(&mut guard);
-                }
-            }
-            self.parked.fetch_sub(1, Ordering::SeqCst);
+            // Losing this CAS means another advancer took the step and
+            // now owns the look at the slot after it.
+            let _ = self.applied.compare_exchange(a, a + 1, SeqCst, SeqCst);
         }
-    }
-
-    /// One sweep attempt: batch-advance `applied` over every consecutive
-    /// published or revocable timestamp, then publish the new watermark
-    /// with a single `fetch_max`. Never blocks — returns `false` without
-    /// sweeping if another sweeper holds the lock. Callers must not treat
-    /// `false` as evidence about the frontier: the holder's walk may
-    /// predate anything published since it started.
-    fn try_sweep(&self) -> bool {
-        let Some(_sweep) = self.sweep.try_lock() else {
-            return false;
-        };
-        let start = self.applied.load(Ordering::Acquire);
-        let mut applied = start;
-        loop {
-            let next = applied + 1;
-            if self.ring[(next as usize) & (RING - 1)].load(Ordering::Acquire) == next {
-                applied = next;
-                continue;
-            }
-            match self.try_revoke_containing(next) {
-                // The whole revoked range [next, limit) was never
-                // assigned to any commit: skip it at once.
-                Some(limit) => applied = limit - 1,
-                // `next` is claimed and in flight; its completer will
-                // advance past it.
-                None => break,
-            }
-        }
-        if applied != start {
-            // fetch_max, not store: an in-order CAS may have advanced
-            // `applied` past our batch while we swept.
-            self.applied.fetch_max(applied, Ordering::SeqCst);
-        }
-        if self.parked.load(Ordering::SeqCst) > 0 {
+        if self.parked.load(SeqCst) > 0 {
             let _guard = self.park.lock();
             self.cv.notify_all();
         }
-        true
     }
 
-    /// Revoke the unclaimed block remainder containing `next`, if any
-    /// slot holds one. Returns the (exclusive) end of the revoked range.
-    fn try_revoke_containing(&self, next: CommitTs) -> Option<CommitTs> {
-        'rescan: loop {
-            for slot in self.slots.iter() {
-                let v = slot.block.load(Ordering::Acquire);
-                let (limit, rem) = unpack(v);
-                if rem == 0 || !(limit - rem..limit).contains(&next) {
-                    continue;
-                }
-                // `next` is the watermark gap, so everything below it is
-                // applied — the unclaimed range cannot start below it.
-                debug_assert_eq!(limit - rem, next);
-                if slot
-                    .block
-                    .compare_exchange(v, pack(limit, 0), Ordering::AcqRel, Ordering::Relaxed)
-                    .is_ok()
-                {
-                    slot.streak.store(0, Ordering::Relaxed);
-                    return Some(limit);
-                }
-                // The owner claimed from (or refilled) the slot while we
-                // looked: start over with fresh state.
-                continue 'rescan;
-            }
-            return None;
+    /// Block until `applied >= ts`. Whoever retires the gap runs
+    /// [`Self::advance`] afterwards and finds us through `parked`.
+    pub(crate) fn wait_covered(&self, ts: CommitTs) {
+        if self.applied.load(SeqCst) >= ts {
+            return;
         }
+        self.parked.fetch_add(1, SeqCst);
+        {
+            let mut guard = self.park.lock();
+            while self.applied.load(SeqCst) < ts {
+                assert!(
+                    !adhoc_sim::sched::under_scheduler(),
+                    "watermark parked under the deterministic scheduler \
+                     (ts {ts}): a commit is suspended mid-install, which \
+                     no yield point should allow"
+                );
+                self.cv.wait(&mut guard);
+            }
+        }
+        self.parked.fetch_sub(1, SeqCst);
     }
 
     /// Advance both frontiers to cover a recovered commit (boot-time WAL
-    /// replay) and invalidate every cached block: a slot refilled before
-    /// recovery could otherwise hand out timestamps at or below the
-    /// recovered watermark. Dropped remainders above the watermark are
-    /// retired as holes so the sweep never waits on them.
+    /// replay), so post-recovery draws land above it and new snapshots
+    /// see it.
     pub(crate) fn note_recovered(&self, ts: CommitTs) {
-        self.next.fetch_max(ts, Ordering::SeqCst);
-        self.applied.fetch_max(ts, Ordering::SeqCst);
-        for slot in self.slots.iter() {
-            loop {
-                let v = slot.block.load(Ordering::Acquire);
-                let (limit, rem) = unpack(v);
-                if rem == 0 {
-                    break;
-                }
-                if slot
-                    .block
-                    .compare_exchange(v, pack(limit, 0), Ordering::AcqRel, Ordering::Relaxed)
-                    .is_err()
-                {
-                    continue;
-                }
-                for hole in (limit - rem)..limit {
-                    if hole > self.applied.load(Ordering::Acquire) {
-                        self.publish(hole);
-                    }
-                }
-                break;
-            }
-            slot.streak.store(0, Ordering::Relaxed);
-        }
-        self.try_sweep();
+        self.next.fetch_max(ts, SeqCst);
+        self.applied.fetch_max(ts, SeqCst);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
 
     #[test]
     fn in_order_draws_advance_without_parking() {
@@ -422,26 +185,6 @@ mod tests {
             spine.complete(ts);
             assert_eq!(spine.snapshot(), ts);
         }
-    }
-
-    #[test]
-    fn blocks_grow_after_a_streak_and_timestamps_stay_unique() {
-        let spine = EpochSpine::new();
-        let mut seen = std::collections::HashSet::new();
-        // 205 commits: past the growth streak and not a multiple of the
-        // block size, so the last block has a live unclaimed remainder.
-        for _ in 0..205 {
-            let ts = spine.draw();
-            assert!(seen.insert(ts), "timestamp {ts} drawn twice");
-            spine.complete(ts);
-        }
-        // After GROW_STREAK in-order completions the slot draws blocks,
-        // so the allocator frontier outruns the number of commits.
-        assert!(spine.last_drawn() > 205);
-        // Every drawn-but-unclaimed timestamp is revocable: the watermark
-        // covers everything the moment we ask it to.
-        spine.wait_covered(spine.last_drawn());
-        assert_eq!(spine.snapshot(), spine.last_drawn());
     }
 
     #[test]
@@ -456,7 +199,7 @@ mod tests {
             spine2.complete(b);
             spine2.snapshot()
         });
-        while spine.parked.load(Ordering::SeqCst) == 0 {
+        while spine.parked.load(SeqCst) == 0 {
             std::thread::yield_now();
         }
         assert!(spine.snapshot() < b);
@@ -465,65 +208,91 @@ mod tests {
     }
 
     #[test]
-    fn revocation_skips_abandoned_remainders() {
+    fn note_recovered_lifts_both_frontiers_and_later_draws() {
         let spine = EpochSpine::new();
-        // Grow the block...
-        for _ in 0..=GROW_STREAK {
+        for _ in 0..10 {
             let ts = spine.draw();
             spine.complete(ts);
         }
-        let ts = spine.draw();
-        spine.complete(ts);
-        // ...then demand coverage of the whole drawn range: the sweep
-        // must revoke the unclaimed remainder rather than stall.
-        let frontier = spine.last_drawn();
-        assert!(frontier > ts);
-        spine.wait_covered(frontier);
-        assert!(spine.snapshot() >= frontier);
-    }
-
-    #[test]
-    fn note_recovered_invalidates_cached_blocks() {
-        let spine = EpochSpine::new();
-        for _ in 0..=GROW_STREAK {
-            let ts = spine.draw();
-            spine.complete(ts);
-        }
-        let _block_head = spine.draw(); // leaves a cached remainder
         let far = spine.last_drawn() + 1000;
         spine.note_recovered(far);
-        // Post-recovery draws must land above the recovered frontier.
+        assert!(spine.snapshot() >= far && spine.last_drawn() >= far);
+        // Post-recovery draws land above the recovered frontier, and
+        // retire in order from it.
         let ts = spine.draw();
-        assert!(ts > far, "stale block timestamp {ts} <= recovered {far}");
+        assert!(ts > far, "stale timestamp {ts} <= recovered {far}");
+        spine.complete(ts);
+        assert_eq!(spine.snapshot(), ts);
+        // An older recovered commit moves nothing backwards.
+        spine.note_recovered(far - 1);
+        assert_eq!((spine.snapshot(), spine.last_drawn()), (ts, ts));
     }
 
     #[test]
     fn concurrent_commit_stress_keeps_the_watermark_exact() {
+        const THREADS: u64 = 8;
+        const COMMITS: u64 = 2000;
         let spine = Arc::new(EpochSpine::new());
-        let threads: Vec<_> = (0..8)
+        let threads: Vec<_> = (0..THREADS)
             .map(|_| {
                 let spine = Arc::clone(&spine);
                 std::thread::spawn(move || {
-                    let mut max = 0;
-                    for _ in 0..2000 {
+                    let mut drawn = Vec::with_capacity(COMMITS as usize);
+                    for _ in 0..COMMITS {
+                        let before = spine.snapshot();
                         let ts = spine.draw();
                         spine.complete(ts);
-                        // Acked ⇒ visible, immediately.
+                        // Acked ⇒ visible, immediately; never backwards.
                         assert!(spine.snapshot() >= ts);
-                        max = max.max(ts);
+                        assert!(spine.snapshot() >= before);
+                        drawn.push(ts);
                     }
-                    max
+                    drawn
                 })
             })
             .collect();
-        let max = threads
+        let mut drawn: Vec<_> = threads
             .into_iter()
-            .map(|t| t.join().unwrap())
-            .max()
-            .unwrap();
-        assert!(spine.snapshot() >= max);
-        // Whatever remainders are still cached must be revocable.
-        spine.wait_covered(spine.last_drawn());
+            .flat_map(|t| t.join().unwrap())
+            .collect();
+        // Dense: no timestamp drawn twice, none skipped — and with every
+        // commit acked the watermark sits exactly on the frontier.
+        drawn.sort_unstable();
+        assert!(drawn.iter().copied().eq(1..=THREADS * COMMITS));
+        assert_eq!(spine.last_drawn(), THREADS * COMMITS);
         assert_eq!(spine.snapshot(), spine.last_drawn());
+    }
+
+    /// The AdHoc shape that used to stall for good: an application lock
+    /// taken before the commit and released only *after* `complete`
+    /// returns, so a committer whose successor is parked stops committing
+    /// instead of stumbling into a later advance. Workers report over a
+    /// channel so a stall is a failure here, not a hung test binary.
+    #[test]
+    fn outer_lock_held_across_complete_never_stalls() {
+        const ITERS: u64 = 3_000_000;
+        let spine = Arc::new(EpochSpine::new());
+        let outer = Arc::new([std::sync::Mutex::new(()), std::sync::Mutex::new(())]);
+        let (done, finished) = mpsc::channel();
+        for seed in 0..2 {
+            let (spine, outer, done) = (Arc::clone(&spine), Arc::clone(&outer), done.clone());
+            // Detached on purpose: a stalled worker can never be joined.
+            std::thread::spawn(move || {
+                let mut rng = StdRng::seed_from_u64(seed);
+                for _ in 0..ITERS {
+                    let _held = outer[rng.gen_range(0..2usize)].lock().unwrap();
+                    let ts = spine.draw();
+                    spine.complete(ts);
+                    assert!(spine.snapshot() >= ts);
+                }
+                done.send(()).unwrap();
+            });
+        }
+        for _ in 0..2 {
+            finished.recv_timeout(Duration::from_secs(20)).expect(
+                "a committer stalled: its timestamp is published but the watermark never passed it",
+            );
+        }
+        assert_eq!(spine.snapshot(), 2 * ITERS);
     }
 }

@@ -864,13 +864,12 @@ pub fn vote_occ(trial: &mut Trial) -> Result<(), String> {
 // Commit-spine epoch advance: acked ⇒ visible under every interleaving.
 // ---------------------------------------------------------------------------
 
-/// Correct: the epoch-batched commit spine under interleaved completions.
-/// Three tasks commit rounds of updates to disjoint rows — their commit
-/// timestamps come from per-slot blocks, and the scheduler interleaves the
-/// completions so the applied watermark must repeatedly close gaps (and
-/// revoke abandoned block remainders) before any ack returns. Each task
-/// then reads its own row back: an acked commit that a later snapshot
-/// cannot see means the watermark jumped a gap or lagged its ack.
+/// Correct: the commit spine under interleaved committers. Three tasks
+/// commit rounds of updates to disjoint rows, and the scheduler
+/// interleaves them at every yield point, so the applied watermark must
+/// cover each commit before its ack returns. Each task then reads its own
+/// row back: an acked commit that a later snapshot cannot see means the
+/// watermark jumped a gap or lagged its ack.
 pub fn epoch_watermark_advance(trial: &mut Trial) -> Result<(), String> {
     let db = Database::in_memory(EngineProfile::PostgresLike);
     db.create_table(

@@ -6,11 +6,14 @@
 //! end to end, including the retry loop real applications wrap around it
 //! (the paper's DBT baseline, §5.1).
 
+use adhoc_transactions::core::locks::{AdHocLock, MemLock};
 use adhoc_transactions::storage::{
     Column, ColumnType, Database, EngineProfile, IsolationLevel, Schema,
 };
 use proptest::prelude::*;
-use std::sync::Arc;
+use rand::{rngs::StdRng, Rng, SeedableRng};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 const ACCOUNTS: i64 = 3;
 const SEED_BALANCE: i64 = 100;
@@ -260,18 +263,18 @@ fn disjoint_and_same_key_contention_both_serialize_exactly() {
     }
 }
 
-/// Epoch-watermark visibility stress, mixed footprints: four threads RMW
-/// their own disjoint rows (commit-ts blocks drain in parallel, mostly in
-/// order) while four more hammer one hot row (certification aborts force
-/// retries and leave drawn-but-revoked timestamps behind). After every
-/// acked commit each thread opens a probe snapshot and checks the two
-/// sides of the epoch contract:
+/// Watermark visibility stress, mixed footprints: four threads RMW their
+/// own disjoint rows (commits on different shards retire in parallel and
+/// out of timestamp order) while four more hammer one hot row
+/// (certification aborts force retries). After every acked commit each
+/// thread opens a probe snapshot and checks the two sides of the
+/// watermark contract:
 ///
 /// * **never ahead** — the probe's snapshot timestamp is at or below the
-///   applied watermark. With per-thread timestamp *batching* the global
-///   `next` counter runs far ahead of the applied frontier, so a snapshot
-///   accidentally derived from `next` (instead of the watermark) fails
-///   this immediately under load;
+///   applied watermark. The timestamp counter runs ahead of the applied
+///   frontier whenever a commit is mid-install, so a snapshot
+///   accidentally derived from the counter (instead of the watermark)
+///   fails this under load;
 /// * **never behind an ack** — the snapshot is at or above the watermark
 ///   read *before* the commit, and the probe reads back the thread's own
 ///   acked write (disjoint rows exactly, the hot row at least) — the
@@ -352,13 +355,80 @@ fn snapshots_never_run_ahead_of_the_applied_watermark() {
             .unwrap();
         assert_eq!(hot, HOT_WRITERS * OPS, "{profile:?}: hot row lost updates");
         // Every acked commit retired into the watermark: 5 seed commits
-        // plus one per increment, even though retries and revoked block
-        // remainders churned far more raw timestamps than that.
+        // plus one per increment (an aborted attempt draws no timestamp).
         let commits = (HOT_ROW + (DISJOINT + HOT_WRITERS) * OPS) as u64;
         assert!(
             db.applied_watermark() >= commits,
             "{profile:?}: watermark below the acked-commit count"
         );
+    }
+}
+
+/// The ad hoc shape of the same contract: an application-level lock taken
+/// *before* the transaction and released only *after* its commit is
+/// acked (Figure 1's pattern). A committer whose timestamp waits on a
+/// neighbour's then stops that neighbour from ever committing again if
+/// the neighbour needs the lock it holds, so a single missed watermark
+/// advance is a permanent stall, not a delay. Two threads pick one of two
+/// `MemLock` keys at random, RMW the row the key guards and read it back
+/// while still holding the lock. Workers are detached and report over a
+/// channel, so a stall fails the test instead of hanging the binary.
+#[test]
+fn app_lock_held_across_commit_never_stalls_the_watermark() {
+    const THREADS: u64 = 2;
+    const OPS: i64 = 60_000;
+    for profile in [EngineProfile::PostgresLike, EngineProfile::MySqlLike] {
+        let db = Arc::new(db_with_accounts(profile, 2, 0));
+        let locks = Arc::new(MemLock::new());
+        let (done, finished) = mpsc::channel();
+        for seed in 0..THREADS {
+            let (db, locks, done) = (Arc::clone(&db), Arc::clone(&locks), done.clone());
+            std::thread::spawn(move || {
+                let schema = db.schema("acct").unwrap();
+                let mut rng = StdRng::seed_from_u64(seed);
+                for _ in 0..OPS {
+                    let row = rng.gen_range(1..=2i64);
+                    let held = locks.lock(&format!("acct:{row}")).expect("app lock");
+                    let mut wrote = 0;
+                    db.run_with_retries(IsolationLevel::Serializable, 10_000, |t| {
+                        let cur = t.get("acct", row)?.expect("seeded account");
+                        wrote = cur.get_int(&schema, "bal").expect("bal column") + 1;
+                        t.update("acct", row, &[("bal", wrote.into())])
+                    })
+                    .expect("locked writer converges");
+                    // Acked ⇒ visible, and the lock makes it exact.
+                    let seen = db
+                        .run(IsolationLevel::ReadCommitted, |t| t.get("acct", row))
+                        .unwrap()
+                        .expect("row survives")
+                        .get_int(&schema, "bal")
+                        .unwrap();
+                    assert_eq!(seen, wrote, "{profile:?}: acked write invisible");
+                    held.unlock().expect("unlock");
+                }
+                done.send(()).unwrap();
+            });
+        }
+        for _ in 0..THREADS {
+            finished
+                .recv_timeout(Duration::from_secs(60))
+                .unwrap_or_else(|_| {
+                    panic!(
+                        "{profile:?}: a committer stalled holding its app lock \
+                         (watermark {})",
+                        db.applied_watermark()
+                    )
+                });
+        }
+        let schema = db.schema("acct").unwrap();
+        let total: i64 = (1..=2)
+            .map(|row| {
+                let r = db.latest_committed("acct", row).unwrap();
+                r.expect("row survives").get_int(&schema, "bal").unwrap()
+            })
+            .sum();
+        assert_eq!(total, THREADS as i64 * OPS, "{profile:?}: lost updates");
+        assert!(db.applied_watermark() >= 2 + THREADS * OPS as u64);
     }
 }
 
