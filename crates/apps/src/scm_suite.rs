@@ -195,9 +195,9 @@ impl ScmSuite {
         }
     }
 
-    /// Transfer between accounts under two locks taken in id order (the
-    /// consistent-order discipline of Finding 5 that keeps the studied
-    /// multi-lock cases deadlock-free).
+    /// Transfer between accounts. The ad hoc path takes two locks in id
+    /// order (the consistent-order discipline of Finding 5 that keeps the
+    /// studied multi-lock cases deadlock-free).
     pub fn transfer(&self, from: i64, to: i64, amount: i64) -> Result<bool> {
         assert!(amount >= 0);
         if self.mode.on_cured_layer() {
@@ -232,6 +232,39 @@ impl ScmSuite {
                 occ.stage_update("accounts", to, &[("balance", (to_balance + amount).into())]);
                 Ok(true)
             })?);
+        }
+        if self.mode == Mode::DatabaseTxn {
+            // The paper's comparator: both reads and both writes in one
+            // Serializable transaction — no application lock, no ordering
+            // discipline; the engine's deadlock victim or certification
+            // failure is retried.
+            let schema = self.orm.db().schema("accounts")?;
+            return Ok(self.orm.db().run_with_retries(
+                IsolationLevel::Serializable,
+                DBT_RETRIES,
+                |t| {
+                    let mut balance_of = |id| {
+                        t.get("accounts", id)?
+                            .ok_or(DbError::NoSuchRow {
+                                table: "accounts".into(),
+                                id,
+                            })?
+                            .get_int(&schema, "balance")
+                    };
+                    let from_balance = balance_of(from)?;
+                    if from_balance < amount {
+                        return Ok(false);
+                    }
+                    let to_balance = balance_of(to)?;
+                    t.update(
+                        "accounts",
+                        from,
+                        &[("balance", (from_balance - amount).into())],
+                    )?;
+                    t.update("accounts", to, &[("balance", (to_balance + amount).into())])?;
+                    Ok(true)
+                },
+            )?);
         }
         let (first, second) = if from <= to { (from, to) } else { (to, from) };
         let g1 = self.lock.lock(&format!("account:{first}"))?;
@@ -436,13 +469,72 @@ pub fn boot_fsck() -> BootRecovery {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adhoc_core::locks::SyncLock;
+    use adhoc_core::locks::{Guard, LockError, SyncLock};
     use adhoc_storage::EngineProfile;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn fixture(mode: Mode, lock: Arc<dyn AdHocLock>) -> ScmSuite {
-        let db = Database::in_memory(EngineProfile::MySqlLike);
+        fixture_on(EngineProfile::MySqlLike, mode, lock)
+    }
+
+    fn fixture_on(profile: EngineProfile, mode: Mode, lock: Arc<dyn AdHocLock>) -> ScmSuite {
+        let db = Database::in_memory(profile);
         let orm = setup(&db).unwrap();
         ScmSuite::new(orm, lock, mode)
+    }
+
+    /// A `SyncLock` that counts acquisitions.
+    #[derive(Default)]
+    struct CountingLock {
+        inner: SyncLock,
+        acquisitions: AtomicUsize,
+    }
+
+    impl AdHocLock for CountingLock {
+        fn lock(&self, key: &str) -> std::result::Result<Guard, LockError> {
+            self.acquisitions.fetch_add(1, Ordering::Relaxed);
+            self.inner.lock(key)
+        }
+
+        fn label(&self) -> &'static str {
+            "COUNTING"
+        }
+    }
+
+    #[test]
+    fn dbt_transfer_is_one_transaction_and_no_lock() {
+        let lock = Arc::new(CountingLock::default());
+        let app = fixture(Mode::DatabaseTxn, lock.clone());
+        app.seed_account(1, 10).unwrap();
+        app.seed_account(2, 0).unwrap();
+        for (amount, expect) in [(4, true), (4, true), (4, false)] {
+            let before = app.orm().db().stats().commits;
+            assert_eq!(app.transfer(1, 2, amount).unwrap(), expect);
+            assert_eq!(app.orm().db().stats().commits, before + 1);
+        }
+        assert_eq!((app.balance(1).unwrap(), app.balance(2).unwrap()), (2, 8));
+        let acquisitions = lock.acquisitions.load(Ordering::Relaxed);
+        assert_eq!(acquisitions, 0, "the comparator takes no ad hoc lock");
+    }
+
+    #[test]
+    fn dbt_opposite_transfers_terminate_and_conserve_on_both_engines() {
+        for profile in [EngineProfile::MySqlLike, EngineProfile::PostgresLike] {
+            let app = fixture_on(profile, Mode::DatabaseTxn, Arc::new(SyncLock::new()));
+            app.seed_account(1, 1000).unwrap();
+            app.seed_account(2, 1000).unwrap();
+            std::thread::scope(|s| {
+                for (from, to) in [(1, 2), (2, 1)] {
+                    let app = &app;
+                    s.spawn(move || {
+                        for _ in 0..2000 {
+                            app.transfer(from, to, 1).unwrap();
+                        }
+                    });
+                }
+            });
+            assert_eq!(app.total_balance(&[1, 2]).unwrap(), 2000, "{profile:?}");
+        }
     }
 
     #[test]

@@ -4,22 +4,23 @@
 //! ```text
 //! paper-eval [table1|table2|table3|table4|table5a|table5b|table6|table7a|table7b]
 //! paper-eval [findings|fig2|fig3|fig4|tables|all]
+//! paper-eval [ablation-ttl|ablation-isolation|ablation-gap|ablation-kv-rtt|ablation-rmw-lock]
+//! paper-eval [ablation-resilience|ablation-traffic]
 //! paper-eval bench-json [outdir]
 //! ```
 //! With no arguments, prints everything (`all`).
 //!
 //! `bench-json` runs the engine-scaling sweeps and writes machine-readable
 //! `BENCH_fig2.json` (storage commit scaling), `BENCH_fig3.json` (KV
-//! command scaling), `BENCH_wal.json` (WAL overhead),
-//! `BENCH_occ.json` (cured `orm::occ` vs hand-rolled AHT),
-//! `BENCH_resilience.json` (metastability ablation), and
-//! `BENCH_traffic.json` (open-loop traffic SLO ablation) into `outdir`
-//! (default `.`). Set `BENCH_SCALE=smoke`
-//! for a tiny CI duty cycle. If `tools/baselines/fig2_pre_shard.json` /
-//! `fig3_pre_shard.json` exist relative to the current directory, they are
-//! embedded under `"baseline"` so one file records before/after.
+//! command scaling), `BENCH_wal.json` (WAL overhead), `BENCH_occ.json`
+//! (cured `orm::occ` vs hand-rolled AHT), `BENCH_confluence.json`
+//! (commutative deltas vs both), `BENCH_resilience.json` (metastability
+//! ablation) and `BENCH_traffic.json` (open-loop traffic SLO ablation)
+//! into `outdir` (default `.`). Set `BENCH_SCALE=smoke` for a tiny CI duty
+//! cycle; the three timed ablations honour it too.
 
 use adhoc_apps::Mode;
+use adhoc_bench::ablations::{self, AblationRow};
 use adhoc_bench::{fig2, fig3, fig4, isolation_ablation, resilience, scaling, ttl_ablation};
 use adhoc_sim::stats::{fmt_duration, geometric_mean};
 use adhoc_sim::LatencyModel;
@@ -237,46 +238,97 @@ fn run_traffic_ablation() {
     println!();
 }
 
+/// Print one timed ablation: a row per configuration with its mean cost
+/// per operation and the exact count (`count_header`) behind it.
+fn print_ablation(title: &str, count_header: &str, rows: &[AblationRow]) {
+    println!("Ablation: {title}");
+    println!(
+        "  {:<28} {:>12} {:>10} {:>24} {:>8}",
+        "configuration", "mean/op", "ops", count_header, "per op"
+    );
+    for r in rows {
+        println!(
+            "  {:<28} {:>12} {:>10} {:>24} {:>8.2}",
+            r.label,
+            fmt_duration(r.mean),
+            r.ops,
+            r.count,
+            r.count_per_op()
+        );
+    }
+}
+
+fn run_gap_ablation() {
+    print_ablation(
+        "gap certification (PBC scan-empty-then-insert on the open order_id tail, 2 workers).",
+        "serialization failures",
+        &ablations::gap_certification(scaling::window_from_env()),
+    );
+    println!();
+}
+
+fn run_kv_rtt_ablation() {
+    let rows = ablations::kv_round_trips(scaling::window_from_env(), &[10, 100, 400]);
+    print_ablation(
+        "KV lock round trips (uncontended lock + unlock cycles, simulated RTT).",
+        "round trips",
+        &rows,
+    );
+    for pair in rows.chunks(2) {
+        let (setnx, multi) = (&pair[0], &pair[1]);
+        println!(
+            "  {} / {}: {:.2}x the cost for {:.2}x the round trips",
+            multi.label,
+            setnx.label,
+            multi.mean.as_secs_f64() / setnx.mean.as_secs_f64(),
+            multi.count_per_op() / setnx.count_per_op()
+        );
+    }
+    println!();
+}
+
+fn run_rmw_lock_ablation() {
+    print_ablation(
+        "RMW locking at MySQL Serializable (2 workers decrement one row, section 3.3.1).",
+        "deadlock victims",
+        &ablations::rmw_locking(scaling::window_from_env()),
+    );
+    println!();
+}
+
+/// Produces the body of one `BENCH_*.json`.
+type Producer = fn() -> String;
+
+/// Every file `bench-json` writes and the function that produces its body.
+const BENCH_FILES: [(&str, Producer); 7] = [
+    ("BENCH_fig2.json", || {
+        scaling::bench_json("storage_commit_scaling", scaling::commit_scaling)
+    }),
+    ("BENCH_fig3.json", || {
+        scaling::bench_json("kv_command_scaling", scaling::kv_scaling)
+    }),
+    ("BENCH_wal.json", || {
+        scaling::bench_json("storage_commit_wal_overhead", scaling::wal_commit_scaling)
+    }),
+    ("BENCH_occ.json", || {
+        scaling::bench_json("occ_vs_adhoc_scaling", scaling::occ_scaling)
+    }),
+    ("BENCH_confluence.json", || {
+        scaling::bench_json("confluent_counter_scaling", scaling::confluence_scaling)
+    }),
+    ("BENCH_resilience.json", resilience::resilience_bench_json),
+    ("BENCH_traffic.json", adhoc_traffic::traffic_bench_json),
+];
+
 fn run_bench_json(outdir: &str) {
-    let baseline2 = std::fs::read_to_string("tools/baselines/fig2_pre_shard.json").ok();
-    let baseline3 = std::fs::read_to_string("tools/baselines/fig3_pre_shard.json").ok();
-    let (fig2_json, fig3_json) = scaling::bench_json(baseline2.as_deref(), baseline3.as_deref());
     std::fs::create_dir_all(outdir).expect("create outdir");
-    let wal_json = scaling::wal_bench_json();
-    let baseline_occ = std::fs::read_to_string("tools/baselines/occ_pre_cure.json").ok();
-    let occ_json = scaling::occ_bench_json(baseline_occ.as_deref());
-    let baseline_conf = std::fs::read_to_string("tools/baselines/confluence.json").ok();
-    let confluence_json = scaling::confluence_bench_json(baseline_conf.as_deref());
-    let resilience_json = resilience::resilience_bench_json();
-    let traffic_json = adhoc_traffic::traffic_bench_json();
-    let fig2_path = format!("{outdir}/BENCH_fig2.json");
-    let fig3_path = format!("{outdir}/BENCH_fig3.json");
-    let wal_path = format!("{outdir}/BENCH_wal.json");
-    let occ_path = format!("{outdir}/BENCH_occ.json");
-    let confluence_path = format!("{outdir}/BENCH_confluence.json");
-    let resilience_path = format!("{outdir}/BENCH_resilience.json");
-    let traffic_path = format!("{outdir}/BENCH_traffic.json");
-    std::fs::write(&fig2_path, &fig2_json).expect("write BENCH_fig2.json");
-    std::fs::write(&fig3_path, &fig3_json).expect("write BENCH_fig3.json");
-    std::fs::write(&wal_path, &wal_json).expect("write BENCH_wal.json");
-    std::fs::write(&occ_path, &occ_json).expect("write BENCH_occ.json");
-    std::fs::write(&confluence_path, &confluence_json).expect("write BENCH_confluence.json");
-    std::fs::write(&resilience_path, &resilience_json).expect("write BENCH_resilience.json");
-    std::fs::write(&traffic_path, &traffic_json).expect("write BENCH_traffic.json");
-    println!("wrote {fig2_path}");
-    print!("{fig2_json}");
-    println!("wrote {fig3_path}");
-    print!("{fig3_json}");
-    println!("wrote {wal_path}");
-    print!("{wal_json}");
-    println!("wrote {occ_path}");
-    print!("{occ_json}");
-    println!("wrote {confluence_path}");
-    print!("{confluence_json}");
-    println!("wrote {resilience_path}");
-    print!("{resilience_json}");
-    println!("wrote {traffic_path}");
-    print!("{traffic_json}");
+    for (file, produce) in BENCH_FILES {
+        let path = format!("{outdir}/{file}");
+        let json = produce();
+        std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+        println!("wrote {path}");
+        print!("{json}");
+    }
 }
 
 fn main() {
@@ -300,6 +352,9 @@ fn main() {
         "fig4" => run_fig4(),
         "ablation-ttl" => run_ttl_ablation(),
         "ablation-isolation" => run_isolation_ablation(),
+        "ablation-gap" => run_gap_ablation(),
+        "ablation-kv-rtt" => run_kv_rtt_ablation(),
+        "ablation-rmw-lock" => run_rmw_lock_ablation(),
         "ablation-resilience" => run_resilience_ablation(),
         "ablation-traffic" => run_traffic_ablation(),
         "bench-json" => {
@@ -317,13 +372,16 @@ fn main() {
             run_fig4();
             run_ttl_ablation();
             run_isolation_ablation();
+            run_gap_ablation();
+            run_kv_rtt_ablation();
+            run_rmw_lock_ablation();
             run_resilience_ablation();
             run_traffic_ablation();
         }
         other => {
             eprintln!("unknown target {other:?}");
             eprintln!(
-                "usage: paper-eval [table1|table2|table3|table4|table5a|table5b|table6|table7a|table7b|confluence|findings|extension|playbook|fig2|fig3|fig4|ablation-ttl|ablation-isolation|ablation-resilience|ablation-traffic|bench-json|tables|all]"
+                "usage: paper-eval [table1|table2|table3|table4|table5a|table5b|table6|table7a|table7b|confluence|findings|extension|playbook|fig2|fig3|fig4|ablation-ttl|ablation-isolation|ablation-gap|ablation-kv-rtt|ablation-rmw-lock|ablation-resilience|ablation-traffic|bench-json|tables|all]"
             );
             std::process::exit(2);
         }

@@ -32,12 +32,6 @@ const WORKERS: usize = 3;
 const TXNS_PER_WORKER: usize = 400;
 const STATS_ROWS: i64 = 4;
 
-/// Run one configuration with a caller-chosen per-worker transaction
-/// count (the Criterion bench uses a smaller count per iteration).
-pub fn run_isolation_ablation_config(hinted: bool, txns_per_worker: usize) -> IsolationAblationRow {
-    run_config_n(hinted, txns_per_worker)
-}
-
 fn build_db() -> Database {
     let db = Database::in_memory(EngineProfile::PostgresLike);
     for table in ["counters", "statistics"] {
@@ -92,10 +86,6 @@ fn bump_counter(t: &mut Transaction, schema: &Schema) -> Result<(), DbError> {
 }
 
 fn run_config(hinted: bool) -> IsolationAblationRow {
-    run_config_n(hinted, TXNS_PER_WORKER)
-}
-
-fn run_config_n(hinted: bool, txns_per_worker: usize) -> IsolationAblationRow {
     let db = Arc::new(build_db());
     let coord = Arc::new(Coordinator::new((*db).clone()));
     let counters_schema = db.schema("counters").expect("schema");
@@ -126,7 +116,7 @@ fn run_config_n(hinted: bool, txns_per_worker: usize) -> IsolationAblationRow {
                 let coord = Arc::clone(&coord);
                 let schema = counters_schema.clone();
                 s.spawn(move || {
-                    for i in 0..txns_per_worker {
+                    for i in 0..TXNS_PER_WORKER {
                         db.run_with_retries(IsolationLevel::Serializable, 100_000, |t| {
                             read_dashboard(t, &coord, hinted)?;
                             std::thread::yield_now(); // request "think time"
@@ -153,7 +143,7 @@ fn run_config_n(hinted: bool, txns_per_worker: usize) -> IsolationAblationRow {
         .expect("counter row")
         .get_int(&counters_schema, "value")
         .expect("value column");
-    assert_eq!(counter, (WORKERS * txns_per_worker) as i64);
+    assert_eq!(counter, (WORKERS * TXNS_PER_WORKER) as i64);
 
     IsolationAblationRow {
         label: if hinted {
@@ -161,7 +151,7 @@ fn run_config_n(hinted: bool, txns_per_worker: usize) -> IsolationAblationRow {
         } else {
             "all reads at Serializable"
         },
-        throughput_rps: (WORKERS * txns_per_worker) as f64 / elapsed.as_secs_f64(),
+        throughput_rps: (WORKERS * TXNS_PER_WORKER) as f64 / elapsed.as_secs_f64(),
         serialization_failures: db.stats().serialization_failures,
     }
 }
@@ -198,7 +188,7 @@ mod tests {
     /// abort *counts* of `paper-eval ablation-isolation` — is up to the
     /// OS scheduler, so the ablation itself is checked for shape only:
     /// both rows ran and every worker transaction committed exactly once
-    /// (asserted inside `run_config_n`).
+    /// (asserted inside `run_config`).
     #[test]
     fn per_op_hint_slashes_serialization_failures() {
         let _serial = crate::SERIAL_MEASUREMENTS.lock();

@@ -7,6 +7,10 @@
 //! * [`fig4`] — shrink-image API latency for the four rollback strategies,
 //!   with and without conflicting edit-post load.
 //! * [`ttl_ablation`] — the lease-TTL safety cliff behind the Mastodon bug.
+//! * [`isolation_ablation`] — the Table 7b per-operation isolation hint.
+//! * [`ablations`] — gap certification, KV round trips, early RMW locking.
+//! * [`scaling`] — the multi-thread sweeps behind `BENCH_*.json`, and the
+//!   measurement loop the ablations share.
 //! * [`resilience`] — the metastability ablation: which resilience
 //!   mechanisms let goodput recover after a partition storm.
 //!
@@ -16,6 +20,7 @@
 
 #![warn(missing_docs)]
 
+pub mod ablations;
 pub mod fig2;
 pub mod fig3;
 pub mod fig4;
@@ -28,7 +33,7 @@ pub use fig2::{lock_latencies, Fig2Row};
 pub use fig3::{run_granularity, Fig3Config, Fig3Row, GranularitySetup, SETUPS};
 pub use fig4::{run_rollback, Fig4Config, Fig4Row};
 pub use resilience::{resilience_sweep, Resilience, ResilienceRow};
-pub use scaling::{commit_scaling, kv_scaling, KeyPattern, ScalingCell};
+pub use scaling::{commit_scaling, kv_scaling, KeyPattern, ScalingRow};
 pub use ttl_ablation::{run_ttl_ablation, TtlAblationRow};
 
 /// Measurement tests take this lock so they never run concurrently —

@@ -25,24 +25,25 @@ pub struct TtlAblationRow {
     pub trials: usize,
 }
 
+/// The lease TTL. Wide enough that scheduling noise on a quiet host does
+/// not push a sub-TTL critical section past the lease and fake an overuse.
+const TTL: Duration = Duration::from_millis(20);
+
 /// Run the sweep: for each ratio, `trials` runs of four concurrent
 /// redeemers against a 1-use invitation guarded by a TTL'd `SETNX` lock
 /// whose expiry nobody checks (the Mastodon configuration).
 pub fn run_ttl_ablation(ratios: &[f64], trials: usize) -> Vec<TtlAblationRow> {
-    // Wide enough that scheduling noise on a loaded host cannot push a
-    // sub-TTL critical section past the lease and fake an overuse.
-    let ttl = Duration::from_millis(20);
     ratios
         .iter()
         .map(|ratio| {
-            let cs = Duration::from_secs_f64(ttl.as_secs_f64() * ratio);
+            let cs = TTL.mul_f64(*ratio);
             let mut overuse_trials = 0;
             for _ in 0..trials {
                 let db = Database::in_memory(EngineProfile::PostgresLike);
                 let orm = mastodon::setup(&db).expect("schema");
                 let kv = Client::new(Store::new(), RealClock::shared(), LatencyModel::zero());
                 let lease = KvSetNxLock::new(kv.clone())
-                    .with_ttl(ttl)
+                    .with_ttl(TTL)
                     .with_config(AcquireConfig {
                         retry_interval: Duration::from_micros(200),
                         timeout: Duration::from_secs(5),
@@ -79,20 +80,46 @@ pub fn run_ttl_ablation(ratios: &[f64], trials: usize) -> Vec<TtlAblationRow> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adhoc_core::locks::AdHocLock;
+    use adhoc_sim::VirtualClock;
 
-    /// The safety cliff: well under the TTL the invitation limit holds;
-    /// well past it, overuse becomes routine.
+    /// One redeemer takes the lease and spends `cs_over_ttl` × TTL of
+    /// virtual time in its critical section: is a second one let in
+    /// beside it?
+    fn second_holder_admitted(cs_over_ttl: f64) -> bool {
+        let clock = Arc::new(VirtualClock::new());
+        let kv = Client::new(Store::new(), clock.clone(), LatencyModel::zero());
+        let lease = KvSetNxLock::new(kv)
+            .with_ttl(TTL)
+            .with_config(AcquireConfig {
+                retry_interval: Duration::from_micros(200),
+                timeout: TTL / 8,
+            });
+        let _first = lease.lock("redeem:1").expect("uncontended");
+        clock.advance(TTL.mul_f64(cs_over_ttl));
+        lease.lock("redeem:1").is_ok()
+    }
+
+    /// The safety cliff: well under the TTL the lease still excludes; well
+    /// past it a second holder walks in, because nobody checks expiry. On
+    /// the virtual clock that is exact. How often the second holder also
+    /// wins the race to redeem in a threaded run — the overuse counts of
+    /// `paper-eval ablation-ttl` — is up to the OS scheduler, so the sweep
+    /// itself is checked for shape only and its counts are printed.
     #[test]
     fn ttl_safety_cliff() {
+        assert!(!second_holder_admitted(0.25), "cs ≪ ttl must stay safe");
+        assert!(
+            second_holder_admitted(4.0),
+            "cs ≫ ttl must admit a second holder"
+        );
+
         let _serial = crate::SERIAL_MEASUREMENTS.lock();
         let rows = run_ttl_ablation(&[0.25, 4.0], 10);
-        assert_eq!(
-            rows[0].overuse_trials, 0,
-            "cs ≪ ttl must stay safe: {rows:?}"
-        );
-        assert!(
-            rows[1].overuse_trials > rows[1].trials / 2,
-            "cs ≫ ttl must overuse routinely: {rows:?}"
-        );
+        for row in &rows {
+            assert_eq!(row.trials, 10);
+            assert!(row.overuse_trials <= row.trials, "{row:?}");
+        }
+        println!("overuse trials at cs = 0.25x and 4x ttl: {rows:?}");
     }
 }

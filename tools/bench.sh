@@ -5,13 +5,11 @@
 # vs off, free and costed fsyncs — durability overhead), BENCH_occ.json
 # (the §7 cured orm::occ layer vs the hand-rolled lock + two-transaction
 # AHT), BENCH_confluence.json (the PR-9 coordination-avoiding delta path
-# vs both coordinated implementations of the same hot-counter increment)
+# vs both coordinated implementations of the same hot-counter increment),
 # BENCH_resilience.json (the metastability ablation under a
 # partition storm) and BENCH_traffic.json (the open-loop traffic-SLO
 # ablation: naive / breaker_only / full front door across load levels)
-# into the repository root, with the committed
-# pre-refactor baselines from tools/baselines/ embedded for before/after
-# comparison.
+# into the repository root.
 #
 # Usage:
 #   ./tools/bench.sh              # full windows (~200ms per cell)

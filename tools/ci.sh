@@ -98,23 +98,32 @@ echo "==> chaos smoke gate (partition storm + fault suite, <60s)"
 timeout 60 cargo test -q --release --test resilience_oracle --test fault_suite
 
 # Tiny-duty-cycle scaling-bench smoke: proves the sweeps run end to end
-# and emit well-formed BENCH_{fig2,fig3,wal,occ,resilience}.json.
+# and emit well-formed BENCH_*.json, all seven.
 # Numbers from the smoke windows are noise — the committed artifacts come
 # from ./tools/bench.sh with full windows.
 echo "==> bench smoke (BENCH_SCALE=smoke)"
 BENCH_SCALE=smoke ./tools/bench.sh target/bench-smoke >/dev/null
 python3 -c "import json; [json.load(open(f'target/bench-smoke/BENCH_{n}.json')) for n in ('fig2', 'fig3', 'wal', 'occ', 'confluence', 'resilience', 'traffic')]"
 
-# Scaling-regression gate: the fresh smoke sweep must not fall behind the
-# committed pre-refactor baselines (tools/baselines/) — fig3 KV disjoint
-# at every thread count, fig2 commit scaling hardware-aware (full 3x only
-# demanded with 8+ CPUs; no-collapse on a single-CPU box), the cured
-# orm::occ path vs the hand-rolled AHT (disjoint parity, hot-key 0.9x,
-# pre-cure absolute floor), and the confluent delta path vs both
-# (zero aborts everywhere, 2x cured on the 8T hot key on multi-CPU
-# hardware, disjoint parity). Tolerance band via SCALING_GATE_TOL
-# absorbs smoke-window noise.
-echo "==> scaling-regression gate (fresh smoke vs tools/baselines/)"
+# The three timed ablations, once at smoke scale: they must run to the
+# end and print their rows (means are noise at this scale; the exact
+# counts are asserted in adhoc-bench's unit tests).
+echo "==> ablation smoke (gap certification, KV round trips, RMW locking)"
+for ablation in ablation-gap ablation-kv-rtt ablation-rmw-lock; do
+  BENCH_SCALE=smoke ./target/release/paper-eval "$ablation"
+done
+
+# Scaling-shape gate: cells of the fresh smoke sweep against each other,
+# never against numbers recorded by another commit — fig2 commit scaling
+# and fig3 KV scaling on disjoint keys hardware-aware (full 3x only
+# demanded of fig2 with 8+ CPUs; no collapse from 2T to 8T with 2-7;
+# skipped on a single-CPU box), the cured orm::occ path vs the
+# hand-rolled AHT (disjoint parity, hot-key 0.9x), and the confluent
+# delta path vs both (zero aborts everywhere, 2x cured on the 8T hot key
+# on multi-CPU hardware, disjoint parity, above the sweep's own cured
+# ceiling). Tolerance band via SCALING_GATE_TOL absorbs smoke-window
+# noise.
+echo "==> scaling-shape gate (cells of one fresh smoke sweep)"
 python3 tools/check_scaling.py target/bench-smoke/BENCH_fig2.json target/bench-smoke/BENCH_fig3.json target/bench-smoke/BENCH_occ.json target/bench-smoke/BENCH_confluence.json
 
 # Traffic-SLO gate: the open-loop ablation is virtual-clock deterministic,
