@@ -20,7 +20,7 @@ use adhoc_core::checker::{BootRecovery, CheckRule, Report, Violation};
 use adhoc_core::locks::AdHocLock;
 use adhoc_orm::occ::run_occ;
 use adhoc_orm::{Coordinator, EntityDef, Orm, OrmError, Registry};
-use adhoc_storage::{Column, ColumnType, Database, IsolationLevel, Predicate, Schema, Value};
+use adhoc_storage::{Column, ColumnType, Database, IsolationLevel, Predicate, Row, Schema, Value};
 use std::sync::Arc;
 
 /// Create Broadleaf's tables and entity registry on a database.
@@ -170,10 +170,7 @@ impl Broadleaf {
                     )?;
                     let items = t.scan("items", &Predicate::eq("cart_id", cart_id))?;
                     let schema = self.orm.db().schema("items")?;
-                    let mut total = 0;
-                    for (_, item) in &items {
-                        total += item.get_int(&schema, "qty")? * item.get_int(&schema, "price")?;
-                    }
+                    let total = cart_total(&schema, &items)?;
                     t.update("carts", cart_id, &[("total", total.into())])?;
                     Ok(())
                 })?;
@@ -196,10 +193,7 @@ impl Broadleaf {
                     )?;
                     let items = t.raw().scan("items", &Predicate::eq("cart_id", cart_id))?;
                     let schema = self.orm.db().schema("items")?;
-                    let mut total = 0;
-                    for (_, item) in &items {
-                        total += item.get_int(&schema, "qty")? * item.get_int(&schema, "price")?;
-                    }
+                    let total = cart_total(&schema, &items)?;
                     t.raw()
                         .update("carts", cart_id, &[("total", total.into())])?;
                     Ok(())
@@ -215,11 +209,7 @@ impl Broadleaf {
         let items = self
             .orm
             .transaction(|t| Ok(t.raw().scan("items", &Predicate::eq("cart_id", cart_id))?))?;
-        let mut total = 0;
-        for (_, item) in &items {
-            total += item.get_int(&schema, "qty")? * item.get_int(&schema, "price")?;
-        }
-        Ok(total)
+        Ok(cart_total(&schema, &items)?)
     }
 
     /// Table 6 `RMW`: purchase `qty` units of a SKU. Returns `false` when
@@ -360,15 +350,19 @@ fn cart_total_rule() -> CheckRule {
     let name = "broadleaf:carts.total";
     let expected = |db: &Database, cart_id: i64| -> Option<i64> {
         let schema = db.schema("items").ok()?;
+        let (cart, qty, price) = (
+            schema.position("cart_id")?,
+            schema.position("qty")?,
+            schema.position("price")?,
+        );
         let items = db.dump_table("items").ok()?;
-        let mut total = 0;
-        for (_, item) in &items {
-            if item.get_int(&schema, "cart_id").ok()? == cart_id {
-                total +=
-                    item.get_int(&schema, "qty").ok()? * item.get_int(&schema, "price").ok()?;
-            }
-        }
-        Some(total)
+        Some(
+            items
+                .iter()
+                .filter(|(_, item)| item.at(cart).as_int() == cart_id)
+                .map(|(_, item)| item.at(qty).as_int() * item.at(price).as_int())
+                .sum(),
+        )
     };
     CheckRule::new(name, move |db| {
         let (Ok(carts), Ok(schema)) = (db.dump_table("carts"), db.schema("carts")) else {
@@ -397,6 +391,16 @@ fn cart_total_rule() -> CheckRule {
         })
         .is_ok()
     })
+}
+
+/// Figure 1a's derived value: the sum of `qty * price` over a cart's
+/// `items` rows, the two column positions resolved once.
+fn cart_total(schema: &Schema, items: &[(i64, Row)]) -> adhoc_storage::Result<i64> {
+    let (qty, price) = (schema.column_index("qty")?, schema.column_index("price")?);
+    Ok(items
+        .iter()
+        .map(|(_, item)| item.at(qty).as_int() * item.at(price).as_int())
+        .sum())
 }
 
 /// The DBT isolation for Broadleaf's workloads (Table 6: MySQL,

@@ -208,7 +208,7 @@ impl Obj {
 
     /// Assign a field, marking it dirty.
     pub fn set(&mut self, column: &str, value: impl Into<Value>) -> Result<()> {
-        self.row.values[self.schema.column_index(column)?] = value.into();
+        self.row.values_mut()[self.schema.column_index(column)?] = value.into();
         if !self.dirty.contains(column) {
             self.dirty.insert(column.to_string());
         }

@@ -284,14 +284,72 @@ impl Database {
         f(shard.rows.get(&(table, id)))
     }
 
+    /// Run `f(i, chain)` on the version chain of every `ids[i]` that has
+    /// committed history — the many-row statements' reader. The ids are
+    /// bucketed by shard in one counting pass and each shard's mutex is
+    /// taken once for all of its rows, one shard at a time and never two,
+    /// so a statement can neither deadlock with a committer nor hold a
+    /// shard longer than its own rows take. Visits in ascending shard
+    /// order, `ids` order within a shard.
+    pub(crate) fn for_each_chain(
+        &self,
+        table: usize,
+        ids: &[i64],
+        mut f: impl FnMut(usize, &VersionChain),
+    ) {
+        // Counting sort of the positions `0..ids.len()` by shard, stable;
+        // only the shards present are ever walked, so a point statement
+        // (`WHERE pk = ?`, the common caller) pays for one.
+        let mut slots = [0usize; SHARD_COUNT];
+        let mut present = ShardSet::empty();
+        for id in ids {
+            let shard = shard_of(table, *id);
+            slots[shard] += 1;
+            present.insert(shard);
+        }
+        let mut start = 0;
+        for shard in present.iter() {
+            start += std::mem::replace(&mut slots[shard], start);
+        }
+        // A few positions sort on the stack, longer plans on the heap.
+        let (mut inline, mut spill) = ([0usize; 8], Vec::new());
+        let order = match inline.get_mut(..ids.len()) {
+            Some(order) => order,
+            None => {
+                spill.resize(ids.len(), 0);
+                &mut spill[..]
+            }
+        };
+        for (i, id) in ids.iter().enumerate() {
+            let slot = &mut slots[shard_of(table, *id)];
+            order[*slot] = i;
+            *slot += 1;
+        }
+        // Each `slots[shard]` has advanced to its bucket's end.
+        let mut start = 0;
+        for idx in present.iter() {
+            let bucket = &order[start..slots[idx]];
+            start = slots[idx];
+            let shard = self.inner.shards[idx].lock();
+            for &i in bucket {
+                if let Some(chain) = shard.rows.get(&(table, ids[i])) {
+                    f(i, chain);
+                }
+            }
+        }
+    }
+
     /// Lock the given shards in ascending index order (the engine-wide
     /// acquisition order — any two committers lock their intersection in
     /// the same order, so shard acquisition cannot deadlock). Returns the
     /// guards paired with their shard indices, ascending.
     pub(crate) fn lock_shards(&self, set: ShardSet) -> Vec<(usize, MutexGuard<'_, Shard>)> {
-        set.iter()
-            .map(|idx| (idx, self.inner.shards[idx].lock()))
-            .collect()
+        // Sized once: a commit that certifies a range read locks all 64
+        // shards, and growing the vector to that by doubling re-touches
+        // the heap frontier on every such commit.
+        let mut guards = Vec::with_capacity(set.len());
+        guards.extend(set.iter().map(|idx| (idx, self.inner.shards[idx].lock())));
+        guards
     }
 
     fn active_stripe(&self, txn: TxnId) -> &Mutex<FastMap<TxnId, CommitTs>> {

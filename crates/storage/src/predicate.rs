@@ -55,34 +55,37 @@ impl Predicate {
         }
     }
 
-    /// Evaluate against a row.
+    /// Evaluate against a row: [`bind`](Self::bind), then match. Callers
+    /// with many rows bind once and match each.
     pub fn matches(&self, schema: &Schema, row: &Row) -> Result<bool> {
-        match self {
-            Predicate::All => Ok(true),
-            Predicate::Eq(col, v) => Ok(row.get(schema, col)? == v),
-            Predicate::Range { column, low, high } => {
-                let v = row.get(schema, column)?;
-                let lo_ok = match low {
-                    Bound::Unbounded => true,
-                    Bound::Included(b) => v >= b,
-                    Bound::Excluded(b) => v > b,
-                };
-                let hi_ok = match high {
-                    Bound::Unbounded => true,
-                    Bound::Included(b) => v <= b,
-                    Bound::Excluded(b) => v < b,
-                };
-                Ok(lo_ok && hi_ok)
-            }
-            Predicate::And(ps) => {
-                for p in ps {
-                    if !p.matches(schema, row)? {
-                        return Ok(false);
-                    }
-                }
-                Ok(true)
-            }
+        Ok(self.bind(schema)?.matches(row))
+    }
+
+    /// Resolve every column name to its position in `schema`, once, so
+    /// that matching a row is comparisons only. Fails on the first column
+    /// the table does not have.
+    pub(crate) fn bind(&self, schema: &Schema) -> Result<BoundPredicate<'_>> {
+        let mut bound = BoundPredicate::default();
+        self.bind_into(schema, &mut bound)?;
+        Ok(bound)
+    }
+
+    fn bind_into<'p>(&'p self, schema: &Schema, bound: &mut BoundPredicate<'p>) -> Result<()> {
+        let test = match self {
+            Predicate::All => return Ok(()),
+            Predicate::Eq(col, v) => ColumnTest::Eq(schema.column_index(col)?, v),
+            Predicate::Range { column, low, high } => ColumnTest::Range {
+                column: schema.column_index(column)?,
+                low: low.as_ref(),
+                high: high.as_ref(),
+            },
+            Predicate::And(ps) => return ps.iter().try_for_each(|p| p.bind_into(schema, bound)),
+        };
+        match bound.inline.iter_mut().find(|slot| slot.is_none()) {
+            Some(slot) => *slot = Some(test),
+            None => bound.spill.push(test),
         }
+        Ok(())
     }
 
     /// The single column this predicate can be served by an index on, if
@@ -100,6 +103,51 @@ impl Predicate {
             )),
             Predicate::And(ps) => ps.iter().find_map(|p| p.index_column()),
         }
+    }
+}
+
+/// A [`Predicate`] with its column names resolved against one table's
+/// schema — what a statement evaluates per row. Conjunction is the only
+/// combinator, so nested `And`s flatten into one list of column tests,
+/// evaluated in order. The first two live inline: binding
+/// `id = ? AND lock_version = ?` (every optimistic save) allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct BoundPredicate<'p> {
+    inline: [Option<ColumnTest<'p>>; 2],
+    spill: Vec<ColumnTest<'p>>,
+}
+
+#[derive(Debug)]
+enum ColumnTest<'p> {
+    Eq(usize, &'p Value),
+    Range {
+        column: usize,
+        low: Bound<&'p Value>,
+        high: Bound<&'p Value>,
+    },
+}
+
+impl BoundPredicate<'_> {
+    /// Evaluate against a row of the schema this predicate was bound to.
+    pub(crate) fn matches(&self, row: &Row) -> bool {
+        let mut tests = self.inline.iter().flatten().chain(&self.spill);
+        tests.all(|test| match test {
+            ColumnTest::Eq(col, v) => row.at(*col) == *v,
+            ColumnTest::Range { column, low, high } => {
+                let v = row.at(*column);
+                let lo_ok = match low {
+                    Bound::Unbounded => true,
+                    Bound::Included(b) => v >= *b,
+                    Bound::Excluded(b) => v > *b,
+                };
+                let hi_ok = match high {
+                    Bound::Unbounded => true,
+                    Bound::Included(b) => v <= *b,
+                    Bound::Excluded(b) => v < *b,
+                };
+                lo_ok && hi_ok
+            }
+        })
     }
 }
 
@@ -238,6 +286,23 @@ mod tests {
             Predicate::eq("state", "paid"),
         ]);
         assert!(!p2.matches(&s, &r).unwrap());
+        // Nested conjunctions flatten, past the tests held inline; every
+        // one still decides, and so does an unknown column among them.
+        let nested = |last: Predicate| {
+            Predicate::And(vec![
+                Predicate::All,
+                Predicate::And(vec![Predicate::eq("id", 1), Predicate::ge("order_id", 10)]),
+                Predicate::eq("state", "new"),
+                last,
+            ])
+        };
+        assert!(nested(Predicate::between("id", 0, 1))
+            .matches(&s, &r)
+            .unwrap());
+        assert!(!nested(Predicate::between("id", 2, 3))
+            .matches(&s, &r)
+            .unwrap());
+        assert!(nested(Predicate::eq("ghost", 1)).matches(&s, &r).is_err());
     }
 
     #[test]

@@ -4,6 +4,7 @@ use crate::error::DbError;
 pub use crate::value::ColumnType;
 use crate::value::Value;
 use crate::Result;
+use std::sync::Arc;
 
 /// A column declaration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -119,7 +120,7 @@ impl Schema {
                 found: row.values.len(),
             });
         }
-        for (col, val) in self.columns.iter().zip(&row.values) {
+        for (col, val) in self.columns.iter().zip(row.values.iter()) {
             match val.column_type() {
                 None if col.nullable => {}
                 None => {
@@ -144,21 +145,36 @@ impl Schema {
 }
 
 /// A materialized row. Values are positional; use the schema for names.
+///
+/// The values are one immutable, reference-counted block: a committed
+/// version is stored once and every read hands out the same block
+/// (`clone` is a count bump, never a copy). A writer goes through
+/// [`values_mut`](Row::values_mut), which copies the block first when
+/// anyone else still holds it, so a row a caller was handed can never
+/// change under it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Row {
     /// Column values in schema order.
-    pub values: Vec<Value>,
+    pub values: Arc<[Value]>,
 }
 
 impl Row {
     /// A row from positional values (validated by the schema on write).
     pub fn new(values: Vec<Value>) -> Self {
-        Self { values }
+        Self {
+            values: values.into(),
+        }
     }
 
     /// Value at a column position.
     pub fn at(&self, idx: usize) -> &Value {
         &self.values[idx]
+    }
+
+    /// The values for writing in place: this handle's own block, copied
+    /// first if it is shared (copy on write).
+    pub fn values_mut(&mut self) -> &mut [Value] {
+        Arc::make_mut(&mut self.values)
     }
 
     /// Value of a named column (resolved through the schema).
@@ -183,21 +199,23 @@ impl Row {
 
     /// Copy with one named column replaced.
     pub fn with(&self, schema: &Schema, column: &str, value: Value) -> Result<Row> {
-        let mut values = self.values.clone();
-        values[schema.column_index(column)?] = value;
-        Ok(Row::new(values))
+        let idx = schema.column_index(column)?;
+        let mut row = self.clone();
+        row.values_mut()[idx] = value;
+        Ok(row)
     }
 }
 
 /// Build a row from `(column, value)` pairs in schema order; missing
 /// nullable columns default to NULL.
 pub fn row_from_pairs(schema: &Schema, pairs: &[(&str, Value)]) -> Result<Row> {
-    let mut values = vec![Value::Null; schema.columns.len()];
+    let mut row = Row {
+        values: schema.columns.iter().map(|_| Value::Null).collect(),
+    };
+    let values = row.values_mut();
     for (name, value) in pairs {
-        let idx = schema.column_index(name)?;
-        values[idx] = value.clone();
+        values[schema.column_index(name)?] = value.clone();
     }
-    let row = Row::new(values);
     schema.validate_row(&row)?;
     Ok(row)
 }

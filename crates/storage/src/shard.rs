@@ -77,7 +77,14 @@ impl ShardSet {
 
     /// Shard indices in ascending order — the lock-acquisition order.
     pub fn iter(self) -> impl Iterator<Item = usize> {
-        (0..SHARD_COUNT).filter(move |s| self.contains(*s))
+        let mut left = self.0;
+        std::iter::from_fn(move || {
+            (left != 0).then(|| {
+                let shard = left.trailing_zeros() as usize;
+                left &= left - 1;
+                shard
+            })
+        })
     }
 }
 

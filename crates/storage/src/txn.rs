@@ -16,7 +16,7 @@ use crate::db::{CommittedTxn, Database, Shard};
 use crate::engine::{AccessEvent, EngineProfile, IsolationLevel};
 use crate::error::{DbError, TxnId};
 use crate::lock::LockMode;
-use crate::predicate::{Predicate, ValueInterval};
+use crate::predicate::{BoundPredicate, Predicate, ValueInterval};
 use crate::schema::{row_from_pairs, Row};
 use crate::shard::{shard_of, Footprint, ShardSet};
 use crate::table::{CommitTs, RowVersion, Table};
@@ -364,10 +364,12 @@ impl Transaction {
         self.statement()?;
         let t = self.resolve(table)?;
         let tid = t.id;
+        let bound = pred.bind(&t.schema)?;
         let plan = self.plan(&t, pred)?;
 
-        let mut matched: BTreeMap<i64, Row> = BTreeMap::new();
-        if self.profile() == EngineProfile::MySqlLike && self.iso == IsolationLevel::Serializable {
+        let snap = if self.profile() == EngineProfile::MySqlLike
+            && self.iso == IsolationLevel::Serializable
+        {
             for id in &plan.ids {
                 self.db.locks().lock_record_within(
                     self.id,
@@ -380,13 +382,7 @@ impl Transaction {
             self.db
                 .locks()
                 .lock_gap(self.id, tid, plan.gap_column, plan.gap.clone());
-            for id in &plan.ids {
-                if let Some(row) = self.latest(tid, *id) {
-                    if pred.matches(&t.schema, &row)? {
-                        matched.insert(*id, row);
-                    }
-                }
-            }
+            None
         } else {
             if self.profile() == EngineProfile::PostgresLike
                 && self.iso == IsolationLevel::Serializable
@@ -394,49 +390,139 @@ impl Transaction {
                 self.read_ranges
                     .push((tid, plan.gap_column, plan.gap.clone()));
             }
-            let snap = self.stmt_snapshot();
-            for id in &plan.ids {
-                if let Some(row) = self.visible(tid, *id, snap) {
-                    if pred.matches(&t.schema, &row)? {
-                        if self.profile() == EngineProfile::PostgresLike
-                            && self.iso == IsolationLevel::Serializable
-                        {
-                            self.read_rows.insert((tid, *id));
-                        }
-                        matched.insert(*id, row);
-                    }
-                }
-            }
-        }
-        self.overlay(tid, &t, pred, &mut matched)?;
-        for id in matched.keys() {
-            self.observe_read(table, *id, false);
-        }
-        Ok(matched.into_iter().collect())
+            Some(self.stmt_snapshot())
+        };
+        let matched = self.read_candidates(tid, &plan, &bound, snap, None, true)?;
+        Ok(self.read_result(&t, &plan, &bound, matched, false))
     }
 
-    /// Apply this transaction's own pending writes on top of a scan result.
-    fn overlay(
+    /// The one candidate-reading loop behind `scan`, `select_for_update`
+    /// and `update_where`: each plan candidate's committed row — the
+    /// version visible at `snap`, or the latest when `snap` is `None` —
+    /// that satisfies `pred`, as `(position in plan.ids, row)` in shard
+    /// order. The rows are the stored versions themselves (a count bump
+    /// each), read one shard at a time.
+    ///
+    /// `first_updater` is the reason a locking statement fails with under
+    /// PostgreSQL-like Repeatable Read and above when a matching row was
+    /// committed after the transaction snapshot and is not one of its own
+    /// writes (first-updater-wins); plain reads pass `None`.
+    /// `track_reads` enters every match into the SSI read set
+    /// (PostgreSQL-like Serializable only).
+    fn read_candidates(
+        &mut self,
+        tid: usize,
+        plan: &ScanPlan,
+        pred: &BoundPredicate<'_>,
+        snap: Option<CommitTs>,
+        first_updater: Option<&str>,
+        track_reads: bool,
+    ) -> Result<Vec<(usize, Row)>> {
+        let postgres = self.profile() == EngineProfile::PostgresLike;
+        let first_updater =
+            first_updater.filter(|_| postgres && self.iso >= IsolationLevel::RepeatableRead);
+        let track_reads = track_reads && postgres && self.iso == IsolationLevel::Serializable;
+        let mut matched = Vec::with_capacity(plan.ids.len());
+        // Plan position of the first match that lost to a newer committer.
+        let mut lost_at = usize::MAX;
+        self.db.for_each_chain(tid, &plan.ids, |i, chain| {
+            let version = match snap {
+                Some(snap) => chain.visible(snap),
+                None => chain.latest(),
+            };
+            let Some(row) = version.filter(|row| pred.matches(row)) else {
+                return;
+            };
+            if first_updater.is_some()
+                && chain.latest_ts() > self.snapshot
+                && self.pending_row(tid, plan.ids[i]).is_none()
+            {
+                lost_at = lost_at.min(i);
+            } else {
+                matched.push((i, row.clone()));
+            }
+        });
+        // The statement stops at that candidate: only the matches before it
+        // (in plan order) were read.
+        if track_reads {
+            self.read_rows.extend(
+                matched
+                    .iter()
+                    .filter(|(i, _)| *i < lost_at)
+                    .map(|(i, _)| (tid, plan.ids[*i])),
+            );
+        }
+        match first_updater {
+            Some(reason) if lost_at != usize::MAX => Err(self.serialization_failure(reason)),
+            _ => Ok(matched),
+        }
+    }
+
+    /// What the statement sees of its matches: the committed rows
+    /// [`read_candidates`](Self::read_candidates) found, put back in plan
+    /// order, with this transaction's own pending writes on the table on
+    /// top — a candidate it already wrote is judged on its newest pending
+    /// image instead, and own inserts the index cannot know about yet are
+    /// appended in statement order.
+    fn with_own_writes(
         &self,
         tid: usize,
-        t: &Table,
-        pred: &Predicate,
-        matched: &mut BTreeMap<i64, Row>,
-    ) -> Result<()> {
+        plan: &ScanPlan,
+        pred: &BoundPredicate<'_>,
+        mut matched: Vec<(usize, Row)>,
+    ) -> Vec<(i64, Row)> {
+        matched.sort_unstable_by_key(|(i, _)| *i);
+        if !self.pending.iter().any(|p| p.table == tid) {
+            return matched
+                .into_iter()
+                .map(|(i, row)| (plan.ids[i], row))
+                .collect();
+        }
+        // Newest own write per row: later entries replace earlier ones.
+        let mut own: BTreeMap<i64, Option<&Row>> = self
+            .pending
+            .iter()
+            .filter(|p| p.table == tid)
+            .map(|p| (p.id, p.row.as_ref()))
+            .collect();
+        let own_match = |row: Option<&Row>| row.filter(|row| pred.matches(row)).cloned();
+        let mut committed = matched.into_iter().peekable();
+        let mut rows = Vec::new();
+        for (i, id) in plan.ids.iter().enumerate() {
+            let committed = committed.next_if(|(at, _)| *at == i).map(|(_, row)| row);
+            let seen = match own.remove(id) {
+                Some(written) => own_match(written),
+                None => committed,
+            };
+            rows.extend(seen.map(|row| (*id, row)));
+        }
         for p in &self.pending {
-            if p.table != tid {
-                continue;
-            }
-            match &p.row {
-                Some(row) if pred.matches(&t.schema, row)? => {
-                    matched.insert(p.id, row.clone());
-                }
-                _ => {
-                    matched.remove(&p.id);
-                }
+            if p.table == tid {
+                let seen = own.remove(&p.id).and_then(own_match);
+                rows.extend(seen.map(|row| (p.id, row)));
             }
         }
-        Ok(())
+        rows
+    }
+
+    /// Finish a reading statement: own writes overlaid, ascending id
+    /// order, every returned row reported to the statement observers.
+    fn read_result(
+        &self,
+        t: &Table,
+        plan: &ScanPlan,
+        pred: &BoundPredicate<'_>,
+        matched: Vec<(usize, Row)>,
+        locking: bool,
+    ) -> Vec<(i64, Row)> {
+        let mut rows = self.with_own_writes(t.id, plan, pred, matched);
+        // Already sorted (one linear pass) unless the plan walked several
+        // keys of a secondary index or own inserts were appended.
+        rows.sort_unstable_by_key(|(id, _)| *id);
+        for (id, _) in &rows {
+            self.observe_read(&t.schema.table, *id, locking);
+        }
+        rows
     }
 
     /// Point read at Read Committed regardless of the transaction's own
@@ -472,6 +558,7 @@ impl Transaction {
         self.statement()?;
         let t = self.resolve(table)?;
         let tid = t.id;
+        let bound = pred.bind(&t.schema)?;
         let plan = self.plan(&t, pred)?;
         for id in &plan.ids {
             self.db.locks().lock_record_within(
@@ -493,33 +580,15 @@ impl Transaction {
             self.read_ranges
                 .push((tid, plan.gap_column, plan.gap.clone()));
         }
-        let mut matched: BTreeMap<i64, Row> = BTreeMap::new();
-        for id in &plan.ids {
-            let Some((Some(row), latest_ts)) = self.latest_with_ts(tid, *id) else {
-                continue;
-            };
-            if !pred.matches(&t.schema, &row)? {
-                continue;
-            }
-            if self.profile() == EngineProfile::PostgresLike
-                && self.iso >= IsolationLevel::RepeatableRead
-                && latest_ts > self.snapshot
-                && self.pending_row(tid, *id).is_none()
-            {
-                return Err(self.serialization_failure("row updated since snapshot"));
-            }
-            if self.profile() == EngineProfile::PostgresLike
-                && self.iso == IsolationLevel::Serializable
-            {
-                self.read_rows.insert((tid, *id));
-            }
-            matched.insert(*id, row);
-        }
-        self.overlay(tid, &t, pred, &mut matched)?;
-        for id in matched.keys() {
-            self.observe_read(table, *id, true);
-        }
-        Ok(matched.into_iter().collect())
+        let matched = self.read_candidates(
+            tid,
+            &plan,
+            &bound,
+            None,
+            Some("row updated since snapshot"),
+            true,
+        )?;
+        Ok(self.read_result(&t, &plan, &bound, matched, true))
     }
 
     /// Point-read `FOR UPDATE` by primary key.
@@ -743,8 +812,9 @@ impl Transaction {
             .iter()
             .any(|(_, unique)| *unique)
             .then(|| row.clone());
+        let values = row.values_mut();
         for (col, value) in pairs {
-            row.values[t.schema.column_index(col)?] = value.clone();
+            values[t.schema.column_index(col)?] = value.clone();
         }
         t.schema.validate_row(&row)?;
         if let Some(base) = &pre_image {
@@ -844,6 +914,7 @@ impl Transaction {
         self.statement()?;
         let t = self.resolve(table)?;
         let tid = t.id;
+        let bound = pred.bind(&t.schema)?;
         let plan = self.plan(&t, pred)?;
         for id in &plan.ids {
             self.db.locks().lock_record_within(
@@ -861,46 +932,11 @@ impl Transaction {
                 .lock_gap(self.id, tid, plan.gap_column, plan.gap.clone());
         }
 
-        // Collect matches against latest committed + own overlay.
-        let mut targets: Vec<(i64, Row)> = Vec::new();
-        for id in &plan.ids {
-            let base = match self.pending_row(tid, *id) {
-                Some(Some(row)) => Some(row.clone()),
-                Some(None) => None,
-                None => match self.latest_with_ts(tid, *id) {
-                    Some((latest, latest_ts)) => {
-                        if let Some(ref row) = latest {
-                            if pred.matches(&t.schema, row)?
-                                && self.profile() == EngineProfile::PostgresLike
-                                && self.iso >= IsolationLevel::RepeatableRead
-                                && latest_ts > self.snapshot
-                            {
-                                return Err(self.serialization_failure("concurrent update"));
-                            }
-                        }
-                        latest
-                    }
-                    None => None,
-                },
-            };
-            if let Some(row) = base {
-                if pred.matches(&t.schema, &row)? {
-                    targets.push((*id, row));
-                }
-            }
-        }
-        // Own pending inserts that match.
-        let mut extra: Vec<(i64, Row)> = Vec::new();
-        for p in &self.pending {
-            if p.table == tid && !plan.ids.contains(&p.id) {
-                if let Some(row) = &p.row {
-                    if pred.matches(&t.schema, row)? {
-                        extra.push((p.id, row.clone()));
-                    }
-                }
-            }
-        }
-        targets.extend(extra);
+        // Matches against latest committed + own overlay, in plan order
+        // (the order the unique-key locks below are taken in).
+        let matched =
+            self.read_candidates(tid, &plan, &bound, None, Some("concurrent update"), false)?;
+        let targets = self.with_own_writes(tid, &plan, &bound, matched);
 
         let count = targets.len();
         for (id, base) in targets {
@@ -1182,7 +1218,7 @@ impl Transaction {
                     match &mut p.row {
                         Some(row) => {
                             let v = row.values[d.column].as_int();
-                            row.values[d.column] = Value::Int(v + d.delta);
+                            row.values_mut()[d.column] = Value::Int(v + d.delta);
                             continue;
                         }
                         // Own deletion followed by a delta: the row is gone.
@@ -1212,7 +1248,7 @@ impl Transaction {
                     });
                 };
                 let v = row.values[d.column].as_int();
-                row.values[d.column] = Value::Int(v + d.delta);
+                row.values_mut()[d.column] = Value::Int(v + d.delta);
                 self.pending.push(Pending {
                     table: d.table,
                     id: d.id,
@@ -1256,11 +1292,7 @@ impl Transaction {
                         Some(t) if t.id == p.table => t,
                         _ => wal_table.insert(db.table_by_id(p.table)),
                     };
-                    enc.write(
-                        &t.schema.table,
-                        p.id,
-                        p.row.as_ref().map(|r| r.values.as_slice()),
-                    );
+                    enc.write(&t.schema.table, p.id, p.row.as_ref().map(|r| &r.values[..]));
                 }
             };
             match wal_outcome {
@@ -1417,5 +1449,470 @@ impl std::fmt::Debug for Transaction {
             .field("deltas", &self.deltas.len())
             .field("active", &self.active)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::StatementObserver;
+    use crate::schema::{Column, Schema};
+    use parking_lot::Mutex;
+    use std::ops::Bound;
+
+    /// The per-row statement loops this module had before the shared
+    /// reader — one shard round trip, one row copy and one by-name
+    /// predicate evaluation per candidate, results through a `BTreeMap` —
+    /// kept verbatim as the oracle of `scan_matches_the_per_row_oracle`.
+    /// One deliberate difference: `update_where`'s own-insert pass takes
+    /// each row's *newest* pending image once, where the old loop pushed
+    /// every matching pending entry (so a row inserted and then updated in
+    /// the same transaction was counted twice).
+    impl Transaction {
+        fn scan_per_row(&mut self, table: &str, pred: &Predicate) -> Result<Vec<(i64, Row)>> {
+            self.ensure_active()?;
+            self.statement()?;
+            let t = self.resolve(table)?;
+            let tid = t.id;
+            let plan = self.plan(&t, pred)?;
+
+            let mut matched: BTreeMap<i64, Row> = BTreeMap::new();
+            if self.profile() == EngineProfile::MySqlLike
+                && self.iso == IsolationLevel::Serializable
+            {
+                for id in &plan.ids {
+                    self.db.locks().lock_record_within(
+                        self.id,
+                        tid,
+                        *id,
+                        LockMode::Shared,
+                        self.wait_cap(),
+                    )?;
+                }
+                self.db
+                    .locks()
+                    .lock_gap(self.id, tid, plan.gap_column, plan.gap.clone());
+                for id in &plan.ids {
+                    if let Some(row) = self.latest(tid, *id) {
+                        if pred.matches(&t.schema, &row)? {
+                            matched.insert(*id, row);
+                        }
+                    }
+                }
+            } else {
+                if self.profile() == EngineProfile::PostgresLike
+                    && self.iso == IsolationLevel::Serializable
+                {
+                    self.read_ranges
+                        .push((tid, plan.gap_column, plan.gap.clone()));
+                }
+                let snap = self.stmt_snapshot();
+                for id in &plan.ids {
+                    if let Some(row) = self.visible(tid, *id, snap) {
+                        if pred.matches(&t.schema, &row)? {
+                            if self.profile() == EngineProfile::PostgresLike
+                                && self.iso == IsolationLevel::Serializable
+                            {
+                                self.read_rows.insert((tid, *id));
+                            }
+                            matched.insert(*id, row);
+                        }
+                    }
+                }
+            }
+            self.overlay_per_row(tid, &t, pred, &mut matched)?;
+            for id in matched.keys() {
+                self.observe_read(table, *id, false);
+            }
+            Ok(matched.into_iter().collect())
+        }
+
+        fn overlay_per_row(
+            &self,
+            tid: usize,
+            t: &Table,
+            pred: &Predicate,
+            matched: &mut BTreeMap<i64, Row>,
+        ) -> Result<()> {
+            for p in &self.pending {
+                if p.table != tid {
+                    continue;
+                }
+                match &p.row {
+                    Some(row) if pred.matches(&t.schema, row)? => {
+                        matched.insert(p.id, row.clone());
+                    }
+                    _ => {
+                        matched.remove(&p.id);
+                    }
+                }
+            }
+            Ok(())
+        }
+
+        fn select_for_update_per_row(
+            &mut self,
+            table: &str,
+            pred: &Predicate,
+        ) -> Result<Vec<(i64, Row)>> {
+            self.ensure_active()?;
+            self.statement()?;
+            let t = self.resolve(table)?;
+            let tid = t.id;
+            let plan = self.plan(&t, pred)?;
+            for id in &plan.ids {
+                self.db.locks().lock_record_within(
+                    self.id,
+                    tid,
+                    *id,
+                    LockMode::Exclusive,
+                    self.wait_cap(),
+                )?;
+            }
+            if self.profile() == EngineProfile::MySqlLike
+                && self.iso >= IsolationLevel::RepeatableRead
+            {
+                self.db
+                    .locks()
+                    .lock_gap(self.id, tid, plan.gap_column, plan.gap.clone());
+            }
+            if self.profile() == EngineProfile::PostgresLike
+                && self.iso == IsolationLevel::Serializable
+            {
+                self.read_ranges
+                    .push((tid, plan.gap_column, plan.gap.clone()));
+            }
+            let mut matched: BTreeMap<i64, Row> = BTreeMap::new();
+            for id in &plan.ids {
+                let Some((Some(row), latest_ts)) = self.latest_with_ts(tid, *id) else {
+                    continue;
+                };
+                if !pred.matches(&t.schema, &row)? {
+                    continue;
+                }
+                if self.profile() == EngineProfile::PostgresLike
+                    && self.iso >= IsolationLevel::RepeatableRead
+                    && latest_ts > self.snapshot
+                    && self.pending_row(tid, *id).is_none()
+                {
+                    return Err(self.serialization_failure("row updated since snapshot"));
+                }
+                if self.profile() == EngineProfile::PostgresLike
+                    && self.iso == IsolationLevel::Serializable
+                {
+                    self.read_rows.insert((tid, *id));
+                }
+                matched.insert(*id, row);
+            }
+            self.overlay_per_row(tid, &t, pred, &mut matched)?;
+            for id in matched.keys() {
+                self.observe_read(table, *id, true);
+            }
+            Ok(matched.into_iter().collect())
+        }
+
+        fn update_where_per_row(
+            &mut self,
+            table: &str,
+            pred: &Predicate,
+            pairs: &[(&str, Value)],
+        ) -> Result<usize> {
+            self.ensure_active()?;
+            self.statement()?;
+            let t = self.resolve(table)?;
+            let tid = t.id;
+            let plan = self.plan(&t, pred)?;
+            for id in &plan.ids {
+                self.db.locks().lock_record_within(
+                    self.id,
+                    tid,
+                    *id,
+                    LockMode::Exclusive,
+                    self.wait_cap(),
+                )?;
+            }
+            if self.profile() == EngineProfile::MySqlLike
+                && self.iso >= IsolationLevel::RepeatableRead
+            {
+                self.db
+                    .locks()
+                    .lock_gap(self.id, tid, plan.gap_column, plan.gap.clone());
+            }
+
+            let mut targets: Vec<(i64, Row)> = Vec::new();
+            for id in &plan.ids {
+                let base = match self.pending_row(tid, *id) {
+                    Some(Some(row)) => Some(row.clone()),
+                    Some(None) => None,
+                    None => match self.latest_with_ts(tid, *id) {
+                        Some((latest, latest_ts)) => {
+                            if let Some(ref row) = latest {
+                                if pred.matches(&t.schema, row)?
+                                    && self.profile() == EngineProfile::PostgresLike
+                                    && self.iso >= IsolationLevel::RepeatableRead
+                                    && latest_ts > self.snapshot
+                                {
+                                    return Err(self.serialization_failure("concurrent update"));
+                                }
+                            }
+                            latest
+                        }
+                        None => None,
+                    },
+                };
+                if let Some(row) = base {
+                    if pred.matches(&t.schema, &row)? {
+                        targets.push((*id, row));
+                    }
+                }
+            }
+            let mut extra: Vec<(i64, Row)> = Vec::new();
+            for p in &self.pending {
+                if p.table == tid
+                    && !plan.ids.contains(&p.id)
+                    && !extra.iter().any(|(id, _)| *id == p.id)
+                {
+                    if let Some(Some(row)) = self.pending_row(tid, p.id) {
+                        if pred.matches(&t.schema, row)? {
+                            extra.push((p.id, row.clone()));
+                        }
+                    }
+                }
+            }
+            targets.extend(extra);
+
+            let count = targets.len();
+            for (id, base) in targets {
+                self.buffer_update(&t, id, base, pairs)?;
+            }
+            Ok(count)
+        }
+    }
+
+    #[derive(Default)]
+    struct Recorder(Mutex<Vec<AccessEvent>>);
+
+    impl StatementObserver for Recorder {
+        fn on_event(&self, event: &AccessEvent) {
+            self.0.lock().push(event.clone());
+        }
+    }
+
+    /// Committed `items` rows as `(cart_id, qty)`, ids from 1.
+    type Seed = Vec<(i64, i64)>;
+
+    /// An own pending write: `(kind, target id, cart_id, qty)` — kind 0
+    /// inserts a new row, 1 updates and 2 deletes the target when it
+    /// exists (so a target can be written more than once).
+    type OwnWrite = (u8, i64, i64, i64);
+
+    fn items_db(profile: EngineProfile, seed: &Seed) -> (Database, Arc<Recorder>) {
+        let db = Database::in_memory(profile);
+        db.create_table(
+            Schema::new(
+                "items",
+                vec![
+                    Column::new("id", ColumnType::Int),
+                    Column::new("cart_id", ColumnType::Int),
+                    Column::new("qty", ColumnType::Int),
+                ],
+                "id",
+            )
+            .unwrap()
+            .with_index("cart_id")
+            .unwrap(),
+        )
+        .unwrap();
+        for (cart, qty) in seed {
+            db.run(IsolationLevel::ReadCommitted, |t| {
+                t.insert(
+                    "items",
+                    &[("cart_id", (*cart).into()), ("qty", (*qty).into())],
+                )
+            })
+            .unwrap();
+        }
+        let recorder = Arc::new(Recorder::default());
+        db.attach_observer(recorder.clone());
+        (db, recorder)
+    }
+
+    /// A transaction holding `own` as pending writes, begun before another
+    /// transaction commits a `qty` change to row `late` (which `own` leaves
+    /// alone, so no lock is contended): under a pinned snapshot that row's
+    /// latest version is newer than the one the transaction may see.
+    fn open_txn(
+        db: &Database,
+        iso: IsolationLevel,
+        rows: i64,
+        own: &[OwnWrite],
+        late: i64,
+    ) -> Transaction {
+        let mut txn = db.begin_with(iso);
+        for (kind, target, cart, qty) in own {
+            let exists = (1..=rows).contains(target) && *target != late;
+            match kind {
+                0 => {
+                    txn.insert(
+                        "items",
+                        &[("cart_id", (*cart).into()), ("qty", (*qty).into())],
+                    )
+                    .unwrap();
+                }
+                1 if exists => txn
+                    .update(
+                        "items",
+                        *target,
+                        &[("cart_id", (*cart).into()), ("qty", (*qty).into())],
+                    )
+                    .unwrap_or_else(|e| assert!(matches!(e, DbError::NoSuchRow { .. }))),
+                2 if exists => {
+                    txn.delete("items", *target).unwrap();
+                }
+                _ => {}
+            }
+        }
+        if (1..=rows).contains(&late) {
+            db.run(IsolationLevel::ReadCommitted, |t| {
+                t.update("items", late, &[("qty", 1.into())])
+            })
+            .unwrap();
+        }
+        txn
+    }
+
+    /// Everything a statement leaves behind that a later statement or the
+    /// commit reads.
+    fn state(txn: &Transaction) -> String {
+        let mut read_rows: Vec<_> = txn.read_rows.iter().collect();
+        read_rows.sort();
+        format!(
+            "read_rows {read_rows:?} read_ranges {:?} pending {:?}",
+            txn.read_ranges, txn.pending
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// Statement equivalence: the shared one-pass-per-shard reader
+        /// returns, records and buffers exactly what the per-row loops did
+        /// — results, errors, `read_rows`, `read_ranges`, pending images
+        /// and observer events — on twin databases, for both profiles,
+        /// every isolation level, every plan shape (primary-key range,
+        /// indexed equality, a secondary-index walk over several keys,
+        /// unindexed full scan, conjunction, everything), own pending
+        /// inserts, updates and deletes of matching and non-matching
+        /// rows, and a row committed after the snapshot.
+        #[test]
+        fn scan_matches_the_per_row_oracle(
+            seed in proptest::collection::vec((0i64..3, 0i64..4), 0..12),
+            own in proptest::collection::vec((0u8..3, 1i64..14, 0i64..3, 0i64..4), 0..5),
+            late in 0i64..14,
+            cart in 0i64..3,
+            qty in 0i64..4,
+            low in 0i64..8,
+            span in 0i64..8,
+        ) {
+            let predicates = [
+                Predicate::between("id", low, low + span),
+                Predicate::Range {
+                    column: "id".into(),
+                    low: Bound::Excluded(low.into()),
+                    high: Bound::Unbounded,
+                },
+                Predicate::eq("cart_id", cart),
+                Predicate::between("cart_id", 0, 1),
+                Predicate::eq("qty", qty),
+                Predicate::And(vec![Predicate::eq("cart_id", cart), Predicate::ge("qty", qty)]),
+                Predicate::All,
+            ];
+            let rows = seed.len() as i64;
+            for profile in [EngineProfile::MySqlLike, EngineProfile::PostgresLike] {
+                for iso in [
+                    IsolationLevel::ReadCommitted,
+                    IsolationLevel::RepeatableRead,
+                    IsolationLevel::Serializable,
+                ] {
+                    // Each statement kind alone (so what one kind records
+                    // is not masked by another having recorded it already),
+                    // then all three in turn in one transaction, each
+                    // seeing what the earlier ones recorded and buffered.
+                    for kinds in [&[0][..], &[1], &[2], &[0, 1, 2]] {
+                        let (new_db, new_events) = items_db(profile, &seed);
+                        let (old_db, old_events) = items_db(profile, &seed);
+                        let mut new = open_txn(&new_db, iso, rows, &own, late);
+                        let mut old = open_txn(&old_db, iso, rows, &own, late);
+                        let set = [("qty", Value::Int(2))];
+                        for pred in &predicates {
+                            for kind in kinds {
+                                let at = format!("statement {kind}, {profile:?} {iso:?} {pred:?}");
+                                let (new_result, old_result) = match kind {
+                                    0 => (
+                                        format!("{:?}", new.scan("items", pred)),
+                                        format!("{:?}", old.scan_per_row("items", pred)),
+                                    ),
+                                    1 => (
+                                        format!("{:?}", new.select_for_update("items", pred)),
+                                        format!("{:?}", old.select_for_update_per_row("items", pred)),
+                                    ),
+                                    _ => (
+                                        format!("{:?}", new.update_where("items", pred, &set)),
+                                        format!("{:?}", old.update_where_per_row("items", pred, &set)),
+                                    ),
+                                };
+                                proptest::prop_assert_eq!(new_result, old_result, "{}", at);
+                                proptest::prop_assert_eq!(state(&new), state(&old), "{}", at);
+                                proptest::prop_assert_eq!(
+                                    &*new_events.0.lock(), &*old_events.0.lock(), "{}", at
+                                );
+                            }
+                        }
+                        proptest::prop_assert_eq!(
+                            format!("{:?}", new.commit()),
+                            format!("{:?}", old.commit())
+                        );
+                        proptest::prop_assert_eq!(
+                            new_db.dump_table("items").unwrap(),
+                            old_db.dump_table("items").unwrap()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// An own pending insert the index cannot list yet is still found by
+    /// `update_where` — once, on its newest image, however many times the
+    /// transaction has already written it — and a deleted one is not
+    /// brought back.
+    #[test]
+    fn update_where_updates_an_own_pending_insert_exactly_once() {
+        let (db, _) = items_db(EngineProfile::PostgresLike, &vec![(0, 0), (1, 0)]);
+        let mut txn = db.begin();
+        let fresh = txn
+            .insert("items", &[("cart_id", 0.into()), ("qty", 0.into())])
+            .unwrap();
+        let gone = txn
+            .insert("items", &[("cart_id", 0.into()), ("qty", 0.into())])
+            .unwrap();
+        txn.update("items", fresh, &[("qty", 5.into())]).unwrap();
+        txn.delete("items", gone).unwrap();
+        let cart = Predicate::eq("cart_id", 0);
+        assert_eq!(
+            txn.update_where("items", &cart, &[("qty", 9.into())])
+                .unwrap(),
+            2,
+            "committed row 1 and the own insert, each once"
+        );
+        let qty = |rows: Vec<(i64, Row)>| -> Vec<(i64, i64)> {
+            rows.iter().map(|(id, r)| (*id, r.at(2).as_int())).collect()
+        };
+        assert_eq!(qty(txn.scan("items", &cart).unwrap()), [(1, 9), (fresh, 9)]);
+        txn.commit().unwrap();
+        assert_eq!(
+            qty(db.dump_table("items").unwrap()),
+            [(1, 9), (2, 0), (fresh, 9)]
+        );
     }
 }

@@ -3,8 +3,11 @@
 //! `update_where(pk = k)` must not depend on how many rows the table holds
 //! (plans are index look-ups) and must not creep back up (metadata is
 //! shared, never copied — a `schema.clone()` on the path shows up here as
-//! one allocation per column). Counting allocations instead of asserting
-//! wall-clock time keeps the guard exact and machine-independent.
+//! one allocation per column), and allocations per `scan(cart_id = k)`
+//! must not depend on how many rows match (a read hands out the stored
+//! versions — a copy of each shows up here as one allocation per row).
+//! Counting allocations instead of asserting wall-clock time keeps the
+//! guard exact and machine-independent.
 //!
 //! One `#[test]` only: the counter is per thread, and the file must stay
 //! free of tests that could run beside the measured one.
@@ -55,11 +58,19 @@ static GLOBAL: Counting = Counting;
 const SAMPLE: i64 = 16;
 
 /// Allocations per operation, as recorded when this guard was introduced
-/// (CHANGES.md, PR 21). Lower them when the path gets leaner; raising one
+/// (CHANGES.md, PR 21) and lowered when reads stopped copying rows (PR 24:
+/// `orm.find` 4 -> 1). Lower them when the path gets leaner; raising one
 /// needs a reason.
-const BUDGET_FIND: u64 = 4;
+const BUDGET_FIND: u64 = 1;
 const BUDGET_FIND_SET_SAVE: u64 = 20;
 const BUDGET_UPDATE_WHERE_PK: u64 = 11;
+/// Plan ids, the reader's shard order, the matches and the transaction's
+/// bookkeeping — whatever the number of matching rows.
+const BUDGET_SCAN: u64 = 3;
+
+/// Items per cart in the `items` table: the matching-row counts the scan
+/// is measured at.
+const CART_SIZES: [i64; 3] = [16, 256, 1_024];
 
 fn fixture(rows: i64) -> Orm {
     // MySQL-like, so the primary-key plan's gap neighbours are computed
@@ -80,6 +91,43 @@ fn fixture(rows: i64) -> Orm {
         )
         .unwrap(),
     )
+    .unwrap();
+    // Broadleaf's `items`, Figure 1a's scan target: cart `k` holds
+    // `CART_SIZES[k]` items, the carts' ids interleaved.
+    db.create_table(
+        Schema::new(
+            "items",
+            vec![
+                Column::new("id", ColumnType::Int),
+                Column::new("cart_id", ColumnType::Int),
+                Column::new("qty", ColumnType::Int),
+                Column::new("price", ColumnType::Int),
+            ],
+            "id",
+        )
+        .unwrap()
+        .with_index("cart_id")
+        .unwrap(),
+    )
+    .unwrap();
+    db.run(IsolationLevel::ReadCommitted, |t| {
+        for round in 0..CART_SIZES[2] {
+            for (cart, size) in CART_SIZES.iter().enumerate() {
+                if round < *size {
+                    let cart = cart as i64;
+                    t.insert(
+                        "items",
+                        &[
+                            ("cart_id", cart.into()),
+                            ("qty", 2.into()),
+                            ("price", 5.into()),
+                        ],
+                    )?;
+                }
+            }
+        }
+        Ok(())
+    })
     .unwrap();
     let orm = Orm::new(
         db,
@@ -130,6 +178,23 @@ fn update_where_pk(orm: &Orm, id: i64) {
     assert_eq!(affected, 1);
 }
 
+/// Allocations of one `scan(cart_id = cart)`, after two identical scans.
+fn per_scan(orm: &Orm, cart: usize) -> u64 {
+    let pred = Predicate::eq("cart_id", cart as i64);
+    let scan = || {
+        let items = orm
+            .db()
+            .run(IsolationLevel::RepeatableRead, |t| t.scan("items", &pred))
+            .unwrap();
+        assert_eq!(items.len() as i64, CART_SIZES[cart]);
+    };
+    scan();
+    scan();
+    let before = ALLOCS.with(Cell::get);
+    scan();
+    ALLOCS.with(Cell::get) - before
+}
+
 /// Allocations per call of `op`, averaged over `SAMPLE` mid-table rows
 /// that have each been through `op` twice already.
 fn per_op(orm: &Orm, rows: i64, op: Op) -> u64 {
@@ -170,6 +235,18 @@ fn allocations_per_statement_are_table_size_independent_and_within_budget() {
         assert!(
             at_8192 <= budget,
             "{name}: {at_8192} allocations, budget {budget}"
+        );
+    }
+    let per_cart = [0, 1, 2].map(|cart| per_scan(&small, cart));
+    for (matches, allocations) in CART_SIZES.iter().zip(per_cart) {
+        println!("scan(cart_id = k): {allocations} allocations at {matches} matching rows");
+        assert_eq!(
+            allocations, per_cart[0],
+            "scan(cart_id = k): allocations must not depend on how many rows match"
+        );
+        assert!(
+            allocations <= BUDGET_SCAN,
+            "scan(cart_id = k): {allocations} allocations, budget {BUDGET_SCAN}"
         );
     }
 }

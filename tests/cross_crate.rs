@@ -7,7 +7,7 @@ use adhoc_transactions::core::locks::{AdHocLock, DbTableLock, KvSetNxLock, MemLo
 use adhoc_transactions::kv::{Client, Store};
 use adhoc_transactions::orm::{ContinuationStore, Coordinator, OccTxn, OrmError};
 use adhoc_transactions::sim::{LatencyModel, RealClock};
-use adhoc_transactions::storage::{Database, EngineProfile, IsolationLevel};
+use adhoc_transactions::storage::{Database, EngineProfile, IsolationLevel, Predicate};
 use adhoc_transactions::study;
 use std::sync::Arc;
 
@@ -269,4 +269,82 @@ fn orm_transactions_run_at_engine_default() {
     assert_eq!(pg.default_isolation(), IsolationLevel::ReadCommitted);
     let my = Database::in_memory(EngineProfile::MySqlLike);
     assert_eq!(my.default_isolation(), IsolationLevel::RepeatableRead);
+}
+
+/// A read hands out the stored row version itself, not a copy of it, so
+/// the engine must never write through one: rows held from `scan` and
+/// `get`, and an `Obj` from `orm.find`, are unchanged after later
+/// transactions update and delete those rows — and assigning a field of a
+/// found object copies before it writes, leaving committed state alone
+/// until `save`.
+#[test]
+fn handed_out_rows_never_change() {
+    for profile in [EngineProfile::MySqlLike, EngineProfile::PostgresLike] {
+        let db = Database::in_memory(profile);
+        let orm = broadleaf::setup(&db).unwrap();
+        for (id, qty) in [(1, 2), (2, 3), (3, 4)] {
+            orm.create(
+                "items",
+                &[
+                    ("id", id.into()),
+                    ("cart_id", 7.into()),
+                    ("qty", qty.into()),
+                    ("price", 5.into()),
+                ],
+            )
+            .unwrap();
+        }
+        let in_cart = Predicate::eq("cart_id", 7);
+        let (scanned, got) = db
+            .run(IsolationLevel::RepeatableRead, |t| {
+                Ok((t.scan("items", &in_cart)?, t.get("items", 2)?.unwrap()))
+            })
+            .unwrap();
+        let found = orm.find_required("items", 3).unwrap();
+        let as_read = (
+            format!("{scanned:?}"),
+            format!("{got:?}"),
+            format!("{:?}", found.row()),
+        );
+
+        // Every way a later transaction rewrites a row: point update,
+        // predicate update, commutative delta, ORM save, delete.
+        db.run(IsolationLevel::ReadCommitted, |t| {
+            t.update("items", 1, &[("qty", 10.into())])?;
+            t.update_where("items", &in_cart, &[("price", 6.into())])?;
+            t.add_delta("items", 2, "qty", 5)
+        })
+        .unwrap();
+        let mut edited = orm.find_required("items", 3).unwrap();
+        edited.set("qty", 40).unwrap();
+        assert_eq!(
+            db.latest_committed("items", 3).unwrap().unwrap().values[2].as_int(),
+            4,
+            "{profile:?}: an unsaved assignment must not reach committed state"
+        );
+        orm.save(&mut edited).unwrap();
+        assert_eq!(
+            db.latest_committed("items", 3).unwrap().unwrap().values[2].as_int(),
+            40
+        );
+        db.run(IsolationLevel::ReadCommitted, |t| t.delete("items", 2))
+            .unwrap();
+
+        assert_eq!(
+            (
+                format!("{scanned:?}"),
+                format!("{got:?}"),
+                format!("{:?}", found.row()),
+            ),
+            as_read,
+            "{profile:?}: a handed-out row changed after it was read"
+        );
+        let qty_now: Vec<i64> = db
+            .dump_table("items")
+            .unwrap()
+            .iter()
+            .map(|(_, row)| row.values[2].as_int())
+            .collect();
+        assert_eq!(qty_now, [10, 40]);
+    }
 }

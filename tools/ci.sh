@@ -38,6 +38,29 @@ if r["correct"] is not True or r["failed"] != 0:
     sys.exit("benchmark smoke: %s: correct=%s failed=%s" % (sys.argv[1], r["correct"], r["failed"]))' "$workload"
 done
 
+# Same-work gate: one traced svc_mixed run (the workload that runs the
+# whole stack) whose exact per-request counters must equal the recorded
+# ones — a performance change may make the work cheaper, not different.
+# The request count is fixed by the seed, so these repeat to the last
+# digit on any machine. They move only in a PR whose purpose is to change
+# the work (statements issued, commits, KV commands); such a PR re-records
+# them here and says why.
+echo "==> same-work gate (svc_mixed --seed 7 --trace 1: exact counters)"
+bash benchmark/run.sh --workload svc_mixed --seed 7 --seconds 2 --trace 1 | tail -n 1 |
+  python3 -c 'import json, sys
+recorded = {
+    "storage.statements_per_req": 2.761,
+    "storage.commits_per_req": 1.65186,
+    "kv.commands_per_req": 0.31904,
+    "storage.aborts": 0,
+}
+r = json.loads(sys.stdin.read())
+if r["correct"] is not True or r["failed"] != 0:
+    sys.exit("same-work gate: correct=%s failed=%s" % (r["correct"], r["failed"]))
+moved = {k: r["metrics"][k]["value"] for k, v in recorded.items() if r["metrics"][k]["value"] != v}
+if moved:
+    sys.exit("same-work gate: counters moved from %s: %s" % (recorded, moved))'
+
 # Stall probe: two real threads through the AdHoc handlers, 2 x 60,000
 # requests per seed. A commit that is acked must never leave a published
 # timestamp behind the watermark (crates/storage/src/epoch.rs); when one
