@@ -79,8 +79,10 @@ impl Client {
         self.transport.round_trips()
     }
 
+    /// Pay one round trip; returns the server-side arrival instant.
     fn pay(&self) -> Duration {
-        self.transport.pay()
+        self.transport.pay();
+        self.transport.now()
     }
 
     /// One fault-eligible round trip: check deadline and breaker (both

@@ -8,8 +8,8 @@
 //! * [`Endpoint`] — one named request type per studied scenario, with a
 //!   cost weight and a read/write classification, so a mixed workload can
 //!   be composed from per-endpoint weights.
-//! * [`SessionPool`] — a bounded pool of pooled connections, each a clone
-//!   of the shared [`Transport`](adhoc_sim::Transport) shim (one service
+//! * [`SessionPool`] — a bounded pool of pooled connections, each a borrow
+//!   of the pool's [`Transport`](adhoc_sim::Transport) shim (one service
 //!   round trip per request).
 //! * [`RateLimiter`] — per-client admission written both ways: the racy
 //!   fixed-window counter over the KV store (two round trips, a

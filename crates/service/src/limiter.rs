@@ -19,8 +19,9 @@
 use crate::ServiceError;
 use adhoc_kv::{Client, KvError};
 use adhoc_sim::SharedClock;
+use adhoc_storage::fasthash::FastMap;
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -116,11 +117,14 @@ struct Bucket {
 /// Admission is a single atomic decision on in-process state, so the cap
 /// holds by construction — no wire, no check-then-act window. This is the
 /// shape production gateways converge on once the fixed-window race bites.
+///
+/// The table keeps only clients being limited: full buckets are dropped
+/// before it would grow (exactly — see [`full_at`](Self::full_at)).
 pub struct TokenBucketLimiter {
     clock: SharedClock,
     rate_millitokens_per_sec: u64,
     burst_millitokens: u64,
-    buckets: Mutex<HashMap<u64, Bucket>>,
+    buckets: Mutex<FastMap<u64, Bucket>>,
     limited: AtomicU64,
 }
 
@@ -133,20 +137,61 @@ impl TokenBucketLimiter {
             clock,
             rate_millitokens_per_sec: rate_per_sec * 1000,
             burst_millitokens: burst * 1000,
-            buckets: Mutex::new(HashMap::new()),
+            buckets: Mutex::new(FastMap::default()),
             limited: AtomicU64::new(0),
         }
+    }
+
+    /// Would a call at `now` refill `bucket` to the brim, i.e. take the
+    /// `refill > 0 && millitokens + refill >= burst` branch of
+    /// `try_admit`? That call leaves it at `(burst, now)` before debiting,
+    /// exactly where an absent client starts, so forgetting it changes no
+    /// decision. Both tests say `refill >= need` with `need = max(burst -
+    /// millitokens, 1)`, and `refill = ⌊elapsed · rate / 10⁹⌋ >= need`
+    /// iff `elapsed · rate >= need · 10⁹`: compared that way, a sweep
+    /// divides nothing.
+    fn full_at(&self, bucket: &Bucket, now: Duration) -> bool {
+        let need = self
+            .burst_millitokens
+            .saturating_sub(bucket.millitokens)
+            .max(1);
+        let elapsed = now.saturating_sub(bucket.last_refill);
+        elapsed.as_nanos() * self.rate_millitokens_per_sec as u128 >= need as u128 * 1_000_000_000
+    }
+
+    /// Buckets currently stored.
+    #[cfg(test)]
+    fn tracked(&self) -> usize {
+        self.buckets.lock().len()
     }
 }
 
 impl RateLimiter for TokenBucketLimiter {
     fn try_admit(&self, client: u64) -> Result<bool, ServiceError> {
-        let now = self.clock.now();
         let mut buckets = self.buckets.lock();
-        let bucket = buckets.entry(client).or_insert(Bucket {
-            millitokens: self.burst_millitokens,
-            last_refill: now,
-        });
+        // Under the lock, so no later caller sees an earlier `now` than
+        // the one that found a bucket full.
+        let now = self.clock.now();
+        if buckets.len() == buckets.capacity() && !buckets.contains_key(&client) {
+            // Inserting would grow the table: forget the full buckets
+            // first, and grow only if most of the table is still limited.
+            buckets.retain(|_, b| !self.full_at(b, now));
+            let survivors = buckets.len();
+            if survivors > buckets.capacity() / 2 {
+                buckets.reserve(survivors);
+            }
+        }
+        let bucket = match buckets.entry(client) {
+            Entry::Occupied(entry) => entry.into_mut(),
+            // An absent client starts full at `now` and spends one token.
+            Entry::Vacant(entry) => {
+                entry.insert(Bucket {
+                    millitokens: self.burst_millitokens - 1000,
+                    last_refill: now,
+                });
+                return Ok(true);
+            }
+        };
         let elapsed = now.saturating_sub(bucket.last_refill);
         let refill =
             (elapsed.as_nanos() * self.rate_millitokens_per_sec as u128 / 1_000_000_000) as u64;
@@ -186,7 +231,7 @@ impl RateLimiter for TokenBucketLimiter {
 mod tests {
     use super::*;
     use adhoc_kv::Store;
-    use adhoc_sim::{LatencyModel, VirtualClock};
+    use adhoc_sim::{Clock, LatencyModel, VirtualClock};
     use std::sync::Arc;
 
     fn kv(clock: Arc<VirtualClock>) -> Client {
@@ -245,5 +290,173 @@ mod tests {
         assert!(l.try_admit(1).unwrap());
         assert!(!l.try_admit(1).unwrap());
         assert!(l.try_admit(2).unwrap(), "client 2 has its own bucket");
+    }
+
+    /// The token bucket before eviction: one `HashMap` entry per client
+    /// ever seen. The reference the evicting limiter is checked against.
+    struct NeverEvictingLimiter {
+        rate_millitokens_per_sec: u64,
+        burst_millitokens: u64,
+        buckets: std::collections::HashMap<u64, Bucket>,
+        limited: u64,
+    }
+
+    impl NeverEvictingLimiter {
+        fn new(rate_per_sec: u64, burst: u64) -> Self {
+            Self {
+                rate_millitokens_per_sec: rate_per_sec * 1000,
+                burst_millitokens: burst * 1000,
+                buckets: std::collections::HashMap::new(),
+                limited: 0,
+            }
+        }
+
+        fn refill(&self, bucket: &Bucket, now: Duration) -> u64 {
+            let elapsed = now.saturating_sub(bucket.last_refill);
+            (elapsed.as_nanos() * self.rate_millitokens_per_sec as u128 / 1_000_000_000) as u64
+        }
+
+        fn try_admit(&mut self, client: u64, now: Duration) -> bool {
+            let bucket = self.buckets.entry(client).or_insert(Bucket {
+                millitokens: self.burst_millitokens,
+                last_refill: now,
+            });
+            let elapsed = now.saturating_sub(bucket.last_refill);
+            let refill =
+                (elapsed.as_nanos() * self.rate_millitokens_per_sec as u128 / 1_000_000_000) as u64;
+            if refill > 0 {
+                let refilled = bucket.millitokens + refill;
+                if refilled >= self.burst_millitokens {
+                    bucket.millitokens = self.burst_millitokens;
+                    bucket.last_refill = now;
+                } else {
+                    bucket.millitokens = refilled;
+                    let covered =
+                        refill as u128 * 1_000_000_000 / self.rate_millitokens_per_sec as u128;
+                    bucket.last_refill += Duration::from_nanos(covered as u64);
+                }
+            }
+            if bucket.millitokens >= 1000 {
+                bucket.millitokens -= 1000;
+                true
+            } else {
+                self.limited += 1;
+                false
+            }
+        }
+    }
+
+    /// SplitMix64: a seeded stream without a dependency on `rand`.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Drive the evicting limiter and the oracle with one seeded stream —
+    /// a quarter of the requests on 8 hot clients, the rest uniform over
+    /// `clients`, the clock stepped `0..=max_step` before each — and
+    /// require identical decisions, then the same state: every bucket kept
+    /// equals the oracle's, and every bucket dropped is full by the
+    /// predicate's division form.
+    /// Returns both tables' sizes.
+    fn differential(
+        seed: u64,
+        (rate, burst): (u64, u64),
+        clients: u64,
+        max_step: Duration,
+        requests: u64,
+    ) -> (usize, usize) {
+        let clock = Arc::new(VirtualClock::new());
+        let l = TokenBucketLimiter::new(clock.clone(), rate, burst);
+        let mut oracle = NeverEvictingLimiter::new(rate, burst);
+        let mut state = seed;
+        for i in 0..requests {
+            let step = splitmix(&mut state) % (max_step.as_nanos() as u64 + 1);
+            clock.advance(Duration::from_nanos(step));
+            let draw = splitmix(&mut state);
+            let client = if draw.is_multiple_of(4) {
+                draw / 4 % 8
+            } else {
+                draw / 4 % clients
+            };
+            assert_eq!(
+                l.try_admit(client).unwrap(),
+                oracle.try_admit(client, clock.now()),
+                "request {i}: client {client} at {:?}",
+                clock.now()
+            );
+        }
+        assert_eq!(l.limited(), oracle.limited);
+        let (now, kept) = (clock.now(), l.buckets.lock());
+        for (client, b) in &oracle.buckets {
+            match kept.get(client) {
+                Some(k) => assert_eq!(
+                    (k.millitokens, k.last_refill),
+                    (b.millitokens, b.last_refill),
+                    "client {client}"
+                ),
+                None => {
+                    let refill = oracle.refill(b, now);
+                    assert!(
+                        refill > 0 && b.millitokens + refill >= oracle.burst_millitokens,
+                        "client {client} dropped before its bucket was full"
+                    );
+                }
+            }
+        }
+        drop(kept);
+        (l.tracked(), oracle.buckets.len())
+    }
+
+    #[test]
+    fn evicting_full_buckets_changes_no_decision() {
+        const REQUESTS: u64 = 400_000;
+        // The traffic arm's rate; a rate so high every bucket refills
+        // between two of its requests (the benchmark's); one so low that
+        // most requests are refused.
+        differential(1, (200, 400), 50_000, Duration::from_micros(20), REQUESTS);
+        differential(
+            2,
+            (10_000_000, 20_000_000),
+            1_000_000,
+            Duration::from_nanos(50),
+            REQUESTS,
+        );
+        differential(3, (3, 2), 5_000, Duration::from_millis(1), REQUESTS);
+    }
+
+    #[test]
+    fn a_bucket_is_dropped_exactly_when_full() {
+        // 1 token/s refills one millitoken per ms: with a burst of 2, a
+        // bucket debited at t = 0 is one millitoken short of full at 999 ms.
+        for (wait, dropped) in [(999, false), (1000, true)] {
+            let clock = Arc::new(VirtualClock::new());
+            let l = TokenBucketLimiter::new(clock.clone(), 1, 2);
+            assert!(l.try_admit(0).unwrap());
+            clock.advance(Duration::from_millis(wait));
+            // Fresh clients fill the table through several sweeps.
+            for client in 1..=100 {
+                assert!(l.try_admit(client).unwrap());
+            }
+            let expected = if dropped { 100 } else { 101 };
+            assert_eq!(l.tracked(), expected, "after {wait} ms");
+        }
+    }
+
+    #[test]
+    fn the_table_holds_only_the_clients_being_limited() {
+        let (tracked, oracle) = differential(
+            4,
+            (10_000_000, 20_000_000),
+            1_000_000,
+            Duration::from_nanos(50),
+            400_000,
+        );
+        println!("{tracked} buckets tracked; the never-evicting oracle holds {oracle}");
+        assert!(tracked < 4_096, "{tracked} buckets tracked");
+        assert!(oracle > 100_000, "the oracle kept {oracle}");
     }
 }

@@ -1,6 +1,6 @@
 //! A bounded pool of pooled service connections.
 //!
-//! Each session wraps a clone of the shared [`Transport`] shim — the same
+//! Every session borrows the pool's one [`Transport`] shim — the same
 //! wire discipline the KV client uses, wired to
 //! [`Cost::ServiceRoundTrip`](adhoc_sim::latency::Cost) — so every request
 //! pays exactly one service round trip through whichever pooled
@@ -11,8 +11,7 @@
 use adhoc_sim::Transport;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// A fixed-size pool of service connections sharing one [`Transport`]
-/// counter.
+/// A fixed-size pool of service connections sharing one [`Transport`].
 pub struct SessionPool {
     transport: Transport,
     capacity: usize,
@@ -21,8 +20,8 @@ pub struct SessionPool {
 }
 
 impl SessionPool {
-    /// A pool of `capacity` connections over `transport` (clones share
-    /// the round-trip counter and breaker).
+    /// A pool of `capacity` connections over `transport` (every session
+    /// uses it, so they share its round-trip counter and breaker).
     pub fn new(transport: Transport, capacity: usize) -> Self {
         assert!(capacity > 0);
         Self {
@@ -42,10 +41,7 @@ impl SessionPool {
             self.exhausted.fetch_add(1, Ordering::Relaxed);
             return None;
         }
-        Some(Session {
-            pool: self,
-            transport: self.transport.clone(),
-        })
+        Some(Session { pool: self })
     }
 
     /// Pool size.
@@ -72,14 +68,13 @@ impl SessionPool {
 /// One checked-out connection (RAII: dropping returns it to the pool).
 pub struct Session<'a> {
     pool: &'a SessionPool,
-    transport: Transport,
 }
 
 impl Session<'_> {
     /// The pooled connection's transport (pay the service round trip
     /// through this).
     pub fn transport(&self) -> &Transport {
-        &self.transport
+        &self.pool.transport
     }
 }
 

@@ -408,6 +408,10 @@ impl Service {
             let outcome = self.serve(&req);
             match &outcome {
                 Ok(()) => self.served.fetch_add(1, Ordering::Relaxed),
+                // Degraded between `offer` and now: a refusal, not a failure.
+                Err(ServiceError::ReadOnly) => {
+                    self.read_only_refused.fetch_add(1, Ordering::Relaxed)
+                }
                 Err(_) => self.failed.fetch_add(1, Ordering::Relaxed),
             };
             completions.push(Completion {
@@ -438,10 +442,7 @@ impl Service {
                 admission
                     .admit(req.endpoint.app(), req.endpoint.workload())
                     .map_err(|r| match r {
-                        Rejected::ReadOnly => {
-                            self.read_only_refused.fetch_add(1, Ordering::Relaxed);
-                            ServiceError::ReadOnly
-                        }
+                        Rejected::ReadOnly => ServiceError::ReadOnly,
                         Rejected::Shed => ServiceError::Overloaded,
                     })?,
             ),
@@ -643,6 +644,24 @@ mod tests {
         svc.offer(request(2, Endpoint::DiscourseLikePost, Duration::ZERO))
             .unwrap();
         assert_eq!(svc.stats().read_only_refused, 1);
+    }
+
+    #[test]
+    fn degraded_between_offer_and_serve_counts_once() {
+        let clock = VirtualClock::shared();
+        let svc = Service::new(clock, StackConfig::full(), 4);
+        svc.offer(request(0, Endpoint::DiscourseLikePost, Duration::ZERO))
+            .unwrap();
+        svc.degrade_writes(true);
+        let completions = svc.run_tick(Duration::from_millis(1), 100);
+        assert_eq!(completions[0].outcome, Err(ServiceError::ReadOnly));
+        let s = svc.stats();
+        assert_eq!((s.read_only_refused, s.failed), (1, 0));
+        let offered = 1;
+        assert_eq!(
+            s.served + s.failed + s.shed + s.rate_limited + s.queue_full + s.read_only_refused,
+            offered
+        );
     }
 
     #[test]

@@ -219,12 +219,31 @@ pub enum BreakerState {
 /// the failure count); a probe failure re-opens it for another cooldown.
 ///
 /// All transitions are pure functions of the recorded outcomes and the
-/// clock readings passed in, so a breaker-wrapped client remains fully
+/// clock readings, so a breaker-wrapped client remains fully
 /// deterministic under the virtual clock and the schedule explorer.
+///
+/// **The quiet fast path.** While no failure has been recorded since the
+/// last success, `allow` is `true` and `record_success` a no-op whatever
+/// the clock says, so both return after one `Acquire` load of `quiet`.
+/// Invariant, whenever `core` is unlocked: `quiet` ⇔ `state == Closed &&
+/// consecutive_failures == 0` (hence no probe in flight). `quiet` is
+/// written only under the lock — cleared by every `record_failure`, set
+/// by a slow-path `record_success` — so lock holders see it agree with
+/// `core`. Two orderings make the lock-free read exact:
+///
+/// 1. A reader that still sees `true` read a value before the failure's
+///    `false` in `quiet`'s modification order, so it linearizes before
+///    that failure, where the mutex-only breaker gives the same answer;
+///    a caller ordered after the failure cannot see it, by coherence.
+/// 2. `record_success` stores `true` with `Release` after closing
+///    `core`, so a fast path whose `Acquire` load reads it acts after
+///    that close.
 #[derive(Debug)]
 pub struct CircuitBreaker {
     threshold: u32,
     cooldown: Duration,
+    /// See "The quiet fast path" above.
+    quiet: AtomicBool,
     core: Mutex<BreakerCore>,
     /// Calls rejected while open (fast-failed, never sent).
     rejected: AtomicU64,
@@ -249,6 +268,7 @@ impl CircuitBreaker {
         Self {
             threshold: failure_threshold.max(1),
             cooldown,
+            quiet: AtomicBool::new(true),
             core: Mutex::new(BreakerCore {
                 state: BreakerState::Closed,
                 consecutive_failures: 0,
@@ -260,11 +280,16 @@ impl CircuitBreaker {
         }
     }
 
-    /// May a call proceed at clock reading `now`? `false` is a fast-fail:
-    /// the caller must error without touching the backend. Admitting the
+    /// May a call proceed now, on `clock`? `false` is a fast-fail: the
+    /// caller must error without touching the backend. Admitting the
     /// half-open probe is part of this call, so concurrent callers cannot
-    /// both be "the" probe.
-    pub fn allow(&self, now: Duration) -> bool {
+    /// both be "the" probe. A quiet breaker answers `true` without reading
+    /// the clock or taking the lock.
+    pub fn allow(&self, clock: &dyn Clock) -> bool {
+        if self.quiet.load(Ordering::Acquire) {
+            return true;
+        }
+        let now = clock.now();
         let mut core = self.core.lock();
         match core.state {
             BreakerState::Closed => true,
@@ -291,18 +316,24 @@ impl CircuitBreaker {
     }
 
     /// Record a successful call: closes a half-open breaker, clears the
-    /// consecutive-failure count.
+    /// consecutive-failure count. A no-op, decided by one atomic load, on
+    /// a quiet breaker.
     pub fn record_success(&self) {
+        if self.quiet.load(Ordering::Acquire) {
+            return;
+        }
         let mut core = self.core.lock();
         core.consecutive_failures = 0;
         core.probe_in_flight = false;
         core.state = BreakerState::Closed;
+        self.quiet.store(true, Ordering::Release);
     }
 
     /// Record a failed call at clock reading `now`: re-opens a half-open
     /// breaker immediately, trips a closed one at the threshold.
     pub fn record_failure(&self, now: Duration) {
         let mut core = self.core.lock();
+        self.quiet.store(false, Ordering::Release);
         match core.state {
             BreakerState::HalfOpen => {
                 core.probe_in_flight = false;
@@ -559,25 +590,25 @@ mod tests {
         br.record_failure(now());
         br.record_failure(now());
         assert_eq!(br.state(now()), BreakerState::Closed);
-        assert!(br.allow(now()));
+        assert!(br.allow(&*clock));
         // Third consecutive failure trips it.
         br.record_failure(now());
         assert_eq!(br.state(now()), BreakerState::Open);
-        assert!(!br.allow(now()), "open fast-fails");
+        assert!(!br.allow(&*clock), "open fast-fails");
         assert_eq!(br.rejected(), 1);
         // Cooldown elapses: exactly one probe goes through.
         clock.advance(MS(100));
         assert_eq!(br.state(now()), BreakerState::HalfOpen);
-        assert!(br.allow(now()), "the probe");
-        assert!(!br.allow(now()), "only one probe at a time");
+        assert!(br.allow(&*clock), "the probe");
+        assert!(!br.allow(&*clock), "only one probe at a time");
         // Probe fails: open again, cooldown restarts from now.
         br.record_failure(now());
-        assert!(!br.allow(now()));
+        assert!(!br.allow(&*clock));
         clock.advance(MS(100));
-        assert!(br.allow(now()), "second probe");
+        assert!(br.allow(&*clock), "second probe");
         br.record_success();
         assert_eq!(br.state(now()), BreakerState::Closed);
-        assert!(br.allow(now()));
+        assert!(br.allow(&*clock));
         assert_eq!(br.times_opened(), 2);
     }
 
@@ -590,6 +621,184 @@ mod tests {
         assert_eq!(br.state(MS(1)), BreakerState::Closed, "streak was broken");
         br.record_failure(MS(2));
         assert_eq!(br.state(MS(2)), BreakerState::Open);
+    }
+
+    /// The breaker before the quiet fast path: every call takes the mutex
+    /// and `allow` always reads the clock. The reference the fast path is
+    /// checked against.
+    struct MutexOnlyBreaker {
+        threshold: u32,
+        cooldown: Duration,
+        core: Mutex<BreakerCore>,
+        rejected: AtomicU64,
+        opened: AtomicU64,
+    }
+
+    impl MutexOnlyBreaker {
+        fn new(failure_threshold: u32, cooldown: Duration) -> Self {
+            Self {
+                threshold: failure_threshold.max(1),
+                cooldown,
+                core: Mutex::new(BreakerCore {
+                    state: BreakerState::Closed,
+                    consecutive_failures: 0,
+                    opened_at: Duration::ZERO,
+                    probe_in_flight: false,
+                }),
+                rejected: AtomicU64::new(0),
+                opened: AtomicU64::new(0),
+            }
+        }
+
+        fn allow(&self, now: Duration) -> bool {
+            let mut core = self.core.lock();
+            match core.state {
+                BreakerState::Closed => true,
+                BreakerState::Open => {
+                    if now >= core.opened_at.saturating_add(self.cooldown) {
+                        core.state = BreakerState::HalfOpen;
+                        core.probe_in_flight = true;
+                        true
+                    } else {
+                        self.rejected.fetch_add(1, Ordering::SeqCst);
+                        false
+                    }
+                }
+                BreakerState::HalfOpen => {
+                    if core.probe_in_flight {
+                        self.rejected.fetch_add(1, Ordering::SeqCst);
+                        false
+                    } else {
+                        core.probe_in_flight = true;
+                        true
+                    }
+                }
+            }
+        }
+
+        fn record_success(&self) {
+            let mut core = self.core.lock();
+            core.consecutive_failures = 0;
+            core.probe_in_flight = false;
+            core.state = BreakerState::Closed;
+        }
+
+        fn record_failure(&self, now: Duration) {
+            let mut core = self.core.lock();
+            match core.state {
+                BreakerState::HalfOpen => {
+                    core.probe_in_flight = false;
+                    core.state = BreakerState::Open;
+                    core.opened_at = now;
+                    self.opened.fetch_add(1, Ordering::SeqCst);
+                }
+                BreakerState::Closed => {
+                    core.consecutive_failures += 1;
+                    if core.consecutive_failures >= self.threshold {
+                        core.state = BreakerState::Open;
+                        core.opened_at = now;
+                        self.opened.fetch_add(1, Ordering::SeqCst);
+                    }
+                }
+                BreakerState::Open => {}
+            }
+        }
+
+        fn state(&self, now: Duration) -> BreakerState {
+            let core = self.core.lock();
+            match core.state {
+                BreakerState::Open if now >= core.opened_at.saturating_add(self.cooldown) => {
+                    BreakerState::HalfOpen
+                }
+                s => s,
+            }
+        }
+    }
+
+    #[test]
+    fn quiet_breaker_matches_the_mutex_only_breaker() {
+        use rand::Rng;
+        let cooldown = MS(100);
+        for seed in 0..400u64 {
+            let mut rng = crate::rng::seeded(seed);
+            let threshold = rng.gen_range(1..=4);
+            let (clock, br, oracle) = (
+                VirtualClock::new(),
+                CircuitBreaker::new(threshold, cooldown),
+                MutexOnlyBreaker::new(threshold, cooldown),
+            );
+            for step in 0..500 {
+                clock.advance(match rng.gen_range(0..4) {
+                    0 => Duration::ZERO,
+                    1 => Duration::from_nanos(rng.gen_range(1..cooldown.as_nanos() as u64)),
+                    2 => cooldown,
+                    _ => cooldown + Duration::from_nanos(rng.gen_range(1..1_000_000)),
+                });
+                let now = clock.now();
+                match rng.gen_range(0..3) {
+                    0 => assert_eq!(
+                        br.allow(&clock),
+                        oracle.allow(now),
+                        "seed {seed} step {step}"
+                    ),
+                    1 => {
+                        br.record_success();
+                        oracle.record_success();
+                    }
+                    _ => {
+                        br.record_failure(now);
+                        oracle.record_failure(now);
+                    }
+                }
+                // `state` reads without acting, so it is compared after
+                // every step rather than drawn as one.
+                assert_eq!(br.state(now), oracle.state(now), "seed {seed} step {step}");
+                assert_eq!(
+                    (br.rejected(), br.times_opened()),
+                    (
+                        oracle.rejected.load(Ordering::SeqCst),
+                        oracle.opened.load(Ordering::SeqCst)
+                    ),
+                    "seed {seed} step {step}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn half_open_admits_exactly_one_probe_under_threads() {
+        const THREADS: usize = 8;
+        const ROUNDS: u64 = 1_000;
+        let clock = VirtualClock::new();
+        let br = CircuitBreaker::new(1, MS(100));
+        let barrier = std::sync::Barrier::new(THREADS);
+        // Release every thread into `allow` at once; count the admitted.
+        let race = || {
+            std::thread::scope(|s| {
+                let racers: Vec<_> = (0..THREADS)
+                    .map(|_| {
+                        s.spawn(|| {
+                            barrier.wait();
+                            br.allow(&clock)
+                        })
+                    })
+                    .collect();
+                racers
+                    .into_iter()
+                    .map(|r| r.join().expect("racer panicked"))
+                    .filter(|&admitted| admitted)
+                    .count()
+            })
+        };
+        for round in 0..ROUNDS {
+            br.record_failure(clock.now());
+            clock.advance(MS(100));
+            assert_eq!(race(), 1, "round {round}: exactly one probe");
+            br.record_success();
+            assert_eq!(race(), THREADS, "round {round}: closed admits all");
+        }
+        assert_eq!(br.times_opened(), ROUNDS);
+        assert_eq!(br.rejected(), ROUNDS * (THREADS as u64 - 1));
     }
 
     #[test]

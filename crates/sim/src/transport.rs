@@ -163,7 +163,7 @@ impl Transport {
             }
         }
         if let Some(breaker) = &self.breaker {
-            if !breaker.allow(self.clock.now()) {
+            if !breaker.allow(&*self.clock) {
                 return Err(TransportError::CircuitOpen);
             }
         }
@@ -171,8 +171,9 @@ impl Transport {
     }
 
     /// Pay one wire hop: a scheduler yield point, a counter bump, the
-    /// latency charge. Returns the server-side arrival instant.
-    pub fn pay(&self) -> Duration {
+    /// latency charge. Reads no clock: a caller that needs the server-side
+    /// arrival instant reads [`now`](Transport::now) after it.
+    pub fn pay(&self) {
         // Every simulated round trip is a potential preemption point under
         // the deterministic scheduler (no-op otherwise).
         sched::yield_point(self.sched_point);
@@ -180,7 +181,6 @@ impl Transport {
         // it, and SeqCst here puts a full fence on every simulated wire hop.
         self.round_trips.fetch_add(1, Ordering::Relaxed);
         self.latency.charge(&*self.clock, self.cost);
-        self.clock.now()
     }
 
     /// Feed the breaker with the round trip's outcome: `lost = true` for a
@@ -212,9 +212,9 @@ mod tests {
     #[test]
     fn pay_charges_latency_and_counts() {
         let (clock, t) = transport();
-        let arrival = t.pay();
-        assert_eq!(arrival, LatencyModel::paper().kv_round_trip);
-        assert_eq!(clock.now(), arrival);
+        t.pay();
+        assert_eq!(clock.now(), LatencyModel::paper().kv_round_trip);
+        assert_eq!(t.now(), clock.now());
         assert_eq!(t.round_trips(), 1);
     }
 

@@ -611,7 +611,7 @@ impl Database {
     pub(crate) fn statement_gate(&self, txn: TxnId) -> Result<()> {
         let breaker = self.breaker();
         if let Some(breaker) = &breaker {
-            if !breaker.allow(self.now()) {
+            if !breaker.allow(&*self.inner.config.clock) {
                 return Err(DbError::CircuitOpen { txn });
             }
         }

@@ -6,6 +6,9 @@
 //! one allocation per column), and allocations per `scan(cart_id = k)`
 //! must not depend on how many rows match (a read hands out the stored
 //! versions — a copy of each shows up here as one allocation per row).
+//! The service's front door is held to the same standard per request: a
+//! timeline read through `offer` + `run_tick` allocates only what the
+//! request itself produces, for a repeat client and a fresh one alike.
 //! Counting allocations instead of asserting wall-clock time keeps the
 //! guard exact and machine-independent.
 //!
@@ -13,11 +16,15 @@
 //! free of tests that could run beside the measured one.
 
 use adhoc_transactions::orm::{EntityDef, Orm, Registry};
+use adhoc_transactions::service::{Endpoint, Request, Service, StackConfig};
+use adhoc_transactions::sim::{Clock, VirtualClock};
 use adhoc_transactions::storage::{
     Column, ColumnType, Database, EngineProfile, IsolationLevel, Predicate, Schema,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
+use std::time::Duration;
 
 thread_local! {
     /// Allocations made by this thread (const-initialised and without a
@@ -67,6 +74,14 @@ const BUDGET_UPDATE_WHERE_PK: u64 = 11;
 /// Plan ids, the reader's shard order, the matches and the transaction's
 /// bookkeeping — whatever the number of matching rows.
 const BUDGET_SCAN: u64 = 3;
+
+/// One `offer` + `run_tick` of a `MastodonTimeline` read: the completion
+/// `Vec` and the `timeline:{id}` key. The limiter, breaker, pool and
+/// admission door add nothing, and a new client costs no table growth.
+const BUDGET_FRONT_DOOR: u64 = 2;
+
+/// Fresh clients the front door is measured across.
+const FRESH_CLIENTS: u64 = 200_000;
 
 /// Items per cart in the `items` table: the matching-row counts the scan
 /// is measured at.
@@ -213,6 +228,50 @@ fn per_op(orm: &Orm, rows: i64, op: Op) -> u64 {
     total / SAMPLE as u64
 }
 
+/// The benchmark's service: the full stack with a limiter that refuses no
+/// one and a queue that never fills, on a clock advanced 1 µs a request.
+struct FrontDoor {
+    clock: Arc<VirtualClock>,
+    service: Service,
+    next_id: u64,
+}
+
+impl FrontDoor {
+    fn new() -> Self {
+        let clock = Arc::new(VirtualClock::new());
+        let config = StackConfig {
+            client_rate_per_sec: 10_000_000,
+            queue_cap: Some(65_536),
+            ..StackConfig::full()
+        };
+        let service = Service::new(clock.clone(), config, 8);
+        Self {
+            clock,
+            service,
+            next_id: 0,
+        }
+    }
+
+    /// Allocations of one timeline read from `client`.
+    fn request(&mut self, client: u64) -> u64 {
+        self.clock.advance(Duration::from_micros(1));
+        self.next_id += 1;
+        let request = Request {
+            id: self.next_id,
+            client,
+            key: self.next_id,
+            endpoint: Endpoint::MastodonTimeline,
+            arrived: self.clock.now(),
+        };
+        let before = ALLOCS.with(Cell::get);
+        self.service.offer(request).unwrap();
+        let completions = self.service.run_tick(self.clock.now(), 4);
+        let allocations = ALLOCS.with(Cell::get) - before;
+        assert!(completions.len() == 1 && completions[0].outcome.is_ok());
+        allocations
+    }
+}
+
 #[test]
 fn allocations_per_statement_are_table_size_independent_and_within_budget() {
     let (small, large) = (fixture(128), fixture(8_192));
@@ -249,4 +308,24 @@ fn allocations_per_statement_are_table_size_independent_and_within_budget() {
             "scan(cart_id = k): {allocations} allocations, budget {BUDGET_SCAN}"
         );
     }
+    let mut door = FrontDoor::new();
+    for client in 0..SAMPLE as u64 {
+        door.request(client);
+    }
+    let repeat: u64 = (0..SAMPLE as u64).map(|client| door.request(client)).sum();
+    let fresh: u64 = (0..FRESH_CLIENTS)
+        .map(|i| door.request(SAMPLE as u64 + i))
+        .sum();
+    println!(
+        "front door: {repeat} allocations over {SAMPLE} repeat clients, \
+         {fresh} over {FRESH_CLIENTS} fresh ones"
+    );
+    assert_eq!(
+        (repeat, fresh),
+        (
+            BUDGET_FRONT_DOOR * SAMPLE as u64,
+            BUDGET_FRONT_DOOR * FRESH_CLIENTS
+        ),
+        "front door: allocations per request must be exactly {BUDGET_FRONT_DOOR}"
+    );
 }

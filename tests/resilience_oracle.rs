@@ -608,16 +608,16 @@ fn breaker_half_open_probe_reopens_on_failure_and_closes_on_success() {
 fn half_open_admits_exactly_one_probe_concurrently() {
     let clock = Arc::new(VirtualClock::new());
     let breaker = CircuitBreaker::new(1, Duration::from_secs(1));
-    assert!(breaker.allow(clock.now()));
+    assert!(breaker.allow(&*clock));
     breaker.record_failure(clock.now());
     clock.advance(Duration::from_secs(1));
     // Cooldown elapsed: the first caller becomes the probe, a concurrent
     // second caller is rejected while the probe is in flight.
-    assert!(breaker.allow(clock.now()), "one probe admitted");
-    assert!(!breaker.allow(clock.now()), "no second concurrent probe");
+    assert!(breaker.allow(&*clock), "one probe admitted");
+    assert!(!breaker.allow(&*clock), "no second concurrent probe");
     breaker.record_success();
     assert_eq!(breaker.state(clock.now()), BreakerState::Closed);
-    assert!(breaker.allow(clock.now()));
+    assert!(breaker.allow(&*clock));
 }
 
 #[test]

@@ -38,28 +38,29 @@ if r["correct"] is not True or r["failed"] != 0:
     sys.exit("benchmark smoke: %s: correct=%s failed=%s" % (sys.argv[1], r["correct"], r["failed"]))' "$workload"
 done
 
-# Same-work gate: one traced svc_mixed run (the workload that runs the
-# whole stack) whose exact per-request counters must equal the recorded
-# ones — a performance change may make the work cheaper, not different.
-# The request count is fixed by the seed, so these repeat to the last
-# digit on any machine. They move only in a PR whose purpose is to change
-# the work (statements issued, commits, KV commands); such a PR re-records
-# them here and says why.
-echo "==> same-work gate (svc_mixed --seed 7 --trace 1: exact counters)"
-bash benchmark/run.sh --workload svc_mixed --seed 7 --seconds 2 --trace 1 | tail -n 1 |
-  python3 -c 'import json, sys
-recorded = {
-    "storage.statements_per_req": 2.761,
-    "storage.commits_per_req": 1.65186,
-    "kv.commands_per_req": 0.31904,
-    "storage.aborts": 0,
-}
+# Same-work gate: one traced run each of svc_mixed (the workload that
+# runs the whole stack) and svc_read (the front door and one KV command,
+# nothing in storage) whose exact per-request counters must equal the
+# recorded ones — a performance change may make the work cheaper, not
+# different. The request count is fixed by the seed, so these repeat to
+# the last digit on any machine. They move only in a PR whose purpose is
+# to change the work (statements issued, commits, KV commands); such a PR
+# re-records them here and says why.
+same_work() {
+  echo "==> same-work gate ($1 --seed 7 --trace 1: exact counters)"
+  bash benchmark/run.sh --workload "$1" --seed 7 --seconds 2 --trace 1 | tail -n 1 |
+    python3 -c 'import json, sys
+workload, recorded = sys.argv[1], json.loads(sys.argv[2])
 r = json.loads(sys.stdin.read())
 if r["correct"] is not True or r["failed"] != 0:
-    sys.exit("same-work gate: correct=%s failed=%s" % (r["correct"], r["failed"]))
+    sys.exit("same-work gate: %s: correct=%s failed=%s" % (workload, r["correct"], r["failed"]))
 moved = {k: r["metrics"][k]["value"] for k, v in recorded.items() if r["metrics"][k]["value"] != v}
 if moved:
-    sys.exit("same-work gate: counters moved from %s: %s" % (recorded, moved))'
+    sys.exit("same-work gate: %s: counters moved from %s: %s" % (workload, recorded, moved))' "$1" "$2"
+}
+same_work svc_mixed '{"storage.statements_per_req": 2.761, "storage.commits_per_req": 1.65186,
+  "kv.commands_per_req": 0.31904, "storage.aborts": 0}'
+same_work svc_read '{"kv.commands_per_req": 1, "storage.statements_per_req": 0, "storage.aborts": 0}'
 
 # Stall probe: two real threads through the AdHoc handlers, 2 x 60,000
 # requests per seed. A commit that is acked must never leave a published
@@ -127,6 +128,22 @@ timeout 60 cargo test -q --release --test resilience_oracle --test fault_suite
 echo "==> bench smoke (BENCH_SCALE=smoke)"
 BENCH_SCALE=smoke ./tools/bench.sh target/bench-smoke >/dev/null
 python3 -c "import json; [json.load(open(f'target/bench-smoke/BENCH_{n}.json')) for n in ('fig2', 'fig3', 'wal', 'occ', 'confluence', 'resilience', 'traffic')]"
+
+# Front-door decisions gate: both ablations run on virtual time (< 1 s)
+# and print identical bytes run to run, so their digests pin every
+# limiter, breaker, shedding, queue-cap, admission and retry-budget
+# decision the door makes. They move only in a PR whose purpose is to
+# change what the door decides; such a PR re-records them here and says
+# why.
+echo "==> front-door decisions gate (ablation-traffic, ablation-resilience digests)"
+for pinned in \
+  "ablation-traffic f5b86bb2a0cda58a99f890604a928c4f8b836551c2690ceddd2411e6e058ec24" \
+  "ablation-resilience 007a5a6c56a20760a6200f007e356fcb1aedd2d3bf81b5228ec089a41d8134cd"; do
+  read -r ablation digest <<<"$pinned"
+  got=$(./target/release/paper-eval "$ablation" | sha256sum | cut -d' ' -f1)
+  [ "$got" = "$digest" ] ||
+    { echo "front-door decisions gate: paper-eval $ablation digest $got, recorded $digest"; exit 1; }
+done
 
 # The three timed ablations, once at smoke scale: they must run to the
 # end and print their rows (means are noise at this scale; the exact
