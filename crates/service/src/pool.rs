@@ -32,16 +32,19 @@ impl SessionPool {
         }
     }
 
-    /// Try to draw a connection; `None` (counted) when all are busy.
+    /// Try to draw a connection; `None` (counted) when all are busy. A
+    /// refusal never holds a connection, even for an instant.
     pub fn try_acquire(&self) -> Option<Session<'_>> {
-        // Optimistic claim with back-out, same shape as FrontDoor::admit.
-        let claimed = self.in_use.fetch_add(1, Ordering::AcqRel) + 1;
-        if claimed > self.capacity {
-            self.in_use.fetch_sub(1, Ordering::AcqRel);
-            self.exhausted.fetch_add(1, Ordering::Relaxed);
-            return None;
+        let fits = |n: usize| (n < self.capacity).then_some(n + 1);
+        if self
+            .in_use
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, fits)
+            .is_ok()
+        {
+            return Some(Session { pool: self });
         }
-        Some(Session { pool: self })
+        self.exhausted.fetch_add(1, Ordering::Relaxed);
+        None
     }
 
     /// Pool size.
@@ -107,6 +110,62 @@ mod tests {
         drop(a);
         assert_eq!(p.in_use(), 1);
         assert!(p.try_acquire().is_some());
+    }
+
+    /// A refused checkout must not refuse one that fits: the pool twin of
+    /// `FrontDoor`'s admission race test. The test holds one of two
+    /// connections; F takes the other a million times, holding it for a
+    /// short spin, while N checks out and returns as fast as it can,
+    /// numbering each attempt first. An F refusal is genuine only if some
+    /// N attempt numbered during F's call got the connection.
+    #[test]
+    fn a_refused_checkout_never_refuses_one_that_fits() {
+        use std::sync::atomic::AtomicBool;
+        const ROUNDS: usize = 1_000_000;
+        let p = pool(2);
+        let _held = p.try_acquire().unwrap();
+        let attempt = AtomicU64::new(0);
+        let done = AtomicBool::new(false);
+        let (refusals, admitted) = std::thread::scope(|s| {
+            let n = s.spawn(|| {
+                // The numbers of N's attempts that got a connection, ascending.
+                let (mut admitted, mut k) = (Vec::new(), 0);
+                while !done.load(Ordering::Relaxed) {
+                    k += 1;
+                    attempt.store(k, Ordering::SeqCst);
+                    if p.try_acquire().is_some() {
+                        admitted.push(k);
+                    }
+                }
+                admitted
+            });
+            let mut refusals = Vec::new();
+            for _ in 0..ROUNDS {
+                let first = attempt.load(Ordering::SeqCst);
+                let session = p.try_acquire();
+                let last = attempt.load(Ordering::SeqCst);
+                match session {
+                    Some(_session) => (0..200).for_each(|_| std::hint::spin_loop()),
+                    None => refusals.push((first, last)),
+                }
+            }
+            done.store(true, Ordering::Relaxed);
+            (refusals, n.join().unwrap())
+        });
+        let spurious = refusals
+            .iter()
+            .filter(|&&(first, last)| {
+                let next = admitted.partition_point(|&k| k < first);
+                admitted.get(next).is_none_or(|&k| k > last)
+            })
+            .count();
+        assert_eq!(
+            spurious,
+            0,
+            "{spurious} of {} refusals came with a connection free",
+            refusals.len()
+        );
+        assert_eq!(p.in_use(), 1);
     }
 
     #[test]

@@ -440,14 +440,15 @@ impl FaultPlan {
             if !hit {
                 continue;
             }
-            if let Some(cap) = state.rule.max_fires {
-                // Reserve a firing slot; losers under the cap put it back.
-                if state.fires.fetch_add(1, Ordering::SeqCst) >= cap {
-                    state.fires.fetch_sub(1, Ordering::SeqCst);
-                    continue;
-                }
-            } else {
-                state.fires.fetch_add(1, Ordering::SeqCst);
+            // Take a firing slot, only while the rule is under its cap.
+            let cap = state.rule.max_fires.unwrap_or(u32::MAX);
+            let under_cap = |n: u32| (n < cap).then_some(n + 1);
+            if state
+                .fires
+                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, under_cap)
+                .is_err()
+            {
+                continue;
             }
             let record = FaultRecord {
                 rule: idx,

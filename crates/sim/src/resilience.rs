@@ -139,44 +139,23 @@ impl RetryBudget {
     /// Try to pay for one retry. `false` means the budget is exhausted and
     /// the caller must give up instead of retrying.
     pub fn try_withdraw(&self) -> bool {
-        let mut cur = self.balance.load(Ordering::SeqCst);
-        loop {
-            if cur < RETRY_COST {
-                self.denied.fetch_add(1, Ordering::SeqCst);
-                return false;
-            }
-            match self.balance.compare_exchange(
-                cur,
-                cur - RETRY_COST,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            ) {
-                Ok(_) => {
-                    self.granted.fetch_add(1, Ordering::SeqCst);
-                    return true;
-                }
-                Err(actual) => cur = actual,
-            }
-        }
+        let withdraw = |b: u64| b.checked_sub(RETRY_COST);
+        let granted = self
+            .balance
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, withdraw)
+            .is_ok();
+        let counter = if granted { &self.granted } else { &self.denied };
+        counter.fetch_add(1, Ordering::SeqCst);
+        granted
     }
 
     /// Record one success, earning the deposit fraction back (saturating
     /// at capacity).
     pub fn deposit(&self) {
-        let mut cur = self.balance.load(Ordering::SeqCst);
-        loop {
-            let next = (cur + self.deposit).min(self.capacity);
-            if next == cur {
-                return;
-            }
-            match self
-                .balance
-                .compare_exchange(cur, next, Ordering::SeqCst, Ordering::SeqCst)
-            {
-                Ok(_) => return,
-                Err(actual) => cur = actual,
-            }
-        }
+        let earn = |b: u64| Some((b + self.deposit).min(self.capacity)).filter(|&next| next != b);
+        let _ = self
+            .balance
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, earn);
     }
 
     /// Whole retry tokens currently available.
@@ -430,7 +409,9 @@ pub enum Workload {
 /// [`Rejected::ReadOnly`] while reads pass, bounding the blast radius of
 /// a partitioned write path.
 ///
-/// All state is atomic; the door takes no locks and never blocks.
+/// All state is atomic; the door takes no locks and never blocks. A slot
+/// is taken by one compare-and-swap that succeeds only below capacity,
+/// so a refused request never holds a slot, even for an instant.
 #[derive(Debug)]
 pub struct FrontDoor {
     /// Application label (diagnostics only).
@@ -483,10 +464,12 @@ impl FrontDoor {
             self.refused_writes.fetch_add(1, Ordering::Relaxed);
             return Err(Rejected::ReadOnly);
         }
-        // Optimistically take a slot; back out if it overshot capacity.
-        let prev = self.in_flight.fetch_add(1, Ordering::AcqRel);
-        if prev >= self.capacity {
-            self.in_flight.fetch_sub(1, Ordering::AcqRel);
+        let fits = |n: usize| (n < self.capacity).then_some(n + 1);
+        if self
+            .in_flight
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, fits)
+            .is_err()
+        {
             self.shed.fetch_add(1, Ordering::Relaxed);
             return Err(Rejected::Shed);
         }
@@ -842,6 +825,62 @@ mod tests {
         assert!(result.is_err());
         assert_eq!(door.stats().in_flight, 0, "permit released by unwind");
         door.admit(Workload::Write).unwrap();
+    }
+
+    /// A refused admission must not refuse one that fits. The test holds
+    /// one of two slots. F takes the other, holds it for a short spin and
+    /// lets go, a million times; N admits and drops as fast as it can,
+    /// numbering each attempt first. An F refusal is genuine only if N
+    /// held the slot, so some N attempt numbered from just before F's
+    /// call to just after it was admitted. Fetch-add-then-back-out lets
+    /// N's refused overshoot refuse F.
+    #[test]
+    fn a_refused_admission_never_refuses_one_that_fits() {
+        const ROUNDS: usize = 1_000_000;
+        let door = FrontDoor::new("race", 2);
+        let _held = door.admit(Workload::Read).unwrap();
+        let attempt = AtomicU64::new(0);
+        let done = AtomicBool::new(false);
+        let (refusals, admitted) = std::thread::scope(|s| {
+            let n = s.spawn(|| {
+                // The numbers of N's attempts that got the slot, ascending.
+                let (mut admitted, mut k) = (Vec::new(), 0);
+                while !done.load(Ordering::Relaxed) {
+                    k += 1;
+                    attempt.store(k, Ordering::SeqCst);
+                    if door.admit(Workload::Read).is_ok() {
+                        admitted.push(k);
+                    }
+                }
+                admitted
+            });
+            let mut refusals = Vec::new();
+            for _ in 0..ROUNDS {
+                let first = attempt.load(Ordering::SeqCst);
+                let permit = door.admit(Workload::Read);
+                let last = attempt.load(Ordering::SeqCst);
+                match permit {
+                    Ok(_permit) => (0..200).for_each(|_| std::hint::spin_loop()),
+                    Err(_) => refusals.push((first, last)),
+                }
+            }
+            done.store(true, Ordering::Relaxed);
+            (refusals, n.join().unwrap())
+        });
+        let spurious = refusals
+            .iter()
+            .filter(|&&(first, last)| {
+                let next = admitted.partition_point(|&k| k < first);
+                admitted.get(next).is_none_or(|&k| k > last)
+            })
+            .count();
+        assert_eq!(
+            spurious,
+            0,
+            "{spurious} of {} refusals came with the slot free",
+            refusals.len()
+        );
+        assert_eq!(door.stats().in_flight, 1);
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //! order *across* shards, snapshots come from a separate `applied`
 //! watermark that only advances once every commit at or below it has
 //! fully installed — a begin can never observe a half-applied commit.
-//! Out-of-order completions wait in a lock-free ring, and every completer
-//! advances the watermark over whatever is published next to it.
+//! A commit that retires out of order files its timestamp under the
+//! watermark's mutex, and the commit that fills the gap below moves the
+//! watermark past it.
 
 use crate::engine::{AccessEvent, DbConfig, EngineProfile, IsolationLevel, StatementObserver};
 use crate::epoch::EpochSpine;
@@ -36,7 +37,7 @@ use crate::wal::Wal;
 use crate::Result;
 use adhoc_sim::latency::Cost;
 use adhoc_sim::{BackoffPolicy, FaultKind, FaultPlan, OpClass, RetryObserver, RetryPolicy};
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -90,32 +91,30 @@ pub struct DbStats {
     pub lock_stats: LockStats,
 }
 
-pub(crate) struct DbInner {
-    pub config: DbConfig,
-    /// Statement observer, attached to a live database by monitors.
-    pub observer: RwLock<Option<Arc<dyn StatementObserver>>>,
-    /// Fast path for [`Database::observing`]: set when `observer` is;
-    /// lets the per-row observe hooks skip event construction entirely.
-    observers_attached: AtomicBool,
-    /// Fault plan consulted once per commit attempt (class
-    /// [`OpClass::DbCommit`]); installed after construction like
-    /// `observer`.
-    pub faults: RwLock<Option<FaultPlan>>,
-    /// Fast path: true once a fault plan was installed, so the common
-    /// commit never clones a `FaultPlan`.
-    faults_armed: AtomicBool,
-    /// Circuit breaker around the client↔DB connection path; installed
-    /// after construction like the fault plan. While open, statements are
-    /// rejected client-side with [`DbError::CircuitOpen`].
-    breaker: RwLock<Option<Arc<adhoc_sim::CircuitBreaker>>>,
-    /// Fast path: true once a breaker was installed.
-    breaker_armed: AtomicBool,
+/// What a live database can be given after construction. The read guard
+/// is never held across a scheduler yield.
+#[derive(Default)]
+struct Hooks {
+    /// Statement observer, attached by monitors.
+    observer: Option<Arc<dyn StatementObserver>>,
     /// Observer of [`run_with_retries`](Database::run_with_retries)
     /// decisions (retries and give-ups); the hazard monitor attaches here.
-    pub retry_observer: RwLock<Option<Arc<dyn RetryObserver>>>,
-    /// Fast path: true once a retry observer was installed, so the common
-    /// transaction wrapper skips the lock + `Arc` clone.
-    retry_observed: AtomicBool,
+    retry_observer: Option<Arc<dyn RetryObserver>>,
+    /// Fault plan consulted once per commit attempt
+    /// ([`OpClass::DbCommit`]) and once per statement
+    /// ([`OpClass::DbStatement`]).
+    faults: Option<FaultPlan>,
+    /// Circuit breaker around the client↔DB connection path. While open,
+    /// statements are rejected client-side with [`DbError::CircuitOpen`].
+    breaker: Option<Arc<adhoc_sim::CircuitBreaker>>,
+}
+
+pub(crate) struct DbInner {
+    pub config: DbConfig,
+    hooks: RwLock<Hooks>,
+    /// Set once any hook is installed, so an unhooked statement or row
+    /// pays one load and never touches `hooks`.
+    hooked: AtomicBool,
     /// Table catalog: name → id, id → shared table handle. Read-mostly —
     /// statements clone an `Arc<Table>`, callers an `Arc<Schema>`.
     catalog: RwLock<Catalog>,
@@ -124,8 +123,8 @@ pub(crate) struct DbInner {
     pub locks: LockManager,
     next_txn: AtomicU64,
     /// Commit-timestamp counter (drawn under the committing transaction's
-    /// shard locks) and the `applied` watermark that follows it through a
-    /// completion ring — see [`crate::epoch`].
+    /// shard locks) and the `applied` watermark that follows it — see
+    /// [`crate::epoch`].
     epoch: EpochSpine,
     /// Active transactions and their begin snapshots, striped by
     /// `txn_id % ACTIVE_STRIPES` so begin/finish on different transactions
@@ -172,21 +171,15 @@ impl Database {
         Self {
             inner: Arc::new(DbInner {
                 config,
-                observer: RwLock::new(None),
-                observers_attached: AtomicBool::new(false),
-                faults: RwLock::new(None),
-                faults_armed: AtomicBool::new(false),
-                breaker: RwLock::new(None),
-                breaker_armed: AtomicBool::new(false),
-                retry_observer: RwLock::new(None),
-                retry_observed: AtomicBool::new(false),
+                hooks: RwLock::new(Hooks::default()),
+                hooked: AtomicBool::new(false),
                 catalog: RwLock::new(Catalog::default()),
                 shards: (0..SHARD_COUNT)
                     .map(|_| Mutex::new(Shard::default()))
                     .collect(),
                 locks: LockManager::new(timeout),
                 next_txn: AtomicU64::new(1),
-                epoch: EpochSpine::new(),
+                epoch: EpochSpine::default(),
                 active: (0..ACTIVE_STRIPES)
                     .map(|_| Mutex::new(FastMap::default()))
                     .collect(),
@@ -530,12 +523,7 @@ impl Database {
         policy: &RetryPolicy,
         mut f: impl FnMut(&mut Transaction) -> Result<R>,
     ) -> Result<R> {
-        let observer: Option<Arc<dyn RetryObserver>> =
-            if self.inner.retry_observed.load(Ordering::Acquire) {
-                self.inner.retry_observer.read().clone()
-            } else {
-                None
-            };
+        let observer = self.hooks().and_then(|h| h.retry_observer.clone());
         policy
             .run(
                 "dbt",
@@ -552,23 +540,32 @@ impl Database {
     /// ([`FaultKind::CrashAfterDurable`]); both surface as
     /// [`DbError::ConnectionLost`].
     pub fn inject_faults(&self, plan: FaultPlan) {
-        *self.inner.faults.write() = Some(plan);
-        self.inner.faults_armed.store(true, Ordering::Release);
+        self.set_hook(|h| h.faults = Some(plan));
     }
 
     /// Observe retry decisions made by
     /// [`run_with_policy`](Self::run_with_policy).
     pub fn attach_retry_observer(&self, observer: Arc<dyn RetryObserver>) {
-        *self.inner.retry_observer.write() = Some(observer);
-        self.inner.retry_observed.store(true, Ordering::Release);
+        self.set_hook(|h| h.retry_observer = Some(observer));
+    }
+
+    /// Install or replace one hook.
+    fn set_hook(&self, set: impl FnOnce(&mut Hooks)) {
+        set(&mut self.inner.hooks.write());
+        self.inner.hooked.store(true, Ordering::Release);
+    }
+
+    /// The installed hooks, or `None` after one load when none ever were.
+    fn hooks(&self) -> Option<RwLockReadGuard<'_, Hooks>> {
+        self.inner
+            .hooked
+            .load(Ordering::Acquire)
+            .then(|| self.inner.hooks.read())
     }
 
     /// Consult the fault plan for one commit attempt.
     pub(crate) fn arm_commit_fault(&self) -> Option<FaultKind> {
-        if !self.inner.faults_armed.load(Ordering::Acquire) {
-            return None;
-        }
-        let plan = self.inner.faults.read().clone()?;
+        let plan = self.hooks()?.faults.clone()?;
         plan.arm(OpClass::DbCommit).map(|f| f.kind)
     }
 
@@ -577,15 +574,7 @@ impl Database {
     /// acknowledgements) open it, and while open every statement fails
     /// fast with [`DbError::CircuitOpen`] without paying a round trip.
     pub fn install_breaker(&self, breaker: Arc<adhoc_sim::CircuitBreaker>) {
-        *self.inner.breaker.write() = Some(breaker);
-        self.inner.breaker_armed.store(true, Ordering::Release);
-    }
-
-    fn breaker(&self) -> Option<Arc<adhoc_sim::CircuitBreaker>> {
-        if !self.inner.breaker_armed.load(Ordering::Acquire) {
-            return None;
-        }
-        self.inner.breaker.read().clone()
+        self.set_hook(|h| h.breaker = Some(breaker));
     }
 
     /// The engine's clock reading (virtual under simulation).
@@ -596,7 +585,7 @@ impl Database {
     /// Note a connection-level failure on the breaker (commit path: the
     /// acknowledgement was lost).
     pub(crate) fn breaker_note_failure(&self) {
-        if let Some(breaker) = self.breaker() {
+        if let Some(breaker) = self.hooks().and_then(|h| h.breaker.clone()) {
             breaker.record_failure(self.now());
         }
     }
@@ -607,24 +596,23 @@ impl Database {
     /// plan ([`OpClass::DbStatement`]): a partitioned statement never
     /// reaches the engine and surfaces as [`DbError::Partitioned`].
     pub(crate) fn statement_gate(&self, txn: TxnId) -> Result<()> {
-        let breaker = self.breaker();
+        let Some((breaker, faults)) = self.hooks().map(|h| (h.breaker.clone(), h.faults.clone()))
+        else {
+            self.charge_statement();
+            return Ok(());
+        };
         if let Some(breaker) = &breaker {
             if !breaker.allow(&*self.inner.config.clock) {
                 return Err(DbError::CircuitOpen { txn });
             }
         }
         self.charge_statement();
-        if self.inner.faults_armed.load(Ordering::Acquire) {
-            let plan = self.inner.faults.read().clone();
-            if let Some(plan) = plan {
-                if let Some(fault) = plan.arm_at(OpClass::DbStatement, self.now()) {
-                    if fault.kind == FaultKind::DbPartitioned {
-                        if let Some(breaker) = &breaker {
-                            breaker.record_failure(self.now());
-                        }
-                        return Err(DbError::Partitioned { txn });
-                    }
+        if let Some(fault) = faults.and_then(|plan| plan.arm_at(OpClass::DbStatement, self.now())) {
+            if fault.kind == FaultKind::DbPartitioned {
+                if let Some(breaker) = &breaker {
+                    breaker.record_failure(self.now());
                 }
+                return Err(DbError::Partitioned { txn });
             }
         }
         if let Some(breaker) = &breaker {
@@ -770,21 +758,15 @@ impl Database {
 
     /// Attach (or replace) a statement observer on a live database.
     pub fn attach_observer(&self, observer: Arc<dyn StatementObserver>) {
-        *self.inner.observer.write() = Some(observer);
-        self.inner.observers_attached.store(true, Ordering::Release);
+        self.set_hook(|h| h.observer = Some(observer));
     }
 
-    /// Whether any statement observer is installed — callers check this
-    /// before building an [`AccessEvent`] so the unobserved hot path
-    /// allocates nothing.
-    pub(crate) fn observing(&self) -> bool {
-        self.inner.observers_attached.load(Ordering::Acquire)
-    }
-
-    /// Deliver an access event to the installed observer.
-    pub(crate) fn observe(&self, event: AccessEvent) {
-        if let Some(obs) = self.inner.observer.read().as_ref() {
-            obs.on_event(&event);
+    /// Deliver an access event to the installed observer. `event` is
+    /// built only when one is installed, so the unobserved path allocates
+    /// nothing.
+    pub(crate) fn observe(&self, event: impl FnOnce() -> AccessEvent) {
+        if let Some(observer) = self.hooks().as_ref().and_then(|h| h.observer.as_ref()) {
+            observer.on_event(&event());
         }
     }
 

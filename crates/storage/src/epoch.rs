@@ -1,85 +1,50 @@
 //! Commit-timestamp spine: a dense timestamp counter and the `applied`
 //! snapshot watermark that follows it.
 //!
-//! Timestamps are drawn under the write-set shard locks, so they retire
-//! out of order across shards; snapshots therefore come from `applied`,
-//! which only covers `ts` once every commit at or below `ts` has fully
-//! installed. One rule moves it: **whoever moves the watermark looks at
-//! the next slot.**
+//! [`EpochSpine::draw`] is one `fetch_add` under the write-set shard
+//! locks, so timestamps are dense but retire out of order across shards.
+//! Snapshots read `applied`, which covers `ts` only once every commit at
+//! or below `ts` has installed. [`EpochSpine::complete`] works under one
+//! mutex: the commit that fills the gap above `applied` moves it past
+//! itself and past every consecutive timestamp that retired `early`; any
+//! other commit files itself there. Either way it then waits for
+//! coverage. `applied` is an atomic so a snapshot is one load, but it is
+//! stored only under the mutex, where waiters count themselves, so a
+//! completer that notifies only when someone is counted misses no one.
 //!
-//! * [`EpochSpine::draw`] is one `fetch_add`: timestamps are dense, so
-//!   every timestamp below the frontier belongs to a commit that will
-//!   retire it, and the watermark never has a hole to skip.
-//! * [`EpochSpine::complete`] advances `applied` with one CAS when the
-//!   commit retires in order; otherwise it publishes into the completion
-//!   ring (`ring[ts % RING] = ts`). Either way it then runs
-//!   [`EpochSpine::advance`] — CAS `applied` forward while the next ring
-//!   slot is published — wakes parked waiters, and waits for coverage.
-//!
-//! Any number of threads may advance at once; each step is a CAS from the
-//! value the slot was checked against, so `applied` is monotonic and
-//! there is no sweeper lock to lose a race for. Liveness is two SeqCst
-//! store-then-load pairings, and nothing else:
-//!
-//! 1. *Publisher / advancer.* A publisher stores its ring slot and
-//!    **then** reads `applied`; an advancer moves `applied` and **then**
-//!    reads the next ring slot. One of them sees the other, so a
-//!    published timestamp adjacent to the watermark is never left behind.
-//! 2. *Parker / advancer.* A parker bumps `parked` and **then** re-reads
-//!    `applied` under `park`; an advancer moves `applied` and **then**
-//!    reads `parked`, notifying under `park`. Either the advancer sees
-//!    the parker or the parker sees the advance.
-//!
-//! ## Contracts
-//!
-//! * **Acked ⇒ visible**: `complete` returns only once `applied >= ts`,
-//!   so the committer's next begin (and everyone else's) sees its commit.
-//! * **Monotonic watermark**: `applied` moves only by CAS from `a` to
-//!   `a + 1` (and `fetch_max` at recovery).
-//! * **Deterministic schedules**: there is no yield point between drawing
-//!   a timestamp and retiring it, so under the cooperative scheduler
-//!   commits retire in draw order and nothing ever waits. Parking there
-//!   would deadlock the run; it is asserted unreachable.
+//! Contracts: **acked ⇒ visible** (`complete` returns once `applied >=
+//! ts`, so the committer's next begin sees its commit); **monotonic**
+//! (`applied` only moves up); **deterministic schedules** (no yield point
+//! sits between drawing and retiring, so under the cooperative scheduler
+//! commits retire in draw order and never park, which is asserted).
 
 use crate::table::CommitTs;
-use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
-
-/// Completion-ring capacity. Publications are bounded to `RING` ahead of
-/// the watermark (see [`EpochSpine::complete`]), so a slot never holds
-/// two live timestamps. Must be a power of two.
-const RING: u64 = 4096;
+use parking_lot::{Condvar, Mutex, MutexGuard};
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 
 /// The commit-timestamp allocator and the `applied` watermark.
+#[derive(Default)]
 pub(crate) struct EpochSpine {
     /// Allocator frontier: exactly the timestamps `1..=next` are drawn.
     next: AtomicU64,
     /// Snapshot watermark: every commit with `ts <= applied` is fully
-    /// installed.
+    /// installed. Stored only under `pending`.
     applied: AtomicU64,
-    /// Completion ring: `ring[ts % RING] == ts` marks an out-of-order
-    /// completion the watermark has yet to pass. Entries at or below
-    /// `applied` are dead and overwritten by later publications.
-    ring: Box<[AtomicU64]>,
-    /// Parking lot for threads waiting on watermark coverage.
-    park: Mutex<()>,
+    pending: Mutex<Pending>,
+    /// Signalled when `applied` moves while `parked > 0`.
     cv: Condvar,
-    /// Parkers announced (pairing 2 of the module doc).
-    parked: AtomicUsize,
+}
+
+#[derive(Default)]
+struct Pending {
+    /// Retired timestamps above `applied + 1`, waiting for the gap below.
+    early: BTreeSet<CommitTs>,
+    /// Threads waiting on `cv`.
+    parked: usize,
 }
 
 impl EpochSpine {
-    pub(crate) fn new() -> Self {
-        Self {
-            next: AtomicU64::new(0),
-            applied: AtomicU64::new(0),
-            ring: (0..RING).map(|_| AtomicU64::new(0)).collect(),
-            park: Mutex::new(()),
-            cv: Condvar::new(),
-            parked: AtomicUsize::new(0),
-        }
-    }
-
     /// The snapshot new begins read at.
     #[inline]
     pub(crate) fn snapshot(&self) -> CommitTs {
@@ -97,76 +62,61 @@ impl EpochSpine {
         self.next.fetch_add(1, SeqCst) + 1
     }
 
-    #[inline]
-    fn slot(&self, ts: CommitTs) -> &AtomicU64 {
-        &self.ring[(ts & (RING - 1)) as usize]
-    }
-
     /// Retire a drawn timestamp and wait until the watermark covers it.
     /// Called *after* the shard guards are dropped.
     pub(crate) fn complete(&self, ts: CommitTs) {
-        // In order: one CAS, no ring traffic. Out of order: publish, at
-        // most `RING` ahead of the watermark so the slot's previous
-        // tenant (`ts - RING`) is already dead.
-        if self
-            .applied
-            .compare_exchange(ts - 1, ts, SeqCst, SeqCst)
-            .is_err()
-        {
-            self.wait_covered(ts.saturating_sub(RING));
-            self.slot(ts).store(ts, SeqCst);
+        let mut pending = self.pending.lock();
+        if ts == self.applied.load(SeqCst) + 1 {
+            let mut top = ts;
+            while pending.early.first() == Some(&(top + 1)) {
+                pending.early.pop_first();
+                top += 1;
+            }
+            self.publish(&pending, top);
+        } else {
+            pending.early.insert(ts);
         }
-        self.advance();
-        self.wait_covered(ts);
+        self.park_until(&mut pending, ts);
     }
 
-    /// Move `applied` over every consecutively published timestamp, then
-    /// wake the parking lot. Lock-free; any thread may run it at any
-    /// time, and every thread that moved `applied` or published must.
-    fn advance(&self) {
-        loop {
-            let a = self.applied.load(SeqCst);
-            if self.slot(a + 1).load(SeqCst) != a + 1 {
-                break;
-            }
-            // Losing this CAS means another advancer took the step and
-            // now owns the look at the slot after it.
-            let _ = self.applied.compare_exchange(a, a + 1, SeqCst, SeqCst);
-        }
-        if self.parked.load(SeqCst) > 0 {
-            let _guard = self.park.lock();
+    /// Store a new watermark and wake the waiters, if any. Caller holds
+    /// `pending`.
+    fn publish(&self, pending: &Pending, applied: CommitTs) {
+        self.applied.store(applied, SeqCst);
+        if pending.parked > 0 {
             self.cv.notify_all();
         }
     }
 
-    /// Block until `applied >= ts`. Whoever retires the gap runs
-    /// [`Self::advance`] afterwards and finds us through `parked`.
+    /// Block until `applied >= ts`.
     pub(crate) fn wait_covered(&self, ts: CommitTs) {
-        if self.applied.load(SeqCst) >= ts {
-            return;
+        if self.applied.load(SeqCst) < ts {
+            self.park_until(&mut self.pending.lock(), ts);
         }
-        self.parked.fetch_add(1, SeqCst);
-        {
-            let mut guard = self.park.lock();
-            while self.applied.load(SeqCst) < ts {
-                assert!(
-                    !adhoc_sim::sched::under_scheduler(),
-                    "watermark parked under the deterministic scheduler \
-                     (ts {ts}): a commit is suspended mid-install, which \
-                     no yield point should allow"
-                );
-                self.cv.wait(&mut guard);
-            }
+    }
+
+    fn park_until(&self, pending: &mut MutexGuard<'_, Pending>, ts: CommitTs) {
+        while self.applied.load(SeqCst) < ts {
+            assert!(
+                !adhoc_sim::sched::under_scheduler(),
+                "watermark parked under the deterministic scheduler \
+                 (ts {ts}): a commit is suspended mid-install, which \
+                 no yield point should allow"
+            );
+            pending.parked += 1;
+            self.cv.wait(pending);
+            pending.parked -= 1;
         }
-        self.parked.fetch_sub(1, SeqCst);
     }
 
     /// Advance both frontiers to cover a recovered commit (boot-time WAL
     /// replay), so post-recovery draws land above it and new snapshots
     /// see it.
     pub(crate) fn note_recovered(&self, ts: CommitTs) {
+        let pending = self.pending.lock();
         self.next.fetch_max(ts, SeqCst);
-        self.applied.fetch_max(ts, SeqCst);
+        let applied = self.applied.load(SeqCst).max(ts);
+        self.publish(&pending, applied);
     }
 }
 
@@ -179,7 +129,7 @@ mod tests {
 
     #[test]
     fn in_order_draws_advance_without_parking() {
-        let spine = EpochSpine::new();
+        let spine = EpochSpine::default();
         for _ in 0..100 {
             let ts = spine.draw();
             spine.complete(ts);
@@ -189,7 +139,7 @@ mod tests {
 
     #[test]
     fn out_of_order_completion_waits_for_the_gap() {
-        let spine = Arc::new(EpochSpine::new());
+        let spine = Arc::new(EpochSpine::default());
         let a = spine.draw();
         let b = spine.draw();
         assert!(b > a);
@@ -199,17 +149,50 @@ mod tests {
             spine2.complete(b);
             spine2.snapshot()
         });
-        while spine.parked.load(SeqCst) == 0 {
+        // `b` is filed and its committer parked in one critical section,
+        // so seeing it in `early` means the waiter is asleep.
+        while !spine.pending.lock().early.contains(&b) {
             std::thread::yield_now();
         }
         assert!(spine.snapshot() < b);
         spine.complete(a);
         assert!(waiter.join().unwrap() >= b);
+        assert!(spine.pending.lock().early.is_empty());
+    }
+
+    /// A waiter parks in `wait_covered(k)` while the main thread retires
+    /// `1..=k` in order — every completion takes the in-order branch, so
+    /// the waiter is woken only if the gated notify saw it counted. A lost
+    /// wake-up fails the watchdog instead of hanging the test binary.
+    #[test]
+    fn in_order_completion_wakes_a_parked_waiter() {
+        for round in 0..1_000u64 {
+            let k = 1 + round % 16;
+            let spine = Arc::new(EpochSpine::default());
+            for _ in 0..k {
+                spine.draw();
+            }
+            let (done, finished) = mpsc::channel();
+            let waiter = Arc::clone(&spine);
+            // Detached on purpose: a waiter that missed its wake-up can
+            // never be joined.
+            std::thread::spawn(move || {
+                waiter.wait_covered(k);
+                done.send(waiter.snapshot()).unwrap();
+            });
+            for ts in 1..=k {
+                spine.complete(ts);
+            }
+            let seen = finished
+                .recv_timeout(Duration::from_secs(20))
+                .unwrap_or_else(|_| panic!("round {round}: waiter on {k} never woke"));
+            assert_eq!(seen, k);
+        }
     }
 
     #[test]
     fn note_recovered_lifts_both_frontiers_and_later_draws() {
-        let spine = EpochSpine::new();
+        let spine = EpochSpine::default();
         for _ in 0..10 {
             let ts = spine.draw();
             spine.complete(ts);
@@ -232,7 +215,7 @@ mod tests {
     fn concurrent_commit_stress_keeps_the_watermark_exact() {
         const THREADS: u64 = 8;
         const COMMITS: u64 = 2000;
-        let spine = Arc::new(EpochSpine::new());
+        let spine = Arc::new(EpochSpine::default());
         let threads: Vec<_> = (0..THREADS)
             .map(|_| {
                 let spine = Arc::clone(&spine);
@@ -271,7 +254,7 @@ mod tests {
     #[test]
     fn outer_lock_held_across_complete_never_stalls() {
         const ITERS: u64 = 3_000_000;
-        let spine = Arc::new(EpochSpine::new());
+        let spine = Arc::new(EpochSpine::default());
         let outer = Arc::new([std::sync::Mutex::new(()), std::sync::Mutex::new(())]);
         let (done, finished) = mpsc::channel();
         for seed in 0..2 {

@@ -16,6 +16,17 @@
 //!   being modelled as one aborting);
 //! * advisory locks model PostgreSQL's explicit user locks (§6, Table 7a),
 //!   the machinery behind the coordination-hints proxy in `adhoc-core`.
+//!
+//! Every blocking acquisition is one grant-or-block loop
+//! (`LockManager::acquire`) around a per-resource check. Holders, gaps
+//! and wait edges all live under one mutex (only the `waits` statistic
+//! is an atomic). Two shortcuts stay because neither publishes anything
+//! outside that mutex, so neither has a lock-free ordering to get wrong:
+//!
+//! * the wait deadline is computed lazily, at the first real wait, so a
+//!   grant that never waits never reads the clock;
+//! * a release that surrendered no lock and no gap skips `notify_all`:
+//!   waiters block only on holders, which that release did not change.
 
 use crate::error::{DbError, TxnId};
 use crate::fasthash::{FastMap, FastSet};
@@ -129,6 +140,31 @@ struct Inner {
 }
 
 impl Inner {
+    /// Grant `mode` on `id` to `txn` if no other holder conflicts.
+    fn try_grant(&mut self, txn: TxnId, id: &ResourceId, mode: LockMode) -> bool {
+        let state = self.locks.entry(id.clone()).or_default();
+        if !state.grantable(txn, mode) {
+            return false;
+        }
+        if state.grant(txn, mode) {
+            self.held.entry(txn).or_default().push(id.clone());
+        }
+        true
+    }
+
+    /// The other transactions holding gaps that cover `key` on this index.
+    fn gap_holders(&self, txn: TxnId, table: usize, column: usize, key: &Value) -> Vec<TxnId> {
+        self.gaps
+            .get(&(table, column))
+            .map(|gaps| {
+                gaps.iter()
+                    .filter(|g| g.txn != txn && g.interval.contains(key))
+                    .map(|g| g.txn)
+                    .collect()
+            })
+            .unwrap_or_default()
+    }
+
     /// Is `start` part of a wait cycle? DFS over `waits_for`.
     fn in_cycle(&self, start: TxnId) -> bool {
         let mut stack: Vec<TxnId> = self
@@ -255,17 +291,9 @@ impl LockManager {
 
     /// Try to acquire an advisory lock without blocking.
     pub fn try_lock_advisory(&self, txn: TxnId, key: i64) -> bool {
-        let mut inner = self.inner.lock();
-        let id = ResourceId::Advisory(key);
-        let state = inner.locks.entry(id.clone()).or_default();
-        if state.grantable(txn, LockMode::Exclusive) {
-            if state.grant(txn, LockMode::Exclusive) {
-                inner.held.entry(txn).or_default().push(id);
-            }
-            true
-        } else {
-            false
-        }
+        self.inner
+            .lock()
+            .try_grant(txn, &ResourceId::Advisory(key), LockMode::Exclusive)
     }
 
     /// Release one reentrancy level of an advisory lock. Returns false when
@@ -302,26 +330,48 @@ impl LockManager {
         mode: LockMode,
         cap: Option<Duration>,
     ) -> Result<()> {
+        self.acquire(txn, cap, |inner| {
+            if inner.try_grant(txn, &id, mode) {
+                Vec::new()
+            } else {
+                inner.locks[&id].conflicting(txn, mode)
+            }
+        })
+    }
+
+    /// The grant-or-block loop behind every blocking call: `check` runs
+    /// under the manager mutex and either takes what `txn` asked for,
+    /// returning no blockers, or names the transactions in its way.
+    fn acquire(
+        &self,
+        txn: TxnId,
+        cap: Option<Duration>,
+        mut check: impl FnMut(&mut Inner) -> Vec<TxnId>,
+    ) -> Result<()> {
         let mut deadline = None;
         loop {
             {
                 let mut inner = self.inner.lock();
-                let state = inner.locks.entry(id.clone()).or_default();
-                if state.grantable(txn, mode) {
-                    if state.grant(txn, mode) {
-                        inner.held.entry(txn).or_default().push(id);
-                    }
+                let blockers = check(&mut inner);
+                if blockers.is_empty() {
                     if !inner.waits_for.is_empty() {
                         inner.waits_for.remove(&txn);
                     }
                     return Ok(());
                 }
-                let blockers = state.conflicting(txn, mode);
                 if !self.block_on(&mut inner, txn, blockers, &mut deadline, cap)? {
                     continue;
                 }
             }
-            self.cooperative_wait(txn, deadline.expect("deadline set before waiting"))?;
+            // A scheduled task yields without the manager mutex until
+            // rescheduled, then enforces its deadline.
+            adhoc_sim::sched::yield_point(adhoc_sim::sched::SchedPoint::LockWait);
+            if Instant::now() >= deadline.expect("deadline set before waiting") {
+                let mut inner = self.inner.lock();
+                inner.waits_for.remove(&txn);
+                inner.timeouts += 1;
+                return Err(DbError::LockWaitTimeout { txn });
+            }
         }
     }
 
@@ -347,54 +397,20 @@ impl LockManager {
         key: &Value,
         cap: Option<Duration>,
     ) -> Result<()> {
-        let mut deadline = None;
-        loop {
-            {
-                let mut inner = self.inner.lock();
-                let blockers: Vec<TxnId> = inner
-                    .gaps
-                    .get(&(table, column))
-                    .map(|gaps| {
-                        gaps.iter()
-                            .filter(|g| g.txn != txn && g.interval.contains(key))
-                            .map(|g| g.txn)
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                if blockers.is_empty() {
-                    inner.waits_for.remove(&txn);
-                    return Ok(());
-                }
-                if !self.block_on(&mut inner, txn, blockers, &mut deadline, cap)? {
-                    continue;
-                }
-            }
-            self.cooperative_wait(txn, deadline.expect("deadline set before waiting"))?;
-        }
+        self.acquire(txn, cap, |inner| inner.gap_holders(txn, table, column, key))
     }
 
     /// Non-blocking query: which other transactions hold gaps covering `key`?
     pub fn gap_holders(&self, txn: TxnId, table: usize, column: usize, key: &Value) -> Vec<TxnId> {
-        let inner = self.inner.lock();
-        inner
-            .gaps
-            .get(&(table, column))
-            .map(|gaps| {
-                gaps.iter()
-                    .filter(|g| g.txn != txn && g.interval.contains(key))
-                    .map(|g| g.txn)
-                    .collect()
-            })
-            .unwrap_or_default()
+        self.inner.lock().gap_holders(txn, table, column, key)
     }
 
     /// One round of blocking: record wait edges, detect deadlock, sleep.
     ///
     /// Returns `Ok(true)` when the calling thread is a deterministically
     /// scheduled task: the wait edges are recorded but no condvar wait
-    /// happens — the caller must drop the manager mutex and call
-    /// [`cooperative_wait`](Self::cooperative_wait) instead, so the
-    /// scheduler (not the OS) decides when the blockers run.
+    /// happens — the caller must drop the manager mutex and yield instead,
+    /// so the scheduler (not the OS) decides when the blockers run.
     fn block_on(
         &self,
         inner: &mut parking_lot::MutexGuard<'_, Inner>,
@@ -412,10 +428,9 @@ impl LockManager {
             self.cv.notify_all();
             return Err(DbError::Deadlock { txn });
         }
-        // The timeout clock starts at the first real wait, not at lock
-        // entry: the granted-without-waiting path never reads the clock.
-        // A transaction deadline caps the wait below the engine-wide
-        // limit — an out-of-time request must not camp in the wait queue.
+        // The deadline is lazy (see the module doc). A transaction deadline
+        // caps the wait below the engine-wide limit — an out-of-time
+        // request must not camp in the wait queue.
         let wait = cap.map_or(self.timeout, |c| c.min(self.timeout));
         let deadline = *deadline.get_or_insert_with(|| Instant::now() + wait);
         if adhoc_sim::sched::under_scheduler() {
@@ -429,28 +444,13 @@ impl LockManager {
         Ok(false)
     }
 
-    /// The scheduled-task half of a blocking wait: yield (without holding
-    /// the manager mutex) until rescheduled, then enforce the deadline.
-    fn cooperative_wait(&self, txn: TxnId, deadline: Instant) -> Result<()> {
-        adhoc_sim::sched::yield_point(adhoc_sim::sched::SchedPoint::LockWait);
-        if Instant::now() >= deadline {
-            let mut inner = self.inner.lock();
-            inner.waits_for.remove(&txn);
-            inner.timeouts += 1;
-            return Err(DbError::LockWaitTimeout { txn });
-        }
-        Ok(())
-    }
-
     /// Release every lock held by `txn` (commit/abort). Visits only the
     /// resources the held index records for `txn` — O(held), not O(lock
     /// table).
     pub fn release_all(&self, txn: TxnId) {
         let mut inner = self.inner.lock();
-        // Waiters only ever block on lock or gap *holders*, so a release
-        // that surrendered neither cannot unblock anyone — skip the
-        // notify_all broadcast (the common case for read-only and
-        // lock-free commits).
+        // No broadcast unless a lock or gap was surrendered (module doc):
+        // the common case for read-only and lock-free commits.
         let mut notify = false;
         if let Some(ids) = inner.held.remove(&txn) {
             notify = !ids.is_empty();

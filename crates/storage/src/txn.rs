@@ -201,10 +201,7 @@ impl Transaction {
     }
 
     fn observe_read(&self, table: &str, row: i64, locking: bool) {
-        if !self.db.observing() {
-            return;
-        }
-        self.db.observe(AccessEvent::Read {
+        self.db.observe(|| AccessEvent::Read {
             txn: self.id,
             table: table.to_string(),
             row,
@@ -213,10 +210,7 @@ impl Transaction {
     }
 
     fn observe_write(&self, table: &str, row: i64) {
-        if !self.db.observing() {
-            return;
-        }
-        self.db.observe(AccessEvent::Write {
+        self.db.observe(|| AccessEvent::Write {
             txn: self.id,
             table: table.to_string(),
             row,
@@ -1378,14 +1372,10 @@ impl Transaction {
         self.db.locks().release_all(self.id);
         if committed {
             self.db.inner.commits.fetch_add(1, Ordering::Relaxed);
-            if self.db.observing() {
-                self.db.observe(AccessEvent::Committed { txn: self.id });
-            }
+            self.db.observe(|| AccessEvent::Committed { txn: self.id });
         } else {
             self.db.inner.aborts.fetch_add(1, Ordering::Relaxed);
-            if self.db.observing() {
-                self.db.observe(AccessEvent::Aborted { txn: self.id });
-            }
+            self.db.observe(|| AccessEvent::Aborted { txn: self.id });
         }
     }
 }

@@ -14,9 +14,9 @@
 //! safe default the crash oracle assumes). `GroupCommit` keeps the
 //! acked-⇒-durable contract *and* amortizes the fsync: appends never sync
 //! inline, and each committer calls [`Wal::ensure_durable`] after
-//! releasing its shard locks — either free-riding on a leader's fsync
-//! that already covered its record, or becoming the leader and syncing
-//! the whole accumulated tail in one flush.
+//! releasing its shard locks — returning at once when a leader's fsync
+//! already covered its record, or becoming the leader and syncing the
+//! whole accumulated tail in one flush.
 //!
 //! Commit records are framed **streamed**: [`Wal::append_streamed`] hands
 //! the committer a [`WalEncoder`] that serializes the write set directly
@@ -34,7 +34,6 @@
 use crate::value::Value;
 use adhoc_sim::SharedClock;
 use parking_lot::{Condvar, Mutex, MutexGuard};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -99,13 +98,12 @@ struct WalInner {
     flushing: bool,
 }
 
+/// The log state behind one mutex. Nobody waits on that mutex behind a
+/// device flush: a modeled fsync sleeps with it released, and a
+/// zero-latency one is a single store.
 #[derive(Debug)]
 struct WalShared {
     state: Mutex<WalInner>,
-    /// Mirror of `durable_len`, readable without the mutex: the
-    /// group-commit free-ride check ([`Wal::ensure_durable`]) must not
-    /// serialize followers behind the leader's flush.
-    durable: AtomicUsize,
     /// Signalled when an in-flight flush completes (`flushing` cleared).
     flushed: Condvar,
 }
@@ -144,7 +142,6 @@ impl Wal {
                     syncs: 0,
                     flushing: false,
                 }),
-                durable: AtomicUsize::new(0),
                 flushed: Condvar::new(),
             }),
             policy,
@@ -256,15 +253,11 @@ impl Wal {
     }
 
     /// Group-commit durability point: return once every byte up to `lsn`
-    /// is durable. The free-ride fast path is one atomic load — when a
-    /// concurrent leader's fsync already covered our frame, we are done.
-    /// Otherwise become the leader and sync the whole accumulated tail:
-    /// one flush covers every commit that appended since the last
-    /// boundary.
+    /// is durable. When a concurrent leader's fsync already covered our
+    /// frame, that is one check under the log mutex; otherwise become the
+    /// leader and sync the whole accumulated tail: one flush covers every
+    /// commit that appended since the last boundary.
     pub fn ensure_durable(&self, lsn: usize) {
-        if self.shared.durable.load(Ordering::Acquire) >= lsn {
-            return;
-        }
         let inner = self.shared.state.lock();
         self.flush_locked(inner, lsn, true);
     }
@@ -311,9 +304,6 @@ impl Wal {
             inner.durable_len = inner.durable_len.max(covered);
         }
         inner.syncs += 1;
-        self.shared
-            .durable
-            .store(inner.durable_len, Ordering::Release);
         self.shared.flushed.notify_all();
     }
 
@@ -332,9 +322,6 @@ impl Wal {
         let kept = if tail <= 1 { 0 } else { (tail / 2).max(1) };
         inner.durable_len += kept;
         inner.syncs += 1;
-        self.shared
-            .durable
-            .store(inner.durable_len, Ordering::Release);
     }
 
     /// What a restarted process reads back: the durable prefix only. The
@@ -357,7 +344,6 @@ impl Wal {
         let mut inner = self.shared.state.lock();
         inner.buf.clear();
         inner.durable_len = 0;
-        self.shared.durable.store(0, Ordering::Release);
     }
 
     /// Counters snapshot.

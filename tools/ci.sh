@@ -63,7 +63,7 @@ same_work svc_mixed '{"storage.statements_per_req": 2.761, "storage.commits_per_
 same_work svc_read '{"kv.commands_per_req": 1, "storage.statements_per_req": 0, "storage.aborts": 0}'
 
 # Stall probe: two real threads through the AdHoc handlers, 2 x 60,000
-# requests per seed. A commit that is acked must never leave a published
+# requests per seed. A commit that is acked must never leave a retired
 # timestamp behind the watermark (crates/storage/src/epoch.rs); when one
 # is, the committer parks holding its application lock and both threads
 # stop. Correctness only — the rate on the line is not read.
@@ -106,10 +106,17 @@ timeout 120 cargo test -q --release --test crash_recovery_oracle -- \
 # x all four crash kinds, zero fsck repairs demanded). Replay one crash
 # point alone via CONFLUENCE_ORACLE=app/kind/k. The escrow ledger's own
 # tests run here in release too: the grant race they guard (a grant that
-# does not fit refusing one that does) shows most at full speed.
+# does not fit refusing one that does) shows most at full speed. So do
+# the other primitives' races: the commit watermark's wake-up and stall
+# watchdogs, and the front door's and session pool's "a refusal never
+# refuses one that fits".
 echo "==> confluence oracle gate (convergence + escrow + crash sweep, <60s)"
 timeout 60 cargo test -q --release --test confluence_oracle
 timeout 60 cargo test -q --release -p adhoc-storage --lib escrow
+echo "==> primitive races in release (watermark, front door, session pool, <60s each)"
+timeout 60 cargo test -q --release -p adhoc-storage --lib epoch
+timeout 60 cargo test -q --release -p adhoc-sim --lib resilience
+timeout 60 cargo test -q --release -p adhoc-service --lib pool
 
 # WAL-format fuzz smoke: encode/decode round-trip plus truncation- and
 # corruption-yields-a-prefix properties (tools/../crates/storage/tests).
