@@ -9,8 +9,9 @@
 //! itself and past every consecutive timestamp that retired `early`; any
 //! other commit files itself there. Either way it then waits for
 //! coverage. `applied` is an atomic so a snapshot is one load, but it is
-//! stored only under the mutex, where waiters count themselves, so a
-//! completer that notifies only when someone is counted misses no one.
+//! stored only under the mutex. The condvar counts its waiters under
+//! that same mutex, so a completer's notify misses no one, and with
+//! nobody parked it costs one load, not a syscall.
 //!
 //! Contracts: **acked ⇒ visible** (`complete` returns once `applied >=
 //! ts`, so the committer's next begin sees its commit); **monotonic**
@@ -29,19 +30,12 @@ pub(crate) struct EpochSpine {
     /// Allocator frontier: exactly the timestamps `1..=next` are drawn.
     next: AtomicU64,
     /// Snapshot watermark: every commit with `ts <= applied` is fully
-    /// installed. Stored only under `pending`.
+    /// installed. Stored only under `early`.
     applied: AtomicU64,
-    pending: Mutex<Pending>,
-    /// Signalled when `applied` moves while `parked > 0`.
-    cv: Condvar,
-}
-
-#[derive(Default)]
-struct Pending {
     /// Retired timestamps above `applied + 1`, waiting for the gap below.
-    early: BTreeSet<CommitTs>,
-    /// Threads waiting on `cv`.
-    parked: usize,
+    early: Mutex<BTreeSet<CommitTs>>,
+    /// Signalled when `applied` moves.
+    cv: Condvar,
 }
 
 impl EpochSpine {
@@ -65,37 +59,34 @@ impl EpochSpine {
     /// Retire a drawn timestamp and wait until the watermark covers it.
     /// Called *after* the shard guards are dropped.
     pub(crate) fn complete(&self, ts: CommitTs) {
-        let mut pending = self.pending.lock();
+        let mut early = self.early.lock();
         if ts == self.applied.load(SeqCst) + 1 {
             let mut top = ts;
-            while pending.early.first() == Some(&(top + 1)) {
-                pending.early.pop_first();
+            while early.first() == Some(&(top + 1)) {
+                early.pop_first();
                 top += 1;
             }
-            self.publish(&pending, top);
+            self.publish(top);
         } else {
-            pending.early.insert(ts);
+            early.insert(ts);
         }
-        self.park_until(&mut pending, ts);
+        self.park_until(&mut early, ts);
     }
 
-    /// Store a new watermark and wake the waiters, if any. Caller holds
-    /// `pending`.
-    fn publish(&self, pending: &Pending, applied: CommitTs) {
+    /// Store a new watermark and wake the waiters. Caller holds `early`.
+    fn publish(&self, applied: CommitTs) {
         self.applied.store(applied, SeqCst);
-        if pending.parked > 0 {
-            self.cv.notify_all();
-        }
+        self.cv.notify_all();
     }
 
     /// Block until `applied >= ts`.
     pub(crate) fn wait_covered(&self, ts: CommitTs) {
         if self.applied.load(SeqCst) < ts {
-            self.park_until(&mut self.pending.lock(), ts);
+            self.park_until(&mut self.early.lock(), ts);
         }
     }
 
-    fn park_until(&self, pending: &mut MutexGuard<'_, Pending>, ts: CommitTs) {
+    fn park_until(&self, early: &mut MutexGuard<'_, BTreeSet<CommitTs>>, ts: CommitTs) {
         while self.applied.load(SeqCst) < ts {
             assert!(
                 !adhoc_sim::sched::under_scheduler(),
@@ -103,9 +94,7 @@ impl EpochSpine {
                  (ts {ts}): a commit is suspended mid-install, which \
                  no yield point should allow"
             );
-            pending.parked += 1;
-            self.cv.wait(pending);
-            pending.parked -= 1;
+            self.cv.wait(early);
         }
     }
 
@@ -113,10 +102,9 @@ impl EpochSpine {
     /// replay), so post-recovery draws land above it and new snapshots
     /// see it.
     pub(crate) fn note_recovered(&self, ts: CommitTs) {
-        let pending = self.pending.lock();
+        let _early = self.early.lock();
         self.next.fetch_max(ts, SeqCst);
-        let applied = self.applied.load(SeqCst).max(ts);
-        self.publish(&pending, applied);
+        self.publish(self.applied.load(SeqCst).max(ts));
     }
 }
 
@@ -151,19 +139,20 @@ mod tests {
         });
         // `b` is filed and its committer parked in one critical section,
         // so seeing it in `early` means the waiter is asleep.
-        while !spine.pending.lock().early.contains(&b) {
+        while !spine.early.lock().contains(&b) {
             std::thread::yield_now();
         }
         assert!(spine.snapshot() < b);
         spine.complete(a);
         assert!(waiter.join().unwrap() >= b);
-        assert!(spine.pending.lock().early.is_empty());
+        assert!(spine.early.lock().is_empty());
     }
 
     /// A waiter parks in `wait_covered(k)` while the main thread retires
     /// `1..=k` in order — every completion takes the in-order branch, so
-    /// the waiter is woken only if the gated notify saw it counted. A lost
-    /// wake-up fails the watchdog instead of hanging the test binary.
+    /// the waiter is woken only if the condvar's skip-when-nobody-waits
+    /// gate saw it counted. A lost wake-up fails the watchdog instead of
+    /// hanging the test binary.
     #[test]
     fn in_order_completion_wakes_a_parked_waiter() {
         for round in 0..1_000u64 {

@@ -27,6 +27,8 @@
 //!   grant that never waits never reads the clock;
 //! * a release that surrendered no lock and no gap skips `notify_all`:
 //!   waiters block only on holders, which that release did not change.
+//!   (The condvar already skips a notify when nobody waits; this flag
+//!   also spares threads that *are* waiting a spurious wake.)
 
 use crate::error::{DbError, TxnId};
 use crate::fasthash::{FastMap, FastSet};

@@ -108,13 +108,15 @@ timeout 120 cargo test -q --release --test crash_recovery_oracle -- \
 # tests run here in release too: the grant race they guard (a grant that
 # does not fit refusing one that does) shows most at full speed. So do
 # the other primitives' races: the commit watermark's wake-up and stall
-# watchdogs, and the front door's and session pool's "a refusal never
-# refuses one that fits".
+# watchdogs, the shim condvar's waiter-count balance, wake-up and
+# differential tests, and the front door's and session pool's "a refusal
+# never refuses one that fits".
 echo "==> confluence oracle gate (convergence + escrow + crash sweep, <60s)"
 timeout 60 cargo test -q --release --test confluence_oracle
 timeout 60 cargo test -q --release -p adhoc-storage --lib escrow
-echo "==> primitive races in release (watermark, front door, session pool, <60s each)"
+echo "==> primitive races in release (watermark, condvar, front door, session pool, <60s each)"
 timeout 60 cargo test -q --release -p adhoc-storage --lib epoch
+timeout 60 cargo test -q --release -p parking_lot
 timeout 60 cargo test -q --release -p adhoc-sim --lib resilience
 timeout 60 cargo test -q --release -p adhoc-service --lib pool
 
