@@ -2,15 +2,16 @@
 //! ad hoc transactions (`AHT`) vs database transactions (`DBT`), with and
 //! without contention (Table 6's setups).
 
+use crate::scaling::{measure, Measured};
 use adhoc_apps::{broadleaf, discourse, spree, Mode};
 use adhoc_core::locks::{AcquireConfig, KvMultiLock, MemLock};
 use adhoc_core::taxonomy::Granularity;
 use adhoc_kv::{Client, Store};
 use adhoc_sim::{LatencyModel, RealClock};
 use adhoc_storage::{Database, DbConfig, EngineProfile, IsolationLevel};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One Table 6 row.
 #[derive(Debug, Clone)]
@@ -112,7 +113,8 @@ pub struct Fig3Row {
     pub contention: bool,
     /// Completed requests per second.
     pub throughput_rps: f64,
-    /// Total completed requests in the window.
+    /// Requests completed in the measured window (after the harness's
+    /// warm-up).
     pub completed: usize,
     /// Deadlock victims the engine chose during the run.
     pub deadlocks: u64,
@@ -124,34 +126,9 @@ fn networked_db(profile: EngineProfile, latency: LatencyModel) -> Database {
     Database::new(DbConfig::networked(profile, RealClock::shared(), latency))
 }
 
-/// Generic duration-bounded multi-threaded driver.
-fn drive(
-    threads: usize,
-    duration: Duration,
-    worker: impl Fn(usize, &AtomicBool) -> usize + Sync,
-) -> (usize, Duration) {
-    let stop = AtomicBool::new(false);
-    let completed = AtomicUsize::new(0);
-    let start = Instant::now();
-    std::thread::scope(|s| {
-        for t in 0..threads {
-            let stop = &stop;
-            let completed = &completed;
-            let worker = &worker;
-            s.spawn(move || {
-                let n = worker(t, stop);
-                completed.fetch_add(n, Ordering::Relaxed);
-            });
-        }
-        std::thread::sleep(duration);
-        stop.store(true, Ordering::Relaxed);
-    });
-    (completed.load(Ordering::Relaxed), start.elapsed())
-}
-
 /// Run one (granularity, mode, contention) cell and return its bar.
 pub fn run_granularity(granularity: Granularity, mode: Mode, cfg: &Fig3Config) -> Fig3Row {
-    let (completed, elapsed, db) = match granularity {
+    let (run, db) = match granularity {
         Granularity::Rmw => run_rmw(mode, cfg),
         Granularity::AssociatedAccess => run_aa(mode, cfg),
         Granularity::ColumnBased => run_cbc(mode, cfg),
@@ -162,15 +139,15 @@ pub fn run_granularity(granularity: Granularity, mode: Mode, cfg: &Fig3Config) -
         granularity,
         mode,
         contention: cfg.contention,
-        throughput_rps: completed as f64 / elapsed.as_secs_f64(),
-        completed,
+        throughput_rps: run.committed as f64 / cfg.duration.as_secs_f64(),
+        completed: run.committed as usize,
         deadlocks: stats.lock_stats.deadlocks,
         serialization_failures: stats.serialization_failures,
     }
 }
 
 /// Table 6 RMW: Broadleaf check-out on a MySQL-like engine.
-fn run_rmw(mode: Mode, cfg: &Fig3Config) -> (usize, Duration, Database) {
+fn run_rmw(mode: Mode, cfg: &Fig3Config) -> (Measured, Database) {
     let db = networked_db(EngineProfile::MySqlLike, cfg.latency);
     let orm = broadleaf::setup(&db).expect("schema");
     let app = Arc::new(
@@ -180,22 +157,19 @@ fn run_rmw(mode: Mode, cfg: &Fig3Config) -> (usize, Duration, Database) {
     for sku in 0..cfg.threads as i64 {
         app.seed_sku(sku + 1, i64::MAX / 2).expect("seed");
     }
-    let contention = cfg.contention;
-    let threads = cfg.threads;
-    let (completed, elapsed) = drive(threads, cfg.duration, |t, stop| {
-        let sku = if contention { 1 } else { t as i64 + 1 };
-        let mut n = 0;
-        while !stop.load(Ordering::Relaxed) {
+    let run = measure(cfg.threads, cfg.duration, |t| {
+        let sku = if cfg.contention { 1 } else { t as i64 + 1 };
+        let app = &app;
+        move |_| {
             assert!(app.check_out(sku, 1).expect("checkout"));
-            n += 1;
+            true
         }
-        n
     });
-    (completed, elapsed, db)
+    (run, db)
 }
 
 /// Table 6 AA: Discourse like-post on a PostgreSQL-like engine.
-fn run_aa(mode: Mode, cfg: &Fig3Config) -> (usize, Duration, Database) {
+fn run_aa(mode: Mode, cfg: &Fig3Config) -> (Measured, Database) {
     let db = networked_db(EngineProfile::PostgresLike, cfg.latency);
     let orm = discourse::setup(&db).expect("schema");
     let kv = Client::new(Store::new(), RealClock::shared(), cfg.latency);
@@ -229,23 +203,25 @@ fn run_aa(mode: Mode, cfg: &Fig3Config) -> (usize, Duration, Database) {
         }
         post_ids.push(ids);
     }
-    let contention = cfg.contention;
-    let (completed, elapsed) = drive(cfg.threads, cfg.duration, |t, stop| {
-        let topic = if contention { t % contended_topics } else { t };
+    let run = measure(cfg.threads, cfg.duration, |t| {
+        let topic = if cfg.contention {
+            t % contended_topics
+        } else {
+            t
+        };
         // Each worker likes its own post of the (possibly shared) topic.
         let post = post_ids[topic][t % posts_per_topic];
-        let mut n = 0;
-        while !stop.load(Ordering::Relaxed) {
+        let app = &app;
+        move |_| {
             app.like_post(post).expect("like");
-            n += 1;
+            true
         }
-        n
     });
-    (completed, elapsed, db)
+    (run, db)
 }
 
 /// Table 6 CBC: Discourse create-post & toggle-answer at PG Repeatable Read.
-fn run_cbc(mode: Mode, cfg: &Fig3Config) -> (usize, Duration, Database) {
+fn run_cbc(mode: Mode, cfg: &Fig3Config) -> (Measured, Database) {
     let db = networked_db(EngineProfile::PostgresLike, cfg.latency);
     let orm = discourse::setup(&db).expect("schema");
     let kv = Client::new(Store::new(), RealClock::shared(), cfg.latency);
@@ -267,7 +243,7 @@ fn run_cbc(mode: Mode, cfg: &Fig3Config) -> (usize, Duration, Database) {
         seed_posts.push(app.seed_post(topic + 1, "seed", 0).expect("seed post"));
     }
     let contention = cfg.contention;
-    let (completed, elapsed) = drive(cfg.threads, cfg.duration, |t, stop| {
+    let run = measure(cfg.threads, cfg.duration, |t| {
         let topic = if contention {
             (t / 2) as i64 + 1
         } else {
@@ -275,22 +251,21 @@ fn run_cbc(mode: Mode, cfg: &Fig3Config) -> (usize, Duration, Database) {
         };
         let answer_post = seed_posts[(topic - 1) as usize];
         let creator = t % 2 == 0;
-        let mut n = 0;
-        while !stop.load(Ordering::Relaxed) {
+        let app = &app;
+        move |_| {
             if creator || !contention {
                 app.create_post(topic, "reply").expect("create");
             } else {
                 app.toggle_answer(topic, answer_post).expect("toggle");
             }
-            n += 1;
+            true
         }
-        n
     });
-    (completed, elapsed, db)
+    (run, db)
 }
 
 /// Table 6 PBC: Spree add-payment at PG Serializable.
-fn run_pbc(mode: Mode, cfg: &Fig3Config) -> (usize, Duration, Database) {
+fn run_pbc(mode: Mode, cfg: &Fig3Config) -> (Measured, Database) {
     let db = networked_db(EngineProfile::PostgresLike, cfg.latency);
     let orm = spree::setup(&db).expect("schema");
     let app = Arc::new(
@@ -312,26 +287,23 @@ fn run_pbc(mode: Mode, cfg: &Fig3Config) -> (usize, Duration, Database) {
             app.seed_payment(2 * k).expect("seed");
         }
     }
-    let contention = cfg.contention;
-    let (completed, elapsed) = drive(cfg.threads, cfg.duration, |t, stop| {
-        let mut n = 0;
-        let mut local = 0i64;
-        while !stop.load(Ordering::Relaxed) {
+    let threads = cfg.threads as i64;
+    let run = measure(cfg.threads, cfg.duration, |t| {
+        let (app, next_fresh, contention) = (&app, &next_fresh, cfg.contention);
+        move |i| {
             let order = if contention {
                 next_fresh.fetch_add(1, Ordering::Relaxed)
             } else {
-                local += 1;
-                2 * (101 + (local * cfg.threads as i64 + t as i64) % 512) + 1
+                2 * (101 + ((i as i64 + 1) * threads + t as i64) % 512) + 1
             };
             // Each order is fresh, so the insert happens (returns true);
             // non-contended odd slots may repeat across rounds, in which
             // case the API correctly reports "already paid".
             app.add_payment(order).expect("payment");
-            n += 1;
+            true
         }
-        n
     });
-    (completed, elapsed, db)
+    (run, db)
 }
 
 #[cfg(test)]

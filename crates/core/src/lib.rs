@@ -14,7 +14,10 @@
 //!   (§3.2.1, Figure 2): `SYNC`, `MEM`, `MEM-LRU`, `KV-SETNX`, `KV-MULTI`,
 //!   `SFU`, and `DB`, behind one [`locks::AdHocLock`] trait. Every bug the
 //!   paper found in these primitives (§4.1.1) is available as an explicit
-//!   fault-injection switch, off by default.
+//!   fault-injection switch, off by default. The in-process ones (`SYNC`,
+//!   `MEM`, `MEM-LRU`) and the deadlock-detecting watchdog lock (`WD`)
+//!   share one keyed lock table and its one wait loop; they differ only
+//!   in eviction, fencing, leak and cycle-check behaviour.
 //! * [`validation`] — the two validation-procedure implementations
 //!   (§3.2.2): ORM-assisted (atomic) and hand-crafted (atomic or, as found
 //!   in Discourse/SCM Suite, non-atomic).

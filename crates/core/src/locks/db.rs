@@ -14,27 +14,17 @@
 //! ([`DbTableLock::ignore_boot_uuid`]) reproduces the reboot deadlock.
 
 use super::{AcquireConfig, AdHocLock, Guard, LockError, LockGuard};
+use adhoc_orm::coord::hash_key;
 use adhoc_storage::{
     Column, ColumnType, Database, DbError, IsolationLevel, Schema, Transaction, Value,
 };
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
-/// Stable 64-bit key hash (FNV-1a), truncated positive for use as a row id.
-fn key_to_row_id(key: &str) -> i64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h & (i64::MAX as u64)) as i64
-}
-
 /// `SFU`: a `SELECT … FOR UPDATE` on a dedicated lock row.
 #[derive(Clone)]
 pub struct SfuLock {
     db: Database,
-    table: String,
     enclosed: bool,
 }
 
@@ -57,11 +47,7 @@ impl SfuLock {
             Ok(()) | Err(DbError::DuplicateTable { .. }) => {}
             Err(e) => panic!("creating SFU lock table: {e}"),
         }
-        Self {
-            db,
-            table: Self::TABLE.to_string(),
-            enclosed: true,
-        }
+        Self { db, enclosed: true }
     }
 
     /// Fault injection (Spree): run the locking read in its own autocommit
@@ -108,17 +94,17 @@ impl LockGuard for SfuGuard {
 
 impl AdHocLock for SfuLock {
     fn lock(&self, key: &str) -> Result<Guard, LockError> {
-        let id = key_to_row_id(key);
+        let id = hash_key(key);
         let acquire = |txn: &mut Transaction| -> Result<(), DbError> {
-            let existing = txn.get_for_update(&self.table, id)?;
+            let existing = txn.get_for_update(Self::TABLE, id)?;
             if existing.is_none() {
                 // First use of this key: create the lock row; the insert's
                 // exclusive record lock doubles as the acquisition.
-                match txn.insert(&self.table, &[("id", Value::Int(id)), ("key", key.into())]) {
+                match txn.insert(Self::TABLE, &[("id", Value::Int(id)), ("key", key.into())]) {
                     Ok(_) => {}
                     // Raced with another first-use: lock the winner's row.
                     Err(DbError::UniqueViolation { .. }) => {
-                        txn.get_for_update(&self.table, id)?;
+                        txn.get_for_update(Self::TABLE, id)?;
                     }
                     Err(e) => return Err(e),
                 }
@@ -154,7 +140,6 @@ impl AdHocLock for SfuLock {
 #[derive(Clone)]
 pub struct DbTableLock {
     db: Database,
-    table: String,
     config: AcquireConfig,
     /// Current boot identity (changes on [`DbTableLock::reboot`]).
     boot: Arc<AtomicI64>,
@@ -184,7 +169,6 @@ impl DbTableLock {
         }
         Self {
             db,
-            table: Self::TABLE.to_string(),
             config: AcquireConfig::default(),
             boot: Arc::new(AtomicI64::new(1)),
             respect_boot_uuid: true,
@@ -219,15 +203,15 @@ impl DbTableLock {
         let boot = self.current_boot();
         let schema = self
             .db
-            .schema(&self.table)
+            .schema(Self::TABLE)
             .map_err(|e| LockError::Backend(e.to_string()))?;
         self.db
             .run(IsolationLevel::ReadCommitted, |txn| {
-                let existing = txn.get_for_update(&self.table, id)?;
+                let existing = txn.get_for_update(Self::TABLE, id)?;
                 match existing {
                     None => {
                         txn.insert(
-                            &self.table,
+                            Self::TABLE,
                             &[
                                 ("id", Value::Int(id)),
                                 ("key", key.into()),
@@ -243,7 +227,7 @@ impl DbTableLock {
                         let stale = self.respect_boot_uuid && row_boot != boot;
                         if !locked || stale {
                             txn.update(
-                                &self.table,
+                                Self::TABLE,
                                 id,
                                 &[("locked", true.into()), ("boot", boot.into())],
                             )?;
@@ -260,7 +244,6 @@ impl DbTableLock {
 
 struct DbTableGuard {
     db: Database,
-    table: String,
     id: i64,
     released: bool,
     leak: bool,
@@ -277,7 +260,7 @@ impl LockGuard for DbTableGuard {
         }
         self.db
             .run(IsolationLevel::ReadCommitted, |txn| {
-                txn.update(&self.table, self.id, &[("locked", false.into())])
+                txn.update(DbTableLock::TABLE, self.id, &[("locked", false.into())])
             })
             .map_err(|e| LockError::Backend(e.to_string()))?;
         Ok(())
@@ -296,13 +279,12 @@ impl LockGuard for DbTableGuard {
 
 impl AdHocLock for DbTableLock {
     fn lock(&self, key: &str) -> Result<Guard, LockError> {
-        let id = key_to_row_id(key);
+        let id = hash_key(key);
         let mut timer = self.config.policy().timer("DB");
         loop {
             if self.try_acquire(key, id)? {
                 return Ok(Guard::new(Box::new(DbTableGuard {
                     db: self.db.clone(),
-                    table: self.table.clone(),
                     id,
                     released: false,
                     leak: false,
@@ -341,9 +323,9 @@ mod tests {
 
     #[test]
     fn key_hash_is_stable_and_positive() {
-        assert_eq!(key_to_row_id("cart-1"), key_to_row_id("cart-1"));
-        assert_ne!(key_to_row_id("cart-1"), key_to_row_id("cart-2"));
-        assert!(key_to_row_id("anything") >= 0);
+        assert_eq!(hash_key("cart-1"), hash_key("cart-1"));
+        assert_ne!(hash_key("cart-1"), hash_key("cart-2"));
+        assert!(hash_key("anything") >= 0);
     }
 
     #[test]

@@ -145,6 +145,20 @@ impl KvSetNxLock {
         self.polling.budget = Some(budget);
         self
     }
+
+    /// The guard for `owner`'s hold on `key`.
+    fn guard(&self, key: &str, owner: String, token: Option<u64>) -> Guard {
+        Guard::new(Box::new(KvGuard {
+            client: self.client.clone(),
+            key: key.to_string(),
+            owner,
+            check_owner: self.check_owner_on_unlock,
+            leased: self.ttl.is_some(),
+            released: false,
+            token,
+            reentrancy: self.reentrant.then(|| Arc::clone(&self.reentrancy)),
+        }))
+    }
 }
 
 /// How a KV lock polls for a busy key: the retry policy, plus an optional
@@ -219,33 +233,15 @@ impl LockGuard for KvGuard {
             return Ok(()); // inner re-entrant level: nothing to delete yet
         }
         if self.check_owner && self.leased {
-            // A leased entry can expire and be re-acquired at any moment,
-            // so check-then-delete must be atomic: WATCH the key, verify
-            // ownership, and DEL inside MULTI/EXEC (aborting if the entry
-            // changed in between).
-            let mut session = self.client.session();
-            session.watch(&self.key);
-            let current = session
-                .get(&self.key)
-                .map_err(|e| LockError::Backend(e.to_string()))?;
-            if current.as_deref() != Some(self.owner.as_str()) {
-                // Lease expired (and possibly re-acquired by someone else):
-                // deleting now would clobber them. Report instead.
-                return Err(LockError::NotHeld {
+            // The lease may have expired (and been re-granted): deleting
+            // then would clobber the new holder, so report instead.
+            return match self.client.release_lease(&self.key, &self.owner) {
+                Ok(true) => Ok(()),
+                Ok(false) => Err(LockError::NotHeld {
                     key: self.key.clone(),
-                });
-            }
-            session.multi();
-            session.del(&self.key);
-            let committed = session
-                .exec()
-                .map_err(|e| LockError::Backend(e.to_string()))?;
-            if !committed {
-                return Err(LockError::NotHeld {
-                    key: self.key.clone(),
-                });
-            }
-            return Ok(());
+                }),
+                Err(e) => Err(LockError::Backend(e.to_string())),
+            };
         }
         // No lease: only this guard can remove the entry, so an
         // unconditional single-round-trip DEL is safe (and is what the
@@ -289,16 +285,7 @@ impl AdHocLock for KvSetNxLock {
                 }
             };
             if let Some(owner) = existing {
-                return Ok(Guard::new(Box::new(KvGuard {
-                    client: self.client.clone(),
-                    key: key.to_string(),
-                    owner,
-                    check_owner: self.check_owner_on_unlock,
-                    leased: self.ttl.is_some(),
-                    released: false,
-                    token: None,
-                    reentrancy: Some(Arc::clone(&self.reentrancy)),
-                })));
+                return Ok(self.guard(key, owner, None));
             }
         }
 
@@ -340,25 +327,13 @@ impl AdHocLock for KvSetNxLock {
                 Err(e) => return Err(LockError::Backend(e.to_string())),
             };
             if acquired {
-                let reentrancy = if self.reentrant {
+                if self.reentrant {
                     self.reentrancy.lock().insert(
                         key.to_string(),
                         (std::thread::current().id(), owner.clone(), 1),
                     );
-                    Some(Arc::clone(&self.reentrancy))
-                } else {
-                    None
-                };
-                return Ok(Guard::new(Box::new(KvGuard {
-                    client: self.client.clone(),
-                    key: key.to_string(),
-                    owner,
-                    check_owner: self.check_owner_on_unlock,
-                    leased: self.ttl.is_some(),
-                    released: false,
-                    token,
-                    reentrancy,
-                })));
+                }
+                return Ok(self.guard(key, owner, token));
             }
             if !timer.wait(None) {
                 return Err(LockError::Timeout {

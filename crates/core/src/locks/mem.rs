@@ -1,4 +1,5 @@
-//! `MEM` and `MEM-LRU`: Broadleaf's in-memory map lock tables (§3.2.1).
+//! The in-process keyed lock table, and `MEM` / `MEM-LRU`: Broadleaf's
+//! in-memory map lock tables (§3.2.1).
 //!
 //! `MEM` keeps lock entries in a concurrent map keyed by lock name —
 //! equivalent to a `ConcurrentHashMap`-based table. `MEM-LRU` is the
@@ -7,18 +8,25 @@
 //! exceeds its capacity, the least-recently-acquired entries are evicted
 //! *even if currently held*, silently revoking the lock (§4.1.1, issue
 //! \[66\] — users "not paying for concurrently added items").
+//!
+//! The table (`LockTable`) is the toolkit's one in-process wait loop: `SYNC`
+//! ([`SyncLock`](super::SyncLock)) and `WD`
+//! ([`WatchdogLock`](super::WatchdogLock)) grant, wait, release and check
+//! validity through it too, so every in-process lock yields to the
+//! deterministic scheduler where it would block.
 
 use super::{AdHocLock, Guard, LockError, LockGuard};
 use adhoc_sim::{Deadline, SharedClock};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::thread::ThreadId;
 use std::time::Duration;
 
 /// An acquisition deadline on a shared clock: checked on every wakeup of
 /// the table's condvar wait (and on every cooperative yield under the
 /// deterministic scheduler).
-type WaitBound = (SharedClock, Deadline);
+pub(crate) type WaitBound = (SharedClock, Deadline);
 
 /// State of one lock table entry.
 #[derive(Debug, Clone)]
@@ -28,30 +36,103 @@ struct Entry {
     grant: u64,
     /// Recency stamp for LRU eviction.
     last_used: u64,
+    /// The holding thread, when the acquirer asked for deadlock detection
+    /// (the wait-for graph is built over threads).
+    holder: Option<ThreadId>,
 }
 
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct TableInner {
     entries: HashMap<String, Entry>,
+    /// thread → key it is currently blocked on.
+    waiting_for: HashMap<ThreadId, String>,
     grant_counter: u64,
     use_counter: u64,
     evictions: u64,
 }
 
-struct LockTable {
+impl TableInner {
+    /// Would `requester` blocking on `key` close a cycle? Walk
+    /// holder-of(key) → key-it-waits-for → holder-of(that) … until the
+    /// chain ends or reaches the requester.
+    fn would_deadlock(&self, requester: ThreadId, key: &str) -> bool {
+        let mut cursor = match self.entries.get(key).and_then(|e| e.holder) {
+            Some(thread) => thread,
+            None => return false,
+        };
+        // Bounded by the number of blocked threads; the graph is a
+        // functional chain (each thread waits on at most one key).
+        for _ in 0..=self.waiting_for.len() {
+            if cursor == requester {
+                return true;
+            }
+            let Some(next_key) = self.waiting_for.get(&cursor) else {
+                return false;
+            };
+            let Some(next) = self.entries.get(next_key).and_then(|e| e.holder) else {
+                return false;
+            };
+            cursor = next;
+        }
+        false
+    }
+}
+
+/// How a front end's guards behave once granted — the only thing the four
+/// table-backed locks do differently after the shared acquire.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Flavor {
+    /// `MEM`/`MEM-LRU`: the grant doubles as a fencing token; releasing a
+    /// revoked grant is a silent no-op.
+    Mem,
+    /// `SYNC`: a monitor dies with its process, so a leaked guard releases.
+    Sync,
+    /// `WD`: releasing a grant that is no longer ours reports `NotHeld`.
+    Watchdog,
+}
+
+/// A keyed exclusive lock table: one mutex, one condvar, one wait loop.
+#[derive(Debug, Default)]
+pub(crate) struct LockTable {
     inner: Mutex<TableInner>,
     cv: Condvar,
-    /// `None` = unbounded (`MEM`); `Some(cap)` = LRU-evicting (`MEM-LRU`).
+    /// `None` = unbounded; `Some(cap)` = LRU-evicting (`MEM-LRU`).
     capacity: Option<usize>,
 }
 
 impl LockTable {
-    fn acquire(&self, key: &str, bound: Option<&WaitBound>) -> Result<u64, LockError> {
+    /// Block until `key` is free (or `bound` expires), then grant it.
+    ///
+    /// With `requester` set (only `WD` sets it) a contended acquire first
+    /// fails with [`LockError::Deadlock`] when waiting would close a cycle
+    /// in the wait-for graph, then registers its wait-for edge for the
+    /// whole wait — cooperative yields included, so the explorer sees
+    /// cycles too.
+    fn acquire(
+        &self,
+        key: &str,
+        bound: Option<&WaitBound>,
+        requester: Option<ThreadId>,
+    ) -> Result<u64, LockError> {
         let mut inner = self.inner.lock();
-        while inner.entries.contains_key(key) {
+        let waited = loop {
+            if !inner.entries.contains_key(key) {
+                break Ok(());
+            }
+            if let Some(me) = requester {
+                if inner.would_deadlock(me, key) {
+                    break Err(LockError::Deadlock {
+                        key: key.to_string(),
+                    });
+                }
+                inner
+                    .waiting_for
+                    .entry(me)
+                    .or_insert_with(|| key.to_string());
+            }
             if let Some((clock, deadline)) = bound {
                 if deadline.expired(clock.as_ref()) {
-                    return Err(LockError::Timeout {
+                    break Err(LockError::Timeout {
                         key: key.to_string(),
                     });
                 }
@@ -79,12 +160,17 @@ impl LockTable {
                     self.cv.wait(&mut inner);
                 }
             }
+        };
+        if let Some(me) = requester {
+            inner.waiting_for.remove(&me);
         }
+        waited?;
         inner.grant_counter += 1;
         inner.use_counter += 1;
         let entry = Entry {
             grant: inner.grant_counter,
             last_used: inner.use_counter,
+            holder: requester,
         };
         let grant = entry.grant;
         inner.entries.insert(key.to_string(), entry);
@@ -106,6 +192,25 @@ impl LockTable {
         Ok(grant)
     }
 
+    /// [`acquire`](Self::acquire) `key` and wrap the grant in a guard of
+    /// the caller's flavor.
+    pub(crate) fn lock(
+        self: &Arc<Self>,
+        key: &str,
+        bound: Option<&WaitBound>,
+        requester: Option<ThreadId>,
+        flavor: Flavor,
+    ) -> Result<Guard, LockError> {
+        let grant = self.acquire(key, bound, requester)?;
+        Ok(Guard::new(Box::new(TableGuard {
+            table: Arc::clone(self),
+            key: key.to_string(),
+            grant,
+            flavor,
+            released: false,
+        })))
+    }
+
     /// Release only when the entry is still ours (same grant).
     fn release(&self, key: &str, grant: u64) -> bool {
         let mut inner = self.inner.lock();
@@ -118,14 +223,50 @@ impl LockTable {
             _ => false,
         }
     }
+}
 
-    fn is_held(&self, key: &str, grant: u64) -> bool {
-        let inner = self.inner.lock();
-        matches!(inner.entries.get(key), Some(e) if e.grant == grant)
+struct TableGuard {
+    table: Arc<LockTable>,
+    key: String,
+    grant: u64,
+    flavor: Flavor,
+    released: bool,
+}
+
+impl LockGuard for TableGuard {
+    fn unlock(&mut self) -> Result<(), LockError> {
+        if self.released {
+            return Ok(());
+        }
+        self.released = true;
+        if !self.table.release(&self.key, self.grant) && self.flavor == Flavor::Watchdog {
+            return Err(LockError::NotHeld {
+                key: self.key.clone(),
+            });
+        }
+        Ok(())
     }
 
-    fn evictions(&self) -> u64 {
-        self.inner.lock().evictions
+    fn is_valid(&self) -> bool {
+        !self.released
+            && matches!(self.table.inner.lock().entries.get(&self.key), Some(e) if e.grant == self.grant)
+    }
+
+    fn fencing_token(&self) -> Option<u64> {
+        // The table's grant counter is already monotonic per table, so it
+        // doubles as a fencing token: an evicted-then-re-granted entry's
+        // new holder always carries a larger token.
+        (self.flavor == Flavor::Mem).then_some(self.grant)
+    }
+
+    fn leak(&mut self) {
+        // In-memory lock info vanishes with a process crash (§3.4.2); in
+        // process the entry stays (a stuck holder) until evicted — except
+        // a monitor, which SYNC models as vanishing with its holder.
+        if self.flavor == Flavor::Sync {
+            self.table.release(&self.key, self.grant);
+        }
+        self.released = true;
     }
 }
 
@@ -139,11 +280,14 @@ pub struct MemLock {
 impl MemLock {
     /// An empty, unbounded lock table.
     pub fn new() -> Self {
+        Self::with_capacity(None)
+    }
+
+    fn with_capacity(capacity: Option<usize>) -> Self {
         Self {
             table: Arc::new(LockTable {
-                inner: Mutex::new(TableInner::default()),
-                cv: Condvar::new(),
-                capacity: None,
+                capacity,
+                ..LockTable::default()
             }),
             deadline: None,
         }
@@ -165,51 +309,10 @@ impl Default for MemLock {
     }
 }
 
-struct MemGuard {
-    table: Arc<LockTable>,
-    key: String,
-    grant: u64,
-    released: bool,
-}
-
-impl LockGuard for MemGuard {
-    fn unlock(&mut self) -> Result<(), LockError> {
-        if self.released {
-            return Ok(());
-        }
-        self.released = true;
-        self.table.release(&self.key, self.grant);
-        Ok(())
-    }
-
-    fn is_valid(&self) -> bool {
-        !self.released && self.table.is_held(&self.key, self.grant)
-    }
-
-    fn fencing_token(&self) -> Option<u64> {
-        // The table's grant counter is already monotonic per table, so it
-        // doubles as a fencing token: an evicted-then-re-granted entry's
-        // new holder always carries a larger token.
-        Some(self.grant)
-    }
-
-    fn leak(&mut self) {
-        // In-memory lock info vanishes with a process crash (§3.4.2); for
-        // an in-process simulation the entry simply stays until evicted or
-        // the table is recreated.
-        self.released = true;
-    }
-}
-
 impl AdHocLock for MemLock {
     fn lock(&self, key: &str) -> Result<Guard, LockError> {
-        let grant = self.table.acquire(key, self.deadline.as_ref())?;
-        Ok(Guard::new(Box::new(MemGuard {
-            table: Arc::clone(&self.table),
-            key: key.to_string(),
-            grant,
-            released: false,
-        })))
+        self.table
+            .lock(key, self.deadline.as_ref(), None, Flavor::Mem)
     }
 
     fn label(&self) -> &'static str {
@@ -221,47 +324,30 @@ impl AdHocLock for MemLock {
 /// lease-semantics bug built in (eviction is the point of this variant;
 /// there is no "fixed" configuration other than using [`MemLock`]).
 #[derive(Clone)]
-pub struct MemLruLock {
-    table: Arc<LockTable>,
-    deadline: Option<WaitBound>,
-}
+pub struct MemLruLock(MemLock);
 
 impl MemLruLock {
     /// `capacity` is the maximum number of resident lock entries.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "capacity must be positive");
-        Self {
-            table: Arc::new(LockTable {
-                inner: Mutex::new(TableInner::default()),
-                cv: Condvar::new(),
-                capacity: Some(capacity),
-            }),
-            deadline: None,
-        }
+        Self(MemLock::with_capacity(Some(capacity)))
     }
 
     /// Bound every acquisition wait by an absolute [`Deadline`] on
     /// `clock` (see [`MemLock::with_deadline`]).
-    pub fn with_deadline(mut self, clock: SharedClock, deadline: Deadline) -> Self {
-        self.deadline = Some((clock, deadline));
-        self
+    pub fn with_deadline(self, clock: SharedClock, deadline: Deadline) -> Self {
+        Self(self.0.with_deadline(clock, deadline))
     }
 
     /// How many held-or-idle entries have been evicted so far.
     pub fn evictions(&self) -> u64 {
-        self.table.evictions()
+        self.0.table.inner.lock().evictions
     }
 }
 
 impl AdHocLock for MemLruLock {
     fn lock(&self, key: &str) -> Result<Guard, LockError> {
-        let grant = self.table.acquire(key, self.deadline.as_ref())?;
-        Ok(Guard::new(Box::new(MemGuard {
-            table: Arc::clone(&self.table),
-            key: key.to_string(),
-            grant,
-            released: false,
-        })))
+        self.0.lock(key)
     }
 
     fn label(&self) -> &'static str {

@@ -13,6 +13,14 @@
 //! | [`kv::KvSetNxLock::with_ttl`] + not checking [`Guard::is_valid`] | Mastodon's lease expires mid-critical-section, unchecked |
 //! | [`db::SfuLock::outside_transaction`] | Spree's `SELECT FOR UPDATE` without an enclosing transaction releases immediately |
 //! | [`db::DbTableLock::ignore_boot_uuid`] | Without the boot-UUID check, pre-crash locks deadlock the reboot |
+//!
+//! The four in-process labels — `MEM`, `MEM-LRU`, `SYNC` and the
+//! watchdog's `WD` — are front ends over one keyed lock table in [`mem`]:
+//! one mutex, one condvar, one wait loop that yields to the deterministic
+//! scheduler. What stays per type: `MEM-LRU`'s capacity (eviction revokes
+//! held entries), `MEM`'s grant as fencing token, `SYNC`'s per-thread
+//! tables under the fault switch and its release on `leak`, and `WD`'s
+//! wait-for-graph cycle check, `NotHeld` on a lost release and timeout.
 
 //! # Example
 //!

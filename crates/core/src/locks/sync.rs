@@ -7,47 +7,26 @@
 //! ORM-mapped objects: each thread locks its own object and "conflicting
 //! threads acquire different locks and can never block each other". The
 //! [`SyncLock::synchronize_on_thread_local`] switch reproduces that.
+//!
+//! The monitors live in the shared [`LockTable`](super::mem): one table
+//! per process, or one per thread under the fault switch.
 
-use super::{AdHocLock, Guard, LockError, LockGuard};
-use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, HashSet};
+use super::mem::{Flavor, LockTable};
+use super::{AdHocLock, Guard, LockError};
+use std::collections::HashMap;
 use std::sync::Arc;
-
-#[derive(Default)]
-struct MonitorTable {
-    /// Keys currently held.
-    held: Mutex<HashSet<String>>,
-    cv: Condvar,
-}
-
-impl MonitorTable {
-    fn acquire(&self, key: &str) {
-        let mut held = self.held.lock();
-        while held.contains(key) {
-            self.cv.wait(&mut held);
-        }
-        held.insert(key.to_string());
-    }
-
-    fn release(&self, key: &str) -> bool {
-        let mut held = self.held.lock();
-        let was = held.remove(key);
-        self.cv.notify_all();
-        was
-    }
-}
 
 /// The `synchronized`-keyword lock.
 #[derive(Clone, Default)]
 pub struct SyncLock {
-    shared: Arc<MonitorTable>,
+    shared: Arc<LockTable>,
     /// Fault injection: monitor per thread instead of per process —
     /// the SCM Suite bug.
     broken_thread_local: bool,
 }
 
 thread_local! {
-    static THREAD_MONITORS: std::cell::RefCell<HashMap<usize, Arc<MonitorTable>>> =
+    static THREAD_MONITORS: std::cell::RefCell<HashMap<usize, Arc<LockTable>>> =
         std::cell::RefCell::new(HashMap::new());
 }
 
@@ -64,62 +43,20 @@ impl SyncLock {
         self
     }
 
-    fn table(&self) -> Arc<MonitorTable> {
+    fn table(&self) -> Arc<LockTable> {
         if !self.broken_thread_local {
             return Arc::clone(&self.shared);
         }
         // Identify this SyncLock instance by its shared-table address so
         // distinct locks get distinct thread-local monitors.
         let instance = Arc::as_ptr(&self.shared) as usize;
-        THREAD_MONITORS.with(|m| {
-            Arc::clone(
-                m.borrow_mut()
-                    .entry(instance)
-                    .or_insert_with(|| Arc::new(MonitorTable::default())),
-            )
-        })
-    }
-}
-
-struct SyncGuard {
-    table: Arc<MonitorTable>,
-    key: String,
-    released: bool,
-}
-
-impl LockGuard for SyncGuard {
-    fn unlock(&mut self) -> Result<(), LockError> {
-        if self.released {
-            return Ok(());
-        }
-        self.released = true;
-        self.table.release(&self.key);
-        Ok(())
-    }
-
-    fn is_valid(&self) -> bool {
-        !self.released
-    }
-
-    fn leak(&mut self) {
-        // Monitors die with the process; a leaked monitor in-process would
-        // block forever, which is exactly the crash semantics (§3.4.2:
-        // in-memory lock info "vanishes along with crashes" — a process
-        // crash, not a thread leak). We model the vanish as a release.
-        self.released = true;
-        self.table.release(&self.key);
+        THREAD_MONITORS.with(|m| Arc::clone(m.borrow_mut().entry(instance).or_default()))
     }
 }
 
 impl AdHocLock for SyncLock {
     fn lock(&self, key: &str) -> Result<Guard, LockError> {
-        let table = self.table();
-        table.acquire(key);
-        Ok(Guard::new(Box::new(SyncGuard {
-            table,
-            key: key.to_string(),
-            released: false,
-        })))
+        self.table().lock(key, None, None, Flavor::Sync)
     }
 
     fn label(&self) -> &'static str {

@@ -11,64 +11,15 @@
 //! [`LockError::Deadlock`], which the toolkit
 //! classifies as retryable — the same victim-aborts-and-retries contract
 //! database transactions get.
+//!
+//! The graph lives in the shared [`LockTable`](super::mem): `WD` is the
+//! one front end that names its requesting thread, which turns the
+//! table's cycle check on.
 
-use super::{AcquireConfig, Guard, LockError, LockGuard};
-use parking_lot::{Condvar, Mutex};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use super::mem::{Flavor, LockTable};
+use super::{AcquireConfig, Guard, LockError};
+use adhoc_sim::{Deadline, RealClock};
 use std::sync::Arc;
-use std::thread::ThreadId;
-use std::time::Instant;
-
-/// One held key: the guard's identity token plus the holding thread (the
-/// thread is what the wait-for graph is built over).
-#[derive(Debug, Clone, Copy)]
-struct Holder {
-    token: u64,
-    thread: ThreadId,
-}
-
-#[derive(Debug, Default)]
-struct State {
-    /// key → current holder.
-    holders: HashMap<String, Holder>,
-    /// thread → key it is currently blocked on.
-    waiting_for: HashMap<ThreadId, String>,
-}
-
-impl State {
-    /// Would `requester` blocking on `key` close a cycle? Walk
-    /// holder-of(key) → key-it-waits-for → holder-of(that) … until the
-    /// chain ends or reaches the requester.
-    fn would_deadlock(&self, requester: ThreadId, key: &str) -> bool {
-        let mut cursor = match self.holders.get(key) {
-            Some(h) => h.thread,
-            None => return false,
-        };
-        // Bounded by the number of blocked threads; the graph is a
-        // functional chain (each thread waits on at most one key).
-        for _ in 0..=self.waiting_for.len() {
-            if cursor == requester {
-                return true;
-            }
-            let Some(next_key) = self.waiting_for.get(&cursor) else {
-                return false;
-            };
-            let Some(next) = self.holders.get(next_key) else {
-                return false;
-            };
-            cursor = next.thread;
-        }
-        false
-    }
-}
-
-#[derive(Debug, Default)]
-struct Inner {
-    state: Mutex<State>,
-    released: Condvar,
-    next_token: AtomicU64,
-}
 
 /// Process-local exclusive lock with wait-for-graph deadlock detection.
 ///
@@ -85,7 +36,7 @@ struct Inner {
 /// (the stale edge points at the acquiring thread).
 #[derive(Debug, Default)]
 pub struct WatchdogLock {
-    inner: Arc<Inner>,
+    table: Arc<LockTable>,
     config: AcquireConfig,
 }
 
@@ -103,85 +54,16 @@ impl WatchdogLock {
     }
 }
 
-struct WatchdogGuard {
-    inner: Arc<Inner>,
-    key: String,
-    token: u64,
-    released: bool,
-}
-
-impl LockGuard for WatchdogGuard {
-    fn unlock(&mut self) -> Result<(), LockError> {
-        if self.released {
-            return Ok(());
-        }
-        self.released = true;
-        let mut state = self.inner.state.lock();
-        match state.holders.get(&self.key) {
-            Some(h) if h.token == self.token => {
-                state.holders.remove(&self.key);
-                self.inner.released.notify_all();
-                Ok(())
-            }
-            _ => Err(LockError::NotHeld {
-                key: self.key.clone(),
-            }),
-        }
-    }
-
-    fn is_valid(&self) -> bool {
-        if self.released {
-            return false;
-        }
-        let state = self.inner.state.lock();
-        matches!(state.holders.get(&self.key), Some(h) if h.token == self.token)
-    }
-
-    fn leak(&mut self) {
-        // The holder entry stays: contenders see a stuck holder and time
-        // out, exactly like a crashed thread.
-        self.released = true;
-    }
-}
-
 impl super::AdHocLock for WatchdogLock {
     fn lock(&self, key: &str) -> Result<Guard, LockError> {
-        let me = std::thread::current().id();
-        let deadline = Instant::now() + self.config.timeout;
-        let mut state = self.inner.state.lock();
-        loop {
-            if !state.holders.contains_key(key) {
-                let token = self.inner.next_token.fetch_add(1, Ordering::Relaxed);
-                state
-                    .holders
-                    .insert(key.to_string(), Holder { token, thread: me });
-                return Ok(Guard::new(Box::new(WatchdogGuard {
-                    inner: Arc::clone(&self.inner),
-                    key: key.to_string(),
-                    token,
-                    released: false,
-                })));
-            }
-            // Blocking here would wedge the wait-for graph into a cycle
-            // (which includes the self-relock case): abort the requester.
-            if state.would_deadlock(me, key) {
-                return Err(LockError::Deadlock {
-                    key: key.to_string(),
-                });
-            }
-            state.waiting_for.insert(me, key.to_string());
-            let timed_out = self
-                .inner
-                .released
-                .wait_until(&mut state, deadline)
-                .timed_out();
-            state.waiting_for.remove(&me);
-            if timed_out {
-                return Err(LockError::Timeout {
-                    key: key.to_string(),
-                });
-            }
-        }
+        let clock = RealClock::shared();
+        let deadline = Deadline::after(clock.as_ref(), self.config.timeout);
+        self.table.lock(
+            key,
+            Some(&(clock, deadline)),
+            Some(std::thread::current().id()),
+            Flavor::Watchdog,
+        )
     }
 
     fn label(&self) -> &'static str {
@@ -194,7 +76,7 @@ mod tests {
     use super::super::{mutual_exclusion_trial, AdHocLock};
     use super::*;
     use std::sync::Barrier;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     fn quick() -> WatchdogLock {
         WatchdogLock::new().with_config(AcquireConfig {

@@ -227,6 +227,23 @@ impl Client {
         self.round_trip(|now| self.store.lease_token(key, owner, now))
     }
 
+    /// Checked lease release (§3.4.2): `WATCH` + `GET`, then only while
+    /// `owner` still holds the key, `MULTI` + `DEL` + `EXEC`. A leased
+    /// entry can expire and be re-granted at any moment, so the check and
+    /// the delete must be atomic: `Ok(false)` means the key was no longer
+    /// ours (expired, re-granted, or changed before `EXEC`) and nothing
+    /// was deleted.
+    pub fn release_lease(&self, key: &str, owner: &str) -> Result<bool, KvError> {
+        let mut session = self.session();
+        session.watch(key);
+        if session.get(key)?.as_deref() != Some(owner) {
+            return Ok(false);
+        }
+        session.multi();
+        session.del(key);
+        session.exec()
+    }
+
     /// `TTL key`.
     pub fn ttl(&self, key: &str) -> Ttl {
         let now = self.pay();
@@ -601,6 +618,34 @@ mod tests {
         assert!(!c.fenced_set("guarded", "a", old).unwrap());
         assert_eq!(c.fence_floor("guarded").unwrap(), fresh);
         assert_eq!(c.get("guarded").unwrap(), Some("b".into()));
+    }
+
+    #[test]
+    fn release_lease_deletes_only_the_owners_entry() {
+        let clock = Arc::new(VirtualClock::new());
+        let c = Client::new(Store::new(), clock.clone(), LatencyModel::zero());
+        let ttl = Duration::from_secs(5);
+
+        // The owner: WATCH + GET + MULTI + DEL + EXEC, and the key is gone.
+        assert!(c.set_nx_px("lease", "a", ttl).unwrap());
+        let before = c.round_trips();
+        assert_eq!(c.release_lease("lease", "a"), Ok(true));
+        assert_eq!(c.round_trips() - before, 5);
+        assert_eq!(c.get("lease").unwrap(), None);
+
+        // Anyone else: WATCH + GET, then nothing — the holder keeps it.
+        assert!(c.set_nx_px("lease", "a", ttl).unwrap());
+        let before = c.round_trips();
+        assert_eq!(c.release_lease("lease", "b"), Ok(false));
+        assert_eq!(c.round_trips() - before, 2);
+        assert_eq!(c.get("lease").unwrap(), Some("a".into()));
+
+        // An expired lease re-granted to "b": the old owner's late release
+        // must not delete the new holder.
+        clock.advance(Duration::from_secs(6));
+        assert!(c.set_nx_px("lease", "b", ttl).unwrap());
+        assert_eq!(c.release_lease("lease", "a"), Ok(false));
+        assert_eq!(c.get("lease").unwrap(), Some("b".into()));
     }
 
     #[test]

@@ -197,24 +197,14 @@ impl CoordGuard {
                     return Ok(());
                 }
                 *released = true;
-                // Checked release (§3.4.2): only delete while still the
-                // holder, atomically via WATCH/MULTI — an expired-and-
-                // stolen lease must not have its new holder evicted.
-                let mut session = kv.session();
-                session.watch(key);
-                let holder = session.get(key).map_err(|e| OrmError::Coordination {
-                    mechanism: "kv-lease",
-                    detail: e.to_string(),
-                })?;
-                if holder.as_deref() == Some(owner.as_str()) {
-                    session.multi();
-                    session.del(key);
-                    let _ = session.exec().map_err(|e| OrmError::Coordination {
+                // Checked release: a lease that is no longer ours (expired
+                // and re-granted) is left to its new holder, not an error.
+                kv.release_lease(key, owner)
+                    .map(|_| ())
+                    .map_err(|e| OrmError::Coordination {
                         mechanism: "kv-lease",
                         detail: e.to_string(),
-                    })?;
-                }
-                Ok(())
+                    })
             }
         }
     }
@@ -549,7 +539,9 @@ impl std::fmt::Debug for Coordinator {
 }
 
 /// FNV-1a of an application lock key into the advisory key space — the
-/// same mapping `pg_advisory_lock(hashtext(...))` deployments use.
+/// same mapping `pg_advisory_lock(hashtext(...))` deployments use. Every
+/// lock-row id is this hash too: the table fallback here and
+/// `adhoc_core`'s `SFU` and `DB` locks.
 pub fn hash_key(key: &str) -> i64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in key.as_bytes() {

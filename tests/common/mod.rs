@@ -21,7 +21,7 @@
 use adhoc_transactions::apps::{
     broadleaf, discourse, jumpserver, mastodon, redmine, saleor, scm_suite, spree, Mode,
 };
-use adhoc_transactions::core::locks::{AdHocLock, KvSetNxLock, MemLock};
+use adhoc_transactions::core::locks::{AdHocLock, KvSetNxLock, LockError, MemLock};
 use adhoc_transactions::core::validation::{
     validated_write, CommitOutcome, ValidationCheck, ValidationStrategy,
 };
@@ -119,6 +119,8 @@ pub const SCENARIOS: &[(&str, Expect, Scenario)] = &[
         Expect::Fail,
         rate_limit_window_race,
     ),
+    ("sync-lock-mutex", Expect::Pass, sync_lock_mutex),
+    ("watchdog-lock-mutex", Expect::Pass, watchdog_lock_mutex),
 ];
 
 /// Look a scenario up by its corpus name.
@@ -658,24 +660,50 @@ pub fn cart_total_locked(trial: &mut Trial) -> Result<(), String> {
     Ok(())
 }
 
-/// Mutual exclusion through an arbitrary lock: tasks overlap-check a
-/// critical section containing one KV round trip (a scheduling point).
-fn mutex_trial(trial: &mut Trial, lock: Arc<dyn AdHocLock>, kv: Client) -> Result<(), String> {
+/// Mutual exclusion through an arbitrary lock: task `t` takes the keys
+/// of `orders[t]` in order, then overlap-checks a critical section
+/// containing one KV round trip (a scheduling point). Between two keys a
+/// task reads the first one's payload (another scheduling point, where an
+/// opposite-order task can close a cycle). A task that a
+/// deadlock-detecting lock picks as the victim releases what it holds,
+/// backs off one scheduling step and starts over; any other lock error
+/// fails the trial.
+fn mutex_trial(
+    trial: &mut Trial,
+    lock: Arc<dyn AdHocLock>,
+    kv: Client,
+    orders: [&'static [&'static str]; 2],
+) -> Result<(), String> {
+    use adhoc_transactions::sim::sched::{yield_point, SchedPoint};
     let in_cs = Arc::new(AtomicI64::new(0));
     let overlap = Arc::new(AtomicBool::new(false));
-    for t in 0..2 {
+    for (t, keys) in orders.into_iter().enumerate() {
         let lock = Arc::clone(&lock);
         let kv = kv.clone();
         let in_cs = Arc::clone(&in_cs);
         let overlap = Arc::clone(&overlap);
         trial.task(&format!("worker-{t}"), move || {
-            let guard = lock.lock("job:1").unwrap();
+            let guards: Vec<_> = loop {
+                let taken = keys.iter().enumerate().map(|(i, key)| {
+                    if i > 0 {
+                        let _ = kv.get(keys[i - 1]);
+                    }
+                    lock.lock(key)
+                });
+                match taken.collect() {
+                    Ok(guards) => break guards,
+                    Err(LockError::Deadlock { .. }) => yield_point(SchedPoint::Backoff),
+                    Err(e) => panic!("{e:?}"),
+                }
+            };
             if in_cs.fetch_add(1, Ordering::SeqCst) > 0 {
                 overlap.store(true, Ordering::SeqCst);
             }
             let _ = kv.get("job:1:payload"); // protected work
             in_cs.fetch_sub(1, Ordering::SeqCst);
-            guard.unlock().unwrap();
+            for guard in guards.into_iter().rev() {
+                guard.unlock().unwrap();
+            }
         });
     }
     trial.run()?;
@@ -691,7 +719,42 @@ pub fn multi_lock_mutex(trial: &mut Trial) -> Result<(), String> {
     use adhoc_transactions::core::locks::KvMultiLock;
     let clock = Arc::new(VirtualClock::new());
     let kv = Client::new(Store::new(), clock, LatencyModel::zero());
-    mutex_trial(trial, Arc::new(KvMultiLock::new(kv.clone())), kv)
+    mutex_trial(
+        trial,
+        Arc::new(KvMultiLock::new(kv.clone())),
+        kv,
+        [&["job:1"], &["job:1"]],
+    )
+}
+
+/// Correct: SCM Suite's `synchronized` monitor, keyed process-wide,
+/// excludes on every schedule (witness 26). Its wait yields to the
+/// explorer like every in-process lock table wait.
+pub fn sync_lock_mutex(trial: &mut Trial) -> Result<(), String> {
+    use adhoc_transactions::core::locks::SyncLock;
+    let kv = Client::new(Store::new(), VirtualClock::shared(), LatencyModel::zero());
+    mutex_trial(
+        trial,
+        Arc::new(SyncLock::new()),
+        kv,
+        [&["job:1"], &["job:1"]],
+    )
+}
+
+/// Correct: the §6 watchdog lock under the Finding 5 anti-pattern — two
+/// tasks take `a,b` and `b,a`. Every schedule that closes the cycle gets a
+/// `Deadlock` verdict for one task, which releases and retries: both
+/// finish, no critical section overlaps, and nobody stalls to a
+/// `Timeout` (witness 27).
+pub fn watchdog_lock_mutex(trial: &mut Trial) -> Result<(), String> {
+    use adhoc_transactions::core::locks::WatchdogLock;
+    let kv = Client::new(Store::new(), VirtualClock::shared(), LatencyModel::zero());
+    mutex_trial(
+        trial,
+        Arc::new(WatchdogLock::new()),
+        kv,
+        [&["a", "b"], &["b", "a"]],
+    )
 }
 
 /// Correct: Saleor's re-entrant `SETNX` lock still excludes *other*

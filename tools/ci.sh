@@ -109,16 +109,21 @@ timeout 120 cargo test -q --release --test crash_recovery_oracle -- \
 # does not fit refusing one that does) shows most at full speed. So do
 # the other primitives' races: the commit watermark's wake-up and stall
 # watchdogs, the shim condvar's waiter-count balance, wake-up and
-# differential tests, and the front door's and session pool's "a refusal
-# never refuses one that fits".
+# differential tests, the front door's and session pool's "a refusal
+# never refuses one that fits", and the in-process lock tests. The keyed
+# lock table (crates/core/src/locks/mem.rs) is the toolkit's one
+# in-process wait loop: MEM, MEM-LRU, SYNC and WD all grant, wait, release
+# and detect wait-for cycles through it, so a lost wake-up or a stale
+# wait-for edge there breaks four locks at once.
 echo "==> confluence oracle gate (convergence + escrow + crash sweep, <60s)"
 timeout 60 cargo test -q --release --test confluence_oracle
 timeout 60 cargo test -q --release -p adhoc-storage --lib escrow
-echo "==> primitive races in release (watermark, condvar, front door, session pool, <60s each)"
+echo "==> primitive races in release (watermark, condvar, front door, session pool, lock table, <60s each)"
 timeout 60 cargo test -q --release -p adhoc-storage --lib epoch
 timeout 60 cargo test -q --release -p parking_lot
 timeout 60 cargo test -q --release -p adhoc-sim --lib resilience
 timeout 60 cargo test -q --release -p adhoc-service --lib pool
+timeout 60 cargo test -q --release -p adhoc-core --lib locks
 
 # WAL-format fuzz smoke: encode/decode round-trip plus truncation- and
 # corruption-yields-a-prefix properties (tools/../crates/storage/tests).
