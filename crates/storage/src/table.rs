@@ -1,7 +1,19 @@
 //! Table metadata, version chains, and ordered secondary indexes.
 //!
 //! Each row is a chain of committed versions; transactions buffer writes
-//! privately and the chain only grows at commit. Since the sharded-engine
+//! privately and the chain grows at commit. The same commit then prunes it
+//! (`VersionChain::prune`) down to what a live snapshot can still read:
+//! the newest version at or below the database's reclamation horizon
+//! (`Database::horizon`) and everything newer. That is safe because every
+//! reader of an older version reads at a snapshot no older than the
+//! horizon — a registered begin snapshot (Repeatable Read, snapshot
+//! isolation, Serializable), a Read Committed statement snapshot (at or
+//! above its transaction's registered begin), a scan through the same
+//! snapshots, or the snapshot of a handle a crash forgot (the horizon's
+//! crash floor). Readers of the newest version — `latest_committed`,
+//! escrow, first-updater checks, delta materialization — see no change,
+//! and a chain never loses its newest version, so the primary-key set,
+//! gap neighbours and tombstones are what they were. Since the sharded-engine
 //! refactor the chains themselves live in the database's hash shards
 //! (`crate::db`), keyed by `(table, primary key)`: a [`Table`] holds only
 //! the immutable schema, the auto-increment cursor, and the *index state*
@@ -72,6 +84,25 @@ impl VersionChain {
     pub(crate) fn push(&mut self, version: RowVersion) {
         debug_assert!(version.commit_ts >= self.latest_ts());
         self.versions.push(version);
+    }
+
+    /// Drop every version no snapshot at or above `horizon` can read: keep
+    /// the newest version with `commit_ts <= horizon` and everything
+    /// newer. The newest version always stays.
+    pub(crate) fn prune(&mut self, horizon: CommitTs) {
+        let keep_from = self
+            .versions
+            .partition_point(|v| v.commit_ts <= horizon)
+            .saturating_sub(1);
+        if keep_from > 0 {
+            self.versions.drain(..keep_from);
+        }
+    }
+
+    /// Versions held.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.versions.len()
     }
 }
 
@@ -652,6 +683,46 @@ mod tests {
         (prev, next)
     }
 
+    /// The chain before reclamation, kept as the oracle: every version it
+    /// was ever given, read the way the chain reads.
+    #[derive(Default)]
+    struct NeverPruned(Vec<RowVersion>);
+
+    impl NeverPruned {
+        fn visible(&self, snapshot: CommitTs) -> Option<&Row> {
+            self.0
+                .iter()
+                .rev()
+                .find(|v| v.commit_ts <= snapshot)
+                .and_then(|v| v.data.as_ref())
+        }
+
+        fn latest(&self) -> Option<&Row> {
+            self.0.last().and_then(|v| v.data.as_ref())
+        }
+
+        fn latest_ts(&self) -> CommitTs {
+            self.0.last().map(|v| v.commit_ts).unwrap_or(0)
+        }
+    }
+
+    #[test]
+    fn prune_keeps_the_newest_version_at_or_below_the_horizon() {
+        let mut chain = VersionChain::default();
+        for ts in [2, 4, 6, 8] {
+            chain.push(RowVersion {
+                commit_ts: ts,
+                data: Some(Row::new(vec![Value::Int(ts as i64)])),
+            });
+        }
+        chain.prune(5);
+        assert_eq!(chain.len(), 3, "4, 6 and 8 stay; 2 is unreadable");
+        assert_eq!(chain.visible(5).unwrap().values[0], Value::Int(4));
+        chain.prune(100);
+        assert_eq!(chain.len(), 1, "the newest version always stays");
+        assert_eq!(chain.latest_ts(), 8);
+    }
+
     fn bound_kinds(v: &Value) -> [Bound<Value>; 3] {
         [
             Bound::Unbounded,
@@ -695,6 +766,43 @@ mod tests {
                             );
                         }
                     }
+                }
+            }
+        }
+
+        /// Reclamation equivalence: after every push and prune, a chain
+        /// pruned at a monotone horizon answers `visible` at every snapshot
+        /// from the horizon up, `latest` and `latest_ts` exactly as the
+        /// chain that keeps everything — tombstones, repeated timestamps
+        /// and a horizon that stalls or jumps to the newest commit
+        /// included — and never drops its newest version.
+        #[test]
+        fn a_pruned_chain_reads_like_the_never_pruned_one(
+            steps in proptest::collection::vec((0u64..3, proptest::any::<bool>(), 0u64..5), 0..48),
+        ) {
+            let (mut chain, mut reference) = (VersionChain::default(), NeverPruned::default());
+            let (mut ts, mut horizon) = (1, 0);
+            for (i, (gap, tombstone, advance)) in steps.into_iter().enumerate() {
+                ts += gap;
+                horizon = (horizon + advance).min(ts);
+                let version = RowVersion {
+                    commit_ts: ts,
+                    data: (!tombstone).then(|| Row::new(vec![Value::Int(i as i64)])),
+                };
+                reference.0.push(version.clone());
+                chain.push(version);
+                chain.prune(horizon);
+                proptest::prop_assert!(chain.len() >= 1);
+                proptest::prop_assert_eq!(chain.latest(), reference.latest());
+                proptest::prop_assert_eq!(chain.latest_ts(), reference.latest_ts());
+                for snapshot in horizon..=ts + 1 {
+                    proptest::prop_assert_eq!(
+                        chain.visible(snapshot),
+                        reference.visible(snapshot),
+                        "snapshot {} at horizon {}",
+                        snapshot,
+                        horizon
+                    );
                 }
             }
         }

@@ -1266,6 +1266,11 @@ impl Transaction {
                 }
             }
         }
+        // Each chain written is pruned down to what a live snapshot can
+        // still read (see `crate::db`'s "Version reclamation"). This
+        // transaction is still registered, so the horizon is at most its
+        // own snapshot.
+        let horizon = self.db.install_horizon(writes, &mut guards);
         // Commits overwhelmingly touch one table; cache the last resolved
         // handle instead of building a map.
         let mut last_table: Option<Arc<Table>> = None;
@@ -1329,6 +1334,7 @@ impl Transaction {
                 commit_ts,
                 data: p.row,
             });
+            chain.prune(horizon);
         }
         if log_enabled {
             self.db.log_commit(
@@ -1339,6 +1345,7 @@ impl Transaction {
                 }),
                 writes,
                 &mut guards,
+                horizon,
             );
         }
         drop(guards);

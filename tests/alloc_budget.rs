@@ -9,8 +9,11 @@
 //! The service's front door is held to the same standard per request: a
 //! timeline read through `offer` + `run_tick` allocates only what the
 //! request itself produces, for a repeat client and a fresh one alike.
-//! Counting allocations instead of asserting wall-clock time keeps the
-//! guard exact and machine-independent.
+//! The same allocator also tracks live bytes, which pin version
+//! reclamation: saving one row again and again must not keep every
+//! version it ever had. Counting allocations and bytes instead of
+//! asserting wall-clock time or resident memory keeps the guard exact and
+//! machine-independent.
 //!
 //! One `#[test]` only: the counter is per thread, and the file must stay
 //! free of tests that could run beside the measured one.
@@ -30,27 +33,37 @@ thread_local! {
     /// Allocations made by this thread (const-initialised and without a
     /// destructor, so touching it inside the allocator allocates nothing).
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread has allocated and not yet freed (same rules).
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+}
+
+/// Add `bytes` (negative when freeing) to this thread's live bytes.
+fn live(bytes: isize) {
+    LIVE.with(|n| n.set(n.get() + bytes as i64));
 }
 
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
 // `GlobalAlloc` contract; the only addition is a thread-local counter bump
-// that neither allocates nor unwinds.
+// and live-byte update that neither allocates nor unwinds.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.with(|n| n.set(n.get() + 1));
+        live(layout.size() as isize);
         // SAFETY: the caller's obligations on `layout` pass through as is.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live(-(layout.size() as isize));
         // SAFETY: `ptr` came from `System.alloc`/`realloc` with `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.with(|n| n.set(n.get() + 1));
+        live(new_size as isize - layout.size() as isize);
         // SAFETY: as for `dealloc`; `new_size` is the caller's to vouch for.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -228,6 +241,26 @@ fn per_op(orm: &Orm, rows: i64, op: Op) -> u64 {
     total / SAMPLE as u64
 }
 
+/// Saves of one row after which the row's live bytes are read, and the
+/// factor the later reading may exceed the earlier by: the engine keeps
+/// what a live snapshot can read, not every version ever written.
+const SAVES: [u64; 2] = [200, 20_000];
+const LIVE_GROWTH: i64 = 2;
+
+/// Live bytes this thread gained over `SAVES[0]` and over `SAVES[1]`
+/// `find + set + save` of one row, with no other transaction open.
+fn live_bytes_after_saves(orm: &Orm) -> [i64; 2] {
+    let before = LIVE.with(Cell::get);
+    let mut done = 0;
+    SAVES.map(|saves| {
+        for _ in done..saves {
+            find_set_save(orm, 1);
+        }
+        done = saves;
+        LIVE.with(Cell::get) - before
+    })
+}
+
 /// The benchmark's service: the full stack with a limiter that refuses no
 /// one and a queue that never fills, on a clock advanced 1 µs a request.
 struct FrontDoor {
@@ -308,6 +341,15 @@ fn allocations_per_statement_are_table_size_independent_and_within_budget() {
             "scan(cart_id = k): {allocations} allocations, budget {BUDGET_SCAN}"
         );
     }
+    let [early, late] = live_bytes_after_saves(&fixture(128));
+    println!(
+        "find + set + save of one row: {early} live bytes after {} saves, {late} after {}",
+        SAVES[0], SAVES[1]
+    );
+    assert!(
+        late <= LIVE_GROWTH * early,
+        "find + set + save: live bytes grew from {early} to {late}: old versions are kept"
+    );
     let mut door = FrontDoor::new();
     for client in 0..SAMPLE as u64 {
         door.request(client);

@@ -118,6 +118,9 @@ timeout 120 cargo test -q --release --test crash_recovery_oracle -- \
 echo "==> confluence oracle gate (convergence + escrow + crash sweep, <60s)"
 timeout 60 cargo test -q --release --test confluence_oracle
 timeout 60 cargo test -q --release -p adhoc-storage --lib escrow
+# Version reclamation: a pruned chain must read like one that keeps every
+# version at every snapshot a live reader can hold (differential oracle).
+timeout 60 cargo test -q --release -p adhoc-storage --lib table
 echo "==> primitive races in release (watermark, condvar, front door, session pool, lock table, <60s each)"
 timeout 60 cargo test -q --release -p adhoc-storage --lib epoch
 timeout 60 cargo test -q --release -p parking_lot
