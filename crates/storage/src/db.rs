@@ -59,8 +59,8 @@ use adhoc_sim::latency::Cost;
 use adhoc_sim::{BackoffPolicy, FaultKind, FaultPlan, OpClass, RetryObserver, RetryPolicy};
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// A committed transaction's footprint, retained for SSI certification of
 /// concurrent readers (pruned once it is at or below the reclamation
@@ -137,9 +137,9 @@ pub(crate) struct DbInner {
     /// Set once any hook is installed, so an unhooked statement or row
     /// pays one load and never touches `hooks`.
     hooked: AtomicBool,
-    /// Table catalog: name → id, id → shared table handle. Read-mostly —
-    /// statements clone an `Arc<Table>`, callers an `Arc<Schema>`.
-    catalog: RwLock<Catalog>,
+    /// Table catalog: the tables in id order, resolved by name without a
+    /// lock (see [`Catalog`]).
+    catalog: Catalog,
     /// The row-state shards. Index with [`shard_of`].
     shards: Box<[Mutex<Shard>]>,
     pub locks: LockManager,
@@ -177,10 +177,85 @@ pub(crate) struct DbInner {
     pub(crate) escrow: crate::escrow::EscrowLedger,
 }
 
-#[derive(Default)]
+/// The table catalog: an append-only list of table handles, read without
+/// a lock. Tables are never dropped, so a published slot never changes.
+///
+/// Slot `id` lives in segment `ilog2(id + 1)`, which holds `2^k` slots and
+/// is allocated by the first append that needs it: the list has no cap,
+/// and a slot never moves once a reader may hold a reference to it.
+/// Appends are serialized by a mutex; each sets its slot, then stores the
+/// new length with `Release`, so a reader that loads the length with
+/// `Acquire` finds every slot below it set. Names resolve by a linear
+/// comparison over that prefix — a database holds a dozen tables at most.
 struct Catalog {
-    by_name: FastMap<String, usize>,
-    list: Vec<Arc<Table>>,
+    segments: [OnceLock<Segment>; usize::BITS as usize],
+    len: AtomicUsize,
+    append: Mutex<()>,
+}
+
+/// One catalog segment's slots.
+type Segment = Box<[OnceLock<Arc<Table>>]>;
+
+impl Catalog {
+    fn new() -> Self {
+        Self {
+            segments: std::array::from_fn(|_| OnceLock::new()),
+            len: AtomicUsize::new(0),
+            append: Mutex::new(()),
+        }
+    }
+
+    /// Segment and offset of slot `id`.
+    fn locate(id: usize) -> (usize, usize) {
+        let segment = (id + 1).ilog2() as usize;
+        (segment, id + 1 - (1 << segment))
+    }
+
+    /// Append a table under the next id; a taken name is refused.
+    fn create(&self, schema: Schema) -> Result<()> {
+        let _append = self.append.lock();
+        if self.find(&schema.table).is_some() {
+            return Err(DbError::DuplicateTable {
+                table: schema.table,
+            });
+        }
+        let id = self.len.load(Ordering::Relaxed);
+        let (segment, offset) = Self::locate(id);
+        let slots = self.segments[segment]
+            .get_or_init(|| (0..1 << segment).map(|_| OnceLock::new()).collect());
+        let fresh = slots[offset].set(Arc::new(Table::new(id, schema)));
+        debug_assert!(fresh.is_ok(), "slot {id} set twice");
+        self.len.store(id + 1, Ordering::Release);
+        Ok(())
+    }
+
+    /// The published tables, in id order.
+    fn tables(&self) -> impl Iterator<Item = &Arc<Table>> {
+        let len = self.len.load(Ordering::Acquire);
+        self.segments
+            .iter()
+            .map_while(OnceLock::get)
+            .flat_map(|slots| slots.iter())
+            .take(len)
+            .map(|slot| {
+                slot.get()
+                    .expect("a slot below the published length is set")
+            })
+    }
+
+    /// The table named `name`.
+    fn find(&self, name: &str) -> Option<&Arc<Table>> {
+        self.tables().find(|t| t.schema.table == name)
+    }
+
+    /// The table with id `id`.
+    fn get(&self, id: usize) -> Option<&Arc<Table>> {
+        if id >= self.len.load(Ordering::Acquire) {
+            return None;
+        }
+        let (segment, offset) = Self::locate(id);
+        self.segments[segment].get()?[offset].get()
+    }
 }
 
 /// The database handle. Cheap to clone and share across threads.
@@ -201,7 +276,7 @@ impl Database {
                 config,
                 hooks: RwLock::new(Hooks::default()),
                 hooked: AtomicBool::new(false),
-                catalog: RwLock::new(Catalog::default()),
+                catalog: Catalog::new(),
                 shards: (0..SHARD_COUNT)
                     .map(|_| Mutex::new(Shard::default()))
                     .collect(),
@@ -241,16 +316,7 @@ impl Database {
 
     /// Create a table from a schema.
     pub fn create_table(&self, schema: Schema) -> Result<()> {
-        let mut catalog = self.inner.catalog.write();
-        if catalog.by_name.contains_key(&schema.table) {
-            return Err(DbError::DuplicateTable {
-                table: schema.table,
-            });
-        }
-        let id = catalog.list.len();
-        catalog.by_name.insert(schema.table.clone(), id);
-        catalog.list.push(Arc::new(Table::new(id, schema)));
-        Ok(())
+        self.inner.catalog.create(schema)
     }
 
     /// A table's schema: the one shared, immutable instance (a reference
@@ -259,24 +325,24 @@ impl Database {
         Ok(Arc::clone(&self.resolve_table(table)?.schema))
     }
 
-    /// Resolve a table by name to its shared handle (statements hold the
-    /// `Arc`, never a catalog lock).
-    pub(crate) fn resolve_table(&self, name: &str) -> Result<Arc<Table>> {
-        let catalog = self.inner.catalog.read();
-        let id = catalog
-            .by_name
-            .get(name)
-            .copied()
+    /// Resolve a table by name to its handle (no lock; statements clone
+    /// the `Arc`).
+    pub(crate) fn resolve_table(&self, name: &str) -> Result<&Arc<Table>> {
+        self.inner
+            .catalog
+            .find(name)
             .ok_or_else(|| DbError::NoSuchTable {
                 table: name.to_string(),
-            })?;
-        Ok(Arc::clone(&catalog.list[id]))
+            })
     }
 
     /// A table handle by positional id (commit path; id comes from a
     /// previously resolved statement so it always exists).
-    pub(crate) fn table_by_id(&self, id: usize) -> Arc<Table> {
-        Arc::clone(&self.inner.catalog.read().list[id])
+    pub(crate) fn table_by_id(&self, id: usize) -> &Arc<Table> {
+        self.inner
+            .catalog
+            .get(id)
+            .expect("table ids come from the catalog")
     }
 
     /// The shard holding row `(table_id, id)` — the unit of commit-time
@@ -803,7 +869,7 @@ impl Database {
         // locks of the transactions the drain happened to find.
         self.inner.locks.clear_all();
         self.inner.escrow.clear();
-        for table in self.inner.catalog.read().list.iter() {
+        for table in self.inner.catalog.tables() {
             table.clear_index();
         }
         // A reset database has no history for recovery to replay.
@@ -941,7 +1007,9 @@ pub struct SessionId(pub(crate) TxnId);
 #[cfg(test)]
 mod tests {
     //! Version reclamation never takes a version from a snapshot that can
-    //! still read it, and keeps chains short when none can.
+    //! still read it, and keeps chains short when none can. The lock-free
+    //! catalog resolves exactly like the locked one it replaced, and never
+    //! shows a reader a half-published table.
 
     use super::*;
     use crate::schema::Column;
@@ -1096,6 +1164,190 @@ mod tests {
                 reborn.latest_committed("skus", 7).unwrap().unwrap().values[1].as_int(),
                 50
             );
+        }
+    }
+
+    /// The catalog the append-only one replaced, kept as its reference: a
+    /// name map and a handle list under one reader-writer lock.
+    #[derive(Default)]
+    struct LockedCatalog(RwLock<Locked>);
+
+    #[derive(Default)]
+    struct Locked {
+        by_name: FastMap<String, usize>,
+        list: Vec<Arc<Table>>,
+    }
+
+    impl LockedCatalog {
+        fn create(&self, schema: Schema) -> Result<()> {
+            let mut catalog = self.0.write();
+            if catalog.by_name.contains_key(&schema.table) {
+                return Err(DbError::DuplicateTable {
+                    table: schema.table,
+                });
+            }
+            let id = catalog.list.len();
+            catalog.by_name.insert(schema.table.clone(), id);
+            catalog.list.push(Arc::new(Table::new(id, schema)));
+            Ok(())
+        }
+
+        fn resolve(&self, name: &str) -> Option<(usize, String)> {
+            let catalog = self.0.read();
+            let id = *catalog.by_name.get(name)?;
+            Some(describe(&catalog.list[id]))
+        }
+
+        fn by_id(&self, id: usize) -> Option<(usize, String)> {
+            self.0.read().list.get(id).map(|t| describe(t))
+        }
+    }
+
+    fn describe(table: &Table) -> (usize, String) {
+        (table.id, table.schema.table.clone())
+    }
+
+    fn table_named(name: &str) -> Schema {
+        Schema::new(name, vec![Column::new("id", ColumnType::Int)], "id").unwrap()
+    }
+
+    /// Seeded random sequences of `create_table` (most of them, once the
+    /// 48 names are taken, duplicates), `resolve_table`, `table_id` and `table_by_id` read the
+    /// same from the append-only catalog as from the locked one, across the
+    /// first six segments (up to 48 tables).
+    #[test]
+    fn the_catalog_resolves_like_the_locked_one() {
+        use rand::Rng;
+        for seed in 0..64 {
+            let mut rng = adhoc_sim::rng::seeded(seed);
+            let db = Database::in_memory(EngineProfile::PostgresLike);
+            let reference = LockedCatalog::default();
+            for step in 0..400 {
+                let name = format!("t{}", rng.gen_range(0..48));
+                let at = format!("seed {seed} step {step} {name}");
+                match rng.gen_range(0..4) {
+                    0 => assert_eq!(
+                        format!("{:?}", db.create_table(table_named(&name))),
+                        format!("{:?}", reference.create(table_named(&name))),
+                        "{at}"
+                    ),
+                    1 => assert_eq!(
+                        db.resolve_table(&name).ok().map(|t| describe(t)),
+                        reference.resolve(&name),
+                        "{at}"
+                    ),
+                    2 => assert_eq!(
+                        format!("{:?}", db.table_id(&name)),
+                        format!(
+                            "{:?}",
+                            reference.resolve(&name).map(|(id, _)| id).ok_or_else(|| {
+                                DbError::NoSuchTable {
+                                    table: name.clone(),
+                                }
+                            })
+                        ),
+                        "{at}"
+                    ),
+                    _ => {
+                        let id = rng.gen_range(0..50);
+                        let expected = reference.by_id(id);
+                        assert_eq!(
+                            db.inner.catalog.get(id).map(|t| describe(t)),
+                            expected,
+                            "{at}"
+                        );
+                        if expected.is_some() {
+                            assert_eq!(Some(describe(db.table_by_id(id))), expected, "{at}");
+                        }
+                    }
+                }
+            }
+            let listed: Vec<_> = db.inner.catalog.tables().map(|t| describe(t)).collect();
+            let expected: Vec<_> = reference
+                .0
+                .read()
+                .list
+                .iter()
+                .map(|t| describe(t))
+                .collect();
+            assert_eq!(listed, expected, "seed {seed}");
+        }
+    }
+
+    /// Two threads append the same 300 names (so every name is refused
+    /// once) while a third resolves them: the reader never meets a slot
+    /// below the published length unset, a name never resolves to a table
+    /// of another name, and once it resolves it keeps its id.
+    #[test]
+    fn resolving_while_tables_are_created_sees_only_whole_tables() {
+        const TABLES: usize = 300;
+        let names: Vec<String> = (0..TABLES).map(|k| format!("t{k}")).collect();
+        for _ in 0..30 {
+            let db = Database::in_memory(EngineProfile::MySqlLike);
+            let created = AtomicUsize::new(0);
+            let done = AtomicBool::new(false);
+            std::thread::scope(|s| {
+                let creators: Vec<_> = (0..2)
+                    .map(|_| {
+                        s.spawn(|| {
+                            for name in &names {
+                                match db.create_table(table_named(name)) {
+                                    Ok(()) => {
+                                        created.fetch_add(1, Ordering::Relaxed);
+                                    }
+                                    Err(DbError::DuplicateTable { .. }) => {}
+                                    Err(e) => panic!("{name}: {e:?}"),
+                                }
+                            }
+                        })
+                    })
+                    .collect();
+                let reader = s.spawn(|| {
+                    let mut seen: Vec<Option<usize>> = vec![None; TABLES];
+                    let mut last_round = false;
+                    for pass in 0.. {
+                        // Every published slot, the newest (the one an
+                        // append may be midway through) by id as well.
+                        let published = db.inner.catalog.tables().count();
+                        if let Some(newest) = published.checked_sub(1) {
+                            assert_eq!(db.table_by_id(newest).id, newest);
+                        }
+                        // One name a pass keeps the passes short; the
+                        // last pass checks them all.
+                        let check = if last_round {
+                            0..TABLES
+                        } else {
+                            pass % TABLES..pass % TABLES + 1
+                        };
+                        for k in check {
+                            let name = &names[k];
+                            match (db.resolve_table(name), seen[k]) {
+                                (Ok(t), first) => {
+                                    assert_eq!(&t.schema.table, name);
+                                    assert_eq!(first.unwrap_or(t.id), t.id, "{name}");
+                                    seen[k] = Some(t.id);
+                                }
+                                (Err(_), Some(id)) => panic!("{name} resolved to {id}, then not"),
+                                (Err(_), None) => {}
+                            }
+                        }
+                        if last_round {
+                            break;
+                        }
+                        last_round = done.load(Ordering::Acquire);
+                    }
+                    seen
+                });
+                for creator in creators {
+                    creator.join().unwrap();
+                }
+                done.store(true, Ordering::Release);
+                let seen = reader.join().unwrap();
+                let mut ids: Vec<usize> = seen.into_iter().map(Option::unwrap).collect();
+                ids.sort_unstable();
+                assert_eq!(ids, (0..TABLES).collect::<Vec<_>>());
+            });
+            assert_eq!(created.load(Ordering::Relaxed), TABLES);
         }
     }
 }

@@ -80,7 +80,7 @@ pub fn recover(db: &Database, bytes: &[u8]) -> Result<RecoveryReport> {
                 .map_err(|_| DbError::RecoveryFailed {
                     table: write.table.clone(),
                 })?;
-            db.install_recovered(&table, write.id, record.commit_ts, write.row.map(Row::new));
+            db.install_recovered(table, write.id, record.commit_ts, write.row.map(Row::new));
             report.writes_applied += 1;
         }
         report.max_commit_ts = report.max_commit_ts.max(record.commit_ts);

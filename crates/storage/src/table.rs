@@ -304,11 +304,12 @@ impl Table {
     }
 
     fn index_candidates_in(state: &IndexState, interval: &ValueInterval) -> Vec<i64> {
-        let mut out = Vec::new();
-        for (key, ids) in state
+        let keys = state
             .map
-            .range((interval.low.clone(), interval.high.clone()))
-        {
+            .range((interval.low.clone(), interval.high.clone()));
+        // Sized once from the matched sets' lengths.
+        let mut out = Vec::with_capacity(keys.clone().map(|(_, ids)| ids.len()).sum());
+        for (key, ids) in keys {
             debug_assert!(interval.contains(key));
             out.extend(ids.iter().copied());
         }

@@ -245,7 +245,7 @@ impl Transaction {
     }
 
     fn resolve(&self, table: &str) -> Result<Arc<Table>> {
-        self.db.resolve_table(table)
+        self.db.resolve_table(table).map(Arc::clone)
     }
 
     /// Plan a scan against the latest committed index state.
@@ -376,16 +376,17 @@ impl Transaction {
             }
             Some(self.stmt_snapshot())
         };
-        let matched = self.read_candidates(tid, &plan, &bound, snap, None, true)?;
-        Ok(self.read_result(&t, &plan, &bound, matched, false))
+        let slots = self.read_candidates(tid, &plan, &bound, snap, None, true)?;
+        Ok(self.read_result(&t, &bound, slots, false))
     }
 
     /// The one candidate-reading loop behind `scan`, `select_for_update`
-    /// and `update_where`: each plan candidate's committed row — the
-    /// version visible at `snap`, or the latest when `snap` is `None` —
-    /// that satisfies `pred`, as `(position in plan.ids, row)` in shard
-    /// order. The rows are the stored versions themselves (a count bump
-    /// each), read one shard at a time.
+    /// and `update_where`: one `(id, row)` slot per plan candidate, in plan
+    /// order, holding the candidate's committed row — the version visible
+    /// at `snap`, or the latest when `snap` is `None` — when it satisfies
+    /// `pred`, else `None`. The rows are the stored versions themselves (a
+    /// count bump each), read one shard at a time, each written straight
+    /// into its slot, so nothing is sorted back into plan order.
     ///
     /// `first_updater` is the reason a locking statement fails with under
     /// PostgreSQL-like Repeatable Read and above when a matching row was
@@ -401,12 +402,12 @@ impl Transaction {
         snap: Option<CommitTs>,
         first_updater: Option<&str>,
         track_reads: bool,
-    ) -> Result<Vec<(usize, Row)>> {
+    ) -> Result<Vec<(i64, Option<Row>)>> {
         let postgres = self.profile() == EngineProfile::PostgresLike;
         let first_updater =
             first_updater.filter(|_| postgres && self.iso >= IsolationLevel::RepeatableRead);
         let track_reads = track_reads && postgres && self.iso == IsolationLevel::Serializable;
-        let mut matched = Vec::with_capacity(plan.ids.len());
+        let mut slots: Vec<(i64, Option<Row>)> = plan.ids.iter().map(|id| (*id, None)).collect();
         // Plan position of the first match that lost to a newer committer.
         let mut lost_at = usize::MAX;
         self.db.for_each_chain(tid, &plan.ids, |i, chain| {
@@ -423,43 +424,43 @@ impl Transaction {
             {
                 lost_at = lost_at.min(i);
             } else {
-                matched.push((i, row.clone()));
+                slots[i].1 = Some(row.clone());
             }
         });
         // The statement stops at that candidate: only the matches before it
         // (in plan order) were read.
         if track_reads {
             self.read_rows.extend(
-                matched
+                slots
                     .iter()
-                    .filter(|(i, _)| *i < lost_at)
-                    .map(|(i, _)| (tid, plan.ids[*i])),
+                    .take(lost_at)
+                    .filter(|(_, row)| row.is_some())
+                    .map(|(id, _)| (tid, *id)),
             );
         }
         match first_updater {
             Some(reason) if lost_at != usize::MAX => Err(self.serialization_failure(reason)),
-            _ => Ok(matched),
+            _ => Ok(slots),
         }
     }
 
     /// What the statement sees of its matches: the committed rows
-    /// [`read_candidates`](Self::read_candidates) found, put back in plan
-    /// order, with this transaction's own pending writes on the table on
+    /// [`read_candidates`](Self::read_candidates) left in their plan
+    /// slots, with this transaction's own pending writes on the table on
     /// top — a candidate it already wrote is judged on its newest pending
     /// image instead, and own inserts the index cannot know about yet are
     /// appended in statement order.
     fn with_own_writes(
         &self,
         tid: usize,
-        plan: &ScanPlan,
         pred: &BoundPredicate<'_>,
-        mut matched: Vec<(usize, Row)>,
+        slots: Vec<(i64, Option<Row>)>,
     ) -> Vec<(i64, Row)> {
-        matched.sort_unstable_by_key(|(i, _)| *i);
         if !self.pending.iter().any(|p| p.table == tid) {
-            return matched
+            // Collected in place: the slot buffer becomes the result.
+            return slots
                 .into_iter()
-                .map(|(i, row)| (plan.ids[i], row))
+                .filter_map(|(id, row)| Some((id, row?)))
                 .collect();
         }
         // Newest own write per row: later entries replace earlier ones.
@@ -470,15 +471,13 @@ impl Transaction {
             .map(|p| (p.id, p.row.as_ref()))
             .collect();
         let own_match = |row: Option<&Row>| row.filter(|row| pred.matches(row)).cloned();
-        let mut committed = matched.into_iter().peekable();
         let mut rows = Vec::new();
-        for (i, id) in plan.ids.iter().enumerate() {
-            let committed = committed.next_if(|(at, _)| *at == i).map(|(_, row)| row);
-            let seen = match own.remove(id) {
+        for (id, committed) in slots {
+            let seen = match own.remove(&id) {
                 Some(written) => own_match(written),
                 None => committed,
             };
-            rows.extend(seen.map(|row| (*id, row)));
+            rows.extend(seen.map(|row| (id, row)));
         }
         for p in &self.pending {
             if p.table == tid {
@@ -494,12 +493,11 @@ impl Transaction {
     fn read_result(
         &self,
         t: &Table,
-        plan: &ScanPlan,
         pred: &BoundPredicate<'_>,
-        matched: Vec<(usize, Row)>,
+        slots: Vec<(i64, Option<Row>)>,
         locking: bool,
     ) -> Vec<(i64, Row)> {
-        let mut rows = self.with_own_writes(t.id, plan, pred, matched);
+        let mut rows = self.with_own_writes(t.id, pred, slots);
         // Already sorted (one linear pass) unless the plan walked several
         // keys of a secondary index or own inserts were appended.
         rows.sort_unstable_by_key(|(id, _)| *id);
@@ -560,7 +558,7 @@ impl Transaction {
             self.read_ranges
                 .push((tid, plan.gap_column, plan.gap.clone()));
         }
-        let matched = self.read_candidates(
+        let slots = self.read_candidates(
             tid,
             &plan,
             &bound,
@@ -568,7 +566,7 @@ impl Transaction {
             Some("row updated since snapshot"),
             true,
         )?;
-        Ok(self.read_result(&t, &plan, &bound, matched, true))
+        Ok(self.read_result(&t, &bound, slots, true))
     }
 
     /// Point-read `FOR UPDATE` by primary key.
@@ -890,9 +888,9 @@ impl Transaction {
 
         // Matches against latest committed + own overlay, in plan order
         // (the order the unique-key locks below are taken in).
-        let matched =
+        let slots =
             self.read_candidates(tid, &plan, &bound, None, Some("concurrent update"), false)?;
-        let targets = self.with_own_writes(tid, &plan, &bound, matched);
+        let targets = self.with_own_writes(tid, &bound, slots);
 
         let count = targets.len();
         for (id, base) in targets {
@@ -1233,15 +1231,11 @@ impl Transaction {
         let wal = self.db.wal();
         let mut group_lsn = None;
         if let Some(wal) = wal {
-            let mut wal_table: Option<Arc<Table>> = None;
             let db = &self.db;
             let pending = &self.pending;
             let encode = move |enc: &mut WalEncoder<'_>| {
                 for p in pending {
-                    let t = match &wal_table {
-                        Some(t) if t.id == p.table => t,
-                        _ => wal_table.insert(db.table_by_id(p.table)),
-                    };
+                    let t = db.table_by_id(p.table);
                     enc.write(&t.schema.table, p.id, p.row.as_ref().map(|r| &r.values[..]));
                 }
             };
@@ -1271,14 +1265,8 @@ impl Transaction {
         // transaction is still registered, so the horizon is at most its
         // own snapshot.
         let horizon = self.db.install_horizon(writes, &mut guards);
-        // Commits overwhelmingly touch one table; cache the last resolved
-        // handle instead of building a map.
-        let mut last_table: Option<Arc<Table>> = None;
         for p in std::mem::take(&mut self.pending) {
-            let t = match &last_table {
-                Some(t) if t.id == p.table => t,
-                _ => last_table.insert(self.db.table_by_id(p.table)),
-            };
+            let t = self.db.table_by_id(p.table);
             let gpos = guards
                 .binary_search_by_key(&shard_of(p.table, p.id), |(idx, _)| *idx)
                 .expect("write shard is locked");
@@ -1691,20 +1679,21 @@ mod tests {
         (db, recorder)
     }
 
-    /// A transaction holding `own` as pending writes, begun before another
-    /// transaction commits a `qty` change to row `late` (which `own` leaves
-    /// alone, so no lock is contended): under a pinned snapshot that row's
-    /// latest version is newer than the one the transaction may see.
+    /// A transaction holding `own` as pending writes, begun before other
+    /// transactions commit a `qty` change to each row of `late` (which
+    /// `own` leaves alone, so no lock is contended): under a pinned
+    /// snapshot those rows' latest versions are newer than the ones the
+    /// transaction may see.
     fn open_txn(
         db: &Database,
         iso: IsolationLevel,
         rows: i64,
         own: &[OwnWrite],
-        late: i64,
+        late: &[i64],
     ) -> Transaction {
         let mut txn = db.begin_with(iso);
         for (kind, target, cart, qty) in own {
-            let exists = (1..=rows).contains(target) && *target != late;
+            let exists = (1..=rows).contains(target) && !late.contains(target);
             match kind {
                 0 => {
                     txn.insert(
@@ -1726,9 +1715,9 @@ mod tests {
                 _ => {}
             }
         }
-        if (1..=rows).contains(&late) {
+        for late in late.iter().filter(|id| (1..=rows).contains(*id)) {
             db.run(IsolationLevel::ReadCommitted, |t| {
-                t.update("items", late, &[("qty", 1.into())])
+                t.update("items", *late, &[("qty", 1.into())])
             })
             .unwrap();
         }
@@ -1757,12 +1746,15 @@ mod tests {
         /// indexed equality, a secondary-index walk over several keys,
         /// unindexed full scan, conjunction, everything), own pending
         /// inserts, updates and deletes of matching and non-matching
-        /// rows, and a row committed after the snapshot.
+        /// rows, and rows committed after the snapshot — so a locking
+        /// statement under PostgreSQL's Repeatable Read and above can lose
+        /// to a first updater anywhere in its plan, with matches on both
+        /// sides.
         #[test]
         fn scan_matches_the_per_row_oracle(
             seed in proptest::collection::vec((0i64..3, 0i64..4), 0..12),
             own in proptest::collection::vec((0u8..3, 1i64..14, 0i64..3, 0i64..4), 0..5),
-            late in 0i64..14,
+            late in proptest::collection::vec(0i64..14, 0..3),
             cart in 0i64..3,
             qty in 0i64..4,
             low in 0i64..8,
@@ -1795,8 +1787,8 @@ mod tests {
                     for kinds in [&[0][..], &[1], &[2], &[0, 1, 2]] {
                         let (new_db, new_events) = items_db(profile, &seed);
                         let (old_db, old_events) = items_db(profile, &seed);
-                        let mut new = open_txn(&new_db, iso, rows, &own, late);
-                        let mut old = open_txn(&old_db, iso, rows, &own, late);
+                        let mut new = open_txn(&new_db, iso, rows, &own, &late);
+                        let mut old = open_txn(&old_db, iso, rows, &own, &late);
                         let set = [("qty", Value::Int(2))];
                         for pred in &predicates {
                             for kind in kinds {
@@ -1832,6 +1824,57 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    /// A locking statement over a secondary-index range whose plan is not
+    /// in id order (cart 0's rows 2, 4, 6, 8, then cart 1's 1, 3, 5, 7),
+    /// on a table the transaction has inserted into, updated and deleted
+    /// from, loses to the first updater of row 1, midway through the plan.
+    /// Under PostgreSQL's Serializable the read set then holds exactly the
+    /// committed matches before row 1 — own-written rows included, the
+    /// rows after it not — and nothing is buffered; Repeatable Read fails
+    /// the same way and records nothing. Both agree with the per-row loops.
+    #[test]
+    fn a_first_updater_failure_midway_reads_exactly_the_matches_before_it() {
+        let seed: Seed = (1..=8).map(|id| (id % 2, 0)).collect();
+        let own = [(0, 0, 0, 3), (1, 4, 0, 2), (2, 6, 0, 0)];
+        let pred = Predicate::between("cart_id", 0, 1);
+        let set = [("qty", Value::Int(2))];
+        for iso in [IsolationLevel::RepeatableRead, IsolationLevel::Serializable] {
+            for kind in 0..2 {
+                let (new_db, new_events) = items_db(EngineProfile::PostgresLike, &seed);
+                let (old_db, old_events) = items_db(EngineProfile::PostgresLike, &seed);
+                let mut new = open_txn(&new_db, iso, 8, &own, &[1]);
+                let mut old = open_txn(&old_db, iso, 8, &own, &[1]);
+                let (new_result, old_result) = if kind == 0 {
+                    (
+                        format!("{:?}", new.select_for_update("items", &pred)),
+                        format!("{:?}", old.select_for_update_per_row("items", &pred)),
+                    )
+                } else {
+                    (
+                        format!("{:?}", new.update_where("items", &pred, &set)),
+                        format!("{:?}", old.update_where_per_row("items", &pred, &set)),
+                    )
+                };
+                let at = format!("{iso:?} statement {kind}");
+                assert!(
+                    new_result.contains("SerializationFailure"),
+                    "{at}: {new_result}"
+                );
+                assert_eq!(new_result, old_result, "{at}");
+                assert_eq!(state(&new), state(&old), "{at}");
+                assert_eq!(*new_events.0.lock(), *old_events.0.lock(), "{at}");
+                let mut read: Vec<i64> = new.read_rows.iter().map(|(_, id)| *id).collect();
+                read.sort_unstable();
+                let expected: &[i64] = match (iso, kind) {
+                    (IsolationLevel::Serializable, 0) => &[2, 4, 6, 8],
+                    _ => &[],
+                };
+                assert_eq!(read, expected, "{at}");
+                assert_eq!(new.pending.len(), own.len(), "{at}: nothing buffered");
             }
         }
     }

@@ -121,12 +121,15 @@ timeout 60 cargo test -q --release -p adhoc-storage --lib escrow
 # Version reclamation: a pruned chain must read like one that keeps every
 # version at every snapshot a live reader can hold (differential oracle).
 timeout 60 cargo test -q --release -p adhoc-storage --lib table
-echo "==> primitive races in release (watermark, condvar, front door, session pool, lock table, <60s each)"
+echo "==> primitive races in release (watermark, condvar, front door, session pool, lock table, table catalog, <60s each)"
 timeout 60 cargo test -q --release -p adhoc-storage --lib epoch
 timeout 60 cargo test -q --release -p parking_lot
 timeout 60 cargo test -q --release -p adhoc-sim --lib resilience
 timeout 60 cargo test -q --release -p adhoc-service --lib pool
 timeout 60 cargo test -q --release -p adhoc-core --lib locks
+# The lock-free table catalog: resolves like the locked reference, and a
+# reader racing table creation never sees a half-published slot.
+timeout 60 cargo test -q --release -p adhoc-storage --lib db
 
 # WAL-format fuzz smoke: encode/decode round-trip plus truncation- and
 # corruption-yields-a-prefix properties (tools/../crates/storage/tests).
