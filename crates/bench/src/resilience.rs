@@ -1,15 +1,33 @@
 //! Metastability ablation: which resilience mechanisms buy recovery.
 //!
-//! The same closed-loop world as `tests/resilience_oracle.rs` — eight
-//! per-app request streams over one faulted KV client, a 30-tick full
-//! inbound partition in the middle of a 200-tick run — swept across
-//! three configurations:
+//! The partition-storm world — eight per-app request streams over one
+//! faulted KV client, a 30-tick full inbound partition in the middle of
+//! a 200-tick run — swept across three configurations:
 //!
 //! * `full` — deadlines + retry budget + circuit breaker + per-app
 //!   admission doors with read-only degraded mode.
 //! * `breaker_only` — the breaker fails outage traffic fast, but clients
 //!   still queue unbounded and nothing drops stale work.
 //! * `naive` — eager in-place retries, unbounded queueing, no deadlines.
+//!
+//! The mechanism is the classic metastable failure: during the outage
+//! the naive system queues every request and amplifies each with
+//! retries; afterwards the backlog is so deep that every request it
+//! completes already missed its client's patience window, so the work is
+//! wasted, the client has already resubmitted, and goodput pins near
+//! zero on a healthy backend. The `full` stack breaks every link of that
+//! loop: each request holds its front-door permit while queued or in
+//! flight (a resubmitted copy must pass the door again), deadlines drop
+//! stale work for free, the breaker turns outage traffic into instant
+//! local rejections, a retry budget bounds the amplification, and
+//! read-only degraded mode serves reads off the replica while writes
+//! shed.
+//!
+//! This is the one copy of the world: `tests/resilience_oracle.rs`
+//! asserts recovery and metastability on its `full` and `naive` runs.
+//! Each run also counts its own invariant breaks — an acked write
+//! missing from the store, a fencing token not above the last one
+//! granted for its lease — in [`ResilienceRow::violations`].
 //!
 //! Everything runs on a [`VirtualClock`], so the sweep costs milliseconds
 //! of wall time, is bit-for-bit reproducible, and the *shape* — full
@@ -21,22 +39,41 @@ use adhoc_apps::admission::{Admission, APPS};
 use adhoc_kv::{Client, KvError, Store};
 use adhoc_sim::{
     BreakerState, CircuitBreaker, Clock, Deadline, FaultKind, FaultPlan, FaultRule, LatencyModel,
-    RetryBudget, VirtualClock, Workload,
+    Permit, RetryBudget, VirtualClock, Workload,
 };
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
-const SEED: u64 = 0x5157_4d0d_2022_0612;
-const TICK: Duration = Duration::from_millis(10);
-const TICKS: u64 = 200;
-const ARRIVALS: u64 = 4;
+/// Seed of the storm's fault plan.
+pub const SEED: u64 = 0x5157_4d0d_2022_0612;
+/// One scheduling tick of the closed loop.
+pub const TICK: Duration = Duration::from_millis(10);
+/// Total simulated ticks.
+pub const TICKS: u64 = 200;
+/// Requests arriving per tick (round-robin over the eight apps; every
+/// fourth is a read).
+pub const ARRIVALS: u64 = 4;
+/// KV round trips the backend can serve per tick.
 const CAPACITY: u64 = 16;
-const PATIENCE: u64 = 4;
-const STORM_START: u64 = 60;
-const STORM_END: u64 = 90;
+/// Client patience, in ticks: a response later than this is useless to
+/// the caller, who has already resubmitted.
+pub const PATIENCE: u64 = 4;
+/// The partition storm occupies ticks `[STORM_START, STORM_END)`.
+pub const STORM_START: u64 = 60;
+/// First tick after the storm.
+pub const STORM_END: u64 = 90;
+/// Naive ablation: in-place attempts per request before requeueing.
 const NAIVE_ATTEMPTS: u32 = 4;
-const DOOR_CAPACITY: usize = 3;
+/// Per-app front-door concurrency bound (`full` only).
+pub const DOOR_CAPACITY: usize = 3;
+/// Retry tokens in the `full` stack's budget.
+pub const RETRY_TOKENS: u32 = 4;
+
+/// Virtual-clock instant of tick `n`.
+pub fn at_tick(n: u64) -> Duration {
+    TICK * u32::try_from(n).expect("tick fits u32")
+}
 
 /// Which resilience mechanisms a swept configuration enables.
 #[derive(Debug, Clone, Copy)]
@@ -101,6 +138,21 @@ pub struct ResilienceRow {
     pub wasted: u64,
     /// Times the breaker tripped open.
     pub times_opened: u64,
+    /// Requests completed within patience, per tick.
+    pub goodput: Vec<u64>,
+    /// Reads served from the replica in degraded mode during the storm.
+    pub storm_replica_reads: u64,
+    /// Front-door sheds plus deadline drops.
+    pub shed: u64,
+    /// Writes refused at the door by degraded mode.
+    pub refused_writes: u64,
+    /// Writes acknowledged to clients.
+    pub acked: u64,
+    /// Retry-budget tokens left when the run ended.
+    pub retry_tokens: u64,
+    /// Invariant breaks: acked writes missing from the store, fencing
+    /// tokens not above the last one granted for their lease.
+    pub violations: Vec<String>,
 }
 
 struct Req {
@@ -108,11 +160,11 @@ struct Req {
     app: usize,
     born: u64,
     read: bool,
+    /// The impatient client already resubmitted a fresh copy.
     respawned: bool,
-}
-
-fn at_tick(n: u64) -> Duration {
-    TICK * u32::try_from(n).expect("tick fits u32")
+    /// Front-door slot, held (never read) while queued and in flight;
+    /// dropping it releases the slot.
+    _permit: Option<Permit>,
 }
 
 fn avg(window: &[u64]) -> f64 {
@@ -132,19 +184,40 @@ pub fn run_config(config: &'static str, res: Resilience) -> ResilienceRow {
         ),
     );
     let breaker = Arc::new(CircuitBreaker::new(4, 2 * TICK));
-    let budget = Arc::new(RetryBudget::new(4));
+    let budget = RetryBudget::new(RETRY_TOKENS);
     let mut base = Client::new(Store::new(), clock.clone(), LatencyModel::zero()).with_faults(plan);
     if res.breaker {
         base = base.with_breaker(Arc::clone(&breaker));
     }
     let admission = Admission::new(DOOR_CAPACITY);
+    // `None` when the door refuses; no door at all admits everyone.
+    let admit = |app: usize, read: bool| -> Option<Option<Permit>> {
+        if !res.admission {
+            return Some(None);
+        }
+        let workload = if read {
+            Workload::Read
+        } else {
+            Workload::Write
+        };
+        admission.admit(APPS[app], workload).ok().map(Some)
+    };
 
     let mut queue: VecDeque<Req> = VecDeque::new();
     let mut next_id: u64 = 0;
     let mut goodput_by_tick: Vec<u64> = Vec::with_capacity(TICKS as usize);
-    let mut wasted: u64 = 0;
+    let (mut wasted, mut deadline_drops, mut storm_replica_reads) = (0u64, 0u64, 0u64);
+    let mut acked_keys: Vec<String> = Vec::new();
+    let mut violations: Vec<String> = Vec::new();
+    // Fencing-token floor per app lease: every grant must dominate the
+    // previous one.
+    let mut last_token = vec![0u64; APPS.len()];
 
     for tick in 0..TICKS {
+        let storming = (STORM_START..STORM_END).contains(&tick);
+        // Degraded mode follows the breaker: while Open, writes shed at
+        // the door and reads come off the replica. Half-open un-degrades
+        // so the probe write can go through.
         let degraded = res.admission
             && res.breaker
             && matches!(breaker.state(clock.now()), BreakerState::Open);
@@ -155,33 +228,23 @@ pub fn run_config(config: &'static str, res: Resilience) -> ResilienceRow {
             next_id += 1;
             let app = (id % APPS.len() as u64) as usize;
             let read = id % 4 == 3;
-            if res.admission {
-                let workload = if read {
-                    Workload::Read
-                } else {
-                    Workload::Write
-                };
-                // The bench world tracks door occupancy by queue depth
-                // below; the door's verdict alone decides admission here.
-                if admission.admit(APPS[app], workload).is_err() {
-                    continue;
-                }
-            }
+            // Shed or refused at the door: the client hears now.
+            let Some(permit) = admit(app, read) else {
+                continue;
+            };
             queue.push_back(Req {
                 id,
                 app,
                 born: tick,
                 read,
                 respawned: false,
+                _permit: permit,
             });
         }
-        if res.admission {
-            // Doors bound *standing* work: beyond capacity, shed.
-            while queue.len() > APPS.len() * DOOR_CAPACITY {
-                queue.pop_back();
-            }
-        }
 
+        // Strict FIFO with head-of-line blocking: the tick ends when the
+        // round-trip budget is spent and everyone behind the head waits,
+        // so a deep queue means every served request is already stale.
         let mut used: u64 = 0;
         let mut goodput: u64 = 0;
         for _ in 0..queue.len() {
@@ -193,19 +256,25 @@ pub fn run_config(config: &'static str, res: Resilience) -> ResilienceRow {
             };
             let stale = tick - req.born > PATIENCE;
             if stale && !req.respawned {
+                // The impatient client resubmits through the door; without
+                // deadlines the stale original stays queued and is served.
                 req.respawned = true;
-                let id = next_id;
-                next_id += 1;
-                queue.push_back(Req {
-                    id,
-                    app: req.app,
-                    born: tick,
-                    read: req.read,
-                    respawned: false,
-                });
+                if let Some(permit) = admit(req.app, req.read) {
+                    let id = next_id;
+                    next_id += 1;
+                    queue.push_back(Req {
+                        id,
+                        app: req.app,
+                        born: tick,
+                        read: req.read,
+                        respawned: false,
+                        _permit: permit,
+                    });
+                }
             }
             if res.deadlines && stale {
-                continue; // dropped free at the deadline
+                deadline_drops += 1;
+                continue; // dropped free at the deadline; the permit goes with it
             }
             let client = if res.deadlines {
                 base.clone()
@@ -217,6 +286,7 @@ pub fn run_config(config: &'static str, res: Resilience) -> ResilienceRow {
                 let _ = base
                     .store()
                     .get(&format!("out:{}:{}", APPS[req.app], req.id), clock.now());
+                storm_replica_reads += u64::from(storming);
                 goodput += 1;
                 continue;
             }
@@ -227,13 +297,16 @@ pub fn run_config(config: &'static str, res: Resilience) -> ResilienceRow {
                 let result = if req.read {
                     client
                         .get(&format!("out:{}:{}", APPS[req.app], req.id))
-                        .map(|_| ())
+                        .map(|_| None)
                 } else {
-                    serve_write(&client, &req)
+                    serve_write(&client, &req, &mut last_token, &mut violations).map(Some)
                 };
                 used += base.round_trips() - before;
                 match result {
-                    Ok(()) => break Ok(()),
+                    Ok(written) => {
+                        budget.deposit();
+                        break Ok(written);
+                    }
                     Err(e) => {
                         let fail_fast =
                             matches!(e, KvError::DeadlineExceeded | KvError::CircuitOpen);
@@ -249,8 +322,14 @@ pub fn run_config(config: &'static str, res: Resilience) -> ResilienceRow {
                 }
             };
             match outcome {
-                Ok(()) if stale => wasted += 1,
-                Ok(()) => goodput += 1,
+                Ok(written) => {
+                    acked_keys.extend(written);
+                    if stale {
+                        wasted += 1;
+                    } else {
+                        goodput += 1;
+                    }
+                }
                 Err(_) => {
                     if !res.deadlines {
                         queue.push_front(req); // the convoy retries in place
@@ -262,6 +341,11 @@ pub fn run_config(config: &'static str, res: Resilience) -> ResilienceRow {
         clock.advance(TICK);
     }
 
+    for key in &acked_keys {
+        if base.store().get(key, clock.now()).ok().flatten().as_deref() != Some("done") {
+            violations.push(format!("acked write {key} lost"));
+        }
+    }
     ResilienceRow {
         config,
         baseline: avg(&goodput_by_tick[20..STORM_START as usize]),
@@ -271,17 +355,39 @@ pub fn run_config(config: &'static str, res: Resilience) -> ResilienceRow {
         end_queue: queue.len(),
         wasted,
         times_opened: breaker.times_opened(),
+        goodput: goodput_by_tick,
+        storm_replica_reads,
+        shed: deadline_drops + admission.total_shed(),
+        refused_writes: APPS
+            .iter()
+            .map(|app| admission.door(app).stats().refused_writes)
+            .sum(),
+        acked: acked_keys.len() as u64,
+        retry_tokens: budget.tokens(),
+        violations,
     }
 }
 
-fn serve_write(client: &Client, req: &Req) -> Result<(), KvError> {
+/// One write: acquire the app's fenced lease, write the payload under the
+/// granted token, release. Returns the payload key.
+fn serve_write(
+    client: &Client,
+    req: &Req,
+    last_token: &mut [u64],
+    violations: &mut Vec<String>,
+) -> Result<String, KvError> {
     let lease = format!("lease:{}", APPS[req.app]);
     let Some(token) = client.acquire_lease(&lease, &format!("req-{}", req.id), 2 * TICK)? else {
         return Err(KvError::ConnectionLost); // leaked grant: wait out the TTL
     };
-    client.fenced_set(&format!("out:{}:{}", APPS[req.app], req.id), "done", token)?;
+    let floor = std::mem::replace(&mut last_token[req.app], token);
+    if token <= floor {
+        violations.push(format!("fencing token {token} on {lease} after {floor}"));
+    }
+    let key = format!("out:{}:{}", APPS[req.app], req.id);
+    client.fenced_set(&key, "done", token)?;
     let _ = client.del(&lease);
-    Ok(())
+    Ok(key)
 }
 
 /// Run the full sweep.
@@ -329,6 +435,13 @@ pub fn resilience_bench_json() -> String {
 mod tests {
     use super::*;
 
+    fn row(config: &str) -> ResilienceRow {
+        resilience_sweep()
+            .into_iter()
+            .find(|r| r.config == config)
+            .expect("a swept configuration")
+    }
+
     #[test]
     fn full_recovers_and_naive_does_not() {
         let rows = resilience_sweep();
@@ -339,6 +452,31 @@ mod tests {
         assert!(full.times_opened >= 1);
         assert_eq!(naive.times_opened, 0);
         assert!(naive.end_queue > full.end_queue);
+        for r in &rows {
+            assert!(r.violations.is_empty(), "{}: {:?}", r.config, r.violations);
+        }
+    }
+
+    /// A breaker alone fails outage traffic fast but buys no recovery:
+    /// clients still queue unbounded and nothing drops stale work.
+    #[test]
+    fn breaker_alone_stays_metastable() {
+        let r = row("breaker_only");
+        assert!(r.times_opened >= 1, "the breaker must trip: {r:?}");
+        assert!(r.tail <= 0.3 * r.baseline, "no recovery expected: {r:?}");
+        assert!(
+            r.end_queue as u64 > 2 * ARRIVALS * PATIENCE,
+            "the backlog must persist: {r:?}"
+        );
+        assert!(r.wasted > 0, "stale completions are the signature: {r:?}");
+    }
+
+    /// Successes earn the retry budget back: the storm drains it, the
+    /// healthy tail refills it.
+    #[test]
+    fn full_run_ends_with_the_retry_budget_refilled() {
+        let r = row("full");
+        assert_eq!(r.retry_tokens, u64::from(RETRY_TOKENS), "{r:?}");
     }
 
     #[test]

@@ -16,8 +16,11 @@
 //!   session-scoped user locks when supported.
 //! * **Graceful fallback**: no KV client → a lease degrades to a user
 //!   lock; no advisory support → a database-table lock (the fallback the
-//!   paper explicitly calls for), implemented here with the boot-safe
-//!   read-check-write idiom.
+//!   paper explicitly calls for), implemented here as a read-check-write
+//!   of a lock row under `FOR UPDATE`. The row stores no boot identity,
+//!   so a holder that dies without releasing leaves it `locked` for good:
+//!   Broadleaf's reboot deadlock, which `adhoc_core::locks::DbTableLock`
+//!   prevents by tagging each lock row with a boot UUID.
 //! * **In-transaction hints**: explicit row locks, table locks, and
 //!   per-operation isolation reads, capability-gated per Table 7a.
 //!
@@ -483,7 +486,9 @@ impl Coordinator {
         })
     }
 
-    /// One acquisition attempt: the boot-safe read-check-write idiom.
+    /// One acquisition attempt: read the lock row `FOR UPDATE` and take it
+    /// if it is absent or unlocked. A holder that crashed without
+    /// releasing keeps it forever (see the module doc).
     fn try_acquire_lock_row(&self, key: &str, id: i64) -> Result<bool> {
         let schema = self.db.schema(LOCK_TABLE)?;
         Ok(self.db.run(self.db.default_isolation(), |txn| {

@@ -447,10 +447,8 @@ impl Service {
             match self.dispatch(req) {
                 Ok(()) => {
                     session.transport().record_outcome(false);
-                    if attempt > 0 {
-                        if let Some(budget) = &self.retry_budget {
-                            budget.deposit();
-                        }
+                    if let Some(budget) = &self.retry_budget {
+                        budget.deposit();
                     }
                     return Ok(());
                 }
@@ -654,6 +652,25 @@ mod tests {
         assert_eq!(
             s.served + s.failed + s.shed + s.rate_limited + s.queue_full + s.read_only_refused,
             offered
+        );
+    }
+
+    #[test]
+    fn successes_refill_a_drained_retry_budget() {
+        let clock = VirtualClock::shared();
+        let svc = Service::new(clock, StackConfig::full(), 4);
+        let budget = svc.retry_budget.as_ref().unwrap();
+        while budget.try_withdraw() {}
+        assert_eq!(budget.tokens(), 0);
+        for i in 0..30 {
+            svc.offer(request(i, Endpoint::MastodonTimeline, Duration::ZERO))
+                .unwrap();
+        }
+        let completions = svc.run_tick(Duration::from_millis(1), 1000);
+        assert!(completions.iter().all(|c| c.outcome.is_ok()));
+        assert!(
+            budget.tokens() >= 2,
+            "30 first-try successes earn tokens back"
         );
     }
 

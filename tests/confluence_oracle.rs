@@ -13,9 +13,9 @@
 //!    (commutativity means nothing is lost and nothing retries), and
 //!    escrow budgets must grant *exactly* the budgeted amount: never an
 //!    oversell, never a refused request while slots remain.
-//! 2. **Crash-restart** — the same WAL-backed sweep the cured layer
-//!    passes in `crash_recovery_oracle.rs`: every commit-adjacent crash
-//!    point, under every crash kind (`CommitFailed`,
+//! 2. **Crash-restart** — the WAL-backed sweep in `tests/crash_sweep/`
+//!    that `crash_recovery_oracle.rs` also runs: every commit-adjacent
+//!    crash point, under every crash kind (`CommitFailed`,
 //!    `CrashAfterDurable`, `CrashBeforeDurable`, `TornWrite`). Deltas
 //!    materialize into ordinary row images at commit, so recovery is
 //!    delta-oblivious; the escrow ledger is volatile and re-derives
@@ -23,46 +23,28 @@
 //!    effects, conservation invariants after replay, serviceability
 //!    (the restarted process resumes, with at-least-once duplicates
 //!    bounded by the escrow cap), and — stronger than the ad hoc
-//!    sweeps — that boot-fsck finds *nothing to repair*.
+//!    sweeps — that boot-fsck finds *nothing to repair* and every
+//!    resumed op succeeds.
 //!
 //! The schedule-explorer half of the story lives in
 //! `tests/schedule_corpus.rs` (the `delta-merge-crash` scenario, pinned
 //! as witness 24). Replay one crash point in isolation with
-//! `CONFLUENCE_ORACLE=app/kind/k` (e.g. `scm/torn-write/2`).
+//! `CRASH_ORACLE=<app>_confluent/kind/k` (e.g.
+//! `scm_suite_confluent/torn-write/2`).
+
+mod crash_sweep;
 
 use adhoc_transactions::apps::{mastodon, saleor, scm_suite, spree, Mode};
-use adhoc_transactions::core::checker::Report;
 use adhoc_transactions::core::locks::MemLock;
 use adhoc_transactions::kv::{Client, Store};
-use adhoc_transactions::sim::{
-    FaultKind, FaultPlan, FaultRule, LatencyModel, OpClass, VirtualClock,
-};
-use adhoc_transactions::storage::{restart_from, Database, DbConfig, EngineProfile};
+use adhoc_transactions::sim::{LatencyModel, VirtualClock};
+use adhoc_transactions::storage::{Database, DbConfig, EngineProfile};
+use crash_sweep::{check, fsck_violations, int_field, sweep, Audit, Driver, Op};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
-const SEED: u64 = 0x5157_4d0d_2022_0612;
-
-const CRASH_KINDS: &[FaultKind] = &[
-    FaultKind::CommitFailed,
-    FaultKind::CrashAfterDurable,
-    FaultKind::CrashBeforeDurable,
-    FaultKind::TornWrite,
-];
-
-fn wal_db() -> Database {
-    Database::new(DbConfig::in_memory(EngineProfile::PostgresLike).with_wal())
-}
-
 fn mem_db() -> Database {
     Database::new(DbConfig::in_memory(EngineProfile::PostgresLike))
-}
-
-fn int_field(db: &Database, table: &str, id: i64, col: &str) -> Option<i64> {
-    let schema = db.schema(table).ok()?;
-    db.latest_committed(table, id)
-        .ok()?
-        .and_then(|row| row.get_int(&schema, col).ok())
 }
 
 fn mastodon_app(db: &Database, mode: Mode) -> mastodon::Mastodon {
@@ -258,22 +240,6 @@ fn scm_balance_conserves_under_mixed_traffic() {
 // Part 2: crash-restart sweeps over the Confluent paths.
 // ---------------------------------------------------------------------------
 
-/// What the audit closure gets to see after a (possibly crashed,
-/// possibly resumed) run.
-struct Audit<'a> {
-    /// Indexes of ops acknowledged with effect before the crash. Ops run
-    /// in order, so this is always a prefix.
-    acked: &'a [usize],
-    /// The op the injected crash surfaced in; `None` on the fault-free
-    /// baseline. Its commit may or may not have landed durably
-    /// (§3.4.2's ambiguity), so audits allow either outcome.
-    crashed: Option<usize>,
-    /// After resume, every op has been attempted and acknowledged at
-    /// least once; the crashed op may have applied twice
-    /// (at-least-once delivery) unless an escrow budget caps it.
-    resumed: bool,
-}
-
 impl Audit<'_> {
     /// `[lo, hi]` bounds for a counter fed by the ops in `ids`: at least
     /// every acked feeding op, at most one ambiguous duplicate from the
@@ -287,39 +253,6 @@ impl Audit<'_> {
         let dup = self.crashed.is_some_and(|c| ids.contains(&c)) as i64;
         (lo, lo + dup)
     }
-}
-
-/// One workload step: `Ok(true)` = acknowledged with effect,
-/// `Ok(false)` = acknowledged no-op, `Err` = the injected crash.
-type Op = Box<dyn Fn() -> Result<bool, String>>;
-
-/// Names of the invariants violated right now, given what the run
-/// acknowledged.
-type AuditFn = Box<dyn Fn(&Audit) -> Vec<String>>;
-
-/// One Confluent workload bound to a database instance.
-struct Driver {
-    /// Sequential workload steps.
-    ops: Vec<Op>,
-    /// The invariant audit.
-    audit: AuditFn,
-    /// The app's boot-fsck pass in fix mode.
-    recover: Box<dyn Fn() -> Report>,
-}
-
-/// Build a workload's tables (+ seed data when `seed`) on `db`.
-/// Restarted databases pass `seed = false`: their rows come from WAL
-/// replay.
-type Case = fn(&Database, bool) -> Driver;
-
-fn check(violations: &mut Vec<String>, ok: bool, name: impl Fn() -> String) {
-    if !ok {
-        violations.push(name());
-    }
-}
-
-fn fsck_violations(report: &Report) -> Vec<String> {
-    report.violations.iter().map(|v| v.to_string()).collect()
 }
 
 /// Mastodon: poll tallies (pure counters) interleaved with invite
@@ -514,146 +447,31 @@ fn scm_case(db: &Database, seed: bool) -> Driver {
     }
 }
 
-fn witness_filter() -> Option<(String, String, u64)> {
-    let spec = std::env::var("CONFLUENCE_ORACLE").ok()?;
-    let mut parts = spec.splitn(3, '/');
-    Some((
-        parts.next()?.to_string(),
-        parts.next()?.to_string(),
-        parts.next()?.parse().ok()?,
-    ))
-}
-
-/// Fault-free baseline: every op acks with effect, the audit is clean,
-/// and the workload exposes `commits` crash points.
-fn baseline(name: &str, case: Case) -> u64 {
-    let db = wal_db();
-    let plan = FaultPlan::new_disabled(SEED, vec![]);
-    db.inject_faults(plan.clone());
-    let driver = case(&db, true);
-    plan.enable();
-    let mut acked = Vec::new();
-    for (i, op) in driver.ops.iter().enumerate() {
-        let effect = op().unwrap_or_else(|e| panic!("{name}: baseline op {i} failed: {e}"));
-        assert!(effect, "{name}: baseline op {i} must take effect");
-        acked.push(i);
-    }
-    let commits = plan.ops_seen(OpClass::DbCommit);
-    plan.disable();
-    let violations = (driver.audit)(&Audit {
-        acked: &acked,
-        crashed: None,
-        resumed: false,
-    });
+/// Deltas become ordinary post-images at commit and the escrow ledger
+/// re-derives from committed state, so recovery has nothing to
+/// reconstruct: boot-fsck must find nothing, and every resumed retry
+/// must be granted or cleanly refused, never an error.
+fn assert_confluent_sweep_clean(name: &str, case: fn(&Database, bool) -> Driver) {
+    let s = sweep(name, &case);
     assert!(
-        violations.is_empty(),
-        "{name}: baseline violates {violations:?}"
+        s.findings.is_empty() && s.resume_errors.is_empty(),
+        "{name}: {:?} {:?}",
+        s.findings,
+        s.resume_errors
     );
-    assert!(
-        commits >= driver.ops.len() as u64,
-        "{name}: too few commits"
-    );
-    commits
-}
-
-/// Crash at commit `k` with `kind`, restart, replay the WAL, and hold
-/// the Confluent layer to the oracle's four properties: acked effects
-/// durable, invariants clean, zero boot-fsck repairs, and a resumable
-/// workload.
-fn crash_at(name: &str, case: Case, kind: FaultKind, k: u64) {
-    let witness = format!("{name}/{}/{k}", kind.name());
-
-    let db1 = wal_db();
-    let plan = FaultPlan::new_disabled(SEED, vec![FaultRule::at_ops(kind, &[k])]);
-    db1.inject_faults(plan.clone());
-    let driver1 = case(&db1, true);
-    plan.enable();
-    let mut acked = Vec::new();
-    let mut crashed = None;
-    for (i, op) in driver1.ops.iter().enumerate() {
-        match op() {
-            Ok(effect) => {
-                if effect {
-                    acked.push(i);
-                }
-            }
-            Err(_) => {
-                crashed = Some(i);
-                break;
-            }
-        }
-    }
-    assert_eq!(
-        plan.fired(),
-        1,
-        "[{witness}] the fault must fire exactly once"
-    );
-    let crashed_op = crashed.expect("a fired crash fault surfaces as an op error");
-
-    // Restart: fresh engine, schema setup, WAL replay, boot fsck.
-    let db2 = wal_db();
-    let driver2 = case(&db2, false);
-    restart_from(&db1, &db2).unwrap_or_else(|e| panic!("[{witness}] recovery replay failed: {e}"));
-    let boot = (driver2.recover)();
-    // Deltas become ordinary post-images at commit; recovery has nothing
-    // to reconstruct and fsck must find nothing to repair.
-    assert!(
-        boot.is_clean() && boot.fixed == 0,
-        "[{witness}] confluent recovery must need no fsck repairs: {boot:?}"
-    );
-    let violations = (driver2.audit)(&Audit {
-        acked: &acked,
-        crashed: Some(crashed_op),
-        resumed: false,
-    });
-    assert!(
-        violations.is_empty(),
-        "[{witness}] invariants broken after recovery: {violations:?}"
-    );
-
-    // Serviceability: resume from the crashed op (at-least-once). The
-    // fresh escrow ledger re-derives from committed state, so the
-    // retries must be grantable or cleanly refused, never an error.
-    for (i, op) in driver2.ops.iter().enumerate().skip(crashed_op) {
-        op().unwrap_or_else(|e| panic!("[{witness}] resume op {i} failed: {e}"));
-    }
-    let violations = (driver2.audit)(&Audit {
-        acked: &acked,
-        crashed: Some(crashed_op),
-        resumed: true,
-    });
-    assert!(
-        violations.is_empty(),
-        "[{witness}] invariants broken after resume: {violations:?}"
-    );
-}
-
-fn sweep(name: &str, case: Case) {
-    let commits = baseline(name, case);
-    let filter = witness_filter();
-    for &kind in CRASH_KINDS {
-        for k in 0..commits {
-            if let Some((app, kname, kk)) = &filter {
-                if app != name || kname != kind.name() || *kk != k {
-                    continue;
-                }
-            }
-            crash_at(name, case, kind, k);
-        }
-    }
 }
 
 #[test]
 fn mastodon_confluent_crash_sweep_is_clean() {
-    sweep("mastodon", mastodon_case);
+    assert_confluent_sweep_clean("mastodon_confluent", mastodon_case);
 }
 
 #[test]
 fn saleor_confluent_crash_sweep_conserves_stock() {
-    sweep("saleor", saleor_case);
+    assert_confluent_sweep_clean("saleor_confluent", saleor_case);
 }
 
 #[test]
 fn scm_confluent_crash_sweep_rederives_the_ledger() {
-    sweep("scm", scm_case);
+    assert_confluent_sweep_clean("scm_suite_confluent", scm_case);
 }

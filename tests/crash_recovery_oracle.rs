@@ -1,19 +1,11 @@
 //! Crash-recovery oracle: every app, every commit-adjacent crash point.
 //!
 //! The tentpole harness for the durability subsystem. For each of the
-//! eight studied applications it runs a small WAL-backed workload and
-//! crashes it at *every* commit-adjacent fault point, under every
-//! crash-shaped fault kind:
-//!
-//! * `CommitFailed` — the commit never takes effect (clean rollback);
-//! * `CrashAfterDurable` — the commit is durable but unacknowledged
-//!   (§3.4.2's ambiguity);
-//! * `CrashBeforeDurable` — the commit reached the page cache only;
-//! * `TornWrite` — the crash tears the commit's log record in half.
-//!
-//! After each crash the engine is restarted: a fresh database, schema
-//! setup, WAL replay ([`restart_from`]), then the app's
-//! `recover_on_boot` boot-fsck pass. The oracle asserts:
+//! eight studied applications it runs a small WAL-backed workload through
+//! the crash-restart sweep in `tests/crash_sweep/` (every commit point ×
+//! `CommitFailed`, `CrashAfterDurable`, `CrashBeforeDurable`,
+//! `TornWrite`; restart, WAL replay, boot-fsck). Each driver's audit
+//! asserts:
 //!
 //! 1. **Durability** — every operation acknowledged before the crash is
 //!    visible in the recovered database.
@@ -30,57 +22,19 @@
 //! `CRASH_ORACLE=app/kind/k` (e.g. `spree/crash-after-durable/3`) to
 //! re-run one crash point in isolation.
 
+mod crash_sweep;
+
 use adhoc_transactions::apps::{
     broadleaf, discourse, jumpserver, mastodon, redmine, saleor, scm_suite, spree, Mode,
 };
-use adhoc_transactions::core::checker::Report;
 use adhoc_transactions::core::locks::MemLock;
 use adhoc_transactions::kv::{Client, Store};
-use adhoc_transactions::sim::{
-    FaultKind, FaultPlan, FaultRule, LatencyModel, OpClass, VirtualClock,
+use adhoc_transactions::sim::{LatencyModel, VirtualClock};
+use adhoc_transactions::storage::{restart_from, Database};
+use crash_sweep::{
+    check, fsck_violations, int_field, sweep, wal_db, witness_filter, Audit, Driver, Sweep,
 };
-use adhoc_transactions::storage::{restart_from, Database, DbConfig, EngineProfile};
 use std::sync::Arc;
-
-const SEED: u64 = 0x5157_4d0d_2022_0612;
-
-const CRASH_KINDS: &[FaultKind] = &[
-    FaultKind::CommitFailed,
-    FaultKind::CrashAfterDurable,
-    FaultKind::CrashBeforeDurable,
-    FaultKind::TornWrite,
-];
-
-fn wal_db() -> Database {
-    Database::new(DbConfig::in_memory(EngineProfile::PostgresLike).with_wal())
-}
-
-/// One app's oracle hooks, bound to a concrete database instance.
-struct Driver {
-    /// Workload steps. `Ok(true)` = acknowledged with effect, `Ok(false)`
-    /// = acknowledged no-op, `Err` = the injected crash surfaced.
-    ops: Vec<Box<dyn Fn() -> Result<bool, String>>>,
-    /// Is the durable effect of (acknowledged, effectful) op `i` present?
-    visible: Box<dyn Fn(usize) -> bool>,
-    /// Domain invariant names violated right now. `after_resume` relaxes
-    /// checks that a legitimate at-least-once retry is allowed to move
-    /// (e.g. exact conservation totals).
-    invariants: Box<dyn Fn(bool) -> Vec<String>>,
-    /// The app's boot-fsck pass in fix mode.
-    recover: Box<dyn Fn() -> Report>,
-}
-
-/// Build an app's tables (+ optionally its seed data) on `db` and return
-/// its oracle driver. Restarted databases are built with `seed = false`:
-/// their rows come from WAL replay, not from re-seeding.
-type Case = fn(&Database, bool) -> Driver;
-
-fn int_field(db: &Database, table: &str, id: i64, col: &str) -> Option<i64> {
-    let schema = db.schema(table).ok()?;
-    db.latest_committed(table, id)
-        .ok()?
-        .and_then(|row| row.get_int(&schema, col).ok())
-}
 
 fn rows_where(db: &Database, table: &str, col: &str, val: i64) -> usize {
     let Ok(schema) = db.schema(table) else {
@@ -94,10 +48,17 @@ fn rows_where(db: &Database, table: &str, col: &str, val: i64) -> usize {
         .count()
 }
 
-fn fail(name: &str, violations: Vec<String>) -> Vec<String> {
-    violations
-        .into_iter()
-        .map(|v| format!("{name}: {v}"))
+/// Acked effects missing from the recovered database. Checked until the
+/// workload resumes: a resumed retry may legitimately move them.
+fn lost(audit: &Audit, visible: impl Fn(usize) -> bool) -> Vec<String> {
+    if audit.resumed {
+        return Vec::new();
+    }
+    audit
+        .acked
+        .iter()
+        .filter(|&&i| !visible(i))
+        .map(|i| format!("acked op {i} lost"))
         .collect()
 }
 
@@ -105,7 +66,7 @@ fn fail(name: &str, violations: Vec<String>) -> Vec<String> {
 // Per-app cases.
 // ---------------------------------------------------------------------------
 
-fn spree_case_in(db: &Database, seed: bool, mode: Mode) -> Driver {
+fn spree_case(db: &Database, seed: bool, mode: Mode) -> Driver {
     let orm = spree::setup(db).unwrap();
     let app = Arc::new(spree::Spree::new(orm, Arc::new(MemLock::new()), mode));
     if seed {
@@ -120,41 +81,29 @@ fn spree_case_in(db: &Database, seed: bool, mode: Mode) -> Driver {
             Box::new(move || b.process_payment(1, false).map_err(|e| format!("{e:?}"))),
             Box::new(move || c.add_payment(2).map_err(|e| format!("{e:?}"))),
         ],
-        visible: Box::new({
-            let db = db.clone();
-            move |i| match i {
-                0 => rows_where(&db, "payments", "order_id", 1) >= 1,
-                1 => {
-                    let Ok(rows) = db.dump_table("payments") else {
-                        return false;
-                    };
-                    let schema = db.schema("payments").unwrap();
-                    rows.iter().any(|(_, r)| {
-                        r.get_int(&schema, "order_id").ok() == Some(1)
-                            && r.get_str(&schema, "state").ok().as_deref() == Some("completed")
-                    })
-                }
-                _ => rows_where(&db, "payments", "order_id", 2) >= 1,
-            }
-        }),
-        invariants: Box::new({
-            let (app, db) = (app.clone(), db.clone());
-            move |_| {
-                let mut v = Vec::new();
-                for order in [1, 2] {
-                    if !app.one_payment_per_order(order).unwrap() {
-                        v.push(format!("one_payment_per_order({order})"));
+        audit: Box::new({
+            let app = app.clone();
+            move |audit| {
+                let mut v = lost(audit, |i| match i {
+                    0 => rows_where(&db, "payments", "order_id", 1) >= 1,
+                    1 => {
+                        let Ok(rows) = db.dump_table("payments") else {
+                            return false;
+                        };
+                        let schema = db.schema("payments").unwrap();
+                        rows.iter().any(|(_, r)| {
+                            r.get_int(&schema, "order_id").ok() == Some(1)
+                                && r.get_str(&schema, "state").ok().as_deref() == Some("completed")
+                        })
                     }
+                    _ => rows_where(&db, "payments", "order_id", 2) >= 1,
+                });
+                for order in [1, 2] {
+                    check(&mut v, app.one_payment_per_order(order).unwrap(), || {
+                        format!("one_payment_per_order({order})")
+                    });
                 }
-                v.extend(fail(
-                    "fsck",
-                    spree::boot_fsck()
-                        .check(&db)
-                        .violations
-                        .iter()
-                        .map(|x| x.to_string())
-                        .collect(),
-                ));
+                v.extend(fsck_violations(&spree::boot_fsck().check(&db)));
                 v
             }
         }),
@@ -162,15 +111,7 @@ fn spree_case_in(db: &Database, seed: bool, mode: Mode) -> Driver {
     }
 }
 
-fn spree_case(db: &Database, seed: bool) -> Driver {
-    spree_case_in(db, seed, Mode::AdHoc)
-}
-
-fn spree_cured_case(db: &Database, seed: bool) -> Driver {
-    spree_case_in(db, seed, Mode::Cured)
-}
-
-fn broadleaf_case_in(db: &Database, seed: bool, mode: Mode) -> Driver {
+fn broadleaf_case(db: &Database, seed: bool, mode: Mode) -> Driver {
     let orm = broadleaf::setup(db).unwrap();
     let app = Arc::new(broadleaf::Broadleaf::new(
         orm,
@@ -183,21 +124,6 @@ fn broadleaf_case_in(db: &Database, seed: bool, mode: Mode) -> Driver {
     }
     let db = db.clone();
     let (a, b, c) = (app.clone(), app.clone(), app.clone());
-    let price_row = {
-        let db = db.clone();
-        move |price: i64| {
-            let Ok(schema) = db.schema("items") else {
-                return false;
-            };
-            let Ok(rows) = db.dump_table("items") else {
-                return false;
-            };
-            rows.iter().any(|(_, r)| {
-                r.get_int(&schema, "cart_id").ok() == Some(1)
-                    && r.get_int(&schema, "price").ok() == Some(price)
-            })
-        }
-    };
     Driver {
         ops: vec![
             Box::new(move || {
@@ -212,33 +138,31 @@ fn broadleaf_case_in(db: &Database, seed: bool, mode: Mode) -> Driver {
             }),
             Box::new(move || c.check_out(1, 4).map_err(|e| format!("{e:?}"))),
         ],
-        visible: Box::new({
-            let db = db.clone();
-            move |i| match i {
-                0 => price_row(7),
-                1 => price_row(5),
-                _ => int_field(&db, "skus", 1, "sold") == Some(4),
-            }
-        }),
-        invariants: Box::new({
-            let (app, db) = (app.clone(), db.clone());
-            move |_| {
-                let mut v = Vec::new();
-                if !app.cart_total_consistent(1).unwrap() {
-                    v.push("cart_total_consistent(1)".into());
-                }
-                if !app.sku_conserved(1, 100).unwrap() {
-                    v.push("sku_conserved(1)".into());
-                }
-                v.extend(fail(
-                    "fsck",
-                    broadleaf::boot_fsck()
-                        .check(&db)
-                        .violations
-                        .iter()
-                        .map(|x| x.to_string())
-                        .collect(),
-                ));
+        audit: Box::new({
+            let app = app.clone();
+            move |audit| {
+                let price_row = |price: i64| {
+                    let (Ok(schema), Ok(rows)) = (db.schema("items"), db.dump_table("items"))
+                    else {
+                        return false;
+                    };
+                    rows.iter().any(|(_, r)| {
+                        r.get_int(&schema, "cart_id").ok() == Some(1)
+                            && r.get_int(&schema, "price").ok() == Some(price)
+                    })
+                };
+                let mut v = lost(audit, |i| match i {
+                    0 => price_row(7),
+                    1 => price_row(5),
+                    _ => int_field(&db, "skus", 1, "sold") == Some(4),
+                });
+                check(&mut v, app.cart_total_consistent(1).unwrap(), || {
+                    "cart_total_consistent(1)".into()
+                });
+                check(&mut v, app.sku_conserved(1, 100).unwrap(), || {
+                    "sku_conserved(1)".into()
+                });
+                v.extend(fsck_violations(&broadleaf::boot_fsck().check(&db)));
                 v
             }
         }),
@@ -246,15 +170,7 @@ fn broadleaf_case_in(db: &Database, seed: bool, mode: Mode) -> Driver {
     }
 }
 
-fn broadleaf_case(db: &Database, seed: bool) -> Driver {
-    broadleaf_case_in(db, seed, Mode::AdHoc)
-}
-
-fn broadleaf_cured_case(db: &Database, seed: bool) -> Driver {
-    broadleaf_case_in(db, seed, Mode::Cured)
-}
-
-fn discourse_case_in(db: &Database, seed: bool, mode: Mode) -> Driver {
+fn discourse_case(db: &Database, seed: bool, mode: Mode) -> Driver {
     let orm = discourse::setup(db).unwrap();
     let app = Arc::new(discourse::Discourse::new(
         orm,
@@ -280,33 +196,21 @@ fn discourse_case_in(db: &Database, seed: bool, mode: Mode) -> Driver {
             }),
             Box::new(move || c.like_post(1).map(|_| true).map_err(|e| format!("{e:?}"))),
         ],
-        visible: Box::new({
-            let db = db.clone();
-            move |i| match i {
-                0 => rows_where(&db, "posts", "topic_id", 1) >= 1,
-                1 => rows_where(&db, "posts", "topic_id", 1) >= 2,
-                _ => int_field(&db, "posts", 1, "like_cnt") == Some(1),
-            }
-        }),
-        invariants: Box::new({
-            let (app, db) = (app.clone(), db.clone());
-            move |_| {
-                let mut v = Vec::new();
-                if !app.topic_posts_consistent(1).unwrap() {
-                    v.push("topic_posts_consistent(1)".into());
-                }
-                if !app.likes_consistent(1).unwrap() {
-                    v.push("likes_consistent(1)".into());
-                }
-                v.extend(fail(
-                    "fsck",
-                    discourse::boot_fsck()
-                        .check(&db)
-                        .violations
-                        .iter()
-                        .map(|x| x.to_string())
-                        .collect(),
-                ));
+        audit: Box::new({
+            let app = app.clone();
+            move |audit| {
+                let mut v = lost(audit, |i| match i {
+                    0 => rows_where(&db, "posts", "topic_id", 1) >= 1,
+                    1 => rows_where(&db, "posts", "topic_id", 1) >= 2,
+                    _ => int_field(&db, "posts", 1, "like_cnt") == Some(1),
+                });
+                check(&mut v, app.topic_posts_consistent(1).unwrap(), || {
+                    "topic_posts_consistent(1)".into()
+                });
+                check(&mut v, app.likes_consistent(1).unwrap(), || {
+                    "likes_consistent(1)".into()
+                });
+                v.extend(fsck_violations(&discourse::boot_fsck().check(&db)));
                 v
             }
         }),
@@ -314,27 +218,22 @@ fn discourse_case_in(db: &Database, seed: bool, mode: Mode) -> Driver {
     }
 }
 
-fn discourse_case(db: &Database, seed: bool) -> Driver {
-    discourse_case_in(db, seed, Mode::AdHoc)
-}
-
-fn discourse_cured_case(db: &Database, seed: bool) -> Driver {
-    discourse_case_in(db, seed, Mode::Cured)
-}
-
-fn mastodon_case_in(db: &Database, seed: bool, mode: Mode) -> Driver {
-    let orm = mastodon::setup(db).unwrap();
+fn mastodon_app(db: &Database, mode: Mode) -> Arc<mastodon::Mastodon> {
     let kv = Client::new(
         Store::new(),
         Arc::new(VirtualClock::new()),
         LatencyModel::zero(),
     );
-    let app = Arc::new(mastodon::Mastodon::new(
-        orm,
+    Arc::new(mastodon::Mastodon::new(
+        mastodon::setup(db).unwrap(),
         kv,
         Arc::new(MemLock::new()),
         mode,
-    ));
+    ))
+}
+
+fn mastodon_case(db: &Database, seed: bool, mode: Mode) -> Driver {
+    let app = mastodon_app(db, mode);
     if seed {
         app.seed_invite(1, 5).unwrap();
     }
@@ -352,33 +251,21 @@ fn mastodon_case_in(db: &Database, seed: bool, mode: Mode) -> Driver {
             }),
             Box::new(move || c.redeem_invite(1).map_err(|e| format!("{e:?}"))),
         ],
-        visible: Box::new({
-            let db = db.clone();
-            move |i| match i {
-                0 => int_field(&db, "invites", 1, "redeems") >= Some(1),
-                1 => rows_where(&db, "notifications", "user_id", 7) == 1,
-                _ => int_field(&db, "invites", 1, "redeems") == Some(2),
-            }
-        }),
-        invariants: Box::new({
-            let (app, db) = (app.clone(), db.clone());
-            move |_| {
-                let mut v = Vec::new();
-                if !app.invite_within_limit(1).unwrap() {
-                    v.push("invite_within_limit(1)".into());
-                }
-                if !app.notifications_unique(7).unwrap() {
-                    v.push("notifications_unique(7)".into());
-                }
-                v.extend(fail(
-                    "fsck",
-                    mastodon::boot_fsck()
-                        .check(&db)
-                        .violations
-                        .iter()
-                        .map(|x| x.to_string())
-                        .collect(),
-                ));
+        audit: Box::new({
+            let app = app.clone();
+            move |audit| {
+                let mut v = lost(audit, |i| match i {
+                    0 => int_field(&db, "invites", 1, "redeems") >= Some(1),
+                    1 => rows_where(&db, "notifications", "user_id", 7) == 1,
+                    _ => int_field(&db, "invites", 1, "redeems") == Some(2),
+                });
+                check(&mut v, app.invite_within_limit(1).unwrap(), || {
+                    "invite_within_limit(1)".into()
+                });
+                check(&mut v, app.notifications_unique(7).unwrap(), || {
+                    "notifications_unique(7)".into()
+                });
+                v.extend(fsck_violations(&mastodon::boot_fsck().check(&db)));
                 v
             }
         }),
@@ -386,15 +273,7 @@ fn mastodon_case_in(db: &Database, seed: bool, mode: Mode) -> Driver {
     }
 }
 
-fn mastodon_case(db: &Database, seed: bool) -> Driver {
-    mastodon_case_in(db, seed, Mode::AdHoc)
-}
-
-fn mastodon_cured_case(db: &Database, seed: bool) -> Driver {
-    mastodon_case_in(db, seed, Mode::Cured)
-}
-
-fn jumpserver_case_in(db: &Database, seed: bool, mode: Mode) -> Driver {
+fn jumpserver_case(db: &Database, seed: bool, mode: Mode) -> Driver {
     let orm = jumpserver::setup(db).unwrap();
     let app = Arc::new(jumpserver::JumpServer::new(
         orm,
@@ -429,29 +308,17 @@ fn jumpserver_case_in(db: &Database, seed: bool, mode: Mode) -> Driver {
                     .map_err(|e| format!("{e:?}"))
             }),
         ],
-        visible: Box::new({
-            let db = db.clone();
-            move |i| match i {
-                0 => int_field(&db, "credentials", 1, "version") >= Some(1),
-                _ => int_field(&db, "credentials", 1, "version") == Some(2),
-            }
-        }),
-        invariants: Box::new({
-            let (app, db) = (app.clone(), db.clone());
-            move |_| {
-                let mut v = Vec::new();
-                if !app.rotations_audited(1).unwrap() {
-                    v.push("rotations_audited(1)".into());
-                }
-                v.extend(fail(
-                    "fsck",
-                    jumpserver::boot_fsck()
-                        .check(&db)
-                        .violations
-                        .iter()
-                        .map(|x| x.to_string())
-                        .collect(),
-                ));
+        audit: Box::new({
+            let app = app.clone();
+            move |audit| {
+                let mut v = lost(audit, |i| match i {
+                    0 => int_field(&db, "credentials", 1, "version") >= Some(1),
+                    _ => int_field(&db, "credentials", 1, "version") == Some(2),
+                });
+                check(&mut v, app.rotations_audited(1).unwrap(), || {
+                    "rotations_audited(1)".into()
+                });
+                v.extend(fsck_violations(&jumpserver::boot_fsck().check(&db)));
                 v
             }
         }),
@@ -459,15 +326,7 @@ fn jumpserver_case_in(db: &Database, seed: bool, mode: Mode) -> Driver {
     }
 }
 
-fn jumpserver_case(db: &Database, seed: bool) -> Driver {
-    jumpserver_case_in(db, seed, Mode::AdHoc)
-}
-
-fn jumpserver_cured_case(db: &Database, seed: bool) -> Driver {
-    jumpserver_case_in(db, seed, Mode::Cured)
-}
-
-fn redmine_case_in(db: &Database, seed: bool, mode: Mode) -> Driver {
+fn redmine_case(db: &Database, seed: bool, mode: Mode) -> Driver {
     let orm = redmine::setup(db).unwrap();
     let app = Arc::new(redmine::Redmine::new(orm, mode));
     if seed {
@@ -493,30 +352,18 @@ fn redmine_case_in(db: &Database, seed: bool, mode: Mode) -> Driver {
                     .map_err(|e| format!("{e:?}"))
             }),
         ],
-        visible: Box::new({
-            let db = db.clone();
-            move |i| match i {
-                0 => rows_where(&db, "attachments", "issue_id", 1) >= 1,
-                1 => rows_where(&db, "attachments", "issue_id", 1) >= 2,
-                _ => int_field(&db, "issues", 1, "done_ratio") == Some(50),
-            }
-        }),
-        invariants: Box::new({
-            let (app, db) = (app.clone(), db.clone());
-            move |_| {
-                let mut v = Vec::new();
-                if !app.attachments_consistent(1).unwrap() {
-                    v.push("attachments_consistent(1)".into());
-                }
-                v.extend(fail(
-                    "fsck",
-                    redmine::boot_fsck()
-                        .check(&db)
-                        .violations
-                        .iter()
-                        .map(|x| x.to_string())
-                        .collect(),
-                ));
+        audit: Box::new({
+            let app = app.clone();
+            move |audit| {
+                let mut v = lost(audit, |i| match i {
+                    0 => rows_where(&db, "attachments", "issue_id", 1) >= 1,
+                    1 => rows_where(&db, "attachments", "issue_id", 1) >= 2,
+                    _ => int_field(&db, "issues", 1, "done_ratio") == Some(50),
+                });
+                check(&mut v, app.attachments_consistent(1).unwrap(), || {
+                    "attachments_consistent(1)".into()
+                });
+                v.extend(fsck_violations(&redmine::boot_fsck().check(&db)));
                 v
             }
         }),
@@ -524,15 +371,7 @@ fn redmine_case_in(db: &Database, seed: bool, mode: Mode) -> Driver {
     }
 }
 
-fn redmine_case(db: &Database, seed: bool) -> Driver {
-    redmine_case_in(db, seed, Mode::AdHoc)
-}
-
-fn redmine_cured_case(db: &Database, seed: bool) -> Driver {
-    redmine_case_in(db, seed, Mode::Cured)
-}
-
-fn saleor_case_in(db: &Database, seed: bool, mode: Mode) -> Driver {
+fn saleor_case(db: &Database, seed: bool, mode: Mode) -> Driver {
     let orm = saleor::setup(db).unwrap();
     let app = Arc::new(saleor::Saleor::new(orm, Arc::new(MemLock::new()), mode));
     if seed {
@@ -548,30 +387,18 @@ fn saleor_case_in(db: &Database, seed: bool, mode: Mode) -> Driver {
             Box::new(move || b.capture_payment(1, 300).map_err(|e| format!("{e:?}"))),
             Box::new(move || c.capture_payment(1, 300).map_err(|e| format!("{e:?}"))),
         ],
-        visible: Box::new({
-            let db = db.clone();
-            move |i| match i {
-                0 => int_field(&db, "stocks", 1, "qty") == Some(8),
-                1 => int_field(&db, "captures", 1, "captured_cents") >= Some(300),
-                _ => int_field(&db, "captures", 1, "captured_cents") == Some(600),
-            }
-        }),
-        invariants: Box::new({
-            let (app, db) = (app.clone(), db.clone());
-            move |_| {
-                let mut v = Vec::new();
-                if !app.capture_within_authorization(1).unwrap() {
-                    v.push("capture_within_authorization(1)".into());
-                }
-                v.extend(fail(
-                    "fsck",
-                    saleor::boot_fsck()
-                        .check(&db)
-                        .violations
-                        .iter()
-                        .map(|x| x.to_string())
-                        .collect(),
-                ));
+        audit: Box::new({
+            let app = app.clone();
+            move |audit| {
+                let mut v = lost(audit, |i| match i {
+                    0 => int_field(&db, "stocks", 1, "qty") == Some(8),
+                    1 => int_field(&db, "captures", 1, "captured_cents") >= Some(300),
+                    _ => int_field(&db, "captures", 1, "captured_cents") == Some(600),
+                });
+                check(&mut v, app.capture_within_authorization(1).unwrap(), || {
+                    "capture_within_authorization(1)".into()
+                });
+                v.extend(fsck_violations(&saleor::boot_fsck().check(&db)));
                 v
             }
         }),
@@ -579,15 +406,7 @@ fn saleor_case_in(db: &Database, seed: bool, mode: Mode) -> Driver {
     }
 }
 
-fn saleor_case(db: &Database, seed: bool) -> Driver {
-    saleor_case_in(db, seed, Mode::AdHoc)
-}
-
-fn saleor_cured_case(db: &Database, seed: bool) -> Driver {
-    saleor_case_in(db, seed, Mode::Cured)
-}
-
-fn scm_case_in(db: &Database, seed: bool, mode: Mode) -> Driver {
+fn scm_case(db: &Database, seed: bool, mode: Mode) -> Driver {
     let orm = scm_suite::setup(db).unwrap();
     let app = Arc::new(scm_suite::ScmSuite::new(
         orm,
@@ -611,37 +430,25 @@ fn scm_case_in(db: &Database, seed: bool, mode: Mode) -> Driver {
             }),
             Box::new(move || c.adjust_balance(1, 10).map_err(|e| format!("{e:?}"))),
         ],
-        visible: Box::new({
-            let db = db.clone();
-            move |i| match i {
-                0 => int_field(&db, "accounts", 2, "balance") == Some(130),
-                1 => int_field(&db, "merchandise", 1, "stock") == Some(6),
-                _ => int_field(&db, "accounts", 1, "balance") == Some(80),
-            }
-        }),
-        invariants: Box::new({
-            let (app, db) = (app.clone(), db.clone());
-            move |after_resume| {
-                let mut v = Vec::new();
+        audit: Box::new({
+            let app = app.clone();
+            move |audit| {
+                let mut v = lost(audit, |i| match i {
+                    0 => int_field(&db, "accounts", 2, "balance") == Some(130),
+                    1 => int_field(&db, "merchandise", 1, "stock") == Some(6),
+                    _ => int_field(&db, "accounts", 1, "balance") == Some(80),
+                });
                 // Money is conserved across the crash: the transfer is one
                 // WAL-atomic commit, so the total is exactly the seeded 200
                 // plus the idempotence-free +10 adjustment if it applied.
                 // A resumed retry may legitimately re-apply the adjustment.
-                if !after_resume {
+                if !audit.resumed {
                     let total = app.total_balance(&[1, 2]).unwrap();
-                    if total != 200 && total != 210 {
-                        v.push(format!("conservation: total = {total}"));
-                    }
+                    check(&mut v, total == 200 || total == 210, || {
+                        format!("conservation: total = {total}")
+                    });
                 }
-                v.extend(fail(
-                    "fsck",
-                    scm_suite::boot_fsck()
-                        .check(&db)
-                        .violations
-                        .iter()
-                        .map(|x| x.to_string())
-                        .collect(),
-                ));
+                v.extend(fsck_violations(&scm_suite::boot_fsck().check(&db)));
                 v
             }
         }),
@@ -650,211 +457,75 @@ fn scm_case_in(db: &Database, seed: bool, mode: Mode) -> Driver {
 }
 
 // ---------------------------------------------------------------------------
-// The oracle loop.
+// The sweeps.
 // ---------------------------------------------------------------------------
 
-fn scm_case(db: &Database, seed: bool) -> Driver {
-    scm_case_in(db, seed, Mode::AdHoc)
-}
-
-fn scm_cured_case(db: &Database, seed: bool) -> Driver {
-    scm_case_in(db, seed, Mode::Cured)
-}
-
-fn witness_filter() -> Option<(String, String, u64)> {
-    let spec = std::env::var("CRASH_ORACLE").ok()?;
-    let mut parts = spec.splitn(3, '/');
-    Some((
-        parts.next()?.to_string(),
-        parts.next()?.to_string(),
-        parts.next()?.parse().ok()?,
-    ))
-}
-
-/// Fault-free baseline: runs the workload, asserts it is self-consistent,
-/// and returns the number of commit-adjacent crash points it exposes.
-fn baseline(name: &str, case: Case) -> u64 {
-    let db = wal_db();
-    let plan = FaultPlan::new_disabled(SEED, vec![]);
-    db.inject_faults(plan.clone());
-    let driver = case(&db, true);
-    plan.enable();
-    for (i, op) in driver.ops.iter().enumerate() {
-        let acked = op().unwrap_or_else(|e| panic!("{name}: baseline op {i} failed: {e}"));
-        assert!(acked, "{name}: baseline op {i} must take effect");
-        assert!((driver.visible)(i), "{name}: baseline op {i} not visible");
-    }
-    // Snapshot the workload's commit count before the invariant probes run
-    // their own (read-only) transactions and inflate it.
-    let commits = plan.ops_seen(OpClass::DbCommit);
-    plan.disable();
-    let violations = (driver.invariants)(false);
-    assert!(
-        violations.is_empty(),
-        "{name}: baseline violates {violations:?}"
-    );
-    assert!(
-        commits >= driver.ops.len() as u64,
-        "{name}: too few commits"
-    );
-    commits
-}
-
-/// Crash the workload at commit `k` with `kind`, restart, replay the WAL,
-/// run boot-fsck, and assert the oracle's three properties. Returns the
-/// boot report's repaired-rule names (the named findings).
-fn crash_at(name: &str, case: Case, kind: FaultKind, k: u64) -> Vec<String> {
-    let witness = format!("{name}/{}/{k}", kind.name());
-
-    // --- The crashing run. -------------------------------------------------
-    let db1 = wal_db();
-    let plan = FaultPlan::new_disabled(SEED, vec![FaultRule::at_ops(kind, &[k])]);
-    db1.inject_faults(plan.clone());
-    let driver1 = case(&db1, true);
-    plan.enable();
-    let mut acked = Vec::new();
-    let mut crashed_op = None;
-    for (i, op) in driver1.ops.iter().enumerate() {
-        match op() {
-            Ok(effect) => acked.push((i, effect)),
-            Err(_) => {
-                crashed_op = Some(i);
-                break;
-            }
-        }
-    }
-    assert_eq!(
-        plan.fired(),
-        1,
-        "[{witness}] the fault must fire exactly once"
-    );
-    let crashed_op = crashed_op.expect("a fired crash fault surfaces as an op error");
-
-    // --- Restart: fresh engine, schema setup, WAL replay, boot fsck. -------
-    let db2 = wal_db();
-    let driver2 = case(&db2, false);
-    let report = restart_from(&db1, &db2)
-        .unwrap_or_else(|e| panic!("[{witness}] recovery replay failed: {e}"));
-    let boot = (driver2.recover)();
-
-    // 1. Durability: every acknowledged effect survives the crash.
-    for (i, effect) in &acked {
-        if *effect {
-            assert!(
-                (driver2.visible)(*i),
-                "[{witness}] acked op {i} lost in recovery ({report:?})"
-            );
-        }
-    }
-
-    // 2. Atomicity + domain invariants after boot recovery.
-    let violations = (driver2.invariants)(false);
-    assert!(
-        violations.is_empty(),
-        "[{witness}] invariants broken after recovery: {violations:?} (boot fixed {}, {report:?})",
-        boot.fixed
-    );
-
-    // 3. Serviceability: the restarted process resumes the workload.
-    for op in &driver2.ops[crashed_op..] {
-        let _ = op(); // at-least-once delivery: the retry may ack or no-op
-    }
-    let violations = (driver2.invariants)(true);
-    assert!(
-        violations.is_empty(),
-        "[{witness}] invariants broken after resume: {violations:?}"
-    );
-
-    // Unfixable findings must have been caught by the invariant pass above;
-    // report the repaired ones as named findings.
-    boot.violations
-        .iter()
-        .map(|v| format!("[{witness}] unfixed {v}"))
-        .chain(
-            (boot.fixed > 0)
-                .then(|| format!("[{witness}] boot-fsck repaired {} state(s)", boot.fixed)),
-        )
-        .collect()
-}
-
-/// Sweep every crash kind × commit point for one app; returns all named
-/// findings plus the set of fsck rules that fired, for expectation checks.
-fn sweep(name: &str, case: Case) -> (Vec<String>, Vec<String>) {
-    let commits = baseline(name, case);
-    let filter = witness_filter();
-    let mut findings = Vec::new();
-    let mut fixed_rules = Vec::new();
-    for &kind in CRASH_KINDS {
-        for k in 0..commits {
-            if let Some((app, kname, kk)) = &filter {
-                if app != name || kname != kind.name() || *kk != k {
-                    continue;
-                }
-            }
-            findings.extend(crash_at(name, case, kind, k));
-            // Re-derive which rules repaired state at this point: run the
-            // crashing half again and inspect the boot report directly.
-            // (Cheap: the sweep is the dominant cost and stays bounded.)
-            if findings.last().is_some_and(|f| f.contains("repaired")) {
-                fixed_rules.push(format!("{}@{k}", kind.name()));
-            }
-        }
-    }
-    for f in &findings {
-        eprintln!("finding: {f}");
-    }
-    (findings, fixed_rules)
+/// Sweep one app's workload in `mode`.
+fn sweep_in(name: &str, case: fn(&Database, bool, Mode) -> Driver, mode: Mode) -> Sweep {
+    sweep(name, &|db, seed| case(db, seed, mode))
 }
 
 #[test]
 fn spree_crash_sweep_surfaces_and_repairs_stuck_payments() {
-    let (findings, fixed) = sweep("spree", spree_case);
+    let s = sweep_in("spree", spree_case, Mode::AdHoc);
     if witness_filter().is_none() {
         // §4.3: the crash between "processing" and "completed" must appear
         // as a repaired finding for the durable-crash kind.
         assert!(
-            fixed.iter().any(|f| f.starts_with("crash-after-durable")),
-            "expected a stuck-processing repair, findings: {findings:?}"
+            s.repaired
+                .iter()
+                .any(|f| f.starts_with("crash-after-durable")),
+            "expected a stuck-processing repair, findings: {:?}",
+            s.findings
         );
     }
 }
 
 #[test]
 fn broadleaf_crash_sweep_repairs_cart_totals() {
-    let (findings, fixed) = sweep("broadleaf", broadleaf_case);
+    let s = sweep_in("broadleaf", broadleaf_case, Mode::AdHoc);
     if witness_filter().is_none() {
         assert!(
-            fixed.iter().any(|f| f.starts_with("crash-after-durable")),
-            "expected a cart-total repair, findings: {findings:?}"
+            s.repaired
+                .iter()
+                .any(|f| f.starts_with("crash-after-durable")),
+            "expected a cart-total repair, findings: {:?}",
+            s.findings
         );
     }
 }
 
 #[test]
 fn discourse_crash_sweep_repairs_counters() {
-    let (findings, fixed) = sweep("discourse", discourse_case);
+    let s = sweep_in("discourse", discourse_case, Mode::AdHoc);
     if witness_filter().is_none() {
         assert!(
-            fixed.iter().any(|f| f.starts_with("crash-after-durable")),
-            "expected a counter repair, findings: {findings:?}"
+            s.repaired
+                .iter()
+                .any(|f| f.starts_with("crash-after-durable")),
+            "expected a counter repair, findings: {:?}",
+            s.findings
         );
     }
 }
 
 #[test]
 fn jumpserver_crash_sweep_backfills_rotation_audits() {
-    let (findings, fixed) = sweep("jumpserver", jumpserver_case);
+    let s = sweep_in("jumpserver", jumpserver_case, Mode::AdHoc);
     if witness_filter().is_none() {
         assert!(
-            fixed.iter().any(|f| f.starts_with("crash-after-durable")),
-            "expected a rotation-audit backfill, findings: {findings:?}"
+            s.repaired
+                .iter()
+                .any(|f| f.starts_with("crash-after-durable")),
+            "expected a rotation-audit backfill, findings: {:?}",
+            s.findings
         );
     }
 }
 
 #[test]
 fn mastodon_crash_sweep_is_clean_with_checked_delivery() {
-    let (findings, _) = sweep("mastodon", mastodon_case);
+    let findings = sweep_in("mastodon", mastodon_case, Mode::AdHoc).findings;
     if witness_filter().is_none() {
         // Every Mastodon op in the sweep re-reads durable state before
         // writing, so no crash point needs a repair.
@@ -864,7 +535,7 @@ fn mastodon_crash_sweep_is_clean_with_checked_delivery() {
 
 #[test]
 fn redmine_crash_sweep_is_clean_by_single_txn_discipline() {
-    let (findings, _) = sweep("redmine", redmine_case);
+    let findings = sweep_in("redmine", redmine_case, Mode::AdHoc).findings;
     if witness_filter().is_none() {
         // Redmine pairs each counter bump with its row insert in ONE
         // transaction (the paper's only near-bug-free app): WAL atomicity
@@ -875,7 +546,7 @@ fn redmine_crash_sweep_is_clean_by_single_txn_discipline() {
 
 #[test]
 fn saleor_crash_sweep_never_overcaptures() {
-    let (findings, _) = sweep("saleor", saleor_case);
+    let findings = sweep_in("saleor", saleor_case, Mode::AdHoc).findings;
     if witness_filter().is_none() {
         assert!(findings.is_empty(), "unexpected findings: {findings:?}");
     }
@@ -883,7 +554,7 @@ fn saleor_crash_sweep_never_overcaptures() {
 
 #[test]
 fn scm_crash_sweep_conserves_money() {
-    let (findings, _) = sweep("scm_suite", scm_case);
+    let findings = sweep_in("scm_suite", scm_case, Mode::AdHoc).findings;
     if witness_filter().is_none() {
         assert!(findings.is_empty(), "unexpected findings: {findings:?}");
     }
@@ -898,12 +569,13 @@ fn scm_crash_sweep_conserves_money() {
 // addresses the cured variants exactly like the ad hoc ones.
 // ---------------------------------------------------------------------------
 
-fn assert_cured_sweep_clean(name: &str, case: Case) {
-    let (findings, fixed) = sweep(name, case);
+fn assert_cured_sweep_clean(name: &str, case: fn(&Database, bool, Mode) -> Driver) {
+    let s = sweep_in(name, case, Mode::Cured);
     if witness_filter().is_none() {
         assert!(
-            findings.is_empty() && fixed.is_empty(),
-            "{name}: the cure layer left work for boot-fsck: {findings:?}"
+            s.findings.is_empty() && s.repaired.is_empty(),
+            "{name}: the cure layer left work for boot-fsck: {:?}",
+            s.findings
         );
     }
 }
@@ -912,46 +584,46 @@ fn assert_cured_sweep_clean(name: &str, case: Case) {
 fn spree_cured_crash_sweep_has_zero_findings() {
     // §4.3 [60] cured: the payment state machine advances in one atomic
     // transaction, so no crash point can strand a `processing` row.
-    assert_cured_sweep_clean("spree_cured", spree_cured_case);
+    assert_cured_sweep_clean("spree_cured", spree_case);
 }
 
 #[test]
 fn broadleaf_cured_crash_sweep_has_zero_findings() {
     // Figure 1a cured: item insert + total recompute commit together.
-    assert_cured_sweep_clean("broadleaf_cured", broadleaf_cured_case);
+    assert_cured_sweep_clean("broadleaf_cured", broadleaf_case);
 }
 
 #[test]
 fn discourse_cured_crash_sweep_has_zero_findings() {
     // §4.2 cured: counter bumps ride the same commit as their rows.
-    assert_cured_sweep_clean("discourse_cured", discourse_cured_case);
+    assert_cured_sweep_clean("discourse_cured", discourse_case);
 }
 
 #[test]
 fn mastodon_cured_crash_sweep_has_zero_findings() {
-    assert_cured_sweep_clean("mastodon_cured", mastodon_cured_case);
+    assert_cured_sweep_clean("mastodon_cured", mastodon_case);
 }
 
 #[test]
 fn jumpserver_cured_crash_sweep_has_zero_findings() {
     // The rotation audit is written with the version bump, not after it —
     // nothing for the backfill rule to do at any crash point.
-    assert_cured_sweep_clean("jumpserver_cured", jumpserver_cured_case);
+    assert_cured_sweep_clean("jumpserver_cured", jumpserver_case);
 }
 
 #[test]
 fn redmine_cured_crash_sweep_has_zero_findings() {
-    assert_cured_sweep_clean("redmine_cured", redmine_cured_case);
+    assert_cured_sweep_clean("redmine_cured", redmine_case);
 }
 
 #[test]
 fn saleor_cured_crash_sweep_has_zero_findings() {
-    assert_cured_sweep_clean("saleor_cured", saleor_cured_case);
+    assert_cured_sweep_clean("saleor_cured", saleor_case);
 }
 
 #[test]
 fn scm_cured_crash_sweep_has_zero_findings() {
-    assert_cured_sweep_clean("scm_suite_cured", scm_cured_case);
+    assert_cured_sweep_clean("scm_suite_cured", scm_case);
 }
 
 // ---------------------------------------------------------------------------
@@ -966,35 +638,13 @@ fn scm_cured_crash_sweep_has_zero_findings() {
 #[test]
 fn mastodon_volatile_marker_redelivery_is_found_and_deduped() {
     let db1 = wal_db();
-    let orm = mastodon::setup(&db1).unwrap();
-    let kv = Client::new(
-        Store::new(),
-        Arc::new(VirtualClock::new()),
-        LatencyModel::zero(),
-    );
-    let app1 = Arc::new(mastodon::Mastodon::new(
-        orm,
-        kv,
-        Arc::new(MemLock::new()),
-        Mode::AdHoc,
-    ));
+    let app1 = mastodon_app(&db1, Mode::AdHoc);
     assert!(app1.notify_once(7, "follow").unwrap());
 
     // Crash-restart: the notification row replays from the WAL; the SETNX
     // marker lived in the volatile store and is gone.
     let db2 = wal_db();
-    let orm2 = mastodon::setup(&db2).unwrap();
-    let kv2 = Client::new(
-        Store::new(),
-        Arc::new(VirtualClock::new()),
-        LatencyModel::zero(),
-    );
-    let app2 = Arc::new(mastodon::Mastodon::new(
-        orm2,
-        kv2,
-        Arc::new(MemLock::new()),
-        Mode::AdHoc,
-    ));
+    let app2 = mastodon_app(&db2, Mode::AdHoc);
     restart_from(&db1, &db2).unwrap();
 
     // The delivery queue redelivers; the marker race is lost.

@@ -1,0 +1,267 @@
+//! The crash-restart sweep both crash oracles run: every commit-adjacent
+//! crash point of a small WAL-backed workload, under every crash-shaped
+//! fault kind:
+//!
+//! * `CommitFailed` — the commit never takes effect (clean rollback);
+//! * `CrashAfterDurable` — the commit is durable but unacknowledged
+//!   (§3.4.2's ambiguity);
+//! * `CrashBeforeDurable` — the commit reached the page cache only;
+//! * `TornWrite` — the crash tears the commit's log record in half.
+//!
+//! After each crash the engine restarts: a fresh database, schema setup,
+//! WAL replay ([`restart_from`]), then the app's `recover_on_boot`
+//! boot-fsck pass. The driver's audit must then hold on the recovered
+//! state and again after the restarted process resumes the workload from
+//! the crashed op. [`crash_at`] hands back what boot-fsck found and what
+//! the resumed ops returned; each oracle decides which of those are
+//! findings and which are failures.
+//!
+//! Every point replays alone: `CRASH_ORACLE=<sweep>/<kind>/<k>` (e.g.
+//! `spree/crash-after-durable/3`, `scm_suite_confluent/torn-write/2`).
+
+use adhoc_transactions::core::checker::Report;
+use adhoc_transactions::sim::{FaultKind, FaultPlan, FaultRule, OpClass};
+use adhoc_transactions::storage::{restart_from, Database, DbConfig, EngineProfile};
+
+const SEED: u64 = 0x5157_4d0d_2022_0612;
+
+const CRASH_KINDS: &[FaultKind] = &[
+    FaultKind::CommitFailed,
+    FaultKind::CrashAfterDurable,
+    FaultKind::CrashBeforeDurable,
+    FaultKind::TornWrite,
+];
+
+pub fn wal_db() -> Database {
+    Database::new(DbConfig::in_memory(EngineProfile::PostgresLike).with_wal())
+}
+
+/// What an audit gets to see after a (possibly crashed, possibly resumed)
+/// run.
+pub struct Audit<'a> {
+    /// Indexes of ops acknowledged with effect before the crash. Ops run
+    /// in order, so this is always a prefix of the effectful ones.
+    pub acked: &'a [usize],
+    /// The op the injected crash surfaced in; `None` on the fault-free
+    /// baseline. Its commit may or may not have landed durably
+    /// (§3.4.2's ambiguity), so audits allow either outcome.
+    #[allow(dead_code)] // only the confluence audits bound duplicates
+    pub crashed: Option<usize>,
+    /// After resume, every op has been attempted at least once; the
+    /// crashed op may have applied twice (at-least-once delivery).
+    pub resumed: bool,
+}
+
+/// One workload step: `Ok(true)` = acknowledged with effect,
+/// `Ok(false)` = acknowledged no-op, `Err` = the injected crash.
+pub type Op = Box<dyn Fn() -> Result<bool, String>>;
+
+/// Names of the invariants violated right now, given what the run
+/// acknowledged.
+pub type AuditFn = Box<dyn Fn(&Audit) -> Vec<String>>;
+
+/// One app's workload bound to a database instance.
+pub struct Driver {
+    /// Sequential workload steps.
+    pub ops: Vec<Op>,
+    /// The invariant audit.
+    pub audit: AuditFn,
+    /// The app's boot-fsck pass in fix mode.
+    pub recover: Box<dyn Fn() -> Report>,
+}
+
+/// Build an app's tables (+ seed data when `seed`) on `db` and return its
+/// driver. Restarted databases pass `seed = false`: their rows come from
+/// WAL replay, not from re-seeding.
+pub type Case<'a> = &'a dyn Fn(&Database, bool) -> Driver;
+
+pub fn int_field(db: &Database, table: &str, id: i64, col: &str) -> Option<i64> {
+    let schema = db.schema(table).ok()?;
+    db.latest_committed(table, id)
+        .ok()?
+        .and_then(|row| row.get_int(&schema, col).ok())
+}
+
+pub fn check(violations: &mut Vec<String>, ok: bool, name: impl Fn() -> String) {
+    if !ok {
+        violations.push(name());
+    }
+}
+
+pub fn fsck_violations(report: &Report) -> Vec<String> {
+    report.violations.iter().map(|v| v.to_string()).collect()
+}
+
+/// The `CRASH_ORACLE` replay point, if one is set.
+pub fn witness_filter() -> Option<(String, String, u64)> {
+    let spec = std::env::var("CRASH_ORACLE").ok()?;
+    let mut parts = spec.splitn(3, '/');
+    Some((
+        parts.next()?.to_string(),
+        parts.next()?.to_string(),
+        parts.next()?.parse().ok()?,
+    ))
+}
+
+/// Fault-free baseline: every op acks with effect, the audit is clean
+/// after each one, and the workload exposes `commits` crash points.
+fn baseline(name: &str, case: Case) -> u64 {
+    let db = wal_db();
+    let plan = FaultPlan::new_disabled(SEED, vec![]);
+    db.inject_faults(plan.clone());
+    let driver = case(&db, true);
+    let mut acked = Vec::new();
+    for (i, op) in driver.ops.iter().enumerate() {
+        // Count only the workload's commits, not the audit's own probes.
+        plan.enable();
+        let effect = op().unwrap_or_else(|e| panic!("{name}: baseline op {i} failed: {e}"));
+        plan.disable();
+        assert!(effect, "{name}: baseline op {i} must take effect");
+        acked.push(i);
+        let violations = (driver.audit)(&Audit {
+            acked: &acked,
+            crashed: None,
+            resumed: false,
+        });
+        assert!(
+            violations.is_empty(),
+            "{name}: baseline op {i} violates {violations:?}"
+        );
+    }
+    let commits = plan.ops_seen(OpClass::DbCommit);
+    assert!(
+        commits >= driver.ops.len() as u64,
+        "{name}: too few commits"
+    );
+    commits
+}
+
+/// What one crash point left behind once the audits passed.
+pub struct Crash {
+    /// The boot-fsck report of the restarted process.
+    pub boot: Report,
+    /// Errors the resumed ops returned.
+    pub resume_errors: Vec<String>,
+}
+
+/// Crash the workload at commit `k` with `kind`, restart, replay the WAL,
+/// run boot-fsck, and assert the audit after recovery (acked effects
+/// durable, invariants intact) and after the resumed workload.
+pub fn crash_at(name: &str, case: Case, kind: FaultKind, k: u64) -> Crash {
+    let witness = format!("{name}/{}/{k}", kind.name());
+
+    let db1 = wal_db();
+    let plan = FaultPlan::new_disabled(SEED, vec![FaultRule::at_ops(kind, &[k])]);
+    db1.inject_faults(plan.clone());
+    let driver1 = case(&db1, true);
+    plan.enable();
+    let mut acked = Vec::new();
+    let mut crashed = None;
+    for (i, op) in driver1.ops.iter().enumerate() {
+        match op() {
+            Ok(effect) => {
+                if effect {
+                    acked.push(i);
+                }
+            }
+            Err(_) => {
+                crashed = Some(i);
+                break;
+            }
+        }
+    }
+    assert_eq!(
+        plan.fired(),
+        1,
+        "[{witness}] the fault must fire exactly once"
+    );
+    let crashed_op = crashed.expect("a fired crash fault surfaces as an op error");
+
+    // Restart: fresh engine, schema setup, WAL replay, boot fsck.
+    let db2 = wal_db();
+    let driver2 = case(&db2, false);
+    let report = restart_from(&db1, &db2)
+        .unwrap_or_else(|e| panic!("[{witness}] recovery replay failed: {e}"));
+    let boot = (driver2.recover)();
+    let mut audit = Audit {
+        acked: &acked,
+        crashed: Some(crashed_op),
+        resumed: false,
+    };
+    let violations = (driver2.audit)(&audit);
+    assert!(
+        violations.is_empty(),
+        "[{witness}] invariants broken after recovery: {violations:?} (boot {boot:?}, {report:?})"
+    );
+
+    // Serviceability: the restarted process resumes from the crashed op
+    // (at-least-once delivery: a retry may ack or no-op).
+    let resume_errors = driver2.ops[crashed_op..]
+        .iter()
+        .filter_map(|op| op().err())
+        .map(|e| format!("[{witness}] resume: {e}"))
+        .collect();
+    audit.resumed = true;
+    let violations = (driver2.audit)(&audit);
+    assert!(
+        violations.is_empty(),
+        "[{witness}] invariants broken after resume: {violations:?}"
+    );
+    Crash {
+        boot,
+        resume_errors,
+    }
+}
+
+/// What a whole sweep found.
+pub struct Sweep {
+    /// Named findings: boot-fsck violations left unfixed, and points
+    /// where boot-fsck repaired state.
+    pub findings: Vec<String>,
+    /// `<kind>@<k>` for every point where boot-fsck repaired state.
+    pub repaired: Vec<String>,
+    /// Errors the resumed workloads returned.
+    pub resume_errors: Vec<String>,
+}
+
+/// Sweep every crash kind × commit point for one app (or the one point
+/// `CRASH_ORACLE` names).
+pub fn sweep(name: &str, case: Case) -> Sweep {
+    let commits = baseline(name, case);
+    let filter = witness_filter();
+    let mut out = Sweep {
+        findings: Vec::new(),
+        repaired: Vec::new(),
+        resume_errors: Vec::new(),
+    };
+    for &kind in CRASH_KINDS {
+        for k in 0..commits {
+            if let Some((app, kname, kk)) = &filter {
+                if app != name || kname != kind.name() || *kk != k {
+                    continue;
+                }
+            }
+            let crash = crash_at(name, case, kind, k);
+            let witness = format!("{name}/{}/{k}", kind.name());
+            out.findings.extend(
+                crash
+                    .boot
+                    .violations
+                    .iter()
+                    .map(|v| format!("[{witness}] unfixed {v}")),
+            );
+            if crash.boot.fixed > 0 {
+                out.findings.push(format!(
+                    "[{witness}] boot-fsck repaired {} state(s)",
+                    crash.boot.fixed
+                ));
+                out.repaired.push(format!("{}@{k}", kind.name()));
+            }
+            out.resume_errors.extend(crash.resume_errors);
+        }
+    }
+    for f in &out.findings {
+        eprintln!("finding: {f}");
+    }
+    out
+}

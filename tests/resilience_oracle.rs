@@ -4,351 +4,52 @@
 //! while the naive ablation (no deadlines, no breaker, no admission
 //! control, eager retries) stays depressed long after the fault is gone.
 //!
-//! The mechanism being reproduced is the classic metastable failure:
-//! during the outage the naive system queues every request and amplifies
-//! each with retries; after the outage the backlog is so deep that every
-//! request it completes already missed its client's patience window, so
-//! the work is wasted, the client has already resubmitted, and goodput
-//! pins near zero on a perfectly healthy backend. The hardened stack
-//! breaks every link of that loop: per-app front doors bound the queue,
-//! deadlines drop stale work for free, the circuit breaker turns outage
-//! traffic into instant local rejections, a retry budget bounds the
-//! amplification, and read-only degraded mode keeps reads flowing off
-//! the replica while writes shed.
-//!
-//! Everything runs single-threaded on a [`VirtualClock`] with a seeded
-//! windowed [`FaultPlan`], so both worlds replay bit-for-bit.
+//! The world is the bench's own (`adhoc_bench::resilience::run_config`,
+//! the one partition-storm loop, whose module doc walks through the
+//! metastable mechanism); this oracle asserts on its `full` (hardened)
+//! and `naive` runs, which are the `BENCH_resilience.json` rows of the
+//! same names. Everything runs single-threaded on a [`VirtualClock`]
+//! with a seeded windowed [`FaultPlan`], so both worlds replay
+//! bit-for-bit.
 
+use adhoc_bench::resilience::{
+    at_tick, resilience_sweep, ResilienceRow, ARRIVALS, DOOR_CAPACITY, PATIENCE, SEED, STORM_END,
+    STORM_START, TICK, TICKS,
+};
 use adhoc_transactions::apps::admission::{Admission, APPS};
 use adhoc_transactions::kv::{Client, KvError, Store};
 use adhoc_transactions::sim::{
-    BreakerState, CircuitBreaker, Clock, Deadline, FaultKind, FaultPlan, FaultRule, LatencyModel,
-    Permit, RetryBudget, VirtualClock, Workload,
+    BreakerState, CircuitBreaker, Clock, FaultKind, FaultPlan, FaultRule, LatencyModel,
+    VirtualClock, Workload,
 };
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
-const SEED: u64 = 0x5157_4d0d_2022_0612;
-/// One scheduling tick of the closed loop.
-const TICK: Duration = Duration::from_millis(10);
-/// Total simulated ticks.
-const TICKS: u64 = 200;
-/// Requests arriving per tick (round-robin over the eight apps; every
-/// fourth is a read).
-const ARRIVALS: u64 = 4;
-/// KV round trips the backend can serve per tick.
-const CAPACITY: u64 = 16;
-/// Client patience, in ticks: a response later than this is useless to
-/// the caller (and the caller has already resubmitted).
-const PATIENCE: u64 = 4;
-/// The partition storm occupies ticks [STORM_START, STORM_END).
-const STORM_START: u64 = 60;
-const STORM_END: u64 = 90;
-/// Naive ablation: in-place attempts per request before requeueing.
-const NAIVE_ATTEMPTS: u32 = 4;
-/// Per-app front-door concurrency bound (hardened world only).
-const DOOR_CAPACITY: usize = 3;
-/// Ticks after the storm by which the hardened world must be back to
-/// >= 90% of baseline goodput.
-const RECOVERY_TICKS: u64 = 10;
-
-/// Virtual-clock instant of tick `n`.
-fn at_tick(n: u64) -> Duration {
-    TICK * u32::try_from(n).expect("tick fits u32")
-}
-
-struct Req {
-    id: u64,
-    app: usize,
-    born: u64,
-    read: bool,
-    /// The impatient client already resubmitted a fresh copy.
-    respawned: bool,
-    deadline: Option<Deadline>,
-    /// Front-door slot, held (never read) while queued and in flight;
-    /// dropping it releases the slot.
-    _permit: Option<Permit>,
-}
-
-#[derive(Debug, Default)]
-struct Metrics {
-    /// Requests completed within patience, per tick.
-    goodput: Vec<u64>,
-    /// Reads served from the replica while degraded, during the storm.
-    storm_replica_reads: u64,
-    /// Completions that arrived after the client gave up.
-    wasted: u64,
-    /// Queue depth when the run ended.
-    end_queue: usize,
-    /// Front-door sheds plus deadline drops (hardened only).
-    shed: u64,
-    /// Degraded-mode write refusals (hardened only).
-    refused_writes: u64,
-    times_opened: u64,
-    /// Writes acknowledged to clients (all re-verified durable).
-    acked: u64,
-}
-
-fn avg(window: &[u64]) -> f64 {
-    window.iter().sum::<u64>() as f64 / window.len() as f64
-}
-
-/// Drive one world for [`TICKS`] ticks and return its metrics. The two
-/// worlds share every constant and the fault seed; `hardened` toggles
-/// the entire resilience layer at once (the same ablation the bench
-/// sweep reports in `BENCH_resilience.json`).
-fn run_world(hardened: bool) -> Metrics {
-    let clock = Arc::new(VirtualClock::new());
-    let storm = FaultRule::storm(
-        &[FaultKind::PartitionInbound],
-        1.0,
-        at_tick(STORM_START),
-        at_tick(STORM_END),
-    );
-    let plan = FaultPlan::new(SEED, storm);
-    let breaker = Arc::new(CircuitBreaker::new(4, 2 * TICK));
-    let budget = Arc::new(RetryBudget::new(4));
-    let mut base = Client::new(Store::new(), clock.clone(), LatencyModel::zero()).with_faults(plan);
-    if hardened {
-        base = base.with_breaker(Arc::clone(&breaker));
-    }
-    let admission = Admission::new(DOOR_CAPACITY);
-
-    let mut queue: VecDeque<Req> = VecDeque::new();
-    let mut next_id: u64 = 0;
-    let mut metrics = Metrics::default();
-    let mut acked_keys: Vec<String> = Vec::new();
-    // Fencing-token floors per app lease: every grant must dominate the
-    // previous one ("no double-granted fenced lease").
-    let mut last_token = vec![0u64; APPS.len()];
-
-    for tick in 0..TICKS {
-        // The clock is the only source of time: storm windows, TTLs,
-        // deadlines, and breaker cooldowns all read it.
-        assert_eq!(clock.now(), at_tick(tick));
-        let storming = (STORM_START..STORM_END).contains(&tick);
-
-        // Degraded mode follows the breaker: while Open, writes shed at
-        // the door and reads come off the replica. Half-open un-degrades
-        // so the probe write can go through.
-        let degraded = hardened && matches!(breaker.state(clock.now()), BreakerState::Open);
-        admission.degrade_writes(degraded);
-
-        // Arrivals.
-        for _ in 0..ARRIVALS {
-            let id = next_id;
-            next_id += 1;
-            let app = (id % APPS.len() as u64) as usize;
-            let read = id % 4 == 3;
-            let workload = if read {
-                Workload::Read
-            } else {
-                Workload::Write
-            };
-            let permit = if hardened {
-                match admission.admit(APPS[app], workload) {
-                    Ok(p) => Some(p),
-                    Err(_) => continue, // shed or refused: the client hears now
-                }
-            } else {
-                None
-            };
-            queue.push_back(Req {
-                id,
-                app,
-                born: tick,
-                read,
-                respawned: false,
-                deadline: hardened.then(|| Deadline::at(at_tick(tick + PATIENCE + 1))),
-                _permit: permit,
-            });
-        }
-
-        // Service loop: strict FIFO with head-of-line blocking — the
-        // tick ends when the round-trip budget is spent, and everyone
-        // behind the head waits. This is what makes backlog deadly: a
-        // deep queue means every served request is already stale.
-        let mut used: u64 = 0;
-        let mut goodput: u64 = 0;
-        for _ in 0..queue.len() {
-            if used >= CAPACITY {
-                break; // backend saturated: the rest of the line waits
-            }
-            let Some(mut req) = queue.pop_front() else {
-                break;
-            };
-            let stale = tick - req.born > PATIENCE;
-            if stale && !req.respawned {
-                // The impatient client resubmits; in the naive world the
-                // stale original stays queued and is still served.
-                req.respawned = true;
-                let permit = if hardened {
-                    let workload = if req.read {
-                        Workload::Read
-                    } else {
-                        Workload::Write
-                    };
-                    admission.admit(APPS[req.app], workload).ok()
-                } else {
-                    None
-                };
-                if !hardened || permit.is_some() {
-                    let id = next_id;
-                    next_id += 1;
-                    queue.push_back(Req {
-                        id,
-                        app: req.app,
-                        born: tick,
-                        read: req.read,
-                        respawned: false,
-                        deadline: hardened.then(|| Deadline::at(at_tick(tick + PATIENCE + 1))),
-                        _permit: permit,
-                    });
-                }
-            }
-            if hardened && stale {
-                // Deadline drop: free — no round trip is paid for work
-                // nobody is waiting for. The permit releases with `req`.
-                metrics.shed += 1;
-                continue;
-            }
-            let client = match req.deadline {
-                Some(d) => base.clone().with_deadline(d),
-                None => base.clone(),
-            };
-
-            if req.read && hardened && degraded {
-                // Read-only degraded mode: serve the read stale from the
-                // replica instead of the partitioned primary.
-                let _ = base
-                    .store()
-                    .get(&format!("out:{}:{}", APPS[req.app], req.id), clock.now());
-                if storming {
-                    metrics.storm_replica_reads += 1;
-                }
-                goodput += 1;
-                continue;
-            }
-
-            let mut attempts = 0u32;
-            let outcome = loop {
-                attempts += 1;
-                let before = base.round_trips();
-                let result = if req.read {
-                    client
-                        .get(&format!("out:{}:{}", APPS[req.app], req.id))
-                        .map(|_| None)
-                } else {
-                    serve_write(&client, &req, &mut last_token)
-                };
-                used += base.round_trips() - before;
-                match result {
-                    Ok(written) => break Ok(written),
-                    Err(e) => {
-                        let fail_fast =
-                            matches!(e, KvError::DeadlineExceeded | KvError::CircuitOpen);
-                        let retry = if hardened {
-                            !fail_fast && budget.try_withdraw()
-                        } else {
-                            attempts < NAIVE_ATTEMPTS && used < CAPACITY
-                        };
-                        if !retry {
-                            break Err(e);
-                        }
-                    }
-                }
-            };
-            match outcome {
-                Ok(written) => {
-                    if let Some(key) = written {
-                        metrics.acked += 1;
-                        acked_keys.push(key);
-                    }
-                    if stale {
-                        metrics.wasted += 1; // the client is long gone
-                    } else {
-                        goodput += 1;
-                    }
-                }
-                Err(_) => {
-                    if !hardened {
-                        // The naive client keeps waiting and retries from
-                        // the head of the line: the convoy.
-                        queue.push_front(req);
-                    }
-                    // Hardened: the error went back to the caller and the
-                    // front-door slot frees with `req`.
-                }
-            }
-        }
-        metrics.goodput.push(goodput);
-        clock.advance(TICK);
-    }
-
-    // No acked-write loss: every write acknowledged to a client is
-    // durable in the store, storm or no storm.
-    for key in &acked_keys {
-        assert_eq!(
-            base.store().get(key, clock.now()).unwrap().as_deref(),
-            Some("done"),
-            "acked write {key} lost"
-        );
-    }
-
-    metrics.end_queue = queue.len();
-    metrics.times_opened = breaker.times_opened();
-    if hardened {
-        metrics.shed += admission.total_shed();
-        metrics.refused_writes = APPS
-            .iter()
-            .map(|app| admission.door(app).stats().refused_writes)
-            .sum();
-    }
-    metrics
-}
-
-/// One write request: acquire the app's fenced lease, write the payload
-/// under the granted token, release. Returns the payload key on success.
-fn serve_write(
-    client: &Client,
-    req: &Req,
-    last_token: &mut [u64],
-) -> Result<Option<String>, KvError> {
-    let lease = format!("lease:{}", APPS[req.app]);
-    let owner = format!("req-{}", req.id);
-    let granted = client.acquire_lease(&lease, &owner, 2 * TICK)?;
-    let Some(token) = granted else {
-        // Lease held (a leaked grant waiting out its TTL): retryable.
-        return Err(KvError::ConnectionLost);
-    };
-    assert!(
-        token > last_token[req.app],
-        "fencing token regressed on {lease}: {token} after {}",
-        last_token[req.app]
-    );
-    last_token[req.app] = token;
-    let key = format!("out:{}:{}", APPS[req.app], req.id);
-    let landed = client.fenced_set(&key, "done", token)?;
-    assert!(landed, "the freshest token must clear the fence floor");
-    let _ = client.del(&lease);
-    Ok(Some(key))
+/// One swept configuration of the storm world, run once.
+fn world(config: &str) -> ResilienceRow {
+    resilience_sweep()
+        .into_iter()
+        .find(|r| r.config == config)
+        .expect("a swept configuration")
 }
 
 #[test]
 fn hardened_world_recovers_to_baseline_within_bound() {
-    let m = run_world(true);
-    let baseline = avg(&m.goodput[20..STORM_START as usize]);
+    let m = world("full");
+    // No acked-write loss and no double-granted fenced lease, storm or
+    // no storm.
+    assert!(m.violations.is_empty(), "{:?}", m.violations);
+    let baseline = m.baseline;
     assert!(
         baseline >= (ARRIVALS - 1) as f64,
         "healthy baseline must near the arrival rate, got {baseline}"
     );
 
     // The storm bites: goodput collapses while it lasts...
-    let storm_avg = avg(&m.goodput[STORM_START as usize..STORM_END as usize]);
     assert!(
-        storm_avg < 0.5 * baseline,
-        "the storm must depress goodput ({storm_avg} vs {baseline})"
+        m.storm < 0.5 * baseline,
+        "the storm must depress goodput ({} vs {baseline})",
+        m.storm
     );
     assert!(m.times_opened >= 1, "the breaker must have tripped");
     // ...but degraded mode keeps reads flowing off the replica,
@@ -360,18 +61,17 @@ fn hardened_world_recovers_to_baseline_within_bound() {
     // and writes are refused at the door instead of queueing.
     assert!(m.refused_writes > 0, "degraded mode must refuse writes");
 
-    // Recovery: back to >= 90% of baseline within RECOVERY_TICKS of the
-    // storm clearing, and it stays there.
-    let window_start = (STORM_END + RECOVERY_TICKS) as usize;
-    let recovered = avg(&m.goodput[window_start..window_start + 20]);
+    // Recovery: back to >= 90% of baseline over ticks 10..30 after the
+    // storm clears, and it stays there.
     assert!(
-        recovered >= 0.9 * baseline,
-        "hardened world failed to recover: {recovered} vs baseline {baseline}"
+        m.recovery >= 0.9 * baseline,
+        "hardened world failed to recover: {} vs baseline {baseline}",
+        m.recovery
     );
-    let tail = avg(&m.goodput[(TICKS - 20) as usize..]);
     assert!(
-        tail >= 0.9 * baseline,
-        "recovery must hold through the end of the run ({tail})"
+        m.tail >= 0.9 * baseline,
+        "recovery must hold through the end of the run ({})",
+        m.tail
     );
     // The bounded front door means the backlog died with the storm.
     assert!(
@@ -383,16 +83,17 @@ fn hardened_world_recovers_to_baseline_within_bound() {
 
 #[test]
 fn naive_world_stays_metastable_after_the_storm_clears() {
-    let m = run_world(false);
-    let baseline = avg(&m.goodput[20..STORM_START as usize]);
-    assert!(baseline >= (ARRIVALS - 1) as f64);
+    let m = world("naive");
+    assert!(m.violations.is_empty(), "{:?}", m.violations);
+    assert!(m.baseline >= (ARRIVALS - 1) as f64);
 
     // Long after the partition healed, goodput is still pinned low: the
     // backlog plus retry amplification outlived the fault.
-    let tail = avg(&m.goodput[(TICKS - 30) as usize..]);
+    let tail = m.goodput[(TICKS - 30) as usize..].iter().sum::<u64>() as f64 / 30.0;
     assert!(
-        tail <= 0.3 * baseline,
-        "expected a metastable tail, got {tail} vs baseline {baseline}"
+        tail <= 0.3 * m.baseline,
+        "expected a metastable tail, got {tail} vs baseline {}",
+        m.baseline
     );
     assert!(
         m.end_queue as u64 > 2 * ARRIVALS * PATIENCE,
@@ -528,13 +229,13 @@ fn run_occ_rides_out_a_kv_partition_storm() {
 
 #[test]
 fn oracle_replays_bit_for_bit() {
-    let a = run_world(true);
-    let b = run_world(true);
+    let a = world("full");
+    let b = world("full");
     assert_eq!(a.goodput, b.goodput);
     assert_eq!(a.acked, b.acked);
     assert_eq!(a.shed, b.shed);
-    let c = run_world(false);
-    let d = run_world(false);
+    let c = world("naive");
+    let d = world("naive");
     assert_eq!(c.goodput, d.goodput);
     assert_eq!(c.end_queue, d.end_queue);
 }

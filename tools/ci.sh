@@ -104,7 +104,7 @@ timeout 120 cargo test -q --release --test crash_recovery_oracle -- \
 # convergence and escrow budget exactness under real threads, plus the
 # WAL-backed crash sweep over the Confluent app paths (every commit point
 # x all four crash kinds, zero fsck repairs demanded). Replay one crash
-# point alone via CONFLUENCE_ORACLE=app/kind/k. The escrow ledger's own
+# point alone via CRASH_ORACLE=<app>_confluent/kind/k. The escrow ledger's own
 # tests run here in release too: the grant race they guard (a grant that
 # does not fit refusing one that does) shows most at full speed. So do
 # the other primitives' races: the commit watermark's wake-up and stall
@@ -143,6 +143,10 @@ timeout 60 cargo test -q --release -p adhoc-storage --test wal_properties
 # deterministic; the timeout guards only against accidental inflation.
 echo "==> chaos smoke gate (partition storm + fault suite, <60s)"
 timeout 60 cargo test -q --release --test resilience_oracle --test fault_suite
+# The oracle runs the bench's storm world (adhoc-bench's resilience
+# module, the one tick loop); its own tests pin the breaker_only arm, the
+# refilled retry budget and the world's invariant counters.
+timeout 60 cargo test -q --release -p adhoc-bench --lib resilience
 
 # Tiny-duty-cycle scaling-bench smoke: proves the sweeps run end to end
 # and emit well-formed BENCH_*.json, all seven.
