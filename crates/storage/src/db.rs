@@ -38,10 +38,15 @@
 //! readers of the newest version (`latest_committed`, escrow,
 //! first-updater checks) never look further back. Each commit prunes the
 //! chains it writes down to that horizon (`VersionChain::prune`) and the
-//! shard logs it appends to by the same rule. The horizon is cached in one
-//! monotone atomic and recomputed every `PRUNE_EVERY` installs into a
-//! shard, counted under that shard's guard, so the common commit pays one
-//! load for it.
+//! shard logs it appends to by the same rule. A chain holds its newest
+//! version inline in its shard-map slot and the older ones in a vector
+//! that pruning empties, so the one-version chain pruning leaves behind —
+//! almost every row — is read without following a pointer, and a row that
+//! was only ever inserted allocates no vector at all. Boot-time replay
+//! (`install_recovered`) replaces a row's chain with its newest version.
+//! The horizon is cached in one monotone atomic and recomputed every
+//! `PRUNE_EVERY` installs into a shard, counted under that shard's guard,
+//! so the common commit pays one load for it.
 
 use crate::engine::{AccessEvent, DbConfig, EngineProfile, IsolationLevel, StatementObserver};
 use crate::epoch::EpochSpine;
@@ -909,6 +914,12 @@ impl Database {
         }
     }
 
+    /// The installed statement observer. A statement that reports many
+    /// events looks once, then delivers each without the hook lock.
+    pub(crate) fn observer(&self) -> Option<Arc<dyn StatementObserver>> {
+        self.hooks()?.observer.clone()
+    }
+
     /// Charge one client↔server round trip.
     pub(crate) fn charge_statement(&self) {
         // Every simulated SQL round trip is a potential preemption point
@@ -941,14 +952,16 @@ impl Database {
         row: Option<Row>,
     ) {
         let mut shard = self.inner.shards[shard_of(table.id, id)].lock();
-        let chain = shard.rows.entry((table.id, id)).or_default();
-        let old = chain.latest();
+        let key = (table.id, id);
+        let old = shard.rows.get(&key).and_then(VersionChain::latest);
         table.apply_index(id, old, row.as_ref());
-        chain.push(RowVersion {
-            commit_ts,
-            data: row,
-        });
-        chain.prune(CommitTs::MAX);
+        shard.rows.insert(
+            key,
+            VersionChain::new(RowVersion {
+                commit_ts,
+                data: row,
+            }),
+        );
     }
 
     /// Advance the timestamp frontiers to cover a recovered commit, so

@@ -129,9 +129,30 @@ enum ColumnTest<'p> {
 
 impl BoundPredicate<'_> {
     /// Evaluate against a row of the schema this predicate was bound to.
+    /// Plain loops, which inline into the scan calling them, one call per
+    /// column test (an iterator chain here compiled to an out-of-line
+    /// `try_fold` call per row). Slots fill in order, so an empty inline
+    /// slot ends the tests; the spill holds the ones past the inline slots.
     pub(crate) fn matches(&self, row: &Row) -> bool {
-        let mut tests = self.inline.iter().flatten().chain(&self.spill);
-        tests.all(|test| match test {
+        for test in &self.inline {
+            match test {
+                Some(test) if !test.matches(row) => return false,
+                Some(_) => {}
+                None => return true,
+            }
+        }
+        for test in &self.spill {
+            if !test.matches(row) {
+                return false;
+            }
+        }
+        true
+    }
+}
+
+impl ColumnTest<'_> {
+    fn matches(&self, row: &Row) -> bool {
+        match self {
             ColumnTest::Eq(col, v) => row.at(*col) == *v,
             ColumnTest::Range { column, low, high } => {
                 let v = row.at(*column);
@@ -147,7 +168,7 @@ impl BoundPredicate<'_> {
                 };
                 lo_ok && hi_ok
             }
-        })
+        }
     }
 }
 
@@ -303,6 +324,30 @@ mod tests {
             .matches(&s, &r)
             .unwrap());
         assert!(nested(Predicate::eq("ghost", 1)).matches(&s, &r).is_err());
+    }
+
+    #[test]
+    fn a_failing_test_decides_in_any_position() {
+        // One to four tests fill the inline slots, then the spill; one
+        // failing test anywhere makes the conjunction false, none true.
+        let s = schema();
+        let r = row(1, 10, "new");
+        for len in 1..=4 {
+            for failing in (0..len).map(Some).chain([None]) {
+                let p = Predicate::And(
+                    (0..len)
+                        .map(|i| {
+                            Predicate::eq("order_id", if Some(i) == failing { 11 } else { 10 })
+                        })
+                        .collect(),
+                );
+                assert_eq!(
+                    p.matches(&s, &r).unwrap(),
+                    failing.is_none(),
+                    "{len} tests, failing at {failing:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -21,9 +21,20 @@
 //! mutex, so planning a scan never touches row shards and installing a
 //! row never touches another table.
 //!
+//! A chain keeps its newest version inline, in its shard-map slot, and
+//! any older ones behind it in a vector (oldest first) that a row only
+//! ever inserted never allocates. Since commits prune, nearly every chain
+//! holds one version, so a read — `visible`, `latest`, `latest_ts` —
+//! touches the slot and the row and follows no other pointer. A chain is
+//! built with its first version (a commit's first write of the row, or
+//! boot-time replay); there is no empty chain.
+//!
 //! Secondary indexes reflect the *latest committed* version of each row —
 //! the same structure gap locks walk to find interval neighbours (§3.3.2
-//! of the paper).
+//! of the paper). Each key's postings are the ids holding it, as one
+//! ascending vector: an auto-increment insert appends, an out-of-order
+//! one binary-searches its place, and a scan copies each matched key's
+//! slice into its plan.
 //!
 //! Simplification relative to a real engine: index entries for superseded
 //! versions are not retained, so a snapshot scan may miss a row whose
@@ -53,16 +64,30 @@ pub struct RowVersion {
     pub data: Option<Row>,
 }
 
-/// The committed history of one primary key, newest last.
-#[derive(Debug, Clone, Default)]
+/// The committed history of one primary key: the newest version inline,
+/// the older ones oldest first in `older` (see the module docs). Never
+/// empty: a chain is built with its first version.
+#[derive(Debug, Clone)]
 pub struct VersionChain {
-    versions: Vec<RowVersion>,
+    newest: RowVersion,
+    older: Vec<RowVersion>,
 }
 
 impl VersionChain {
+    /// A chain holding one version.
+    pub(crate) fn new(first: RowVersion) -> Self {
+        Self {
+            newest: first,
+            older: Vec::new(),
+        }
+    }
+
     /// The newest version visible at `snapshot` (commit_ts <= snapshot).
     pub fn visible(&self, snapshot: CommitTs) -> Option<&Row> {
-        self.versions
+        if self.newest.commit_ts <= snapshot {
+            return self.newest.data.as_ref();
+        }
+        self.older
             .iter()
             .rev()
             .find(|v| v.commit_ts <= snapshot)
@@ -71,55 +96,85 @@ impl VersionChain {
 
     /// The newest committed version regardless of snapshot.
     pub fn latest(&self) -> Option<&Row> {
-        self.versions.last().and_then(|v| v.data.as_ref())
+        self.newest.data.as_ref()
     }
 
-    /// Commit timestamp of the newest version (0 when empty).
+    /// Commit timestamp of the newest version.
     pub fn latest_ts(&self) -> CommitTs {
-        self.versions.last().map(|v| v.commit_ts).unwrap_or(0)
+        self.newest.commit_ts
     }
 
     /// Append a version. Timestamps are monotonic per chain: writers of the
     /// same row serialize on its record lock and its shard mutex.
     pub(crate) fn push(&mut self, version: RowVersion) {
         debug_assert!(version.commit_ts >= self.latest_ts());
-        self.versions.push(version);
+        self.older
+            .push(std::mem::replace(&mut self.newest, version));
     }
 
     /// Drop every version no snapshot at or above `horizon` can read: keep
     /// the newest version with `commit_ts <= horizon` and everything
     /// newer. The newest version always stays.
     pub(crate) fn prune(&mut self, horizon: CommitTs) {
+        if self.newest.commit_ts <= horizon {
+            self.older.clear();
+            return;
+        }
         let keep_from = self
-            .versions
+            .older
             .partition_point(|v| v.commit_ts <= horizon)
             .saturating_sub(1);
-        if keep_from > 0 {
-            self.versions.drain(..keep_from);
-        }
+        self.older.drain(..keep_from);
     }
 
     /// Versions held.
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.versions.len()
+        1 + self.older.len()
     }
 }
 
+/// A test chain with no history yet: a tombstone at timestamp 0, which
+/// every read answers exactly as it would a row never written.
+#[cfg(test)]
+impl Default for VersionChain {
+    fn default() -> Self {
+        Self::new(RowVersion {
+            commit_ts: 0,
+            data: None,
+        })
+    }
+}
+
+/// One secondary index: for each committed key, the ascending ids of the
+/// rows whose latest version holds it.
 #[derive(Debug, Clone)]
 struct IndexState {
     unique: bool,
-    map: BTreeMap<Value, BTreeSet<i64>>,
+    map: BTreeMap<Value, Vec<i64>>,
 }
 
 impl IndexState {
+    /// Post `id` under `key`: appended when above every posted id (an
+    /// auto-increment insert), else placed by binary search; a repeat is
+    /// ignored.
     fn insert(&mut self, key: Value, id: i64) {
-        self.map.entry(key).or_default().insert(id);
+        let ids = self.map.entry(key).or_default();
+        match ids.last() {
+            Some(last) if *last >= id => {
+                if let Err(at) = ids.binary_search(&id) {
+                    ids.insert(at, id);
+                }
+            }
+            _ => ids.push(id),
+        }
     }
 
     fn remove(&mut self, key: &Value, id: i64) {
         if let Some(ids) = self.map.get_mut(key) {
-            ids.remove(&id);
+            if let Ok(at) = ids.binary_search(&id) {
+                ids.remove(at);
+            }
             if ids.is_empty() {
                 self.map.remove(key);
             }
@@ -307,11 +362,11 @@ impl Table {
         let keys = state
             .map
             .range((interval.low.clone(), interval.high.clone()));
-        // Sized once from the matched sets' lengths.
+        // Sized once from the matched postings' lengths.
         let mut out = Vec::with_capacity(keys.clone().map(|(_, ids)| ids.len()).sum());
         for (key, ids) in keys {
             debug_assert!(interval.contains(key));
-            out.extend(ids.iter().copied());
+            out.extend_from_slice(ids);
         }
         out
     }
@@ -483,10 +538,15 @@ mod tests {
         }
 
         fn apply(&mut self, t: &Table, id: i64, data: Option<Row>, commit_ts: CommitTs) {
-            let chain = self.0.entry(id).or_default();
-            let old = chain.latest().cloned();
+            let old = self.0.get(&id).and_then(VersionChain::latest).cloned();
             t.apply_index(id, old.as_ref(), data.as_ref());
-            chain.push(RowVersion { commit_ts, data });
+            let version = RowVersion { commit_ts, data };
+            match self.0.get_mut(&id) {
+                Some(chain) => chain.push(version),
+                None => {
+                    self.0.insert(id, VersionChain::new(version));
+                }
+            }
         }
 
         fn chain(&self, id: i64) -> Option<&VersionChain> {
@@ -722,6 +782,288 @@ mod tests {
         chain.prune(100);
         assert_eq!(chain.len(), 1, "the newest version always stays");
         assert_eq!(chain.latest_ts(), 8);
+    }
+
+    #[test]
+    fn the_newest_version_reads_inline() {
+        let version = |ts: CommitTs| RowVersion {
+            commit_ts: ts,
+            data: Some(Row::new(vec![Value::Int(ts as i64)])),
+        };
+        let read = |row: Option<&Row>| row.map(|row| row.values[0].clone());
+        let mut chain = VersionChain::new(version(5));
+        assert_eq!((chain.len(), chain.latest_ts()), (1, 5));
+        assert_eq!(read(chain.visible(5)), Some(Value::Int(5)));
+        assert!(
+            chain.visible(4).is_none(),
+            "nothing before the first version"
+        );
+        // The first push moves the old newest version into `older`.
+        chain.push(version(9));
+        assert_eq!(chain.len(), 2);
+        assert_eq!(read(chain.latest()), Some(Value::Int(9)));
+        // Exactly at the newest version's timestamp it is the one visible;
+        // one below, the older one is.
+        assert_eq!(read(chain.visible(9)), Some(Value::Int(9)));
+        assert_eq!(read(chain.visible(8)), Some(Value::Int(5)));
+        // A horizon below the newest version keeps the one it reads.
+        chain.prune(8);
+        assert_eq!(chain.len(), 2);
+        // A horizon at the newest version empties `older`, and pushes
+        // after that fill it again.
+        chain.prune(9);
+        assert_eq!(chain.len(), 1);
+        assert!(chain.visible(8).is_none());
+        chain.push(version(12));
+        assert_eq!(chain.len(), 2);
+        assert_eq!(read(chain.visible(11)), Some(Value::Int(9)));
+        // A deletion tombstone inline hides the row at and after it.
+        chain.push(RowVersion {
+            commit_ts: 14,
+            data: None,
+        });
+        assert!(chain.latest().is_none() && chain.visible(14).is_none());
+        assert_eq!(read(chain.visible(13)), Some(Value::Int(12)));
+    }
+
+    #[test]
+    fn a_pending_delete_of_a_row_with_no_history_installs_a_tombstone() {
+        let t = table();
+        let mut rows = Rows::new();
+        rows.apply(&t, 5, None, 3);
+        let chain = rows.chain(5).unwrap();
+        assert_eq!((chain.len(), chain.latest_ts()), (1, 3));
+        assert!(chain.latest().is_none());
+        assert!(chain.visible(2).is_none() && chain.visible(3).is_none());
+        // An insert after it reads from its own timestamp on.
+        rows.apply(&t, 5, Some(pay(&t, 5, 9, None)), 6);
+        let chain = rows.chain(5).unwrap();
+        assert_eq!(chain.len(), 2);
+        assert!(chain.visible(5).is_none());
+        assert!(chain.visible(6).is_some());
+        let col = t.schema.column_index("order_id").unwrap();
+        assert_eq!(
+            t.index_candidates(col, &ValueInterval::all()).unwrap(),
+            vec![5]
+        );
+    }
+
+    #[test]
+    fn replay_keeps_one_version_per_recovered_row() {
+        use crate::engine::EngineProfile;
+        let db = crate::Database::in_memory(EngineProfile::MySqlLike);
+        db.create_table((*table().schema).clone()).unwrap();
+        let t = Arc::clone(db.resolve_table("payments").unwrap());
+        let col = t.schema.column_index("order_id").unwrap();
+        let ids_at = |order: i64| {
+            t.index_candidates(col, &ValueInterval::point(Value::Int(order)))
+                .unwrap()
+        };
+        let chain = |id: i64| {
+            db.with_chain(t.id, id, |c| {
+                c.map(|c| {
+                    (
+                        c.len(),
+                        c.latest_ts(),
+                        c.latest().is_some(),
+                        c.visible(6).is_some(),
+                    )
+                })
+            })
+        };
+        db.install_recovered(&t, 1, 4, Some(pay(&t, 1, 9, None)));
+        assert_eq!(chain(1), Some((1, 4, true, true)));
+        // A later version replaces the chain and moves the index entry;
+        // nothing reads during boot, so no older version is kept.
+        db.install_recovered(&t, 1, 7, Some(pay(&t, 1, 12, None)));
+        assert_eq!(chain(1), Some((1, 7, true, false)));
+        assert_eq!((ids_at(9), ids_at(12)), (vec![], vec![1]));
+        // A recovered deletion of a row with no history is a tombstone.
+        db.install_recovered(&t, 2, 8, None);
+        assert_eq!(chain(2), Some((1, 8, false, false)));
+        // A recovered deletion of a live row leaves only its tombstone.
+        db.install_recovered(&t, 1, 9, None);
+        assert_eq!(chain(1), Some((1, 9, false, false)));
+        assert!(ids_at(12).is_empty());
+        assert_eq!(t.alloc_id(), 3, "replay reserves the recovered ids");
+    }
+
+    /// The postings before sorted vectors, kept as the oracle: an ordered
+    /// set of ids per key, per indexed column, moved the way `apply_index`
+    /// moves them.
+    struct SetPostings(BTreeMap<usize, BTreeMap<Value, BTreeSet<i64>>>);
+
+    impl SetPostings {
+        fn new(t: &Table) -> Self {
+            SetPostings(
+                t.schema
+                    .indexes
+                    .iter()
+                    .map(|(col, _)| (*col, BTreeMap::new()))
+                    .collect(),
+            )
+        }
+
+        fn apply(&mut self, t: &Table, id: i64, old: Option<&Row>, new: Option<&Row>) {
+            for (col, _) in &t.schema.indexes {
+                let map = self.0.get_mut(col).unwrap();
+                if let Some(key) = old.map(|row| row.at(*col)) {
+                    if let Some(ids) = map.get_mut(key) {
+                        ids.remove(&id);
+                        if ids.is_empty() {
+                            map.remove(key);
+                        }
+                    }
+                }
+                if let Some(new) = new {
+                    map.entry(new.at(*col).clone()).or_default().insert(id);
+                }
+            }
+        }
+
+        fn candidates(&self, col: usize, interval: &ValueInterval) -> Vec<i64> {
+            self.0[&col]
+                .iter()
+                .filter(|(key, _)| interval.contains(key))
+                .flat_map(|(_, ids)| ids.iter().copied())
+                .collect()
+        }
+
+        fn neighbors(
+            &self,
+            col: usize,
+            interval: &ValueInterval,
+        ) -> (Option<Value>, Option<Value>) {
+            let map = &self.0[&col];
+            let prev = map.keys().rev().find(|key| match &interval.low {
+                Bound::Unbounded => false,
+                Bound::Included(b) => *key < b,
+                Bound::Excluded(b) => *key <= b,
+            });
+            let next = map.keys().find(|key| match &interval.high {
+                Bound::Unbounded => false,
+                Bound::Included(b) => *key > b,
+                Bound::Excluded(b) => *key >= b,
+            });
+            (prev.cloned(), next.cloned())
+        }
+
+        fn unique_conflict(&self, t: &Table, row: &Row, exclude_id: Option<i64>) -> bool {
+            t.schema.indexes.iter().any(|(col, unique)| {
+                let key = row.at(*col);
+                *unique
+                    && !key.is_null()
+                    && self.0[col]
+                        .get(key)
+                        .is_some_and(|ids| ids.iter().any(|id| Some(*id) != exclude_id))
+            })
+        }
+    }
+
+    /// Every non-empty interval over `values`: each pair of bound kinds on
+    /// each ordered pair of values.
+    fn intervals(values: &[Value]) -> Vec<ValueInterval> {
+        let mut out = Vec::new();
+        for low_value in values {
+            for high_value in values.iter().filter(|high| *high >= low_value) {
+                for low in bound_kinds(low_value) {
+                    for high in bound_kinds(high_value) {
+                        let both_excluded =
+                            matches!((&low, &high), (Bound::Excluded(_), Bound::Excluded(_)));
+                        if low_value == high_value && both_excluded {
+                            continue; // an empty range `BTreeMap::range` rejects
+                        }
+                        out.push(ValueInterval {
+                            low: low.clone(),
+                            high,
+                        });
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Postings equivalence: sorted-vector postings answer candidates, gap
+    /// neighbours and unique checks exactly as ordered id sets do, after
+    /// every step of seeded sequences mixing inserts in id order (an
+    /// append) and out of it, repeated inserts of an id, removals of
+    /// present and absent ids, and key-changing moves — on a non-unique
+    /// index and on a unique one whose keys collide.
+    #[test]
+    fn sorted_postings_match_ordered_sets() {
+        use rand::Rng;
+        let tokens = [None, Some("t0"), Some("t1"), Some("t2")];
+        let order_values: Vec<Value> = (-1..=5).map(Value::Int).collect();
+        let token_values: Vec<Value> = tokens
+            .iter()
+            .map(|tok| tok.map(Value::from).unwrap_or(Value::Null))
+            .collect();
+        let (order_intervals, token_intervals) =
+            (intervals(&order_values), intervals(&token_values));
+        for seed in 0..48 {
+            let mut rng = adhoc_sim::rng::seeded(seed);
+            let t = table();
+            let (order, token) = (
+                t.schema.column_index("order_id").unwrap(),
+                t.schema.column_index("token").unwrap(),
+            );
+            let mut reference = SetPostings::new(&t);
+            let mut latest: BTreeMap<i64, Row> = BTreeMap::new();
+            let mut next_id = 100;
+            for step in 0..40 {
+                let (id, key) = (rng.gen_range(0..24), rng.gen_range(0..5));
+                let tok = tokens[rng.gen_range(0..tokens.len())];
+                let row = |id: i64| pay(&t, id, key, tok);
+                let (id, old, new) = match rng.gen_range(0..5) {
+                    // Insert in id order: the posting is appended.
+                    0 | 1 => {
+                        next_id += 1;
+                        (next_id, None, Some(row(next_id)))
+                    }
+                    // Insert out of id order, or again for an id posted.
+                    2 => (id, None, Some(row(id))),
+                    // Remove the id's latest row, or a row it never had.
+                    3 => (
+                        id,
+                        Some(latest.get(&id).cloned().unwrap_or_else(|| row(id))),
+                        None,
+                    ),
+                    // Move the id's latest row to another key.
+                    _ => (id, latest.get(&id).cloned(), Some(row(id))),
+                };
+                t.apply_index(id, old.as_ref(), new.as_ref());
+                reference.apply(&t, id, old.as_ref(), new.as_ref());
+                match &new {
+                    Some(new) => latest.insert(id, new.clone()),
+                    None => latest.remove(&id),
+                };
+                let at = format!("seed {seed} step {step}");
+                for (col, all) in [(order, &order_intervals), (token, &token_intervals)] {
+                    for interval in all {
+                        assert_eq!(
+                            t.index_candidates(col, interval).unwrap(),
+                            reference.candidates(col, interval),
+                            "{at}: candidates on column {col} over {interval:?}"
+                        );
+                        assert_eq!(
+                            t.index_neighbors(col, interval).unwrap(),
+                            reference.neighbors(col, interval),
+                            "{at}: neighbours on column {col} over {interval:?}"
+                        );
+                    }
+                }
+                for probe in tokens.iter().map(|tok| pay(&t, id, key, *tok)) {
+                    for exclude_id in [None, Some(id), Some(next_id)] {
+                        assert_eq!(
+                            t.check_unique(&probe, exclude_id).is_err(),
+                            reference.unique_conflict(&t, &probe, exclude_id),
+                            "{at}: unique check of {probe:?} excluding {exclude_id:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     fn bound_kinds(v: &Value) -> [Bound<Value>; 3] {

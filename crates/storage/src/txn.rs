@@ -19,11 +19,12 @@ use crate::lock::LockMode;
 use crate::predicate::{BoundPredicate, Predicate, ValueInterval};
 use crate::schema::{row_from_pairs, Row};
 use crate::shard::{shard_of, Footprint, ShardSet};
-use crate::table::{CommitTs, RowVersion, Table};
+use crate::table::{CommitTs, RowVersion, Table, VersionChain};
 use crate::value::{ColumnType, Value};
 use crate::wal::WalEncoder;
 use crate::Result;
 use parking_lot::MutexGuard;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -501,8 +502,16 @@ impl Transaction {
         // Already sorted (one linear pass) unless the plan walked several
         // keys of a secondary index or own inserts were appended.
         rows.sort_unstable_by_key(|(id, _)| *id);
-        for (id, _) in &rows {
-            self.observe_read(&t.schema.table, *id, locking);
+        // One look for an observer per statement, not one per row.
+        if let Some(observer) = self.db.observer() {
+            for (id, _) in &rows {
+                observer.on_event(&AccessEvent::Read {
+                    txn: self.id,
+                    table: t.schema.table.clone(),
+                    row: *id,
+                    locking,
+                });
+            }
         }
         rows
     }
@@ -1270,8 +1279,12 @@ impl Transaction {
             let gpos = guards
                 .binary_search_by_key(&shard_of(p.table, p.id), |(idx, _)| *idx)
                 .expect("write shard is locked");
-            let chain = guards[gpos].1.rows.entry((p.table, p.id)).or_default();
-            let old = chain.latest();
+            // A row's first commit builds its chain around that version.
+            let slot = guards[gpos].1.rows.entry((p.table, p.id));
+            let old = match &slot {
+                Entry::Occupied(chain) => chain.get().latest(),
+                Entry::Vacant(_) => None,
+            };
             // Log index keys only where membership changes (inserts,
             // deletes, key-changing updates). A key-preserving update
             // does not move the row in or out of any scanned interval;
@@ -1318,11 +1331,20 @@ impl Transaction {
             if index_keys_changed {
                 t.apply_index(p.id, old, p.row.as_ref());
             }
-            chain.push(RowVersion {
+            let version = RowVersion {
                 commit_ts,
                 data: p.row,
-            });
-            chain.prune(horizon);
+            };
+            match slot {
+                Entry::Occupied(chain) => {
+                    let chain = chain.into_mut();
+                    chain.push(version);
+                    chain.prune(horizon);
+                }
+                Entry::Vacant(slot) => {
+                    slot.insert(VersionChain::new(version));
+                }
+            }
         }
         if log_enabled {
             self.db.log_commit(

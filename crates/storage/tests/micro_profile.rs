@@ -1,8 +1,12 @@
-//! Ad hoc microbenchmark for commit-path cost accounting. Ignored by
-//! default; run with `cargo test --release -p adhoc-storage --test
-//! micro_profile -- --ignored --nocapture`.
+//! Ad hoc microbenchmarks, ignored by default: `micro` accounts the
+//! commit path per operation, `indexed_scan` times one secondary-index
+//! scan per matching row (one key with 430 matches among 3,440 rows). Run
+//! with `cargo test --release -p adhoc-storage --test micro_profile --
+//! --ignored --nocapture`.
 
-use adhoc_storage::{Column, ColumnType, Database, EngineProfile, IsolationLevel, Schema};
+use adhoc_storage::{
+    Column, ColumnType, Database, EngineProfile, IsolationLevel, Predicate, Schema,
+};
 use std::time::Instant;
 
 fn db() -> Database {
@@ -71,4 +75,56 @@ fn micro() {
         })
         .unwrap();
     });
+}
+
+/// Keys of the scanned index, and rows per key: one `cart_id = ?` scan
+/// matches `SCAN_MATCHES` of `SCAN_KEYS * SCAN_MATCHES` rows, about the
+/// size of the Broadleaf cart the `svc_mixed` benchmark workload scans at
+/// its 90th percentile on seed 7.
+const SCAN_KEYS: i64 = 8;
+const SCAN_MATCHES: i64 = 430;
+
+#[test]
+#[ignore = "manual profiling aid"]
+fn indexed_scan() {
+    let d = Database::in_memory(EngineProfile::MySqlLike);
+    d.create_table(
+        Schema::new(
+            "items",
+            vec![
+                Column::new("id", ColumnType::Int),
+                Column::new("cart_id", ColumnType::Int),
+                Column::new("qty", ColumnType::Int),
+            ],
+            "id",
+        )
+        .unwrap()
+        .with_index("cart_id")
+        .unwrap(),
+    )
+    .unwrap();
+    // Carts interleaved, as items arrive in the benchmark; each insert is
+    // its own commit, so every row's chain holds one version.
+    for _ in 0..SCAN_MATCHES {
+        for cart in 0..SCAN_KEYS {
+            d.run(IsolationLevel::ReadCommitted, |t| {
+                t.insert("items", &[("cart_id", cart.into()), ("qty", 1.into())])
+            })
+            .unwrap();
+        }
+    }
+    let pred = Predicate::eq("cart_id", 3);
+    let n = 20_000u64;
+    let start = Instant::now();
+    for _ in 0..n {
+        let rows = d
+            .run(IsolationLevel::ReadCommitted, |t| t.scan("items", &pred))
+            .unwrap();
+        assert_eq!(rows.len() as i64, SCAN_MATCHES);
+    }
+    let per_row = start.elapsed().as_nanos() as f64 / (n * SCAN_MATCHES as u64) as f64;
+    println!(
+        "scan(cart_id = k), {SCAN_MATCHES} of {} rows: {per_row:.1} ns/row",
+        SCAN_KEYS * SCAN_MATCHES
+    );
 }

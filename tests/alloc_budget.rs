@@ -6,6 +6,7 @@
 //! one allocation per column), and allocations per `scan(cart_id = k)`
 //! must not depend on how many rows match (a read hands out the stored
 //! versions — a copy of each shows up here as one allocation per row).
+//! An auto-increment insert commit is held to its own budget.
 //! The service's front door is held to the same standard per request: a
 //! timeline read through `offer` + `run_tick` allocates only what the
 //! request itself produces, for a repeat client and a fresh one alike.
@@ -87,6 +88,10 @@ const BUDGET_UPDATE_WHERE_PK: u64 = 11;
 /// Plan ids, the reader's shard order, the matches and the transaction's
 /// bookkeeping — whatever the number of matching rows.
 const BUDGET_SCAN: u64 = 3;
+/// One auto-increment insert commit into `items`, recorded when a row's
+/// newest version moved into its shard-map slot (7 -> 6: a row that was
+/// only ever inserted has no chain vector).
+const BUDGET_INSERT: u64 = 6;
 
 /// One `offer` + `run_tick` of a `MastodonTimeline` read: the completion
 /// `Vec` and the `timeline:{id}` key. The limiter, breaker, pool and
@@ -223,6 +228,36 @@ fn per_scan(orm: &Orm, cart: usize) -> u64 {
     ALLOCS.with(Cell::get) - before
 }
 
+/// Allocations of one auto-increment insert commit into `items`, under a
+/// cart no scan reads: the least over `SAMPLE` inserts, since a B-tree
+/// node split, postings growth or shard-map growth lands on a few of them.
+fn per_insert(orm: &Orm) -> u64 {
+    let cart = CART_SIZES.len() as i64;
+    let insert = || {
+        orm.db()
+            .run(IsolationLevel::ReadCommitted, |t| {
+                t.insert(
+                    "items",
+                    &[
+                        ("cart_id", cart.into()),
+                        ("qty", 2.into()),
+                        ("price", 5.into()),
+                    ],
+                )
+            })
+            .unwrap();
+    };
+    insert();
+    (0..SAMPLE)
+        .map(|_| {
+            let before = ALLOCS.with(Cell::get);
+            insert();
+            ALLOCS.with(Cell::get) - before
+        })
+        .min()
+        .unwrap()
+}
+
 /// Allocations per call of `op`, averaged over `SAMPLE` mid-table rows
 /// that have each been through `op` twice already.
 fn per_op(orm: &Orm, rows: i64, op: Op) -> u64 {
@@ -341,6 +376,12 @@ fn allocations_per_statement_are_table_size_independent_and_within_budget() {
             "scan(cart_id = k): {allocations} allocations, budget {BUDGET_SCAN}"
         );
     }
+    let inserts = per_insert(&small);
+    println!("insert: {inserts} allocations");
+    assert!(
+        inserts <= BUDGET_INSERT,
+        "insert: {inserts} allocations, budget {BUDGET_INSERT}"
+    );
     let [early, late] = live_bytes_after_saves(&fixture(128));
     println!(
         "find + set + save of one row: {early} live bytes after {} saves, {late} after {}",

@@ -119,8 +119,14 @@ echo "==> confluence oracle gate (convergence + escrow + crash sweep, <60s)"
 timeout 60 cargo test -q --release --test confluence_oracle
 timeout 60 cargo test -q --release -p adhoc-storage --lib escrow
 # Version reclamation: a pruned chain must read like one that keeps every
-# version at every snapshot a live reader can hold (differential oracle).
+# version at every snapshot a live reader can hold (differential oracle);
+# sorted-vector index postings must answer like ordered id sets.
 timeout 60 cargo test -q --release -p adhoc-storage --lib table
+# The scan reader against the old per-row loops (results, read sets and
+# observer events, one observer look per statement), and the bound
+# predicate's loop against a failing test in every position.
+timeout 60 cargo test -q --release -p adhoc-storage --lib txn
+timeout 60 cargo test -q --release -p adhoc-storage --lib predicate
 echo "==> primitive races in release (watermark, condvar, front door, session pool, lock table, table catalog, <60s each)"
 timeout 60 cargo test -q --release -p adhoc-storage --lib epoch
 timeout 60 cargo test -q --release -p parking_lot

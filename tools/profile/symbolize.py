@@ -15,10 +15,17 @@ Prints the top functions by self share (the innermost frame) and by
 inclusive share (anywhere on the stack, once per sample). With FILTER set,
 only samples with a frame whose name contains FILTER count, and shares are
 of those samples.
+
+Symbols are read from the file at each module's path when symbolizing,
+so that file must be the one that was sampled: a module whose device and
+inode in the dump's maps differ from the file's (a binary rebuilt after
+sampling) would name every frame in it wrongly. The symbolizer then exits
+non-zero naming the module, and prints no shares.
 """
 
 import bisect
 import collections
+import functools
 import os
 import re
 import subprocess
@@ -79,6 +86,20 @@ def module(path):
     return MODULES[path]
 
 
+@functools.lru_cache(maxsize=None)
+def check_identity(dump, path, dev, inode):
+    """Exit naming `path` unless it is still the file `dump` sampled."""
+    try:
+        st = os.stat(path)
+        now = (os.major(st.st_dev), os.minor(st.st_dev), st.st_ino)
+    except OSError as e:
+        sys.exit("%s: module %s is gone since sampling (%s)" % (dump, path, e.strerror))
+    if now != (*dev, inode):
+        sys.exit("%s: module %s was replaced after sampling (sampled device %x:%x "
+                 "inode %d, now device %x:%x inode %d); its frames would be misnamed"
+                 % ((dump, path) + dev + (inode,) + now))
+
+
 def read_dump(path):
     """The mappings and the stacks (as function names) of one dump."""
     maps, stacks, dropped = [], [], 0
@@ -97,20 +118,25 @@ def read_dump(path):
             fields = line.split()
             if len(fields) >= 6 and "x" in fields[1] and fields[5][0] in "/[":
                 lo, hi = (int(x, 16) for x in fields[0].split("-"))
-                maps.append((lo, hi, int(fields[2], 16), fields[5]))
+                dev = tuple(int(x, 16) for x in fields[3].split(":"))
+                maps.append((lo, hi, int(fields[2], 16), fields[5], dev, int(fields[4])))
         elif section == "samples" and line:
             stacks.append([int(x, 16) for x in line.split()])
     maps.sort()
-    starts = [lo for lo, _, _, _ in maps]
+    starts = [lo for lo, *_ in maps]
     cache = {}
 
     def name(addr):
         if addr not in cache:
             i = bisect.bisect_right(starts, addr) - 1
             if i >= 0 and addr < maps[i][1]:
-                lo, _, offset, mod = maps[i]
+                lo, _, offset, mod, dev, inode = maps[i]
                 # [vdso] and the like: no file to read symbols from.
-                named = mod if mod.startswith("[") else module(mod).name(addr - lo + offset)
+                if mod.startswith("["):
+                    named = mod
+                else:
+                    check_identity(path, mod, dev, inode)
+                    named = module(mod).name(addr - lo + offset)
                 cache[addr] = named
             else:
                 cache[addr] = "??"
