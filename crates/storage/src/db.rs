@@ -48,7 +48,9 @@
 //! `PRUNE_EVERY` installs into a shard, counted under that shard's guard,
 //! so the common commit pays one load for it.
 
-use crate::engine::{AccessEvent, DbConfig, EngineProfile, IsolationLevel, StatementObserver};
+use crate::engine::{
+    AccessEvent, DbConfig, EngineProfile, IsolationLevel, Rules, StatementObserver,
+};
 use crate::epoch::EpochSpine;
 use crate::error::{DbError, TxnId};
 use crate::fasthash::FastMap;
@@ -550,10 +552,8 @@ impl Database {
         // Transaction boundaries are preemption points under the
         // deterministic scheduler (no-op otherwise).
         adhoc_sim::sched::yield_point(adhoc_sim::sched::SchedPoint::DbTxn);
-        if iso == IsolationLevel::Serializable
-            && self.profile() == EngineProfile::PostgresLike
-            && !self.inner.ssi_seen.load(Ordering::Acquire)
-        {
+        let rules = Rules::of(self.profile(), iso);
+        if rules.certify && !self.inner.ssi_seen.load(Ordering::Acquire) {
             // Must run before the snapshot is taken: the barrier guarantees
             // every unlogged commit is at or below any snapshot assigned
             // from here on.
@@ -570,7 +570,7 @@ impl Database {
             stripe.insert(id, snapshot);
             snapshot
         };
-        Transaction::new(self.clone(), id, iso, snapshot)
+        Transaction::new(self.clone(), id, iso, rules, snapshot)
     }
 
     /// Whether committers must append to the shard commit logs. Committers

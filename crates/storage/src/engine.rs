@@ -113,6 +113,57 @@ impl IsolationLevel {
     }
 }
 
+/// What the engine does at one (profile, isolation level) cell — the one
+/// place the matrix the paper's arguments rest on is decided. Every
+/// statement and the commit path read these rules; nothing else in the
+/// engine compares a profile or an isolation level.
+///
+/// | profile         | level           | statement_snapshot | locking_reads | gap_locks | insert_intention | first_updater | certify |
+/// |-----------------|-----------------|:--:|:--:|:--:|:--:|:--:|:--:|
+/// | MySQL-like      | Read Committed  | ✓ |   |   | ✓ |   |   |
+/// | MySQL-like      | Repeatable Read |   |   | ✓ | ✓ |   |   |
+/// | MySQL-like      | Serializable    |   | ✓ | ✓ | ✓ |   |   |
+/// | PostgreSQL-like | Read Committed  | ✓ |   |   |   |   |   |
+/// | PostgreSQL-like | Repeatable Read |   |   |   |   | ✓ |   |
+/// | PostgreSQL-like | Serializable    |   |   |   |   | ✓ | ✓ |
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Rules {
+    /// Each statement reads at a fresh snapshot instead of the one taken
+    /// at begin.
+    pub(crate) statement_snapshot: bool,
+    /// Plain reads take shared record (and gap) locks and read the latest
+    /// committed version — InnoDB's `LOCK IN SHARE MODE`, the ingredient
+    /// of the §3.3.1 upgrade deadlock.
+    pub(crate) locking_reads: bool,
+    /// Locking statements take a next-key gap lock over the interval they
+    /// scanned (§3.3.2's false conflicts).
+    pub(crate) gap_locks: bool,
+    /// Inserts wait on other transactions' gap locks covering any of the
+    /// new row's keys.
+    pub(crate) insert_intention: bool,
+    /// A write or locking read of a row committed after the snapshot
+    /// fails with a serialization error (first-updater-wins).
+    pub(crate) first_updater: bool,
+    /// Reads and scanned ranges enter the SSI read set and are certified
+    /// at commit against later committers' writes.
+    pub(crate) certify: bool,
+}
+
+impl Rules {
+    /// The rules of one cell of the matrix.
+    pub(crate) fn of(profile: EngineProfile, iso: IsolationLevel) -> Self {
+        let mysql = profile == EngineProfile::MySqlLike;
+        Self {
+            statement_snapshot: iso == IsolationLevel::ReadCommitted,
+            locking_reads: mysql && iso == IsolationLevel::Serializable,
+            gap_locks: mysql && iso >= IsolationLevel::RepeatableRead,
+            insert_intention: mysql,
+            first_updater: !mysql && iso >= IsolationLevel::RepeatableRead,
+            certify: !mysql && iso == IsolationLevel::Serializable,
+        }
+    }
+}
+
 /// Database configuration.
 #[derive(Clone)]
 pub struct DbConfig {
@@ -222,6 +273,34 @@ mod tests {
             EngineProfile::PostgresLike.default_isolation(),
             IsolationLevel::ReadCommitted
         );
+    }
+
+    /// Every cell of [`Rules`]' doc table, row by row in the table's
+    /// column order.
+    #[test]
+    fn rules_match_the_matrix() {
+        use EngineProfile::*;
+        use IsolationLevel::*;
+        let table = [
+            (MySqlLike, ReadCommitted, [1, 0, 0, 1, 0, 0]),
+            (MySqlLike, RepeatableRead, [0, 0, 1, 1, 0, 0]),
+            (MySqlLike, Serializable, [0, 1, 1, 1, 0, 0]),
+            (PostgresLike, ReadCommitted, [1, 0, 0, 0, 0, 0]),
+            (PostgresLike, RepeatableRead, [0, 0, 0, 0, 1, 0]),
+            (PostgresLike, Serializable, [0, 0, 0, 0, 1, 1]),
+        ];
+        for (profile, iso, row) in table {
+            let r = Rules::of(profile, iso);
+            let got = [
+                r.statement_snapshot,
+                r.locking_reads,
+                r.gap_locks,
+                r.insert_intention,
+                r.first_updater,
+                r.certify,
+            ];
+            assert_eq!(got, row.map(|x| x == 1), "{profile:?} {iso:?}");
+        }
     }
 
     #[test]

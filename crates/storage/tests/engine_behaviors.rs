@@ -830,3 +830,109 @@ fn pk_update_where_gap_lock_on_a_large_table() {
         writer.commit().unwrap();
     }
 }
+
+/// Two tables `t` and `u` of `(id, cat, marked)`, `cat` indexed, each
+/// holding one unmarked row with `cat = 5` and one with `cat = 1`.
+fn marked_tables_db() -> Database {
+    let db = Database::in_memory(EngineProfile::PostgresLike);
+    for table in ["t", "u"] {
+        db.create_table(
+            Schema::new(
+                table,
+                vec![
+                    Column::new("id", ColumnType::Int),
+                    Column::new("cat", ColumnType::Int),
+                    Column::new("marked", ColumnType::Int),
+                ],
+                "id",
+            )
+            .unwrap()
+            .with_index("cat")
+            .unwrap(),
+        )
+        .unwrap();
+        db.run(IsolationLevel::ReadCommitted, |t| {
+            t.insert(table, &[("cat", 5.into()), ("marked", 0.into())])?;
+            t.insert(table, &[("cat", 1.into()), ("marked", 0.into())])
+        })
+        .unwrap();
+    }
+    db
+}
+
+/// PG Serializable certifies `UPDATE … WHERE` over its scanned range like
+/// the two reading scans: T1 marks `t`'s `cat = 5` rows and inserts one
+/// into `u`, T2 marks `u`'s and inserts one into `t`. In either serial
+/// order the later transaction marks the earlier one's insert; committing
+/// both would leave both inserts unmarked, so the second committer fails.
+#[test]
+fn postgres_serializable_certifies_update_where_ranges() {
+    let db = marked_tables_db();
+    let mark = [("marked", 1.into())];
+    let row = [("cat", 5.into()), ("marked", 0.into())];
+    let mut t1 = db.begin_with(IsolationLevel::Serializable);
+    let mut t2 = db.begin_with(IsolationLevel::Serializable);
+    assert_eq!(
+        t1.update_where("t", &Predicate::eq("cat", 5), &mark)
+            .unwrap(),
+        1
+    );
+    t1.insert("u", &row).unwrap();
+    assert_eq!(
+        t2.update_where("u", &Predicate::eq("cat", 5), &mark)
+            .unwrap(),
+        1
+    );
+    t2.insert("t", &row).unwrap();
+    t1.commit().unwrap();
+    match t2.commit() {
+        Err(DbError::SerializationFailure { reason, .. }) => {
+            assert_eq!(reason, "rw-antidependency on a scanned range")
+        }
+        other => panic!("both inserts left unmarked: {other:?}"),
+    }
+}
+
+/// PG Serializable certifies the rows a scan examined and rejected, not
+/// only its matches. Balances 40, 100, 100: T1 counts the accounts with
+/// `bal >= 50` into account 3 while T2 copies account 3 into account 1, a
+/// key-preserving update of a row T1's scan rejected. The serial outcomes
+/// are (2, 100, 2) and (100, 100, 3); committing both would leave
+/// (100, 100, 2), so T1 fails.
+#[test]
+fn postgres_serializable_certifies_rows_a_scan_rejected() {
+    let db = Database::in_memory(EngineProfile::PostgresLike);
+    db.create_table(
+        Schema::new(
+            "acct",
+            vec![
+                Column::new("id", ColumnType::Int),
+                Column::new("bal", ColumnType::Int),
+            ],
+            "id",
+        )
+        .unwrap(),
+    )
+    .unwrap();
+    db.run(IsolationLevel::ReadCommitted, |t| {
+        for (id, bal) in [(1, 40), (2, 100), (3, 100)] {
+            t.insert("acct", &[("id", id.into()), ("bal", bal.into())])?;
+        }
+        Ok(())
+    })
+    .unwrap();
+    let mut t1 = db.begin_with(IsolationLevel::Serializable);
+    let mut t2 = db.begin_with(IsolationLevel::Serializable);
+    let rich = t1.scan("acct", &Predicate::ge("bal", 50)).unwrap().len() as i64;
+    assert_eq!(rich, 2);
+    let bal3 = t2.get("acct", 3).unwrap().unwrap().values[1].as_int();
+    t2.update("acct", 1, &[("bal", bal3.into())]).unwrap();
+    t2.commit().unwrap();
+    t1.update("acct", 3, &[("bal", rich.into())]).unwrap();
+    match t1.commit() {
+        Err(DbError::SerializationFailure { reason, .. }) => {
+            assert_eq!(reason, "rw-antidependency on a read row")
+        }
+        other => panic!("non-serializable (100, 100, 2) committed: {other:?}"),
+    }
+}

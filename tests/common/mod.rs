@@ -30,7 +30,7 @@ use adhoc_transactions::orm::{EntityDef, Orm, Registry};
 use adhoc_transactions::sim::sched::Trial;
 use adhoc_transactions::sim::{FaultKind, FaultPlan, FaultRule, LatencyModel, VirtualClock};
 use adhoc_transactions::storage::{
-    Column, ColumnType, Database, EngineProfile, IsolationLevel, Schema,
+    Column, ColumnType, Database, EngineProfile, IsolationLevel, Predicate, Schema,
 };
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
@@ -121,6 +121,12 @@ pub const SCENARIOS: &[(&str, Expect, Scenario)] = &[
     ),
     ("sync-lock-mutex", Expect::Pass, sync_lock_mutex),
     ("watchdog-lock-mutex", Expect::Pass, watchdog_lock_mutex),
+    ("ssi-scan-skew", Expect::Pass, ssi_scan_skew),
+    (
+        "ssi-update-where-phantom",
+        Expect::Pass,
+        ssi_update_where_phantom,
+    ),
 ];
 
 /// Look a scenario up by its corpus name.
@@ -1186,6 +1192,135 @@ pub fn rate_limit_window_race(trial: &mut Trial) -> Result<(), String> {
     if n > 1 {
         return Err(format!(
             "over-admission: {n} requests passed a 1-per-window limit"
+        ));
+    }
+    Ok(())
+}
+
+// ---------------------------------------------------------------------------
+// The engine's own Serializable: PostgreSQL-like SSI must refuse every
+// non-serializable outcome of two retried transactions, on every schedule.
+// ---------------------------------------------------------------------------
+
+/// Retries a scenario's Serializable transaction may spend; each conflict
+/// costs one.
+const SSI_RETRIES: usize = 16;
+
+/// Correct: a scan's rejected rows are certified (witness 28). Balances
+/// 40, 100, 100; one task counts the accounts with `bal >= 50` into
+/// account 3, the other copies account 3 into account 1 — a
+/// key-preserving update of a row the count examined and rejected. Every
+/// schedule must end in one of the two serial outcomes, (2, 100, 2) or
+/// (100, 100, 3).
+pub fn ssi_scan_skew(trial: &mut Trial) -> Result<(), String> {
+    let db = Database::in_memory(EngineProfile::PostgresLike);
+    db.create_table(
+        Schema::new(
+            "acct",
+            vec![
+                Column::new("id", ColumnType::Int),
+                Column::new("bal", ColumnType::Int),
+            ],
+            "id",
+        )
+        .unwrap(),
+    )
+    .unwrap();
+    db.run(IsolationLevel::ReadCommitted, |t| {
+        for (id, bal) in [(1, 40), (2, 100), (3, 100)] {
+            t.insert("acct", &[("id", id.into()), ("bal", bal.into())])?;
+        }
+        Ok(())
+    })
+    .unwrap();
+    {
+        let db = db.clone();
+        trial.task("count", move || {
+            db.run_with_retries(IsolationLevel::Serializable, SSI_RETRIES, |t| {
+                let rich = t.scan("acct", &Predicate::ge("bal", 50))?.len() as i64;
+                t.update("acct", 3, &[("bal", rich.into())])
+            })
+            .unwrap();
+        });
+    }
+    {
+        let db = db.clone();
+        trial.task("copy", move || {
+            db.run_with_retries(IsolationLevel::Serializable, SSI_RETRIES, |t| {
+                let bal = t.get("acct", 3)?.expect("account 3").values[1].clone();
+                t.update("acct", 1, &[("bal", bal)])
+            })
+            .unwrap();
+        });
+    }
+    trial.run()?;
+    let mut bal = [0; 3];
+    for (id, slot) in (1..).zip(bal.iter_mut()) {
+        let row = db.latest_committed("acct", id).map_err(err_str)?;
+        *slot = row.map_or(0, |r| r.values[1].as_int());
+    }
+    if bal != [2, 100, 2] && bal != [100, 100, 3] {
+        let [a, b, c] = bal;
+        return Err(format!(
+            "scan skew: non-serializable balances ({a}, {b}, {c})"
+        ));
+    }
+    Ok(())
+}
+
+/// Correct: `UPDATE … WHERE` certifies its scanned range (witness 29).
+/// Tables `t` and `u` each hold one `cat = 5` row; one task marks `t`'s
+/// `cat = 5` rows and inserts an unmarked one into `u`, the other does the
+/// mirror image. In either serial order the later task marks the earlier
+/// one's insert, so exactly one of the two inserted rows ends up marked.
+pub fn ssi_update_where_phantom(trial: &mut Trial) -> Result<(), String> {
+    let db = Database::in_memory(EngineProfile::PostgresLike);
+    for table in ["t", "u"] {
+        db.create_table(
+            Schema::new(
+                table,
+                vec![
+                    Column::new("id", ColumnType::Int),
+                    Column::new("cat", ColumnType::Int),
+                    Column::new("marked", ColumnType::Int),
+                ],
+                "id",
+            )
+            .unwrap()
+            .with_index("cat")
+            .unwrap(),
+        )
+        .unwrap();
+        db.run(IsolationLevel::ReadCommitted, |t| {
+            t.insert(
+                table,
+                &[("id", 1.into()), ("cat", 5.into()), ("marked", 0.into())],
+            )
+        })
+        .unwrap();
+    }
+    for (mark, into) in [("t", "u"), ("u", "t")] {
+        let db = db.clone();
+        trial.task(&format!("mark-{mark}"), move || {
+            db.run_with_retries(IsolationLevel::Serializable, SSI_RETRIES, |t| {
+                t.update_where(mark, &Predicate::eq("cat", 5), &[("marked", 1.into())])?;
+                t.insert(into, &[("cat", 5.into()), ("marked", 0.into())])
+            })
+            .unwrap();
+        });
+    }
+    trial.run()?;
+    let mut marked = 0;
+    for table in ["t", "u"] {
+        for (id, row) in db.dump_table(table).map_err(err_str)? {
+            if id != 1 && row.values[2].as_int() == 1 {
+                marked += 1;
+            }
+        }
+    }
+    if marked != 1 {
+        return Err(format!(
+            "update-where phantom: {marked} rows marked of the two inserted, a serial order marks 1"
         ));
     }
     Ok(())

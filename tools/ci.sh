@@ -76,7 +76,10 @@ done
 
 # Bounded interleaving-explorer smoke gate: fixed seed, fixed 128-schedule
 # budget per scenario (see tests/schedule_explorer.rs). Deterministic, so
-# the timeout guards only against accidental budget inflation.
+# the timeout guards only against accidental budget inflation. The
+# scenarios include the engine's own Serializable: ssi-scan-skew and
+# ssi-update-where-phantom (witnesses 28 and 29) must reach a serial
+# outcome on every schedule.
 echo "==> explorer smoke gate (fixed seed, bounded budget, <60s)"
 timeout 60 cargo test -q --release --test schedule_explorer --test schedule_corpus
 
@@ -123,9 +126,16 @@ timeout 60 cargo test -q --release -p adhoc-storage --lib escrow
 # sorted-vector index postings must answer like ordered id sets.
 timeout 60 cargo test -q --release -p adhoc-storage --lib table
 # The scan reader against the old per-row loops (results, read sets and
-# observer events, one observer look per statement), and the bound
+# observer events, one observer look per statement), the point statements
+# against their per-statement matrix references, and the bound
 # predicate's loop against a failing test in every position.
 timeout 60 cargo test -q --release -p adhoc-storage --lib txn
+# The isolation matrix, decided once (engine::Rules), pinned against its
+# doc table; the per-profile behaviours the paper rests on; and the
+# serializability oracle over the engine's Serializable.
+timeout 60 cargo test -q --release -p adhoc-storage --lib engine
+timeout 60 cargo test -q --release -p adhoc-storage --test engine_behaviors
+timeout 60 cargo test -q --release --test serializability_oracle
 timeout 60 cargo test -q --release -p adhoc-storage --lib predicate
 echo "==> primitive races in release (watermark, condvar, front door, session pool, lock table, table catalog, <60s each)"
 timeout 60 cargo test -q --release -p adhoc-storage --lib epoch
