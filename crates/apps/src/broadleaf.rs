@@ -425,96 +425,6 @@ mod tests {
     }
 
     #[test]
-    fn add_to_cart_updates_total() {
-        for mode in [Mode::AdHoc, Mode::DatabaseTxn] {
-            let app = fixture(mode);
-            app.add_to_cart(1, 7, 2).unwrap();
-            app.add_to_cart(1, 8, 3).unwrap();
-            assert!(app.cart_total_consistent(1).unwrap(), "{mode:?}");
-            assert_eq!(
-                app.orm
-                    .find_required("carts", 1)
-                    .unwrap()
-                    .get_int("total")
-                    .unwrap(),
-                7 * 2 + 8 * 3
-            );
-        }
-    }
-
-    #[test]
-    fn concurrent_add_to_cart_stays_consistent_adhoc() {
-        let app = Arc::new(fixture(Mode::AdHoc));
-        std::thread::scope(|s| {
-            for t in 0..6 {
-                let app = Arc::clone(&app);
-                s.spawn(move || {
-                    for i in 0..10 {
-                        app.add_to_cart(1, (t * 10 + i) % 9 + 1, 1).unwrap();
-                    }
-                });
-            }
-        });
-        assert!(app.cart_total_consistent(1).unwrap());
-    }
-
-    #[test]
-    fn concurrent_add_to_cart_stays_consistent_dbt() {
-        let app = Arc::new(fixture(Mode::DatabaseTxn));
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let app = Arc::clone(&app);
-                s.spawn(move || {
-                    for _ in 0..8 {
-                        app.add_to_cart(1, 5, 1).unwrap();
-                    }
-                });
-            }
-        });
-        assert!(app.cart_total_consistent(1).unwrap());
-    }
-
-    #[test]
-    fn check_out_decrements_and_respects_stock() {
-        for mode in [Mode::AdHoc, Mode::DatabaseTxn] {
-            let db = Database::in_memory(EngineProfile::MySqlLike);
-            let orm = setup(&db).unwrap();
-            let app = Broadleaf::new(orm, Arc::new(MemLock::new()), mode);
-            app.seed_sku(1, 3).unwrap();
-            assert!(app.check_out(1, 2).unwrap());
-            assert!(
-                !app.check_out(1, 2).unwrap(),
-                "{mode:?} must refuse oversell"
-            );
-            assert!(app.check_out(1, 1).unwrap());
-            assert!(app.sku_conserved(1, 3).unwrap());
-        }
-    }
-
-    #[test]
-    fn concurrent_checkout_conserves_stock_both_modes() {
-        for mode in [Mode::AdHoc, Mode::DatabaseTxn] {
-            let db = Database::in_memory(EngineProfile::MySqlLike);
-            let orm = setup(&db).unwrap();
-            let app = Arc::new(Broadleaf::new(orm, Arc::new(MemLock::new()), mode));
-            app.seed_sku(1, 10_000).unwrap();
-            std::thread::scope(|s| {
-                for _ in 0..8 {
-                    let app = Arc::clone(&app);
-                    s.spawn(move || {
-                        for _ in 0..25 {
-                            app.check_out(1, 1).unwrap();
-                        }
-                    });
-                }
-            });
-            assert!(app.sku_conserved(1, 10_000).unwrap(), "{mode:?}");
-            let sku = app.orm.find_required("skus", 1).unwrap();
-            assert_eq!(sku.get_int("sold").unwrap(), 200, "{mode:?}");
-        }
-    }
-
-    #[test]
     fn omitted_sku_coordination_loses_updates() {
         // §4.2 [67]: leaving the SKU RMW uncoordinated breaks conservation.
         let db = Database::in_memory(EngineProfile::MySqlLike);

@@ -499,40 +499,6 @@ mod tests {
     }
 
     #[test]
-    fn grants_are_idempotent_and_upgrade() {
-        for mode in [Mode::AdHoc, Mode::DatabaseTxn] {
-            let app = fixture(mode);
-            app.grant(1, 10, 1).unwrap();
-            app.grant(1, 10, 3).unwrap();
-            app.grant(1, 10, 2).unwrap(); // downgrade ignored
-            assert!(app.grants_unique(1).unwrap(), "{mode:?}");
-            let schema = app.orm().db().schema("grants").unwrap();
-            let rows = app
-                .orm()
-                .transaction(|t| Ok(t.raw().scan("grants", &Predicate::eq("user_id", 1))?))
-                .unwrap();
-            assert_eq!(rows.len(), 1, "{mode:?}");
-            assert_eq!(rows[0].1.get_int(&schema, "level").unwrap(), 3, "{mode:?}");
-        }
-    }
-
-    #[test]
-    fn concurrent_grants_never_duplicate() {
-        for mode in [Mode::AdHoc, Mode::DatabaseTxn] {
-            let app = Arc::new(fixture(mode));
-            std::thread::scope(|s| {
-                for t in 0..8 {
-                    let app = Arc::clone(&app);
-                    s.spawn(move || {
-                        app.grant(1, 10, t).unwrap();
-                    });
-                }
-            });
-            assert!(app.grants_unique(1).unwrap(), "{mode:?}");
-        }
-    }
-
-    #[test]
     fn offline_asset_refuses_connections() {
         let app = fixture(Mode::AdHoc);
         app.seed_asset(1).unwrap();

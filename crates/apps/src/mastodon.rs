@@ -690,64 +690,6 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_create_delete_with_correct_lock_stays_consistent() {
-        let app = Arc::new(fixture(Mode::AdHoc));
-        std::thread::scope(|s| {
-            for t in 0..4 {
-                let app = Arc::clone(&app);
-                s.spawn(move || {
-                    for i in 0..10 {
-                        let post_id = t * 100 + i;
-                        app.create_post(7, post_id, "x").unwrap();
-                        if i % 2 == 0 {
-                            app.delete_post(7, post_id).unwrap();
-                        }
-                    }
-                });
-            }
-        });
-        assert!(app.timeline_consistent(7).unwrap());
-    }
-
-    #[test]
-    fn invite_limit_holds_in_both_modes() {
-        for mode in [Mode::AdHoc, Mode::DatabaseTxn] {
-            let app = Arc::new(fixture(mode));
-            app.seed_invite(1, 10).unwrap();
-            let successes: usize = std::thread::scope(|s| {
-                (0..6)
-                    .map(|_| {
-                        let app = Arc::clone(&app);
-                        s.spawn(move || {
-                            let mut ok = 0;
-                            for _ in 0..5 {
-                                if app.redeem_invite(1).unwrap() {
-                                    ok += 1;
-                                }
-                            }
-                            ok
-                        })
-                    })
-                    .collect::<Vec<_>>()
-                    .into_iter()
-                    .map(|h| h.join().unwrap())
-                    .sum()
-            });
-            assert_eq!(successes, 10, "{mode:?}: exactly max redemptions");
-            assert!(app.invite_within_limit(1).unwrap(), "{mode:?}");
-            assert_eq!(
-                app.orm
-                    .find_required("invites", 1)
-                    .unwrap()
-                    .get_int("redeems")
-                    .unwrap(),
-                10,
-                "{mode:?}"
-            );
-        }
-    }
-
-    #[test]
     fn expired_lease_with_unchecked_expiry_overuses_invites() {
         // §4.1.1 [65]: the TTL is shorter than the critical section and
         // nobody checks `is_valid` — two redeemers read the same count.

@@ -522,25 +522,6 @@ mod tests {
     }
 
     #[test]
-    fn advance_issue_accumulates_in_both_modes() {
-        for mode in [Mode::AdHoc, Mode::DatabaseTxn] {
-            let app = Arc::new(fixture(mode));
-            app.seed_issue(1, "crash on save").unwrap();
-            std::thread::scope(|s| {
-                for t in 0..5 {
-                    let app = Arc::clone(&app);
-                    s.spawn(move || {
-                        for _ in 0..4 {
-                            app.advance_issue(1, t, 5).unwrap();
-                        }
-                    });
-                }
-            });
-            assert_eq!(app.done_ratio(1).unwrap(), 100, "{mode:?}");
-        }
-    }
-
-    #[test]
     fn progress_caps_at_100() {
         let app = fixture(Mode::AdHoc);
         app.seed_issue(1, "x").unwrap();
@@ -574,27 +555,6 @@ mod tests {
     }
 
     #[test]
-    fn attachment_counter_cache_stays_exact_in_both_modes() {
-        for mode in [Mode::AdHoc, Mode::DatabaseTxn] {
-            let app = Arc::new(fixture(mode));
-            app.seed_issue(1, "needs logs").unwrap();
-            std::thread::scope(|s| {
-                for t in 0..5 {
-                    let app = Arc::clone(&app);
-                    s.spawn(move || {
-                        for r in 0..4 {
-                            app.add_attachment(1, &format!("log-{t}-{r}.txt")).unwrap();
-                        }
-                    });
-                }
-            });
-            assert!(app.attachments_consistent(1).unwrap(), "{mode:?}");
-            let issue = app.orm().find_required("issues", 1).unwrap();
-            assert_eq!(issue.get_int("attachments_count").unwrap(), 20, "{mode:?}");
-        }
-    }
-
-    #[test]
     fn closed_version_refuses_new_issues() {
         let app = fixture(Mode::AdHoc);
         app.seed_version(1, "1.0").unwrap();
@@ -612,28 +572,6 @@ mod tests {
         assert!(app.close_version(1).unwrap());
         assert!(!app.assign_version(2, 1).unwrap(), "closed version refused");
         assert!(app.versions_consistent().unwrap());
-    }
-
-    #[test]
-    fn coordinated_close_vs_assign_race_keeps_the_invariant() {
-        for mode in [Mode::AdHoc, Mode::DatabaseTxn] {
-            for round in 0..20 {
-                let app = Arc::new(fixture(mode));
-                app.seed_version(1, "1.0").unwrap();
-                app.seed_issue(1, "a").unwrap();
-                std::thread::scope(|s| {
-                    let a = Arc::clone(&app);
-                    s.spawn(move || {
-                        let _ = a.assign_version(1, 1).unwrap();
-                    });
-                    let b = Arc::clone(&app);
-                    s.spawn(move || {
-                        let _ = b.close_version(1).unwrap();
-                    });
-                });
-                assert!(app.versions_consistent().unwrap(), "{mode:?} round {round}");
-            }
-        }
     }
 
     #[test]

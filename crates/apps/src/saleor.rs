@@ -383,75 +383,12 @@ mod tests {
     }
 
     #[test]
-    fn allocate_applies_once_and_respects_stock() {
-        for mode in [Mode::AdHoc, Mode::DatabaseTxn] {
-            let app = fixture(mode);
-            app.seed_stock(1, 10).unwrap();
-            app.seed_allocation(100, 1, 4).unwrap();
-            assert!(app.allocate(100).unwrap());
-            assert_eq!(app.stock_qty(1).unwrap(), 6, "{mode:?}");
-            // Second run: allocation qty is now 0, so it "succeeds" as a
-            // no-op against stock.
-            assert!(app.allocate(100).unwrap());
-            assert_eq!(app.stock_qty(1).unwrap(), 6, "{mode:?}");
-        }
-    }
-
-    #[test]
     fn allocate_refuses_oversized_allocations() {
         let app = fixture(Mode::AdHoc);
         app.seed_stock(1, 3).unwrap();
         app.seed_allocation(100, 1, 5).unwrap();
         assert!(!app.allocate(100).unwrap());
         assert_eq!(app.stock_qty(1).unwrap(), 3);
-    }
-
-    #[test]
-    fn concurrent_allocations_never_oversell() {
-        let app = Arc::new(fixture(Mode::AdHoc));
-        app.seed_stock(1, 10).unwrap();
-        for i in 0..8 {
-            app.seed_allocation(100 + i, 1, 3).unwrap();
-        }
-        let applied: usize = std::thread::scope(|s| {
-            (0..8)
-                .map(|i| {
-                    let app = Arc::clone(&app);
-                    s.spawn(move || {
-                        // Each thread allocates a distinct item against the
-                        // same stock row.
-                        let before = app.stock_qty(1).unwrap();
-                        let _ = before;
-                        app.allocate(100 + i).unwrap() as usize
-                    })
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .sum()
-        });
-        // 10 units, 3 per allocation: exactly 3 can apply.
-        assert_eq!(applied, 3);
-        assert_eq!(app.stock_qty(1).unwrap(), 1);
-    }
-
-    #[test]
-    fn capture_respects_authorization_with_correct_lock() {
-        let app = Arc::new(fixture(Mode::AdHoc));
-        app.seed_capture(1, 100).unwrap();
-        let successes: usize = std::thread::scope(|s| {
-            (0..8)
-                .map(|_| {
-                    let app = Arc::clone(&app);
-                    s.spawn(move || app.capture_payment(1, 30).unwrap() as usize)
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .sum()
-        });
-        assert_eq!(successes, 3, "3 × 30 fits in 100, a 4th does not");
-        assert!(app.capture_within_authorization(1).unwrap());
     }
 
     #[test]

@@ -936,3 +936,121 @@ fn postgres_serializable_certifies_rows_a_scan_rejected() {
         other => panic!("non-serializable (100, 100, 2) committed: {other:?}"),
     }
 }
+
+/// The mirror of the gap lock above: a locking scan whose range holds
+/// another transaction's *uncommitted* insert waits for it, as InnoDB's
+/// next-key lock waits on the new index record, and then sees the row.
+/// Without the wait, two Serializable "insert an item, recompute the
+/// cart total" transactions each miss the other's item and the later
+/// total overwrites the earlier one (Broadleaf's add-to-cart).
+#[test]
+fn mysql_locking_scan_waits_for_an_in_flight_insert() {
+    let db = payments_db(EngineProfile::MySqlLike);
+    let mut inserter = db.begin_with(IsolationLevel::ReadCommitted);
+    inserter
+        .insert("payments", &[("order_id", 10.into())])
+        .unwrap();
+
+    let scanned = Arc::new(AtomicBool::new(false));
+    let (db2, flag) = (db.clone(), Arc::clone(&scanned));
+    let h = thread::spawn(move || {
+        let mut t = db2.begin_with(IsolationLevel::Serializable);
+        let rows = t.scan("payments", &Predicate::eq("order_id", 10)).unwrap();
+        flag.store(true, Ordering::SeqCst);
+        t.commit().unwrap();
+        rows.len()
+    });
+    thread::sleep(Duration::from_millis(80));
+    assert!(
+        !scanned.load(Ordering::SeqCst),
+        "the scan must wait for the insert into its range"
+    );
+    inserter.commit().unwrap();
+    assert_eq!(h.join().unwrap(), 1, "and then see the inserted row");
+}
+
+/// A commutative delta takes no record lock, so it can install while a
+/// plain update of the same row holds its lock. The update's image was
+/// computed before the delta landed; at commit it must merge the delta,
+/// not overwrite it — whether the delta's column is another one (a like
+/// counter beside a post counter) or the one the update assigns.
+#[test]
+fn a_plain_update_merges_deltas_installed_under_its_row_lock() {
+    for profile in [EngineProfile::MySqlLike, EngineProfile::PostgresLike] {
+        let db = Database::in_memory(profile);
+        db.create_table(
+            Schema::new(
+                "topics",
+                vec![
+                    Column::new("id", ColumnType::Int),
+                    Column::new("max_post", ColumnType::Int),
+                    Column::new("likes", ColumnType::Int),
+                ],
+                "id",
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        db.run(IsolationLevel::ReadCommitted, |t| {
+            t.insert(
+                "topics",
+                &[
+                    ("id", 1.into()),
+                    ("max_post", 0.into()),
+                    ("likes", 0.into()),
+                ],
+            )
+        })
+        .unwrap();
+        let like = || {
+            db.run(IsolationLevel::ReadCommitted, |t| {
+                t.add_delta("topics", 1, "likes", 1)
+            })
+            .unwrap()
+        };
+
+        let mut writer = db.begin_with(IsolationLevel::ReadCommitted);
+        writer
+            .update("topics", 1, &[("max_post", 1.into())])
+            .unwrap();
+        like();
+        writer.update("topics", 1, &[("likes", 10.into())]).unwrap();
+        like();
+        writer.commit().unwrap();
+
+        let schema = db.schema("topics").unwrap();
+        let row = db.latest_committed("topics", 1).unwrap().unwrap();
+        let col = |c| row.get_int(&schema, c).unwrap();
+        assert_eq!((col("max_post"), col("likes")), (1, 12), "{profile:?}");
+    }
+}
+
+/// §3.3.2's insert-if-absent as a MySQL-like Serializable transaction:
+/// scan for the order's payment, insert one if there is none. Racing
+/// pairs must never both insert. A scan that planned before the other's
+/// insert committed and gap-locked after it would (the plan and the gap
+/// lock are two steps), so the scan plans again under its gap lock.
+#[test]
+fn mysql_serializable_insert_if_absent_never_duplicates() {
+    for round in 0..300 {
+        let db = payments_db(EngineProfile::MySqlLike);
+        thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    db.run_with_retries(IsolationLevel::Serializable, 1000, |t| {
+                        if t.scan("payments", &Predicate::eq("order_id", 1))?
+                            .is_empty()
+                        {
+                            t.insert("payments", &[("order_id", 1.into())])?;
+                        }
+                        Ok(())
+                    })
+                    .unwrap();
+                });
+            }
+        });
+        let mut t = db.begin();
+        let rows = t.scan("payments", &Predicate::eq("order_id", 1)).unwrap();
+        assert_eq!(rows.len(), 1, "round {round}");
+    }
+}

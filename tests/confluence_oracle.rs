@@ -1,30 +1,28 @@
-//! Confluence oracle: the coordination-avoiding paths keep their
-//! invariants with no coordination to lean on.
+//! Confluence oracle: the coordination-avoiding paths survive crashes
+//! with no coordination to lean on.
 //!
-//! PR 9's tentpole claim is that `Mode::Confluent` commits commutative
-//! counter updates with *zero* coordination (no lock, no OCC footprint,
-//! no retry loop) and enforces budget invariants (`x >= 0`,
-//! `uses <= max`) through escrow reservations alone. That claim is only
-//! as good as its failure modes, so this oracle checks it from two
-//! directions:
+//! `Mode::Confluent` commits commutative counter updates with *zero*
+//! coordination (no lock, no OCC footprint, no retry loop) and enforces
+//! budget invariants (`x >= 0`, `uses <= max`) through escrow
+//! reservations alone. Its concurrency half — hot-key convergence to the
+//! exact sum, escrow budgets granting exactly the budget (never an
+//! oversell, never a refusal while units remain) — is the four-mode
+//! contention table's `Mode::Confluent` cells (`tests/contention/`, run
+//! whole by `tests/mode_table.rs` beside the other three modes of the
+//! same ops); the tests below run those cells under the names this
+//! oracle gave them.
 //!
-//! 1. **Concurrency** — threads hammer a single hot row through the
-//!    Confluent app paths. Counters must converge to the exact sum
-//!    (commutativity means nothing is lost and nothing retries), and
-//!    escrow budgets must grant *exactly* the budgeted amount: never an
-//!    oversell, never a refused request while slots remain.
-//! 2. **Crash-restart** — the WAL-backed sweep in `tests/crash_sweep/`
-//!    that `crash_recovery_oracle.rs` also runs: every commit-adjacent
-//!    crash point, under every crash kind (`CommitFailed`,
-//!    `CrashAfterDurable`, `CrashBeforeDurable`, `TornWrite`). Deltas
-//!    materialize into ordinary row images at commit, so recovery is
-//!    delta-oblivious; the escrow ledger is volatile and re-derives
-//!    from committed state. The oracle asserts durability of acked
-//!    effects, conservation invariants after replay, serviceability
-//!    (the restarted process resumes, with at-least-once duplicates
-//!    bounded by the escrow cap), and — stronger than the ad hoc
-//!    sweeps — that boot-fsck finds *nothing to repair* and every
-//!    resumed op succeeds.
+//! The rest of this file is the crash-restart half: the WAL-backed sweep in
+//! `tests/crash_sweep/` that `crash_recovery_oracle.rs` also runs, over
+//! every commit-adjacent crash point under every crash kind
+//! (`CommitFailed`, `CrashAfterDurable`, `CrashBeforeDurable`,
+//! `TornWrite`). Deltas materialize into ordinary row images at commit,
+//! so recovery is delta-oblivious; the escrow ledger is volatile and
+//! re-derives from committed state. The oracle asserts durability of
+//! acked effects, conservation invariants after replay, serviceability
+//! (the restarted process resumes, with at-least-once duplicates bounded
+//! by the escrow cap), and — stronger than the ad hoc sweeps — that
+//! boot-fsck finds *nothing to repair* and every resumed op succeeds.
 //!
 //! The schedule-explorer half of the story lives in
 //! `tests/schedule_corpus.rs` (the `delta-merge-crash` scenario, pinned
@@ -32,20 +30,26 @@
 //! `CRASH_ORACLE=<app>_confluent/kind/k` (e.g.
 //! `scm_suite_confluent/torn-write/2`).
 
+mod common;
+#[macro_use]
+mod contention;
 mod crash_sweep;
 
-use adhoc_transactions::apps::{mastodon, saleor, scm_suite, spree, Mode};
+use adhoc_transactions::apps::{mastodon, saleor, scm_suite, Mode};
 use adhoc_transactions::core::locks::MemLock;
 use adhoc_transactions::kv::{Client, Store};
 use adhoc_transactions::sim::{LatencyModel, VirtualClock};
-use adhoc_transactions::storage::{Database, DbConfig, EngineProfile};
+use adhoc_transactions::storage::Database;
 use crash_sweep::{check, fsck_violations, int_field, sweep, Audit, Driver, Op};
-use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
-fn mem_db() -> Database {
-    Database::new(DbConfig::in_memory(EngineProfile::PostgresLike))
-}
+cells!(Confluent:
+    confluent_poll_tallies_converge_exactly => mastodon_votes,
+    escrow_invites_grant_exactly_the_budget => mastodon_invites,
+    escrow_stock_allocation_never_oversells => saleor_allocate,
+    spree_confluent_checkout_drains_stock_exactly => spree_checkout,
+    scm_balance_conserves_under_mixed_traffic => scm_accounts,
+);
 
 fn mastodon_app(db: &Database, mode: Mode) -> mastodon::Mastodon {
     let orm = mastodon::setup(db).unwrap();
@@ -56,189 +60,6 @@ fn mastodon_app(db: &Database, mode: Mode) -> mastodon::Mastodon {
     );
     mastodon::Mastodon::new(orm, kv, Arc::new(MemLock::new()), mode)
 }
-
-// ---------------------------------------------------------------------------
-// Part 1: convergence and budget exactness under concurrency.
-// ---------------------------------------------------------------------------
-
-/// Fig. 1c without the loop: concurrent votes are commutative deltas, so
-/// every vote lands exactly once — no retry, no lost update — and the
-/// tallies converge to the exact per-choice sums.
-#[test]
-fn confluent_poll_tallies_converge_exactly() {
-    let db = mem_db();
-    let app = Arc::new(mastodon_app(&db, Mode::Confluent));
-    app.seed_poll(1).unwrap();
-    let threads = 8;
-    let votes = 25;
-    std::thread::scope(|s| {
-        for t in 0..threads {
-            let app = app.clone();
-            s.spawn(move || {
-                for j in 0..votes {
-                    let choice = if (t + j) % 2 == 0 {
-                        mastodon::Choice::A
-                    } else {
-                        mastodon::Choice::B
-                    };
-                    // Any Err here is a failed commit: the Confluent vote
-                    // path has no retry loop, so success proves zero
-                    // conflicts, not conflicts-eventually-won.
-                    app.vote(1, choice).unwrap();
-                }
-            });
-        }
-    });
-    let (a, b) = app.poll_totals(1).unwrap();
-    assert_eq!((a, b), (100, 100), "tallies must converge to exact sums");
-    let boot = app.recover_on_boot();
-    assert!(boot.is_clean() && boot.fixed == 0, "{boot:?}");
-}
-
-/// Fig. 1b as escrow: `redeems <= max_redeems` held by reserving slots,
-/// not by a lock. Contenders get *exactly* the budget — no over-redeem,
-/// and no refusal while slots remain (reservations either confirm or
-/// are released back).
-#[test]
-fn escrow_invites_grant_exactly_the_budget() {
-    let db = mem_db();
-    let app = Arc::new(mastodon_app(&db, Mode::Confluent));
-    app.seed_invite(1, 10).unwrap();
-    let granted = AtomicI64::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..4 {
-            let (app, granted) = (app.clone(), &granted);
-            s.spawn(move || {
-                for _ in 0..8 {
-                    if app.redeem_invite(1).unwrap() {
-                        granted.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            });
-        }
-    });
-    assert_eq!(granted.load(Ordering::Relaxed), 10, "exactly the budget");
-    assert_eq!(int_field(&db, "invites", 1, "redeems"), Some(10));
-    assert_eq!(int_field(&db, "invites", 1, "slots"), Some(0));
-    assert!(app.invite_within_limit(1).unwrap());
-    let boot = app.recover_on_boot();
-    assert!(boot.is_clean() && boot.fixed == 0, "{boot:?}");
-}
-
-/// §3.2.1 as escrow: sixteen concurrent single-unit allocations against
-/// ten units of stock. The stock decrement takes no `FOR UPDATE` lock;
-/// the escrow reservation alone must stop the oversell at exactly zero.
-#[test]
-fn escrow_stock_allocation_never_oversells() {
-    let db = mem_db();
-    let orm = saleor::setup(&db).unwrap();
-    let app = Arc::new(saleor::Saleor::new(
-        orm,
-        Arc::new(MemLock::new()),
-        Mode::Confluent,
-    ));
-    app.seed_stock(1, 10).unwrap();
-    for item in 1..=16 {
-        app.seed_allocation(item, 1, 1).unwrap();
-    }
-    let granted = AtomicI64::new(0);
-    std::thread::scope(|s| {
-        for item in 1..=16 {
-            let (app, granted) = (app.clone(), &granted);
-            s.spawn(move || {
-                if app.allocate(item).unwrap() {
-                    granted.fetch_add(1, Ordering::Relaxed);
-                }
-            });
-        }
-    });
-    assert_eq!(granted.load(Ordering::Relaxed), 10, "exactly the stock");
-    assert_eq!(app.stock_qty(1).unwrap(), 0, "stock drains to exactly zero");
-    let boot = app.recover_on_boot();
-    assert!(boot.is_clean() && boot.fixed == 0, "{boot:?}");
-}
-
-/// §3.1.1's checkout under escrow: concurrent single-unit orders against
-/// one hot SKU drain it to exactly zero, and the cold cascade rows
-/// (product/category touches, order state) ride along blind.
-#[test]
-fn spree_confluent_checkout_drains_stock_exactly() {
-    let db = mem_db();
-    let orm = spree::setup(&db).unwrap();
-    let app = Arc::new(spree::Spree::new(
-        orm,
-        Arc::new(MemLock::new()),
-        Mode::Confluent,
-    ));
-    app.seed_catalog(1, 1, &[1, 2], 50).unwrap();
-    let threads = 8;
-    for order in 1..=threads {
-        app.seed_order(order).unwrap();
-    }
-    let granted = AtomicI64::new(0);
-    std::thread::scope(|s| {
-        for order in 1..=threads {
-            let (app, granted) = (app.clone(), &granted);
-            s.spawn(move || {
-                for _ in 0..10 {
-                    if app.decrement_stock(order, 1, 1).unwrap() {
-                        granted.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            });
-        }
-    });
-    assert_eq!(granted.load(Ordering::Relaxed), 50, "exactly the stock");
-    assert_eq!(app.sku_quantity(1).unwrap(), 0);
-    let boot = app.recover_on_boot();
-    assert!(boot.is_clean() && boot.fixed == 0, "{boot:?}");
-}
-
-/// Mixed credits and debits on one hot account: credits are pure
-/// deposits, debits reserve first. The final balance must equal the
-/// seed plus every credit minus exactly the granted debits, never dip
-/// below zero, and agree with the escrow ledger's view.
-#[test]
-fn scm_balance_conserves_under_mixed_traffic() {
-    let db = mem_db();
-    let orm = scm_suite::setup(&db).unwrap();
-    let app = Arc::new(scm_suite::ScmSuite::new(
-        orm,
-        Arc::new(MemLock::new()),
-        Mode::Confluent,
-    ));
-    app.seed_account(1, 50).unwrap();
-    let debits = AtomicI64::new(0);
-    std::thread::scope(|s| {
-        for t in 0..8 {
-            let (app, debits) = (app.clone(), &debits);
-            s.spawn(move || {
-                for _ in 0..10 {
-                    if t % 2 == 0 {
-                        assert!(app.adjust_balance(1, 2).unwrap(), "credits always land");
-                    } else if app.adjust_balance(1, -3).unwrap() {
-                        debits.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            });
-        }
-    });
-    let balance = app.balance(1).unwrap();
-    let expected = 50 + 40 * 2 - 3 * debits.load(Ordering::Relaxed);
-    assert_eq!(balance, expected, "conservation: seed + credits - grants");
-    assert!(balance >= 0, "the budget invariant");
-    assert_eq!(
-        db.escrow_available("accounts", 1, "balance").unwrap(),
-        balance,
-        "the volatile ledger agrees with committed state at rest"
-    );
-    let boot = app.recover_on_boot();
-    assert!(boot.is_clean() && boot.fixed == 0, "{boot:?}");
-}
-
-// ---------------------------------------------------------------------------
-// Part 2: crash-restart sweeps over the Confluent paths.
-// ---------------------------------------------------------------------------
 
 impl Audit<'_> {
     /// `[lo, hi]` bounds for a counter fed by the ops in `ids`: at least
