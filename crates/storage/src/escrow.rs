@@ -21,16 +21,19 @@
 //! The ledger is volatile server memory (like the lock table): a crash
 //! forgets every outstanding reservation, and entries lazily re-init
 //! from the committed column value. Committed state is only ever moved
-//! by the reservation's transaction (a commutative delta, see
-//! [`Transaction::add_delta`](crate::txn::Transaction::add_delta)), so
-//! crash recovery needs no escrow-specific repair.
+//! by commutative deltas (see
+//! [`Transaction::add_delta`](crate::txn::Transaction::add_delta)): a
+//! reservation's transaction takes its units out, and a committed positive
+//! delta credits the cell's entry as it installs, so crash recovery needs
+//! no escrow-specific repair.
 //!
 //! Discipline (enforced by convention, checked by the confluence
 //! oracle): an escrow-managed column is decremented only through
 //! [`Database::escrow_reserve`] + [`EscrowReservation::confirm`], and
-//! incremented only through [`Database::escrow_deposit`]. Writes that
-//! bypass the ledger desynchronize `available` from the committed value
-//! until the next restart.
+//! incremented only by deltas ([`Database::escrow_deposit`], or an
+//! `add_delta` in a transaction of the caller's own, such as a transfer's
+//! credit). Plain writes that bypass the ledger desynchronize `available`
+//! from the committed value until the next restart.
 
 use crate::db::Database;
 use crate::error::DbError;
@@ -46,7 +49,7 @@ type EscrowKey = (usize, i64, usize);
 
 /// Per-cell escrow state.
 #[derive(Debug)]
-struct EscrowEntry {
+pub(crate) struct EscrowEntry {
     /// Remaining budget: committed column value minus outstanding
     /// reservations. Granting a reservation is one compare-and-swap that
     /// never takes it below zero; releasing is one `fetch_add`.
@@ -58,6 +61,13 @@ struct EscrowEntry {
 #[derive(Default)]
 pub(crate) struct EscrowLedger {
     entries: Mutex<FastMap<EscrowKey, Arc<EscrowEntry>>>,
+}
+
+impl EscrowEntry {
+    /// Credit a committed positive delta of the cell.
+    pub(crate) fn credit(&self, amount: i64) {
+        self.available.fetch_add(amount, Ordering::AcqRel);
+    }
 }
 
 impl EscrowLedger {
@@ -148,8 +158,9 @@ impl Drop for EscrowReservation {
 impl Database {
     /// Resolve (or lazily initialize) the escrow entry for one cell. The
     /// first use reads the committed column value under the row's shard
-    /// lock while holding the ledger lock, so no deposit or reservation
-    /// can interleave with initialization (both resolve the entry first).
+    /// lock, the lock a committer holds while it installs a delta of the
+    /// row (see [`escrow_credit_target`](Self::escrow_credit_target)): the
+    /// initial value and a delta's credit never both count one delta.
     fn escrow_entry(&self, table: &str, id: i64, column: &str) -> Result<Arc<EscrowEntry>> {
         let t = self.resolve_table(table)?;
         let col = t.schema.column_index(column)?;
@@ -162,24 +173,47 @@ impl Database {
             });
         }
         let key = (t.id, id, col);
-        let mut entries = self.inner.escrow.entries.lock();
-        if let Some(entry) = entries.get(&key) {
+        if let Some(entry) = self.inner.escrow.entries.lock().get(&key) {
             return Ok(Arc::clone(entry));
         }
-        let committed = self.with_chain(t.id, id, |c| {
-            c.and_then(|c| c.latest()).map(|row| row.at(col).as_int())
-        });
-        let Some(committed) = committed else {
-            return Err(DbError::NoSuchRow {
-                table: table.to_string(),
-                id,
+        self.with_chain(t.id, id, |c| {
+            let Some(committed) = c.and_then(|c| c.latest()).map(|row| row.at(col).as_int()) else {
+                return Err(DbError::NoSuchRow {
+                    table: table.to_string(),
+                    id,
+                });
+            };
+            let mut entries = self.inner.escrow.entries.lock();
+            let entry = entries.entry(key).or_insert_with(|| {
+                t.mark_escrowed();
+                Arc::new(EscrowEntry {
+                    available: AtomicI64::new(committed),
+                })
             });
-        };
-        let entry = Arc::new(EscrowEntry {
-            available: AtomicI64::new(committed),
-        });
-        entries.insert(key, Arc::clone(&entry));
-        Ok(entry)
+            Ok(Arc::clone(entry))
+        })
+    }
+
+    /// The ledger entry a committed positive delta of one cell must
+    /// credit, if the cell has one. The committer calls this while it
+    /// holds the row's shard lock and credits the entry once the delta is
+    /// installed: an entry that exists now read a committed value without
+    /// the delta, and no entry can be initialized until the lock drops.
+    pub(crate) fn escrow_credit_target(
+        &self,
+        table: usize,
+        id: i64,
+        col: usize,
+    ) -> Option<Arc<EscrowEntry>> {
+        if !self.table_by_id(table).escrowed() {
+            return None;
+        }
+        self.inner
+            .escrow
+            .entries
+            .lock()
+            .get(&(table, id, col))
+            .cloned()
     }
 
     /// Reserve `amount` units of the budget column `table.column` on row
@@ -225,17 +259,15 @@ impl Database {
     }
 
     /// Deposit `amount` units into an escrow-managed budget column: one
-    /// committed commutative delta plus the matching ledger credit. The
-    /// entry is resolved *before* the transaction commits, so the credit
-    /// is never double-counted against a lazy initialization.
+    /// committed commutative delta, which credits the ledger as it
+    /// installs. The entry is resolved *before* the transaction commits,
+    /// so the budget grows by `amount` even on the cell's first use.
     pub fn escrow_deposit(&self, table: &str, id: i64, column: &str, amount: i64) -> Result<()> {
         assert!(amount >= 0, "escrow deposits are non-negative");
-        let entry = self.escrow_entry(table, id, column)?;
+        self.escrow_entry(table, id, column)?;
         self.run(crate::engine::IsolationLevel::ReadCommitted, |t| {
             t.add_delta(table, id, column, amount)
-        })?;
-        entry.available.fetch_add(amount, Ordering::AcqRel);
-        Ok(())
+        })
     }
 
     /// The remaining budget of an escrow cell (committed value minus
@@ -339,6 +371,26 @@ mod tests {
         assert_eq!(db.escrow_available("stocks", 1, "qty").unwrap(), 4);
         let committed = db.latest_committed("stocks", 1).unwrap().unwrap();
         assert_eq!(committed.values[1].as_int(), 5);
+    }
+
+    #[test]
+    fn a_committed_positive_delta_credits_the_ledger() {
+        let db = fixture(1);
+        // Before the cell has an entry, the entry's first read counts it.
+        db.run(IsolationLevel::ReadCommitted, |t| {
+            t.add_delta("stocks", 1, "qty", 2)
+        })
+        .unwrap();
+        assert_eq!(db.escrow_available("stocks", 1, "qty").unwrap(), 3);
+        // After, the install credits it, next to the outstanding hold.
+        let _hold = db.escrow_reserve("stocks", 1, "qty", 3).unwrap();
+        db.run(IsolationLevel::ReadCommitted, |t| {
+            t.add_delta("stocks", 1, "qty", 4)
+        })
+        .unwrap();
+        assert_eq!(db.escrow_available("stocks", 1, "qty").unwrap(), 4);
+        let committed = db.latest_committed("stocks", 1).unwrap().unwrap();
+        assert_eq!(committed.values[1].as_int(), 7);
     }
 
     #[test]
