@@ -3,7 +3,9 @@
 //! Scenarios reproduced:
 //! * **Figure 1a** — `add_to_cart` keeps `carts.total` consistent with the
 //!   cart's items using a single app-side map lock over the associated
-//!   accesses (carts + items, §3.3.1).
+//!   accesses (carts + items, §3.3.1). Every mode sums the cart's items
+//!   with one `Transaction::scan_fold`, which lends each row to the sum
+//!   instead of returning a copy of it.
 //! * **Table 6 `RMW`** — `check_out` decrements SKU stock: the ad hoc
 //!   variant takes an exclusive lock *before* the first read; the database
 //!   variant runs at MySQL Serializable and deadlocks on the
@@ -20,7 +22,8 @@ use adhoc_core::checker::{BootRecovery, CheckRule, Report, Violation};
 use adhoc_core::locks::AdHocLock;
 use adhoc_orm::occ::run_occ;
 use adhoc_orm::{Coordinator, EntityDef, Orm, OrmError, Registry};
-use adhoc_storage::{Column, ColumnType, Database, IsolationLevel, Predicate, Row, Schema};
+use adhoc_storage::{Column, ColumnType, Database, IsolationLevel, Predicate, Schema, Transaction};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Create Broadleaf's tables and entity registry on a database.
@@ -168,9 +171,7 @@ impl Broadleaf {
                             ("price", price.into()),
                         ],
                     )?;
-                    let items = t.scan("items", &Predicate::eq("cart_id", cart_id))?;
-                    let schema = self.orm.db().schema("items")?;
-                    let total = cart_total(&schema, &items)?;
+                    let total = self.cart_total(t, cart_id)?;
                     t.update("carts", cart_id, &[("total", total.into())])?;
                     Ok(())
                 })?;
@@ -191,9 +192,7 @@ impl Broadleaf {
                             ("price", price.into()),
                         ],
                     )?;
-                    let items = t.raw().scan("items", &Predicate::eq("cart_id", cart_id))?;
-                    let schema = self.orm.db().schema("items")?;
-                    let total = cart_total(&schema, &items)?;
+                    let total = self.cart_total(t.raw(), cart_id)?;
                     t.raw()
                         .update("carts", cart_id, &[("total", total.into())])?;
                     Ok(())
@@ -205,11 +204,23 @@ impl Broadleaf {
     }
 
     fn recompute_total(&self, cart_id: i64) -> Result<i64> {
-        let schema = self.orm.db().schema("items")?;
-        let items = self
+        Ok(self
             .orm
-            .transaction(|t| Ok(t.raw().scan("items", &Predicate::eq("cart_id", cart_id))?))?;
-        Ok(cart_total(&schema, &items)?)
+            .transaction(|t| Ok(self.cart_total(t.raw(), cart_id)?))?)
+    }
+
+    /// Figure 1a's derived value: the sum of `qty * price` over cart
+    /// `cart_id`'s `items` rows, folded inside one `cart_id = ?` scan that
+    /// lends each row instead of returning a copy.
+    fn cart_total(&self, t: &mut Transaction, cart_id: i64) -> adhoc_storage::Result<i64> {
+        let schema = self.orm.db().schema("items")?;
+        let (qty, price) = (schema.column_index("qty")?, schema.column_index("price")?);
+        t.scan_fold(
+            "items",
+            &Predicate::eq("cart_id", cart_id),
+            0,
+            |sum, _, item| sum + item.at(qty).as_int() * item.at(price).as_int(),
+        )
     }
 
     /// Table 6 `RMW`: purchase `qty` units of a SKU. Returns `false` when
@@ -345,34 +356,21 @@ pub fn boot_fsck() -> BootRecovery {
 }
 
 /// Flag carts whose stored total differs from the sum of their items, and
-/// rewrite the total from the items on fix.
+/// rewrite the total from the items on fix. A pass reads `items` once and
+/// sums every cart's rows, not once per cart.
 fn cart_total_rule() -> CheckRule {
     let name = "broadleaf:carts.total";
-    let expected = |db: &Database, cart_id: i64| -> Option<i64> {
-        let schema = db.schema("items").ok()?;
-        let (cart, qty, price) = (
-            schema.position("cart_id")?,
-            schema.position("qty")?,
-            schema.position("price")?,
-        );
-        let items = db.dump_table("items").ok()?;
-        Some(
-            items
-                .iter()
-                .filter(|(_, item)| item.at(cart).as_int() == cart_id)
-                .map(|(_, item)| item.at(qty).as_int() * item.at(price).as_int())
-                .sum(),
-        )
-    };
     CheckRule::new(name, move |db| {
-        let (Ok(carts), Ok(schema)) = (db.dump_table("carts"), db.schema("carts")) else {
+        let (Ok(carts), Ok(schema), Some(sums)) =
+            (db.dump_table("carts"), db.schema("carts"), item_sums(db))
+        else {
             return Vec::new();
         };
         carts
             .iter()
             .filter_map(|(id, row)| {
                 let stored = row.get_int(&schema, "total").ok()?;
-                let want = expected(db, *id)?;
+                let want = sums.get(id).copied().unwrap_or(0);
                 (stored != want).then(|| Violation {
                     rule: name.to_string(),
                     table: "carts".to_string(),
@@ -383,7 +381,7 @@ fn cart_total_rule() -> CheckRule {
             .collect()
     })
     .with_fix(move |db, v| {
-        let Some(want) = expected(db, v.row_id) else {
+        let Some(want) = item_sums(db).map(|sums| sums.get(&v.row_id).copied().unwrap_or(0)) else {
             return false;
         };
         db.run(IsolationLevel::ReadCommitted, |t| {
@@ -393,14 +391,21 @@ fn cart_total_rule() -> CheckRule {
     })
 }
 
-/// Figure 1a's derived value: the sum of `qty * price` over a cart's
-/// `items` rows, the two column positions resolved once.
-fn cart_total(schema: &Schema, items: &[(i64, Row)]) -> adhoc_storage::Result<i64> {
-    let (qty, price) = (schema.column_index("qty")?, schema.column_index("price")?);
-    Ok(items
-        .iter()
-        .map(|(_, item)| item.at(qty).as_int() * item.at(price).as_int())
-        .sum())
+/// The sum of `qty * price` over each cart's committed `items` rows, by
+/// `cart_id`, from one read of the table (a cart with no items is absent).
+fn item_sums(db: &Database) -> Option<HashMap<i64, i64>> {
+    let schema = db.schema("items").ok()?;
+    let (cart, qty, price) = (
+        schema.position("cart_id")?,
+        schema.position("qty")?,
+        schema.position("price")?,
+    );
+    let mut sums = HashMap::new();
+    for (_, item) in db.dump_table("items").ok()? {
+        *sums.entry(item.at(cart).as_int()).or_insert(0) +=
+            item.at(qty).as_int() * item.at(price).as_int();
+    }
+    Some(sums)
 }
 
 /// The DBT isolation for Broadleaf's workloads (Table 6: MySQL,

@@ -991,19 +991,19 @@ impl Discourse {
     /// Invariant (AA): the topic's `total_likes` equals the sum of its
     /// posts' like counts.
     pub fn likes_consistent(&self, topic_id: i64) -> Result<bool> {
-        let schema = self.orm.db().schema("posts")?;
+        let like_cnt = self.orm.db().schema("posts")?.column_index("like_cnt")?;
         let total = self
             .orm
             .find_required("topics", topic_id)?
             .get_int("total_likes")?;
-        let rows = self.orm.transaction(|t| {
-            Ok(t.raw()
-                .scan("posts", &Predicate::eq("topic_id", topic_id))?)
+        let sum = self.orm.transaction(|t| {
+            Ok(t.raw().scan_fold(
+                "posts",
+                &Predicate::eq("topic_id", topic_id),
+                0,
+                |sum, _, post| sum + post.at(like_cnt).as_int(),
+            )?)
         })?;
-        let mut sum = 0;
-        for (_, r) in &rows {
-            sum += r.get_int(&schema, "like_cnt")?;
-        }
         Ok(total == sum)
     }
 

@@ -277,11 +277,15 @@ impl Redmine {
             .orm
             .find_required("issues", issue_id)?
             .get_int("attachments_count")?;
-        let rows = self.orm.transaction(|t| {
-            Ok(t.raw()
-                .scan("attachments", &Predicate::eq("issue_id", issue_id))?)
+        let count = self.orm.transaction(|t| {
+            Ok(t.raw().scan_fold(
+                "attachments",
+                &Predicate::eq("issue_id", issue_id),
+                0,
+                |n, _, _| n + 1,
+            )?)
         })?;
-        Ok(cached == rows.len() as i64)
+        Ok(cached == count)
     }
 
     /// Target an open issue at a version, refusing closed versions — one

@@ -28,7 +28,9 @@ use adhoc_core::checker::{stuck_state, BootRecovery, Report};
 use adhoc_core::locks::AdHocLock;
 use adhoc_orm::occ::run_occ;
 use adhoc_orm::{Coordinator, EntityDef, Orm, OrmError, Registry, TouchVia};
-use adhoc_storage::{Column, ColumnType, Database, DbError, IsolationLevel, Predicate, Schema};
+use adhoc_storage::{
+    Column, ColumnType, Database, DbError, IsolationLevel, Predicate, Schema, Transaction,
+};
 use std::sync::Arc;
 
 /// Create Spree's tables (including the §3.1.1 cascade chain) and registry.
@@ -411,10 +413,7 @@ impl Spree {
                     .coord
                     .user_lock(&format!("payments:order_id={order_id}"))?;
                 let created = self.orm.transaction(|t| {
-                    let existing = t
-                        .raw()
-                        .scan("payments", &Predicate::eq("order_id", order_id))?;
-                    if !existing.is_empty() {
+                    if has_payment(t.raw(), order_id)? {
                         return Ok(false);
                     }
                     t.raw().insert(
@@ -433,10 +432,7 @@ impl Spree {
                 // values").
                 let guard = self.lock.lock(&format!("payments:order_id={order_id}"))?;
                 let created = self.orm.transaction(|t| {
-                    let existing = t
-                        .raw()
-                        .scan("payments", &Predicate::eq("order_id", order_id))?;
-                    if !existing.is_empty() {
+                    if has_payment(t.raw(), order_id)? {
                         return Ok(false);
                     }
                     t.raw().insert(
@@ -453,8 +449,7 @@ impl Spree {
                 DBT_RETRIES,
                 |t| {
                     crate::busy_work(self.request_cpu_work);
-                    let existing = t.scan("payments", &Predicate::eq("order_id", order_id))?;
-                    if !existing.is_empty() {
+                    if has_payment(t, order_id)? {
                         return Ok(false);
                     }
                     t.insert(
@@ -582,6 +577,17 @@ impl Spree {
             .find_required("skus", sku_id)?
             .get_int("quantity")?)
     }
+}
+
+/// Whether order `order_id` already has a payment: the `order_id = ?`
+/// scan of Table 6's `PBC` check, folded to a flag (no row is copied).
+fn has_payment(t: &mut Transaction, order_id: i64) -> adhoc_storage::Result<bool> {
+    t.scan_fold(
+        "payments",
+        &Predicate::eq("order_id", order_id),
+        false,
+        |_, _, _| true,
+    )
 }
 
 /// Spree's boot-time recovery pass (§4.3, issue \[60\]): a crash between

@@ -15,7 +15,7 @@
 //! never share a lock.
 
 use crate::db::{CommittedTxn, Database, Shard};
-use crate::engine::{AccessEvent, IsolationLevel, Rules};
+use crate::engine::{AccessEvent, IsolationLevel, Rules, StatementObserver};
 use crate::error::{DbError, TxnId};
 use crate::lock::LockMode;
 use crate::predicate::{BoundPredicate, Predicate, ValueInterval};
@@ -77,6 +77,8 @@ struct PendingDelta {
 
 /// How a scan found its candidates, and the interval gap/SSI tracking uses.
 struct ScanPlan {
+    /// The scanned table's id.
+    table: usize,
     ids: Vec<i64>,
     /// Column position the interval ranges over (primary key for full and
     /// pk scans) and the next-key-widened interval.
@@ -276,6 +278,7 @@ impl Transaction {
             if col == t.schema.primary_key {
                 let (ids, (prev, next)) = t.pk_scan(&interval);
                 return Ok(ScanPlan {
+                    table: t.id,
                     ids,
                     gap_column: col,
                     gap: interval.widen_to_gap(prev, next),
@@ -284,6 +287,7 @@ impl Transaction {
             if t.index_on(col).is_some() {
                 let (ids, (prev, next)) = t.index_scan(col, &interval)?;
                 return Ok(ScanPlan {
+                    table: t.id,
                     ids,
                     gap_column: col,
                     gap: interval.widen_to_gap(prev, next),
@@ -292,6 +296,7 @@ impl Transaction {
         }
         // Full scan: ranges over the whole primary-key space.
         Ok(ScanPlan {
+            table: t.id,
             ids: t.all_ids(),
             gap_column: t.schema.primary_key,
             gap: ValueInterval::all(),
@@ -360,8 +365,63 @@ impl Transaction {
         let t = self.open(table)?;
         let bound = pred.bind(&t.schema)?;
         let (plan, snap) = self.lock_plan(&t, pred, None)?;
-        let slots = self.read_candidates(t.id, &plan, &bound, snap, None, true)?;
+        let slots = self.read_slots(&plan, &bound, snap, None, true)?;
         Ok(self.read_result(&t, &bound, slots, false))
+    }
+
+    /// `SELECT … FROM table WHERE pred` folded instead of returned: the
+    /// statement [`scan`](Self::scan) runs — one round trip, the same
+    /// record, gap and SSI-range locking, the same read set, the same
+    /// own-writes overlay and the same observer events (one per match, in
+    /// ascending id order, only when an observer is attached) — but each
+    /// match is lent to `f(acc, id, &row)` instead of copied into a result,
+    /// so a reader that only counts, tests or sums its matches takes no
+    /// reference count per row and builds no vector.
+    ///
+    /// `f` runs under a row-state shard mutex: it must not call into the
+    /// database. Matches arrive in no specified order. A row this
+    /// transaction wrote is judged on its newest pending image, and its own
+    /// matching inserts are folded in too.
+    pub fn scan_fold<A>(
+        &mut self,
+        table: &str,
+        pred: &Predicate,
+        init: A,
+        mut f: impl FnMut(A, i64, &Row) -> A,
+    ) -> Result<A> {
+        let t = self.open(table)?;
+        let bound = pred.bind(&t.schema)?;
+        let (plan, snap) = self.lock_plan(&t, pred, None)?;
+        // Sorted ids of the rows this transaction wrote on the table: their
+        // committed versions are skipped, their pending images folded below.
+        let own: Vec<i64> = self.own_writes(t.id).into_keys().collect();
+        let observer = self.db.observer();
+        // Match ids for the observer, collected only when there is one.
+        let mut matched = Vec::new();
+        let mut acc = Some(init);
+        self.read_candidates(&plan, &bound, snap, None, true, |i, row| {
+            let id = plan.ids[i];
+            if own.binary_search(&id).is_err() {
+                acc = acc.take().map(|acc| f(acc, id, row));
+                if observer.is_some() {
+                    matched.push(id);
+                }
+            }
+        })?;
+        let mut acc = acc.expect("the fold holds its accumulator between matches");
+        for (id, row) in self.own_writes(t.id) {
+            if let Some(row) = row.filter(|row| bound.matches(row)) {
+                acc = f(acc, id, row);
+                if observer.is_some() {
+                    matched.push(id);
+                }
+            }
+        }
+        if let Some(observer) = observer {
+            matched.sort_unstable();
+            self.report_reads(&*observer, &t, matched, false);
+        }
+        Ok(acc)
     }
 
     /// The front half of the three predicate statements: plan against the
@@ -422,32 +482,33 @@ impl Transaction {
         Ok((plan, snap))
     }
 
-    /// The one candidate-reading loop behind `scan`, `select_for_update`
-    /// and `update_where`: one `(id, row)` slot per plan candidate, in plan
-    /// order, holding the candidate's committed row — the version visible
-    /// at `snap`, or the latest when `snap` is `None` — when it satisfies
-    /// `pred`, else `None`. The rows are the stored versions themselves (a
-    /// count bump each), read one shard at a time, each written straight
-    /// into its slot, so nothing is sorted back into plan order.
+    /// The one candidate-reading loop behind every predicate statement:
+    /// hands `visit` each plan candidate's committed row — the version
+    /// visible at `snap`, or the latest when `snap` is `None` — that
+    /// satisfies `pred`, with the candidate's plan position. The row is
+    /// the stored version itself, lent under its shard's mutex (read one
+    /// shard at a time), so `visit` runs in shard order, not plan order,
+    /// and must not call into the database.
     ///
     /// `first_updater` is the reason a locking statement fails with under
     /// the `first_updater` rule when a matching row was committed after
-    /// the transaction snapshot and is not one of its own writes; plain
-    /// reads pass `None`. `track_reads` enters every candidate the
-    /// statement examined — matching or not — into the SSI read set under
-    /// `certify`: a later committer that changes a rejected row without
-    /// moving an indexed key can still change what the statement matched.
+    /// the transaction snapshot and is not one of its own writes; such a
+    /// row is not visited, and plain reads pass `None`. `track_reads`
+    /// enters every candidate the statement examined — matching or not —
+    /// into the SSI read set under `certify`: a later committer that
+    /// changes a rejected row without moving an indexed key can still
+    /// change what the statement matched.
     fn read_candidates(
         &mut self,
-        tid: usize,
         plan: &ScanPlan,
         pred: &BoundPredicate<'_>,
         snap: Option<CommitTs>,
         first_updater: Option<&str>,
         track_reads: bool,
-    ) -> Result<Vec<(i64, Option<Row>)>> {
+        mut visit: impl FnMut(usize, &Row),
+    ) -> Result<()> {
+        let tid = plan.table;
         let first_updater = first_updater.filter(|_| self.rules.first_updater);
-        let mut slots: Vec<(i64, Option<Row>)> = plan.ids.iter().map(|id| (*id, None)).collect();
         // Plan position of the first match that lost to a newer committer.
         let mut lost_at = usize::MAX;
         self.db.for_each_chain(tid, &plan.ids, |i, chain| {
@@ -464,7 +525,7 @@ impl Transaction {
             {
                 lost_at = lost_at.min(i);
             } else {
-                slots[i].1 = Some(row.clone());
+                visit(i, row);
             }
         });
         // The statement stops at that candidate: only the candidates before
@@ -475,12 +536,31 @@ impl Transaction {
         }
         match first_updater {
             Some(reason) if lost_at != usize::MAX => Err(self.serialization_failure(reason)),
-            _ => Ok(slots),
+            _ => Ok(()),
         }
     }
 
+    /// [`read_candidates`](Self::read_candidates) into one `(id, row)` slot
+    /// per plan candidate, in plan order: the candidate's committed match
+    /// (a count bump each), else `None`. Each row is written straight into
+    /// its slot, so nothing is sorted back into plan order.
+    fn read_slots(
+        &mut self,
+        plan: &ScanPlan,
+        pred: &BoundPredicate<'_>,
+        snap: Option<CommitTs>,
+        first_updater: Option<&str>,
+        track_reads: bool,
+    ) -> Result<Vec<(i64, Option<Row>)>> {
+        let mut slots: Vec<(i64, Option<Row>)> = plan.ids.iter().map(|id| (*id, None)).collect();
+        self.read_candidates(plan, pred, snap, first_updater, track_reads, |i, row| {
+            slots[i].1 = Some(row.clone());
+        })?;
+        Ok(slots)
+    }
+
     /// What the statement sees of its matches: the committed rows
-    /// [`read_candidates`](Self::read_candidates) left in their plan
+    /// [`read_slots`](Self::read_slots) left in their plan
     /// slots, with this transaction's own pending writes on the table on
     /// top — a candidate it already wrote is judged on its newest pending
     /// image instead, and own inserts the index cannot know about yet are
@@ -498,13 +578,7 @@ impl Transaction {
                 .filter_map(|(id, row)| Some((id, row?)))
                 .collect();
         }
-        // Newest own write per row: later entries replace earlier ones.
-        let mut own: BTreeMap<i64, Option<&Row>> = self
-            .pending
-            .iter()
-            .filter(|p| p.table == tid)
-            .map(|p| (p.id, p.row.as_ref()))
-            .collect();
+        let mut own = self.own_writes(tid);
         let own_match = |row: Option<&Row>| row.filter(|row| pred.matches(row)).cloned();
         let mut rows = Vec::new();
         for (id, committed) in slots {
@@ -523,6 +597,17 @@ impl Transaction {
         rows
     }
 
+    /// This transaction's newest pending image of each row it wrote on
+    /// table `tid`, by id (`None` = deleted): later writes replace earlier
+    /// ones.
+    fn own_writes(&self, tid: usize) -> BTreeMap<i64, Option<&Row>> {
+        self.pending
+            .iter()
+            .filter(|p| p.table == tid)
+            .map(|p| (p.id, p.row.as_ref()))
+            .collect()
+    }
+
     /// Finish a reading statement: own writes overlaid, ascending id
     /// order, every returned row reported to the statement observers.
     fn read_result(
@@ -538,16 +623,27 @@ impl Transaction {
         rows.sort_unstable_by_key(|(id, _)| *id);
         // One look for an observer per statement, not one per row.
         if let Some(observer) = self.db.observer() {
-            for (id, _) in &rows {
-                observer.on_event(&AccessEvent::Read {
-                    txn: self.id,
-                    table: t.schema.table.clone(),
-                    row: *id,
-                    locking,
-                });
-            }
+            self.report_reads(&*observer, t, rows.iter().map(|(id, _)| *id), locking);
         }
         rows
+    }
+
+    /// Report one read of each of `ids`, in the order given, to `observer`.
+    fn report_reads(
+        &self,
+        observer: &dyn StatementObserver,
+        t: &Table,
+        ids: impl IntoIterator<Item = i64>,
+        locking: bool,
+    ) {
+        for row in ids {
+            observer.on_event(&AccessEvent::Read {
+                txn: self.id,
+                table: t.schema.table.clone(),
+                row,
+                locking,
+            });
+        }
     }
 
     /// Point read at Read Committed regardless of the transaction's own
@@ -581,7 +677,7 @@ impl Transaction {
         let bound = pred.bind(&t.schema)?;
         let (plan, snap) = self.lock_plan(&t, pred, Some(LockMode::Exclusive))?;
         let reason = Some("row updated since snapshot");
-        let slots = self.read_candidates(t.id, &plan, &bound, snap, reason, true)?;
+        let slots = self.read_slots(&plan, &bound, snap, reason, true)?;
         Ok(self.read_result(&t, &bound, slots, true))
     }
 
@@ -866,7 +962,7 @@ impl Transaction {
         // Matches against latest committed + own overlay, in plan order
         // (the order the unique-key locks below are taken in).
         let reason = Some("concurrent update");
-        let slots = self.read_candidates(t.id, &plan, &bound, snap, reason, false)?;
+        let slots = self.read_slots(&plan, &bound, snap, reason, false)?;
         let targets = self.with_own_writes(t.id, &bound, slots);
 
         let count = targets.len();
@@ -1852,8 +1948,14 @@ mod tests {
     /// exists (so a target can be written more than once).
     type OwnWrite = (u8, i64, i64, i64);
 
+    /// An `items` table (`cart_id` indexed) holding `seed`, observed. A
+    /// lock wait gives up after 5 ms: no statement here contends except a
+    /// probe meant to show that it waits.
     fn items_db(profile: EngineProfile, seed: &Seed) -> (Database, Arc<Recorder>) {
-        let db = Database::in_memory(profile);
+        let db = Database::new(
+            crate::engine::DbConfig::in_memory(profile)
+                .with_lock_wait_timeout(std::time::Duration::from_millis(5)),
+        );
         db.create_table(
             Schema::new(
                 "items",
@@ -2025,6 +2127,115 @@ mod tests {
                         proptest::prop_assert_eq!(
                             new_db.dump_table("items").unwrap(),
                             old_db.dump_table("items").unwrap()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// `scan_fold` is `scan` without the result vector: collecting its
+    /// matches gives back exactly the rows `scan` returns, and it leaves
+    /// the same trace — observer events, `read_rows`, `read_ranges`, held
+    /// record locks — and blocks (or lets through) the same concurrent
+    /// insert into the scanned gap, after which both commits agree. Seeded
+    /// over every `Rules::of` cell, primary-key, secondary-index and full
+    /// plans, and own pending inserts, updates (some moving a row to
+    /// another `cart_id`) and deletes on the scanned table, with other
+    /// transactions committing after the snapshot.
+    #[test]
+    fn scan_fold_matches_scan() {
+        for seed in 0..64u64 {
+            let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+            let mut next = move |n: u64| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                (rng % n) as i64
+            };
+            let rows: Seed = (0..next(12)).map(|_| (next(3), next(4))).collect();
+            let own: Vec<OwnWrite> = (0..next(5))
+                .map(|_| (next(3) as u8, 1 + next(14), next(3), next(4)))
+                .collect();
+            let late: Vec<i64> = (0..next(3)).map(|_| next(14)).collect();
+            let (cart, qty, low, span) = (next(3), next(4), next(8), next(8));
+            let predicates = [
+                Predicate::between("id", low, low + span),
+                Predicate::Range {
+                    column: "id".into(),
+                    low: Bound::Excluded(low.into()),
+                    high: Bound::Unbounded,
+                },
+                Predicate::eq("cart_id", cart),
+                Predicate::between("cart_id", 0, 1),
+                Predicate::eq("qty", qty),
+                Predicate::And(vec![
+                    Predicate::eq("cart_id", cart),
+                    Predicate::ge("qty", qty),
+                ]),
+                Predicate::All,
+            ];
+            let n = rows.len() as i64;
+            for profile in [EngineProfile::MySqlLike, EngineProfile::PostgresLike] {
+                for iso in [
+                    IsolationLevel::ReadCommitted,
+                    IsolationLevel::RepeatableRead,
+                    IsolationLevel::Serializable,
+                ] {
+                    for pred in &predicates {
+                        let at = format!("seed {seed}, {profile:?} {iso:?} {pred:?}");
+                        let (fold_db, fold_events) = items_db(profile, &rows);
+                        let (scan_db, scan_events) = items_db(profile, &rows);
+                        let mut fold = open_txn(&fold_db, iso, n, &own, &late);
+                        let mut scan = open_txn(&scan_db, iso, n, &own, &late);
+                        let folded = fold
+                            .scan_fold("items", pred, Vec::new(), |mut rows, id, row| {
+                                rows.push((id, row.clone()));
+                                rows
+                            })
+                            .map(|mut rows| {
+                                rows.sort_unstable_by_key(|(id, _)| *id);
+                                rows
+                            });
+                        let scanned = scan.scan("items", pred);
+                        assert_eq!(format!("{folded:?}"), format!("{scanned:?}"), "{at}");
+                        assert_eq!(state(&fold), state(&scan), "{at}");
+                        assert_eq!(*fold_events.0.lock(), *scan_events.0.lock(), "{at}");
+                        let locks = |txn: &Transaction| -> Vec<Option<LockMode>> {
+                            let tid = txn.db.resolve_table("items").unwrap().id;
+                            (1..=20)
+                                .map(|id| txn.db.locks().held_record_mode(txn.id, tid, id))
+                                .collect()
+                        };
+                        assert_eq!(locks(&fold), locks(&scan), "{at}");
+                        // Another transaction inserts into cart `cart` at the
+                        // end of the key space while the scanner is open.
+                        let probe = |db: &Database| {
+                            let mut t = db.begin_with(IsolationLevel::ReadCommitted);
+                            let got =
+                                t.insert("items", &[("cart_id", cart.into()), ("qty", qty.into())]);
+                            format!("{got:?} {:?}", got.is_ok().then(|| t.commit()))
+                        };
+                        let (fold_probe, scan_probe) = (probe(&fold_db), probe(&scan_db));
+                        assert_eq!(fold_probe, scan_probe, "{at}");
+                        // Only a plain read under MySQL-like Serializable
+                        // gap-locks; over the whole table it must block.
+                        let gap_locks = profile == EngineProfile::MySqlLike
+                            && iso == IsolationLevel::Serializable;
+                        if !gap_locks || matches!(pred, Predicate::All) {
+                            let blocked = fold_probe.contains("LockWaitTimeout");
+                            assert_eq!(blocked, gap_locks, "{at}: {fold_probe}");
+                        }
+                        assert_eq!(
+                            format!("{:?}", fold.commit()),
+                            format!("{:?}", scan.commit()),
+                            "{at}"
+                        );
+                        assert_eq!(*fold_events.0.lock(), *scan_events.0.lock(), "{at}");
+                        assert_eq!(
+                            fold_db.dump_table("items").unwrap(),
+                            scan_db.dump_table("items").unwrap(),
+                            "{at}"
                         );
                     }
                 }

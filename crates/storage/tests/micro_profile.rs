@@ -1,8 +1,9 @@
 //! Ad hoc microbenchmarks, ignored by default: `micro` accounts the
 //! commit path per operation, `indexed_scan` times one secondary-index
-//! scan per matching row (one key with 430 matches among 3,440 rows). Run
-//! with `cargo test --release -p adhoc-storage --test micro_profile --
-//! --ignored --nocapture`.
+//! scan per matching row (one key with 430 matches among 3,440 rows) and
+//! `indexed_fold` the same statement as a `scan_fold` that sums a column
+//! over the lent rows. Run with `cargo test --release -p adhoc-storage
+//! --test micro_profile -- --ignored --nocapture`.
 
 use adhoc_storage::{
     Column, ColumnType, Database, EngineProfile, IsolationLevel, Predicate, Schema,
@@ -84,9 +85,9 @@ fn micro() {
 const SCAN_KEYS: i64 = 8;
 const SCAN_MATCHES: i64 = 430;
 
-#[test]
-#[ignore = "manual profiling aid"]
-fn indexed_scan() {
+/// The `items` table both scan timings read: `SCAN_KEYS` carts of
+/// `SCAN_MATCHES` rows each, `cart_id` indexed, `qty` 1 everywhere.
+fn items() -> Database {
     let d = Database::in_memory(EngineProfile::MySqlLike);
     d.create_table(
         Schema::new(
@@ -113,18 +114,48 @@ fn indexed_scan() {
             .unwrap();
         }
     }
-    let pred = Predicate::eq("cart_id", 3);
+    d
+}
+
+/// Run `statement` (which reads `SCAN_MATCHES` rows) 20,000 times and
+/// print its cost per matching row.
+fn time_per_row(label: &str, statement: impl Fn()) {
     let n = 20_000u64;
     let start = Instant::now();
     for _ in 0..n {
+        statement();
+    }
+    let per_row = start.elapsed().as_nanos() as f64 / (n * SCAN_MATCHES as u64) as f64;
+    println!(
+        "{label}, {SCAN_MATCHES} of {} rows: {per_row:.1} ns/row",
+        SCAN_KEYS * SCAN_MATCHES
+    );
+}
+
+#[test]
+#[ignore = "manual profiling aid"]
+fn indexed_scan() {
+    let d = items();
+    let pred = Predicate::eq("cart_id", 3);
+    time_per_row("scan(cart_id = k)", || {
         let rows = d
             .run(IsolationLevel::ReadCommitted, |t| t.scan("items", &pred))
             .unwrap();
         assert_eq!(rows.len() as i64, SCAN_MATCHES);
-    }
-    let per_row = start.elapsed().as_nanos() as f64 / (n * SCAN_MATCHES as u64) as f64;
-    println!(
-        "scan(cart_id = k), {SCAN_MATCHES} of {} rows: {per_row:.1} ns/row",
-        SCAN_KEYS * SCAN_MATCHES
-    );
+    });
+}
+
+#[test]
+#[ignore = "manual profiling aid"]
+fn indexed_fold() {
+    let d = items();
+    let pred = Predicate::eq("cart_id", 3);
+    time_per_row("scan_fold(cart_id = k)", || {
+        let qty = d
+            .run(IsolationLevel::ReadCommitted, |t| {
+                t.scan_fold("items", &pred, 0, |sum, _, row| sum + row.at(2).as_int())
+            })
+            .unwrap();
+        assert_eq!(qty, SCAN_MATCHES);
+    });
 }

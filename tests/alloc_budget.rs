@@ -6,6 +6,9 @@
 //! one allocation per column), and allocations per `scan(cart_id = k)`
 //! must not depend on how many rows match (a read hands out the stored
 //! versions — a copy of each shows up here as one allocation per row).
+//! The same holds for `scan_fold(cart_id = k)`, Figure 1a's cart total
+//! folded over lent rows, which must also allocate strictly less than the
+//! scan: it builds no result vector.
 //! An auto-increment insert commit is held to its own budget.
 //! The service's front door is held to the same standard per request: a
 //! timeline read through `offer` + `run_tick` allocates only what the
@@ -88,6 +91,9 @@ const BUDGET_UPDATE_WHERE_PK: u64 = 11;
 /// Plan ids, the reader's shard order, the matches and the transaction's
 /// bookkeeping — whatever the number of matching rows.
 const BUDGET_SCAN: u64 = 3;
+/// `scan_fold(cart_id = k)` summing `qty * price`: the scan's allocations
+/// without its result vector, whatever the number of matching rows.
+const BUDGET_SCAN_FOLD: u64 = 2;
 /// One auto-increment insert commit into `items`, recorded when a row's
 /// newest version moved into its shard-map slot (7 -> 6: a row that was
 /// only ever inserted has no chain vector).
@@ -214,17 +220,38 @@ fn update_where_pk(orm: &Orm, id: i64) {
 /// Allocations of one `scan(cart_id = cart)`, after two identical scans.
 fn per_scan(orm: &Orm, cart: usize) -> u64 {
     let pred = Predicate::eq("cart_id", cart as i64);
-    let scan = || {
+    allocations_of_third(|| {
         let items = orm
             .db()
             .run(IsolationLevel::RepeatableRead, |t| t.scan("items", &pred))
             .unwrap();
         assert_eq!(items.len() as i64, CART_SIZES[cart]);
-    };
-    scan();
-    scan();
+    })
+}
+
+/// Allocations of one `scan_fold(cart_id = cart)` summing Figure 1a's cart
+/// total, after two identical folds.
+fn per_scan_fold(orm: &Orm, cart: usize) -> u64 {
+    let pred = Predicate::eq("cart_id", cart as i64);
+    allocations_of_third(|| {
+        let total = orm
+            .db()
+            .run(IsolationLevel::RepeatableRead, |t| {
+                t.scan_fold("items", &pred, 0, |sum, _, item| {
+                    sum + item.at(2).as_int() * item.at(3).as_int()
+                })
+            })
+            .unwrap();
+        assert_eq!(total, 2 * 5 * CART_SIZES[cart]);
+    })
+}
+
+/// Allocations of the third of three identical calls of `op`.
+fn allocations_of_third(op: impl Fn()) -> u64 {
+    op();
+    op();
     let before = ALLOCS.with(Cell::get);
-    scan();
+    op();
     ALLOCS.with(Cell::get) - before
 }
 
@@ -374,6 +401,24 @@ fn allocations_per_statement_are_table_size_independent_and_within_budget() {
         assert!(
             allocations <= BUDGET_SCAN,
             "scan(cart_id = k): {allocations} allocations, budget {BUDGET_SCAN}"
+        );
+    }
+    let per_cart_fold = [0, 1, 2].map(|cart| per_scan_fold(&small, cart));
+    for (cart, allocations) in per_cart_fold.into_iter().enumerate() {
+        let matches = CART_SIZES[cart];
+        println!("scan_fold(cart_id = k): {allocations} allocations at {matches} matching rows");
+        assert_eq!(
+            allocations, per_cart_fold[0],
+            "scan_fold(cart_id = k): allocations must not depend on how many rows match"
+        );
+        assert!(
+            allocations < per_cart[cart],
+            "scan_fold(cart_id = k): {allocations} allocations, not fewer than scan's {}",
+            per_cart[cart]
+        );
+        assert!(
+            allocations <= BUDGET_SCAN_FOLD,
+            "scan_fold(cart_id = k): {allocations} allocations, budget {BUDGET_SCAN_FOLD}"
         );
     }
     let inserts = per_insert(&small);
