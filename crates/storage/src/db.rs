@@ -38,15 +38,27 @@
 //! readers of the newest version (`latest_committed`, escrow,
 //! first-updater checks) never look further back. Each commit prunes the
 //! chains it writes down to that horizon (`VersionChain::prune`) and the
-//! shard logs it appends to by the same rule. A chain holds its newest
-//! version inline in its shard-map slot and the older ones in a vector
-//! that pruning empties, so the one-version chain pruning leaves behind —
-//! almost every row — is read without following a pointer, and a row that
-//! was only ever inserted allocates no vector at all. Boot-time replay
-//! (`install_recovered`) replaces a row's chain with its newest version.
-//! The horizon is cached in one monotone atomic and recomputed every
-//! `PRUNE_EVERY` installs into a shard, counted under that shard's guard,
-//! so the common commit pays one load for it.
+//! shard logs it appends to by the same rule. The horizon is cached in one
+//! monotone atomic and recomputed every `PRUNE_EVERY` installs into a
+//! shard, counted under that shard's guard, so the common commit pays one
+//! load for it.
+//!
+//! That install-time prune must keep the version a concurrent snapshot may
+//! still read, so the committer revisits its rows when it *retires*: once
+//! its timestamp is applied and its registration removed
+//! (`Database::retire`). If no transaction is registered then and the
+//! crash floor is at or above its commit timestamp, no snapshot below that
+//! timestamp is left, and it releases each chain it left holding an older
+//! version down to its newest (`VersionChain::release`); the emptied vector
+//! waits in a one-slot spare on its shard for the next push there. So a
+//! chain holds more than one version exactly when the last commit that
+//! wrote it has not retired yet, or retired while another transaction was
+//! registered or a forgotten handle read below it — and then only what
+//! the install-time prune kept, until the row's next write. A chain holds
+//! its newest version inline in its shard-map slot, so a chain at rest is
+//! read without following a pointer, and a row that was only ever inserted
+//! allocates no vector at all. Boot-time replay (`install_recovered`)
+//! replaces a row's chain with its newest version.
 
 use crate::engine::{
     AccessEvent, DbConfig, EngineProfile, IsolationLevel, Rules, StatementObserver,
@@ -96,6 +108,11 @@ pub(crate) struct Shard {
     /// — the refresh is amortized so the common commit never pays the scan
     /// over active snapshots.
     installs: u32,
+    /// One emptied version vector, kept for the next chain here that needs
+    /// one (see `VersionChain::release`): a retiring commit that frees a
+    /// chain's older versions leaves the next write's allocations as they
+    /// were.
+    pub spare: Vec<RowVersion>,
 }
 
 /// A shard refreshes the reclamation horizon every this many installs.
@@ -159,6 +176,10 @@ pub(crate) struct DbInner {
     /// `txn_id % ACTIVE_STRIPES` so begin/finish on different transactions
     /// don't share a lock.
     active: Box<[Mutex<FastMap<TxnId, CommitTs>>]>,
+    /// How many transactions `active` holds, never fewer: a begin raises it
+    /// before it reads its snapshot, and it drops only when an entry is
+    /// removed (see `Database::retire`).
+    registered: AtomicUsize,
     /// The last computed reclamation horizon (`Database::horizon`);
     /// only ever raised.
     horizon: AtomicU64,
@@ -293,6 +314,7 @@ impl Database {
                 active: (0..ACTIVE_STRIPES)
                     .map(|_| Mutex::new(FastMap::default()))
                     .collect(),
+                registered: AtomicUsize::new(0),
                 horizon: AtomicU64::new(0),
                 crash_floor: AtomicU64::new(CommitTs::MAX),
                 ssi_seen: AtomicBool::new(false),
@@ -560,6 +582,9 @@ impl Database {
             self.enable_ssi_logging();
         }
         let id = self.inner.next_txn.fetch_add(1, Ordering::Relaxed);
+        // Counted before the snapshot is read: a retiring commit that finds
+        // no one registered knows any begin it missed reads past it.
+        self.inner.registered.fetch_add(1, Ordering::SeqCst);
         // Snapshot assignment and registration are atomic with respect to
         // log pruning (pruning reads every stripe under its lock): a
         // transaction is registered before any entry newer than its
@@ -604,9 +629,37 @@ impl Database {
         drop(guards);
     }
 
-    /// Deregister a finished transaction.
+    /// Deregister a finished transaction. A handle a crash forgot has no
+    /// registration left to remove, and the count stays as the drain left it.
     pub(crate) fn deregister(&self, txn: TxnId) {
-        self.active_stripe(txn).lock().remove(&txn);
+        if self.active_stripe(txn).lock().remove(&txn).is_some() {
+            self.inner.registered.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Retire a commit at `commit_ts`, once the watermark covers it and its
+    /// own registration is removed: if no transaction is registered and no
+    /// handle a crash forgot reads below `commit_ts`, no snapshot below it
+    /// is left, so each chain in `rows` is released at `commit_ts` and
+    /// holds its newest version alone (`VersionChain::release`).
+    ///
+    /// A begin the count misses counted itself after this load and reads
+    /// its snapshot after that (both `SeqCst`, as is the watermark), so it
+    /// reads at or above `commit_ts`. A drain lowers the crash floor before
+    /// it lowers the count, so a count that shows the drain shows its floor.
+    pub(crate) fn retire(&self, commit_ts: CommitTs, rows: impl IntoIterator<Item = (usize, i64)>) {
+        if self.inner.registered.load(Ordering::SeqCst) != 0
+            || self.inner.crash_floor.load(Ordering::Relaxed) < commit_ts
+        {
+            return;
+        }
+        for (table, id) in rows {
+            let mut guard = self.inner.shards[shard_of(table, id)].lock();
+            let shard = &mut *guard;
+            if let Some(chain) = shard.rows.get_mut(&(table, id)) {
+                chain.release(commit_ts, &mut shard.spare);
+            }
+        }
     }
 
     /// Run a closure inside a transaction, committing on `Ok` and aborting
@@ -825,11 +878,14 @@ impl Database {
         // Engine-wide order: shards (ascending) before active stripes.
         let mut guards = self.lock_shards(ShardSet::all());
         for stripe in self.inner.active.iter() {
-            for (_, snapshot) in stripe.lock().drain() {
+            let mut stripe = stripe.lock();
+            let forgotten = stripe.len();
+            for (_, snapshot) in stripe.drain() {
                 self.inner
                     .crash_floor
                     .fetch_min(snapshot, Ordering::Relaxed);
             }
+            self.inner.registered.fetch_sub(forgotten, Ordering::SeqCst);
         }
         f(&mut guards);
     }
@@ -1125,6 +1181,13 @@ mod tests {
                 set_quantity(&db, 1, q);
             }
             assert_eq!(quantity(&mut zombie), 0, "{profile:?}");
+            // No retiring writer took it: the crash floor is below them all.
+            let kept = db.with_chain(0, 1, |c| {
+                c.unwrap()
+                    .visible(zombie.snapshot_ts())
+                    .map(|row| row.values[1].as_int())
+            });
+            assert_eq!(kept, Some(0), "{profile:?}");
             assert!(matches!(zombie.commit(), Err(DbError::TxnNotActive { .. })));
         }
     }
@@ -1133,15 +1196,86 @@ mod tests {
     fn with_no_snapshot_open_100_000_updates_leave_a_short_chain() {
         for profile in PROFILES {
             let db = one_row(DbConfig::in_memory(profile));
-            let mut longest = 0;
             for q in 1..=100_000 {
                 set_quantity(&db, 1, q);
-                longest = longest.max(chain_len(&db, 1));
+                assert_eq!(chain_len(&db, 1), 1, "{profile:?}: after update {q}");
             }
-            assert!(
-                longest <= PRUNE_EVERY as usize + 1,
-                "{profile:?}: {longest} versions"
-            );
+        }
+    }
+
+    /// A registered reader keeps the version it can read through a writer's
+    /// retirement, whatever its level: a Repeatable Read reader reads it
+    /// again, and a Read Committed one (whose statements read newer
+    /// snapshots) keeps it in the chain for as long as it is registered.
+    /// Once both have finished, the next writer to retire reclaims it.
+    #[test]
+    fn a_retiring_writer_leaves_a_registered_reader_its_version() {
+        for profile in PROFILES {
+            let db = one_row(DbConfig::in_memory(profile));
+            let mut repeatable = db.begin_with(IsolationLevel::RepeatableRead);
+            let mut committed = db.begin_with(IsolationLevel::ReadCommitted);
+            assert_eq!(quantity(&mut repeatable), 0);
+            assert_eq!(quantity(&mut committed), 0);
+            let snapshots = [repeatable.snapshot_ts(), committed.snapshot_ts()];
+            let at = |snapshot: CommitTs| {
+                db.with_chain(0, 1, |c| {
+                    c.unwrap()
+                        .visible(snapshot)
+                        .map(|row| row.values[1].as_int())
+                })
+            };
+            set_quantity(&db, 1, 1);
+            assert_eq!(quantity(&mut repeatable), 0, "{profile:?}");
+            assert_eq!(quantity(&mut committed), 1, "{profile:?}");
+            assert_eq!(snapshots.map(at), [Some(0); 2], "{profile:?}");
+            // Either reader alone keeps it.
+            repeatable.commit().unwrap();
+            set_quantity(&db, 1, 2);
+            assert_eq!(at(snapshots[1]), Some(0), "{profile:?}");
+            committed.commit().unwrap();
+            // A reader finishing reclaims nothing; the next writer does.
+            assert_eq!(at(snapshots[1]), Some(0), "{profile:?}");
+            set_quantity(&db, 1, 3);
+            assert_eq!(chain_len(&db, 1), 1, "{profile:?}");
+            assert_eq!(snapshots.map(at), [None; 2], "{profile:?}");
+        }
+    }
+
+    /// One thread updates a row in a loop while another begins Repeatable
+    /// Read snapshots and reads the row twice in each: a writer that
+    /// retires between a begin and its reads must leave that snapshot its
+    /// version, so every read finds the row and the two reads agree. Run it
+    /// in release, where the race is tightest.
+    #[test]
+    fn a_snapshot_begun_while_writers_retire_reads_its_row_twice() {
+        const ROUNDS: usize = 20_000;
+        for profile in PROFILES {
+            let db = one_row(DbConfig::in_memory(profile));
+            let done = AtomicBool::new(false);
+            let failure = std::thread::scope(|s| {
+                s.spawn(|| {
+                    let mut q = 0;
+                    while !done.load(Ordering::Relaxed) {
+                        q += 1;
+                        set_quantity(&db, 1, q);
+                    }
+                });
+                let failure = (0..ROUNDS).find_map(|round| {
+                    let mut reader = db.begin_with(IsolationLevel::RepeatableRead);
+                    let reads = [0; 2].map(|_| {
+                        reader
+                            .get("skus", 1)
+                            .unwrap()
+                            .map(|row| row.values[1].as_int())
+                    });
+                    let snapshot = reader.snapshot_ts();
+                    (reads[0].is_none() || reads[0] != reads[1])
+                        .then(|| format!("round {round} at snapshot {snapshot}: {reads:?}"))
+                });
+                done.store(true, Ordering::Relaxed);
+                failure
+            });
+            assert_eq!(failure, None, "{profile:?}");
         }
     }
 

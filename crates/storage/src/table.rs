@@ -23,9 +23,14 @@
 //!
 //! A chain keeps its newest version inline, in its shard-map slot, and
 //! any older ones behind it in a vector (oldest first) that a row only
-//! ever inserted never allocates. Since commits prune, nearly every chain
-//! holds one version, so a read — `visible`, `latest`, `latest_ts` —
-//! touches the slot and the row and follows no other pointer. A chain is
+//! ever inserted never allocates. A retiring commit releases the chains it
+//! wrote (`VersionChain::release`) when no snapshot below it is left, so a
+//! chain holds more than one version exactly when the last commit that
+//! wrote it has not retired yet, or retired while another transaction was
+//! registered or a handle a crash forgot read below it (see `crate::db`,
+//! "Version reclamation"). A chain at rest is its newest version alone,
+//! and a read of it — `visible`, `latest`, `latest_ts` — touches the slot
+//! and the row and follows no other pointer. A chain is
 //! built with its first version (a commit's first write of the row, or
 //! boot-time replay); there is no empty chain.
 //!
@@ -105,9 +110,14 @@ impl VersionChain {
     }
 
     /// Append a version. Timestamps are monotonic per chain: writers of the
-    /// same row serialize on its record lock and its shard mutex.
-    pub(crate) fn push(&mut self, version: RowVersion) {
+    /// same row serialize on its record lock and its shard mutex. A chain
+    /// with no vector takes its shard's `spare` (see [`release`](Self::release))
+    /// before it allocates one.
+    pub(crate) fn push(&mut self, version: RowVersion, spare: &mut Vec<RowVersion>) {
         debug_assert!(version.commit_ts >= self.latest_ts());
+        if self.older.capacity() == 0 {
+            self.older = std::mem::take(spare);
+        }
         self.older
             .push(std::mem::replace(&mut self.newest, version));
     }
@@ -125,6 +135,26 @@ impl VersionChain {
             .partition_point(|v| v.commit_ts <= horizon)
             .saturating_sub(1);
         self.older.drain(..keep_from);
+    }
+
+    /// Whether the chain holds any version besides its newest.
+    pub(crate) fn holds_older(&self) -> bool {
+        !self.older.is_empty()
+    }
+
+    /// Retire a commit at `commit_ts` that no snapshot below it can read
+    /// any more: prune at `commit_ts`, and when that leaves the newest
+    /// version alone, give up the emptied vector — into `spare` when that
+    /// is free, for the shard's next [`push`](Self::push), else to the
+    /// allocator.
+    pub(crate) fn release(&mut self, commit_ts: CommitTs, spare: &mut Vec<RowVersion>) {
+        self.prune(commit_ts);
+        if self.older.is_empty() && self.older.capacity() > 0 {
+            let emptied = std::mem::take(&mut self.older);
+            if spare.capacity() == 0 {
+                *spare = emptied;
+            }
+        }
     }
 
     /// Versions held.
@@ -568,7 +598,7 @@ mod tests {
             t.apply_index(id, old.as_ref(), data.as_ref());
             let version = RowVersion { commit_ts, data };
             match self.0.get_mut(&id) {
-                Some(chain) => chain.push(version),
+                Some(chain) => chain.push(version, &mut Vec::new()),
                 None => {
                     self.0.insert(id, VersionChain::new(version));
                 }
@@ -797,10 +827,13 @@ mod tests {
     fn prune_keeps_the_newest_version_at_or_below_the_horizon() {
         let mut chain = VersionChain::default();
         for ts in [2, 4, 6, 8] {
-            chain.push(RowVersion {
-                commit_ts: ts,
-                data: Some(Row::new(vec![Value::Int(ts as i64)])),
-            });
+            chain.push(
+                RowVersion {
+                    commit_ts: ts,
+                    data: Some(Row::new(vec![Value::Int(ts as i64)])),
+                },
+                &mut Vec::new(),
+            );
         }
         chain.prune(5);
         assert_eq!(chain.len(), 3, "4, 6 and 8 stay; 2 is unreadable");
@@ -825,7 +858,7 @@ mod tests {
             "nothing before the first version"
         );
         // The first push moves the old newest version into `older`.
-        chain.push(version(9));
+        chain.push(version(9), &mut Vec::new());
         assert_eq!(chain.len(), 2);
         assert_eq!(read(chain.latest()), Some(Value::Int(9)));
         // Exactly at the newest version's timestamp it is the one visible;
@@ -840,14 +873,17 @@ mod tests {
         chain.prune(9);
         assert_eq!(chain.len(), 1);
         assert!(chain.visible(8).is_none());
-        chain.push(version(12));
+        chain.push(version(12), &mut Vec::new());
         assert_eq!(chain.len(), 2);
         assert_eq!(read(chain.visible(11)), Some(Value::Int(9)));
         // A deletion tombstone inline hides the row at and after it.
-        chain.push(RowVersion {
-            commit_ts: 14,
-            data: None,
-        });
+        chain.push(
+            RowVersion {
+                commit_ts: 14,
+                data: None,
+            },
+            &mut Vec::new(),
+        );
         assert!(chain.latest().is_none() && chain.visible(14).is_none());
         assert_eq!(read(chain.visible(13)), Some(Value::Int(12)));
     }
@@ -1139,19 +1175,36 @@ mod tests {
             }
         }
 
-        /// Reclamation equivalence: after every push and prune, a chain
-        /// pruned at a monotone horizon answers `visible` at every snapshot
-        /// from the horizon up, `latest` and `latest_ts` exactly as the
-        /// chain that keeps everything — tombstones, repeated timestamps
-        /// and a horizon that stalls or jumps to the newest commit
-        /// included — and never drops its newest version.
+        /// Reclamation equivalence: two chains of one shard, pushed through
+        /// its spare vector, answer `visible` at every snapshot from the
+        /// horizon up, `latest` and `latest_ts` exactly as chains that keep
+        /// everything, after every push, prune and retirement — tombstones,
+        /// repeated timestamps and a horizon that stalls or jumps to the
+        /// newest commit included — and never drop their newest version. A
+        /// retirement at a commit's timestamp `r` (the chain's newest or an
+        /// older one, never below the horizon) raises the horizon to `r`;
+        /// a chain whose newest version is at or below `r` then holds it
+        /// alone and hands its emptied vector to a free spare, and the next
+        /// push of a chain with no vector takes the spare's.
         #[test]
         fn a_pruned_chain_reads_like_the_never_pruned_one(
-            steps in proptest::collection::vec((0u64..3, proptest::any::<bool>(), 0u64..5), 0..48),
+            steps in proptest::collection::vec(
+                (
+                    proptest::any::<bool>(),
+                    0u64..3,
+                    proptest::any::<bool>(),
+                    0u64..5,
+                    (proptest::any::<bool>(), 0u64..3),
+                ),
+                0..64,
+            ),
         ) {
-            let (mut chain, mut reference) = (VersionChain::default(), NeverPruned::default());
+            let mut chains = [VersionChain::default(), VersionChain::default()];
+            let mut references = [NeverPruned::default(), NeverPruned::default()];
+            let mut spare = Vec::new();
             let (mut ts, mut horizon) = (1, 0);
-            for (i, (gap, tombstone, advance)) in steps.into_iter().enumerate() {
+            for (i, (second, gap, tombstone, advance, (retire, lag))) in steps.into_iter().enumerate() {
+                let (chain, reference) = (&mut chains[second as usize], &mut references[second as usize]);
                 ts += gap;
                 horizon = (horizon + advance).min(ts);
                 let version = RowVersion {
@@ -1159,19 +1212,39 @@ mod tests {
                     data: (!tombstone).then(|| Row::new(vec![Value::Int(i as i64)])),
                 };
                 reference.0.push(version.clone());
-                chain.push(version);
+                let (own, offered) = (chain.older.capacity(), spare.capacity());
+                chain.push(version, &mut spare);
+                if own == 0 && offered > 0 {
+                    proptest::prop_assert_eq!(chain.older.capacity(), offered, "the spare is taken");
+                    proptest::prop_assert_eq!(spare.capacity(), 0);
+                }
                 chain.prune(horizon);
-                proptest::prop_assert!(chain.len() >= 1);
-                proptest::prop_assert_eq!(chain.latest(), reference.latest());
-                proptest::prop_assert_eq!(chain.latest_ts(), reference.latest_ts());
-                for snapshot in horizon..=ts + 1 {
-                    proptest::prop_assert_eq!(
-                        chain.visible(snapshot),
-                        reference.visible(snapshot),
-                        "snapshot {} at horizon {}",
-                        snapshot,
-                        horizon
-                    );
+                if retire {
+                    let at = ts.saturating_sub(lag).max(horizon);
+                    horizon = at;
+                    let (emptied, free) = (chain.older.capacity(), spare.capacity() == 0);
+                    chain.release(at, &mut spare);
+                    if chain.latest_ts() <= at {
+                        proptest::prop_assert!(!chain.holds_older() && chain.older.capacity() == 0);
+                        if free {
+                            proptest::prop_assert_eq!(spare.capacity(), emptied, "the spare is filled");
+                        }
+                    }
+                }
+                proptest::prop_assert!(spare.is_empty());
+                for (chain, reference) in chains.iter().zip(&references) {
+                    proptest::prop_assert!(chain.len() >= 1);
+                    proptest::prop_assert_eq!(chain.latest(), reference.latest());
+                    proptest::prop_assert_eq!(chain.latest_ts(), reference.latest_ts());
+                    for snapshot in horizon..=ts + 1 {
+                        proptest::prop_assert_eq!(
+                            chain.visible(snapshot),
+                            reference.visible(snapshot),
+                            "snapshot {} at horizon {}",
+                            snapshot,
+                            horizon
+                        );
+                    }
                 }
             }
         }

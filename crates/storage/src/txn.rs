@@ -1066,12 +1066,17 @@ impl Transaction {
             }
             _ => {}
         }
-        let result = self.try_commit(WalOutcome::Policy);
-        match &result {
-            Ok(()) => self.finish(true),
-            Err(_) => self.finish(false),
+        match self.try_commit(WalOutcome::Policy) {
+            Ok(installed) => {
+                self.finish(true);
+                self.retire(installed);
+                Ok(())
+            }
+            Err(e) => {
+                self.finish(false);
+                Err(e)
+            }
         }
-        result
     }
 
     /// The shared shape of every commit-adjacent crash fault: the commit
@@ -1080,8 +1085,9 @@ impl Transaction {
     /// connection instead of an acknowledgement.
     fn crash_commit(&mut self, outcome: WalOutcome) -> Result<()> {
         match self.try_commit(outcome) {
-            Ok(()) => {
+            Ok(installed) => {
                 self.finish(true);
+                self.retire(installed);
                 self.db.breaker_note_failure();
                 Err(DbError::ConnectionLost { txn: self.id })
             }
@@ -1134,8 +1140,10 @@ impl Transaction {
 
     /// The sharded commit protocol: lock the footprint's shards ascending,
     /// validate, install, release, then retire the commit timestamp into
-    /// the snapshot watermark.
-    fn try_commit(&mut self, wal_outcome: WalOutcome) -> Result<()> {
+    /// the snapshot watermark. Returns that timestamp when the commit
+    /// installed versions, with `pending` holding the rows whose chains
+    /// keep an older version.
+    fn try_commit(&mut self, wal_outcome: WalOutcome) -> Result<Option<CommitTs>> {
         let writes = self.write_shards();
         let mut lock_set = writes;
         let mut cert_reads: HashSet<(usize, i64)> = HashSet::new();
@@ -1171,7 +1179,7 @@ impl Transaction {
             if !self.db.is_active(self.id) {
                 return Err(DbError::TxnNotActive { txn: self.id });
             }
-            return Ok(());
+            return Ok(None);
         }
 
         let mut guards = self.db.lock_shards(lock_set);
@@ -1291,7 +1299,7 @@ impl Transaction {
             }
         }
         if self.pending.is_empty() {
-            return Ok(());
+            return Ok(None);
         }
 
         // Drawing the timestamp *under* the write-shard locks keeps every
@@ -1349,15 +1357,17 @@ impl Transaction {
         // Each chain written is pruned down to what a live snapshot can
         // still read (see `crate::db`'s "Version reclamation"). This
         // transaction is still registered, so the horizon is at most its
-        // own snapshot.
+        // own snapshot. The rows whose chains keep an older version stay
+        // in `pending`, for `retire` to revisit.
         let horizon = self.db.install_horizon(writes, &mut guards);
-        for p in std::mem::take(&mut self.pending) {
+        self.pending.retain_mut(|p| {
             let t = self.db.table_by_id(p.table);
             let gpos = guards
                 .binary_search_by_key(&shard_of(p.table, p.id), |(idx, _)| *idx)
                 .expect("write shard is locked");
+            let shard = &mut *guards[gpos].1;
             // A row's first commit builds its chain around that version.
-            let slot = guards[gpos].1.rows.entry((p.table, p.id));
+            let slot = shard.rows.entry((p.table, p.id));
             let old = match &slot {
                 Entry::Occupied(chain) => chain.get().latest(),
                 Entry::Vacant(_) => None,
@@ -1414,19 +1424,21 @@ impl Transaction {
             }
             let version = RowVersion {
                 commit_ts,
-                data: p.row,
+                data: p.row.take(),
             };
             match slot {
                 Entry::Occupied(chain) => {
                     let chain = chain.into_mut();
-                    chain.push(version);
+                    chain.push(version, &mut shard.spare);
                     chain.prune(horizon);
+                    chain.holds_older()
                 }
                 Entry::Vacant(slot) => {
                     slot.insert(VersionChain::new(version));
+                    false
                 }
             }
-        }
+        });
         for (entry, delta) in credits {
             entry.credit(delta);
         }
@@ -1454,7 +1466,7 @@ impl Transaction {
         // acknowledging it to the client.
         self.db.complete_commit(commit_ts);
         self.db.charge_flush();
-        Ok(())
+        Ok(Some(commit_ts))
     }
 
     /// Roll back explicitly.
@@ -1462,12 +1474,16 @@ impl Transaction {
         self.finish(false);
     }
 
+    /// End the transaction: deregister it and release its locks. A commit
+    /// keeps `pending` for [`retire`](Self::retire).
     fn finish(&mut self, committed: bool) {
         if !self.active {
             return;
         }
         self.active = false;
-        self.pending.clear();
+        if !committed {
+            self.pending.clear();
+        }
         self.deltas.clear();
         self.db.deregister(self.id);
         self.db.locks().release_all(self.id);
@@ -1478,6 +1494,18 @@ impl Transaction {
             self.db.inner.aborts.fetch_add(1, Ordering::Relaxed);
             self.db.observe(|| AccessEvent::Aborted { txn: self.id });
         }
+    }
+
+    /// After a commit that `installed` versions at its timestamp, and after
+    /// [`finish`](Self::finish) removed its registration: the rows left in
+    /// `pending` are the chains that still hold an older version, which
+    /// `Database::retire` frees when no snapshot below the commit is left.
+    fn retire(&mut self, installed: Option<CommitTs>) {
+        if let Some(commit_ts) = installed {
+            self.db
+                .retire(commit_ts, self.pending.iter().map(|p| (p.table, p.id)));
+        }
+        self.pending.clear();
     }
 }
 

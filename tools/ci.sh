@@ -146,14 +146,16 @@ timeout 60 cargo test -q --release -p adhoc-storage --lib engine
 timeout 60 cargo test -q --release -p adhoc-storage --test engine_behaviors
 timeout 60 cargo test -q --release --test serializability_oracle
 timeout 60 cargo test -q --release -p adhoc-storage --lib predicate
-echo "==> primitive races in release (watermark, condvar, front door, session pool, lock table, table catalog, <60s each)"
+echo "==> primitive races in release (watermark, condvar, front door, session pool, lock table, table catalog, version retirement, <60s each)"
 timeout 60 cargo test -q --release -p adhoc-storage --lib epoch
 timeout 60 cargo test -q --release -p parking_lot
 timeout 60 cargo test -q --release -p adhoc-sim --lib resilience
 timeout 60 cargo test -q --release -p adhoc-service --lib pool
 timeout 60 cargo test -q --release -p adhoc-core --lib locks
 # The lock-free table catalog: resolves like the locked reference, and a
-# reader racing table creation never sees a half-published slot.
+# reader racing table creation never sees a half-published slot. Version
+# retirement: a Repeatable Read snapshot begun while a writer's commits
+# retire reads its row, the same row, twice.
 timeout 60 cargo test -q --release -p adhoc-storage --lib db
 
 # WAL-format fuzz smoke: encode/decode round-trip plus truncation- and
