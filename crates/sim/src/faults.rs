@@ -328,7 +328,7 @@ struct PlanInner {
 ///
 /// Build one with [`FaultPlan::new`], add [`FaultRule`]s, hand clones to the
 /// KV client (`Client::with_faults`) and/or database
-/// (`Database::inject_faults`), then [`enable`](FaultPlan::enable) it once
+/// (`DbConfig::with_faults`), then [`enable`](FaultPlan::enable) it once
 /// fault-free setup (schema creation, seeding) is done. Disabled plans
 /// neither fire nor advance operation counters, so the op indices named by
 /// rules count only operations issued while the plan is live.

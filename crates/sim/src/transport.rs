@@ -7,8 +7,10 @@
 //! latency charge against the shared clock), then *outcome bookkeeping*
 //! (feeding the breaker). `adhoc-kv`'s client grew this sequence first; the
 //! service layer needs the identical discipline in front of its request
-//! handlers. [`Transport`] is that sequence extracted once, parameterized by
-//! which [`Cost`] the wire charges and which [`SchedPoint`] it yields at.
+//! handlers, and `adhoc-storage` runs every SQL statement through it
+//! ([`Cost::SqlRoundTrip`], [`SchedPoint::DbStatement`]). [`Transport`] is
+//! that sequence extracted once, parameterized by which [`Cost`] the wire
+//! charges and which [`SchedPoint`] it yields at.
 //!
 //! The shim deliberately does *not* own fault injection: what a lost
 //! request means (apply vs skip, ambiguous replies) is substrate-specific,

@@ -31,7 +31,7 @@
 //! *horizon* (`Database::horizon`) is the minimum of the applied
 //! watermark (read before the active registry is scanned), the oldest
 //! registered begin snapshot, and a crash floor — the oldest snapshot of
-//! any transaction a crash or reset forgot, whose zombie handle can still
+//! any transaction a crash forgot, whose zombie handle can still
 //! issue statements at it. No reader reads below it: a begin registered
 //! after the scan reads at or above the watermark it read first, a Read
 //! Committed statement reads at or above its own registered begin, and
@@ -48,13 +48,14 @@
 //! its timestamp is applied and its registration removed
 //! (`Database::retire`). If no transaction is registered then and the
 //! crash floor is at or above its commit timestamp, no snapshot below that
-//! timestamp is left, and it releases each chain it left holding an older
-//! version down to its newest (`VersionChain::release`); the emptied vector
-//! waits in a one-slot spare on its shard for the next push there. So a
-//! chain holds more than one version exactly when the last commit that
-//! wrote it has not retired yet, or retired while another transaction was
-//! registered or a forgotten handle read below it — and then only what
-//! the install-time prune kept, until the row's next write. A chain holds
+//! timestamp is left, and it prunes each chain it left holding an older
+//! version at its commit timestamp, down to its newest
+//! (`VersionChain::prune`); the emptied vector waits in a one-slot spare
+//! on its shard for the next push there. So a chain holds more than one
+//! version exactly when the last commit that wrote it has not retired
+//! yet, or retired while another transaction was registered or a
+//! forgotten handle read below it — and then only what the install-time
+//! prune kept, until the row's next write. A chain holds
 //! its newest version inline in its shard-map slot, so a chain at rest is
 //! read without following a pointer, and a row that was only ever inserted
 //! allocates no vector at all. Boot-time replay (`install_recovered`)
@@ -75,7 +76,8 @@ use crate::value::Value;
 use crate::wal::Wal;
 use crate::Result;
 use adhoc_sim::latency::Cost;
-use adhoc_sim::{BackoffPolicy, FaultKind, FaultPlan, OpClass, RetryObserver, RetryPolicy};
+use adhoc_sim::sched::SchedPoint;
+use adhoc_sim::{BackoffPolicy, FaultKind, OpClass, RetryObserver, RetryPolicy, Transport};
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -109,7 +111,7 @@ pub(crate) struct Shard {
     /// over active snapshots.
     installs: u32,
     /// One emptied version vector, kept for the next chain here that needs
-    /// one (see `VersionChain::release`): a retiring commit that frees a
+    /// one (see `VersionChain::prune`): a retiring commit that frees a
     /// chain's older versions leaves the next write's allocations as they
     /// were.
     pub spare: Vec<RowVersion>,
@@ -137,8 +139,10 @@ pub struct DbStats {
     pub lock_stats: LockStats,
 }
 
-/// What a live database can be given after construction. The read guard
-/// is never held across a scheduler yield.
+/// What a live database can be given after construction: the monitors,
+/// which attach to a database that is already seeded. Everything else is
+/// set once, in its [`DbConfig`]. The read guard is never held across a
+/// scheduler yield.
 #[derive(Default)]
 struct Hooks {
     /// Statement observer, attached by monitors.
@@ -146,17 +150,15 @@ struct Hooks {
     /// Observer of [`run_with_retries`](Database::run_with_retries)
     /// decisions (retries and give-ups); the hazard monitor attaches here.
     retry_observer: Option<Arc<dyn RetryObserver>>,
-    /// Fault plan consulted once per commit attempt
-    /// ([`OpClass::DbCommit`]) and once per statement
-    /// ([`OpClass::DbStatement`]).
-    faults: Option<FaultPlan>,
-    /// Circuit breaker around the client↔DB connection path. While open,
-    /// statements are rejected client-side with [`DbError::CircuitOpen`].
-    breaker: Option<Arc<adhoc_sim::CircuitBreaker>>,
 }
 
 pub(crate) struct DbInner {
     pub config: DbConfig,
+    /// The client↔server connection every statement crosses: breaker
+    /// admission, then one [`Cost::SqlRoundTrip`] yielding at
+    /// [`SchedPoint::DbStatement`]. Its round-trip count is
+    /// [`DbStats::statements`].
+    pub wire: Transport,
     hooks: RwLock<Hooks>,
     /// Set once any hook is installed, so an unhooked statement or row
     /// pays one load and never touches `hooks`.
@@ -183,7 +185,7 @@ pub(crate) struct DbInner {
     /// The last computed reclamation horizon (`Database::horizon`);
     /// only ever raised.
     horizon: AtomicU64,
-    /// The oldest snapshot of any transaction a crash or reset forgot
+    /// The oldest snapshot of any transaction a crash forgot
     /// (`CommitTs::MAX` until one does); only ever lowered.
     crash_floor: AtomicU64,
     /// Sticky: set (with a quiescent barrier) when the first
@@ -193,7 +195,6 @@ pub(crate) struct DbInner {
     ssi_seen: AtomicBool,
     pub commits: AtomicU64,
     pub aborts: AtomicU64,
-    pub statements: AtomicU64,
     pub serialization_failures: AtomicU64,
     /// Write-ahead log, present when [`DbConfig::wal`] asked for one.
     /// Commits append their write set under their shard guards, so each
@@ -299,9 +300,19 @@ impl Database {
         let wal = config.wal.map(|policy| {
             Wal::new(policy, config.clock.clone()).with_fsync_latency(config.wal_fsync_latency)
         });
+        let mut wire = Transport::new(
+            config.clock.clone(),
+            config.latency,
+            Cost::SqlRoundTrip,
+            SchedPoint::DbStatement,
+        );
+        if let Some(breaker) = &config.breaker {
+            wire = wire.with_breaker(Arc::clone(breaker));
+        }
         Self {
             inner: Arc::new(DbInner {
                 config,
+                wire,
                 hooks: RwLock::new(Hooks::default()),
                 hooked: AtomicBool::new(false),
                 catalog: Catalog::new(),
@@ -322,7 +333,6 @@ impl Database {
                 escrow: crate::escrow::EscrowLedger::default(),
                 commits: AtomicU64::new(0),
                 aborts: AtomicU64::new(0),
-                statements: AtomicU64::new(0),
                 serialization_failures: AtomicU64::new(0),
             }),
         }
@@ -640,8 +650,8 @@ impl Database {
     /// Retire a commit at `commit_ts`, once the watermark covers it and its
     /// own registration is removed: if no transaction is registered and no
     /// handle a crash forgot reads below `commit_ts`, no snapshot below it
-    /// is left, so each chain in `rows` is released at `commit_ts` and
-    /// holds its newest version alone (`VersionChain::release`).
+    /// is left, so each chain in `rows` is pruned at `commit_ts` and
+    /// holds its newest version alone (`VersionChain::prune`).
     ///
     /// A begin the count misses counted itself after this load and reads
     /// its snapshot after that (both `SeqCst`, as is the watermark), so it
@@ -657,7 +667,7 @@ impl Database {
             let mut guard = self.inner.shards[shard_of(table, id)].lock();
             let shard = &mut *guard;
             if let Some(chain) = shard.rows.get_mut(&(table, id)) {
-                chain.release(commit_ts, &mut shard.spare);
+                chain.prune(commit_ts, &mut shard.spare);
             }
         }
     }
@@ -734,15 +744,6 @@ impl Database {
             .map_err(|give_up| give_up.error)
     }
 
-    /// Install a fault plan: every subsequent commit attempt consults it
-    /// (class [`OpClass::DbCommit`]) and may be rejected ([`FaultKind::CommitFailed`])
-    /// or become durable without an acknowledgement
-    /// ([`FaultKind::CrashAfterDurable`]); both surface as
-    /// [`DbError::ConnectionLost`].
-    pub fn inject_faults(&self, plan: FaultPlan) {
-        self.set_hook(|h| h.faults = Some(plan));
-    }
-
     /// Observe retry decisions made by
     /// [`run_with_policy`](Self::run_with_policy).
     pub fn attach_retry_observer(&self, observer: Arc<dyn RetryObserver>) {
@@ -765,60 +766,17 @@ impl Database {
 
     /// Consult the fault plan for one commit attempt.
     pub(crate) fn arm_commit_fault(&self) -> Option<FaultKind> {
-        let plan = self.hooks()?.faults.clone()?;
+        let plan = self.inner.config.faults.as_ref()?;
         plan.arm(OpClass::DbCommit).map(|f| f.kind)
     }
 
-    /// Install a circuit breaker around the connection path: consecutive
-    /// connection-level failures (dropped statements, lost commit
-    /// acknowledgements) open it, and while open every statement fails
-    /// fast with [`DbError::CircuitOpen`] without paying a round trip.
-    pub fn install_breaker(&self, breaker: Arc<adhoc_sim::CircuitBreaker>) {
-        self.set_hook(|h| h.breaker = Some(breaker));
-    }
-
-    /// The engine's clock reading (virtual under simulation).
-    pub(crate) fn now(&self) -> std::time::Duration {
-        self.inner.config.clock.now()
-    }
-
-    /// Note a connection-level failure on the breaker (commit path: the
-    /// acknowledgement was lost).
-    pub(crate) fn breaker_note_failure(&self) {
-        if let Some(breaker) = self.hooks().and_then(|h| h.breaker.clone()) {
-            breaker.record_failure(self.now());
-        }
-    }
-
-    /// One fallible statement round trip: breaker fast-fail (no round trip
-    /// paid, no scheduler yield — opting in never perturbs pinned
-    /// schedules), then the usual charge, then the statement-class fault
-    /// plan ([`OpClass::DbStatement`]): a partitioned statement never
-    /// reaches the engine and surfaces as [`DbError::Partitioned`].
-    pub(crate) fn statement_gate(&self, txn: TxnId) -> Result<()> {
-        let Some((breaker, faults)) = self.hooks().map(|h| (h.breaker.clone(), h.faults.clone()))
-        else {
-            self.charge_statement();
-            return Ok(());
-        };
-        if let Some(breaker) = &breaker {
-            if !breaker.allow(&*self.inner.config.clock) {
-                return Err(DbError::CircuitOpen { txn });
-            }
-        }
-        self.charge_statement();
-        if let Some(fault) = faults.and_then(|plan| plan.arm_at(OpClass::DbStatement, self.now())) {
-            if fault.kind == FaultKind::DbPartitioned {
-                if let Some(breaker) = &breaker {
-                    breaker.record_failure(self.now());
-                }
-                return Err(DbError::Partitioned { txn });
-            }
-        }
-        if let Some(breaker) = &breaker {
-            breaker.record_success();
-        }
-        Ok(())
+    /// Consult the fault plan for one statement that has paid its round
+    /// trip: whether it was partitioned away before reaching the engine.
+    pub(crate) fn statement_partitioned(&self) -> bool {
+        self.inner.config.faults.as_ref().is_some_and(|plan| {
+            plan.arm_at(OpClass::DbStatement, self.inner.wire.now())
+                .is_some_and(|f| f.kind == FaultKind::DbPartitioned)
+        })
     }
 
     /// Allocate a session id for session-scoped advisory locks (the
@@ -868,13 +826,17 @@ impl Database {
             .collect())
     }
 
-    /// Quiesce the commit spine, forget every active transaction and run
-    /// `f` with every shard locked: no commit is mid-install while `f`
-    /// runs, and the active registry is emptied at a single
-    /// consistent point (the old implementation drained it piecemeal,
-    /// racing in-flight commits). The drained snapshots lower the crash
+    /// Simulate an RDBMS crash: every active transaction is forgotten and
+    /// its locks released; committed state survives (it was durable).
+    /// Client-side `Transaction` handles become zombies whose commit fails
+    /// with [`DbError::TxnNotActive`] — the "connection lost" exception the
+    /// paper's §3.4.2 describes drivers throwing.
+    ///
+    /// The commit spine is quiesced first — every shard locked, so no
+    /// commit is mid-install — and the active registry is emptied at that
+    /// single consistent point. The drained snapshots lower the crash
     /// floor: their zombie handles can still read at them.
-    fn quiesce_and_forget(&self, f: impl FnOnce(&mut [(usize, MutexGuard<'_, Shard>)])) {
+    pub fn simulate_crash(&self) {
         // Engine-wide order: shards (ascending) before active stripes.
         let mut guards = self.lock_shards(ShardSet::all());
         for stripe in self.inner.active.iter() {
@@ -887,20 +849,10 @@ impl Database {
             }
             self.inner.registered.fetch_sub(forgotten, Ordering::SeqCst);
         }
-        f(&mut guards);
-    }
-
-    /// Simulate an RDBMS crash: every active transaction is forgotten and
-    /// its locks released; committed state survives (it was durable).
-    /// Client-side `Transaction` handles become zombies whose commit fails
-    /// with [`DbError::TxnNotActive`] — the "connection lost" exception the
-    /// paper's §3.4.2 describes drivers throwing.
-    pub fn simulate_crash(&self) {
-        self.quiesce_and_forget(|guards| {
-            for (_, shard) in guards.iter_mut() {
-                shard.log.clear();
-            }
-        });
+        for (_, shard) in guards.iter_mut() {
+            shard.log.clear();
+        }
+        drop(guards);
         // The lock table lives in server memory: a crash forgets *all* of
         // it — engine locks of the drained transactions and session
         // advisory locks alike (§3.4.2: advisory locks do not survive a
@@ -912,39 +864,12 @@ impl Database {
         self.inner.escrow.clear();
     }
 
-    /// Reset to empty: forget active transactions (releasing their locks),
-    /// drop all committed row state and index state, and rewind every
-    /// table's auto-increment cursor. Timestamp counters are *not* rewound
-    /// — snapshots stay monotonic so concurrent handles can't see time go
-    /// backwards. Intended for test/bench harnesses that reuse a database.
-    pub fn reset(&self) {
-        self.quiesce_and_forget(|guards| {
-            for (_, shard) in guards.iter_mut() {
-                shard.rows.clear();
-                shard.log.clear();
-            }
-        });
-        // Restart semantics, consistent across components: the whole lock
-        // table (engine locks, gap locks, advisory sessions, wait queues)
-        // is volatile server memory and is dropped wholesale — not just the
-        // locks of the transactions the drain happened to find.
-        self.inner.locks.clear_all();
-        self.inner.escrow.clear();
-        for table in self.inner.catalog.tables() {
-            table.clear_index();
-        }
-        // A reset database has no history for recovery to replay.
-        if let Some(wal) = &self.inner.wal {
-            wal.clear();
-        }
-    }
-
     /// Counters.
     pub fn stats(&self) -> DbStats {
         DbStats {
             commits: self.inner.commits.load(Ordering::Relaxed),
             aborts: self.inner.aborts.load(Ordering::Relaxed),
-            statements: self.inner.statements.load(Ordering::Relaxed),
+            statements: self.inner.wire.round_trips(),
             serialization_failures: self.inner.serialization_failures.load(Ordering::Relaxed),
             lock_stats: self.inner.locks.stats(),
         }
@@ -974,18 +899,6 @@ impl Database {
     /// events looks once, then delivers each without the hook lock.
     pub(crate) fn observer(&self) -> Option<Arc<dyn StatementObserver>> {
         self.hooks()?.observer.clone()
-    }
-
-    /// Charge one client↔server round trip.
-    pub(crate) fn charge_statement(&self) {
-        // Every simulated SQL round trip is a potential preemption point
-        // under the deterministic scheduler (no-op otherwise).
-        adhoc_sim::sched::yield_point(adhoc_sim::sched::SchedPoint::DbStatement);
-        self.inner.statements.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .config
-            .latency
-            .charge(&*self.inner.config.clock, Cost::SqlRoundTrip);
     }
 
     /// The write-ahead log, when the configuration asked for one

@@ -1,6 +1,7 @@
 //! Engine profiles and isolation levels.
 
-use adhoc_sim::{LatencyModel, RealClock, SharedClock};
+use adhoc_sim::{CircuitBreaker, FaultPlan, LatencyModel, RealClock, SharedClock};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A data-access event, delivered synchronously on the issuing thread.
@@ -164,7 +165,12 @@ impl Rules {
     }
 }
 
-/// Database configuration.
+/// Database configuration: everything a database is set up with, fixed
+/// when [`Database::new`](crate::Database::new) builds it.
+///
+/// A cloned configuration shares its fault plan and breaker (both
+/// `Arc`-backed), as `kv::Client` clones do: databases built from clones
+/// of one configuration fail on one schedule and trip one breaker.
 #[derive(Clone)]
 pub struct DbConfig {
     /// Which engine's concurrency control to emulate.
@@ -187,6 +193,14 @@ pub struct DbConfig {
     ///
     /// [`Wal::with_fsync_latency`]: crate::wal::Wal::with_fsync_latency
     pub wal_fsync_latency: Duration,
+    /// Fault plan consulted once per commit attempt
+    /// ([`OpClass::DbCommit`](adhoc_sim::OpClass::DbCommit)) and once per
+    /// statement ([`OpClass::DbStatement`](adhoc_sim::OpClass::DbStatement));
+    /// `None` injects nothing.
+    pub faults: Option<FaultPlan>,
+    /// Circuit breaker around the client↔DB connection; `None` admits
+    /// every statement.
+    pub breaker: Option<Arc<CircuitBreaker>>,
 }
 
 impl DbConfig {
@@ -200,6 +214,8 @@ impl DbConfig {
             lock_wait_timeout: Duration::from_secs(10),
             wal: None,
             wal_fsync_latency: Duration::ZERO,
+            faults: None,
+            breaker: None,
         }
     }
 
@@ -213,6 +229,8 @@ impl DbConfig {
             lock_wait_timeout: Duration::from_secs(10),
             wal: None,
             wal_fsync_latency: Duration::ZERO,
+            faults: None,
+            breaker: None,
         }
     }
 
@@ -244,6 +262,33 @@ impl DbConfig {
     /// batch.
     pub fn with_wal_fsync_latency(mut self, latency: Duration) -> Self {
         self.wal_fsync_latency = latency;
+        self
+    }
+
+    /// Attach a fault plan: every commit attempt consults it (class
+    /// [`OpClass::DbCommit`](adhoc_sim::OpClass::DbCommit)) and may be
+    /// rejected ([`FaultKind::CommitFailed`](adhoc_sim::FaultKind)) or
+    /// become durable without an acknowledgement
+    /// ([`FaultKind::CrashAfterDurable`](adhoc_sim::FaultKind)), both
+    /// surfacing as [`DbError::ConnectionLost`](crate::DbError); every
+    /// statement consults it too (class
+    /// [`OpClass::DbStatement`](adhoc_sim::OpClass::DbStatement)) and may
+    /// be partitioned away ([`DbError::Partitioned`](crate::DbError)).
+    /// Build the plan disabled and [`enable`](FaultPlan::enable) it once
+    /// fault-free setup is done.
+    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
+        self.faults = Some(plan);
+        self
+    }
+
+    /// Wrap the connection in a circuit breaker: consecutive
+    /// connection-level failures (partitioned statements, lost commit
+    /// acknowledgements) open it, and while open every statement fails
+    /// fast with [`DbError::CircuitOpen`](crate::DbError) without paying a
+    /// round trip. Share one breaker (via the `Arc`) across every database
+    /// handle talking to one server.
+    pub fn with_breaker(mut self, breaker: Arc<CircuitBreaker>) -> Self {
+        self.breaker = Some(breaker);
         self
     }
 }

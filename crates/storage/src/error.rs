@@ -165,8 +165,8 @@ pub enum DbError {
     },
     /// An escrow reservation could not be granted: the remaining budget of
     /// the column (committed value minus outstanding reservations) is
-    /// smaller than the requested amount, even after serializing on the
-    /// entry's slow path. Not retryable — the caller either reports
+    /// smaller than the requested amount when the grant's compare-and-swap
+    /// reads it. Not retryable — the caller either reports
     /// "insufficient stock" or falls back to a coordinated path.
     EscrowExhausted {
         /// Table owning the escrow column.

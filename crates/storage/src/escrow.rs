@@ -57,7 +57,7 @@ pub(crate) struct EscrowEntry {
 }
 
 /// The per-database escrow ledger: lazily populated, cleared on crash
-/// and reset (reservations are volatile intents, never durable state).
+/// (reservations are volatile intents, never durable state).
 #[derive(Default)]
 pub(crate) struct EscrowLedger {
     entries: Mutex<FastMap<EscrowKey, Arc<EscrowEntry>>>,
@@ -71,7 +71,7 @@ impl EscrowEntry {
 }
 
 impl EscrowLedger {
-    /// Forget every entry and outstanding reservation (crash/reset):
+    /// Forget every entry and outstanding reservation (crash):
     /// entries re-init from committed state on next use. Guards still
     /// holding an `Arc` to a detached entry settle against it harmlessly.
     pub(crate) fn clear(&self) {

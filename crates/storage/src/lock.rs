@@ -538,10 +538,10 @@ impl LockManager {
 
     /// Drop the *entire* lock table: every holder, every gap lock, every
     /// wait edge — restart semantics. Engine locks and session advisory
-    /// locks live in server memory only, so a server restart
-    /// ([`Database::reset`](crate::Database::reset)) forgets all of them,
-    /// including locks held by sessions the restart did not drain (the
-    /// pre-PR-5 behaviour left those dangling). Parked waiters are woken
+    /// locks live in server memory only, so a server crash
+    /// ([`Database::simulate_crash`](crate::Database::simulate_crash))
+    /// forgets all of them, including locks held by sessions the crash did
+    /// not drain (the pre-PR-5 behaviour left those dangling). Parked waiters are woken
     /// and re-acquire against the empty table.
     pub fn clear_all(&self) {
         let mut inner = self.inner.lock();

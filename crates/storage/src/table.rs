@@ -23,12 +23,12 @@
 //!
 //! A chain keeps its newest version inline, in its shard-map slot, and
 //! any older ones behind it in a vector (oldest first) that a row only
-//! ever inserted never allocates. A retiring commit releases the chains it
-//! wrote (`VersionChain::release`) when no snapshot below it is left, so a
-//! chain holds more than one version exactly when the last commit that
-//! wrote it has not retired yet, or retired while another transaction was
-//! registered or a handle a crash forgot read below it (see `crate::db`,
-//! "Version reclamation"). A chain at rest is its newest version alone,
+//! ever inserted never allocates. A retiring commit prunes the chains it
+//! wrote at its own timestamp (`VersionChain::prune`) when no snapshot
+//! below it is left, so a chain holds more than one version exactly when
+//! the last commit that wrote it has not retired yet, or retired while
+//! another transaction was registered or a handle a crash forgot read
+//! below it (see `crate::db`, "Version reclamation"). A chain at rest is its newest version alone,
 //! and a read of it — `visible`, `latest`, `latest_ts` — touches the slot
 //! and the row and follows no other pointer. A chain is
 //! built with its first version (a commit's first write of the row, or
@@ -111,7 +111,7 @@ impl VersionChain {
 
     /// Append a version. Timestamps are monotonic per chain: writers of the
     /// same row serialize on its record lock and its shard mutex. A chain
-    /// with no vector takes its shard's `spare` (see [`release`](Self::release))
+    /// with no vector takes its shard's `spare` (see [`prune`](Self::prune))
     /// before it allocates one.
     pub(crate) fn push(&mut self, version: RowVersion, spare: &mut Vec<RowVersion>) {
         debug_assert!(version.commit_ts >= self.latest_ts());
@@ -124,10 +124,18 @@ impl VersionChain {
 
     /// Drop every version no snapshot at or above `horizon` can read: keep
     /// the newest version with `commit_ts <= horizon` and everything
-    /// newer. The newest version always stays.
-    pub(crate) fn prune(&mut self, horizon: CommitTs) {
+    /// newer. The newest version always stays. A prune that leaves it
+    /// alone gives up the emptied vector — into `spare` when that is free,
+    /// for the shard's next [`push`](Self::push), else to the allocator.
+    /// Only a retiring commit's prune can: at install the committer's own
+    /// registration keeps the horizon below the version it pushed.
+    pub(crate) fn prune(&mut self, horizon: CommitTs, spare: &mut Vec<RowVersion>) {
         if self.newest.commit_ts <= horizon {
-            self.older.clear();
+            let mut emptied = std::mem::take(&mut self.older);
+            if emptied.capacity() > 0 && spare.capacity() == 0 {
+                emptied.clear();
+                *spare = emptied;
+            }
             return;
         }
         let keep_from = self
@@ -140,21 +148,6 @@ impl VersionChain {
     /// Whether the chain holds any version besides its newest.
     pub(crate) fn holds_older(&self) -> bool {
         !self.older.is_empty()
-    }
-
-    /// Retire a commit at `commit_ts` that no snapshot below it can read
-    /// any more: prune at `commit_ts`, and when that leaves the newest
-    /// version alone, give up the emptied vector — into `spare` when that
-    /// is free, for the shard's next [`push`](Self::push), else to the
-    /// allocator.
-    pub(crate) fn release(&mut self, commit_ts: CommitTs, spare: &mut Vec<RowVersion>) {
-        self.prune(commit_ts);
-        if self.older.is_empty() && self.older.capacity() > 0 {
-            let emptied = std::mem::take(&mut self.older);
-            if spare.capacity() == 0 {
-                *spare = emptied;
-            }
-        }
     }
 
     /// Versions held.
@@ -531,20 +524,6 @@ impl Table {
     pub(crate) fn index_changes(&self) -> u64 {
         self.index.lock().changes
     }
-
-    /// Drop all index state and reset the auto-increment cursor (used by
-    /// [`Database::reset`](crate::Database::reset), which also drops the
-    /// shard-resident chains).
-    pub(crate) fn clear_index(&self) {
-        let mut index = self.index.lock();
-        index.changes += 1;
-        index.pk_set.clear();
-        for state in index.indexes.values_mut() {
-            state.map.clear();
-        }
-        self.next_auto_id
-            .store(1, std::sync::atomic::Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -744,21 +723,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_index_resets_everything() {
-        let t = table();
-        let mut rows = Rows::new();
-        rows.apply(&t, 10, Some(pay(&t, 10, 9, None)), 1);
-        t.clear_index();
-        assert!(t.all_ids().is_empty());
-        let col = t.schema.column_index("order_id").unwrap();
-        assert!(t
-            .index_candidates(col, &ValueInterval::all())
-            .unwrap()
-            .is_empty());
-        assert_eq!(t.alloc_id(), 1);
-    }
-
-    #[test]
     fn missing_index_errors() {
         let t = table();
         // "id" has no secondary index; candidates on it should error.
@@ -835,10 +799,10 @@ mod tests {
                 &mut Vec::new(),
             );
         }
-        chain.prune(5);
+        chain.prune(5, &mut Vec::new());
         assert_eq!(chain.len(), 3, "4, 6 and 8 stay; 2 is unreadable");
         assert_eq!(chain.visible(5).unwrap().values[0], Value::Int(4));
-        chain.prune(100);
+        chain.prune(100, &mut Vec::new());
         assert_eq!(chain.len(), 1, "the newest version always stays");
         assert_eq!(chain.latest_ts(), 8);
     }
@@ -866,11 +830,11 @@ mod tests {
         assert_eq!(read(chain.visible(9)), Some(Value::Int(9)));
         assert_eq!(read(chain.visible(8)), Some(Value::Int(5)));
         // A horizon below the newest version keeps the one it reads.
-        chain.prune(8);
+        chain.prune(8, &mut Vec::new());
         assert_eq!(chain.len(), 2);
         // A horizon at the newest version empties `older`, and pushes
         // after that fill it again.
-        chain.prune(9);
+        chain.prune(9, &mut Vec::new());
         assert_eq!(chain.len(), 1);
         assert!(chain.visible(8).is_none());
         chain.push(version(12), &mut Vec::new());
@@ -1182,10 +1146,11 @@ mod tests {
         /// repeated timestamps and a horizon that stalls or jumps to the
         /// newest commit included — and never drop their newest version. A
         /// retirement at a commit's timestamp `r` (the chain's newest or an
-        /// older one, never below the horizon) raises the horizon to `r`;
-        /// a chain whose newest version is at or below `r` then holds it
-        /// alone and hands its emptied vector to a free spare, and the next
-        /// push of a chain with no vector takes the spare's.
+        /// older one, never below the horizon) raises the horizon to `r`.
+        /// After any prune, a chain whose newest version is at or below its
+        /// horizon holds it alone and hands its emptied vector to a free
+        /// spare, and the next push of a chain with no vector takes the
+        /// spare's.
         #[test]
         fn a_pruned_chain_reads_like_the_never_pruned_one(
             steps in proptest::collection::vec(
@@ -1199,6 +1164,21 @@ mod tests {
                 0..64,
             ),
         ) {
+            fn prune_checked(
+                chain: &mut VersionChain,
+                spare: &mut Vec<RowVersion>,
+                horizon: CommitTs,
+            ) -> std::result::Result<(), proptest::test_runner::TestCaseError> {
+                let (emptied, free) = (chain.older.capacity(), spare.capacity() == 0);
+                chain.prune(horizon, spare);
+                if chain.latest_ts() <= horizon {
+                    proptest::prop_assert!(!chain.holds_older() && chain.older.capacity() == 0);
+                    if free {
+                        proptest::prop_assert_eq!(spare.capacity(), emptied, "the spare is filled");
+                    }
+                }
+                Ok(())
+            }
             let mut chains = [VersionChain::default(), VersionChain::default()];
             let mut references = [NeverPruned::default(), NeverPruned::default()];
             let mut spare = Vec::new();
@@ -1218,18 +1198,10 @@ mod tests {
                     proptest::prop_assert_eq!(chain.older.capacity(), offered, "the spare is taken");
                     proptest::prop_assert_eq!(spare.capacity(), 0);
                 }
-                chain.prune(horizon);
+                prune_checked(chain, &mut spare, horizon)?;
                 if retire {
-                    let at = ts.saturating_sub(lag).max(horizon);
-                    horizon = at;
-                    let (emptied, free) = (chain.older.capacity(), spare.capacity() == 0);
-                    chain.release(at, &mut spare);
-                    if chain.latest_ts() <= at {
-                        proptest::prop_assert!(!chain.holds_older() && chain.older.capacity() == 0);
-                        if free {
-                            proptest::prop_assert_eq!(spare.capacity(), emptied, "the spare is filled");
-                        }
-                    }
+                    horizon = ts.saturating_sub(lag).max(horizon);
+                    prune_checked(chain, &mut spare, horizon)?;
                 }
                 proptest::prop_assert!(spare.is_empty());
                 for (chain, reference) in chains.iter().zip(&references) {

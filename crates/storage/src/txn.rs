@@ -25,6 +25,7 @@ use crate::table::{CommitTs, RowVersion, Table, VersionChain};
 use crate::value::{ColumnType, Value};
 use crate::wal::WalEncoder;
 use crate::Result;
+use adhoc_sim::{Deadline, Transport, TransportError};
 use parking_lot::MutexGuard;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashSet};
@@ -107,10 +108,10 @@ pub struct Transaction {
     read_ranges: Vec<(usize, usize, ValueInterval)>,
     savepoints: Vec<(String, usize, usize)>,
     active: bool,
-    /// Absolute deadline on the engine clock: statements past it fail
-    /// fast with [`DbError::DeadlineExceeded`] before touching the wire,
-    /// and lock waits are capped by the remaining time.
-    deadline: Option<adhoc_sim::Deadline>,
+    /// The database's wire with this transaction's deadline on it
+    /// ([`with_deadline`](Self::with_deadline)); `None` uses the
+    /// database's own. A clone shares the statement counter and breaker.
+    wire: Option<Transport>,
 }
 
 impl Transaction {
@@ -133,7 +134,7 @@ impl Transaction {
             read_ranges: Vec::new(),
             savepoints: Vec::new(),
             active: true,
-            deadline: None,
+            wire: None,
         }
     }
 
@@ -142,8 +143,8 @@ impl Transaction {
     /// (unambiguous — nothing was sent), and lock waits give up once the
     /// remaining time is spent. The in-flight work is not interrupted;
     /// this bounds how much *new* work an out-of-time request can queue.
-    pub fn with_deadline(mut self, deadline: adhoc_sim::Deadline) -> Self {
-        self.deadline = Some(deadline);
+    pub fn with_deadline(mut self, deadline: Deadline) -> Self {
+        self.wire = Some(self.db.inner.wire.clone().with_deadline(deadline));
         self
     }
 
@@ -155,22 +156,37 @@ impl Transaction {
         self.snapshot
     }
 
-    /// One statement round trip: deadline fast-fail, then the database's
-    /// breaker/fault gate (see `Database::statement_gate`).
+    /// The connection this transaction's statements cross.
+    fn wire(&self) -> &Transport {
+        self.wire.as_ref().unwrap_or(&self.db.inner.wire)
+    }
+
+    /// One statement round trip: admission (deadline, then breaker —
+    /// neither pays the wire or yields, so opting in never perturbs pinned
+    /// schedules), the round trip, the statement-class fault plan, then
+    /// the outcome fed to the breaker. A partitioned statement never
+    /// reaches the engine and surfaces as [`DbError::Partitioned`].
     fn statement(&self) -> Result<()> {
-        if let Some(deadline) = &self.deadline {
-            if deadline.instant() <= self.db.now() {
-                return Err(DbError::DeadlineExceeded { txn: self.id });
-            }
+        let wire = self.wire();
+        wire.admit().map_err(|refused| match refused {
+            TransportError::DeadlineExceeded => DbError::DeadlineExceeded { txn: self.id },
+            TransportError::CircuitOpen => DbError::CircuitOpen { txn: self.id },
+        })?;
+        wire.pay();
+        let partitioned = self.db.statement_partitioned();
+        wire.record_outcome(partitioned);
+        if partitioned {
+            return Err(DbError::Partitioned { txn: self.id });
         }
-        self.db.statement_gate(self.id)
+        Ok(())
     }
 
     /// How long lock waits may still run under the transaction deadline
     /// (`None` = only the engine-wide lock-wait timeout applies).
     fn wait_cap(&self) -> Option<std::time::Duration> {
-        self.deadline
-            .map(|d| d.instant().saturating_sub(self.db.now()))
+        let wire = self.wire.as_ref()?;
+        wire.deadline()
+            .map(|d| d.instant().saturating_sub(wire.now()))
     }
 
     /// This transaction's id.
@@ -1044,7 +1060,7 @@ impl Transaction {
             // transaction back and the client sees a dropped connection.
             Some(adhoc_sim::FaultKind::CommitFailed) => {
                 self.finish(false);
-                self.db.breaker_note_failure();
+                self.wire().record_outcome(true);
                 return Err(DbError::ConnectionLost { txn: self.id });
             }
             // The commit goes through and becomes durable, but the
@@ -1088,7 +1104,7 @@ impl Transaction {
             Ok(installed) => {
                 self.finish(true);
                 self.retire(installed);
-                self.db.breaker_note_failure();
+                self.wire().record_outcome(true);
                 Err(DbError::ConnectionLost { txn: self.id })
             }
             Err(e) => {
@@ -1383,35 +1399,18 @@ impl Transaction {
             let pk = t.schema.primary_key;
             let indexed = t.schema.indexes.iter().map(|(col, _)| *col).chain([pk]);
             let mut index_keys_changed = false;
-            match (old, &p.row) {
-                (None, Some(new)) => {
+            for col in indexed {
+                let (was, now) = (old.map(|r| r.at(col)), p.row.as_ref().map(|r| r.at(col)));
+                if was != now {
                     index_keys_changed = true;
                     if log_enabled {
-                        for col in indexed {
-                            keys.push((p.table, col, new.at(col).clone()));
-                        }
+                        keys.extend(
+                            was.into_iter()
+                                .chain(now)
+                                .map(|k| (p.table, col, k.clone())),
+                        );
                     }
                 }
-                (Some(old), None) => {
-                    index_keys_changed = true;
-                    if log_enabled {
-                        for col in indexed {
-                            keys.push((p.table, col, old.at(col).clone()));
-                        }
-                    }
-                }
-                (Some(old), Some(new)) => {
-                    for col in indexed {
-                        if old.at(col) != new.at(col) {
-                            index_keys_changed = true;
-                            if log_enabled {
-                                keys.push((p.table, col, old.at(col).clone()));
-                                keys.push((p.table, col, new.at(col).clone()));
-                            }
-                        }
-                    }
-                }
-                (None, None) => {}
             }
             if log_enabled {
                 rows.push((p.table, p.id));
@@ -1430,7 +1429,7 @@ impl Transaction {
                 Entry::Occupied(chain) => {
                     let chain = chain.into_mut();
                     chain.push(version, &mut shard.spare);
-                    chain.prune(horizon);
+                    chain.prune(horizon, &mut shard.spare);
                     chain.holds_older()
                 }
                 Entry::Vacant(slot) => {

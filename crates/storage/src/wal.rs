@@ -337,15 +337,6 @@ impl Wal {
         self.shared.state.lock().buf.clone()
     }
 
-    /// Truncate the log to empty (both tail and durable prefix). Paired
-    /// with [`Database::reset`](crate::Database::reset): a reset database
-    /// must not replay its old history.
-    pub fn clear(&self) {
-        let mut inner = self.shared.state.lock();
-        inner.buf.clear();
-        inner.durable_len = 0;
-    }
-
     /// Counters snapshot.
     pub fn stats(&self) -> WalStats {
         let inner = self.shared.state.lock();

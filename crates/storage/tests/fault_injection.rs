@@ -5,10 +5,18 @@
 //! strategies all wrestle with.
 
 use adhoc_sim::{FaultKind, FaultPlan, FaultRule};
-use adhoc_storage::{Column, ColumnType, Database, DbError, EngineProfile, Schema, Value};
+use adhoc_storage::{
+    Column, ColumnType, Database, DbConfig, DbError, EngineProfile, Schema, Value,
+};
 
-fn db_with_table() -> Database {
-    let db = Database::in_memory(EngineProfile::PostgresLike);
+/// An in-memory database set up with `plan`, holding the empty table `t`.
+fn db_with_table(plan: FaultPlan) -> Database {
+    with_table(DbConfig::in_memory(EngineProfile::PostgresLike).with_faults(plan))
+}
+
+/// A database built from `config`, holding the empty table `t`.
+fn with_table(config: DbConfig) -> Database {
+    let db = Database::new(config);
     db.create_table(
         Schema::new(
             "t",
@@ -32,8 +40,7 @@ fn insert_row(db: &Database, id: i64) -> Result<(), DbError> {
 
 #[test]
 fn commit_failed_rolls_back_and_reports_connection_lost() {
-    let db = db_with_table();
-    db.inject_faults(FaultPlan::new(
+    let db = db_with_table(FaultPlan::new(
         1,
         vec![FaultRule::at_ops(FaultKind::CommitFailed, &[0])],
     ));
@@ -53,8 +60,7 @@ fn commit_failed_rolls_back_and_reports_connection_lost() {
 
 #[test]
 fn crash_after_durable_commits_but_reports_connection_lost() {
-    let db = db_with_table();
-    db.inject_faults(FaultPlan::new(
+    let db = db_with_table(FaultPlan::new(
         1,
         vec![FaultRule::at_ops(FaultKind::CrashAfterDurable, &[0])],
     ));
@@ -73,8 +79,7 @@ fn crash_after_durable_commits_but_reports_connection_lost() {
 
 #[test]
 fn connection_lost_is_not_blindly_retried_by_the_dbt_wrapper() {
-    let db = db_with_table();
-    db.inject_faults(FaultPlan::new(
+    let db = db_with_table(FaultPlan::new(
         1,
         vec![FaultRule::at_ops(FaultKind::CrashAfterDurable, &[0])],
     ));
@@ -89,8 +94,7 @@ fn connection_lost_is_not_blindly_retried_by_the_dbt_wrapper() {
 
 #[test]
 fn fault_free_plan_changes_nothing() {
-    let db = db_with_table();
-    db.inject_faults(FaultPlan::new(1, vec![]));
+    let db = db_with_table(FaultPlan::new(1, vec![]));
     insert_row(&db, 1).unwrap();
     assert_eq!(db.stats().commits, 1);
 }
@@ -98,35 +102,17 @@ fn fault_free_plan_changes_nothing() {
 // --- Partition, deadline, and circuit-breaker resilience ------------------
 
 use adhoc_sim::{CircuitBreaker, Deadline, LatencyModel, OpClass, VirtualClock};
-use adhoc_storage::DbConfig;
 use std::sync::Arc;
 use std::time::Duration;
 
-fn networked_db_with_table(clock: adhoc_sim::SharedClock) -> Database {
-    let db = Database::new(DbConfig::networked(
-        EngineProfile::PostgresLike,
-        clock,
-        LatencyModel::zero(),
-    ));
-    db.create_table(
-        Schema::new(
-            "t",
-            vec![
-                Column::new("id", ColumnType::Int),
-                Column::new("v", ColumnType::Int),
-            ],
-            "id",
-        )
-        .unwrap(),
-    )
-    .unwrap();
-    db
+/// The networked configuration on `clock`, with no latency charged.
+fn networked(clock: adhoc_sim::SharedClock) -> DbConfig {
+    DbConfig::networked(EngineProfile::PostgresLike, clock, LatencyModel::zero())
 }
 
 #[test]
 fn statement_partition_is_unambiguous_and_retryable() {
-    let db = db_with_table();
-    db.inject_faults(FaultPlan::new(
+    let db = db_with_table(FaultPlan::new(
         1,
         vec![FaultRule::at_ops(FaultKind::DbPartitioned, &[0])],
     ));
@@ -142,8 +128,7 @@ fn statement_partition_is_unambiguous_and_retryable() {
 
 #[test]
 fn run_with_retries_rides_out_a_statement_partition() {
-    let db = db_with_table();
-    db.inject_faults(FaultPlan::new(
+    let db = db_with_table(FaultPlan::new(
         1,
         vec![FaultRule::at_ops(FaultKind::DbPartitioned, &[0, 1])],
     ));
@@ -157,7 +142,7 @@ fn run_with_retries_rides_out_a_statement_partition() {
 #[test]
 fn transaction_deadline_fails_fast_before_any_statement() {
     let clock = Arc::new(VirtualClock::new());
-    let db = networked_db_with_table(clock.clone());
+    let db = with_table(networked(clock.clone()));
     let deadline = Deadline::at(Duration::from_millis(50));
     clock.advance(Duration::from_millis(100));
     let mut txn = db.begin().with_deadline(deadline);
@@ -174,25 +159,7 @@ fn transaction_deadline_fails_fast_before_any_statement() {
 #[test]
 fn deadline_caps_lock_waits_below_the_engine_timeout() {
     let clock = adhoc_sim::RealClock::shared();
-    let mut config = DbConfig::networked(
-        EngineProfile::PostgresLike,
-        clock.clone(),
-        LatencyModel::zero(),
-    );
-    config.lock_wait_timeout = Duration::from_secs(30);
-    let db = Database::new(config);
-    db.create_table(
-        Schema::new(
-            "t",
-            vec![
-                Column::new("id", ColumnType::Int),
-                Column::new("v", ColumnType::Int),
-            ],
-            "id",
-        )
-        .unwrap(),
-    )
-    .unwrap();
+    let db = with_table(networked(clock.clone()).with_lock_wait_timeout(Duration::from_secs(30)));
     insert_row(&db, 1).unwrap();
 
     // Holder: an uncommitted exclusive record lock.
@@ -218,14 +185,16 @@ fn deadline_caps_lock_waits_below_the_engine_timeout() {
 #[test]
 fn db_breaker_opens_after_partition_failures_and_recovers() {
     let clock = Arc::new(VirtualClock::new());
-    let db = networked_db_with_table(clock.clone());
     let plan = FaultPlan::new(
         1,
         vec![FaultRule::at_ops(FaultKind::DbPartitioned, &[0, 1])],
     );
-    db.inject_faults(plan.clone());
     let breaker = Arc::new(CircuitBreaker::new(2, Duration::from_secs(10)));
-    db.install_breaker(breaker.clone());
+    let db = with_table(
+        networked(clock.clone())
+            .with_faults(plan.clone())
+            .with_breaker(breaker.clone()),
+    );
 
     for id in 1..=2 {
         let err = insert_row(&db, id).unwrap_err();
@@ -253,13 +222,15 @@ fn db_breaker_opens_after_partition_failures_and_recovers() {
 #[test]
 fn commit_faults_feed_the_db_breaker() {
     let clock = Arc::new(VirtualClock::new());
-    let db = networked_db_with_table(clock.clone());
-    db.inject_faults(FaultPlan::new(
-        1,
-        vec![FaultRule::at_ops(FaultKind::CommitFailed, &[0])],
-    ));
     let breaker = Arc::new(CircuitBreaker::new(1, Duration::from_secs(10)));
-    db.install_breaker(breaker.clone());
+    let db = with_table(
+        networked(clock.clone())
+            .with_faults(FaultPlan::new(
+                1,
+                vec![FaultRule::at_ops(FaultKind::CommitFailed, &[0])],
+            ))
+            .with_breaker(breaker.clone()),
+    );
 
     let err = insert_row(&db, 1).unwrap_err();
     assert!(matches!(err, DbError::ConnectionLost { .. }));
@@ -268,4 +239,84 @@ fn commit_faults_feed_the_db_breaker() {
     let err = insert_row(&db, 2).unwrap_err();
     assert!(matches!(err, DbError::CircuitOpen { .. }));
     assert_eq!(breaker.times_opened(), 1);
+}
+
+#[test]
+fn a_statement_refused_at_admission_pays_no_round_trip() {
+    let clock = Arc::new(VirtualClock::new());
+    let plan = FaultPlan::new(1, vec![FaultRule::at_ops(FaultKind::DbPartitioned, &[0])]);
+    let breaker = Arc::new(CircuitBreaker::new(1, Duration::from_secs(10)));
+    let db = with_table(
+        networked(clock.clone())
+            .with_faults(plan.clone())
+            .with_breaker(breaker.clone()),
+    );
+    let paid = |db: &Database| (db.stats().statements, plan.ops_seen(OpClass::DbStatement));
+    // One partitioned statement pays its round trip and opens the breaker.
+    let err = insert_row(&db, 1).unwrap_err();
+    assert!(matches!(err, DbError::Partitioned { .. }));
+    assert_eq!(paid(&db), (1, 1));
+
+    // Under the open breaker: refused, nothing paid.
+    let err = insert_row(&db, 1).unwrap_err();
+    assert!(matches!(err, DbError::CircuitOpen { .. }));
+    assert_eq!(paid(&db), (1, 1), "an open breaker pays no round trip");
+
+    // Past the cooldown, under an expired deadline: refused before the
+    // breaker is asked, so its half-open probe is still there to take.
+    clock.advance(Duration::from_secs(11));
+    let mut late = db
+        .begin()
+        .with_deadline(Deadline::at(Duration::from_secs(11)));
+    let err = late
+        .insert("t", &[("id", Value::Int(1)), ("v", Value::Int(1))])
+        .unwrap_err();
+    assert!(matches!(err, DbError::DeadlineExceeded { .. }));
+    late.abort();
+    assert_eq!(paid(&db), (1, 1), "an expired deadline pays no round trip");
+
+    insert_row(&db, 1).unwrap();
+    assert_eq!(paid(&db), (2, 2), "the probe paid one round trip");
+    assert_eq!(breaker.times_opened(), 1);
+}
+
+#[test]
+fn a_transaction_with_a_deadline_shares_the_breaker_and_the_counter() {
+    let clock = Arc::new(VirtualClock::new());
+    let plan = FaultPlan::new(1, vec![FaultRule::at_ops(FaultKind::DbPartitioned, &[0])]);
+    let breaker = Arc::new(CircuitBreaker::new(1, Duration::from_secs(10)));
+    let db = with_table(
+        networked(clock.clone())
+            .with_faults(plan)
+            .with_breaker(breaker.clone()),
+    );
+    let far = Deadline::at(Duration::from_secs(3600));
+    let mut txn = db.begin().with_deadline(far);
+    let err = txn
+        .insert("t", &[("id", Value::Int(1)), ("v", Value::Int(1))])
+        .unwrap_err();
+    assert!(matches!(err, DbError::Partitioned { .. }));
+    txn.abort();
+    assert_eq!(
+        db.stats().statements,
+        1,
+        "the database counts its statement"
+    );
+    assert_eq!(
+        breaker.times_opened(),
+        1,
+        "its loss opened the database's breaker"
+    );
+
+    // The open breaker refuses the database's own statements and those of
+    // another transaction with a deadline alike.
+    let err = insert_row(&db, 2).unwrap_err();
+    assert!(matches!(err, DbError::CircuitOpen { .. }));
+    let mut other = db.begin().with_deadline(far);
+    let err = other
+        .insert("t", &[("id", Value::Int(3)), ("v", Value::Int(1))])
+        .unwrap_err();
+    assert!(matches!(err, DbError::CircuitOpen { .. }));
+    other.abort();
+    assert_eq!(db.stats().statements, 1);
 }

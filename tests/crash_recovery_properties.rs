@@ -54,8 +54,19 @@ fn crash_op() -> impl Strategy<Value = CrashOp> {
 ///   behind them) vanishes atomically — all of its records, or none.
 fn group_commit_prefix_property(commits: &[(i64, bool)]) {
     const SEED: u64 = 0x6a5f;
-    let db =
-        Database::new(DbConfig::in_memory(EngineProfile::PostgresLike).with_wal_group_commit());
+    // Every commit issued while the plan is enabled dies before its fsync.
+    let crash_plan = FaultPlan::new_disabled(
+        SEED,
+        vec![FaultRule::with_probability(
+            FaultKind::CrashBeforeDurable,
+            1.0,
+        )],
+    );
+    let db = Database::new(
+        DbConfig::in_memory(EngineProfile::PostgresLike)
+            .with_wal_group_commit()
+            .with_faults(crash_plan.clone()),
+    );
     db.create_table(
         Schema::new(
             "accounts",
@@ -77,22 +88,18 @@ fn group_commit_prefix_property(commits: &[(i64, bool)]) {
     .unwrap();
 
     // Replay the schedule: each commit writes `val = position + 1` to its
-    // row. A crashing commit gets a one-shot plan armed at its own commit.
+    // row. A crashing commit runs with the plan enabled.
     let mut history: Vec<(i64, i64)> = Vec::new(); // (id, val) in commit order
     let mut last_acked: Option<usize> = None;
     for (pos, &(id, crash)) in commits.iter().enumerate() {
         let val = pos as i64 + 1;
         if crash {
-            let plan = FaultPlan::new(
-                SEED,
-                vec![FaultRule::at_ops(FaultKind::CrashBeforeDurable, &[0])],
-            );
-            db.inject_faults(plan);
+            crash_plan.enable();
             let err = db.run(IsolationLevel::ReadCommitted, |t| {
                 t.update("accounts", id, &[("balance", val.into())])
             });
+            crash_plan.disable();
             assert!(err.is_err(), "CrashBeforeDurable must not ack");
-            db.inject_faults(FaultPlan::new(SEED, vec![]));
         } else {
             db.run(IsolationLevel::ReadCommitted, |t| {
                 t.update("accounts", id, &[("balance", val.into())])

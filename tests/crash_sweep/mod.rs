@@ -39,8 +39,13 @@ const CRASH_KINDS: &[FaultKind] = &[
     FaultKind::TornWrite,
 ];
 
+/// The configuration every sweep database runs: WAL on, commit-time fsync.
+pub fn wal_config() -> DbConfig {
+    DbConfig::in_memory(EngineProfile::PostgresLike).with_wal()
+}
+
 pub fn wal_db() -> Database {
-    Database::new(DbConfig::in_memory(EngineProfile::PostgresLike).with_wal())
+    Database::new(wal_config())
 }
 
 /// What an audit gets to see after a (possibly crashed, possibly resumed)
@@ -169,9 +174,8 @@ pub fn witness_filter() -> Option<Witness> {
 /// Fault-free baseline: every op acks with effect, the audit is clean
 /// after each one, and the workload exposes `commits` crash points.
 fn baseline(name: &str, case: Case) -> u64 {
-    let db = wal_db();
     let plan = FaultPlan::new_disabled(SEED, vec![]);
-    db.inject_faults(plan.clone());
+    let db = Database::new(wal_config().with_faults(plan.clone()));
     let driver = case(&db, true);
     let mut acked = Vec::new();
     for (i, op) in driver.ops.iter().enumerate() {
@@ -213,9 +217,8 @@ pub struct Crash {
 pub fn crash_at(name: &str, case: Case, kind: FaultKind, k: u64) -> Crash {
     let witness = format!("{name}/{}/{k}", kind.name());
 
-    let db1 = wal_db();
     let plan = FaultPlan::new_disabled(SEED, vec![FaultRule::at_ops(kind, &[k])]);
-    db1.inject_faults(plan.clone());
+    let db1 = Database::new(wal_config().with_faults(plan.clone()));
     let driver1 = case(&db1, true);
     plan.enable();
     let mut acked = Vec::new();

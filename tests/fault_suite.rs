@@ -275,12 +275,12 @@ fn error_return_surfaces_conn_error_and_leaves_state_clean() {
 
 #[test]
 fn dbt_rollback_keeps_payment_invariant_under_commit_failure() {
-    let db = Database::in_memory(EngineProfile::PostgresLike);
-    let orm = spree::setup(&db).unwrap();
-    let app = spree::Spree::new(orm, Arc::new(MemLock::new()), Mode::DatabaseTxn);
     let plan =
         FaultPlan::new_disabled(SEED, vec![FaultRule::at_ops(FaultKind::CommitFailed, &[0])]);
-    db.inject_faults(plan.clone());
+    let db =
+        Database::new(DbConfig::in_memory(EngineProfile::PostgresLike).with_faults(plan.clone()));
+    let orm = spree::setup(&db).unwrap();
+    let app = spree::Spree::new(orm, Arc::new(MemLock::new()), Mode::DatabaseTxn);
     app.seed_order(1).unwrap();
     plan.enable();
 
@@ -299,14 +299,14 @@ fn dbt_rollback_keeps_payment_invariant_under_commit_failure() {
 
 #[test]
 fn check_then_act_absorbs_crash_after_durable_commit() {
-    let db = Database::in_memory(EngineProfile::PostgresLike);
-    let orm = spree::setup(&db).unwrap();
-    let app = spree::Spree::new(orm, Arc::new(MemLock::new()), Mode::DatabaseTxn);
     let plan = FaultPlan::new_disabled(
         SEED,
         vec![FaultRule::at_ops(FaultKind::CrashAfterDurable, &[0])],
     );
-    db.inject_faults(plan.clone());
+    let db =
+        Database::new(DbConfig::in_memory(EngineProfile::PostgresLike).with_faults(plan.clone()));
+    let orm = spree::setup(&db).unwrap();
+    let app = spree::Spree::new(orm, Arc::new(MemLock::new()), Mode::DatabaseTxn);
     app.seed_order(1).unwrap();
     plan.enable();
 
@@ -389,16 +389,16 @@ fn manual_rollback_is_fooled_by_reply_lost_until_the_checker_repairs() {
 
 #[test]
 fn repair_backfills_audit_lost_to_crash_after_durable() {
-    let db = Database::in_memory(EngineProfile::PostgresLike);
-    let orm = jumpserver::setup(&db).unwrap();
-    let app = jumpserver::JumpServer::new(orm, Arc::new(MemLock::new()), Mode::AdHoc);
     // Op 0 is the rotation's read transaction; op 1 is the credential
     // UPDATE commit — that's the one that becomes durable-but-unreported.
     let plan = FaultPlan::new_disabled(
         SEED,
         vec![FaultRule::at_ops(FaultKind::CrashAfterDurable, &[1])],
     );
-    db.inject_faults(plan.clone());
+    let db =
+        Database::new(DbConfig::in_memory(EngineProfile::PostgresLike).with_faults(plan.clone()));
+    let orm = jumpserver::setup(&db).unwrap();
+    let app = jumpserver::JumpServer::new(orm, Arc::new(MemLock::new()), Mode::AdHoc);
     app.seed_credential(1, "s0").unwrap();
     plan.enable();
 
@@ -526,14 +526,17 @@ fn acquire_config_rejects_unacquirable_polling() {
 
 #[test]
 fn ambiguous_commit_retry_stays_single_after_recovery_replay() {
-    let db = Database::new(DbConfig::in_memory(EngineProfile::PostgresLike).with_wal());
-    let orm = spree::setup(&db).unwrap();
-    let app = spree::Spree::new(orm, Arc::new(MemLock::new()), Mode::DatabaseTxn);
     let plan = FaultPlan::new_disabled(
         SEED,
         vec![FaultRule::at_ops(FaultKind::CrashAfterDurable, &[0])],
     );
-    db.inject_faults(plan.clone());
+    let db = Database::new(
+        DbConfig::in_memory(EngineProfile::PostgresLike)
+            .with_wal()
+            .with_faults(plan.clone()),
+    );
+    let orm = spree::setup(&db).unwrap();
+    let app = spree::Spree::new(orm, Arc::new(MemLock::new()), Mode::DatabaseTxn);
     app.seed_order(1).unwrap();
     plan.enable();
 

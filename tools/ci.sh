@@ -170,6 +170,10 @@ timeout 60 cargo test -q --release -p adhoc-storage --test wal_properties
 # deterministic; the timeout guards only against accidental inflation.
 echo "==> chaos smoke gate (partition storm + fault suite, <60s)"
 timeout 60 cargo test -q --release --test resilience_oracle --test fault_suite
+# The database's own connection gate: deadline and breaker admission (a
+# refused statement pays no round trip), statement partitions, and the
+# commit faults that feed the breaker.
+timeout 60 cargo test -q --release -p adhoc-storage --test fault_injection
 # The oracle runs the bench's storm world (adhoc-bench's resilience
 # module, the one tick loop); its own tests pin the breaker_only arm, the
 # refilled retry budget and the world's invariant counters.
