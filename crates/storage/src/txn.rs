@@ -17,6 +17,7 @@
 use crate::db::{CommittedTxn, Database, Shard};
 use crate::engine::{AccessEvent, IsolationLevel, Rules, StatementObserver};
 use crate::error::{DbError, TxnId};
+use crate::fasthash::FastSet;
 use crate::lock::LockMode;
 use crate::predicate::{BoundPredicate, Predicate, ValueInterval};
 use crate::schema::{row_from_pairs, Row};
@@ -28,7 +29,7 @@ use crate::Result;
 use adhoc_sim::{Deadline, Transport, TransportError};
 use parking_lot::MutexGuard;
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -104,7 +105,7 @@ pub struct Transaction {
     /// have no pre-image: they merge against the latest committed version
     /// at install time instead of overwriting it.
     deltas: Vec<PendingDelta>,
-    read_rows: HashSet<(usize, i64)>,
+    read_rows: FastSet<(usize, i64)>,
     read_ranges: Vec<(usize, usize, ValueInterval)>,
     savepoints: Vec<(String, usize, usize)>,
     active: bool,
@@ -130,7 +131,7 @@ impl Transaction {
             snapshot,
             pending: Vec::new(),
             deltas: Vec::new(),
-            read_rows: HashSet::new(),
+            read_rows: FastSet::default(),
             read_ranges: Vec::new(),
             savepoints: Vec::new(),
             active: true,
@@ -1124,7 +1125,7 @@ impl Transaction {
     fn certify_locked(
         &self,
         guards: &[(usize, MutexGuard<'_, Shard>)],
-        reads: &HashSet<(usize, i64)>,
+        reads: &FastSet<(usize, i64)>,
     ) -> Result<()> {
         for (_, shard) in guards {
             for committed in shard.log.iter().rev() {
@@ -1162,14 +1163,14 @@ impl Transaction {
     fn try_commit(&mut self, wal_outcome: WalOutcome) -> Result<Option<CommitTs>> {
         let writes = self.write_shards();
         let mut lock_set = writes;
-        let mut cert_reads: HashSet<(usize, i64)> = HashSet::new();
+        let mut cert_reads: FastSet<(usize, i64)> = FastSet::default();
         if self.rules.certify {
             // Rows this transaction itself wrote are excluded from read
             // certification: any conflicting commit on them necessarily
             // happened before our update statement, which already failed
             // with a first-updater serialization error — re-checking here
             // would only produce false aborts.
-            let written: HashSet<(usize, i64)> =
+            let written: FastSet<(usize, i64)> =
                 self.pending.iter().map(|p| (p.table, p.id)).collect();
             cert_reads = self
                 .read_rows

@@ -2,7 +2,8 @@
 //!
 //! Every committed transaction appends one CRC-framed record holding its
 //! footprint-ordered write set (the exact rows `try_commit` installed,
-//! in install order). The log models a real disk with two regions:
+//! in install order), its integers written as varints (see "Record
+//! framing" below). The log models a real disk with two regions:
 //!
 //! * the **durable prefix** (`..durable_len`) — bytes that survived an
 //!   `fsync`; this is all a restarted process gets back, and
@@ -236,16 +237,11 @@ impl Wal {
         // complete.
         inner.buf.extend_from_slice(&[0u8; 8]);
         let payload_at = inner.buf.len();
-        put_u64(&mut inner.buf, commit_ts);
-        put_u32(&mut inner.buf, 0); // write count, backpatched
-        let mut enc = WalEncoder {
+        put_var(&mut inner.buf, commit_ts);
+        f(&mut WalEncoder {
             buf: &mut inner.buf,
-            count: 0,
-        };
-        f(&mut enc);
-        let count = enc.count;
+        });
         let payload_len = inner.buf.len() - payload_at;
-        inner.buf[payload_at + 8..payload_at + 12].copy_from_slice(&count.to_le_bytes());
         let crc = crc32(&inner.buf[payload_at..]);
         inner.buf[frame_at..frame_at + 4].copy_from_slice(&(payload_len as u32).to_le_bytes());
         inner.buf[frame_at + 4..frame_at + 8].copy_from_slice(&crc.to_le_bytes());
@@ -364,30 +360,25 @@ pub struct WalAppend {
 /// producing byte-for-byte the same encoding as [`encode_payload`].
 pub struct WalEncoder<'a> {
     buf: &'a mut Vec<u8>,
-    count: u32,
 }
 
 impl WalEncoder<'_> {
     /// Append one write: `row = None` is a deletion tombstone.
     pub fn write(&mut self, table: &str, id: i64, row: Option<&[Value]>) {
-        put_str(self.buf, table);
-        put_i64(self.buf, id);
-        match row {
-            None => self.buf.push(0),
-            Some(values) => {
-                self.buf.push(1);
-                put_u16(self.buf, values.len() as u16);
-                for v in values {
-                    put_value(self.buf, v);
-                }
-            }
-        }
-        self.count += 1;
+        put_write(self.buf, table, id, row);
     }
 }
 
 // ---------------------------------------------------------------------------
 // Record framing: [payload_len: u32 LE][crc32(payload): u32 LE][payload].
+//
+// The payload is `var(commit_ts)` followed by the writes, each
+// `var(name_len) name zigzag(id)` and then `var(0)` for a delete or
+// `var(1 + columns)` and the values. A value is a tag byte and its body:
+// Null (0) none, Int (1) `zigzag`, Str (2) `var(len) bytes`, Bool (3) one
+// byte. `var` is unsigned LEB128; `zigzag` maps signed values to unsigned
+// ones so small magnitudes of either sign stay short. The frame length
+// bounds the payload, so writes carry no count: they run to its end.
 // ---------------------------------------------------------------------------
 
 /// Slice-by-8 tables: `CRC_TABLES[0]` is the byte-at-a-time table, and
@@ -448,26 +439,27 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     c ^ 0xFFFF_FFFF
 }
 
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// Append `v` as an LEB128 varint: seven bits per byte, low group first,
+/// the high bit set on every byte but the last.
+fn put_var(buf: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.push(v as u8);
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
+fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
 }
 
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+fn unzigzag(v: u64) -> i64 {
+    (v >> 1) as i64 ^ -((v & 1) as i64)
 }
 
-fn put_i64(buf: &mut Vec<u8>, v: i64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    debug_assert!(s.len() <= u16::MAX as usize, "identifier too long for WAL");
-    put_u16(buf, s.len() as u16);
-    buf.extend_from_slice(s.as_bytes());
+fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
+    put_var(buf, b.len() as u64);
+    buf.extend_from_slice(b);
 }
 
 fn put_value(buf: &mut Vec<u8>, v: &Value) {
@@ -475,12 +467,11 @@ fn put_value(buf: &mut Vec<u8>, v: &Value) {
         Value::Null => buf.push(0),
         Value::Int(n) => {
             buf.push(1);
-            put_i64(buf, *n);
+            put_var(buf, zigzag(*n));
         }
         Value::Str(s) => {
             buf.push(2);
-            put_u32(buf, s.len() as u32);
-            buf.extend_from_slice(s.as_bytes());
+            put_bytes(buf, s.as_bytes());
         }
         Value::Bool(b) => {
             buf.push(3);
@@ -489,24 +480,26 @@ fn put_value(buf: &mut Vec<u8>, v: &Value) {
     }
 }
 
-/// Serialize a record's payload (everything inside the frame).
-pub fn encode_payload(record: &WalRecord) -> Vec<u8> {
-    let mut p = Vec::with_capacity(32 + record.writes.len() * 32);
-    put_u64(&mut p, record.commit_ts);
-    put_u32(&mut p, record.writes.len() as u32);
-    for w in &record.writes {
-        put_str(&mut p, &w.table);
-        put_i64(&mut p, w.id);
-        match &w.row {
-            None => p.push(0),
-            Some(values) => {
-                p.push(1);
-                put_u16(&mut p, values.len() as u16);
-                for v in values {
-                    put_value(&mut p, v);
-                }
+fn put_write(buf: &mut Vec<u8>, table: &str, id: i64, row: Option<&[Value]>) {
+    put_bytes(buf, table.as_bytes());
+    put_var(buf, zigzag(id));
+    match row {
+        None => put_var(buf, 0),
+        Some(values) => {
+            put_var(buf, 1 + values.len() as u64);
+            for v in values {
+                put_value(buf, v);
             }
         }
+    }
+}
+
+/// Serialize a record's payload (everything inside the frame).
+pub fn encode_payload(record: &WalRecord) -> Vec<u8> {
+    let mut p = Vec::with_capacity(8 + record.writes.len() * 24);
+    put_var(&mut p, record.commit_ts);
+    for w in &record.writes {
+        put_write(&mut p, &w.table, w.id, w.row.as_deref());
     }
     p
 }
@@ -557,22 +550,26 @@ impl<'a> Cursor<'a> {
         Some(s)
     }
 
-    fn u16(&mut self) -> Option<u16> {
-        self.take(2).map(|b| u16::from_le_bytes([b[0], b[1]]))
+    /// Read a varint, accepting only the canonical encoding `put_var`
+    /// writes: no value wider than 64 bits, no trailing zero group.
+    fn var(&mut self) -> Option<u64> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let b = *self.bytes.get(self.pos)?;
+            self.pos += 1;
+            if shift == 63 && b > 1 {
+                return None; // the tenth byte holds bit 63 only
+            }
+            v |= u64::from(b & 0x7F) << shift;
+            if b & 0x80 == 0 {
+                return (b != 0 || shift == 0).then_some(v);
+            }
+        }
+        None
     }
 
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|b| u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-    }
-
-    fn i64(&mut self) -> Option<i64> {
-        self.u64().map(|v| v as i64)
+    fn len(&mut self) -> Option<usize> {
+        usize::try_from(self.var()?).ok()
     }
 
     fn str(&mut self, len: usize) -> Option<String> {
@@ -585,9 +582,9 @@ impl<'a> Cursor<'a> {
 fn decode_value(c: &mut Cursor<'_>) -> Option<Value> {
     match c.take(1)?[0] {
         0 => Some(Value::Null),
-        1 => c.i64().map(Value::Int),
+        1 => c.var().map(|v| Value::Int(unzigzag(v))),
         2 => {
-            let len = c.u32()? as usize;
+            let len = c.len()?;
             c.str(len).map(Value::Str)
         }
         3 => c.take(1).and_then(|b| match b[0] {
@@ -599,37 +596,33 @@ fn decode_value(c: &mut Cursor<'_>) -> Option<Value> {
     }
 }
 
-/// Decode one verified payload. `None` on any malformed structure (the
-/// caller treats it like a CRC failure — belt and braces; a verified CRC
-/// makes this unreachable for frames this module wrote).
+/// Decode one verified payload. `None` on any malformed or non-canonical
+/// structure (the caller treats it like a CRC failure — belt and braces;
+/// a verified CRC makes this unreachable for frames this module wrote).
+/// A payload that decodes re-encodes to exactly its own bytes.
 pub fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
     let mut c = Cursor {
         bytes: payload,
         pos: 0,
     };
-    let commit_ts = c.u64()?;
-    let n_writes = c.u32()? as usize;
-    let mut writes = Vec::with_capacity(n_writes.min(1024));
-    for _ in 0..n_writes {
-        let table_len = c.u16()? as usize;
+    let commit_ts = c.var()?;
+    let mut writes = Vec::new();
+    while c.pos < payload.len() {
+        let table_len = c.len()?;
         let table = c.str(table_len)?;
-        let id = c.i64()?;
-        let row = match c.take(1)?[0] {
+        let id = unzigzag(c.var()?);
+        let row = match c.len()? {
             0 => None,
-            1 => {
-                let n_values = c.u16()? as usize;
-                let mut values = Vec::with_capacity(n_values.min(1024));
-                for _ in 0..n_values {
+            n => {
+                // Every value takes at least one byte.
+                let mut values = Vec::with_capacity((n - 1).min(payload.len() - c.pos));
+                for _ in 1..n {
                     values.push(decode_value(&mut c)?);
                 }
                 Some(values)
             }
-            _ => return None,
         };
         writes.push(WalWrite { table, id, row });
-    }
-    if c.pos != payload.len() {
-        return None; // trailing garbage inside a framed payload
     }
     Some(WalRecord { commit_ts, writes })
 }
@@ -756,6 +749,126 @@ mod tests {
         assert_eq!(decode_payload(&payload).unwrap(), r);
     }
 
+    /// The exact bytes of `sample(42)`: a change to the format must
+    /// change this vector deliberately.
+    #[test]
+    fn sample_record_encodes_to_the_golden_bytes() {
+        let mut golden = vec![42]; // var(commit_ts)
+        golden.extend_from_slice(b"\x08payments"); // var(name_len), name
+        golden.extend_from_slice(&[14, 5]); // zigzag(7), var(1 + 4 columns)
+        golden.extend_from_slice(&[1, 14]); // Int(7)
+        golden.extend_from_slice(b"\x02\x0aprocessing"); // Str
+        golden.extend_from_slice(&[0, 3, 1]); // Null, Bool(true)
+        golden.extend_from_slice(b"\x06orders"); // second write's name
+        golden.extend_from_slice(&[5, 0]); // zigzag(-3), delete
+        assert_eq!(encode_payload(&sample(42)), golden);
+        assert_eq!(golden.len(), 38);
+    }
+
+    /// A one-row, two-`Int` update frames in 24 bytes: 8 of header, 3 of
+    /// commit timestamp, 5 of name, 2 of id, 1 of column count and 3 + 2
+    /// of values.
+    #[test]
+    fn a_two_int_update_frames_in_24_bytes() {
+        let wal = test_wal(WalSyncPolicy::OnCommit);
+        wal.append_streamed(100_000, |enc| {
+            enc.write("rows", 100, Some(&[Value::Int(100), Value::Int(5)]))
+        });
+        assert_eq!(wal.stats().len, 8 + 3 + 5 + 2 + 1 + 3 + 2);
+    }
+
+    #[test]
+    fn varints_are_shortest_at_every_boundary() {
+        let cases: [(i64, usize); 11] = [
+            (0, 1),
+            (1, 1),
+            (-1, 1),
+            (63, 1),
+            (-63, 1),
+            (-64, 1),
+            (64, 2),
+            (-65, 2),
+            (i64::MAX, 10),
+            (i64::MIN, 10),
+            (i64::MIN + 1, 10),
+        ];
+        for (n, len) in cases {
+            let mut buf = Vec::new();
+            put_var(&mut buf, zigzag(n));
+            assert_eq!(buf.len(), len, "{n}");
+            let mut c = Cursor {
+                bytes: &buf,
+                pos: 0,
+            };
+            assert_eq!(c.var().map(unzigzag), Some(n));
+        }
+        let mut buf = Vec::new();
+        put_var(&mut buf, u64::MAX);
+        assert_eq!(
+            buf,
+            [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01]
+        );
+    }
+
+    #[test]
+    fn boundary_values_roundtrip() {
+        let ints = [i64::MIN, i64::MAX, 0, 1, -1, 63, -63, 64, -64];
+        let record = WalRecord {
+            commit_ts: u64::MAX,
+            writes: ints
+                .iter()
+                .map(|&n| WalWrite {
+                    table: "t".into(),
+                    id: n,
+                    row: Some(vec![Value::Int(n), Value::Str(String::new())]),
+                })
+                .chain([
+                    WalWrite {
+                        table: String::new(),
+                        id: 0,
+                        row: Some(vec![]),
+                    },
+                    WalWrite {
+                        table: String::new(),
+                        id: 0,
+                        row: None,
+                    },
+                ])
+                .collect(),
+        };
+        let decoded = decode_payload(&encode_payload(&record)).unwrap();
+        assert_eq!(decoded, record);
+        let n = decoded.writes.len();
+        assert_eq!(decoded.writes[n - 2].row, Some(vec![]), "a zero-column row");
+        assert_eq!(decoded.writes[n - 1].row, None, "is not a delete");
+        let empty = WalRecord {
+            commit_ts: 0,
+            writes: vec![],
+        };
+        assert_eq!(encode_payload(&empty), [0]);
+        assert_eq!(decode_payload(&[0]), Some(empty));
+        assert_eq!(decode_payload(&[]), None);
+    }
+
+    #[test]
+    fn non_canonical_varints_are_rejected() {
+        let var = |bytes: &[u8]| Cursor { bytes, pos: 0 }.var();
+        assert_eq!(var(&[0x00]), Some(0));
+        assert_eq!(var(&[0x80, 0x00]), None, "overlong zero");
+        assert_eq!(var(&[0xFF, 0x00]), None, "trailing zero group");
+        assert_eq!(var(&[0x80]), None, "unterminated");
+        let mut max = vec![0xFF; 9];
+        max.push(0x01);
+        assert_eq!(var(&max), Some(u64::MAX));
+        *max.last_mut().unwrap() = 0x02;
+        assert_eq!(var(&max), None, "65 bits");
+        *max.last_mut().unwrap() = 0x81;
+        max.push(0x00);
+        assert_eq!(var(&max), None, "eleven bytes");
+        // An overlong commit timestamp fails the whole payload.
+        assert_eq!(decode_payload(&[0x80, 0x00]), None);
+    }
+
     #[test]
     fn stream_roundtrip_and_clean_tail() {
         let wal = test_wal(WalSyncPolicy::OnCommit);
@@ -824,8 +937,8 @@ mod tests {
         });
         let mut buf = Vec::new();
         let payload = encode_payload(&r);
-        put_u32(&mut buf, payload.len() as u32);
-        put_u32(&mut buf, crc32(&payload));
+        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        buf.extend_from_slice(&crc32(&payload).to_le_bytes());
         buf.extend_from_slice(&payload);
         reference.sync();
         assert_eq!(streamed.all_bytes(), buf);

@@ -1,6 +1,8 @@
-//! WAL format fuzzing: encode/decode round-trips exactly, and recovery's
-//! decode never invents data — any truncation or single-byte corruption of
-//! a valid stream yields a strict prefix of the original records.
+//! WAL format fuzzing: encode/decode round-trips exactly, the encoding is
+//! canonical (a payload that decodes re-encodes to exactly its own bytes),
+//! and recovery's decode never invents data — any truncation or
+//! single-byte corruption of a valid stream yields a strict prefix of the
+//! original records.
 //!
 //! The group-commit properties drive the real `Wal` under
 //! `WalSyncPolicy::GroupCommit`: a batch of streamed appends produces a
@@ -46,6 +48,47 @@ fn wal_write() -> impl Strategy<Value = WalWrite> {
 fn wal_record() -> impl Strategy<Value = WalRecord> {
     (any::<u64>(), proptest::collection::vec(wal_write(), 0..6))
         .prop_map(|(commit_ts, writes)| WalRecord { commit_ts, writes })
+}
+
+/// Candidate payloads: arbitrary bytes, bytes drawn from the format's
+/// common tokens (tags, small varints, continuation bytes, a name byte),
+/// and valid payloads with one byte replaced, the tail cut, one byte
+/// padded into an overlong varint, or the commit timestamp re-written as
+/// ten varint bytes (canonical only when the tenth is 1).
+fn payload_bytes() -> impl Strategy<Value = Vec<u8>> {
+    const TOKENS: [u8; 10] = [0, 1, 2, 3, 4, 0x7F, 0x80, 0x81, 0xFF, b't'];
+    prop_oneof![
+        proptest::collection::vec(any::<u8>(), 0..48),
+        proptest::collection::vec((0..TOKENS.len()).prop_map(|i| TOKENS[i]), 0..48),
+        (wal_record(), any::<usize>(), any::<u8>()).prop_map(|(r, at, b)| {
+            let mut p = encode_payload(&r);
+            let i = at % p.len();
+            p[i] = b;
+            p
+        }),
+        (wal_record(), any::<usize>()).prop_map(|(r, at)| {
+            let mut p = encode_payload(&r);
+            p.truncate(at % (p.len() + 1));
+            p
+        }),
+        (wal_record(), any::<usize>()).prop_map(|(r, at)| {
+            let mut p = encode_payload(&r);
+            let i = at % p.len();
+            if p[i] < 0x80 {
+                p[i] |= 0x80;
+                p.insert(i + 1, 0);
+            }
+            p
+        }),
+        (wal_record(), any::<u64>(), 0u8..4).prop_map(|(r, bits, last)| {
+            let p = encode_payload(&r);
+            let ts_len = p.iter().position(|b| b & 0x80 == 0).unwrap() + 1;
+            let mut wide: Vec<u8> = (0..9).map(|k| 0x80 | (bits >> (7 * k)) as u8).collect();
+            wide.push(last);
+            wide.extend_from_slice(&p[ts_len..]);
+            wide
+        }),
+    ]
 }
 
 /// Frame a record exactly the way `Wal::append` does:
@@ -189,5 +232,19 @@ proptest! {
         let cut = (buf.len() as u64 * cut_frac as u64 / 1000) as usize;
         let image = decode_stream(&buf[..cut]);
         assert_prefix(&image.records, &records);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Canonical encoding: no two byte strings decode to the same record,
+    /// so the varint reader must refuse overlong and wider-than-64-bit
+    /// encodings.
+    #[test]
+    fn a_decodable_payload_reencodes_to_itself(bytes in payload_bytes()) {
+        if let Some(record) = decode_payload(&bytes) {
+            prop_assert_eq!(encode_payload(&record), bytes);
+        }
     }
 }

@@ -45,7 +45,9 @@ done
 # different. The request count is fixed by the seed, so these repeat to
 # the last digit on any machine. They move only in a PR whose purpose is
 # to change the work (statements issued, commits, KV commands); such a PR
-# re-records them here and says why.
+# re-records them here and says why. svc_read's probes also pin the WAL's
+# bytes per commit (a fixed sequence of one-row updates, counted not
+# timed), so a change to the log's record format has to re-record it too.
 same_work() {
   echo "==> same-work gate ($1 --seed 7 --trace 1: exact counters)"
   bash benchmark/run.sh --workload "$1" --seed 7 --seconds 2 --trace 1 | tail -n 1 |
@@ -60,7 +62,8 @@ if moved:
 }
 same_work svc_mixed '{"storage.statements_per_req": 2.761, "storage.commits_per_req": 1.65186,
   "kv.commands_per_req": 0.31904, "storage.aborts": 0}'
-same_work svc_read '{"kv.commands_per_req": 1, "storage.statements_per_req": 0, "storage.aborts": 0}'
+same_work svc_read '{"kv.commands_per_req": 1, "storage.statements_per_req": 0, "storage.aborts": 0,
+  "storage.wal.bytes_per_commit": 24.91712}'
 
 # Stall probe: two real threads through the AdHoc handlers, 2 x 60,000
 # requests per seed. A commit that is acked must never leave a retired
@@ -158,10 +161,15 @@ timeout 60 cargo test -q --release -p adhoc-core --lib locks
 # retire reads its row, the same row, twice.
 timeout 60 cargo test -q --release -p adhoc-storage --lib db
 
-# WAL-format fuzz smoke: encode/decode round-trip plus truncation- and
-# corruption-yields-a-prefix properties (tools/../crates/storage/tests).
+# WAL-format fuzz smoke: encode/decode round-trip, canonical encoding,
+# and truncation- and corruption-yields-a-prefix properties
+# (crates/storage/tests), then the codec's and recovery's unit tests
+# (golden bytes, varint boundaries, replay) in the release build the
+# benchmark runs.
 echo "==> WAL format fuzz smoke (<60s)"
 timeout 60 cargo test -q --release -p adhoc-storage --test wal_properties
+timeout 60 cargo test -q --release -p adhoc-storage --lib wal
+timeout 60 cargo test -q --release -p adhoc-storage --lib recovery
 
 # Chaos smoke gate: the metastability oracle — a seeded 30-tick partition
 # storm through the full resilience stack (deadlines, retry budget,
