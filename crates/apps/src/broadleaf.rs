@@ -19,10 +19,12 @@
 
 use crate::{Mode, Result, DBT_RETRIES};
 use adhoc_core::checker::{BootRecovery, CheckRule, Report, Violation};
-use adhoc_core::locks::AdHocLock;
+use adhoc_core::locks::{AdHocLock, MemLock};
 use adhoc_orm::occ::run_occ;
 use adhoc_orm::{Coordinator, EntityDef, Orm, OrmError, Registry};
-use adhoc_storage::{Column, ColumnType, Database, IsolationLevel, Predicate, Schema, Transaction};
+use adhoc_storage::{
+    Column, ColumnType, Database, EngineProfile, IsolationLevel, Predicate, Schema, Transaction,
+};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -89,6 +91,15 @@ impl Broadleaf {
             omit_sku_coordination: false,
             request_cpu_work: std::time::Duration::ZERO,
         }
+    }
+
+    /// The studied stack (Table 2): a fresh MySQL-like engine and the MEM lock.
+    pub fn studied(mode: Mode) -> Self {
+        Self::new(
+            crate::fresh(EngineProfile::MySqlLike, setup),
+            Arc::new(MemLock::new()),
+            mode,
+        )
     }
 
     /// Set the per-attempt application-server CPU cost.
@@ -417,13 +428,10 @@ fn serializable() -> IsolationLevel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adhoc_core::locks::{MemLock, MemLruLock};
-    use adhoc_storage::EngineProfile;
+    use adhoc_core::locks::MemLruLock;
 
     fn fixture(mode: Mode) -> Broadleaf {
-        let db = Database::in_memory(EngineProfile::MySqlLike);
-        let orm = setup(&db).unwrap();
-        let app = Broadleaf::new(orm, Arc::new(MemLock::new()), mode);
+        let app = Broadleaf::studied(mode);
         app.seed_cart(1).unwrap();
         app.seed_sku(1, 1000).unwrap();
         app
@@ -432,11 +440,7 @@ mod tests {
     #[test]
     fn omitted_sku_coordination_loses_updates() {
         // §4.2 [67]: leaving the SKU RMW uncoordinated breaks conservation.
-        let db = Database::in_memory(EngineProfile::MySqlLike);
-        let orm = setup(&db).unwrap();
-        let app = Arc::new(
-            Broadleaf::new(orm, Arc::new(MemLock::new()), Mode::AdHoc).omit_sku_coordination(),
-        );
+        let app = Arc::new(Broadleaf::studied(Mode::AdHoc).omit_sku_coordination());
         app.seed_sku(1, 100_000).unwrap();
         std::thread::scope(|s| {
             for _ in 0..8 {

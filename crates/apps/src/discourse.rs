@@ -20,13 +20,13 @@
 
 use crate::{Mode, Result, DBT_RETRIES};
 use adhoc_core::checker::{BootRecovery, CheckRule, Report, Violation};
-use adhoc_core::locks::AdHocLock;
+use adhoc_core::locks::{AdHocLock, MemLock};
 use adhoc_core::taxonomy::FailureHandling;
 use adhoc_core::validation::{validated_write, CommitOutcome, ValidationCheck, ValidationStrategy};
 use adhoc_orm::occ::run_occ;
 use adhoc_orm::{Coordinator, EntityDef, Orm, OrmError, Registry};
 use adhoc_storage::{
-    Column, ColumnType, Database, DbError, IsolationLevel, Predicate, Row, Schema,
+    Column, ColumnType, Database, DbError, EngineProfile, IsolationLevel, Predicate, Row, Schema,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -186,6 +186,15 @@ impl Discourse {
             edit_hold_cost: Duration::ZERO,
             request_cpu_work: Duration::ZERO,
         }
+    }
+
+    /// The studied stack (Table 2): a fresh PostgreSQL-like engine and the MEM lock.
+    pub fn studied(mode: Mode) -> Self {
+        Self::new(
+            crate::fresh(EngineProfile::PostgresLike, setup),
+            Arc::new(MemLock::new()),
+            mode,
+        )
     }
 
     /// Set the per-attempt application-server CPU cost.
@@ -1099,13 +1108,9 @@ fn topic_counter_rule(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adhoc_core::locks::MemLock;
-    use adhoc_storage::EngineProfile;
 
     fn fixture(mode: Mode) -> Discourse {
-        let db = Database::in_memory(EngineProfile::PostgresLike);
-        let orm = setup(&db).unwrap();
-        let app = Discourse::new(orm, Arc::new(MemLock::new()), mode);
+        let app = Discourse::studied(mode);
         app.seed_topic(1).unwrap();
         app
     }

@@ -7,9 +7,11 @@
 
 use crate::{Mode, Result, DBT_RETRIES};
 use adhoc_core::checker::{BootRecovery, CheckRule, Report, Violation};
-use adhoc_core::locks::AdHocLock;
+use adhoc_core::locks::{AdHocLock, KvSetNxLock};
 use adhoc_orm::{Coordinator, EntityDef, Orm, Registry};
-use adhoc_storage::{Column, ColumnType, Database, DbError, IsolationLevel, Predicate, Schema};
+use adhoc_storage::{
+    Column, ColumnType, Database, DbError, EngineProfile, IsolationLevel, Predicate, Schema,
+};
 use std::sync::Arc;
 
 /// Create JumpServer's tables and entity registry.
@@ -92,6 +94,16 @@ impl JumpServer {
             coord,
             mode,
         }
+    }
+
+    /// The studied stack (Table 2): a fresh PostgreSQL-like engine and the
+    /// `SETNX` lock over `kv`.
+    pub fn studied(kv: adhoc_kv::Client, mode: Mode) -> Self {
+        Self::new(
+            crate::fresh(EngineProfile::PostgresLike, setup),
+            Arc::new(KvSetNxLock::new(kv)),
+            mode,
+        )
     }
 
     /// The underlying ORM handle (for assertions and seeding).
@@ -486,16 +498,12 @@ fn missing_rotation_audit_rule() -> CheckRule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adhoc_core::locks::KvSetNxLock;
     use adhoc_kv::{Client, Store};
     use adhoc_sim::{LatencyModel, RealClock};
-    use adhoc_storage::EngineProfile;
 
     fn fixture(mode: Mode) -> JumpServer {
-        let db = Database::in_memory(EngineProfile::PostgresLike);
-        let orm = setup(&db).unwrap();
         let kv = Client::new(Store::new(), RealClock::shared(), LatencyModel::zero());
-        JumpServer::new(orm, Arc::new(KvSetNxLock::new(kv)), mode)
+        JumpServer::studied(kv, mode)
     }
 
     #[test]

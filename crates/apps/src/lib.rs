@@ -115,6 +115,15 @@ pub fn observed_footprint<R>(
 /// throughput benchmarks never fail spuriously.
 pub(crate) const DBT_RETRIES: usize = 1000;
 
+/// `setup`'s schema on a fresh in-memory database of `profile`: the
+/// engine half of every app's studied stack.
+pub(crate) fn fresh(
+    profile: adhoc_storage::EngineProfile,
+    setup: fn(&adhoc_storage::Database) -> Result<adhoc_orm::Orm>,
+) -> adhoc_orm::Orm {
+    setup(&adhoc_storage::Database::in_memory(profile)).expect("a fresh database takes the schema")
+}
+
 /// Burn real CPU for about `d` — stands in for the application-server work
 /// of one request attempt (parsing, templating, ORM materialization).
 ///

@@ -16,10 +16,12 @@
 
 use crate::{Mode, Result, DBT_RETRIES};
 use adhoc_core::checker::{BootRecovery, CheckRule, Report, Violation};
-use adhoc_core::locks::AdHocLock;
+use adhoc_core::locks::{AdHocLock, KvSetNxLock};
 use adhoc_orm::occ::run_occ;
 use adhoc_orm::{Coordinator, EntityDef, Orm, OrmError, Registry};
-use adhoc_storage::{Column, ColumnType, Database, DbError, IsolationLevel, Predicate, Schema};
+use adhoc_storage::{
+    Column, ColumnType, Database, DbError, EngineProfile, IsolationLevel, Predicate, Schema,
+};
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
@@ -123,6 +125,18 @@ impl Mastodon {
             mode,
             critical_section_delay: Duration::ZERO,
         }
+    }
+
+    /// The studied stack (Table 2): a fresh PostgreSQL-like engine, `kv`
+    /// for the timelines and the `SETNX` lock over it.
+    pub fn studied(kv: adhoc_kv::Client, mode: Mode) -> Self {
+        let lock = Arc::new(KvSetNxLock::new(kv.clone()));
+        Self::new(
+            crate::fresh(EngineProfile::PostgresLike, setup),
+            kv,
+            lock,
+            mode,
+        )
     }
 
     /// Stretch every critical section by `d` (drives the lease-expiry scenarios).
@@ -620,10 +634,9 @@ fn duplicate_notification_rule() -> CheckRule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adhoc_core::locks::{KvSetNxLock, MemLock};
+    use adhoc_core::locks::MemLock;
     use adhoc_kv::{Client, Store};
     use adhoc_sim::{LatencyModel, RealClock};
-    use adhoc_storage::EngineProfile;
 
     fn fixture(mode: Mode) -> Mastodon {
         let db = Database::in_memory(EngineProfile::PostgresLike);

@@ -13,7 +13,9 @@ use crate::{Mode, Result, DBT_RETRIES};
 use adhoc_core::checker::{BootRecovery, CheckRule, Report, Violation};
 use adhoc_orm::occ::run_occ;
 use adhoc_orm::{Coordinator, EntityDef, Orm, OrmError, Registry};
-use adhoc_storage::{Column, ColumnType, Database, DbError, IsolationLevel, Predicate, Schema};
+use adhoc_storage::{
+    Column, ColumnType, Database, DbError, EngineProfile, IsolationLevel, Predicate, Schema,
+};
 
 /// Create Redmine's tables and entity registry.
 pub fn setup(db: &Database) -> Result<Orm> {
@@ -83,6 +85,11 @@ impl Redmine {
     pub fn new(orm: Orm, mode: Mode) -> Self {
         let coord = Coordinator::new(orm.db().clone());
         Self { orm, coord, mode }
+    }
+
+    /// The studied stack (Table 2): a fresh PostgreSQL-like engine.
+    pub fn studied(mode: Mode) -> Self {
+        Self::new(crate::fresh(EngineProfile::PostgresLike, setup), mode)
     }
 
     /// The underlying ORM handle (for assertions and seeding).
@@ -516,18 +523,11 @@ fn attachments_count_rule() -> CheckRule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adhoc_storage::EngineProfile;
     use std::sync::Arc;
-
-    fn fixture(mode: Mode) -> Redmine {
-        let db = Database::in_memory(EngineProfile::PostgresLike);
-        let orm = setup(&db).unwrap();
-        Redmine::new(orm, mode)
-    }
 
     #[test]
     fn progress_caps_at_100() {
-        let app = fixture(Mode::AdHoc);
+        let app = Redmine::studied(Mode::AdHoc);
         app.seed_issue(1, "x").unwrap();
         app.advance_issue(1, 1, 80).unwrap();
         app.advance_issue(1, 1, 80).unwrap();
@@ -538,7 +538,7 @@ mod tests {
     fn unlocked_variant_loses_progress() {
         let mut lost = false;
         for _ in 0..100 {
-            let app = Arc::new(fixture(Mode::AdHoc));
+            let app = Arc::new(Redmine::studied(Mode::AdHoc));
             app.seed_issue(1, "x").unwrap();
             std::thread::scope(|s| {
                 for _ in 0..4 {
@@ -560,7 +560,7 @@ mod tests {
 
     #[test]
     fn closed_version_refuses_new_issues() {
-        let app = fixture(Mode::AdHoc);
+        let app = Redmine::studied(Mode::AdHoc);
         app.seed_version(1, "1.0").unwrap();
         app.seed_issue(1, "a").unwrap();
         app.seed_issue(2, "b").unwrap();
@@ -582,7 +582,7 @@ mod tests {
     fn unchecked_close_vs_assign_can_strand_an_open_issue() {
         let mut violated = false;
         for _ in 0..300 {
-            let app = Arc::new(fixture(Mode::AdHoc));
+            let app = Arc::new(Redmine::studied(Mode::AdHoc));
             app.seed_version(1, "1.0").unwrap();
             app.seed_issue(1, "a").unwrap();
             std::thread::scope(|s| {
@@ -605,7 +605,7 @@ mod tests {
 
     #[test]
     fn wiki_edits_detect_conflicts() {
-        let app = fixture(Mode::AdHoc);
+        let app = Redmine::studied(Mode::AdHoc);
         app.seed_wiki(1, "v0").unwrap();
         assert!(app.edit_wiki(1, "v1").unwrap());
         // A stale client (loaded before v1) conflicts.
@@ -629,7 +629,7 @@ mod tests {
 
     #[test]
     fn concurrent_wiki_editors_one_wins_per_round() {
-        let app = Arc::new(fixture(Mode::AdHoc));
+        let app = Arc::new(Redmine::studied(Mode::AdHoc));
         app.seed_wiki(1, "v0").unwrap();
         let successes: usize = std::thread::scope(|s| {
             (0..6)
@@ -654,7 +654,7 @@ mod tests {
     }
     #[test]
     fn issue_row_footprints_are_localized_and_independent() {
-        let app = fixture(Mode::AdHoc);
+        let app = Redmine::studied(Mode::AdHoc);
         let fps: Vec<_> = (1..=6)
             .map(|id| {
                 app.seed_issue(id, "s").unwrap();

@@ -10,10 +10,12 @@
 
 use crate::{Mode, Result, DBT_RETRIES};
 use adhoc_core::checker::{BootRecovery, CheckRule, Report, Violation};
-use adhoc_core::locks::AdHocLock;
+use adhoc_core::locks::{AdHocLock, MemLock};
 use adhoc_orm::occ::run_occ;
 use adhoc_orm::{Coordinator, EntityDef, Orm, OrmError, Registry};
-use adhoc_storage::{Column, ColumnType, Database, DbError, IsolationLevel, Predicate, Schema};
+use adhoc_storage::{
+    Column, ColumnType, Database, DbError, EngineProfile, IsolationLevel, Predicate, Schema,
+};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -80,6 +82,15 @@ impl Saleor {
             mode,
             capture_delay: Duration::ZERO,
         }
+    }
+
+    /// The studied stack (Table 2): a fresh PostgreSQL-like engine and the MEM lock.
+    pub fn studied(mode: Mode) -> Self {
+        Self::new(
+            crate::fresh(EngineProfile::PostgresLike, setup),
+            Arc::new(MemLock::new()),
+            mode,
+        )
     }
 
     /// Stretch the capture critical section by `d`.
@@ -365,7 +376,6 @@ mod tests {
     use adhoc_core::locks::KvSetNxLock;
     use adhoc_kv::{Client, Store};
     use adhoc_sim::{LatencyModel, RealClock};
-    use adhoc_storage::EngineProfile;
 
     fn kv_lock(ttl: Option<Duration>) -> Arc<dyn AdHocLock> {
         let kv = Client::new(Store::new(), RealClock::shared(), LatencyModel::zero());

@@ -12,11 +12,13 @@
 
 use crate::{Mode, Result, DBT_RETRIES};
 use adhoc_core::checker::{column_invariant, BootRecovery, Report};
-use adhoc_core::locks::AdHocLock;
+use adhoc_core::locks::{AdHocLock, MemLock};
 use adhoc_core::validation::{validated_write, CommitOutcome, ValidationCheck, ValidationStrategy};
 use adhoc_orm::occ::run_occ;
 use adhoc_orm::{EntityDef, Orm, OrmError, Registry};
-use adhoc_storage::{Column, ColumnType, Database, DbError, IsolationLevel, Predicate, Schema};
+use adhoc_storage::{
+    Column, ColumnType, Database, DbError, EngineProfile, IsolationLevel, Predicate, Schema,
+};
 use std::sync::Arc;
 
 /// Create SCM Suite's tables and entity registry.
@@ -64,6 +66,15 @@ impl ScmSuite {
     /// Build the application model over `orm`, coordinating with `lock` in the given [`Mode`].
     pub fn new(orm: Orm, lock: Arc<dyn AdHocLock>, mode: Mode) -> Self {
         Self { orm, lock, mode }
+    }
+
+    /// The studied stack (Table 2): a fresh MySQL-like engine and the MEM lock.
+    pub fn studied(mode: Mode) -> Self {
+        Self::new(
+            crate::fresh(EngineProfile::MySqlLike, setup),
+            Arc::new(MemLock::new()),
+            mode,
+        )
     }
 
     /// The underlying ORM handle (for assertions and seeding).
@@ -489,7 +500,6 @@ pub fn boot_fsck() -> BootRecovery {
 mod tests {
     use super::*;
     use adhoc_core::locks::{Guard, LockError, SyncLock};
-    use adhoc_storage::EngineProfile;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn fixture(mode: Mode, lock: Arc<dyn AdHocLock>) -> ScmSuite {

@@ -25,11 +25,12 @@
 use crate::{Mode, Result, DBT_RETRIES};
 
 use adhoc_core::checker::{stuck_state, BootRecovery, Report};
-use adhoc_core::locks::AdHocLock;
+use adhoc_core::locks::{AdHocLock, MemLock};
 use adhoc_orm::occ::run_occ;
 use adhoc_orm::{Coordinator, EntityDef, Orm, OrmError, Registry, TouchVia};
 use adhoc_storage::{
-    Column, ColumnType, Database, DbError, IsolationLevel, Predicate, Schema, Transaction,
+    Column, ColumnType, Database, DbError, EngineProfile, IsolationLevel, Predicate, Schema,
+    Transaction,
 };
 use std::sync::Arc;
 
@@ -138,6 +139,15 @@ impl Spree {
             omit_status_coordination: false,
             request_cpu_work: std::time::Duration::ZERO,
         }
+    }
+
+    /// The studied stack (Table 2): a fresh MySQL-like engine and the MEM lock.
+    pub fn studied(mode: Mode) -> Self {
+        Self::new(
+            crate::fresh(EngineProfile::MySqlLike, setup),
+            Arc::new(MemLock::new()),
+            mode,
+        )
     }
 
     /// Set the per-attempt application-server CPU cost.
@@ -601,8 +611,7 @@ pub fn boot_fsck() -> BootRecovery {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adhoc_core::locks::{MemLock, SfuLock};
-    use adhoc_storage::EngineProfile;
+    use adhoc_core::locks::SfuLock;
 
     fn fixture(mode: Mode, profile: EngineProfile) -> Spree {
         let db = Database::in_memory(profile);

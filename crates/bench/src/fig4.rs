@@ -221,7 +221,7 @@ mod tests {
     #[test]
     fn conflicting_rollback_ordering() {
         for strategy in strategies() {
-            let found = adhoc_sim::sched::Explorer::new(0x5157_4d0d_2022_0612)
+            let found = adhoc_sim::sched::Explorer::new(adhoc_sim::rng::DEFAULT_SEED)
                 .budget(128)
                 .minimize_rounds(0)
                 .explore(|trial| shrink_against_one_edit(strategy, trial));

@@ -1,5 +1,8 @@
 //! Evaluation harness: regenerates every figure of the paper's §5.
 //!
+//! * [`contention`] — the four-mode contention table (each app's
+//!   contended ops and exact invariant in all four modes) and the
+//!   crash-restart sweep the crash oracles run over the same world shape.
 //! * [`fig2`] — lock/unlock latency for the seven lock implementations.
 //! * [`fig3`] — API throughput, ad hoc vs database transactions, for the
 //!   four coordination granularities of Table 6, with and without
@@ -21,6 +24,7 @@
 #![warn(missing_docs)]
 
 pub mod ablations;
+pub mod contention;
 pub mod fig2;
 pub mod fig3;
 pub mod fig4;

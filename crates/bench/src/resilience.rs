@@ -46,7 +46,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Seed of the storm's fault plan.
-pub const SEED: u64 = 0x5157_4d0d_2022_0612;
+pub const SEED: u64 = adhoc_sim::rng::DEFAULT_SEED;
 /// One scheduling tick of the closed loop.
 pub const TICK: Duration = Duration::from_millis(10);
 /// Total simulated ticks.

@@ -15,10 +15,8 @@ use crate::ServiceError;
 use adhoc_apps::admission::Admission;
 use adhoc_apps::Mode;
 use adhoc_apps::{broadleaf, discourse, jumpserver, mastodon, redmine, saleor, scm_suite, spree};
-use adhoc_core::locks::{KvSetNxLock, MemLock};
 use adhoc_kv::{Client, Store};
 use adhoc_sim::{LatencyModel, Rejected, RetryBudget, SharedClock, Transport, Workload};
-use adhoc_storage::{Database, EngineProfile};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -221,46 +219,14 @@ impl Service {
     }
 
     fn build_apps(kv: &Client, objects: u64) -> Apps {
-        let broadleaf = broadleaf::Broadleaf::new(
-            broadleaf::setup(&Database::in_memory(EngineProfile::MySqlLike)).unwrap(),
-            Arc::new(MemLock::new()),
-            Mode::AdHoc,
-        );
-        let discourse = discourse::Discourse::new(
-            discourse::setup(&Database::in_memory(EngineProfile::PostgresLike)).unwrap(),
-            Arc::new(MemLock::new()),
-            Mode::AdHoc,
-        );
-        let jumpserver = jumpserver::JumpServer::new(
-            jumpserver::setup(&Database::in_memory(EngineProfile::PostgresLike)).unwrap(),
-            Arc::new(KvSetNxLock::new(kv.clone())),
-            Mode::AdHoc,
-        );
-        let mastodon = mastodon::Mastodon::new(
-            mastodon::setup(&Database::in_memory(EngineProfile::PostgresLike)).unwrap(),
-            kv.clone(),
-            Arc::new(KvSetNxLock::new(kv.clone())),
-            Mode::AdHoc,
-        );
-        let redmine = redmine::Redmine::new(
-            redmine::setup(&Database::in_memory(EngineProfile::PostgresLike)).unwrap(),
-            Mode::AdHoc,
-        );
-        let saleor = saleor::Saleor::new(
-            saleor::setup(&Database::in_memory(EngineProfile::PostgresLike)).unwrap(),
-            Arc::new(MemLock::new()),
-            Mode::AdHoc,
-        );
-        let scm = scm_suite::ScmSuite::new(
-            scm_suite::setup(&Database::in_memory(EngineProfile::MySqlLike)).unwrap(),
-            Arc::new(MemLock::new()),
-            Mode::AdHoc,
-        );
-        let spree = spree::Spree::new(
-            spree::setup(&Database::in_memory(EngineProfile::MySqlLike)).unwrap(),
-            Arc::new(MemLock::new()),
-            Mode::AdHoc,
-        );
+        let broadleaf = broadleaf::Broadleaf::studied(Mode::AdHoc);
+        let discourse = discourse::Discourse::studied(Mode::AdHoc);
+        let jumpserver = jumpserver::JumpServer::studied(kv.clone(), Mode::AdHoc);
+        let mastodon = mastodon::Mastodon::studied(kv.clone(), Mode::AdHoc);
+        let redmine = redmine::Redmine::studied(Mode::AdHoc);
+        let saleor = saleor::Saleor::studied(Mode::AdHoc);
+        let scm = scm_suite::ScmSuite::studied(Mode::AdHoc);
+        let spree = spree::Spree::studied(Mode::AdHoc);
         discourse.seed_image(1, 1000).unwrap();
         let mut discourse_posts = Vec::with_capacity(objects as usize);
         for id in 1..=objects as i64 {

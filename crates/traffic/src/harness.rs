@@ -26,7 +26,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Workspace-wide reproduction seed.
-pub const SEED: u64 = 0x5157_4d0d_2022_0612;
+pub const SEED: u64 = adhoc_sim::rng::DEFAULT_SEED;
 /// Tick length: the service drains its queue once per tick.
 pub const TICK: Duration = Duration::from_millis(10);
 /// The latency SLO a completion must meet to count as goodput.

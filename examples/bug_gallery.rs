@@ -73,12 +73,7 @@ fn main() {
         "Omitted SKU coordination at check-out",
         "Broadleaf, §4.2 issue [67]",
     );
-    let db = Database::in_memory(EngineProfile::MySqlLike);
-    let orm = broadleaf::setup(&db).expect("schema");
-    let buggy = Arc::new(
-        broadleaf::Broadleaf::new(orm, Arc::new(MemLock::new()), Mode::AdHoc)
-            .omit_sku_coordination(),
-    );
+    let buggy = Arc::new(broadleaf::Broadleaf::studied(Mode::AdHoc).omit_sku_coordination());
     buggy.seed_sku(1, 1_000_000).expect("seed");
     std::thread::scope(|s| {
         for _ in 0..8 {
@@ -97,13 +92,7 @@ fn main() {
         !buggy.sku_conserved(1, 1_000_000).expect("check")
             || sku.get_int("sold").expect("sold") != 800
     );
-    let db = Database::in_memory(EngineProfile::MySqlLike);
-    let orm = broadleaf::setup(&db).expect("schema");
-    let fixed = Arc::new(broadleaf::Broadleaf::new(
-        orm,
-        Arc::new(MemLock::new()),
-        Mode::AdHoc,
-    ));
+    let fixed = Arc::new(broadleaf::Broadleaf::studied(Mode::AdHoc));
     fixed.seed_sku(1, 1_000_000).expect("seed");
     std::thread::scope(|s| {
         for _ in 0..8 {

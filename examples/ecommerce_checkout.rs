@@ -10,8 +10,6 @@
 //! Run with `cargo run --release --example ecommerce_checkout`.
 
 use adhoc_transactions::apps::{broadleaf, spree, Mode};
-use adhoc_transactions::core::locks::MemLock;
-use adhoc_transactions::storage::{Database, EngineProfile};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -19,9 +17,7 @@ const THREADS: usize = 6;
 const OPS_PER_THREAD: i64 = 50;
 
 fn run_spree(mode: Mode) {
-    let db = Database::in_memory(EngineProfile::MySqlLike);
-    let orm = spree::setup(&db).expect("schema");
-    let app = Arc::new(spree::Spree::new(orm, Arc::new(MemLock::new()), mode));
+    let app = Arc::new(spree::Spree::studied(mode));
     // One product in two categories: every check-out's cascade touches the
     // same Categories rows — §3.1.1's deadlock recipe for Serializable.
     app.seed_catalog(1, 1, &[10, 11], 1_000_000).expect("seed");
@@ -53,13 +49,7 @@ fn run_spree(mode: Mode) {
 }
 
 fn run_broadleaf(mode: Mode) {
-    let db = Database::in_memory(EngineProfile::MySqlLike);
-    let orm = broadleaf::setup(&db).expect("schema");
-    let app = Arc::new(broadleaf::Broadleaf::new(
-        orm,
-        Arc::new(MemLock::new()),
-        mode,
-    ));
+    let app = Arc::new(broadleaf::Broadleaf::studied(mode));
     app.seed_sku(1, 1_000_000).expect("seed");
 
     let start = Instant::now();

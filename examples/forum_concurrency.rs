@@ -4,19 +4,11 @@
 //! Run with `cargo run --example forum_concurrency`.
 
 use adhoc_transactions::apps::{discourse, Mode};
-use adhoc_transactions::core::locks::MemLock;
 use adhoc_transactions::orm::{ContinuationStore, OccTxn};
-use adhoc_transactions::storage::{Database, EngineProfile};
 use std::sync::Arc;
 
 fn main() {
-    let db = Database::in_memory(EngineProfile::PostgresLike);
-    let orm = discourse::setup(&db).expect("schema");
-    let forum = Arc::new(discourse::Discourse::new(
-        orm,
-        Arc::new(MemLock::new()),
-        Mode::AdHoc,
-    ));
+    let forum = Arc::new(discourse::Discourse::studied(Mode::AdHoc));
     forum.seed_topic(1).expect("seed");
 
     // --- CBC: create-post and toggle-answer on the same topic row ---

@@ -2,7 +2,7 @@
 //! sequences must preserve each app's business invariants.
 
 use adhoc_transactions::apps::{broadleaf, discourse, jumpserver, mastodon, Mode};
-use adhoc_transactions::core::locks::{KvSetNxLock, MemLock};
+use adhoc_transactions::core::locks::MemLock;
 use adhoc_transactions::kv::{Client, Store};
 use adhoc_transactions::sim::{LatencyModel, RealClock};
 use adhoc_transactions::storage::{Database, EngineProfile};
@@ -37,9 +37,7 @@ proptest! {
         adhoc in any::<bool>(),
     ) {
         let mode = if adhoc { Mode::AdHoc } else { Mode::DatabaseTxn };
-        let db = Database::in_memory(EngineProfile::MySqlLike);
-        let orm = broadleaf::setup(&db).unwrap();
-        let app = broadleaf::Broadleaf::new(orm, Arc::new(MemLock::new()), mode);
+        let app = broadleaf::Broadleaf::studied(mode);
         for cart in 0..3i64 {
             app.seed_cart(cart + 1).unwrap();
         }
@@ -76,10 +74,8 @@ proptest! {
     fn jumpserver_grants_stay_unique_and_monotonic(
         grants in proptest::collection::vec((0u8..3, 0u8..3, 0i64..5), 1..30),
     ) {
-        let db = Database::in_memory(EngineProfile::PostgresLike);
-        let orm = jumpserver::setup(&db).unwrap();
         let kv = Client::new(Store::new(), RealClock::shared(), LatencyModel::zero());
-        let app = jumpserver::JumpServer::new(orm, Arc::new(KvSetNxLock::new(kv)), Mode::AdHoc);
+        let app = jumpserver::JumpServer::studied(kv, Mode::AdHoc);
         let mut best = std::collections::HashMap::new();
         for (user, asset, level) in &grants {
             app.grant(*user as i64, *asset as i64, *level).unwrap();
@@ -129,9 +125,7 @@ proptest! {
     fn discourse_edits_apply_in_commit_order(
         edits in proptest::collection::vec((any::<bool>(), 0u8..200), 1..25),
     ) {
-        let db = Database::in_memory(EngineProfile::PostgresLike);
-        let orm = discourse::setup(&db).unwrap();
-        let app = discourse::Discourse::new(orm, Arc::new(MemLock::new()), Mode::AdHoc);
+        let app = discourse::Discourse::studied(Mode::AdHoc);
         app.seed_topic(1).unwrap();
         let post = app.seed_post(1, "v0", 0).unwrap();
         let mut last_committed = "v0".to_string();

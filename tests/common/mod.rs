@@ -18,9 +18,8 @@
 
 #![allow(dead_code)] // each test binary uses a subset of the scenarios
 
-use adhoc_transactions::apps::{
-    broadleaf, discourse, jumpserver, mastodon, redmine, saleor, scm_suite, spree, Mode,
-};
+use adhoc_bench::contention::kv;
+use adhoc_transactions::apps::{broadleaf, discourse, jumpserver, mastodon, Mode};
 use adhoc_transactions::core::locks::{AdHocLock, KvSetNxLock, LockError, MemLock};
 use adhoc_transactions::core::validation::{
     validated_write, CommitOutcome, ValidationCheck, ValidationStrategy,
@@ -36,8 +35,7 @@ use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// The workspace-wide experiment seed (paper submission date).
-pub const SEED: u64 = 0x5157_4d0d_2022_0612;
+pub use adhoc_transactions::sim::rng::DEFAULT_SEED as SEED;
 
 /// A scenario: build fresh state, register tasks, run, check invariants.
 pub type Scenario = fn(&mut Trial) -> Result<(), String>;
@@ -142,93 +140,11 @@ fn err_str<E: std::fmt::Display>(e: E) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Shared app fixtures. Ad hoc and cured variants register through one
-// constructor — `mode` is the only degree of freedom — so the scenario
-// registry and the cured-oracle suite cannot drift apart in how they
-// build an app.
-// ---------------------------------------------------------------------------
-
-/// A Broadleaf shop over a fresh MySQL-like engine and a MEM lock.
-pub fn broadleaf_app(mode: Mode) -> broadleaf::Broadleaf {
-    let db = Database::in_memory(EngineProfile::MySqlLike);
-    broadleaf::Broadleaf::new(
-        broadleaf::setup(&db).unwrap(),
-        Arc::new(MemLock::new()),
-        mode,
-    )
-}
-
-/// A Mastodon instance over a fresh PostgreSQL-like engine, a zero-latency
-/// KV store, and the `SETNX` lock.
-pub fn mastodon_app(mode: Mode) -> mastodon::Mastodon {
-    let clock = Arc::new(VirtualClock::new());
-    let kv = Client::new(Store::new(), clock, LatencyModel::zero());
-    let db = Database::in_memory(EngineProfile::PostgresLike);
-    mastodon::Mastodon::new(
-        mastodon::setup(&db).unwrap(),
-        kv.clone(),
-        Arc::new(KvSetNxLock::new(kv)),
-        mode,
-    )
-}
-
-/// A JumpServer instance over a fresh PostgreSQL-like engine and the
-/// `SETNX` lock.
-pub fn jumpserver_app(mode: Mode) -> jumpserver::JumpServer {
-    let clock = Arc::new(VirtualClock::new());
-    let kv = Client::new(Store::new(), clock, LatencyModel::zero());
-    let db = Database::in_memory(EngineProfile::PostgresLike);
-    jumpserver::JumpServer::new(
-        jumpserver::setup(&db).unwrap(),
-        Arc::new(KvSetNxLock::new(kv)),
-        mode,
-    )
-}
-
-/// A Spree shop over a fresh MySQL-like engine and a MEM lock.
-pub fn spree_app(mode: Mode) -> spree::Spree {
-    let db = Database::in_memory(EngineProfile::MySqlLike);
-    spree::Spree::new(spree::setup(&db).unwrap(), Arc::new(MemLock::new()), mode)
-}
-
-/// A Saleor instance over a fresh PostgreSQL-like engine and a MEM lock.
-pub fn saleor_app(mode: Mode) -> saleor::Saleor {
-    let db = Database::in_memory(EngineProfile::PostgresLike);
-    saleor::Saleor::new(saleor::setup(&db).unwrap(), Arc::new(MemLock::new()), mode)
-}
-
-/// A Discourse instance over a fresh PostgreSQL-like engine and a MEM lock.
-pub fn discourse_app(mode: Mode) -> discourse::Discourse {
-    let db = Database::in_memory(EngineProfile::PostgresLike);
-    discourse::Discourse::new(
-        discourse::setup(&db).unwrap(),
-        Arc::new(MemLock::new()),
-        mode,
-    )
-}
-
-/// A Redmine instance over a fresh PostgreSQL-like engine.
-pub fn redmine_app(mode: Mode) -> redmine::Redmine {
-    let db = Database::in_memory(EngineProfile::PostgresLike);
-    redmine::Redmine::new(redmine::setup(&db).unwrap(), mode)
-}
-
-/// An SCM Suite instance over a fresh MySQL-like engine and a MEM lock.
-pub fn scm_app(mode: Mode) -> scm_suite::ScmSuite {
-    let db = Database::in_memory(EngineProfile::MySqlLike);
-    scm_suite::ScmSuite::new(
-        scm_suite::setup(&db).unwrap(),
-        Arc::new(MemLock::new()),
-        mode,
-    )
-}
-
-// ---------------------------------------------------------------------------
 // Figure 1a/§3.1.1 — the uncoordinated SKU read-modify-write.
 // ---------------------------------------------------------------------------
 
 fn fig1_shop(coordinated: bool) -> Arc<broadleaf::Broadleaf> {
-    let mut shop = broadleaf_app(Mode::AdHoc);
+    let mut shop = broadleaf::Broadleaf::studied(Mode::AdHoc);
     if !coordinated {
         shop = shop.omit_sku_coordination();
     }
@@ -601,7 +517,7 @@ pub fn validation_atomic(trial: &mut Trial) -> Result<(), String> {
 // ---------------------------------------------------------------------------
 
 fn notify_social() -> Arc<mastodon::Mastodon> {
-    Arc::new(mastodon_app(Mode::AdHoc))
+    Arc::new(mastodon::Mastodon::studied(kv(), Mode::AdHoc))
 }
 
 /// Buggy: check-the-table-then-insert dedupe — the check-then-act window
@@ -651,7 +567,7 @@ pub fn notify_once_dedupe(trial: &mut Trial) -> Result<(), String> {
 /// Correct: two coordinated `add_to_cart` requests — the Figure 1a cart
 /// total stays consistent with its items on every schedule.
 pub fn cart_total_locked(trial: &mut Trial) -> Result<(), String> {
-    let shop = Arc::new(broadleaf_app(Mode::AdHoc));
+    let shop = Arc::new(broadleaf::Broadleaf::studied(Mode::AdHoc));
     shop.seed_cart(1).unwrap();
     for t in 0..2 {
         let shop = Arc::clone(&shop);
@@ -723,8 +639,7 @@ fn mutex_trial(
 /// schedule.
 pub fn multi_lock_mutex(trial: &mut Trial) -> Result<(), String> {
     use adhoc_transactions::core::locks::KvMultiLock;
-    let clock = Arc::new(VirtualClock::new());
-    let kv = Client::new(Store::new(), clock, LatencyModel::zero());
+    let kv = kv();
     mutex_trial(
         trial,
         Arc::new(KvMultiLock::new(kv.clone())),
@@ -738,7 +653,7 @@ pub fn multi_lock_mutex(trial: &mut Trial) -> Result<(), String> {
 /// explorer like every in-process lock table wait.
 pub fn sync_lock_mutex(trial: &mut Trial) -> Result<(), String> {
     use adhoc_transactions::core::locks::SyncLock;
-    let kv = Client::new(Store::new(), VirtualClock::shared(), LatencyModel::zero());
+    let kv = kv();
     mutex_trial(
         trial,
         Arc::new(SyncLock::new()),
@@ -754,7 +669,7 @@ pub fn sync_lock_mutex(trial: &mut Trial) -> Result<(), String> {
 /// `Timeout` (witness 27).
 pub fn watchdog_lock_mutex(trial: &mut Trial) -> Result<(), String> {
     use adhoc_transactions::core::locks::WatchdogLock;
-    let kv = Client::new(Store::new(), VirtualClock::shared(), LatencyModel::zero());
+    let kv = kv();
     mutex_trial(
         trial,
         Arc::new(WatchdogLock::new()),
@@ -766,8 +681,7 @@ pub fn watchdog_lock_mutex(trial: &mut Trial) -> Result<(), String> {
 /// Correct: Saleor's re-entrant `SETNX` lock still excludes *other*
 /// holders on every schedule (nested acquisition by the holder is fine).
 pub fn reentrant_mutex(trial: &mut Trial) -> Result<(), String> {
-    let clock = Arc::new(VirtualClock::new());
-    let kv = Client::new(Store::new(), clock, LatencyModel::zero());
+    let kv = kv();
     let lock = Arc::new(KvSetNxLock::new(kv.clone()).reentrant());
     let in_cs = Arc::new(AtomicI64::new(0));
     let overlap = Arc::new(AtomicBool::new(false));
@@ -798,7 +712,7 @@ pub fn reentrant_mutex(trial: &mut Trial) -> Result<(), String> {
 /// Correct: JumpServer's lock-guarded grant upsert — concurrent grants of
 /// the same (user, asset) never duplicate rows and keep the max level.
 pub fn grant_idempotent(trial: &mut Trial) -> Result<(), String> {
-    let access = Arc::new(jumpserver_app(Mode::AdHoc));
+    let access = Arc::new(jumpserver::JumpServer::studied(kv(), Mode::AdHoc));
     for t in 0..2i64 {
         let access = Arc::clone(&access);
         trial.task(&format!("granter-{t}"), move || {
@@ -840,7 +754,7 @@ pub fn timeline_consistent(trial: &mut Trial) -> Result<(), String> {
 /// Correct: concurrent credential rotations under the per-asset lock —
 /// every resulting version has its audit row on every schedule.
 pub fn rotation_audit(trial: &mut Trial) -> Result<(), String> {
-    let access = Arc::new(jumpserver_app(Mode::AdHoc));
+    let access = Arc::new(jumpserver::JumpServer::studied(kv(), Mode::AdHoc));
     access.seed_credential(1, "s0").unwrap();
     for t in 0..2 {
         let access = Arc::clone(&access);
@@ -860,7 +774,6 @@ pub fn rotation_audit(trial: &mut Trial) -> Result<(), String> {
 // ---------------------------------------------------------------------------
 
 fn monitor_discourse_race(trial: &mut Trial, buggy: bool) -> Result<(), String> {
-    use adhoc_transactions::apps::discourse;
     use adhoc_transactions::core::monitor::{AccessMonitor, Hazard};
     let db = Database::in_memory(EngineProfile::PostgresLike);
     let monitor = AccessMonitor::new();
@@ -1174,8 +1087,7 @@ pub fn continuation_validation_race(trial: &mut Trial) -> Result<(), String> {
 pub fn rate_limit_window_race(trial: &mut Trial) -> Result<(), String> {
     use adhoc_transactions::service::{FixedWindowLimiter, RateLimiter};
 
-    let clock = Arc::new(VirtualClock::new());
-    let kv = Client::new(Store::new(), clock, LatencyModel::zero());
+    let kv = kv();
     let limiter = Arc::new(FixedWindowLimiter::new(kv, 1, Duration::from_secs(1)));
     let admitted = Arc::new(AtomicI64::new(0));
     for t in 0..2 {

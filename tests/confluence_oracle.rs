@@ -7,14 +7,14 @@
 //! reservations alone. Its concurrency half — hot-key convergence to the
 //! exact sum, escrow budgets granting exactly the budget (never an
 //! oversell, never a refusal while units remain) — is the four-mode
-//! contention table's `Mode::Confluent` cells (`tests/contention/`, run
-//! whole by `tests/mode_table.rs` beside the other three modes of the
+//! contention table's `Mode::Confluent` cells (`adhoc_bench::contention`,
+//! run whole by `tests/mode_table.rs` beside the other three modes of the
 //! same ops); the tests below run those cells under the names this
 //! oracle gave them.
 //!
-//! The rest of this file is the crash-restart half: the WAL-backed sweep in
-//! `tests/crash_sweep/` that `crash_recovery_oracle.rs` also runs, over
-//! every commit-adjacent crash point under every crash kind
+//! The rest of this file is the crash-restart half: the WAL-backed sweep
+//! in `adhoc_bench::contention::crash` that `crash_recovery_oracle.rs`
+//! also runs, over every commit-adjacent crash point under every crash kind
 //! (`CommitFailed`, `CrashAfterDurable`, `CrashBeforeDurable`,
 //! `TornWrite`). Deltas materialize into ordinary row images at commit,
 //! so recovery is delta-oblivious; the escrow ledger is volatile and
@@ -30,17 +30,14 @@
 //! `CRASH_ORACLE=<app>_confluent/kind/k` (e.g.
 //! `scm_suite_confluent/torn-write/2`).
 
-mod common;
-#[macro_use]
-mod contention;
-mod crash_sweep;
-
+use adhoc_bench::cells;
+use adhoc_bench::contention::crash::{check, fsck_violations, sweep};
+use adhoc_bench::contention::{int_field, Audit, Driver, Op};
 use adhoc_transactions::apps::{mastodon, saleor, scm_suite, Mode};
 use adhoc_transactions::core::locks::MemLock;
 use adhoc_transactions::kv::{Client, Store};
 use adhoc_transactions::sim::{LatencyModel, VirtualClock};
 use adhoc_transactions::storage::Database;
-use crash_sweep::{check, fsck_violations, int_field, sweep, Audit, Driver, Op};
 use std::sync::Arc;
 
 cells!(Confluent:
@@ -61,19 +58,16 @@ fn mastodon_app(db: &Database, mode: Mode) -> mastodon::Mastodon {
     mastodon::Mastodon::new(orm, kv, Arc::new(MemLock::new()), mode)
 }
 
-impl Audit<'_> {
-    /// `[lo, hi]` bounds for a counter fed by the ops in `ids`: at least
-    /// every acked feeding op, at most one ambiguous duplicate from the
-    /// crashed op.
-    fn bounds(&self, ids: &[usize]) -> (i64, i64) {
-        let lo = if self.resumed {
-            ids.len() as i64
-        } else {
-            ids.iter().filter(|i| self.acked.contains(i)).count() as i64
-        };
-        let dup = self.crashed.is_some_and(|c| ids.contains(&c)) as i64;
-        (lo, lo + dup)
-    }
+/// `[lo, hi]` bounds for a counter fed by the ops in `ids`: at least every
+/// acked feeding op, at most one ambiguous duplicate from the crashed op.
+fn bounds(audit: &Audit, ids: &[usize]) -> (i64, i64) {
+    let lo = if audit.resumed {
+        ids.len() as i64
+    } else {
+        ids.iter().filter(|i| audit.acked.contains(i)).count() as i64
+    };
+    let dup = audit.crashed.is_some_and(|c| ids.contains(&c)) as i64;
+    (lo, lo + dup)
 }
 
 /// Mastodon: poll tallies (pure counters) interleaved with invite
@@ -111,14 +105,14 @@ fn mastodon_case(db: &Database, seed: bool) -> Driver {
                 let mut v = Vec::new();
                 for (col, ids) in [("tally_a", A_VOTES), ("tally_b", B_VOTES)] {
                     let got = int_field(&db, "polls", 1, col).unwrap_or(-1);
-                    let (lo, hi) = audit.bounds(ids);
+                    let (lo, hi) = bounds(audit, ids);
                     check(&mut v, lo <= got && got <= hi, || {
                         format!("{col}={got} outside [{lo}, {hi}]")
                     });
                 }
                 let redeems = int_field(&db, "invites", 1, "redeems").unwrap_or(-1);
                 let slots = int_field(&db, "invites", 1, "slots").unwrap_or(-1);
-                let (lo, hi) = audit.bounds(REDEEMS);
+                let (lo, hi) = bounds(audit, REDEEMS);
                 check(&mut v, lo <= redeems && redeems <= hi, || {
                     format!("redeems={redeems} outside [{lo}, {hi}]")
                 });

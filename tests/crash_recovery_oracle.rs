@@ -2,10 +2,10 @@
 //!
 //! The tentpole harness for the durability subsystem. For each of the
 //! eight studied applications it runs a small WAL-backed workload through
-//! the crash-restart sweep in `tests/crash_sweep/` (every commit point ×
-//! `CommitFailed`, `CrashAfterDurable`, `CrashBeforeDurable`,
-//! `TornWrite`; restart, WAL replay, boot-fsck). Each driver's audit
-//! asserts:
+//! the crash-restart sweep in `adhoc_bench::contention::crash` (every
+//! commit point × `CommitFailed`, `CrashAfterDurable`,
+//! `CrashBeforeDurable`, `TornWrite`; restart, WAL replay, boot-fsck).
+//! Each driver's audit asserts:
 //!
 //! 1. **Durability** — every operation acknowledged before the crash is
 //!    visible in the recovered database.
@@ -22,8 +22,10 @@
 //! `CRASH_ORACLE=app/kind/k` (e.g. `spree/crash-after-durable/3`) to
 //! re-run one crash point in isolation.
 
-mod crash_sweep;
-
+use adhoc_bench::contention::crash::{
+    check, fsck_violations, parse_witness, sweep, wal_db, witness_filter, Sweep,
+};
+use adhoc_bench::contention::{int_field, rows_where, Audit, Driver};
 use adhoc_transactions::apps::{
     broadleaf, discourse, jumpserver, mastodon, redmine, saleor, scm_suite, spree, Mode,
 };
@@ -31,10 +33,6 @@ use adhoc_transactions::core::locks::MemLock;
 use adhoc_transactions::kv::{Client, Store};
 use adhoc_transactions::sim::{FaultKind, LatencyModel, VirtualClock};
 use adhoc_transactions::storage::{restart_from, Database};
-use crash_sweep::{
-    check, fsck_violations, int_field, parse_witness, rows_where, sweep, wal_db, witness_filter,
-    Audit, Driver, Sweep,
-};
 use std::sync::Arc;
 
 /// Acked effects missing from the recovered database. Checked until the

@@ -118,13 +118,7 @@ fn hint_proxy_replaces_ad_hoc_payment_lock() {
 /// racing a direct edit: exactly one side wins.
 #[test]
 fn continuation_vs_direct_edit_race() {
-    let db = Database::in_memory(EngineProfile::PostgresLike);
-    let orm = adhoc_transactions::apps::discourse::setup(&db).unwrap();
-    let app = adhoc_transactions::apps::discourse::Discourse::new(
-        orm,
-        Arc::new(MemLock::new()),
-        Mode::AdHoc,
-    );
+    let app = adhoc_transactions::apps::discourse::Discourse::studied(Mode::AdHoc);
     app.seed_topic(1).unwrap();
     let post = app.seed_post(1, "original", 0).unwrap();
 
@@ -208,23 +202,17 @@ fn crash_restart_drill() {
 /// Referential-integrity checker across the Discourse schema.
 #[test]
 fn referential_checker_on_discourse() {
-    let db = Database::in_memory(EngineProfile::PostgresLike);
-    let orm = adhoc_transactions::apps::discourse::setup(&db).unwrap();
-    let app = adhoc_transactions::apps::discourse::Discourse::new(
-        orm,
-        Arc::new(MemLock::new()),
-        Mode::AdHoc,
-    );
+    let app = adhoc_transactions::apps::discourse::Discourse::studied(Mode::AdHoc);
     app.seed_topic(1).unwrap();
     app.seed_image(5, 100).unwrap();
     app.seed_post(1, "ok img:5", 5).unwrap();
     let checker = ConsistencyChecker::new()
         .rule(referential_integrity("posts", "topic_id", "topics"))
         .rule(referential_integrity("posts", "img_id", "images"));
-    assert!(checker.run(&db).is_clean());
+    assert!(checker.run(app.orm().db()).is_clean());
     // A post referencing a missing image is caught.
     app.seed_post(1, "broken img:9", 9).unwrap();
-    let report = checker.run(&db);
+    let report = checker.run(app.orm().db());
     assert_eq!(report.violations.len(), 1);
     assert!(report.violations[0].message.contains("img_id"));
 }

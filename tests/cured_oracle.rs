@@ -2,7 +2,7 @@
 //!
 //! The contended workloads that make the faithful ad hoc variants lose
 //! updates, double-grant, overdraft or deadlock live in the four-mode
-//! contention table (`tests/contention/`, run whole by
+//! contention table (`adhoc_bench::contention`, run whole by
 //! `tests/mode_table.rs`): exact counters against the acked ops,
 //! conservation to the unit, a boot-fsck with nothing to do, and the
 //! row's committed digest, which every mode must reach. The tests below are
@@ -15,14 +15,10 @@
 //! transaction that *spans simulated HTTP requests*: save → concurrent
 //! writer → restore → commit must validate, conflict, and retry.
 
-mod common;
-#[macro_use]
-mod contention;
-mod crash_sweep;
-
+use adhoc_bench::cells;
+use adhoc_bench::contention::kv;
 use adhoc_transactions::apps::{mastodon, Mode};
 use adhoc_transactions::orm::{run_occ, ContinuationStore, OccTxn, OrmError};
-use common::mastodon_app;
 use std::sync::Arc;
 
 const OPS: i64 = 10;
@@ -49,7 +45,7 @@ cells!(Cured:
 // ---------------------------------------------------------------------------
 
 fn invite_fixture() -> (Arc<mastodon::Mastodon>, Arc<ContinuationStore>) {
-    let app = Arc::new(mastodon_app(Mode::Cured));
+    let app = Arc::new(mastodon::Mastodon::studied(kv(), Mode::Cured));
     app.seed_invite(1, 100).unwrap();
     (app, Arc::new(ContinuationStore::new()))
 }

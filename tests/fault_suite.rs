@@ -14,14 +14,13 @@ use adhoc_transactions::core::locks::{self, AcquireConfig, AdHocLock, KvSetNxLoc
 use adhoc_transactions::core::monitor::{AccessMonitor, Hazard};
 use adhoc_transactions::core::LockError;
 use adhoc_transactions::kv::{Client, Store};
+use adhoc_transactions::sim::rng::DEFAULT_SEED as SEED;
 use adhoc_transactions::sim::{
     FaultKind, FaultPlan, FaultRecord, FaultRule, LatencyModel, VirtualClock,
 };
 use adhoc_transactions::storage::{restart_from, Database, DbConfig, EngineProfile};
 use std::sync::Arc;
 use std::time::Duration;
-
-const SEED: u64 = 0x5157_4d0d_2022_0612;
 
 fn faulted_client(clock: Arc<VirtualClock>, plan: FaultPlan) -> Client {
     Client::new(Store::new(), clock, LatencyModel::zero()).with_faults(plan)

@@ -1,13 +1,11 @@
-//! The four-mode contention table (`tests/contention/`): every row's
+//! The four-mode contention table (`adhoc_bench::contention`): every row's
 //! contended workload on real threads in `AdHoc`, `DatabaseTxn`, `Cured`
 //! and `Confluent`, each cell audited against the acked ops and
 //! boot-fsck and required to reach the row's committed digest.
 //!
 //! A failure names its cells as `row/Mode`.
 
-mod common;
-mod contention;
-mod crash_sweep;
+use adhoc_bench::contention;
 
 #[test]
 fn every_row_holds_and_agrees_in_all_four_modes() {

@@ -1,19 +1,16 @@
-//! Short randomized concurrent smoke over the contention table: in each of
-//! the four modes, every row's world is built at once and seeded-random
-//! workers draw their next op from any row, so all eight applications'
-//! traffic mixes on real threads. The soak ends with each row's own audit
-//! over the ops it acked (no lock timeout, and a clean boot-fsck). The *race-finding*
+//! Short randomized concurrent smoke over the contention table
+//! (`adhoc_bench::contention`): in each of the four modes, every row's
+//! world is built at once and seeded-random workers draw their next op
+//! from any row, so all eight applications' traffic mixes on real
+//! threads. The soak ends with each row's own audit over the ops it acked
+//! (no lock timeout, and a clean boot-fsck). The *race-finding*
 //! burden belongs to the deterministic interleaving explorer
 //! (`tests/schedule_regressions.rs` and the pinned corpus in
 //! `tests/schedules/`), so the wall-clock budget here is deliberately
 //! small.
 
-mod common;
-mod contention;
-mod crash_sweep;
-
+use adhoc_bench::contention::{audit, World, MODES, ROWS};
 use adhoc_transactions::sim::rng::for_worker;
-use contention::{audit, World, MODES, ROWS};
 use rand::Rng;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;

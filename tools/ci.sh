@@ -10,6 +10,16 @@ cargo fmt --all --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# The contention table and the crash sweep are library code in
+# adhoc-bench, built on adhoc-apps; neither may pull a dev-only crate
+# (proptest) into its normal dependency graph.
+echo "==> no dev-only crate in adhoc-bench / adhoc-apps"
+deps=$(cargo tree --offline -e normal -p adhoc-bench -p adhoc-apps)
+if grep -q proptest <<<"$deps"; then
+  echo "a library's normal dependency graph reaches proptest"
+  exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -89,35 +99,39 @@ timeout 60 cargo test -q --release --test schedule_explorer --test schedule_corp
 # Crash-recovery smoke gate: bounded oracle sweep over two apps (one that
 # needs boot-fsck repair, one clean by single-txn discipline) — every
 # commit-adjacent crash point under all four crash kinds, restart, WAL
-# replay, invariants. Deterministic; any point replays in isolation via
-# CRASH_ORACLE=app/kind/k.
+# replay, invariants. The sweep is adhoc_bench::contention::crash
+# (crates/bench/src/contention/crash.rs). Deterministic; any point
+# replays in isolation via CRASH_ORACLE=app/kind/k.
 echo "==> crash-recovery smoke gate (2-app bounded sweep, <120s)"
 timeout 120 cargo test -q --release --test crash_recovery_oracle -- \
   spree_crash_sweep_surfaces_and_repairs_stuck_payments \
   scm_crash_sweep_conserves_money
 
 # Four-mode contention table: every row (one app's contended operation
-# set, tests/contention/) on real threads in AdHoc, DatabaseTxn, Cured and
-# Confluent — exact counters and conservation against the acked ops, no
-# lock timeout, a clean boot-fsck, and the row's digest in every mode. The
-# cured and confluent oracles' concurrency tests moved here.
+# set, adhoc_bench::contention in crates/bench/src/contention/mod.rs) on
+# real threads in AdHoc, DatabaseTxn, Cured and Confluent — exact
+# counters and conservation against the acked ops, no lock timeout, a
+# clean boot-fsck, and the row's digest in every mode. The cured and
+# confluent oracles' concurrency tests moved here.
 echo "==> contention table gate (every row x four modes, <120s)"
 timeout 120 cargo test -q --release --test mode_table
 
 # Cured-apps oracle gate: the continuation flows (tests/cured_oracle.rs;
-# the cured contended workloads run in the contention table above) AND
-# the full crash sweep — the §7 layer must leave ZERO findings and
-# nothing for boot-fsck to repair. CRASH_ORACLE=spree_cured/kind/k replays
-# any cured crash point alone.
+# the cured contended workloads are adhoc_bench::contention's Cured
+# cells, run above and under their oracle names here) AND the full
+# crash sweep (adhoc_bench::contention::crash) — the §7 layer must leave
+# ZERO findings and nothing for boot-fsck to repair.
+# CRASH_ORACLE=spree_cured/kind/k replays any cured crash point alone.
 echo "==> cured-apps oracle gate (continuations + crash, <120s)"
 timeout 120 cargo test -q --release --test cured_oracle
 timeout 120 cargo test -q --release --test crash_recovery_oracle -- \
   cured_crash_sweep_has_zero_findings
 
 # Confluence oracle gate: the PR-9 coordination-avoiding layer's
-# WAL-backed crash sweep over the Confluent app paths (every commit point
-# x all four crash kinds, zero fsck repairs demanded; hot-key convergence
-# and escrow budget exactness run in the contention table). Replay one
+# WAL-backed crash sweep (adhoc_bench::contention::crash) over the
+# Confluent app paths (every commit point x all four crash kinds, zero
+# fsck repairs demanded; hot-key convergence and escrow budget
+# exactness are adhoc_bench::contention's Confluent cells). Replay one
 # crash point alone via CRASH_ORACLE=<app>_confluent/kind/k; a spec that
 # names no sweep or no point fails. The escrow ledger's own
 # tests run here in release too: the grant race they guard (a grant that
