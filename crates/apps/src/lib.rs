@@ -21,7 +21,6 @@
 
 #![warn(missing_docs)]
 
-pub mod admission;
 pub mod broadleaf;
 pub mod discourse;
 pub mod jumpserver;

@@ -35,16 +35,27 @@
 //! healthy backend — is the reproduction target, not absolute numbers.
 //! Rendered to `BENCH_resilience.json` by `paper-eval bench-json`.
 
-use adhoc_apps::admission::{Admission, APPS};
 use adhoc_kv::{Client, KvError, Store};
 use adhoc_sim::{
-    BreakerState, CircuitBreaker, Clock, Deadline, FaultKind, FaultPlan, FaultRule, LatencyModel,
-    Permit, RetryBudget, VirtualClock, Workload,
+    BreakerState, CircuitBreaker, Clock, Deadline, FaultKind, FaultPlan, FaultRule, FrontDoor,
+    LatencyModel, Permit, RetryBudget, VirtualClock, Workload,
 };
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// The eight applications of Table 2; a request's app number indexes
+/// this (and the world's front doors), and the name keys its KV entries.
+pub const APPS: [&str; 8] = [
+    "broadleaf",
+    "discourse",
+    "jumpserver",
+    "mastodon",
+    "redmine",
+    "saleor",
+    "scm-suite",
+    "spree",
+];
 /// Seed of the storm's fault plan.
 pub const SEED: u64 = adhoc_sim::rng::DEFAULT_SEED;
 /// One scheduling tick of the closed loop.
@@ -80,41 +91,20 @@ pub fn at_tick(n: u64) -> Duration {
 pub struct Resilience {
     /// Circuit breaker on the shared KV connection.
     pub breaker: bool,
-    /// Per-request deadlines: stale work drops free, errors return to
-    /// the caller instead of requeueing.
-    pub deadlines: bool,
-    /// Per-app admission doors with read-only degraded mode.
-    pub admission: bool,
+    /// Per-request deadlines (stale work drops free, errors return to the
+    /// caller instead of requeueing) and per-app admission doors with
+    /// read-only degraded mode.
+    pub shedding: bool,
 }
 
 impl Resilience {
     /// The three swept points.
     pub fn sweep() -> Vec<(&'static str, Self)> {
+        let arm = |breaker, shedding| Self { breaker, shedding };
         vec![
-            (
-                "full",
-                Self {
-                    breaker: true,
-                    deadlines: true,
-                    admission: true,
-                },
-            ),
-            (
-                "breaker_only",
-                Self {
-                    breaker: true,
-                    deadlines: false,
-                    admission: false,
-                },
-            ),
-            (
-                "naive",
-                Self {
-                    breaker: false,
-                    deadlines: false,
-                    admission: false,
-                },
-            ),
+            ("full", arm(true, true)),
+            ("breaker_only", arm(true, false)),
+            ("naive", arm(false, false)),
         ]
     }
 }
@@ -155,7 +145,7 @@ pub struct ResilienceRow {
     pub violations: Vec<String>,
 }
 
-struct Req {
+struct Req<'d> {
     id: u64,
     app: usize,
     born: u64,
@@ -164,7 +154,7 @@ struct Req {
     respawned: bool,
     /// Front-door slot, held (never read) while queued and in flight;
     /// dropping it releases the slot.
-    _permit: Option<Permit>,
+    _permit: Option<Permit<'d>>,
 }
 
 fn avg(window: &[u64]) -> f64 {
@@ -189,10 +179,10 @@ pub fn run_config(config: &'static str, res: Resilience) -> ResilienceRow {
     if res.breaker {
         base = base.with_breaker(Arc::clone(&breaker));
     }
-    let admission = Admission::new(DOOR_CAPACITY);
+    let doors: [FrontDoor; APPS.len()] = std::array::from_fn(|_| FrontDoor::new(DOOR_CAPACITY));
     // `None` when the door refuses; no door at all admits everyone.
-    let admit = |app: usize, read: bool| -> Option<Option<Permit>> {
-        if !res.admission {
+    let admit = |app: usize, read: bool| -> Option<Option<Permit<'_>>> {
+        if !res.shedding {
             return Some(None);
         }
         let workload = if read {
@@ -200,7 +190,7 @@ pub fn run_config(config: &'static str, res: Resilience) -> ResilienceRow {
         } else {
             Workload::Write
         };
-        admission.admit(APPS[app], workload).ok().map(Some)
+        doors[app].admit(workload).ok().map(Some)
     };
 
     let mut queue: VecDeque<Req> = VecDeque::new();
@@ -218,10 +208,11 @@ pub fn run_config(config: &'static str, res: Resilience) -> ResilienceRow {
         // Degraded mode follows the breaker: while Open, writes shed at
         // the door and reads come off the replica. Half-open un-degrades
         // so the probe write can go through.
-        let degraded = res.admission
-            && res.breaker
-            && matches!(breaker.state(clock.now()), BreakerState::Open);
-        admission.degrade_writes(degraded);
+        let degraded =
+            res.shedding && res.breaker && matches!(breaker.state(clock.now()), BreakerState::Open);
+        for door in &doors {
+            door.set_read_only(degraded);
+        }
 
         for _ in 0..ARRIVALS {
             let id = next_id;
@@ -272,11 +263,11 @@ pub fn run_config(config: &'static str, res: Resilience) -> ResilienceRow {
                     });
                 }
             }
-            if res.deadlines && stale {
+            if res.shedding && stale {
                 deadline_drops += 1;
                 continue; // dropped free at the deadline; the permit goes with it
             }
-            let client = if res.deadlines {
+            let client = if res.shedding {
                 base.clone()
                     .with_deadline(Deadline::at(at_tick(req.born + PATIENCE + 1)))
             } else {
@@ -310,7 +301,7 @@ pub fn run_config(config: &'static str, res: Resilience) -> ResilienceRow {
                     Err(e) => {
                         let fail_fast =
                             matches!(e, KvError::DeadlineExceeded | KvError::CircuitOpen);
-                        let retry = if res.deadlines {
+                        let retry = if res.shedding {
                             !fail_fast && budget.try_withdraw()
                         } else {
                             attempts < NAIVE_ATTEMPTS && used < CAPACITY
@@ -331,7 +322,7 @@ pub fn run_config(config: &'static str, res: Resilience) -> ResilienceRow {
                     }
                 }
                 Err(_) => {
-                    if !res.deadlines {
+                    if !res.shedding {
                         queue.push_front(req); // the convoy retries in place
                     }
                 }
@@ -357,11 +348,8 @@ pub fn run_config(config: &'static str, res: Resilience) -> ResilienceRow {
         times_opened: breaker.times_opened(),
         goodput: goodput_by_tick,
         storm_replica_reads,
-        shed: deadline_drops + admission.total_shed(),
-        refused_writes: APPS
-            .iter()
-            .map(|app| admission.door(app).stats().refused_writes)
-            .sum(),
+        shed: deadline_drops + doors.iter().map(|d| d.stats().shed).sum::<u64>(),
+        refused_writes: doors.iter().map(|d| d.stats().refused_writes).sum(),
         acked: acked_keys.len() as u64,
         retry_tokens: budget.tokens(),
         violations,

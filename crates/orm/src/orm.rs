@@ -4,7 +4,7 @@
 use crate::entity::{EntityDef, Obj, Registry, Validation};
 use crate::error::OrmError;
 use crate::Result;
-use adhoc_storage::{Database, Footprint, IsolationLevel, Predicate, Row, Transaction, Value};
+use adhoc_storage::{Database, Footprint, Predicate, Row, Transaction, Value};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
@@ -46,16 +46,7 @@ impl Orm {
     /// Run a block inside one database transaction at the engine's default
     /// isolation level (Active Record's `transaction do … end`).
     pub fn transaction<R>(&self, f: impl FnOnce(&mut OrmTxn<'_>) -> Result<R>) -> Result<R> {
-        self.transaction_with(self.db.default_isolation(), f)
-    }
-
-    /// Transaction block at an explicit isolation level.
-    pub fn transaction_with<R>(
-        &self,
-        iso: IsolationLevel,
-        f: impl FnOnce(&mut OrmTxn<'_>) -> Result<R>,
-    ) -> Result<R> {
-        let txn = self.db.begin_with(iso);
+        let txn = self.db.begin_with(self.db.default_isolation());
         let mut ctx = OrmTxn { orm: self, txn };
         match f(&mut ctx) {
             Ok(r) => {
@@ -164,24 +155,6 @@ impl OrmTxn<'_> {
     pub fn find_by(&mut self, entity: &str, pred: &Predicate) -> Result<Vec<Obj>> {
         self.orm.registry.get(entity)?;
         let rows = self.txn.scan(entity, pred)?;
-        rows.into_iter()
-            .map(|(id, row)| self.wrap(entity, id, row))
-            .collect()
-    }
-
-    /// `Entity.lock.find(id)` — `SELECT … FOR UPDATE`.
-    pub fn find_for_update(&mut self, entity: &str, id: i64) -> Result<Option<Obj>> {
-        self.orm.registry.get(entity)?;
-        match self.txn.get_for_update(entity, id)? {
-            Some(row) => Ok(Some(self.wrap(entity, id, row)?)),
-            None => Ok(None),
-        }
-    }
-
-    /// `Entity.where(pred).lock` — locking scan.
-    pub fn find_by_for_update(&mut self, entity: &str, pred: &Predicate) -> Result<Vec<Obj>> {
-        self.orm.registry.get(entity)?;
-        let rows = self.txn.select_for_update(entity, pred)?;
         rows.into_iter()
             .map(|(id, row)| self.wrap(entity, id, row))
             .collect()
@@ -333,11 +306,6 @@ impl OrmTxn<'_> {
     pub fn delete(&mut self, entity: &str, id: i64) -> Result<bool> {
         self.orm.registry.get(entity)?;
         Ok(self.txn.delete(entity, id)?)
-    }
-
-    /// Reload an object from the database (discarding local changes).
-    pub fn reload(&mut self, obj: &Obj) -> Result<Obj> {
-        self.find_required(&obj.entity, obj.id)
     }
 }
 
@@ -775,10 +743,6 @@ mod tests {
         orm.transaction(|t| {
             let got = t.find_by("posts", &Predicate::eq("content", "v0"))?;
             assert_eq!(got.len(), 1);
-            let locked = t.find_for_update("posts", 1)?;
-            assert!(locked.is_some());
-            let locked_scan = t.find_by_for_update("posts", &Predicate::All)?;
-            assert_eq!(locked_scan.len(), 1);
             Ok(())
         })
         .unwrap();
@@ -787,13 +751,6 @@ mod tests {
     #[test]
     fn delete_and_reload() {
         let orm = posts_fixture(false);
-        let obj = orm.find_required("posts", 1).unwrap();
-        orm.transaction(|t| {
-            let reloaded = t.reload(&obj)?;
-            assert_eq!(reloaded.get_str("content")?, "v0");
-            Ok(())
-        })
-        .unwrap();
         assert!(orm.delete("posts", 1).unwrap());
         assert!(!orm.delete("posts", 1).unwrap());
         assert!(orm.find("posts", 1).unwrap().is_none());

@@ -56,21 +56,6 @@ impl Endpoint {
         Endpoint::SpreeAddPayment,
     ];
 
-    /// The studied application this endpoint belongs to (the front-door
-    /// registry key in [`adhoc_apps::admission::APPS`]).
-    pub fn app(self) -> &'static str {
-        match self {
-            Endpoint::BroadleafAddToCart | Endpoint::BroadleafCheckout => "broadleaf",
-            Endpoint::DiscourseCreatePost | Endpoint::DiscourseLikePost => "discourse",
-            Endpoint::JumpserverGrant => "jumpserver",
-            Endpoint::MastodonVote | Endpoint::MastodonTimeline => "mastodon",
-            Endpoint::RedmineAdvanceIssue => "redmine",
-            Endpoint::SaleorAllocate => "saleor",
-            Endpoint::ScmTransfer => "scm-suite",
-            Endpoint::SpreeDecrementStock | Endpoint::SpreeAddPayment => "spree",
-        }
-    }
-
     /// Whether the endpoint mutates state (read-only degraded mode refuses
     /// writes and keeps serving reads).
     pub fn workload(self) -> Workload {
@@ -164,18 +149,6 @@ mod tests {
         for e in Endpoint::ALL {
             assert!(e.weight() > 0);
             assert!(e.cost() > 0);
-        }
-    }
-
-    #[test]
-    fn every_endpoint_maps_to_a_registered_app() {
-        for e in Endpoint::ALL {
-            assert!(
-                adhoc_apps::admission::APPS.contains(&e.app()),
-                "{} -> {}",
-                e.label(),
-                e.app()
-            );
         }
     }
 

@@ -10,17 +10,19 @@
 //!   be composed from per-endpoint weights.
 //! * [`SessionPool`] — a bounded pool of pooled connections, each a borrow
 //!   of the pool's [`Transport`](adhoc_sim::Transport) shim (one service
-//!   round trip per request).
+//!   round trip per request), bounded by an
+//!   [`adhoc_sim::SlotCounter`].
 //! * [`RateLimiter`] — per-client admission written both ways: the racy
 //!   fixed-window counter over the KV store (two round trips, a
 //!   check-then-act ad hoc transaction — catalog case) and the token
 //!   bucket (one atomic in-process admission — the cure).
 //! * [`Service`] — the queueing front door itself: rate limiting and
-//!   queue-depth caps at arrival, deadline-aware shedding and bounded
-//!   in-flight admission ([`adhoc_sim::FrontDoor`]) at
-//!   service, a [`RetryBudget`](adhoc_sim::RetryBudget) around handler
-//!   retries, and a read-only degraded mode. [`StackConfig`] selects the
-//!   naive / breaker-only / full ablation the metastability bench sweeps.
+//!   queue-depth caps at arrival, deadline-aware shedding at service, a
+//!   [`RetryBudget`](adhoc_sim::RetryBudget) around handler retries, and
+//!   a read-only degraded mode checked at both. It serves one request at
+//!   a time, so the only in-flight bound it needs is the session pool's.
+//!   [`StackConfig`] selects the naive / breaker-only / full ablation the
+//!   metastability bench sweeps.
 //!
 //! Everything runs on the shared virtual clock and the deterministic
 //! substrates, so a million-user traffic run — and any SLO violation it
@@ -48,11 +50,9 @@ pub enum ServiceError {
     /// Deadline-aware shedding dropped the request before serving it (it
     /// had already waited past the point of being useful).
     Shed,
-    /// The app's front door is in read-only degraded mode and the request
-    /// carried a write.
+    /// The service is in read-only degraded mode and the request carried
+    /// a write.
     ReadOnly,
-    /// The app's front door had no in-flight capacity left.
-    Overloaded,
     /// The session pool had no free connection.
     PoolExhausted,
     /// The service-side circuit breaker is open.
@@ -69,7 +69,6 @@ impl std::fmt::Display for ServiceError {
             ServiceError::QueueFull => write!(f, "arrival queue full"),
             ServiceError::Shed => write!(f, "shed past deadline"),
             ServiceError::ReadOnly => write!(f, "write refused in read-only degraded mode"),
-            ServiceError::Overloaded => write!(f, "front door at in-flight capacity"),
             ServiceError::PoolExhausted => write!(f, "session pool exhausted"),
             ServiceError::CircuitOpen => write!(f, "service circuit breaker open"),
             ServiceError::Backend(msg) => write!(f, "backend failure: {msg}"),

@@ -2,8 +2,8 @@
 //!
 //! A request's life: **arrival** (`offer`) — rate limiter, read-only
 //! degradation, queue-depth cap; then **service** (`run_tick`) — deadline
-//! shedding, session pool, per-app bounded in-flight admission, the
-//! handler itself with budgeted retries. The [`StackConfig`] presets
+//! shedding, read-only degradation again, session pool, the handler
+//! itself with budgeted retries. The [`StackConfig`] presets
 //! (`naive` / `breaker_only` / `full`) are the ablation arms the traffic
 //! bench sweeps: the same applications, the same arrival stream, only the
 //! front-door discipline differs.
@@ -12,14 +12,13 @@ use crate::endpoint::{Endpoint, Request};
 use crate::limiter::{FixedWindowLimiter, RateLimiter, TokenBucketLimiter};
 use crate::pool::SessionPool;
 use crate::ServiceError;
-use adhoc_apps::admission::Admission;
 use adhoc_apps::Mode;
 use adhoc_apps::{broadleaf, discourse, jumpserver, mastodon, redmine, saleor, scm_suite, spree};
 use adhoc_kv::{Client, Store};
-use adhoc_sim::{LatencyModel, Rejected, RetryBudget, SharedClock, Transport, Workload};
+use adhoc_sim::{LatencyModel, RetryBudget, SharedClock, Transport, Workload};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -49,8 +48,6 @@ pub struct StackConfig {
     pub client_rate_per_sec: u64,
     /// Attach a circuit breaker to the pooled service transport.
     pub breaker: bool,
-    /// Per-app bounded in-flight admission; `None` admits without bound.
-    pub door_capacity: Option<usize>,
     /// Fund handler retries from a shared [`RetryBudget`] instead of
     /// retrying unconditionally.
     pub retry_budget: bool,
@@ -68,7 +65,6 @@ impl StackConfig {
             limiter: LimiterKind::FixedWindow,
             client_rate_per_sec: 1000,
             breaker: false,
-            door_capacity: None,
             retry_budget: false,
         }
     }
@@ -86,8 +82,7 @@ impl StackConfig {
     }
 
     /// The full front door: token-bucket limiting, a bounded queue,
-    /// deadline-aware shedding, bounded per-app in-flight admission, a
-    /// breaker, and budgeted retries.
+    /// deadline-aware shedding, a breaker, and budgeted retries.
     pub fn full() -> Self {
         Self {
             name: "full",
@@ -96,7 +91,6 @@ impl StackConfig {
             limiter: LimiterKind::TokenBucket,
             client_rate_per_sec: 200,
             breaker: true,
-            door_capacity: Some(64),
             retry_budget: true,
         }
     }
@@ -147,12 +141,13 @@ struct Apps {
 
 /// The service: eight applications behind one configurable front door.
 pub struct Service {
-    clock: SharedClock,
     config: StackConfig,
     apps: Apps,
     objects: u64,
     limiter: Box<dyn RateLimiter>,
-    admission: Option<Admission>,
+    /// Read-only degraded mode: writes are refused at `offer` and again
+    /// at `serve`.
+    read_only: AtomicBool,
     pool: SessionPool,
     retry_budget: Option<RetryBudget>,
     queue: Mutex<VecDeque<Request>>,
@@ -200,11 +195,10 @@ impl Service {
             )));
         }
         Self {
-            clock,
             apps,
             objects,
             limiter,
-            admission: config.door_capacity.map(Admission::new),
+            read_only: AtomicBool::new(false),
             pool: SessionPool::new(transport, POOL_SIZE),
             retry_budget: config.retry_budget.then(|| RetryBudget::new(64)),
             queue: Mutex::new(VecDeque::new()),
@@ -256,27 +250,15 @@ impl Service {
         }
     }
 
-    /// The configuration this instance runs.
-    pub fn config(&self) -> &StackConfig {
-        &self.config
-    }
-
-    /// The clock the instance lives on.
-    pub fn clock(&self) -> SharedClock {
-        self.clock.clone()
-    }
-
-    /// The session pool (exhaustion counters, round-trip totals).
-    pub fn pool(&self) -> &SessionPool {
-        &self.pool
-    }
-
-    /// Flip every app's read-only degraded mode (no-op without per-app
-    /// admission doors).
+    /// Enter or leave read-only degraded mode: while degraded, every
+    /// write is refused and reads keep being served.
     pub fn degrade_writes(&self, degraded: bool) {
-        if let Some(admission) = &self.admission {
-            admission.degrade_writes(degraded);
-        }
+        self.read_only.store(degraded, Ordering::Release);
+    }
+
+    /// Does degraded mode refuse `endpoint` right now?
+    fn refuses(&self, endpoint: Endpoint) -> bool {
+        endpoint.workload() == Workload::Write && self.read_only.load(Ordering::Acquire)
     }
 
     /// Requests queued right now.
@@ -284,16 +266,11 @@ impl Service {
         self.queue.lock().len()
     }
 
-    /// Requests the rate limiter refused so far.
-    pub fn rate_limited(&self) -> u64 {
-        self.limiter.limited()
-    }
-
     /// Arrival/serve counters so far.
     pub fn stats(&self) -> ServiceStats {
         ServiceStats {
             accepted: self.accepted.load(Ordering::Relaxed),
-            rate_limited: self.rate_limited(),
+            rate_limited: self.limiter.limited(),
             queue_full: self.queue_full.load(Ordering::Relaxed),
             read_only_refused: self.read_only_refused.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
@@ -310,13 +287,9 @@ impl Service {
         if !self.limiter.try_admit(req.client)? {
             return Err(ServiceError::RateLimited);
         }
-        if req.endpoint.workload() == Workload::Write {
-            if let Some(admission) = &self.admission {
-                if admission.door(req.endpoint.app()).is_read_only() {
-                    self.read_only_refused.fetch_add(1, Ordering::Relaxed);
-                    return Err(ServiceError::ReadOnly);
-                }
-            }
+        if self.refuses(req.endpoint) {
+            self.read_only_refused.fetch_add(1, Ordering::Relaxed);
+            return Err(ServiceError::ReadOnly);
         }
         let mut queue = self.queue.lock();
         if let Some(cap) = self.config.queue_cap {
@@ -386,9 +359,12 @@ impl Service {
         completions
     }
 
-    /// Serve one request end to end: pool, wire, per-app admission,
-    /// handler with (budgeted) retries.
+    /// Serve one request end to end: read-only check, pool, wire, handler
+    /// with (budgeted) retries.
     fn serve(&self, req: &Request) -> Result<(), ServiceError> {
+        if self.refuses(req.endpoint) {
+            return Err(ServiceError::ReadOnly);
+        }
         let Some(session) = self.pool.try_acquire() else {
             return Err(ServiceError::PoolExhausted);
         };
@@ -397,17 +373,6 @@ impl Service {
             adhoc_sim::TransportError::DeadlineExceeded => ServiceError::Shed,
         })?;
         session.transport().pay();
-        let _permit = match &self.admission {
-            Some(admission) => Some(
-                admission
-                    .admit(req.endpoint.app(), req.endpoint.workload())
-                    .map_err(|r| match r {
-                        Rejected::ReadOnly => ServiceError::ReadOnly,
-                        Rejected::Shed => ServiceError::Overloaded,
-                    })?,
-            ),
-            None => None,
-        };
         let mut attempt = 0;
         loop {
             match self.dispatch(req) {
@@ -584,23 +549,32 @@ mod tests {
     }
 
     #[test]
-    fn degraded_mode_refuses_writes_and_serves_reads() {
-        let clock = VirtualClock::shared();
-        let svc = Service::new(clock, StackConfig::full(), 4);
-        svc.degrade_writes(true);
-        assert_eq!(
-            svc.offer(request(0, Endpoint::DiscourseLikePost, Duration::ZERO)),
-            Err(ServiceError::ReadOnly)
-        );
-        svc.offer(request(1, Endpoint::MastodonTimeline, Duration::ZERO))
-            .unwrap();
-        let completions = svc.run_tick(Duration::from_millis(1), 100);
-        assert_eq!(completions.len(), 1);
-        assert!(completions[0].outcome.is_ok());
-        svc.degrade_writes(false);
-        svc.offer(request(2, Endpoint::DiscourseLikePost, Duration::ZERO))
-            .unwrap();
-        assert_eq!(svc.stats().read_only_refused, 1);
+    fn degraded_mode_refuses_writes_in_every_arm() {
+        for config in [
+            StackConfig::naive(),
+            StackConfig::breaker_only(),
+            StackConfig::full(),
+        ] {
+            let svc = Service::new(VirtualClock::shared(), config, 4);
+            svc.degrade_writes(true);
+            assert_eq!(
+                svc.offer(request(0, Endpoint::DiscourseLikePost, Duration::ZERO)),
+                Err(ServiceError::ReadOnly),
+                "{}",
+                config.name
+            );
+            assert_eq!(svc.stats().read_only_refused, 1, "{}", config.name);
+            svc.offer(request(1, Endpoint::MastodonTimeline, Duration::ZERO))
+                .unwrap();
+            let completions = svc.run_tick(Duration::from_millis(1), 100);
+            assert_eq!(completions.len(), 1, "{}", config.name);
+            assert!(completions[0].outcome.is_ok(), "{}", config.name);
+            // Leaving degraded mode restores writes.
+            svc.degrade_writes(false);
+            svc.offer(request(2, Endpoint::DiscourseLikePost, Duration::ZERO))
+                .unwrap();
+            assert_eq!(svc.stats().read_only_refused, 1, "{}", config.name);
+        }
     }
 
     #[test]

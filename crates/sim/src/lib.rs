@@ -24,8 +24,8 @@
 //!   (compact `SCHED=` witness strings), not by wall-clock luck.
 //! * [`resilience`] — absolute [`Deadline`]s, token-bucket
 //!   [`RetryBudget`]s, a deterministic [`CircuitBreaker`] and the
-//!   [`FrontDoor`] admission gate, the primitives that keep a fault
-//!   storm from becoming a metastable retry storm.
+//!   [`FrontDoor`] admission gate over a [`SlotCounter`], the primitives
+//!   that keep a fault storm from becoming a metastable retry storm.
 //! * [`transport`] — the shared simulated-wire shim ([`Transport`]):
 //!   admission (deadline + breaker), the wire hop (yield + count + latency
 //!   charge), and outcome bookkeeping, extracted once for the KV client and
@@ -48,7 +48,7 @@ pub use faults::{FaultKind, FaultPlan, FaultRecord, FaultRule, InjectedFault, Op
 pub use latency::LatencyModel;
 pub use resilience::{
     BreakerState, CircuitBreaker, Deadline, DoorStats, FrontDoor, Permit, Rejected, RetryBudget,
-    Workload,
+    SlotCounter, Workload,
 };
 pub use retry::{BackoffPolicy, GiveUp, RetryObserver, RetryPolicy, RetryTimer};
 pub use sched::{

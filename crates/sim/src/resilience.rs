@@ -23,12 +23,13 @@
 //!   cooldown, and closes again on the first success.
 //! * [`FrontDoor`] — bounded-concurrency admission control with load
 //!   shedding and a read-only degraded mode: work beyond capacity is shed
-//!   at the door instead of queueing behind a slow backend.
+//!   at the door instead of queueing behind a slow backend. Its bound is
+//!   a [`SlotCounter`], the one lock-free slot count in the workspace
+//!   (the service's session pool counts its connections with it too).
 
 use crate::clock::Clock;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 // ---------------------------------------------------------------------------
@@ -359,8 +360,75 @@ impl CircuitBreaker {
 }
 
 // ---------------------------------------------------------------------------
-// FrontDoor
+// SlotCounter and FrontDoor
 // ---------------------------------------------------------------------------
+
+/// A fixed number of slots, taken and given back without locks: the one
+/// bounded-concurrency primitive under [`FrontDoor`] and the service's
+/// session pool.
+///
+/// A slot is taken by one compare-and-swap that succeeds only below
+/// capacity, so a refused caller never holds a slot, even for an
+/// instant, and never refuses another caller that fits (a
+/// fetch-add-then-back-out counter does both).
+#[derive(Debug)]
+pub struct SlotCounter {
+    capacity: usize,
+    in_use: AtomicUsize,
+    refused: AtomicU64,
+}
+
+impl SlotCounter {
+    /// A counter of `capacity` slots, all free.
+    pub fn new(capacity: usize) -> Self {
+        Self {
+            capacity,
+            in_use: AtomicUsize::new(0),
+            refused: AtomicU64::new(0),
+        }
+    }
+
+    /// Take a slot; `None` (counted) when all are taken. Never blocks.
+    pub fn try_take(&self) -> Option<Permit<'_>> {
+        let fits = |n: usize| (n < self.capacity).then_some(n + 1);
+        if self
+            .in_use
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, fits)
+            .is_ok()
+        {
+            return Some(Permit { slots: self });
+        }
+        self.refused.fetch_add(1, Ordering::Relaxed);
+        None
+    }
+
+    /// Number of slots.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Slots taken right now.
+    pub fn in_use(&self) -> usize {
+        self.in_use.load(Ordering::Acquire)
+    }
+
+    /// Takes refused because every slot was taken.
+    pub fn refused(&self) -> u64 {
+        self.refused.load(Ordering::Relaxed)
+    }
+}
+
+/// One taken slot of a [`SlotCounter`]; dropping it gives the slot back.
+#[derive(Debug)]
+pub struct Permit<'a> {
+    slots: &'a SlotCounter,
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        self.slots.in_use.fetch_sub(1, Ordering::AcqRel);
+    }
+}
 
 /// Why the front door refused a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -409,26 +477,18 @@ pub enum Workload {
 /// [`Rejected::ReadOnly`] while reads pass, bounding the blast radius of
 /// a partitioned write path.
 ///
-/// All state is atomic; the door takes no locks and never blocks. A slot
-/// is taken by one compare-and-swap that succeeds only below capacity,
-/// so a refused request never holds a slot, even for an instant.
+/// All state is atomic; the door takes no locks and never blocks. Its
+/// in-flight bound is a [`SlotCounter`].
 #[derive(Debug)]
 pub struct FrontDoor {
-    /// Application label (diagnostics only).
-    app: &'static str,
-    capacity: usize,
-    in_flight: AtomicUsize,
+    slots: SlotCounter,
     read_only: AtomicBool,
-    admitted: AtomicU64,
-    shed: AtomicU64,
     refused_writes: AtomicU64,
 }
 
 /// Counters describing what a [`FrontDoor`] has done so far.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DoorStats {
-    /// Requests admitted (permits handed out).
-    pub admitted: u64,
     /// Requests shed because the door was at capacity.
     pub shed: u64,
     /// Writes refused while in read-only degraded mode.
@@ -438,45 +498,24 @@ pub struct DoorStats {
 }
 
 impl FrontDoor {
-    /// A front door admitting at most `capacity` concurrent requests for
-    /// the application labelled `app`.
-    pub fn new(app: &'static str, capacity: usize) -> Arc<Self> {
-        Arc::new(Self {
-            app,
-            capacity: capacity.max(1),
-            in_flight: AtomicUsize::new(0),
+    /// A front door admitting at most `capacity` concurrent requests (a
+    /// capacity of 0 admits one).
+    pub fn new(capacity: usize) -> Self {
+        Self {
+            slots: SlotCounter::new(capacity.max(1)),
             read_only: AtomicBool::new(false),
-            admitted: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
             refused_writes: AtomicU64::new(0),
-        })
+        }
     }
 
-    /// The application this door fronts.
-    pub fn app(&self) -> &'static str {
-        self.app
-    }
-
-    /// Try to admit one request. Returns an RAII [`Permit`] releasing the
-    /// slot on drop, or the reason the request was refused. Never blocks.
-    pub fn admit(self: &Arc<Self>, workload: Workload) -> Result<Permit, Rejected> {
+    /// Try to admit one request. Returns a [`Permit`] releasing the slot
+    /// on drop, or the reason the request was refused. Never blocks.
+    pub fn admit(&self, workload: Workload) -> Result<Permit<'_>, Rejected> {
         if workload == Workload::Write && self.read_only.load(Ordering::Acquire) {
             self.refused_writes.fetch_add(1, Ordering::Relaxed);
             return Err(Rejected::ReadOnly);
         }
-        let fits = |n: usize| (n < self.capacity).then_some(n + 1);
-        if self
-            .in_flight
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, fits)
-            .is_err()
-        {
-            self.shed.fetch_add(1, Ordering::Relaxed);
-            return Err(Rejected::Shed);
-        }
-        self.admitted.fetch_add(1, Ordering::Relaxed);
-        Ok(Permit {
-            door: Arc::clone(self),
-        })
+        self.slots.try_take().ok_or(Rejected::Shed)
     }
 
     /// Enter or leave read-only degraded mode.
@@ -492,24 +531,10 @@ impl FrontDoor {
     /// Counters so far.
     pub fn stats(&self) -> DoorStats {
         DoorStats {
-            admitted: self.admitted.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
+            shed: self.slots.refused(),
             refused_writes: self.refused_writes.load(Ordering::Relaxed),
-            in_flight: self.in_flight.load(Ordering::Acquire),
+            in_flight: self.slots.in_use(),
         }
-    }
-}
-
-/// RAII admission permit from [`FrontDoor::admit`]; dropping it frees the
-/// concurrency slot.
-#[derive(Debug)]
-pub struct Permit {
-    door: Arc<FrontDoor>,
-}
-
-impl Drop for Permit {
-    fn drop(&mut self) {
-        self.door.in_flight.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -517,6 +542,7 @@ impl Drop for Permit {
 mod tests {
     use super::*;
     use crate::clock::VirtualClock;
+    use std::sync::Arc;
 
     const MS: fn(u64) -> Duration = Duration::from_millis;
 
@@ -786,7 +812,7 @@ mod tests {
 
     #[test]
     fn door_bounds_concurrency_and_sheds_the_rest() {
-        let door = FrontDoor::new("discourse", 2);
+        let door = FrontDoor::new(2);
         let a = door.admit(Workload::Write).unwrap();
         let _b = door.admit(Workload::Read).unwrap();
         assert_eq!(door.admit(Workload::Read).unwrap_err(), Rejected::Shed);
@@ -795,18 +821,18 @@ mod tests {
         // Releasing a permit frees the slot immediately.
         drop(a);
         let _c = door.admit(Workload::Write).unwrap();
-        assert_eq!(door.stats().admitted, 3);
+        assert_eq!(door.stats().in_flight, 2);
     }
 
     #[test]
     fn read_only_mode_refuses_writes_but_admits_reads() {
-        let door = FrontDoor::new("mastodon", 8);
+        let door = FrontDoor::new(8);
         door.set_read_only(true);
         assert!(door.is_read_only());
         assert_eq!(door.admit(Workload::Write).unwrap_err(), Rejected::ReadOnly);
         let _r = door.admit(Workload::Read).unwrap();
         assert_eq!(door.stats().refused_writes, 1);
-        assert_eq!(door.stats().admitted, 1);
+        assert_eq!(door.stats().in_flight, 1);
         // Leaving degraded mode restores writes.
         door.set_read_only(false);
         let _w = door.admit(Workload::Write).unwrap();
@@ -814,54 +840,51 @@ mod tests {
 
     #[test]
     fn permits_release_on_panic_unwind() {
-        let door = FrontDoor::new("spree", 1);
-        let result = std::panic::catch_unwind({
-            let door = Arc::clone(&door);
-            move || {
-                let _p = door.admit(Workload::Write).unwrap();
-                panic!("handler died");
-            }
+        let door = FrontDoor::new(1);
+        let result = std::panic::catch_unwind(|| {
+            let _p = door.admit(Workload::Write).unwrap();
+            panic!("handler died");
         });
         assert!(result.is_err());
         assert_eq!(door.stats().in_flight, 0, "permit released by unwind");
         door.admit(Workload::Write).unwrap();
     }
 
-    /// A refused admission must not refuse one that fits. The test holds
-    /// one of two slots. F takes the other, holds it for a short spin and
-    /// lets go, a million times; N admits and drops as fast as it can,
+    /// A refused take must not refuse one that fits. The test holds one
+    /// of two slots. F takes the other, holds it for a short spin and
+    /// lets go, a million times; N takes and drops as fast as it can,
     /// numbering each attempt first. An F refusal is genuine only if N
     /// held the slot, so some N attempt numbered from just before F's
-    /// call to just after it was admitted. Fetch-add-then-back-out lets
+    /// call to just after it got the slot. Fetch-add-then-back-out lets
     /// N's refused overshoot refuse F.
     #[test]
-    fn a_refused_admission_never_refuses_one_that_fits() {
+    fn a_refused_take_never_refuses_one_that_fits() {
         const ROUNDS: usize = 1_000_000;
-        let door = FrontDoor::new("race", 2);
-        let _held = door.admit(Workload::Read).unwrap();
+        let slots = SlotCounter::new(2);
+        let _held = slots.try_take().unwrap();
         let attempt = AtomicU64::new(0);
         let done = AtomicBool::new(false);
-        let (refusals, admitted) = std::thread::scope(|s| {
+        let (refusals, taken) = std::thread::scope(|s| {
             let n = s.spawn(|| {
                 // The numbers of N's attempts that got the slot, ascending.
-                let (mut admitted, mut k) = (Vec::new(), 0);
+                let (mut taken, mut k) = (Vec::new(), 0);
                 while !done.load(Ordering::Relaxed) {
                     k += 1;
                     attempt.store(k, Ordering::SeqCst);
-                    if door.admit(Workload::Read).is_ok() {
-                        admitted.push(k);
+                    if slots.try_take().is_some() {
+                        taken.push(k);
                     }
                 }
-                admitted
+                taken
             });
             let mut refusals = Vec::new();
             for _ in 0..ROUNDS {
                 let first = attempt.load(Ordering::SeqCst);
-                let permit = door.admit(Workload::Read);
+                let permit = slots.try_take();
                 let last = attempt.load(Ordering::SeqCst);
                 match permit {
-                    Ok(_permit) => (0..200).for_each(|_| std::hint::spin_loop()),
-                    Err(_) => refusals.push((first, last)),
+                    Some(_permit) => (0..200).for_each(|_| std::hint::spin_loop()),
+                    None => refusals.push((first, last)),
                 }
             }
             done.store(true, Ordering::Relaxed);
@@ -870,8 +893,8 @@ mod tests {
         let spurious = refusals
             .iter()
             .filter(|&&(first, last)| {
-                let next = admitted.partition_point(|&k| k < first);
-                admitted.get(next).is_none_or(|&k| k > last)
+                let next = taken.partition_point(|&k| k < first);
+                taken.get(next).is_none_or(|&k| k > last)
             })
             .count();
         assert_eq!(
@@ -880,12 +903,12 @@ mod tests {
             "{spurious} of {} refusals came with the slot free",
             refusals.len()
         );
-        assert_eq!(door.stats().in_flight, 1);
+        assert_eq!(slots.in_use(), 1);
     }
 
     #[test]
     fn zero_capacity_is_clamped_to_one() {
-        let door = FrontDoor::new("redmine", 0);
+        let door = FrontDoor::new(0);
         let _p = door.admit(Workload::Read).unwrap();
         assert_eq!(door.admit(Workload::Read).unwrap_err(), Rejected::Shed);
     }

@@ -19,7 +19,8 @@
 //! * [`adhoc_apps`] — modeled workloads for the eight studied applications.
 //! * [`adhoc_study`] — the 91-case study corpus and paper-table generators.
 //! * [`adhoc_service`] — the web-tier front door over the eight apps:
-//!   endpoints, session pools, rate limiting, admission and shedding.
+//!   endpoints, session pools, rate limiting, shedding and read-only
+//!   degradation.
 //! * [`adhoc_traffic`] — the deterministic open-loop traffic harness and
 //!   its SLO/goodput ablation.
 

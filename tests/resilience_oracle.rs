@@ -13,13 +13,12 @@
 //! bit-for-bit.
 
 use adhoc_bench::resilience::{
-    at_tick, resilience_sweep, ResilienceRow, ARRIVALS, DOOR_CAPACITY, PATIENCE, SEED, STORM_END,
-    STORM_START, TICK, TICKS,
+    at_tick, resilience_sweep, ResilienceRow, APPS, ARRIVALS, DOOR_CAPACITY, PATIENCE, SEED,
+    STORM_END, STORM_START, TICK, TICKS,
 };
-use adhoc_transactions::apps::admission::{Admission, APPS};
 use adhoc_transactions::kv::{Client, KvError, Store};
 use adhoc_transactions::sim::{
-    BreakerState, CircuitBreaker, Clock, FaultKind, FaultPlan, FaultRule, LatencyModel,
+    BreakerState, CircuitBreaker, Clock, FaultKind, FaultPlan, FaultRule, FrontDoor, LatencyModel,
     VirtualClock, Workload,
 };
 use std::sync::Arc;
@@ -338,19 +337,19 @@ fn degraded_mode_exits_when_the_breaker_closes() {
     let client = Client::new(Store::new(), clock.clone(), LatencyModel::zero())
         .with_faults(plan)
         .with_breaker(Arc::clone(&breaker));
-    let admission = Admission::new(DOOR_CAPACITY);
+    let door = FrontDoor::new(DOOR_CAPACITY);
 
     // Storm trips the breaker; the world degrades writes.
     for _ in 0..2 {
         let _ = client.set("k", "v");
     }
     assert_eq!(breaker.state(clock.now()), BreakerState::Open);
-    admission.degrade_writes(true);
+    door.set_read_only(true);
 
     // Degraded: writes are refused at the door, reads still pass.
-    assert!(admission.admit(APPS[0], Workload::Write).is_err());
-    let permit = admission
-        .admit(APPS[0], Workload::Read)
+    assert!(door.admit(Workload::Write).is_err());
+    let permit = door
+        .admit(Workload::Read)
         .expect("reads pass in degraded mode");
     drop(permit);
 
@@ -359,12 +358,12 @@ fn degraded_mode_exits_when_the_breaker_closes() {
     clock.advance(cooldown);
     client.set("k", "v").expect("probe succeeds");
     assert_eq!(breaker.state(clock.now()), BreakerState::Closed);
-    admission.degrade_writes(false);
+    door.set_read_only(false);
 
-    // Writes resume through the same doors.
-    let permit = admission
-        .admit(APPS[0], Workload::Write)
+    // Writes resume through the same door.
+    let permit = door
+        .admit(Workload::Write)
         .expect("writes resume after degraded-mode exit");
     drop(permit);
-    assert!(!admission.door(APPS[0]).is_read_only());
+    assert!(!door.is_read_only());
 }

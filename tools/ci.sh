@@ -138,9 +138,10 @@ timeout 120 cargo test -q --release --test crash_recovery_oracle -- \
 # does not fit refusing one that does) shows most at full speed. So do
 # the other primitives' races: the commit watermark's wake-up and stall
 # watchdogs, the shim condvar's waiter-count balance, wake-up and
-# differential tests, the front door's and session pool's "a refusal
-# never refuses one that fits", and the in-process lock tests. The keyed
-# lock table (crates/core/src/locks/mem.rs) is the toolkit's one
+# differential tests, "a refused take never refuses one that fits" on
+# the one slot counter (sim::resilience::SlotCounter, under both the
+# front door and the session pool), and the in-process lock tests. The
+# keyed lock table (crates/core/src/locks/mem.rs) is the toolkit's one
 # in-process wait loop: MEM, MEM-LRU, SYNC and WD all grant, wait, release
 # and detect wait-for cycles through it, so a lost wake-up or a stale
 # wait-for edge there breaks four locks at once.
