@@ -14,7 +14,6 @@
 
 use super::{AcquireConfig, AdHocLock, Guard, LockError, LockGuard};
 use adhoc_kv::{Client, KvError};
-use adhoc_sim::{Deadline, RetryBudget, RetryTimer};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,7 +37,7 @@ type ReentrantTable = Mutex<HashMap<String, (ThreadId, String, u32)>>;
 #[derive(Clone)]
 pub struct KvSetNxLock {
     client: Client,
-    polling: Polling,
+    config: AcquireConfig,
     ttl: Option<Duration>,
     check_owner_on_unlock: bool,
     reentrant: bool,
@@ -53,7 +52,7 @@ impl KvSetNxLock {
     pub fn new(client: Client) -> Self {
         Self {
             client,
-            polling: Polling::default(),
+            config: AcquireConfig::default(),
             ttl: None,
             check_owner_on_unlock: true,
             reentrant: false,
@@ -65,7 +64,7 @@ impl KvSetNxLock {
 
     /// Override the acquisition retry/timeout policy.
     pub fn with_config(mut self, config: AcquireConfig) -> Self {
-        self.polling.config = config;
+        self.config = config;
         self
     }
 
@@ -130,22 +129,6 @@ impl KvSetNxLock {
         self
     }
 
-    /// Bound the whole acquisition loop by an absolute [`Deadline`] on
-    /// the client's clock, layered under the retry policy's own limits:
-    /// whichever gives up first wins.
-    pub fn with_deadline(mut self, deadline: Deadline) -> Self {
-        self.polling.deadline = Some(deadline);
-        self
-    }
-
-    /// Draw every acquisition retry from a shared [`RetryBudget`], so a
-    /// fleet of contending lockers cannot amplify an outage with
-    /// unbounded polling.
-    pub fn with_retry_budget(mut self, budget: Arc<RetryBudget>) -> Self {
-        self.polling.budget = Some(budget);
-        self
-    }
-
     /// The guard for `owner`'s hold on `key`.
     fn guard(&self, key: &str, owner: String, token: Option<u64>) -> Guard {
         Guard::new(Box::new(KvGuard {
@@ -158,29 +141,6 @@ impl KvSetNxLock {
             token,
             reentrancy: self.reentrant.then(|| Arc::clone(&self.reentrancy)),
         }))
-    }
-}
-
-/// How a KV lock polls for a busy key: the retry policy, plus an optional
-/// absolute deadline and shared retry budget.
-#[derive(Clone, Default)]
-struct Polling {
-    config: AcquireConfig,
-    deadline: Option<Deadline>,
-    budget: Option<Arc<RetryBudget>>,
-}
-
-impl Polling {
-    /// One acquisition's timer, the deadline read on `client`'s clock.
-    fn timer(&self, label: &'static str, client: &Client) -> RetryTimer {
-        let mut timer = self.config.policy().timer(label);
-        if let Some(budget) = &self.budget {
-            timer = timer.with_budget(Arc::clone(budget));
-        }
-        if let Some(deadline) = self.deadline {
-            timer = timer.until(client.clock(), deadline);
-        }
-        timer
     }
 }
 
@@ -290,7 +250,7 @@ impl AdHocLock for KvSetNxLock {
         }
 
         let owner = fresh_owner();
-        let mut timer = self.polling.timer("KV-SETNX", &self.client);
+        let mut timer = self.config.policy().timer("KV-SETNX");
         loop {
             let mut token = None;
             let attempt = match self.ttl {
@@ -352,7 +312,7 @@ impl AdHocLock for KvSetNxLock {
 #[derive(Clone)]
 pub struct KvMultiLock {
     client: Client,
-    polling: Polling,
+    config: AcquireConfig,
     ttl: Option<Duration>,
 }
 
@@ -361,14 +321,14 @@ impl KvMultiLock {
     pub fn new(client: Client) -> Self {
         Self {
             client,
-            polling: Polling::default(),
+            config: AcquireConfig::default(),
             ttl: None,
         }
     }
 
     /// Override the acquisition retry/timeout policy.
     pub fn with_config(mut self, config: AcquireConfig) -> Self {
-        self.polling.config = config;
+        self.config = config;
         self
     }
 
@@ -377,25 +337,12 @@ impl KvMultiLock {
         self.ttl = Some(ttl);
         self
     }
-
-    /// Bound the acquisition loop by an absolute [`Deadline`] on the
-    /// client's clock.
-    pub fn with_deadline(mut self, deadline: Deadline) -> Self {
-        self.polling.deadline = Some(deadline);
-        self
-    }
-
-    /// Draw acquisition retries from a shared [`RetryBudget`].
-    pub fn with_retry_budget(mut self, budget: Arc<RetryBudget>) -> Self {
-        self.polling.budget = Some(budget);
-        self
-    }
 }
 
 impl AdHocLock for KvMultiLock {
     fn lock(&self, key: &str) -> Result<Guard, LockError> {
         let owner = fresh_owner();
-        let mut timer = self.polling.timer("KV-MULTI", &self.client);
+        let mut timer = self.config.policy().timer("KV-MULTI");
         loop {
             // WATCH key; GET key; if free: MULTI; SET; EXEC.
             let mut session = self.client.session();
@@ -447,38 +394,6 @@ mod tests {
 
     fn client() -> Client {
         Client::new(Store::new(), VirtualClock::shared(), LatencyModel::zero())
-    }
-
-    #[test]
-    fn acquire_deadline_bounds_the_setnx_polling_loop() {
-        let c = client();
-        let lock = KvSetNxLock::new(c.clone())
-            .with_config(fast_config())
-            .with_deadline(Deadline::at(Duration::ZERO));
-        let holder = KvSetNxLock::new(c).with_config(fast_config());
-        let _g = holder.lock("mutex").unwrap();
-        // The virtual clock sits at the (already-expired) deadline, so the
-        // loop gives up after its very first contended attempt instead of
-        // polling out the 10 s policy timeout.
-        let err = lock.lock("mutex").unwrap_err();
-        assert!(matches!(err, LockError::Timeout { .. }));
-    }
-
-    #[test]
-    fn shared_retry_budget_caps_contended_polling() {
-        let c = client();
-        let budget = Arc::new(RetryBudget::new(2));
-        let lock = KvSetNxLock::new(c.clone())
-            .with_config(fast_config())
-            .with_retry_budget(Arc::clone(&budget));
-        let holder = KvSetNxLock::new(c).with_config(fast_config());
-        let _g = holder.lock("mutex").unwrap();
-        let err = lock.lock("mutex").unwrap_err();
-        assert!(matches!(err, LockError::Timeout { .. }));
-        // Two retries were granted by the bucket; the third was denied and
-        // became the give-up — far short of the policy's own 10 s budget.
-        assert_eq!(budget.granted(), 2);
-        assert!(budget.denied() >= 1);
     }
 
     fn fast_config() -> AcquireConfig {

@@ -23,9 +23,9 @@ use std::sync::Arc;
 use std::thread::ThreadId;
 use std::time::Duration;
 
-/// An acquisition deadline on a shared clock: checked on every wakeup of
-/// the table's condvar wait (and on every cooperative yield under the
-/// deterministic scheduler).
+/// An acquisition deadline on a shared clock (`WD`'s timeout): checked on
+/// every wakeup of the table's condvar wait (and on every cooperative
+/// yield under the deterministic scheduler).
 pub(crate) type WaitBound = (SharedClock, Deadline);
 
 /// State of one lock table entry.
@@ -274,7 +274,6 @@ impl LockGuard for TableGuard {
 #[derive(Clone)]
 pub struct MemLock {
     table: Arc<LockTable>,
-    deadline: Option<WaitBound>,
 }
 
 impl MemLock {
@@ -289,17 +288,7 @@ impl MemLock {
                 capacity,
                 ..LockTable::default()
             }),
-            deadline: None,
         }
-    }
-
-    /// Bound every acquisition wait by an absolute [`Deadline`] on
-    /// `clock`; an expired deadline surfaces as
-    /// [`LockError::Timeout`] instead of waiting forever on a holder
-    /// that may never release (the partition failure mode).
-    pub fn with_deadline(mut self, clock: SharedClock, deadline: Deadline) -> Self {
-        self.deadline = Some((clock, deadline));
-        self
     }
 }
 
@@ -311,8 +300,7 @@ impl Default for MemLock {
 
 impl AdHocLock for MemLock {
     fn lock(&self, key: &str) -> Result<Guard, LockError> {
-        self.table
-            .lock(key, self.deadline.as_ref(), None, Flavor::Mem)
+        self.table.lock(key, None, None, Flavor::Mem)
     }
 
     fn label(&self) -> &'static str {
@@ -331,12 +319,6 @@ impl MemLruLock {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "capacity must be positive");
         Self(MemLock::with_capacity(Some(capacity)))
-    }
-
-    /// Bound every acquisition wait by an absolute [`Deadline`] on
-    /// `clock` (see [`MemLock::with_deadline`]).
-    pub fn with_deadline(self, clock: SharedClock, deadline: Deadline) -> Self {
-        Self(self.0.with_deadline(clock, deadline))
     }
 
     /// How many held-or-idle entries have been evicted so far.
@@ -379,28 +361,6 @@ mod tests {
         assert!(!h.is_finished());
         g.unlock().unwrap();
         h.join().unwrap();
-    }
-
-    #[test]
-    fn mem_lock_deadline_bounds_the_wait() {
-        let clock = adhoc_sim::RealClock::shared();
-        let lock = MemLock::new();
-        let g = lock.lock("k").unwrap();
-        let bounded = lock.clone().with_deadline(
-            clock.clone(),
-            Deadline::after(clock.as_ref(), std::time::Duration::from_millis(40)),
-        );
-        let started = std::time::Instant::now();
-        let err = bounded.lock("k").unwrap_err();
-        assert!(matches!(err, LockError::Timeout { .. }));
-        assert!(
-            started.elapsed() < std::time::Duration::from_secs(5),
-            "the deadline, not an unbounded condvar wait, ended the attempt"
-        );
-        // The holder is untouched and the table still works.
-        assert!(g.is_valid());
-        g.unlock().unwrap();
-        lock.lock("k").unwrap().unlock().unwrap();
     }
 
     #[test]

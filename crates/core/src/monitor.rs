@@ -19,17 +19,17 @@
 //! Attach the monitor to a [`Database`] (it implements
 //! [`StatementObserver`]) and wrap each ad hoc lock with
 //! [`AccessMonitor::wrap_lock`]; events are correlated per thread, matching
-//! the studied applications' one-thread-per-request execution model.
+//! the studied applications' one-thread-per-request execution model. The
+//! monitor records hazards only: injected faults are read from the fault
+//! plan's own log (`adhoc_sim::FaultPlan::log`).
 
 use crate::locks::{AdHocLock, Guard, LockError, LockGuard};
-use adhoc_sim::{FaultPlan, FaultRecord, RetryObserver};
 use adhoc_storage::{AccessEvent, Database, StatementObserver};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 use std::thread::ThreadId;
-use std::time::Duration;
 
 /// A detected coordination hazard.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,30 +81,6 @@ impl fmt::Display for Hazard {
     }
 }
 
-/// One retry-loop decision observed by the monitor (via
-/// [`RetryObserver`]): either a scheduled re-attempt or a give-up.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RetryEvent {
-    /// A retryable failure; the loop backs off and re-attempts.
-    Retried {
-        /// Which loop (e.g. `"KV-SETNX"`, `"dbt"`, `"orm-occ"`).
-        label: String,
-        /// Zero-based attempt that just failed.
-        attempt: u32,
-        /// Backoff delay before the next attempt.
-        delay: Duration,
-    },
-    /// The loop gave up (budget or deadline spent, or hard error).
-    GaveUp {
-        /// Which loop gave up.
-        label: String,
-        /// Total attempts made.
-        attempts: u32,
-        /// Rendered final error.
-        reason: String,
-    },
-}
-
 /// Per-thread tracking state.
 #[derive(Debug, Default)]
 struct ThreadState {
@@ -125,10 +101,6 @@ struct MonitorState {
     hazards: Vec<Hazard>,
     /// Deduplication of reported hazards.
     reported: BTreeSet<String>,
-    /// Every fault injected by an observed [`FaultPlan`], arrival order.
-    faults: Vec<FaultRecord>,
-    /// Every retry/give-up decision from observed retry loops.
-    retries: Vec<RetryEvent>,
 }
 
 impl MonitorState {
@@ -155,31 +127,6 @@ impl AccessMonitor {
     /// Attach this monitor to a database so every statement is observed.
     pub fn attach(&self, db: &Database) {
         db.attach_observer(Arc::new(self.clone()));
-    }
-
-    /// Subscribe to `plan`: every fault it injects from now on is appended
-    /// to this monitor's [`fault_log`](Self::fault_log).
-    pub fn observe_faults(&self, plan: &FaultPlan) {
-        let monitor = self.clone();
-        plan.set_listener(Arc::new(move |record: &FaultRecord| {
-            monitor.state.lock().faults.push(record.clone());
-        }));
-    }
-
-    /// Route `db`'s DBT retry-loop decisions into this monitor's
-    /// [`retry_log`](Self::retry_log).
-    pub fn observe_retries(&self, db: &Database) {
-        db.attach_retry_observer(Arc::new(self.clone()));
-    }
-
-    /// Faults recorded via [`observe_faults`](Self::observe_faults).
-    pub fn fault_log(&self) -> Vec<FaultRecord> {
-        self.state.lock().faults.clone()
-    }
-
-    /// Retry decisions recorded via the [`RetryObserver`] impl.
-    pub fn retry_log(&self) -> Vec<RetryEvent> {
-        self.state.lock().retries.clone()
     }
 
     /// Wrap an ad hoc lock so acquisitions/releases feed the monitor.
@@ -254,24 +201,6 @@ impl AccessMonitor {
             // thread-per-request hosts don't grow without bound.
             state.threads.remove(&std::thread::current().id());
         }
-    }
-}
-
-impl RetryObserver for AccessMonitor {
-    fn on_retry(&self, label: &str, attempt: u32, delay: Duration) {
-        self.state.lock().retries.push(RetryEvent::Retried {
-            label: label.to_string(),
-            attempt,
-            delay,
-        });
-    }
-
-    fn on_give_up(&self, label: &str, attempts: u32, reason: &str) {
-        self.state.lock().retries.push(RetryEvent::GaveUp {
-            label: label.to_string(),
-            attempts,
-            reason: reason.to_string(),
-        });
     }
 }
 
@@ -535,41 +464,6 @@ mod tests {
             guard.unlock().unwrap();
         }
         assert_eq!(monitor.hazards().len(), 1);
-    }
-
-    #[test]
-    fn records_injected_faults_and_retry_decisions() {
-        use adhoc_sim::{FaultKind, FaultRule};
-        let monitor = AccessMonitor::new();
-
-        // Fault side: a listener on the plan feeds the fault log.
-        let plan = FaultPlan::new(7, vec![FaultRule::at_ops(FaultKind::ConnError, &[0])]);
-        monitor.observe_faults(&plan);
-        let clock = Arc::new(VirtualClock::new());
-        let kv = Client::new(Store::new(), clock, LatencyModel::zero()).with_faults(plan);
-        assert!(kv.set("k", "v").is_err());
-        let faults = monitor.fault_log();
-        assert_eq!(faults.len(), 1);
-        assert_eq!(faults[0].kind, FaultKind::ConnError);
-
-        // Retry side: the DBT wrapper reports its decisions.
-        let db = Database::in_memory(EngineProfile::PostgresLike);
-        monitor.observe_retries(&db);
-        let policy = adhoc_sim::RetryPolicy::exponential(
-            2,
-            Duration::from_micros(1),
-            Duration::from_micros(1),
-        );
-        let _ = db.run_with_policy(db.default_isolation(), &policy, |txn| {
-            Err::<(), _>(adhoc_storage::DbError::Deadlock { txn: txn.id() })
-        });
-        let retries = monitor.retry_log();
-        assert!(retries
-            .iter()
-            .any(|e| matches!(e, RetryEvent::Retried { label, .. } if label == "dbt")));
-        assert!(retries
-            .iter()
-            .any(|e| matches!(e, RetryEvent::GaveUp { label, .. } if label == "dbt")));
     }
 
     #[test]

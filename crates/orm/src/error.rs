@@ -65,8 +65,7 @@ pub enum OrmError {
     /// A coordination request through [`coord`](crate::coord) failed on
     /// its backing mechanism.
     Coordination {
-        /// Which mechanism failed ("kv-lease", "advisory",
-        /// "db-table-fallback").
+        /// Which mechanism failed (`"advisory"`: a user lock).
         mechanism: &'static str,
         /// Backend detail.
         detail: String,

@@ -20,7 +20,12 @@
 //! * The MiniSql bypass: queries issued through an interface the ORM does
 //!   not intercept run *outside* the ambient transaction block — the
 //!   Discourse reviewables bug (§4.1.2). [`Orm::mini_sql`] reproduces it.
-
+//!
+//! Two modules carry the paper's §7 cures: [`occ`] (field-granular
+//! optimistic transactions that validate on save, with continuations) and
+//! [`coord`] (one façade over the engine's coordination hints: advisory
+//! user locks, `FOR UPDATE` row locks, per-operation Read Committed reads
+//! and escrow reservations).
 //!
 //! # Example
 //!
@@ -56,7 +61,7 @@ pub mod occ;
 #[allow(clippy::module_inception)]
 pub mod orm;
 
-pub use coord::{CoordGuard, CoordSupport, Coordinator};
+pub use coord::{CoordGuard, Coordinator};
 pub use entity::{EntityDef, Obj, Registry, TouchVia, Validation};
 pub use error::OrmError;
 pub use occ::{run_occ, ContinuationStore, OccTxn};

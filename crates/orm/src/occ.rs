@@ -20,7 +20,7 @@
 //!   validation.
 //! * **Automatic retry.** [`run_occ`] re-executes the request body under
 //!   the unified [`RetryPolicy`] whenever validation fails, reporting
-//!   every decision to the standard [`RetryObserver`].
+//!   every decision to the [`RetryObserver`] the caller passes, if any.
 //! * **Continuations.** An [`OccTxn`] is plain data — no open database
 //!   transaction, no held locks — so [`ContinuationStore`] can park it
 //!   between simulated HTTP requests (the §3.1.2 multi-request edit

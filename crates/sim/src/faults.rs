@@ -17,9 +17,8 @@
 //! for a given operation index never depends on thread interleaving or on
 //! how many random numbers anyone else has drawn.
 //!
-//! Every fired fault is appended to an internal log ([`FaultPlan::log`])
-//! and forwarded to an optional listener, which is how the hazard monitor
-//! in `adhoc-core` records injections without this crate depending on it.
+//! Every fired fault is appended to the plan's log ([`FaultPlan::log`]),
+//! which every clone of the plan reads.
 
 use parking_lot::Mutex;
 use std::fmt;
@@ -306,9 +305,6 @@ pub struct InjectedFault {
     pub op_index: u64,
 }
 
-/// Callback invoked synchronously for every injected fault.
-pub type FaultListener = Arc<dyn Fn(&FaultRecord) + Send + Sync>;
-
 struct RuleState {
     rule: FaultRule,
     fires: AtomicU32,
@@ -321,7 +317,6 @@ struct PlanInner {
     counters: [AtomicU64; OP_CLASSES],
     enabled: AtomicBool,
     log: Mutex<Vec<FaultRecord>>,
-    listener: Mutex<Option<FaultListener>>,
 }
 
 /// A shared, deterministic fault schedule. Cheap to clone.
@@ -353,7 +348,6 @@ impl FaultPlan {
                 counters: std::array::from_fn(|_| AtomicU64::new(0)),
                 enabled: AtomicBool::new(true),
                 log: Mutex::new(Vec::new()),
-                listener: Mutex::new(None),
             }),
         }
     }
@@ -374,12 +368,6 @@ impl FaultPlan {
     /// Stop injecting; operations are not counted while disabled.
     pub fn disable(&self) {
         self.inner.enabled.store(false, Ordering::SeqCst);
-    }
-
-    /// Install a listener invoked synchronously on every injection. The
-    /// hazard monitor uses this to fold injected faults into its report.
-    pub fn set_listener(&self, listener: FaultListener) {
-        *self.inner.listener.lock() = Some(listener);
     }
 
     /// Deterministic per-operation coin flip: a pure function of
@@ -450,21 +438,16 @@ impl FaultPlan {
             {
                 continue;
             }
-            let record = FaultRecord {
+            self.inner.log.lock().push(FaultRecord {
                 rule: idx,
                 class,
                 op_index: op,
                 kind: state.rule.kind,
                 delay: state.rule.delay,
-            };
-            self.inner.log.lock().push(record.clone());
-            let listener = self.inner.listener.lock().clone();
-            if let Some(l) = listener {
-                l(&record);
-            }
+            });
             return Some(InjectedFault {
-                kind: record.kind,
-                delay: record.delay,
+                kind: state.rule.kind,
+                delay: state.rule.delay,
                 op_index: op,
             });
         }
@@ -675,22 +658,6 @@ mod tests {
         assert!(plan.arm(OpClass::DbCommit).is_none()); // db 1
         assert!(plan.arm(OpClass::KvCommand).is_none()); // kv 1
         assert!(plan.arm(OpClass::KvCommand).is_some(), "kv 2 fires");
-    }
-
-    #[test]
-    fn listener_sees_every_record() {
-        let plan = FaultPlan::new(
-            1,
-            vec![FaultRule::at_ops(FaultKind::LatencySpike, &[0]).delay(Duration::from_millis(50))],
-        );
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&seen);
-        plan.set_listener(Arc::new(move |r: &FaultRecord| {
-            sink.lock().push(r.clone());
-        }));
-        let fault = plan.arm(OpClass::KvCommand).expect("rule at op 0");
-        assert_eq!(fault.delay, Duration::from_millis(50));
-        assert_eq!(seen.lock().as_slice(), plan.log().as_slice());
     }
 
     #[test]

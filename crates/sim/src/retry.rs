@@ -6,18 +6,16 @@
 //! wrappers (§3.4.1). Before this module the workspace mirrored that
 //! fragmentation — three hand-rolled loops with their own backoff
 //! arithmetic. [`RetryPolicy`] centralizes the decision ("try again after
-//! how long, or give up?") so every path shares one implementation, one
-//! deterministic jitter source, and one observation hook.
+//! how long, or give up?") so every path shares one implementation and one
+//! deterministic jitter source. A caller may pass a [`RetryObserver`] to
+//! hear each decision; no caller outside this module's tests does.
 //!
 //! Jitter is a pure function of `(seed, stream, attempt)` — the same
 //! SplitMix-style mixing as [`crate::rng`] — so a replayed run backs off by
 //! identical amounts.
 
-use crate::clock::SharedClock;
-use crate::resilience::{Deadline, RetryBudget};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Backoff sleep that turns into a scheduling point under the
@@ -126,7 +124,8 @@ impl BackoffPolicy {
     }
 }
 
-/// Receives retry decisions; implemented by the hazard monitor.
+/// Receives retry decisions from [`RetryPolicy::run`] and
+/// [`RetryTimer::wait`].
 pub trait RetryObserver: Send + Sync {
     /// Attempt `attempt` (0-based) of `label` failed retryably; the loop
     /// will sleep `delay` and try again.
@@ -195,8 +194,6 @@ impl RetryPolicy {
             stream: NEXT_STREAM.fetch_add(1, Ordering::Relaxed),
             started,
             attempts: 0,
-            budget: None,
-            clock_deadline: None,
         }
     }
 
@@ -273,6 +270,7 @@ impl<E: fmt::Display> fmt::Display for GiveUp<E> {
 /// call [`next_delay`](RetryTimer::next_delay) or [`wait`](RetryTimer::wait)
 /// after each failed attempt. It holds the one give-up rule every retry
 /// loop in the workspace follows, [`RetryPolicy::run`]'s included.
+#[derive(Debug)]
 pub struct RetryTimer {
     policy: RetryPolicy,
     label: &'static str,
@@ -280,71 +278,32 @@ pub struct RetryTimer {
     /// When the policy deadline started counting (`None` without one).
     started: Option<Instant>,
     attempts: u32,
-    /// Shared retry budget: each granted retry withdraws one token.
-    budget: Option<Arc<RetryBudget>>,
-    /// Absolute deadline on a shared clock, checked before every retry.
-    clock_deadline: Option<(SharedClock, Deadline)>,
-}
-
-impl fmt::Debug for RetryTimer {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RetryTimer")
-            .field("policy", &self.policy)
-            .field("label", &self.label)
-            .field("attempts", &self.attempts)
-            .field("has_budget", &self.budget.is_some())
-            .field("deadline", &self.clock_deadline.as_ref().map(|(_, d)| *d))
-            .finish()
-    }
 }
 
 impl RetryTimer {
-    /// Attach a shared [`RetryBudget`]: each retry decision withdraws one
-    /// token, and an empty bucket turns the decision into give-up.
-    pub fn with_budget(mut self, budget: Arc<RetryBudget>) -> Self {
-        self.budget = Some(budget);
-        self
-    }
-
-    /// Bound the loop by an absolute [`Deadline`] on `clock`, layered
-    /// under the policy's own attempt/timeout limits.
-    pub fn until(mut self, clock: SharedClock, deadline: Deadline) -> Self {
-        self.clock_deadline = Some((clock, deadline));
-        self
-    }
-
     /// Record a failed attempt and decide: the delay before the next
     /// attempt, or why the loop gives up — `"attempts"` (the attempt
-    /// budget is spent), `"deadline"` (the policy timeout or the clock
-    /// deadline passed) or `"retry-budget"` (the shared bucket is empty).
-    /// Checked in that order; a token is withdrawn only for a retry that
-    /// every other limit allows.
+    /// budget is spent) or `"deadline"` (the policy timeout passed),
+    /// checked in that order.
     fn decide(&mut self) -> Result<Duration, &'static str> {
         let attempt = self.attempts;
         self.attempts += 1;
         if self.policy.max_attempts.is_some_and(|m| self.attempts >= m) {
             return Err("attempts");
         }
-        let timed_out = self
+        if self
             .started
             .zip(self.policy.deadline)
-            .is_some_and(|(started, d)| started.elapsed() >= d);
-        let expired = self
-            .clock_deadline
-            .as_ref()
-            .is_some_and(|(clock, d)| d.expired(clock.as_ref()));
-        if timed_out || expired {
+            .is_some_and(|(started, d)| started.elapsed() >= d)
+        {
             return Err("deadline");
-        }
-        if self.budget.as_ref().is_some_and(|b| !b.try_withdraw()) {
-            return Err("retry-budget");
         }
         Ok(self.policy.backoff.delay(self.stream, attempt))
     }
 
     /// Record a failed attempt. Returns the delay to sleep before the next
-    /// attempt, or `None` when the attempt budget, deadline, or shared
-    /// retry budget is exhausted.
+    /// attempt, or `None` when the attempt budget or deadline is
+    /// exhausted.
     pub fn next_delay(&mut self) -> Option<Duration> {
         self.decide().ok()
     }
@@ -580,57 +539,20 @@ mod tests {
     }
 
     #[test]
-    fn timer_honors_clock_deadline_and_budget() {
-        use crate::clock::VirtualClock;
-        let clock = Arc::new(VirtualClock::new());
-        let shared: SharedClock = clock.clone();
-        let policy =
-            RetryPolicy::exponential(1000, Duration::from_nanos(1), Duration::from_nanos(1));
-        let deadline = Deadline::after(shared.as_ref(), Duration::from_millis(5));
-        let mut timer = policy.timer("t").until(shared.clone(), deadline);
-        assert!(timer.next_delay().is_some());
-        clock.advance(Duration::from_millis(5));
-        assert!(timer.next_delay().is_none(), "deadline expired");
-
-        let budget = Arc::new(RetryBudget::with_deposit_ppk(1, 0));
-        let mut timer = policy.timer("t").with_budget(Arc::clone(&budget));
-        assert!(timer.next_delay().is_some());
-        assert!(timer.next_delay().is_none(), "bucket empty");
-        assert_eq!(budget.denied(), 1);
-    }
-
-    #[test]
     fn timer_reports_what_ran_out() {
-        use crate::clock::VirtualClock;
-        // A polling loop whose every attempt fails and takes `tick` of
-        // virtual time; returns the last thing the observer heard.
-        fn poll(mut timer: RetryTimer, clock: &VirtualClock, tick: Duration) -> String {
-            let rec = Recorder(Mutex::new(Vec::new()));
-            loop {
-                clock.advance(tick);
-                if !timer.wait(Some(&rec)) {
-                    break;
-                }
+        // Each limit gives up through `wait`'s return value, after exactly
+        // the attempts it allows.
+        fn attempts_until_give_up(mut timer: RetryTimer) -> u32 {
+            while timer.wait(None) {
+                assert!(timer.attempts() < 1000, "timer never gave up");
             }
-            rec.0.into_inner().pop().expect("the give-up is reported")
+            timer.attempts()
         }
-        let clock = Arc::new(VirtualClock::new());
-        let shared: SharedClock = clock.clone();
         let ns = Duration::from_nanos(1);
-        let roomy = RetryPolicy::exponential(1000, ns, ns);
         let attempts = RetryPolicy::exponential(3, ns, ns).timer("poll");
-        assert_eq!(poll(attempts, &clock, ns), "give-up poll@3 (attempts)");
+        assert_eq!(attempts_until_give_up(attempts), 3);
         let timeout = RetryPolicy::fixed(ns, Duration::ZERO).timer("poll");
-        assert_eq!(poll(timeout, &clock, ns), "give-up poll@1 (deadline)");
-        let deadline = Deadline::after(shared.as_ref(), Duration::from_millis(5));
-        let until = roomy.timer("poll").until(shared, deadline);
-        assert_eq!(
-            poll(until, &clock, Duration::from_millis(1)),
-            "give-up poll@5 (deadline)"
-        );
-        let budget = Arc::new(RetryBudget::with_deposit_ppk(2, 0));
-        let funded = roomy.timer("poll").with_budget(budget);
-        assert_eq!(poll(funded, &clock, ns), "give-up poll@3 (retry-budget)");
+        assert_eq!(attempts_until_give_up(timeout), 1);
     }
 
     #[test]

@@ -77,7 +77,7 @@ use crate::wal::Wal;
 use crate::Result;
 use adhoc_sim::latency::Cost;
 use adhoc_sim::sched::SchedPoint;
-use adhoc_sim::{BackoffPolicy, FaultKind, OpClass, RetryObserver, RetryPolicy, Transport};
+use adhoc_sim::{BackoffPolicy, FaultKind, OpClass, RetryPolicy, Transport};
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -139,19 +139,6 @@ pub struct DbStats {
     pub lock_stats: LockStats,
 }
 
-/// What a live database can be given after construction: the monitors,
-/// which attach to a database that is already seeded. Everything else is
-/// set once, in its [`DbConfig`]. The read guard is never held across a
-/// scheduler yield.
-#[derive(Default)]
-struct Hooks {
-    /// Statement observer, attached by monitors.
-    observer: Option<Arc<dyn StatementObserver>>,
-    /// Observer of [`run_with_retries`](Database::run_with_retries)
-    /// decisions (retries and give-ups); the hazard monitor attaches here.
-    retry_observer: Option<Arc<dyn RetryObserver>>,
-}
-
 pub(crate) struct DbInner {
     pub config: DbConfig,
     /// The client↔server connection every statement crosses: breaker
@@ -159,10 +146,14 @@ pub(crate) struct DbInner {
     /// [`SchedPoint::DbStatement`]. Its round-trip count is
     /// [`DbStats::statements`].
     pub wire: Transport,
-    hooks: RwLock<Hooks>,
-    /// Set once any hook is installed, so an unhooked statement or row
-    /// pays one load and never touches `hooks`.
-    hooked: AtomicBool,
+    /// The statement observer: the one thing a live database can be given
+    /// after construction, because monitors attach to a database that is
+    /// already seeded. Everything else is set once, in its [`DbConfig`].
+    /// The read guard is never held across a scheduler yield.
+    observer: RwLock<Option<Arc<dyn StatementObserver>>>,
+    /// Set once an observer is attached, so an unobserved statement or row
+    /// pays one load and never touches `observer`.
+    observed: AtomicBool,
     /// Table catalog: the tables in id order, resolved by name without a
     /// lock (see [`Catalog`]).
     catalog: Catalog,
@@ -313,8 +304,8 @@ impl Database {
             inner: Arc::new(DbInner {
                 config,
                 wire,
-                hooks: RwLock::new(Hooks::default()),
-                hooked: AtomicBool::new(false),
+                observer: RwLock::new(None),
+                observed: AtomicBool::new(false),
                 catalog: Catalog::new(),
                 shards: (0..SHARD_COUNT)
                     .map(|_| Mutex::new(Shard::default()))
@@ -723,8 +714,7 @@ impl Database {
         self.run_with_policy(iso, &Self::retry_policy(max_retries), f)
     }
 
-    /// Like [`run`](Self::run), driven by an explicit [`RetryPolicy`]. Every
-    /// retry and give-up is reported to any attached retry observer. On
+    /// Like [`run`](Self::run), driven by an explicit [`RetryPolicy`]. On
     /// give-up the last error is returned, exactly as the studied DBT
     /// wrappers re-raise the driver exception.
     pub fn run_with_policy<R>(
@@ -733,35 +723,11 @@ impl Database {
         policy: &RetryPolicy,
         mut f: impl FnMut(&mut Transaction) -> Result<R>,
     ) -> Result<R> {
-        let observer = self.hooks().and_then(|h| h.retry_observer.clone());
         policy
-            .run(
-                "dbt",
-                observer.as_deref(),
-                DbError::is_retryable,
-                |_attempt| self.run(iso, &mut f),
-            )
+            .run("dbt", None, DbError::is_retryable, |_attempt| {
+                self.run(iso, &mut f)
+            })
             .map_err(|give_up| give_up.error)
-    }
-
-    /// Observe retry decisions made by
-    /// [`run_with_policy`](Self::run_with_policy).
-    pub fn attach_retry_observer(&self, observer: Arc<dyn RetryObserver>) {
-        self.set_hook(|h| h.retry_observer = Some(observer));
-    }
-
-    /// Install or replace one hook.
-    fn set_hook(&self, set: impl FnOnce(&mut Hooks)) {
-        set(&mut self.inner.hooks.write());
-        self.inner.hooked.store(true, Ordering::Release);
-    }
-
-    /// The installed hooks, or `None` after one load when none ever were.
-    fn hooks(&self) -> Option<RwLockReadGuard<'_, Hooks>> {
-        self.inner
-            .hooked
-            .load(Ordering::Acquire)
-            .then(|| self.inner.hooks.read())
     }
 
     /// Consult the fault plan for one commit attempt.
@@ -883,22 +849,32 @@ impl Database {
 
     /// Attach (or replace) a statement observer on a live database.
     pub fn attach_observer(&self, observer: Arc<dyn StatementObserver>) {
-        self.set_hook(|h| h.observer = Some(observer));
+        *self.inner.observer.write() = Some(observer);
+        self.inner.observed.store(true, Ordering::Release);
+    }
+
+    /// The observer slot, or `None` after one load when nothing was ever
+    /// attached.
+    fn observer_slot(&self) -> Option<RwLockReadGuard<'_, Option<Arc<dyn StatementObserver>>>> {
+        self.inner
+            .observed
+            .load(Ordering::Acquire)
+            .then(|| self.inner.observer.read())
     }
 
     /// Deliver an access event to the installed observer. `event` is
     /// built only when one is installed, so the unobserved path allocates
     /// nothing.
     pub(crate) fn observe(&self, event: impl FnOnce() -> AccessEvent) {
-        if let Some(observer) = self.hooks().as_ref().and_then(|h| h.observer.as_ref()) {
+        if let Some(observer) = self.observer_slot().as_deref().and_then(Option::as_ref) {
             observer.on_event(&event());
         }
     }
 
     /// The installed statement observer. A statement that reports many
-    /// events looks once, then delivers each without the hook lock.
+    /// events looks once, then delivers each without the observer lock.
     pub(crate) fn observer(&self) -> Option<Arc<dyn StatementObserver>> {
-        self.hooks()?.observer.clone()
+        self.observer_slot()?.clone()
     }
 
     /// The write-ahead log, when the configuration asked for one
