@@ -85,7 +85,9 @@ pub use schema::{Column, ColumnType, Row, Schema};
 pub use shard::{shard_of, Footprint, ShardSet, SHARD_COUNT};
 pub use txn::Transaction;
 pub use value::Value;
-pub use wal::{Wal, WalImage, WalRecord, WalStats, WalSyncPolicy, WalTail, WalWrite};
+pub use wal::{
+    CheckpointRow, Wal, WalImage, WalRecord, WalStats, WalSyncPolicy, WalTail, WalWrite,
+};
 
 /// Result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, DbError>;

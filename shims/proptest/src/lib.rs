@@ -4,7 +4,7 @@
 //! the subset of proptest the workspace's property tests use: the
 //! [`Strategy`] trait with `prop_map`, [`any`], range strategies, tuple
 //! strategies, [`Just`], `collection::vec`, `prop_oneof!`, `prop_assert!`,
-//! `prop_assert_eq!`, [`ProptestConfig`], and the `proptest!` macro.
+//! `prop_assert_eq!`, [`ProptestConfig`](test_runner::ProptestConfig), and the `proptest!` macro.
 //!
 //! Differences from real proptest, deliberate for size:
 //! * cases are drawn from a fixed-seed deterministic RNG (replayable runs,
@@ -251,7 +251,7 @@ impl<T: std::fmt::Debug> Strategy for Union<T> {
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// Element-count bounds for [`vec`].
+    /// Element-count bounds for [`vec`](fn@vec).
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         min: usize,
@@ -292,7 +292,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec`](fn@vec).
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

@@ -16,7 +16,7 @@
 //! in `adhoc_bench::contention::crash` that `crash_recovery_oracle.rs`
 //! also runs, over every commit-adjacent crash point under every crash kind
 //! (`CommitFailed`, `CrashAfterDurable`, `CrashBeforeDurable`,
-//! `TornWrite`). Deltas materialize into ordinary row images at commit,
+//! `TornWrite`, and the three WAL-checkpoint crashes). Deltas materialize into ordinary row images at commit,
 //! so recovery is delta-oblivious; the escrow ledger is volatile and
 //! re-derives from committed state. The oracle asserts durability of
 //! acked effects, conservation invariants after replay, serviceability

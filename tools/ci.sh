@@ -10,13 +10,13 @@ cargo fmt --all --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-# Doc links: a link left pointing at a renamed or deleted item fails here.
-# Every workspace crate but the shims (the proptest shim's docs name
-# ProptestConfig, which it does not define).
+# Doc links: a link left pointing at a renamed or deleted item fails here,
+# in every workspace crate, the shims included.
 echo "==> cargo doc (broken intra-doc links are errors)"
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --offline \
   -p adhoc-transactions -p adhoc-sim -p adhoc-kv -p adhoc-storage -p adhoc-orm -p adhoc-core \
-  -p adhoc-apps -p adhoc-service -p adhoc-traffic -p adhoc-bench -p adhoc-study
+  -p adhoc-apps -p adhoc-service -p adhoc-traffic -p adhoc-bench -p adhoc-study \
+  -p proptest -p parking_lot -p rand -p serde -p serde_derive
 
 # The contention table and the crash sweep are library code in
 # adhoc-bench, built on adhoc-apps; neither may pull a dev-only crate
@@ -106,7 +106,7 @@ timeout 60 cargo test -q --release --test schedule_explorer --test schedule_corp
 
 # Crash-recovery smoke gate: bounded oracle sweep over two apps (one that
 # needs boot-fsck repair, one clean by single-txn discipline) — every
-# commit-adjacent crash point under all four crash kinds, restart, WAL
+# commit-adjacent crash point under all seven crash kinds, restart, WAL
 # replay, invariants. The sweep is adhoc_bench::contention::crash
 # (crates/bench/src/contention/crash.rs). Deterministic; any point
 # replays in isolation via CRASH_ORACLE=app/kind/k.
@@ -137,7 +137,7 @@ timeout 120 cargo test -q --release --test crash_recovery_oracle -- \
 
 # Confluence oracle gate: the PR-9 coordination-avoiding layer's
 # WAL-backed crash sweep (adhoc_bench::contention::crash) over the
-# Confluent app paths (every commit point x all four crash kinds, zero
+# Confluent app paths (every commit point x all seven crash kinds, zero
 # fsck repairs demanded; hot-key convergence and escrow budget
 # exactness are adhoc_bench::contention's Confluent cells). Replay one
 # crash point alone via CRASH_ORACLE=<app>_confluent/kind/k; a spec that
