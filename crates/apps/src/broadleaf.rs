@@ -18,7 +18,7 @@
 //!   session-lock bug (issue \[66\]).
 
 use crate::{Mode, Result, DBT_RETRIES};
-use adhoc_core::checker::{BootRecovery, CheckRule, Report, Violation};
+use adhoc_core::checker::{CheckRule, ConsistencyChecker, Report, Violation};
 use adhoc_core::locks::{AdHocLock, MemLock};
 use adhoc_orm::occ::run_occ;
 use adhoc_orm::{Coordinator, EntityDef, Orm, OrmError, Registry};
@@ -355,15 +355,15 @@ impl Broadleaf {
 
     /// Run [`boot_fsck`] against this instance's database.
     pub fn recover_on_boot(&self) -> Report {
-        boot_fsck().recover_on_boot(self.orm.db())
+        boot_fsck().run_and_fix(self.orm.db())
     }
 }
 
 /// Broadleaf's boot-time recovery pass: a crash between the item insert
 /// and the `carts.total` update (the two writes Fig. 1a's map lock pairs)
 /// leaves the denormalized total behind its items; boot recomputes it.
-pub fn boot_fsck() -> BootRecovery {
-    BootRecovery::new("broadleaf").rule(cart_total_rule())
+pub fn boot_fsck() -> ConsistencyChecker {
+    ConsistencyChecker::new().rule(cart_total_rule())
 }
 
 /// Flag carts whose stored total differs from the sum of their items, and

@@ -19,7 +19,7 @@
 //!   validate-and-commit (issue \[62\]).
 
 use crate::{Mode, Result, DBT_RETRIES};
-use adhoc_core::checker::{BootRecovery, CheckRule, Report, Violation};
+use adhoc_core::checker::{CheckRule, ConsistencyChecker, Report, Violation};
 use adhoc_core::locks::{AdHocLock, MemLock};
 use adhoc_core::taxonomy::FailureHandling;
 use adhoc_core::validation::{validated_write, CommitOutcome, ValidationCheck, ValidationStrategy};
@@ -1023,7 +1023,7 @@ impl Discourse {
 
     /// Run [`boot_fsck`] against this instance's database.
     pub fn recover_on_boot(&self) -> Report {
-        boot_fsck().recover_on_boot(self.orm.db())
+        boot_fsck().run_and_fix(self.orm.db())
     }
 }
 
@@ -1033,8 +1033,8 @@ impl Discourse {
 /// between the bump and the row, in the counter-first ad hoc flow — leaves
 /// the aggregate lying about its rows; this is the §3.4.2 "check and fix
 /// inconsistent references" job run at boot instead of every twelve hours.
-pub fn boot_fsck() -> BootRecovery {
-    BootRecovery::new("discourse")
+pub fn boot_fsck() -> ConsistencyChecker {
+    ConsistencyChecker::new()
         .rule(topic_counter_rule(
             "discourse:topics.total_likes",
             "total_likes",

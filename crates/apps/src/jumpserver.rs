@@ -6,7 +6,7 @@
 //! elsewhere (RMW grants, asset state machines) coordinated soundly.
 
 use crate::{Mode, Result, DBT_RETRIES};
-use adhoc_core::checker::{BootRecovery, CheckRule, Report, Violation};
+use adhoc_core::checker::{CheckRule, ConsistencyChecker, Report, Violation};
 use adhoc_core::locks::{AdHocLock, KvSetNxLock};
 use adhoc_orm::{Coordinator, EntityDef, Orm, Registry};
 use adhoc_storage::{
@@ -432,7 +432,7 @@ impl JumpServer {
 
     /// Run [`boot_fsck`] against this instance's database.
     pub fn recover_on_boot(&self) -> Report {
-        boot_fsck().recover_on_boot(self.orm.db())
+        boot_fsck().run_and_fix(self.orm.db())
     }
 }
 
@@ -440,8 +440,8 @@ impl JumpServer {
 /// of a *split* credential rotation commits the new secret without its
 /// audit row; boot backfills the missing rotation record (the generic
 /// form of [`JumpServer::repair_rotation_audit`]).
-pub fn boot_fsck() -> BootRecovery {
-    BootRecovery::new("jumpserver").rule(missing_rotation_audit_rule())
+pub fn boot_fsck() -> ConsistencyChecker {
+    ConsistencyChecker::new().rule(missing_rotation_audit_rule())
 }
 
 /// Flag every credential whose current version has no matching audit row,

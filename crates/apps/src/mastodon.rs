@@ -15,7 +15,7 @@
 //!   of inconsistency.
 
 use crate::{Mode, Result, DBT_RETRIES};
-use adhoc_core::checker::{BootRecovery, CheckRule, Report, Violation};
+use adhoc_core::checker::{CheckRule, ConsistencyChecker, Report, Violation};
 use adhoc_core::locks::{AdHocLock, KvSetNxLock};
 use adhoc_orm::occ::run_occ;
 use adhoc_orm::{Coordinator, EntityDef, Orm, OrmError, Registry};
@@ -527,7 +527,7 @@ impl Mastodon {
 
     /// Run [`boot_fsck`] against this instance's database.
     pub fn recover_on_boot(&self) -> Report {
-        boot_fsck().recover_on_boot(self.orm.db())
+        boot_fsck().run_and_fix(self.orm.db())
     }
 }
 
@@ -536,8 +536,8 @@ impl Mastodon {
 /// (user, event) twice; boot keeps the earliest row and deletes the rest.
 /// The Redis-side timeline is volatile state the app rebuilds lazily — the
 /// database rules here cover only what survives a restart.
-pub fn boot_fsck() -> BootRecovery {
-    BootRecovery::new("mastodon")
+pub fn boot_fsck() -> ConsistencyChecker {
+    ConsistencyChecker::new()
         .rule(duplicate_notification_rule())
         .rule(unread_counter_sync_rule())
 }

@@ -10,7 +10,7 @@
 //!   (ORM-assisted validation, §3.2.2).
 
 use crate::{Mode, Result, DBT_RETRIES};
-use adhoc_core::checker::{BootRecovery, CheckRule, Report, Violation};
+use adhoc_core::checker::{CheckRule, ConsistencyChecker, Report, Violation};
 use adhoc_orm::occ::run_occ;
 use adhoc_orm::{Coordinator, EntityDef, Orm, OrmError, Registry};
 use adhoc_storage::{
@@ -464,7 +464,7 @@ impl Redmine {
 
     /// Run [`boot_fsck`] against this instance's database.
     pub fn recover_on_boot(&self) -> Report {
-        boot_fsck().recover_on_boot(self.orm.db())
+        boot_fsck().run_and_fix(self.orm.db())
     }
 }
 
@@ -472,8 +472,8 @@ impl Redmine {
 /// insert and the `attachments_count` bump leaves the counter cache
 /// behind its rows; boot recounts it (Active Record's
 /// `reset_counters`, run as fsck).
-pub fn boot_fsck() -> BootRecovery {
-    BootRecovery::new("redmine").rule(attachments_count_rule())
+pub fn boot_fsck() -> ConsistencyChecker {
+    ConsistencyChecker::new().rule(attachments_count_rule())
 }
 
 /// Flag issues whose counter cache differs from the actual attachment

@@ -9,7 +9,7 @@
 //!   the Table 5b "overcharging" consequence.
 
 use crate::{Mode, Result, DBT_RETRIES};
-use adhoc_core::checker::{BootRecovery, CheckRule, Report, Violation};
+use adhoc_core::checker::{CheckRule, ConsistencyChecker, Report, Violation};
 use adhoc_core::locks::{AdHocLock, MemLock};
 use adhoc_orm::occ::run_occ;
 use adhoc_orm::{Coordinator, EntityDef, Orm, OrmError, Registry};
@@ -336,7 +336,7 @@ impl Saleor {
 
     /// Run [`boot_fsck`] against this instance's database.
     pub fn recover_on_boot(&self) -> Report {
-        boot_fsck().recover_on_boot(self.orm.db())
+        boot_fsck().run_and_fix(self.orm.db())
     }
 }
 
@@ -344,8 +344,8 @@ impl Saleor {
 /// *detection-only*: once money beyond the authorization has been taken,
 /// no automatic write can honestly undo it — the finding stays in the
 /// report for an operator (a refund flow) instead of a silent "fix".
-pub fn boot_fsck() -> BootRecovery {
-    BootRecovery::new("saleor").rule(over_capture_rule())
+pub fn boot_fsck() -> ConsistencyChecker {
+    ConsistencyChecker::new().rule(over_capture_rule())
 }
 
 /// Flag captures whose `captured_cents` exceeds `authorized_cents`.

@@ -11,7 +11,7 @@
 //!   (SCM Suite's validations are all manual, §3.2.2).
 
 use crate::{Mode, Result, DBT_RETRIES};
-use adhoc_core::checker::{column_invariant, BootRecovery, Report};
+use adhoc_core::checker::{column_invariant, ConsistencyChecker, Report};
 use adhoc_core::locks::{AdHocLock, MemLock};
 use adhoc_core::validation::{validated_write, CommitOutcome, ValidationCheck, ValidationStrategy};
 use adhoc_orm::occ::run_occ;
@@ -479,7 +479,7 @@ impl ScmSuite {
 
     /// Run [`boot_fsck`] against this instance's database.
     pub fn recover_on_boot(&self) -> Report {
-        boot_fsck().recover_on_boot(self.orm.db())
+        boot_fsck().run_and_fix(self.orm.db())
     }
 }
 
@@ -487,8 +487,8 @@ impl ScmSuite {
 /// *detection-only*: a negative `stock` means goods were promised that do
 /// not exist, and no database write can conjure them — the finding stays
 /// in the report for an operator.
-pub fn boot_fsck() -> BootRecovery {
-    BootRecovery::new("scm_suite").rule(column_invariant(
+pub fn boot_fsck() -> ConsistencyChecker {
+    ConsistencyChecker::new().rule(column_invariant(
         "merchandise",
         "scm:stock-non-negative",
         Predicate::ge("stock", 0),

@@ -24,7 +24,7 @@
 
 use crate::{Mode, Result, DBT_RETRIES};
 
-use adhoc_core::checker::{stuck_state, BootRecovery, Report};
+use adhoc_core::checker::{stuck_state, ConsistencyChecker, Report};
 use adhoc_core::locks::{AdHocLock, MemLock};
 use adhoc_orm::occ::run_occ;
 use adhoc_orm::{Coordinator, EntityDef, Orm, OrmError, Registry, TouchVia};
@@ -576,7 +576,7 @@ impl Spree {
 
     /// Run [`boot_fsck`] against this instance's database.
     pub fn recover_on_boot(&self) -> Report {
-        boot_fsck().recover_on_boot(self.orm.db())
+        boot_fsck().run_and_fix(self.orm.db())
     }
 
     /// Invariant (§3.1.1): SKU stock never goes negative and reflects
@@ -604,8 +604,8 @@ fn has_payment(t: &mut Transaction, order_id: i64) -> adhoc_storage::Result<bool
 /// the `processing` mark and the completion write leaves the payment state
 /// machine stuck — neither processable nor resumable. On boot, stuck
 /// payments reset to `new` so check-out can resume.
-pub fn boot_fsck() -> BootRecovery {
-    BootRecovery::new("spree").rule(stuck_state("payments", "state", "processing", "new"))
+pub fn boot_fsck() -> ConsistencyChecker {
+    ConsistencyChecker::new().rule(stuck_state("payments", "state", "processing", "new"))
 }
 
 #[cfg(test)]

@@ -11,12 +11,12 @@
 //! With no arguments, prints everything (`all`).
 //!
 //! `bench-json` runs the engine-scaling sweeps and writes machine-readable
-//! `BENCH_fig2.json` (storage commit scaling), `BENCH_fig3.json` (KV
-//! command scaling), `BENCH_wal.json` (WAL overhead), `BENCH_occ.json`
-//! (cured `orm::occ` vs hand-rolled AHT), `BENCH_confluence.json`
-//! (commutative deltas vs both), `BENCH_resilience.json` (metastability
-//! ablation) and `BENCH_traffic.json` (open-loop traffic SLO ablation)
-//! into `outdir` (default `.`). Set `BENCH_SCALE=smoke` for a tiny CI duty
+//! `BENCH_kv.json` (KV command scaling), `BENCH_wal.json` (storage commit
+//! scaling under each durability policy; its `off` rows are the
+//! commit-scaling curve), `BENCH_confluence.json` (hand-rolled AHT vs
+//! cured `orm::occ` vs commutative deltas), `BENCH_resilience.json`
+//! (metastability ablation) and `BENCH_traffic.json` (open-loop traffic
+//! SLO ablation) into `outdir` (default `.`). Set `BENCH_SCALE=smoke` for a tiny CI duty
 //! cycle; the three timed ablations honour it too.
 
 use adhoc_apps::Mode;
@@ -300,18 +300,12 @@ fn run_rmw_lock_ablation() {
 type Producer = fn() -> String;
 
 /// Every file `bench-json` writes and the function that produces its body.
-const BENCH_FILES: [(&str, Producer); 7] = [
-    ("BENCH_fig2.json", || {
-        scaling::bench_json("storage_commit_scaling", scaling::commit_scaling)
-    }),
-    ("BENCH_fig3.json", || {
+const BENCH_FILES: [(&str, Producer); 5] = [
+    ("BENCH_kv.json", || {
         scaling::bench_json("kv_command_scaling", scaling::kv_scaling)
     }),
     ("BENCH_wal.json", || {
         scaling::bench_json("storage_commit_wal_overhead", scaling::wal_commit_scaling)
-    }),
-    ("BENCH_occ.json", || {
-        scaling::bench_json("occ_vs_adhoc_scaling", scaling::occ_scaling)
     }),
     ("BENCH_confluence.json", || {
         scaling::bench_json("confluent_counter_scaling", scaling::confluence_scaling)

@@ -1,23 +1,24 @@
-//! Engine-scaling microbenchmarks: commit throughput vs thread count.
+//! Engine-scaling microbenchmarks: throughput vs thread count.
 //!
 //! The paper's §5 performance story is that coordination which *could* be
-//! avoided shows up as lost scalability under contention. These sweeps
-//! measure the two substrate spines directly:
+//! avoided shows up as lost scalability under contention. Every sweep runs
+//! each (threads, pattern) cell on **disjoint** keys (no two threads ever
+//! touch the same row) and on one **same** hot key, and measures each
+//! configuration once:
 //!
-//! * [`commit_scaling`] — storage-engine commit throughput, N threads each
-//!   committing single-row update transactions, on **disjoint** keys (no
-//!   two threads ever touch the same row) vs one **same** hot key. With a
-//!   sharded commit path, disjoint-key throughput should scale with
-//!   threads; same-key throughput is bounded by the row's record lock
-//!   whatever the engine does.
+//! * [`wal_commit_scaling`] — storage-engine commit throughput, N threads
+//!   each committing single-row update transactions, under each
+//!   durability policy × simulated fsync cost. Its `off` column is the
+//!   commit-scaling curve: with a sharded commit path, disjoint-key
+//!   throughput should scale with threads; same-key throughput is bounded
+//!   by the row's record lock whatever the engine does.
 //! * [`kv_scaling`] — KV store command throughput, N threads each running
 //!   `WATCH`-style CAS loops (version read + `EXEC`) on disjoint vs shared
 //!   keys. With a striped store, disjoint-key commands never share a lock.
-//!
-//! Three ablations ride on the commit workload: [`wal_commit_scaling`]
-//! (durability policy × simulated fsync cost), [`occ_scaling`] (the §7
-//! cured `orm::occ` layer vs the hand-rolled lock + two-transaction AHT)
-//! and [`confluence_scaling`] (the same increment as a commutative delta).
+//! * [`confluence_scaling`] — the same increment three ways: the
+//!   hand-rolled lock + two-transaction AHT, the §7 cured `orm::occ`
+//!   layer, and a commutative delta. Its `adhoc`/`cured` rows are the
+//!   cure ablation.
 //!
 //! Every sweep is one per-iteration closure on [`measure`] and one list
 //! of [`ScalingRow`]s through [`render_json`]; `paper-eval bench-json`
@@ -143,7 +144,7 @@ impl WalMode {
     }
 }
 
-/// Implementation of one OCC- or confluence-ablation row.
+/// Implementation of one confluence-sweep row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OccStrategy {
     /// The hand-rolled ad hoc transaction the studied applications write:
@@ -180,7 +181,7 @@ pub struct ScalingRow {
     pub threads: usize,
     /// Key pattern.
     pub pattern: KeyPattern,
-    /// Which implementation produced the row (OCC and confluence sweeps).
+    /// Which implementation produced the row (confluence sweep).
     pub strategy: Option<OccStrategy>,
     /// Durability mode (WAL sweep).
     pub policy: Option<WalMode>,
@@ -283,11 +284,11 @@ pub const FSYNC_LATENCY_US: u64 = 50;
 
 /// Build the bench table and seed every row the sweep will touch.
 /// `wal` selects the write-ahead-log policy so the same workload measures
-/// durability overhead; `fsync_latency_us` charges that much simulated
-/// device latency to every fsync the policy issues.
+/// durability overhead; `fsync_latency_us` is the simulated device flush
+/// (`latency.durable_flush`), which every fsync the policy issues pays.
 fn seed_db(threads_max: usize, wal: WalMode, fsync_latency_us: u64) -> Database {
-    let cfg = DbConfig::in_memory(EngineProfile::PostgresLike)
-        .with_wal_fsync_latency(Duration::from_micros(fsync_latency_us));
+    let mut cfg = DbConfig::in_memory(EngineProfile::PostgresLike);
+    cfg.latency.durable_flush = Duration::from_micros(fsync_latency_us);
     let db = Database::new(match wal {
         WalMode::Off => cfg,
         WalMode::OnCommit => cfg.with_wal(),
@@ -344,13 +345,6 @@ fn measure_commits(
         }
     });
     ScalingRow::new(threads, pattern, window, run, db_abort_rate(&db, run))
-}
-
-/// Storage-engine commit-throughput sweep over `thread_counts`.
-pub fn commit_scaling(thread_counts: &[usize], window: Duration) -> Vec<ScalingRow> {
-    cells(thread_counts)
-        .map(|(threads, pattern)| measure_commits(threads, pattern, window, WalMode::Off, 0))
-        .collect()
 }
 
 /// One KV cell: CAS loops (version read + watched `EXEC`) per second; an
@@ -412,11 +406,12 @@ pub fn kv_scaling(thread_counts: &[usize], window: Duration) -> Vec<ScalingRow> 
         .collect()
 }
 
-/// Durability-overhead sweep: the fig-2 commit workload under WAL off,
-/// per-commit fsync, and group commit, over `thread_counts`. WAL-off
-/// rows double as the regression guard that `wal: None` keeps the
-/// sharded commit path free of durability cost; the group-commit column
-/// shows how much of the per-commit-fsync tax amortization recovers.
+/// Commit-throughput sweep under WAL off, per-commit fsync, and group
+/// commit, over `thread_counts`. The WAL-off column is the engine's
+/// commit-scaling curve, and the regression guard that `wal: None` keeps
+/// the sharded commit path free of durability cost; the group-commit
+/// column shows how much of the per-commit-fsync tax amortization
+/// recovers.
 ///
 /// Two latency columns per logging mode: free fsyncs (latency 0) and a
 /// simulated [`FSYNC_LATENCY_US`]-cost device, the latter only for the
@@ -528,49 +523,27 @@ fn measure_occ(
     }
 }
 
-fn strategy_sweep(
-    thread_counts: &[usize],
-    window: Duration,
-    strategies: &[OccStrategy],
-) -> Vec<ScalingRow> {
+/// The hot-key ablation over `thread_counts`, both key patterns, all
+/// three strategies. Two claims are under test. The §7 cure: on disjoint
+/// keys the optimistic layer (no lock round-trips, one transaction
+/// instead of two) meets or beats the hand-rolled AHT, and under a hot
+/// key its retry loop stays within a small factor of the serialized lock
+/// queue. Coordination avoidance: on the single hot counter key the
+/// confluent delta path — no lock queue, no OCC retry loop — clears the
+/// cured layer by an integer factor with a zero abort rate, while on
+/// disjoint keys (where there is no coordination to avoid) it stays at
+/// parity.
+pub fn confluence_scaling(thread_counts: &[usize], window: Duration) -> Vec<ScalingRow> {
+    const STRATEGIES: [OccStrategy; 3] = [
+        OccStrategy::AdhocLock,
+        OccStrategy::CuredOcc,
+        OccStrategy::Confluent,
+    ];
     cells(thread_counts)
         .flat_map(|(threads, pattern)| {
-            strategies
-                .iter()
-                .map(move |&strategy| measure_occ(threads, pattern, window, strategy))
+            STRATEGIES.map(|strategy| measure_occ(threads, pattern, window, strategy))
         })
         .collect()
-}
-
-/// The cured-vs-adhoc throughput ablation over `thread_counts`, both key
-/// patterns. The §7 claim under test: on disjoint keys the optimistic
-/// layer (no lock round-trips, one transaction instead of two) meets or
-/// beats the hand-rolled AHT; under a hot key its retry loop stays within
-/// a small factor of the serialized lock queue.
-pub fn occ_scaling(thread_counts: &[usize], window: Duration) -> Vec<ScalingRow> {
-    strategy_sweep(
-        thread_counts,
-        window,
-        &[OccStrategy::AdhocLock, OccStrategy::CuredOcc],
-    )
-}
-
-/// The PR-9 hot-key ablation over `thread_counts`, both key patterns,
-/// all three strategies. The claim under test: on the single hot counter
-/// key the confluent delta path — no lock queue, no OCC retry loop —
-/// clears the cured layer by an integer factor with a zero abort rate,
-/// while on disjoint keys (where there is no coordination to avoid) it
-/// stays at parity.
-pub fn confluence_scaling(thread_counts: &[usize], window: Duration) -> Vec<ScalingRow> {
-    strategy_sweep(
-        thread_counts,
-        window,
-        &[
-            OccStrategy::AdhocLock,
-            OccStrategy::CuredOcc,
-            OccStrategy::Confluent,
-        ],
-    )
 }
 
 /// The standard thread sweep.
@@ -608,7 +581,6 @@ mod tests {
     #[test]
     fn scaling_sweep_smoke() {
         let _serial = crate::SERIAL_MEASUREMENTS.lock();
-        check_shape(&commit_scaling(&[1, 2], Duration::from_millis(20)), 4);
         check_shape(&kv_scaling(&[2], Duration::from_millis(20)), 2);
     }
 
@@ -625,13 +597,6 @@ mod tests {
             }
         }
         assert!(rows.iter().any(|r| r.fsync_us == Some(FSYNC_LATENCY_US)));
-    }
-
-    #[test]
-    fn occ_ablation_smoke() {
-        let _serial = crate::SERIAL_MEASUREMENTS.lock();
-        // 2 patterns x {adhoc, cured}
-        check_shape(&occ_scaling(&[2], Duration::from_millis(20)), 4);
     }
 
     #[test]

@@ -84,7 +84,22 @@ impl Report {
     }
 }
 
-/// A set of rules run together (the periodic job).
+/// A set of rules run together: the periodic job, and the boot-time
+/// recovery pass — the generalized form of Spree's `boot_recovery` (§4.3:
+/// payments stuck in `processing` after a crash).
+///
+/// A crash can leave state that is *transactionally* consistent — every
+/// acknowledged commit survived, every unacknowledged one rolled back —
+/// yet semantically stuck, because a multi-request state machine died
+/// between its steps: a payment marked `processing` whose completion
+/// request never ran, a counter behind the rows it summarizes, an audit
+/// row whose paired write committed alone. The storage engine cannot see
+/// these; only the application's invariants can. Each app module
+/// registers its crash-sensitive rules in one of these (`boot_fsck()`)
+/// and runs [`run_and_fix`](Self::run_and_fix) when a restarted process
+/// finishes WAL replay: rules with fixers are repaired, rules without
+/// stay as reported findings (states no automatic repair can honestly
+/// resolve, like an over-captured payment).
 #[derive(Default)]
 pub struct ConsistencyChecker {
     rules: Vec<CheckRule>,
@@ -111,7 +126,10 @@ impl ConsistencyChecker {
         report
     }
 
-    /// Run all rules and apply fixes where available (Discourse's mode).
+    /// Run all rules and apply fixes where available (Discourse's mode,
+    /// and the boot hook). `fixed` counts repaired states; `violations`
+    /// are findings that remain (detection-only rules or failed fixes)
+    /// and should surface to an operator.
     pub fn run_and_fix(&self, db: &Database) -> Report {
         let mut report = Report::default();
         for rule in &self.rules {
@@ -125,55 +143,6 @@ impl ConsistencyChecker {
             }
         }
         report
-    }
-}
-
-/// A boot-time recovery pass — the generalized form of Spree's
-/// `boot_recovery` (§4.3: payments stuck in `processing` after a crash).
-///
-/// A crash can leave state that is *transactionally* consistent — every
-/// acknowledged commit survived, every unacknowledged one rolled back —
-/// yet semantically stuck, because a multi-request state machine died
-/// between its steps: a payment marked `processing` whose completion
-/// request never ran, a counter behind the rows it summarizes, an audit
-/// row whose paired write committed alone. The storage engine cannot see
-/// these; only the application's invariants can. Each app module
-/// registers its crash-sensitive rules in one of these and runs
-/// [`recover_on_boot`](Self::recover_on_boot) when a restarted process
-/// finishes WAL replay.
-pub struct BootRecovery {
-    /// App name, prefixed to finding output.
-    pub app: String,
-    checker: ConsistencyChecker,
-}
-
-impl BootRecovery {
-    /// An empty recovery pass for `app`.
-    pub fn new(app: &str) -> Self {
-        Self {
-            app: app.to_string(),
-            checker: ConsistencyChecker::new(),
-        }
-    }
-
-    /// Register a rule. Rules with fixers are repaired on boot; rules
-    /// without stay as reported findings (states no automatic repair can
-    /// honestly resolve, like an over-captured payment).
-    pub fn rule(mut self, rule: CheckRule) -> Self {
-        self.checker = self.checker.rule(rule);
-        self
-    }
-
-    /// The boot hook: run every rule in fix mode. `fixed` counts repaired
-    /// states; `violations` are findings that remain (detection-only rules
-    /// or failed fixes) and should surface to an operator.
-    pub fn recover_on_boot(&self, db: &Database) -> Report {
-        self.checker.run_and_fix(db)
-    }
-
-    /// Detection-only pass (no writes), for asserting a database is clean.
-    pub fn check(&self, db: &Database) -> Report {
-        self.checker.run(db)
     }
 }
 

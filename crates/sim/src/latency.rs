@@ -8,8 +8,9 @@
 //! * the KV client charges `kv_round_trip` once per command;
 //! * the SQL session charges `sql_round_trip` once per statement issued by a
 //!   remote client;
-//! * a durable commit charges `durable_flush` (the `DB` lock's table write);
-//! * in-process work charges `in_memory_op` (close to zero).
+//! * a durable commit charges `durable_flush` (the `DB` lock's table write),
+//!   in its WAL sync when the database logs, at commit otherwise;
+//! * the service front door charges `service_round_trip` once per request.
 
 use crate::clock::Clock;
 use serde::{Deserialize, Serialize};
@@ -24,9 +25,6 @@ pub struct LatencyModel {
     pub sql_round_trip: Duration,
     /// Synchronous log/data flush performed by a durable commit.
     pub durable_flush: Duration,
-    /// An in-process operation (map lookup, mutex acquire). Usually zero;
-    /// non-zero values model very slow machines in tests.
-    pub in_memory_op: Duration,
     /// One client → application-service → client request round trip (the
     /// wire cost in front of any substrate work the handler then performs).
     pub service_round_trip: Duration,
@@ -39,7 +37,6 @@ impl LatencyModel {
             kv_round_trip: Duration::ZERO,
             sql_round_trip: Duration::ZERO,
             durable_flush: Duration::ZERO,
-            in_memory_op: Duration::ZERO,
             service_round_trip: Duration::ZERO,
         }
     }
@@ -55,7 +52,6 @@ impl LatencyModel {
             kv_round_trip: Duration::from_micros(250),
             sql_round_trip: Duration::from_micros(300),
             durable_flush: Duration::from_millis(10),
-            in_memory_op: Duration::ZERO,
             service_round_trip: Duration::from_micros(500),
         }
     }
@@ -73,8 +69,6 @@ impl LatencyModel {
         match cost {
             Cost::KvRoundTrip => self.kv_round_trip,
             Cost::SqlRoundTrip => self.sql_round_trip,
-            Cost::DurableFlush => self.durable_flush,
-            Cost::InMemoryOp => self.in_memory_op,
             Cost::ServiceRoundTrip => self.service_round_trip,
         }
     }
@@ -93,10 +87,6 @@ pub enum Cost {
     KvRoundTrip,
     /// One application ↔ RDBMS network round trip.
     SqlRoundTrip,
-    /// A synchronous durable flush at commit.
-    DurableFlush,
-    /// An in-process operation (usually free).
-    InMemoryOp,
     /// One client ↔ application-service request round trip.
     ServiceRoundTrip,
 }
@@ -109,7 +99,6 @@ mod tests {
     #[test]
     fn paper_model_orders_costs_as_figure2_expects() {
         let m = LatencyModel::paper();
-        assert!(m.in_memory_op < m.kv_round_trip);
         assert!(m.kv_round_trip < m.durable_flush);
         assert!(m.sql_round_trip < m.durable_flush);
         // The flush is at least an order of magnitude above a round trip.
@@ -122,8 +111,8 @@ mod tests {
         let m = LatencyModel::paper();
         m.charge(&clock, Cost::KvRoundTrip);
         assert_eq!(clock.now(), m.kv_round_trip);
-        m.charge(&clock, Cost::DurableFlush);
-        assert_eq!(clock.now(), m.kv_round_trip + m.durable_flush);
+        m.charge(&clock, Cost::SqlRoundTrip);
+        assert_eq!(clock.now(), m.kv_round_trip + m.sql_round_trip);
     }
 
     #[test]
@@ -133,8 +122,6 @@ mod tests {
         for c in [
             Cost::KvRoundTrip,
             Cost::SqlRoundTrip,
-            Cost::DurableFlush,
-            Cost::InMemoryOp,
             Cost::ServiceRoundTrip,
         ] {
             m.charge(&clock, c);

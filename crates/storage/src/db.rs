@@ -82,6 +82,7 @@ use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 /// A committed transaction's footprint, retained for SSI certification of
 /// concurrent readers (pruned once it is at or below the reclamation
@@ -196,6 +197,10 @@ pub(crate) struct DbInner {
     /// Commits append their write set under their shard guards, so each
     /// row's log order matches its version-chain order.
     wal: Option<Wal>,
+    /// What a writing commit charges on the clock after it completes:
+    /// `latency.durable_flush` without a WAL, zero with one (the log's
+    /// sync pays it instead).
+    commit_flush: Duration,
     /// Escrow ledger for budget columns (`stock >= 0`), lazily populated
     /// from committed state and — like the lock table — forgotten on
     /// crash. See [`crate::escrow`].
@@ -297,9 +302,11 @@ impl Database {
     /// A database from an explicit configuration.
     pub fn new(config: DbConfig) -> Self {
         let timeout = config.lock_wait_timeout;
-        let wal = config.wal.map(|policy| {
-            Wal::new(policy, config.clock.clone()).with_fsync_latency(config.wal_fsync_latency)
-        });
+        let flush = config.latency.durable_flush;
+        let wal = config
+            .wal
+            .map(|policy| Wal::new(policy, config.clock.clone(), flush));
+        let commit_flush = if wal.is_some() { Duration::ZERO } else { flush };
         let mut wire = Transport::new(
             config.clock.clone(),
             config.latency,
@@ -330,6 +337,7 @@ impl Database {
                 crash_floor: AtomicU64::new(CommitTs::MAX),
                 ssi_seen: AtomicBool::new(false),
                 wal,
+                commit_flush,
                 escrow: crate::escrow::EscrowLedger::default(),
                 checkpoint: Mutex::new(0),
                 commits: AtomicU64::new(0),
@@ -1029,13 +1037,10 @@ impl Database {
         self.inner.epoch.note_recovered(ts);
     }
 
-    /// Charge the durable-commit flush (only when configured durable).
+    /// Charge a writing commit's durable flush (zero with a WAL).
     pub(crate) fn charge_flush(&self) {
-        if self.inner.config.durable {
-            self.inner
-                .config
-                .latency
-                .charge(&*self.inner.config.clock, Cost::DurableFlush);
+        if !self.inner.commit_flush.is_zero() {
+            self.inner.config.clock.sleep(self.inner.commit_flush);
         }
     }
 
@@ -1134,6 +1139,28 @@ mod tests {
             t.update("skus", id, &[("quantity", quantity.into())])
         })
         .unwrap();
+    }
+
+    /// `latency.durable_flush` is charged once per writing commit: inside
+    /// the WAL's sync when there is a log, by the commit itself when there
+    /// is none. A read-only commit charges nothing.
+    #[test]
+    fn a_writing_commit_pays_one_durable_flush_with_or_without_a_wal() {
+        let flush = Duration::from_millis(3);
+        for wal in [false, true] {
+            let clock = adhoc_sim::VirtualClock::shared();
+            let mut config = DbConfig::in_memory(EngineProfile::PostgresLike);
+            config.clock = clock.clone();
+            config.latency.durable_flush = flush;
+            let db = one_row(if wal { config.with_wal() } else { config });
+            let before = clock.now();
+            set_quantity(&db, 1, 5);
+            assert_eq!(clock.now() - before, flush, "wal: {wal}");
+            let before = clock.now();
+            db.run(IsolationLevel::ReadCommitted, |t| t.get("skus", 1))
+                .unwrap();
+            assert_eq!(clock.now(), before, "read-only commit, wal: {wal}");
+        }
     }
 
     fn quantity(t: &mut Transaction) -> i64 {

@@ -177,22 +177,18 @@ pub struct DbConfig {
     pub profile: EngineProfile,
     /// Time source for lock waits and latency charging.
     pub clock: SharedClock,
-    /// Physical costs charged per statement / commit.
+    /// Physical costs charged per statement / commit. Its
+    /// `durable_flush` is the one device-flush cost: a database with a WAL
+    /// pays it in every WAL sync (`OnCommit` once per commit,
+    /// `GroupCommit` once per batch), one without pays it once per
+    /// writing commit.
     pub latency: LatencyModel,
-    /// Commits charge a durable flush when true.
-    pub durable: bool,
     /// Upper bound on any single lock wait before `LockWaitTimeout`.
     pub lock_wait_timeout: Duration,
     /// Write-ahead log sync policy; `None` disables the WAL entirely
-    /// (commits still charge a flush when `durable`, but nothing is
+    /// (commits still charge `latency.durable_flush`, but nothing is
     /// logged and crash recovery has nothing to replay).
     pub wal: Option<crate::wal::WalSyncPolicy>,
-    /// Simulated cost of one WAL fsync, charged on `clock` inside every
-    /// sync (zero by default — the in-process page-cache behaviour this
-    /// box actually exhibits). See [`Wal::with_fsync_latency`].
-    ///
-    /// [`Wal::with_fsync_latency`]: crate::wal::Wal::with_fsync_latency
-    pub wal_fsync_latency: Duration,
     /// Fault plan consulted once per commit attempt
     /// ([`OpClass::DbCommit`](adhoc_sim::OpClass::DbCommit)) and once per
     /// statement ([`OpClass::DbStatement`](adhoc_sim::OpClass::DbStatement));
@@ -210,27 +206,20 @@ impl DbConfig {
             profile,
             clock: RealClock::shared(),
             latency: LatencyModel::zero(),
-            durable: false,
             lock_wait_timeout: Duration::from_secs(10),
             wal: None,
-            wal_fsync_latency: Duration::ZERO,
             faults: None,
             breaker: None,
         }
     }
 
-    /// The paper's deployment: remote RDBMS, durable commits.
+    /// The paper's deployment: remote RDBMS, durable commits (each
+    /// writing commit pays `latency.durable_flush`).
     pub fn networked(profile: EngineProfile, clock: SharedClock, latency: LatencyModel) -> Self {
         Self {
-            profile,
             clock,
             latency,
-            durable: true,
-            lock_wait_timeout: Duration::from_secs(10),
-            wal: None,
-            wal_fsync_latency: Duration::ZERO,
-            faults: None,
-            breaker: None,
+            ..Self::in_memory(profile)
         }
     }
 
@@ -253,15 +242,6 @@ impl DbConfig {
     /// with the amortized flush cost.
     pub fn with_wal_group_commit(mut self) -> Self {
         self.wal = Some(crate::wal::WalSyncPolicy::GroupCommit);
-        self
-    }
-
-    /// Charge a simulated device latency for every WAL fsync. Makes the
-    /// sync-policy ablation honest on hardware where a real fsync is
-    /// near-free: `OnCommit` pays it per commit, `GroupCommit` once per
-    /// batch.
-    pub fn with_wal_fsync_latency(mut self, latency: Duration) -> Self {
-        self.wal_fsync_latency = latency;
         self
     }
 
@@ -298,7 +278,6 @@ impl std::fmt::Debug for DbConfig {
         f.debug_struct("DbConfig")
             .field("profile", &self.profile)
             .field("latency", &self.latency)
-            .field("durable", &self.durable)
             .field("lock_wait_timeout", &self.lock_wait_timeout)
             .finish_non_exhaustive()
     }
@@ -359,12 +338,13 @@ mod tests {
         let c = DbConfig::in_memory(EngineProfile::MySqlLike)
             .with_lock_wait_timeout(Duration::from_millis(50));
         assert_eq!(c.lock_wait_timeout, Duration::from_millis(50));
-        assert!(!c.durable);
+        assert_eq!(c.latency, LatencyModel::zero());
         let n = DbConfig::networked(
             EngineProfile::PostgresLike,
             RealClock::shared(),
             LatencyModel::paper(),
         );
-        assert!(n.durable);
+        assert_eq!(n.latency, LatencyModel::paper());
+        assert_eq!(n.lock_wait_timeout, Duration::from_secs(10));
     }
 }

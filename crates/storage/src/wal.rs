@@ -211,9 +211,11 @@ pub struct Wal {
     policy: WalSyncPolicy,
     clock: SharedClock,
     /// Simulated cost of one fsync, charged on the engine clock inside
-    /// every sync. Zero (the default) charges nothing — the PR-4/PR-7
-    /// behaviour. Nonzero models a real storage device, which is where
-    /// group commit's one-flush-per-batch amortization shows its win.
+    /// every sync, with the log mutex *released* (a busy device does not
+    /// block writes into the OS buffer), so under `GroupCommit` one
+    /// leader pays it while followers keep appending and then free-ride —
+    /// exactly the amortization the policy exists for. Zero charges
+    /// nothing; nonzero models a real storage device.
     fsync_latency: Duration,
 }
 
@@ -227,8 +229,9 @@ impl std::fmt::Debug for Wal {
 }
 
 impl Wal {
-    /// An empty log with the given sync policy, on the engine's clock.
-    pub fn new(policy: WalSyncPolicy, clock: SharedClock) -> Self {
+    /// An empty log with the given sync policy, on the engine's clock,
+    /// charging `fsync_latency` for every fsync.
+    pub fn new(policy: WalSyncPolicy, clock: SharedClock, fsync_latency: Duration) -> Self {
         Self {
             shared: Arc::new(WalShared {
                 state: Mutex::new(WalInner {
@@ -249,23 +252,8 @@ impl Wal {
             }),
             policy,
             clock,
-            fsync_latency: Duration::ZERO,
+            fsync_latency,
         }
-    }
-
-    /// Charge `latency` on the engine clock for every fsync. The sleep
-    /// happens with the log mutex *released* (a busy device does not
-    /// block writes into the OS buffer), so under `GroupCommit` one
-    /// leader pays it while followers keep appending and then free-ride —
-    /// exactly the amortization the policy exists for.
-    pub fn with_fsync_latency(mut self, latency: Duration) -> Self {
-        self.fsync_latency = latency;
-        self
-    }
-
-    /// The configured per-fsync latency charge.
-    pub fn fsync_latency(&self) -> Duration {
-        self.fsync_latency
     }
 
     /// Append one commit record to the volatile tail, then sync according
@@ -960,7 +948,7 @@ mod tests {
     use adhoc_sim::VirtualClock;
 
     fn test_wal(policy: WalSyncPolicy) -> Wal {
-        Wal::new(policy, VirtualClock::shared())
+        Wal::new(policy, VirtualClock::shared(), Duration::ZERO)
     }
 
     fn sample(ts: u64) -> WalRecord {
@@ -1395,8 +1383,11 @@ mod tests {
             armed: AtomicBool::new(false),
             gate: std::sync::Barrier::new(2),
         });
-        let wal = Wal::new(WalSyncPolicy::GroupCommit, clock.clone())
-            .with_fsync_latency(Duration::from_millis(1));
+        let wal = Wal::new(
+            WalSyncPolicy::GroupCommit,
+            clock.clone(),
+            Duration::from_millis(1),
+        );
         wal.append_streamed(1, |enc| enc.write("t", 1, None));
         let start = wal.begin_checkpoint().unwrap();
         checkpoint_rows(&wal, 0..2);

@@ -19,6 +19,7 @@ use adhoc_sim::RealClock;
 use adhoc_storage::wal::{crc32, decode_payload, decode_stream, encode_payload, Wal};
 use adhoc_storage::{Value, WalRecord, WalSyncPolicy, WalTail, WalWrite};
 use proptest::prelude::*;
+use std::time::Duration;
 
 fn value() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -191,7 +192,7 @@ proptest! {
     fn group_commit_batch_roundtrips_with_one_sync(
         records in proptest::collection::vec(wal_record(), 1..8),
     ) {
-        let wal = Wal::new(WalSyncPolicy::GroupCommit, RealClock::shared());
+        let wal = Wal::new(WalSyncPolicy::GroupCommit, RealClock::shared(), Duration::ZERO);
         let mut end = 0;
         for r in &records {
             let a = wal.append_streamed(r.commit_ts, |enc| {
@@ -224,7 +225,7 @@ proptest! {
         records in proptest::collection::vec(wal_record(), 1..6),
         cut_frac in 0u32..=1000,
     ) {
-        let wal = Wal::new(WalSyncPolicy::GroupCommit, RealClock::shared());
+        let wal = Wal::new(WalSyncPolicy::GroupCommit, RealClock::shared(), Duration::ZERO);
         for r in &records {
             wal.append_streamed(r.commit_ts, |enc| {
                 for w in &r.writes {
@@ -356,8 +357,8 @@ proptest! {
         visits in proptest::collection::vec(0usize..4, SHARDS),
         ending in 0u8..3,
     ) {
-        let wal = Wal::new(WalSyncPolicy::OnCommit, RealClock::shared());
-        let reference = Wal::new(WalSyncPolicy::OnCommit, RealClock::shared());
+        let wal = Wal::new(WalSyncPolicy::OnCommit, RealClock::shared(), Duration::ZERO);
+        let reference = Wal::new(WalSyncPolicy::OnCommit, RealClock::shared(), Duration::ZERO);
         let start_at = commits.len() * start_frac as usize / 100;
         // Shard j's frame is written before commit `visit_at[j]`, the
         // shards in order, the last no later than the end of the run.

@@ -126,7 +126,7 @@ fn mastodon_case(db: &Database, seed: bool) -> Driver {
                 check(&mut v, slots + redeems == 3, || {
                     format!("slots {slots} + redeems {redeems} != max 3")
                 });
-                v.extend(fsck_violations(&mastodon::boot_fsck().check(&db)));
+                v.extend(fsck_violations(&mastodon::boot_fsck().run(&db)));
                 v
             }
         }),
@@ -199,7 +199,7 @@ fn saleor_case(db: &Database, seed: bool) -> Driver {
                         format!("resume left stock at {stock}, expected 0")
                     });
                 }
-                v.extend(fsck_violations(&saleor::boot_fsck().check(&db)));
+                v.extend(fsck_violations(&saleor::boot_fsck().run(&db)));
                 v
             }
         }),
@@ -254,7 +254,7 @@ fn scm_case(db: &Database, seed: bool) -> Driver {
                 check(&mut v, avail == balance, || {
                     format!("escrow ledger says {avail}, committed balance is {balance}")
                 });
-                v.extend(fsck_violations(&scm_suite::boot_fsck().check(&db)));
+                v.extend(fsck_violations(&scm_suite::boot_fsck().run(&db)));
                 v
             }
         }),

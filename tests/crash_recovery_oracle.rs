@@ -92,7 +92,7 @@ fn spree_case(db: &Database, seed: bool, mode: Mode) -> Driver {
                         format!("one_payment_per_order({order})")
                     });
                 }
-                v.extend(fsck_violations(&spree::boot_fsck().check(&db)));
+                v.extend(fsck_violations(&spree::boot_fsck().run(&db)));
                 v
             }
         }),
@@ -151,7 +151,7 @@ fn broadleaf_case(db: &Database, seed: bool, mode: Mode) -> Driver {
                 check(&mut v, app.sku_conserved(1, 100).unwrap(), || {
                     "sku_conserved(1)".into()
                 });
-                v.extend(fsck_violations(&broadleaf::boot_fsck().check(&db)));
+                v.extend(fsck_violations(&broadleaf::boot_fsck().run(&db)));
                 v
             }
         }),
@@ -199,7 +199,7 @@ fn discourse_case(db: &Database, seed: bool, mode: Mode) -> Driver {
                 check(&mut v, app.likes_consistent(1).unwrap(), || {
                     "likes_consistent(1)".into()
                 });
-                v.extend(fsck_violations(&discourse::boot_fsck().check(&db)));
+                v.extend(fsck_violations(&discourse::boot_fsck().run(&db)));
                 v
             }
         }),
@@ -254,7 +254,7 @@ fn mastodon_case(db: &Database, seed: bool, mode: Mode) -> Driver {
                 check(&mut v, app.notifications_unique(7).unwrap(), || {
                     "notifications_unique(7)".into()
                 });
-                v.extend(fsck_violations(&mastodon::boot_fsck().check(&db)));
+                v.extend(fsck_violations(&mastodon::boot_fsck().run(&db)));
                 v
             }
         }),
@@ -307,7 +307,7 @@ fn jumpserver_case(db: &Database, seed: bool, mode: Mode) -> Driver {
                 check(&mut v, app.rotations_audited(1).unwrap(), || {
                     "rotations_audited(1)".into()
                 });
-                v.extend(fsck_violations(&jumpserver::boot_fsck().check(&db)));
+                v.extend(fsck_violations(&jumpserver::boot_fsck().run(&db)));
                 v
             }
         }),
@@ -352,7 +352,7 @@ fn redmine_case(db: &Database, seed: bool, mode: Mode) -> Driver {
                 check(&mut v, app.attachments_consistent(1).unwrap(), || {
                     "attachments_consistent(1)".into()
                 });
-                v.extend(fsck_violations(&redmine::boot_fsck().check(&db)));
+                v.extend(fsck_violations(&redmine::boot_fsck().run(&db)));
                 v
             }
         }),
@@ -387,7 +387,7 @@ fn saleor_case(db: &Database, seed: bool, mode: Mode) -> Driver {
                 check(&mut v, app.capture_within_authorization(1).unwrap(), || {
                     "capture_within_authorization(1)".into()
                 });
-                v.extend(fsck_violations(&saleor::boot_fsck().check(&db)));
+                v.extend(fsck_violations(&saleor::boot_fsck().run(&db)));
                 v
             }
         }),
@@ -437,7 +437,7 @@ fn scm_case(db: &Database, seed: bool, mode: Mode) -> Driver {
                         format!("conservation: total = {total}")
                     });
                 }
-                v.extend(fsck_violations(&scm_suite::boot_fsck().check(&db)));
+                v.extend(fsck_violations(&scm_suite::boot_fsck().run(&db)));
                 v
             }
         }),

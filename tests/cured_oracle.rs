@@ -9,7 +9,8 @@
 //! the table's `Mode::Cured` cells under the names this oracle gave them.
 //! Together with `crash_recovery_oracle`'s `*_cured` sweeps (zero
 //! findings, zero repairs) this is the oracle half of the paper's cure
-//! claim; the throughput half lives in `BENCH_occ.json`.
+//! claim; the throughput half is the `adhoc`/`cured` rows of
+//! `BENCH_confluence.json`.
 //!
 //! The continuation tests at the bottom exercise the optimistic
 //! transaction that *spans simulated HTTP requests*: save → concurrent

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
-# Engine-scaling benchmark: writes BENCH_fig2.json (storage commit
-# scaling, disjoint vs same-key), BENCH_fig3.json (KV command scaling),
-# BENCH_wal.json (the same commit workload with the write-ahead log on
-# vs off, free and costed fsyncs — durability overhead), BENCH_occ.json
-# (the §7 cured orm::occ layer vs the hand-rolled lock + two-transaction
-# AHT), BENCH_confluence.json (the PR-9 coordination-avoiding delta path
-# vs both coordinated implementations of the same hot-counter increment),
+# Engine-scaling benchmark: writes BENCH_kv.json (KV command scaling,
+# disjoint vs same-key), BENCH_wal.json (storage commit scaling with the
+# write-ahead log off, per-commit fsync and group commit, free and costed
+# fsyncs — its `off` rows are the commit-scaling curve),
+# BENCH_confluence.json (the hand-rolled lock + two-transaction AHT, the
+# §7 cured orm::occ layer and the coordination-avoiding delta path,
+# three implementations of the same hot-counter increment),
 # BENCH_resilience.json (the metastability ablation under a
 # partition storm) and BENCH_traffic.json (the open-loop traffic-SLO
 # ablation: naive / breaker_only / full front door across load levels)

@@ -211,12 +211,12 @@ timeout 60 cargo test -q --release -p adhoc-storage --test fault_injection
 timeout 60 cargo test -q --release -p adhoc-bench --lib resilience
 
 # Tiny-duty-cycle scaling-bench smoke: proves the sweeps run end to end
-# and emit well-formed BENCH_*.json, all seven.
+# and emit well-formed BENCH_*.json, all five.
 # Numbers from the smoke windows are noise — the committed artifacts come
 # from ./tools/bench.sh with full windows.
 echo "==> bench smoke (BENCH_SCALE=smoke)"
 BENCH_SCALE=smoke ./tools/bench.sh target/bench-smoke >/dev/null
-python3 -c "import json; [json.load(open(f'target/bench-smoke/BENCH_{n}.json')) for n in ('fig2', 'fig3', 'wal', 'occ', 'confluence', 'resilience', 'traffic')]"
+python3 -c "import json; [json.load(open(f'target/bench-smoke/BENCH_{n}.json')) for n in ('kv', 'wal', 'confluence', 'resilience', 'traffic')]"
 
 # Front-door decisions gate: both ablations run on virtual time (< 1 s)
 # and print identical bytes run to run, so their digests pin every
@@ -243,17 +243,18 @@ for ablation in ablation-gap ablation-kv-rtt ablation-rmw-lock; do
 done
 
 # Scaling-shape gate: cells of the fresh smoke sweep against each other,
-# never against numbers recorded by another commit — fig2 commit scaling
-# and fig3 KV scaling on disjoint keys hardware-aware (full 3x only
-# demanded of fig2 with 8+ CPUs; no collapse from 2T to 8T with 2-7;
-# skipped on a single-CPU box), the cured orm::occ path vs the
-# hand-rolled AHT (disjoint parity, hot-key 0.9x), and the confluent
-# delta path vs both (zero aborts everywhere, 2x cured on the 8T hot key
-# on multi-CPU hardware, disjoint parity, above the sweep's own cured
-# ceiling). Tolerance band via SCALING_GATE_TOL absorbs smoke-window
-# noise.
+# never against numbers recorded by another commit — commit scaling
+# (the WAL sweep's `off` rows) and KV scaling on disjoint keys
+# hardware-aware (full 3x only demanded of commits with 8+ CPUs; no
+# collapse from 2T to 8T with 2-7; skipped on a single-CPU box), the
+# cured orm::occ path vs the hand-rolled AHT (disjoint parity, hot-key
+# 0.9x), and the confluent delta path vs both (zero aborts everywhere,
+# 2x cured on the 8T hot key on multi-CPU hardware, disjoint parity,
+# above the sweep's own cured ceiling); the last two read the same
+# confluence sweep. Tolerance band via SCALING_GATE_TOL absorbs
+# smoke-window noise.
 echo "==> scaling-shape gate (cells of one fresh smoke sweep)"
-python3 tools/check_scaling.py target/bench-smoke/BENCH_fig2.json target/bench-smoke/BENCH_fig3.json target/bench-smoke/BENCH_occ.json target/bench-smoke/BENCH_confluence.json
+python3 tools/check_scaling.py target/bench-smoke/BENCH_wal.json target/bench-smoke/BENCH_kv.json target/bench-smoke/BENCH_confluence.json
 
 # Traffic-SLO gate: the open-loop ablation is virtual-clock deterministic,
 # so the shape is demanded on any hardware — every arm meets the p99 SLO
