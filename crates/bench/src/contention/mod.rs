@@ -15,8 +15,10 @@
 //! repeatable and every audit holds for any multiset of acked ops, so the
 //! soak test draws from the same rows.
 //!
-//! A row's world is a [`Driver`] (ops, audit, boot-fsck) — the same shape
-//! the crash-restart sweep in [`crash`] runs one op at a time instead.
+//! A row's world is a [`Driver`] (ops, audit, boot-fsck), and so is every
+//! workload of the crash-restart sweep's registry ([`crash::CASES`]): both
+//! are built by one builder over the app, its ops `op(app, i)` and its
+//! named invariants, and the sweep runs its ops one at a time instead.
 
 pub mod crash;
 
@@ -29,7 +31,7 @@ use adhoc_core::validation::CommitOutcome;
 use adhoc_kv::{Client, Store};
 use adhoc_orm::Orm;
 use adhoc_sim::{LatencyModel, VirtualClock};
-use adhoc_storage::Database;
+use adhoc_storage::Value;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
@@ -218,24 +220,6 @@ pub struct Driver {
     pub recover: Box<dyn Fn() -> Report>,
 }
 
-/// A committed integer column, `None` when it cannot be read.
-pub fn int_field(db: &Database, table: &str, id: i64, col: &str) -> Option<i64> {
-    let schema = db.schema(table).ok()?;
-    db.latest_committed(table, id)
-        .ok()?
-        .and_then(|row| row.get_int(&schema, col).ok())
-}
-
-/// Rows of `table` whose integer `col` equals `val`.
-pub fn rows_where(db: &Database, table: &str, col: &str, val: i64) -> usize {
-    let (Ok(schema), Ok(rows)) = (db.schema(table), db.dump_table(table)) else {
-        return 0;
-    };
-    rows.iter()
-        .filter(|(_, row)| row.get_int(&schema, col).ok() == Some(val))
-        .count()
-}
-
 /// A fresh zero-latency KV store on its own virtual clock: the KV the
 /// table's Mastodon and JumpServer stacks run on. The clock moves only
 /// when a caller moves it, so no lease expires under contention.
@@ -251,20 +235,26 @@ pub fn kv() -> Client {
 // Row plumbing.
 // ---------------------------------------------------------------------------
 
-/// What the table reads of every app.
+/// What the table and the crash sweep read of every app.
 trait App: Send + Sync + 'static {
     fn orm(&self) -> &Orm;
+    /// The app's boot-fsck pass in fix mode.
     fn recover(&self) -> Report;
+    /// The same pass detecting only.
+    fn fsck(&self) -> Report;
 }
 
 macro_rules! app {
-    ($($app:ty),*) => {$(
-        impl App for $app {
+    ($($app:ident::$ty:ident),*) => {$(
+        impl App for $app::$ty {
             fn orm(&self) -> &Orm {
-                <$app>::orm(self)
+                <$app::$ty>::orm(self)
             }
             fn recover(&self) -> Report {
                 self.recover_on_boot()
+            }
+            fn fsck(&self) -> Report {
+                $app::boot_fsck().run(self.orm().db())
             }
         }
     )*};
@@ -281,9 +271,45 @@ app!(
     spree::Spree
 );
 
-/// `(name, answer)` for each app invariant call; each must answer `Ok(true)`.
+/// Named checks of an audit; each must answer `Ok(true)`.
+type Checks = Vec<(String, apps::Result<bool>)>;
+
+/// `(name, answer)` for each app invariant call.
 macro_rules! holds {
-    ($($call:expr),* $(,)?) => { vec![$((stringify!($call), $call)),*] };
+    ($($call:expr),* $(,)?) => { vec![$((stringify!($call).to_string(), $call)),*] };
+}
+use holds;
+
+/// The checks of `checks` that failed, one line each.
+fn broken(checks: Checks) -> Vec<String> {
+    checks
+        .into_iter()
+        .filter(|(_, ok)| !matches!(ok, Ok(true)))
+        .map(|(name, ok)| format!("{name}: {ok:?}"))
+        .collect()
+}
+
+/// A driver over `app`: `n` ops (op `i` calls `op(app, i)`), the audit,
+/// and the app's boot-fsck in fix mode.
+fn driver<A: App>(
+    app: Arc<A>,
+    n: usize,
+    op: impl Fn(&A, usize) -> apps::Result<bool> + Send + Sync + 'static,
+    audit: impl Fn(&A, &Audit) -> Vec<String> + 'static,
+) -> Driver {
+    let op = Arc::new(op);
+    let ops = (0..n)
+        .map(|i| {
+            let (app, op) = (Arc::clone(&app), Arc::clone(&op));
+            Box::new(move || op(&app, i).map_err(|e| e.to_string())) as Op
+        })
+        .collect();
+    let a = Arc::clone(&app);
+    Driver {
+        ops,
+        audit: Box::new(move |run| audit(&a, run)),
+        recover: Box::new(move || app.recover()),
+    }
 }
 
 /// A row's world: `n` ops (op `i` calls `op(app, i)`), the invariants, the
@@ -293,42 +319,27 @@ fn world<A: App>(
     app: A,
     n: usize,
     op: impl Fn(&A, usize) -> apps::Result<bool> + Send + Sync + 'static,
-    invariants: impl Fn(&A, &Audit) -> Vec<(&'static str, apps::Result<bool>)> + 'static,
+    invariants: impl Fn(&A, &Audit) -> Checks + 'static,
     state: impl Fn(&A) -> Vec<i64> + 'static,
     expect: impl Fn(&Audit) -> Vec<i64> + 'static,
     digest: Vec<i64>,
 ) -> World {
-    let (app, op) = (Arc::new(app), Arc::new(op));
-    let ops = (0..n)
-        .map(|i| {
-            let (app, op) = (Arc::clone(&app), Arc::clone(&op));
-            Box::new(move || op(&app, i).map_err(|e| e.to_string())) as Op
-        })
-        .collect();
-    let state = Arc::new(state);
-    let (a, r, d, s) = (Arc::clone(&app), Arc::clone(&app), app, Arc::clone(&state));
+    let (app, state) = (Arc::new(app), Arc::new(state));
+    let s = Arc::clone(&state);
     World {
-        driver: Driver {
-            ops,
-            audit: Box::new(move |audit| {
-                let mut v: Vec<String> = invariants(&a, audit)
-                    .into_iter()
-                    .filter(|(_, ok)| !matches!(ok, Ok(true)))
-                    .map(|(name, ok)| format!("{name}: {ok:?}"))
-                    .collect();
-                let (got, want) = (s(&a), expect(audit));
-                if got != want {
-                    v.push(format!("committed {got:?}, acked ops say {want:?}"));
-                }
-                let timeouts = a.orm().db().stats().lock_stats.timeouts;
-                if timeouts > 0 {
-                    v.push(format!("{timeouts} lock wait(s) timed out"));
-                }
-                v
-            }),
-            recover: Box::new(move || r.recover()),
-        },
-        state: Box::new(move || state(&d)),
+        driver: driver(Arc::clone(&app), n, op, move |app, audit| {
+            let mut v = broken(invariants(app, audit));
+            let (got, want) = (s(app), expect(audit));
+            if got != want {
+                v.push(format!("committed {got:?}, acked ops say {want:?}"));
+            }
+            let timeouts = app.orm().db().stats().lock_stats.timeouts;
+            if timeouts > 0 {
+                v.push(format!("{timeouts} lock wait(s) timed out"));
+            }
+            v
+        }),
+        state: Box::new(move || state(&app)),
         digest,
     }
 }
@@ -345,12 +356,34 @@ fn acked(audit: &Audit) -> i64 {
 
 /// A committed integer column, or `i64::MIN` when it cannot be read.
 fn field(app: &impl App, table: &str, id: i64, col: &str) -> i64 {
-    int_field(app.orm().db(), table, id, col).unwrap_or(i64::MIN)
+    let db = app.orm().db();
+    let read = || {
+        let schema = db.schema(table).ok()?;
+        db.latest_committed(table, id)
+            .ok()?
+            .and_then(|row| row.get_int(&schema, col).ok())
+    };
+    read().unwrap_or(i64::MIN)
 }
 
-/// Rows of `table` whose `col` is `val`.
+/// Rows of `table` that hold every `(column, value)` of `wanted`.
+fn rows_with(app: &impl App, table: &str, wanted: &[(&str, Value)]) -> i64 {
+    let db = app.orm().db();
+    let (Ok(schema), Ok(rows)) = (db.schema(table), db.dump_table(table)) else {
+        return 0;
+    };
+    rows.iter()
+        .filter(|(_, row)| {
+            wanted
+                .iter()
+                .all(|(col, v)| row.get(&schema, col).ok() == Some(v))
+        })
+        .count() as i64
+}
+
+/// Rows of `table` whose integer `col` is `val`.
 fn rows(app: &impl App, table: &str, col: &str, val: i64) -> i64 {
-    rows_where(app.orm().db(), table, col, val) as i64
+    rows_with(app, table, &[(col, val.into())])
 }
 
 // ---------------------------------------------------------------------------
@@ -433,7 +466,7 @@ fn spree_checkout(mode: Mode) -> World {
                 .map(confirmed)
                 .collect::<apps::Result<Vec<_>>>();
             vec![(
-                "every buying order confirmed",
+                "every buying order confirmed".into(),
                 all.map(|c| c.iter().all(|&c| c)),
             )]
         },
@@ -818,10 +851,10 @@ fn scm_accounts(mode: Mode) -> World {
             let at_rest = (1..=3).all(|id| ledger(id).ok() == balance(id).ok());
             vec![
                 (
-                    "account 3 = 50 + 2 × credits − 3 × debits ≥ 0",
+                    "account 3 = 50 + 2 × credits − 3 × debits ≥ 0".into(),
                     balance(3).map(|b| b == 50 + 2 * credits - 3 * debits && b >= 0),
                 ),
-                ("every escrow ledger = its balance", Ok(at_rest)),
+                ("every escrow ledger = its balance".into(), Ok(at_rest)),
             ]
         },
         |app| {
@@ -851,18 +884,11 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
 
-    // `assert_cell` and `CRASH_ORACLE` resolve by name, so a duplicate
-    // name would silently run its first match.
-
+    // `assert_cell` resolves a row by name, so a duplicate name would
+    // silently run its first match.
     #[test]
     fn row_names_are_unique() {
         let names: HashSet<_> = ROWS.iter().map(|row| row.name).collect();
         assert_eq!(names.len(), ROWS.len(), "a row name repeats");
-    }
-
-    #[test]
-    fn sweep_names_are_unique() {
-        let names: HashSet<_> = crash::SWEEPS.iter().collect();
-        assert_eq!(names.len(), crash::SWEEPS.len(), "a sweep name repeats");
     }
 }

@@ -33,13 +33,6 @@ pub mod resilience;
 pub mod scaling;
 pub mod ttl_ablation;
 
-pub use fig2::{lock_latencies, Fig2Row};
-pub use fig3::{run_granularity, Fig3Config, Fig3Row, GranularitySetup, SETUPS};
-pub use fig4::{run_rollback, Fig4Config, Fig4Row};
-pub use resilience::{resilience_sweep, Resilience, ResilienceRow};
-pub use scaling::{kv_scaling, KeyPattern, ScalingRow};
-pub use ttl_ablation::{run_ttl_ablation, TtlAblationRow};
-
 /// Measurement tests take this lock so they never run concurrently —
 /// on small machines a sibling CPU-bound test skews throughput numbers.
 #[doc(hidden)]

@@ -387,7 +387,7 @@ pub fn resilience_sweep() -> Vec<ResilienceRow> {
 }
 
 /// Render the sweep as `BENCH_resilience.json`.
-pub fn render_resilience_json(rows: &[ResilienceRow]) -> String {
+fn render_resilience_json(rows: &[ResilienceRow]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"bench\": \"metastability_ablation\",\n");

@@ -21,7 +21,7 @@
 //!   cure ablation.
 //!
 //! Every sweep is one per-iteration closure on [`measure`] and one list
-//! of [`ScalingRow`]s through [`render_json`]; `paper-eval bench-json`
+//! of [`ScalingRow`]s through `render_json`; `paper-eval bench-json`
 //! (`tools/bench.sh`) writes each as a `BENCH_*.json`, and
 //! `tools/check_scaling.py` compares cells of one fresh sweep with each
 //! other, never with another commit's numbers.
@@ -173,7 +173,7 @@ impl OccStrategy {
 }
 
 /// One measured cell of any sweep. The three labels are `None` except in
-/// the sweep that varies them; [`render_json`] writes a key only when its
+/// the sweep that varies them; `render_json` writes a key only when its
 /// label is set.
 #[derive(Debug, Clone)]
 pub struct ScalingRow {
@@ -219,7 +219,7 @@ impl ScalingRow {
 /// keys `threads`, `pattern`, then `strategy` / `wal` + `policy` /
 /// `fsync_us` where the row carries that label, then `throughput_ops`
 /// and `abort_rate`.
-pub fn render_json(bench: &str, rows: &[ScalingRow]) -> String {
+fn render_json(bench: &str, rows: &[ScalingRow]) -> String {
     use std::fmt::Write;
     let mut out =
         format!("{{\n  \"bench\": \"{bench}\",\n  \"unit\": \"ops_per_sec\",\n  \"rows\": [\n");
@@ -547,7 +547,7 @@ pub fn confluence_scaling(thread_counts: &[usize], window: Duration) -> Vec<Scal
 }
 
 /// The standard thread sweep.
-pub fn default_threads() -> Vec<usize> {
+fn default_threads() -> Vec<usize> {
     vec![1, 2, 4, 8]
 }
 
@@ -560,7 +560,7 @@ pub fn window_from_env() -> Duration {
     }
 }
 
-/// Run `sweep` over [`default_threads`] at [`window_from_env`] and render
+/// Run `sweep` over `default_threads` at [`window_from_env`] and render
 /// it under the `bench` name: the body of one `BENCH_*.json`.
 pub fn bench_json(bench: &str, sweep: fn(&[usize], Duration) -> Vec<ScalingRow>) -> String {
     render_json(bench, &sweep(&default_threads(), window_from_env()))

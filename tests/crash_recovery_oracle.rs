@@ -6,8 +6,9 @@
 //! commit point × `CommitFailed`, `CrashAfterDurable`,
 //! `CrashBeforeDurable`, `TornWrite` and the three WAL-checkpoint crashes
 //! `CheckpointTorn`, `CrashBeforeTruncate`, `TruncateBeforeWait`;
-//! restart, WAL replay, boot-fsck).
-//! Each driver's audit asserts:
+//! restart, WAL replay, boot-fsck). The workloads are that module's
+//! registry, `crash::CASES`; each test here runs one sweep by name.
+//! Each workload's audit asserts:
 //!
 //! 1. **Durability** — every operation acknowledged before the crash is
 //!    visible in the recovered database.
@@ -24,439 +25,18 @@
 //! `CRASH_ORACLE=app/kind/k` (e.g. `spree/crash-after-durable/3`) to
 //! re-run one crash point in isolation.
 
-use adhoc_bench::contention::crash::{
-    check, fsck_violations, parse_witness, sweep, wal_db, witness_filter, Sweep,
-};
-use adhoc_bench::contention::{int_field, rows_where, Audit, Driver};
-use adhoc_transactions::apps::{
-    broadleaf, discourse, jumpserver, mastodon, redmine, saleor, scm_suite, spree, Mode,
-};
+use adhoc_bench::contention::crash::{parse_witness, sweep, wal_db, witness_filter, CASES};
+use adhoc_bench::contention::{kv, Mode};
+use adhoc_transactions::apps::{mastodon, saleor, scm_suite};
 use adhoc_transactions::core::locks::MemLock;
-use adhoc_transactions::kv::{Client, Store};
-use adhoc_transactions::sim::{FaultKind, LatencyModel, VirtualClock};
+use adhoc_transactions::sim::FaultKind;
 use adhoc_transactions::storage::{restart_from, Database};
+use std::collections::HashSet;
 use std::sync::Arc;
-
-/// Acked effects missing from the recovered database. Checked until the
-/// workload resumes: a resumed retry may legitimately move them.
-fn lost(audit: &Audit, visible: impl Fn(usize) -> bool) -> Vec<String> {
-    if audit.resumed {
-        return Vec::new();
-    }
-    audit
-        .acked
-        .iter()
-        .filter(|&&i| !visible(i))
-        .map(|i| format!("acked op {i} lost"))
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Per-app cases.
-// ---------------------------------------------------------------------------
-
-fn spree_case(db: &Database, seed: bool, mode: Mode) -> Driver {
-    let orm = spree::setup(db).unwrap();
-    let app = Arc::new(spree::Spree::new(orm, Arc::new(MemLock::new()), mode));
-    if seed {
-        app.seed_order(1).unwrap();
-        app.seed_order(2).unwrap();
-    }
-    let db = db.clone();
-    let (a, b, c) = (app.clone(), app.clone(), app.clone());
-    Driver {
-        ops: vec![
-            Box::new(move || a.add_payment(1).map_err(|e| format!("{e:?}"))),
-            Box::new(move || b.process_payment(1, false).map_err(|e| format!("{e:?}"))),
-            Box::new(move || c.add_payment(2).map_err(|e| format!("{e:?}"))),
-        ],
-        audit: Box::new({
-            let app = app.clone();
-            move |audit| {
-                let mut v = lost(audit, |i| match i {
-                    0 => rows_where(&db, "payments", "order_id", 1) >= 1,
-                    1 => {
-                        let Ok(rows) = db.dump_table("payments") else {
-                            return false;
-                        };
-                        let schema = db.schema("payments").unwrap();
-                        rows.iter().any(|(_, r)| {
-                            r.get_int(&schema, "order_id").ok() == Some(1)
-                                && r.get_str(&schema, "state").ok().as_deref() == Some("completed")
-                        })
-                    }
-                    _ => rows_where(&db, "payments", "order_id", 2) >= 1,
-                });
-                for order in [1, 2] {
-                    check(&mut v, app.one_payment_per_order(order).unwrap(), || {
-                        format!("one_payment_per_order({order})")
-                    });
-                }
-                v.extend(fsck_violations(&spree::boot_fsck().run(&db)));
-                v
-            }
-        }),
-        recover: Box::new(move || app.recover_on_boot()),
-    }
-}
-
-fn broadleaf_case(db: &Database, seed: bool, mode: Mode) -> Driver {
-    let orm = broadleaf::setup(db).unwrap();
-    let app = Arc::new(broadleaf::Broadleaf::new(
-        orm,
-        Arc::new(MemLock::new()),
-        mode,
-    ));
-    if seed {
-        app.seed_cart(1).unwrap();
-        app.seed_sku(1, 100).unwrap();
-    }
-    let db = db.clone();
-    let (a, b, c) = (app.clone(), app.clone(), app.clone());
-    Driver {
-        ops: vec![
-            Box::new(move || {
-                a.add_to_cart(1, 7, 2)
-                    .map(|_| true)
-                    .map_err(|e| format!("{e:?}"))
-            }),
-            Box::new(move || {
-                b.add_to_cart(1, 5, 3)
-                    .map(|_| true)
-                    .map_err(|e| format!("{e:?}"))
-            }),
-            Box::new(move || c.check_out(1, 4).map_err(|e| format!("{e:?}"))),
-        ],
-        audit: Box::new({
-            let app = app.clone();
-            move |audit| {
-                let price_row = |price: i64| {
-                    let (Ok(schema), Ok(rows)) = (db.schema("items"), db.dump_table("items"))
-                    else {
-                        return false;
-                    };
-                    rows.iter().any(|(_, r)| {
-                        r.get_int(&schema, "cart_id").ok() == Some(1)
-                            && r.get_int(&schema, "price").ok() == Some(price)
-                    })
-                };
-                let mut v = lost(audit, |i| match i {
-                    0 => price_row(7),
-                    1 => price_row(5),
-                    _ => int_field(&db, "skus", 1, "sold") == Some(4),
-                });
-                check(&mut v, app.cart_total_consistent(1).unwrap(), || {
-                    "cart_total_consistent(1)".into()
-                });
-                check(&mut v, app.sku_conserved(1, 100).unwrap(), || {
-                    "sku_conserved(1)".into()
-                });
-                v.extend(fsck_violations(&broadleaf::boot_fsck().run(&db)));
-                v
-            }
-        }),
-        recover: Box::new(move || app.recover_on_boot()),
-    }
-}
-
-fn discourse_case(db: &Database, seed: bool, mode: Mode) -> Driver {
-    let orm = discourse::setup(db).unwrap();
-    let app = Arc::new(discourse::Discourse::new(
-        orm,
-        Arc::new(MemLock::new()),
-        mode,
-    ));
-    if seed {
-        app.seed_topic(1).unwrap();
-    }
-    let db = db.clone();
-    let (a, b, c) = (app.clone(), app.clone(), app.clone());
-    Driver {
-        ops: vec![
-            Box::new(move || {
-                a.create_post(1, "first")
-                    .map(|_| true)
-                    .map_err(|e| format!("{e:?}"))
-            }),
-            Box::new(move || {
-                b.create_post(1, "second")
-                    .map(|_| true)
-                    .map_err(|e| format!("{e:?}"))
-            }),
-            Box::new(move || c.like_post(1).map(|_| true).map_err(|e| format!("{e:?}"))),
-        ],
-        audit: Box::new({
-            let app = app.clone();
-            move |audit| {
-                let mut v = lost(audit, |i| match i {
-                    0 => rows_where(&db, "posts", "topic_id", 1) >= 1,
-                    1 => rows_where(&db, "posts", "topic_id", 1) >= 2,
-                    _ => int_field(&db, "posts", 1, "like_cnt") == Some(1),
-                });
-                check(&mut v, app.topic_posts_consistent(1).unwrap(), || {
-                    "topic_posts_consistent(1)".into()
-                });
-                check(&mut v, app.likes_consistent(1).unwrap(), || {
-                    "likes_consistent(1)".into()
-                });
-                v.extend(fsck_violations(&discourse::boot_fsck().run(&db)));
-                v
-            }
-        }),
-        recover: Box::new(move || app.recover_on_boot()),
-    }
-}
-
-fn mastodon_app(db: &Database, mode: Mode) -> Arc<mastodon::Mastodon> {
-    let kv = Client::new(
-        Store::new(),
-        Arc::new(VirtualClock::new()),
-        LatencyModel::zero(),
-    );
-    Arc::new(mastodon::Mastodon::new(
-        mastodon::setup(db).unwrap(),
-        kv,
-        Arc::new(MemLock::new()),
-        mode,
-    ))
-}
-
-fn mastodon_case(db: &Database, seed: bool, mode: Mode) -> Driver {
-    let app = mastodon_app(db, mode);
-    if seed {
-        app.seed_invite(1, 5).unwrap();
-    }
-    let db = db.clone();
-    let (a, b, c) = (app.clone(), app.clone(), app.clone());
-    Driver {
-        ops: vec![
-            Box::new(move || a.redeem_invite(1).map_err(|e| format!("{e:?}"))),
-            // The *checked* variant re-reads the table, so an ambiguous
-            // crash plus retry stays duplicate-free (contrast with the
-            // volatile-marker finding test below).
-            Box::new(move || {
-                b.notify_unchecked(7, "follow")
-                    .map_err(|e| format!("{e:?}"))
-            }),
-            Box::new(move || c.redeem_invite(1).map_err(|e| format!("{e:?}"))),
-        ],
-        audit: Box::new({
-            let app = app.clone();
-            move |audit| {
-                let mut v = lost(audit, |i| match i {
-                    0 => int_field(&db, "invites", 1, "redeems") >= Some(1),
-                    1 => rows_where(&db, "notifications", "user_id", 7) == 1,
-                    _ => int_field(&db, "invites", 1, "redeems") == Some(2),
-                });
-                check(&mut v, app.invite_within_limit(1).unwrap(), || {
-                    "invite_within_limit(1)".into()
-                });
-                check(&mut v, app.notifications_unique(7).unwrap(), || {
-                    "notifications_unique(7)".into()
-                });
-                v.extend(fsck_violations(&mastodon::boot_fsck().run(&db)));
-                v
-            }
-        }),
-        recover: Box::new(move || app.recover_on_boot()),
-    }
-}
-
-fn jumpserver_case(db: &Database, seed: bool, mode: Mode) -> Driver {
-    let orm = jumpserver::setup(db).unwrap();
-    let app = Arc::new(jumpserver::JumpServer::new(
-        orm,
-        Arc::new(MemLock::new()),
-        mode,
-    ));
-    if seed {
-        app.seed_credential(1, "s0").unwrap();
-    }
-    let db = db.clone();
-    let (a, b) = (app.clone(), app.clone());
-    Driver {
-        ops: vec![
-            // The split anti-pattern: credential bump and audit row in
-            // separate commits — the crash between them is the finding.
-            // The cured variant pairs them in one transaction, so its
-            // sweep has nothing for boot-fsck to backfill.
-            Box::new(move || {
-                if mode == Mode::Cured {
-                    a.rotate_credential(1, "s1")
-                        .map(|_| true)
-                        .map_err(|e| format!("{e:?}"))
-                } else {
-                    a.rotate_credential_split(1, "s1", false)
-                        .map(|_| true)
-                        .map_err(|e| format!("{e:?}"))
-                }
-            }),
-            Box::new(move || {
-                b.rotate_credential(1, "s2")
-                    .map(|_| true)
-                    .map_err(|e| format!("{e:?}"))
-            }),
-        ],
-        audit: Box::new({
-            let app = app.clone();
-            move |audit| {
-                let mut v = lost(audit, |i| match i {
-                    0 => int_field(&db, "credentials", 1, "version") >= Some(1),
-                    _ => int_field(&db, "credentials", 1, "version") == Some(2),
-                });
-                check(&mut v, app.rotations_audited(1).unwrap(), || {
-                    "rotations_audited(1)".into()
-                });
-                v.extend(fsck_violations(&jumpserver::boot_fsck().run(&db)));
-                v
-            }
-        }),
-        recover: Box::new(move || app.recover_on_boot()),
-    }
-}
-
-fn redmine_case(db: &Database, seed: bool, mode: Mode) -> Driver {
-    let orm = redmine::setup(db).unwrap();
-    let app = Arc::new(redmine::Redmine::new(orm, mode));
-    if seed {
-        app.seed_issue(1, "crash oracle").unwrap();
-    }
-    let db = db.clone();
-    let (a, b, c) = (app.clone(), app.clone(), app.clone());
-    Driver {
-        ops: vec![
-            Box::new(move || {
-                a.add_attachment(1, "a.png")
-                    .map(|_| true)
-                    .map_err(|e| format!("{e:?}"))
-            }),
-            Box::new(move || {
-                b.add_attachment(1, "b.png")
-                    .map(|_| true)
-                    .map_err(|e| format!("{e:?}"))
-            }),
-            Box::new(move || {
-                c.advance_issue(1, 5, 50)
-                    .map(|_| true)
-                    .map_err(|e| format!("{e:?}"))
-            }),
-        ],
-        audit: Box::new({
-            let app = app.clone();
-            move |audit| {
-                let mut v = lost(audit, |i| match i {
-                    0 => rows_where(&db, "attachments", "issue_id", 1) >= 1,
-                    1 => rows_where(&db, "attachments", "issue_id", 1) >= 2,
-                    _ => int_field(&db, "issues", 1, "done_ratio") == Some(50),
-                });
-                check(&mut v, app.attachments_consistent(1).unwrap(), || {
-                    "attachments_consistent(1)".into()
-                });
-                v.extend(fsck_violations(&redmine::boot_fsck().run(&db)));
-                v
-            }
-        }),
-        recover: Box::new(move || app.recover_on_boot()),
-    }
-}
-
-fn saleor_case(db: &Database, seed: bool, mode: Mode) -> Driver {
-    let orm = saleor::setup(db).unwrap();
-    let app = Arc::new(saleor::Saleor::new(orm, Arc::new(MemLock::new()), mode));
-    if seed {
-        app.seed_stock(1, 10).unwrap();
-        app.seed_allocation(1, 1, 2).unwrap();
-        app.seed_capture(1, 1000).unwrap();
-    }
-    let db = db.clone();
-    let (a, b, c) = (app.clone(), app.clone(), app.clone());
-    Driver {
-        ops: vec![
-            Box::new(move || a.allocate(1).map_err(|e| format!("{e:?}"))),
-            Box::new(move || b.capture_payment(1, 300).map_err(|e| format!("{e:?}"))),
-            Box::new(move || c.capture_payment(1, 300).map_err(|e| format!("{e:?}"))),
-        ],
-        audit: Box::new({
-            let app = app.clone();
-            move |audit| {
-                let mut v = lost(audit, |i| match i {
-                    0 => int_field(&db, "stocks", 1, "qty") == Some(8),
-                    1 => int_field(&db, "captures", 1, "captured_cents") >= Some(300),
-                    _ => int_field(&db, "captures", 1, "captured_cents") == Some(600),
-                });
-                check(&mut v, app.capture_within_authorization(1).unwrap(), || {
-                    "capture_within_authorization(1)".into()
-                });
-                v.extend(fsck_violations(&saleor::boot_fsck().run(&db)));
-                v
-            }
-        }),
-        recover: Box::new(move || app.recover_on_boot()),
-    }
-}
-
-fn scm_case(db: &Database, seed: bool, mode: Mode) -> Driver {
-    let orm = scm_suite::setup(db).unwrap();
-    let app = Arc::new(scm_suite::ScmSuite::new(
-        orm,
-        Arc::new(MemLock::new()),
-        mode,
-    ));
-    if seed {
-        app.seed_account(1, 100).unwrap();
-        app.seed_account(2, 100).unwrap();
-        app.seed_merchandise(1, 10).unwrap();
-    }
-    let db = db.clone();
-    let (a, b, c) = (app.clone(), app.clone(), app.clone());
-    Driver {
-        ops: vec![
-            Box::new(move || a.transfer(1, 2, 30).map_err(|e| format!("{e:?}"))),
-            Box::new(move || {
-                b.track_stock(1, -4, true)
-                    .map(|o| o == adhoc_transactions::core::validation::CommitOutcome::Committed)
-                    .map_err(|e| format!("{e:?}"))
-            }),
-            Box::new(move || c.adjust_balance(1, 10).map_err(|e| format!("{e:?}"))),
-        ],
-        audit: Box::new({
-            let app = app.clone();
-            move |audit| {
-                let mut v = lost(audit, |i| match i {
-                    0 => int_field(&db, "accounts", 2, "balance") == Some(130),
-                    1 => int_field(&db, "merchandise", 1, "stock") == Some(6),
-                    _ => int_field(&db, "accounts", 1, "balance") == Some(80),
-                });
-                // Money is conserved across the crash: the transfer is one
-                // WAL-atomic commit, so the total is exactly the seeded 200
-                // plus the idempotence-free +10 adjustment if it applied.
-                // A resumed retry may legitimately re-apply the adjustment.
-                if !audit.resumed {
-                    let total = app.total_balance(&[1, 2]).unwrap();
-                    check(&mut v, total == 200 || total == 210, || {
-                        format!("conservation: total = {total}")
-                    });
-                }
-                v.extend(fsck_violations(&scm_suite::boot_fsck().run(&db)));
-                v
-            }
-        }),
-        recover: Box::new(move || app.recover_on_boot()),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The sweeps.
-// ---------------------------------------------------------------------------
-
-/// Sweep one app's workload in `mode`.
-fn sweep_in(name: &str, case: fn(&Database, bool, Mode) -> Driver, mode: Mode) -> Sweep {
-    sweep(name, &|db, seed| case(db, seed, mode))
-}
 
 #[test]
 fn spree_crash_sweep_surfaces_and_repairs_stuck_payments() {
-    let s = sweep_in("spree", spree_case, Mode::AdHoc);
+    let s = sweep("spree");
     if witness_filter().is_none() {
         // §4.3: the crash between "processing" and "completed" must appear
         // as a repaired finding for the durable-crash kind.
@@ -488,7 +68,7 @@ fn spree_crash_sweep_surfaces_and_repairs_stuck_payments() {
 
 #[test]
 fn broadleaf_crash_sweep_repairs_cart_totals() {
-    let s = sweep_in("broadleaf", broadleaf_case, Mode::AdHoc);
+    let s = sweep("broadleaf");
     if witness_filter().is_none() {
         assert!(
             s.repaired
@@ -502,7 +82,7 @@ fn broadleaf_crash_sweep_repairs_cart_totals() {
 
 #[test]
 fn discourse_crash_sweep_repairs_counters() {
-    let s = sweep_in("discourse", discourse_case, Mode::AdHoc);
+    let s = sweep("discourse");
     if witness_filter().is_none() {
         assert!(
             s.repaired
@@ -516,7 +96,7 @@ fn discourse_crash_sweep_repairs_counters() {
 
 #[test]
 fn jumpserver_crash_sweep_backfills_rotation_audits() {
-    let s = sweep_in("jumpserver", jumpserver_case, Mode::AdHoc);
+    let s = sweep("jumpserver");
     if witness_filter().is_none() {
         assert!(
             s.repaired
@@ -530,7 +110,7 @@ fn jumpserver_crash_sweep_backfills_rotation_audits() {
 
 #[test]
 fn mastodon_crash_sweep_is_clean_with_checked_delivery() {
-    let findings = sweep_in("mastodon", mastodon_case, Mode::AdHoc).findings;
+    let findings = sweep("mastodon").findings;
     if witness_filter().is_none() {
         // Every Mastodon op in the sweep re-reads durable state before
         // writing, so no crash point needs a repair.
@@ -540,7 +120,7 @@ fn mastodon_crash_sweep_is_clean_with_checked_delivery() {
 
 #[test]
 fn redmine_crash_sweep_is_clean_by_single_txn_discipline() {
-    let findings = sweep_in("redmine", redmine_case, Mode::AdHoc).findings;
+    let findings = sweep("redmine").findings;
     if witness_filter().is_none() {
         // Redmine pairs each counter bump with its row insert in ONE
         // transaction (the paper's only near-bug-free app): WAL atomicity
@@ -551,7 +131,7 @@ fn redmine_crash_sweep_is_clean_by_single_txn_discipline() {
 
 #[test]
 fn saleor_crash_sweep_never_overcaptures() {
-    let findings = sweep_in("saleor", saleor_case, Mode::AdHoc).findings;
+    let findings = sweep("saleor").findings;
     if witness_filter().is_none() {
         assert!(findings.is_empty(), "unexpected findings: {findings:?}");
     }
@@ -559,7 +139,7 @@ fn saleor_crash_sweep_never_overcaptures() {
 
 #[test]
 fn scm_crash_sweep_conserves_money() {
-    let findings = sweep_in("scm_suite", scm_case, Mode::AdHoc).findings;
+    let findings = sweep("scm_suite").findings;
     if witness_filter().is_none() {
         assert!(findings.is_empty(), "unexpected findings: {findings:?}");
     }
@@ -567,68 +147,58 @@ fn scm_crash_sweep_conserves_money() {
 
 // ---------------------------------------------------------------------------
 // Cured variants: the §7 layer must empty the catalog. Each sweep runs the
-// same workload in `Mode::Cured` and asserts ZERO findings — no invariant
-// violation at any crash point, no state for boot-fsck to repair (the
-// repairs the ad hoc sweeps above rely on must simply never be needed).
-// Every point stays replayable: `CRASH_ORACLE=spree_cured/torn-write/2`
-// addresses the cured variants exactly like the ad hoc ones.
+// same workload in `Mode::Cured`, and `sweep` asserts ZERO findings for a
+// cured case — no invariant violation at any crash point, no state for
+// boot-fsck to repair (the repairs the ad hoc sweeps above rely on must
+// simply never be needed). Every point stays replayable:
+// `CRASH_ORACLE=spree_cured/torn-write/2` addresses the cured variants
+// exactly like the ad hoc ones.
 // ---------------------------------------------------------------------------
-
-fn assert_cured_sweep_clean(name: &str, case: fn(&Database, bool, Mode) -> Driver) {
-    let s = sweep_in(name, case, Mode::Cured);
-    if witness_filter().is_none() {
-        assert!(
-            s.findings.is_empty() && s.repaired.is_empty(),
-            "{name}: the cure layer left work for boot-fsck: {:?}",
-            s.findings
-        );
-    }
-}
 
 #[test]
 fn spree_cured_crash_sweep_has_zero_findings() {
     // §4.3 [60] cured: the payment state machine advances in one atomic
     // transaction, so no crash point can strand a `processing` row.
-    assert_cured_sweep_clean("spree_cured", spree_case);
+    sweep("spree_cured");
 }
 
 #[test]
 fn broadleaf_cured_crash_sweep_has_zero_findings() {
     // Figure 1a cured: item insert + total recompute commit together.
-    assert_cured_sweep_clean("broadleaf_cured", broadleaf_case);
+    sweep("broadleaf_cured");
 }
 
 #[test]
 fn discourse_cured_crash_sweep_has_zero_findings() {
     // §4.2 cured: counter bumps ride the same commit as their rows.
-    assert_cured_sweep_clean("discourse_cured", discourse_case);
+    sweep("discourse_cured");
 }
 
 #[test]
 fn mastodon_cured_crash_sweep_has_zero_findings() {
-    assert_cured_sweep_clean("mastodon_cured", mastodon_case);
+    sweep("mastodon_cured");
 }
 
 #[test]
 fn jumpserver_cured_crash_sweep_has_zero_findings() {
     // The rotation audit is written with the version bump, not after it —
     // nothing for the backfill rule to do at any crash point.
-    assert_cured_sweep_clean("jumpserver_cured", jumpserver_case);
+    sweep("jumpserver_cured");
 }
 
 #[test]
 fn redmine_cured_crash_sweep_has_zero_findings() {
-    assert_cured_sweep_clean("redmine_cured", redmine_case);
+    sweep("redmine_cured");
 }
 
 #[test]
 fn saleor_cured_crash_sweep_has_zero_findings() {
-    assert_cured_sweep_clean("saleor_cured", saleor_case);
+    sweep("saleor_cured");
 }
 
 #[test]
 fn scm_cured_crash_sweep_has_zero_findings() {
-    assert_cured_sweep_clean("scm_suite_cured", scm_case);
+    sweep("scm_suite_cured");
 }
 
 // ---------------------------------------------------------------------------
@@ -640,16 +210,22 @@ fn scm_cured_crash_sweep_has_zero_findings() {
 /// SETNX marker. A restart loses the marker but keeps the durable row, so
 /// an at-least-once redelivery duplicates the notification — and the boot
 /// fsck's named rule (`mastodon:notifications-unique`) dedupes it.
+/// Mastodon on `db` in the paper's mode, with its own KV and the MEM lock.
+fn mastodon_app(db: &Database) -> mastodon::Mastodon {
+    let orm = mastodon::setup(db).unwrap();
+    mastodon::Mastodon::new(orm, kv(), Arc::new(MemLock::new()), Mode::AdHoc)
+}
+
 #[test]
 fn mastodon_volatile_marker_redelivery_is_found_and_deduped() {
     let db1 = wal_db();
-    let app1 = mastodon_app(&db1, Mode::AdHoc);
+    let app1 = mastodon_app(&db1);
     assert!(app1.notify_once(7, "follow").unwrap());
 
     // Crash-restart: the notification row replays from the WAL; the SETNX
     // marker lived in the volatile store and is gone.
     let db2 = wal_db();
-    let app2 = mastodon_app(&db2, Mode::AdHoc);
+    let app2 = mastodon_app(&db2);
     restart_from(&db1, &db2).unwrap();
 
     // The delivery queue redelivers; the marker race is lost.
@@ -715,9 +291,40 @@ fn scm_oversold_stock_is_reported_not_silently_fixed() {
 
 /// A replay spec names one crash point exactly: an unknown sweep, an
 /// unknown kind or a non-numeric `k` is refused rather than read as "no
-/// filter".
+/// filter". Every sweep of the registry is addressable, under a name no
+/// other sweep shares, and every app has an ad hoc and a cured sweep.
 #[test]
 fn crash_oracle_spec_names_exactly_one_point() {
+    let names: HashSet<_> = CASES.iter().map(|case| case.name).collect();
+    assert_eq!(names.len(), CASES.len(), "a sweep name repeats");
+    for app in [
+        "spree",
+        "broadleaf",
+        "discourse",
+        "jumpserver",
+        "mastodon",
+        "redmine",
+        "saleor",
+        "scm_suite",
+    ] {
+        for (name, mode) in [
+            (app.to_string(), Mode::AdHoc),
+            (format!("{app}_cured"), Mode::Cured),
+        ] {
+            assert!(
+                CASES
+                    .iter()
+                    .any(|case| case.name == name && case.mode == mode),
+                "no {mode:?} sweep `{name}`"
+            );
+        }
+    }
+    for case in CASES {
+        assert_eq!(
+            parse_witness(&format!("{}/torn-write/0", case.name)),
+            Ok((case.name.to_string(), FaultKind::TornWrite, 0))
+        );
+    }
     assert_eq!(
         parse_witness("spree_cured/torn-write/2"),
         Ok(("spree_cured".to_string(), FaultKind::TornWrite, 2))
