@@ -75,9 +75,9 @@ impl Mode {
 }
 
 /// Retry policy used by every `Mode::Cured` optimistic loop: effectively
-/// unbounded attempts (matching [`DBT_RETRIES`]' spirit) with short
-/// exponential backoff, so contended cured benchmarks never fail
-/// spuriously while conflicts still back off each other.
+/// unbounded attempts (in the spirit of the DBT variants' 1000 retries)
+/// with short exponential backoff, so contended cured benchmarks never
+/// fail spuriously while conflicts still back off each other.
 pub fn cured_policy() -> adhoc_sim::RetryPolicy {
     adhoc_sim::RetryPolicy::exponential(
         100_000,

@@ -20,7 +20,7 @@
 //!   layer, and a commutative delta. Its `adhoc`/`cured` rows are the
 //!   cure ablation.
 //!
-//! Every sweep is one per-iteration closure on [`measure`] and one list
+//! Every sweep is one per-iteration closure on `measure` and one list
 //! of [`ScalingRow`]s through `render_json`; `paper-eval bench-json`
 //! (`tools/bench.sh`) writes each as a `BENCH_*.json`, and
 //! `tools/check_scaling.py` compares cells of one fresh sweep with each

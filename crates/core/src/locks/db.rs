@@ -280,22 +280,14 @@ impl LockGuard for DbTableGuard {
 impl AdHocLock for DbTableLock {
     fn lock(&self, key: &str) -> Result<Guard, LockError> {
         let id = hash_key(key);
-        let mut timer = self.config.policy().timer("DB");
-        loop {
-            if self.try_acquire(key, id)? {
-                return Ok(Guard::new(Box::new(DbTableGuard {
-                    db: self.db.clone(),
-                    id,
-                    released: false,
-                    leak: false,
-                })));
-            }
-            if !timer.wait(None) {
-                return Err(LockError::Timeout {
-                    key: key.to_string(),
-                });
-            }
-        }
+        self.config
+            .poll("DB", key, || Ok(self.try_acquire(key, id)?.then_some(())))?;
+        Ok(Guard::new(Box::new(DbTableGuard {
+            db: self.db.clone(),
+            id,
+            released: false,
+            leak: false,
+        })))
     }
 
     fn label(&self) -> &'static str {
@@ -379,6 +371,27 @@ mod tests {
     fn db_table_mutual_exclusion() {
         let lock = DbTableLock::new(db()).with_config(fast());
         assert_eq!(mutual_exclusion_trial(&lock, "checkout", 4, 30), 4 * 30);
+    }
+
+    #[test]
+    fn contended_db_table_lock_polls_until_the_timeout() {
+        let timeout = Duration::from_millis(30);
+        let lock = DbTableLock::new(db()).with_config(AcquireConfig {
+            retry_interval: Duration::from_micros(200),
+            timeout,
+        });
+        let held = lock.lock("cart-9").unwrap();
+        let started = std::time::Instant::now();
+        assert_eq!(
+            lock.lock("cart-9").unwrap_err(),
+            LockError::Timeout {
+                key: "cart-9".into()
+            }
+        );
+        assert!(started.elapsed() >= timeout, "gave up before the timeout");
+        assert!(held.is_valid());
+        held.unlock().unwrap();
+        lock.lock("cart-9").unwrap().unlock().unwrap();
     }
 
     #[test]

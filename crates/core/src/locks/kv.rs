@@ -250,8 +250,7 @@ impl AdHocLock for KvSetNxLock {
         }
 
         let owner = fresh_owner();
-        let mut timer = self.config.policy().timer("KV-SETNX");
-        loop {
+        let token = self.config.poll("KV-SETNX", key, || {
             let mut token = None;
             let attempt = match self.ttl {
                 Some(ttl) if self.fenced => {
@@ -263,6 +262,7 @@ impl AdHocLock for KvSetNxLock {
                 Some(ttl) => self.client.set_nx_px(key, &owner, ttl),
                 None => self.client.set_nx(key, &owner),
             };
+            let backend = |e: KvError| LockError::Backend(e.to_string());
             let acquired = match attempt {
                 Ok(acquired) => acquired,
                 Err(KvError::ConnectionLost) if self.recover_ambiguous => {
@@ -270,37 +270,24 @@ impl AdHocLock for KvSetNxLock {
                     // whether our SETNX landed. On the fenced path the
                     // readback also recovers the granted token.
                     if self.fenced && self.ttl.is_some() {
-                        match self.client.lease_token(key, &owner) {
-                            Ok(grant) => {
-                                token = grant;
-                                grant.is_some()
-                            }
-                            Err(e) => return Err(LockError::Backend(e.to_string())),
-                        }
+                        token = self.client.lease_token(key, &owner).map_err(backend)?;
+                        token.is_some()
                     } else {
-                        match self.client.get(key) {
-                            Ok(current) => current.as_deref() == Some(owner.as_str()),
-                            Err(e) => return Err(LockError::Backend(e.to_string())),
-                        }
+                        let current = self.client.get(key).map_err(backend)?;
+                        current.as_deref() == Some(owner.as_str())
                     }
                 }
-                Err(e) => return Err(LockError::Backend(e.to_string())),
+                Err(e) => return Err(backend(e)),
             };
-            if acquired {
-                if self.reentrant {
-                    self.reentrancy.lock().insert(
-                        key.to_string(),
-                        (std::thread::current().id(), owner.clone(), 1),
-                    );
-                }
-                return Ok(self.guard(key, owner, token));
-            }
-            if !timer.wait(None) {
-                return Err(LockError::Timeout {
-                    key: key.to_string(),
-                });
-            }
+            Ok(acquired.then_some(token))
+        })?;
+        if self.reentrant {
+            self.reentrancy.lock().insert(
+                key.to_string(),
+                (std::thread::current().id(), owner.clone(), 1),
+            );
         }
+        Ok(self.guard(key, owner, token))
     }
 
     fn label(&self) -> &'static str {
@@ -342,42 +329,31 @@ impl KvMultiLock {
 impl AdHocLock for KvMultiLock {
     fn lock(&self, key: &str) -> Result<Guard, LockError> {
         let owner = fresh_owner();
-        let mut timer = self.config.policy().timer("KV-MULTI");
-        loop {
+        self.config.poll("KV-MULTI", key, || {
             // WATCH key; GET key; if free: MULTI; SET; EXEC.
+            let backend = |e: KvError| LockError::Backend(e.to_string());
             let mut session = self.client.session();
             session.watch(key);
-            let current = session
-                .get(key)
-                .map_err(|e| LockError::Backend(e.to_string()))?;
-            if current.is_none() {
-                session.multi();
-                match self.ttl {
-                    Some(ttl) => session.set_px(key, &owner, ttl),
-                    None => session.set(key, &owner),
-                }
-                let committed = session
-                    .exec()
-                    .map_err(|e| LockError::Backend(e.to_string()))?;
-                if committed {
-                    return Ok(Guard::new(Box::new(KvGuard {
-                        client: self.client.clone(),
-                        key: key.to_string(),
-                        owner,
-                        check_owner: true,
-                        leased: self.ttl.is_some(),
-                        released: false,
-                        token: None,
-                        reentrancy: None,
-                    })));
-                }
+            if session.get(key).map_err(backend)?.is_some() {
+                return Ok(None);
             }
-            if !timer.wait(None) {
-                return Err(LockError::Timeout {
-                    key: key.to_string(),
-                });
+            session.multi();
+            match self.ttl {
+                Some(ttl) => session.set_px(key, &owner, ttl),
+                None => session.set(key, &owner),
             }
-        }
+            Ok(session.exec().map_err(backend)?.then_some(()))
+        })?;
+        Ok(Guard::new(Box::new(KvGuard {
+            client: self.client.clone(),
+            key: key.to_string(),
+            owner,
+            check_owner: true,
+            leased: self.ttl.is_some(),
+            released: false,
+            token: None,
+            reentrancy: None,
+        })))
     }
 
     fn label(&self) -> &'static str {
@@ -572,6 +548,22 @@ mod tests {
         let g = lock.lock("k").unwrap();
         assert_eq!(g.fencing_token(), Some(1));
         g.unlock().unwrap();
+    }
+
+    #[test]
+    fn backend_error_returns_at_once_instead_of_polling() {
+        use adhoc_sim::{FaultKind, FaultPlan, FaultRule};
+        // A lost connection is not contention: without
+        // `recover_ambiguous_replies` the acquire surfaces it after its one
+        // SETNX instead of polling (and paying round trips) to the timeout.
+        let plan = FaultPlan::new(1, vec![FaultRule::at_ops(FaultKind::ConnError, &[0])]);
+        let c = client().with_faults(plan);
+        let lock = KvSetNxLock::new(c.clone()).with_config(fast_config());
+        assert_eq!(
+            lock.lock("k").unwrap_err(),
+            LockError::Backend(KvError::ConnectionLost.to_string())
+        );
+        assert_eq!(c.round_trips(), 1, "exactly the one failed SETNX");
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod mem;
 pub mod sync;
 pub mod watchdog;
 
-use adhoc_sim::{BackoffPolicy, RetryPolicy};
+use adhoc_sim::RetryPolicy;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -141,11 +141,29 @@ impl AcquireConfig {
     /// timeout, with ±25% deterministic jitter so contending acquirers
     /// don't re-collide in lockstep.
     pub fn policy(&self) -> RetryPolicy {
-        RetryPolicy::fixed(self.retry_interval, self.timeout).with_backoff(
-            BackoffPolicy::fixed(self.retry_interval)
-                .with_jitter(0.25)
-                .with_seed(adhoc_sim::rng::DEFAULT_SEED),
-        )
+        RetryPolicy::fixed(self.retry_interval, self.timeout).with_jitter(0.25)
+    }
+
+    /// Poll `attempt` under [`policy`](Self::policy) until it acquires
+    /// `key`. `Ok(None)` means the key is held elsewhere: the poll backs
+    /// off and tries again, and gives up with [`LockError::Timeout`] once
+    /// the timeout has passed. An error (the backend failed) returns at
+    /// once.
+    fn poll<T>(
+        &self,
+        label: &'static str,
+        key: &str,
+        mut attempt: impl FnMut() -> Result<Option<T>, LockError>,
+    ) -> Result<T, LockError> {
+        self.policy()
+            .run(label, None, Option::is_none, |_| {
+                attempt().map_err(Some)?.ok_or(None)
+            })
+            .map_err(|give_up| {
+                give_up.error.unwrap_or_else(|| LockError::Timeout {
+                    key: key.to_string(),
+                })
+            })
     }
 }
 
@@ -294,6 +312,9 @@ mod tests {
     fn acquire_config_defaults_are_sane() {
         let c = AcquireConfig::default();
         assert!(c.retry_interval < c.timeout);
+        // The schedule `adhoc_sim::retry`'s golden delays pin for locks.
+        let schedule = RetryPolicy::fixed(Duration::from_millis(5), Duration::from_secs(10));
+        assert_eq!(c.policy(), schedule.with_jitter(0.25));
     }
 
     #[test]

@@ -119,7 +119,7 @@ struct Bucket {
 /// shape production gateways converge on once the fixed-window race bites.
 ///
 /// The table keeps only clients being limited: full buckets are dropped
-/// before it would grow (exactly — see [`full_at`](Self::full_at)).
+/// before it would grow (exactly — see `full_at`).
 pub struct TokenBucketLimiter {
     clock: SharedClock,
     rate_millitokens_per_sec: u64,

@@ -18,7 +18,8 @@
 //!   the substrates consult per operation, so the §3.4 failure-handling
 //!   paths can be exercised and replayed bit-for-bit.
 //! * [`retry`] — the single [`RetryPolicy`] (bounded attempts, deadline,
-//!   deterministic backoff jitter) shared by every coordination path.
+//!   capped backoff with deterministic jitter) and its one loop,
+//!   [`RetryPolicy::run`], shared by every coordination path.
 //! * [`sched`] — a cooperative deterministic scheduler plus an interleaving
 //!   explorer, so the paper's races are found and replayed by *schedule*
 //!   (compact `SCHED=` witness strings), not by wall-clock luck.
@@ -50,7 +51,7 @@ pub use resilience::{
     BreakerState, CircuitBreaker, Deadline, DoorStats, FrontDoor, Permit, Rejected, RetryBudget,
     SlotCounter, Workload,
 };
-pub use retry::{BackoffPolicy, GiveUp, RetryObserver, RetryPolicy, RetryTimer};
+pub use retry::{GiveUp, RetryObserver, RetryPolicy};
 pub use sched::{
     record, replay, yield_point, CounterExample, Exploration, Explorer, SchedPoint, Trial,
 };

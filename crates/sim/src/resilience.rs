@@ -90,25 +90,23 @@ impl Deadline {
 // ---------------------------------------------------------------------------
 
 /// A token-bucket retry budget: first attempts are always free, *retries*
-/// withdraw a token, and successes deposit a configurable fraction of one.
+/// withdraw a token, and successes deposit about a tenth of one.
 ///
 /// Shared (via `Arc`) by every retry loop that targets the same backend,
 /// the bucket bounds the fleet-wide retry amplification factor: with a
-/// deposit rate of `ppk` parts-per-1024 per success, steady-state retry
-/// traffic can be at most `ppk/1024` of the success traffic, and a burst
-/// can draw at most the bucket capacity. That is what turns a fault storm
+/// deposit of 102/1024 of a token per success, steady-state retry
+/// traffic can be at most ~10% of the success traffic, and a burst can
+/// draw at most the bucket capacity. That is what turns a fault storm
 /// into a bounded error spike instead of a self-sustaining retry storm.
 ///
 /// Deterministic: pure integer arithmetic, no clock, no randomness. Token
-/// accounting is in millitokens so fractional deposit rates stay exact.
+/// accounting is in millitokens so a fractional deposit needs no floats.
 #[derive(Debug)]
 pub struct RetryBudget {
     /// Bucket capacity, in millitokens.
     capacity: u64,
     /// Current balance, in millitokens.
     balance: AtomicU64,
-    /// Deposit per recorded success, in millitokens.
-    deposit: u64,
     /// Retries granted.
     granted: AtomicU64,
     /// Retries denied (budget empty).
@@ -118,20 +116,18 @@ pub struct RetryBudget {
 /// One retry withdraws this many millitokens.
 const RETRY_COST: u64 = 1000;
 
+/// One success deposits 102/1024 of a retry (the classic 10% retry
+/// ratio), in millitokens: 99 after integer truncation.
+const DEPOSIT: u64 = 102 * RETRY_COST / 1024;
+
 impl RetryBudget {
     /// A budget holding `capacity` retry tokens, starting full, earning
-    /// 10% of a token per success (the classic 10% retry ratio).
+    /// 102/1024 of a token per success.
     pub fn new(capacity: u32) -> Self {
-        Self::with_deposit_ppk(capacity, 102)
-    }
-
-    /// A budget earning `ppk` parts-per-1024 of a token per success.
-    pub fn with_deposit_ppk(capacity: u32, ppk: u32) -> Self {
         let capacity = u64::from(capacity) * RETRY_COST;
         Self {
             capacity,
             balance: AtomicU64::new(capacity),
-            deposit: u64::from(ppk) * RETRY_COST / 1024,
             granted: AtomicU64::new(0),
             denied: AtomicU64::new(0),
         }
@@ -153,7 +149,7 @@ impl RetryBudget {
     /// Record one success, earning the deposit fraction back (saturating
     /// at capacity).
     pub fn deposit(&self) {
-        let earn = |b: u64| Some((b + self.deposit).min(self.capacity)).filter(|&next| next != b);
+        let earn = |b: u64| Some((b + DEPOSIT).min(self.capacity)).filter(|&next| next != b);
         let _ = self
             .balance
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, earn);
@@ -572,7 +568,7 @@ mod tests {
         assert!(!b.try_withdraw(), "capacity is a hard burst bound");
         assert_eq!(b.granted(), 3);
         assert_eq!(b.denied(), 1);
-        // Successes at the default ~10% deposit rate (99 millitokens
+        // Successes at the ~10% deposit rate (99 millitokens
         // after integer truncation) earn one retry back after 11.
         for _ in 0..11 {
             b.deposit();
@@ -583,7 +579,8 @@ mod tests {
 
     #[test]
     fn budget_deposit_saturates_at_capacity() {
-        let b = RetryBudget::with_deposit_ppk(2, 1024);
+        let b = RetryBudget::new(2);
+        assert!(b.try_withdraw() && b.try_withdraw());
         for _ in 0..100 {
             b.deposit();
         }

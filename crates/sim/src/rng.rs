@@ -51,7 +51,7 @@ fn splitmix_hash(mut z: u64) -> u64 {
 
 /// YCSB-style zipfian generator over `0..n`.
 ///
-/// Rank 0 is the most popular item; with the default `theta = 0.99` the top
+/// Rank 0 is the most popular item; with YCSB's skew `theta = 0.99` the top
 /// item draws a few percent of all samples from a million-item population,
 /// which is the skew the paper's subject apps see on hot rows (a viral post,
 /// a flash-sale SKU). `next_scrambled` spreads the popular ranks across the
@@ -60,47 +60,37 @@ fn splitmix_hash(mut z: u64) -> u64 {
 #[derive(Debug, Clone)]
 pub struct Zipfian {
     n: u64,
-    theta: f64,
     alpha: f64,
     zeta_n: f64,
     eta: f64,
 }
 
 impl Zipfian {
-    /// YCSB's default skew parameter.
-    pub const DEFAULT_THETA: f64 = 0.99;
+    /// YCSB's skew parameter, the one every workload draws with.
+    pub const THETA: f64 = 0.99;
 
-    /// A zipfian distribution over `0..n` with the default skew.
+    /// A zipfian distribution over `0..n` with skew [`Self::THETA`].
     pub fn new(n: u64) -> Self {
-        Self::with_theta(n, Self::DEFAULT_THETA)
-    }
-
-    /// A zipfian distribution over `0..n` with skew `theta` in `(0, 1)`.
-    pub fn with_theta(n: u64, theta: f64) -> Self {
         assert!(n > 0, "zipfian population must be non-empty");
-        assert!(
-            (0.0..1.0).contains(&theta),
-            "theta must be in [0, 1) — use Uniform for theta = 0"
-        );
-        let zeta_n = Self::zeta(n, theta);
-        let zeta_2 = Self::zeta(2.min(n), theta);
+        let theta = Self::THETA;
+        let zeta_n = Self::zeta(n);
+        let zeta_2 = Self::zeta(2.min(n));
         let alpha = 1.0 / (1.0 - theta);
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta_2 / zeta_n);
         Self {
             n,
-            theta,
             alpha,
             zeta_n,
             eta,
         }
     }
 
-    fn zeta(n: u64, theta: f64) -> f64 {
+    fn zeta(n: u64) -> f64 {
         // O(n) precompute; fine for the populations we model (≤ a few
         // million) because it runs once per harness construction.
         let mut sum = 0.0;
         for i in 1..=n {
-            sum += 1.0 / (i as f64).powf(theta);
+            sum += 1.0 / (i as f64).powf(Self::THETA);
         }
         sum
     }
@@ -117,7 +107,7 @@ impl Zipfian {
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5_f64.powf(self.theta) {
+        if uz < 1.0 + 0.5_f64.powf(Self::THETA) {
             return 1;
         }
         let rank = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
@@ -330,7 +320,7 @@ mod tests {
 
     #[test]
     fn zipfian_ranks_stay_in_range() {
-        let z = Zipfian::with_theta(37, 0.8);
+        let z = Zipfian::new(37);
         let mut rng = seeded(3);
         for _ in 0..5_000 {
             assert!(z.next_rank(&mut rng) < 37);

@@ -5,8 +5,8 @@
 //! ## Sharded commit spine
 //!
 //! All row state — version chains and the commit-log entries certification
-//! walks — is hash-partitioned into [`SHARD_COUNT`](crate::shard::SHARD_COUNT)
-//! shards by `(table, primary key)` ([`crate::shard::shard_of`]). A
+//! walks — is hash-partitioned into [`SHARD_COUNT`] shards by
+//! `(table, primary key)` ([`crate::shard::shard_of`]). A
 //! committing transaction locks only the shards its footprint touches, in
 //! ascending shard-index order (deadlock-free by construction), validates
 //! against those shards' logs, and installs its versions there, pruning
@@ -15,8 +15,8 @@
 //! Commits with disjoint footprints proceed in parallel with no shared
 //! lock; the old engine-global `commit_gate` is gone.
 //!
-//! Commit timestamps are dense draws from one shared counter (see
-//! [`crate::epoch`]), taken while the shard locks are held, so each
+//! Commit timestamps are dense draws from one shared counter (see the
+//! `epoch` module), taken while the shard locks are held, so each
 //! shard's log stays timestamp-ordered. Because commits retire out of
 //! order *across* shards, snapshots come from a separate `applied`
 //! watermark that only advances once every commit at or below it has
@@ -77,7 +77,7 @@ use crate::wal::Wal;
 use crate::Result;
 use adhoc_sim::latency::Cost;
 use adhoc_sim::sched::SchedPoint;
-use adhoc_sim::{BackoffPolicy, FaultKind, OpClass, RetryPolicy, Transport};
+use adhoc_sim::{FaultKind, OpClass, RetryPolicy, Transport};
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -702,46 +702,22 @@ impl Database {
         }
     }
 
-    /// The default [`RetryPolicy`] for `max_retries` retries of a DBT:
-    /// capped exponential backoff with deterministic jitter (seeded from
-    /// the workspace default seed; per-loop streams decorrelate threads) so
-    /// symmetric deadlock victims don't re-collide forever.
-    pub fn retry_policy(max_retries: usize) -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: Some(max_retries as u32 + 1),
-            backoff: BackoffPolicy::exponential(
-                std::time::Duration::from_micros(25),
-                std::time::Duration::from_micros(800),
-            )
-            .with_jitter(0.5)
-            .with_seed(adhoc_sim::rng::DEFAULT_SEED),
-            deadline: None,
-        }
-    }
-
     /// Like [`run`](Self::run), retrying on retryable errors (deadlock /
-    /// serialization failure / lock timeout) up to `max_retries` times.
-    /// Shorthand for [`run_with_policy`](Self::run_with_policy) with
-    /// [`retry_policy(max_retries)`](Self::retry_policy).
+    /// serialization failure / lock timeout) up to `max_retries` times
+    /// under one [`RetryPolicy`]: capped exponential backoff with
+    /// deterministic jitter (per-loop streams decorrelate threads) so
+    /// symmetric deadlock victims don't re-collide forever. On give-up the
+    /// last error is returned, exactly as the studied DBT wrappers re-raise
+    /// the driver exception.
     pub fn run_with_retries<R>(
         &self,
         iso: IsolationLevel,
         max_retries: usize,
-        f: impl FnMut(&mut Transaction) -> Result<R>,
-    ) -> Result<R> {
-        self.run_with_policy(iso, &Self::retry_policy(max_retries), f)
-    }
-
-    /// Like [`run`](Self::run), driven by an explicit [`RetryPolicy`]. On
-    /// give-up the last error is returned, exactly as the studied DBT
-    /// wrappers re-raise the driver exception.
-    pub fn run_with_policy<R>(
-        &self,
-        iso: IsolationLevel,
-        policy: &RetryPolicy,
         mut f: impl FnMut(&mut Transaction) -> Result<R>,
     ) -> Result<R> {
-        policy
+        let backoff = Duration::from_micros;
+        RetryPolicy::exponential(max_retries as u32 + 1, backoff(25), backoff(800))
+            .with_jitter(0.5)
             .run("dbt", None, DbError::is_retryable, |_attempt| {
                 self.run(iso, &mut f)
             })

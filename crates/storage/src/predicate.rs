@@ -55,7 +55,7 @@ impl Predicate {
         }
     }
 
-    /// Evaluate against a row: [`bind`](Self::bind), then match. Callers
+    /// Evaluate against a row: `bind`, then match. Callers
     /// with many rows bind once and match each.
     pub fn matches(&self, schema: &Schema, row: &Row) -> Result<bool> {
         Ok(self.bind(schema)?.matches(row))

@@ -2,10 +2,10 @@
 //!
 //! Statement semantics vary by engine profile and isolation level exactly
 //! where the paper's arguments need them to. The matrix is decided once, in
-//! [`Rules`](crate::engine::Rules); each statement reads the rule it needs
-//! from the transaction's copy. Writes buffer in a per-transaction write
-//! set; record locks are taken at statement time (strict 2PL) and released
-//! at commit/abort.
+//! `engine::Rules`; each statement reads the rule it needs from the
+//! transaction's copy. Writes buffer in a per-transaction write set;
+//! record locks are taken at statement time (strict 2PL) and released at
+//! commit/abort.
 //!
 //! Commit runs the sharded validation protocol: the transaction locks the
 //! row-state shards its [`footprint`](Transaction::footprint) touches (in

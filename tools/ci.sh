@@ -10,10 +10,12 @@ cargo fmt --all --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-# Doc links: a link left pointing at a renamed or deleted item fails here,
-# in every workspace crate, the shims included.
-echo "==> cargo doc (broken intra-doc links are errors)"
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --offline \
+# Doc links: a link left pointing at a renamed or deleted item, at a
+# private item from public docs, or spelling out the target its text
+# already names fails here, in every workspace crate, the shims included.
+echo "==> cargo doc (broken, private and redundant intra-doc links are errors)"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links \
+  -D rustdoc::redundant_explicit_links" cargo doc --no-deps --offline \
   -p adhoc-transactions -p adhoc-sim -p adhoc-kv -p adhoc-storage -p adhoc-orm -p adhoc-core \
   -p adhoc-apps -p adhoc-service -p adhoc-traffic -p adhoc-bench -p adhoc-study \
   -p proptest -p parking_lot -p rand -p serde -p serde_derive
