@@ -208,12 +208,7 @@ pub const STRIPE_COUNT: usize = 16;
 /// stripes acquire them in ascending index order (deadlock-free, like the
 /// storage engine's shard protocol).
 pub fn stripe_of(key: &str) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    (h % STRIPE_COUNT as u64) as usize
+    (adhoc_sim::rng::fnv1a(key.as_bytes()) % STRIPE_COUNT as u64) as usize
 }
 
 #[derive(Debug, Clone)]

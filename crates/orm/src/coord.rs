@@ -144,12 +144,7 @@ impl Coordinator {
 /// same mapping `pg_advisory_lock(hashtext(...))` deployments use. Every
 /// lock-row id is this hash too: `adhoc_core`'s `SFU` and `DB` locks.
 pub fn hash_key(key: &str) -> i64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h & (i64::MAX as u64)) as i64
+    (adhoc_sim::rng::fnv1a(key.as_bytes()) & (i64::MAX as u64)) as i64
 }
 
 #[cfg(test)]

@@ -9,9 +9,9 @@
 //!   cost weight and a read/write classification, so a mixed workload can
 //!   be composed from per-endpoint weights.
 //! * [`SessionPool`] — a bounded pool of pooled connections, each a borrow
-//!   of the pool's [`Transport`](adhoc_sim::Transport) shim (one service
-//!   round trip per request), bounded by an
-//!   [`adhoc_sim::SlotCounter`].
+//!   of the pool's [`Transport`](adhoc_sim::Transport) shim, bounded by an
+//!   [`adhoc_sim::SlotCounter`]. [`Service`] does not use it: it serves one
+//!   request at a time, so no pool in front of its transport could refuse.
 //! * [`RateLimiter`] — per-client admission written both ways: the racy
 //!   fixed-window counter over the KV store (two round trips, a
 //!   check-then-act ad hoc transaction — catalog case) and the token
@@ -20,7 +20,9 @@
 //!   queue-depth caps at arrival, deadline-aware shedding at service, a
 //!   [`RetryBudget`](adhoc_sim::RetryBudget) around handler retries, and
 //!   a read-only degraded mode checked at both. It serves one request at
-//!   a time, so the only in-flight bound it needs is the session pool's.
+//!   a time over one service [`Transport`](adhoc_sim::Transport) (one
+//!   round trip per request, behind the arm's circuit breaker), so it
+//!   needs no in-flight bound.
 //!   [`StackConfig`] selects the naive / breaker-only / full ablation the
 //!   metastability bench sweeps.
 //!
@@ -53,8 +55,6 @@ pub enum ServiceError {
     /// The service is in read-only degraded mode and the request carried
     /// a write.
     ReadOnly,
-    /// The session pool had no free connection.
-    PoolExhausted,
     /// The service-side circuit breaker is open.
     CircuitOpen,
     /// The handler failed in the backend and retries were exhausted (or
@@ -69,7 +69,6 @@ impl std::fmt::Display for ServiceError {
             ServiceError::QueueFull => write!(f, "arrival queue full"),
             ServiceError::Shed => write!(f, "shed past deadline"),
             ServiceError::ReadOnly => write!(f, "write refused in read-only degraded mode"),
-            ServiceError::PoolExhausted => write!(f, "session pool exhausted"),
             ServiceError::CircuitOpen => write!(f, "service circuit breaker open"),
             ServiceError::Backend(msg) => write!(f, "backend failure: {msg}"),
         }

@@ -349,10 +349,7 @@ mod tests {
     /// SplitMix64: a seeded stream without a dependency on `rand`.
     fn splitmix(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        adhoc_sim::rng::splitmix64(*state)
     }
 
     /// Drive the evicting limiter and the oracle with one seeded stream —

@@ -2,13 +2,14 @@
 //!
 //! Every session borrows the pool's one [`Transport`] shim — the same
 //! wire discipline the KV client uses, wired to
-//! [`Cost::ServiceRoundTrip`](adhoc_sim::latency::Cost) — so every request
-//! pays exactly one service round trip through whichever pooled
-//! connection it drew. The pool is the first bounded resource a request
-//! meets: when every connection is busy the caller learns immediately
+//! [`Cost::ServiceRoundTrip`](adhoc_sim::latency::Cost) — so a caller pays
+//! exactly one service round trip through whichever pooled connection it
+//! drew. When every connection is busy the caller learns immediately
 //! (fail-fast), instead of queueing invisibly inside a connection layer.
 //! The bound is an [`adhoc_sim::SlotCounter`], the slot count under
-//! [`adhoc_sim::FrontDoor`] too.
+//! [`adhoc_sim::FrontDoor`] too. [`Service`](crate::Service) serves one
+//! request at a time and holds its transport directly; the pool is for
+//! callers that serve several at once.
 
 use adhoc_sim::{Permit, SlotCounter, Transport};
 

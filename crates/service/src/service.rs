@@ -2,15 +2,16 @@
 //!
 //! A request's life: **arrival** (`offer`) — rate limiter, read-only
 //! degradation, queue-depth cap; then **service** (`run_tick`) — deadline
-//! shedding, read-only degradation again, session pool, the handler
-//! itself with budgeted retries. The [`StackConfig`] presets
-//! (`naive` / `breaker_only` / `full`) are the ablation arms the traffic
-//! bench sweeps: the same applications, the same arrival stream, only the
-//! front-door discipline differs.
+//! shedding, read-only degradation again, the service transport (its
+//! breaker, when the arm has one, and one round trip), the handler itself
+//! with budgeted retries. Requests are served one at a time, so a request
+//! holds the one transport without a connection pool in front of it. The
+//! [`StackConfig`] presets (`naive` / `breaker_only` / `full`) are the
+//! ablation arms the traffic bench sweeps: the same applications, the
+//! same arrival stream, only the front-door discipline differs.
 
 use crate::endpoint::{Endpoint, Request};
 use crate::limiter::{FixedWindowLimiter, RateLimiter, TokenBucketLimiter};
-use crate::pool::SessionPool;
 use crate::ServiceError;
 use adhoc_apps::Mode;
 use adhoc_apps::{broadleaf, discourse, jumpserver, mastodon, redmine, saleor, scm_suite, spree};
@@ -148,7 +149,9 @@ pub struct Service {
     /// Read-only degraded mode: writes are refused at `offer` and again
     /// at `serve`.
     read_only: AtomicBool,
-    pool: SessionPool,
+    /// The service connection every request crosses: one round trip,
+    /// behind the arm's circuit breaker when it has one.
+    transport: Transport,
     retry_budget: Option<RetryBudget>,
     queue: Mutex<VecDeque<Request>>,
     accepted: AtomicU64,
@@ -160,10 +163,6 @@ pub struct Service {
 }
 
 const SEED_STOCK: i64 = 1_000_000_000;
-/// Session-pool size in every arm (bounded even in the naive one — a
-/// connection pool is table stakes, the question is what happens behind
-/// it).
-const POOL_SIZE: usize = 64;
 /// Handler retry attempts (beyond the first) when the backend errors.
 const HANDLER_RETRIES: u32 = 2;
 
@@ -199,7 +198,7 @@ impl Service {
             objects,
             limiter,
             read_only: AtomicBool::new(false),
-            pool: SessionPool::new(transport, POOL_SIZE),
+            transport,
             retry_budget: config.retry_budget.then(|| RetryBudget::new(64)),
             queue: Mutex::new(VecDeque::new()),
             config,
@@ -359,25 +358,22 @@ impl Service {
         completions
     }
 
-    /// Serve one request end to end: read-only check, pool, wire, handler
-    /// with (budgeted) retries.
+    /// Serve one request end to end: read-only check, wire, handler with
+    /// (budgeted) retries.
     fn serve(&self, req: &Request) -> Result<(), ServiceError> {
         if self.refuses(req.endpoint) {
             return Err(ServiceError::ReadOnly);
         }
-        let Some(session) = self.pool.try_acquire() else {
-            return Err(ServiceError::PoolExhausted);
-        };
-        session.transport().admit().map_err(|e| match e {
+        self.transport.admit().map_err(|e| match e {
             adhoc_sim::TransportError::CircuitOpen => ServiceError::CircuitOpen,
             adhoc_sim::TransportError::DeadlineExceeded => ServiceError::Shed,
         })?;
-        session.transport().pay();
+        self.transport.pay();
         let mut attempt = 0;
         loop {
             match self.dispatch(req) {
                 Ok(()) => {
-                    session.transport().record_outcome(false);
+                    self.transport.record_outcome(false);
                     if let Some(budget) = &self.retry_budget {
                         budget.deposit();
                     }
@@ -386,12 +382,12 @@ impl Service {
                 Err(msg) => {
                     attempt += 1;
                     if attempt > HANDLER_RETRIES {
-                        session.transport().record_outcome(true);
+                        self.transport.record_outcome(true);
                         return Err(ServiceError::Backend(msg));
                     }
                     if let Some(budget) = &self.retry_budget {
                         if !budget.try_withdraw() {
-                            session.transport().record_outcome(true);
+                            self.transport.record_outcome(true);
                             return Err(ServiceError::Backend(msg));
                         }
                     }

@@ -395,16 +395,14 @@ impl FaultPlan {
     /// `(seed, rule, class, op index)` — no shared RNG stream, so thread
     /// interleaving cannot change any individual decision.
     fn roll(&self, rule: usize, class: OpClass, op: u64) -> u32 {
-        let mut z = self
-            .inner
-            .seed
-            .wrapping_add(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add((rule as u64 + 1).wrapping_mul(0xbf58_476d_1ce4_e5b9))
-            .wrapping_add((class.index() as u64 + 1).wrapping_mul(0x94d0_49bb_1331_11eb))
-            .wrapping_add(op.wrapping_mul(0x2545_f491_4f6c_dd1d));
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
+        let z = crate::rng::splitmix64(
+            self.inner
+                .seed
+                .wrapping_add(0x9e37_79b9_7f4a_7c15)
+                .wrapping_add((rule as u64 + 1).wrapping_mul(0xbf58_476d_1ce4_e5b9))
+                .wrapping_add((class.index() as u64 + 1).wrapping_mul(0x94d0_49bb_1331_11eb))
+                .wrapping_add(op.wrapping_mul(0x2545_f491_4f6c_dd1d)),
+        );
         (z >> 32) as u32
     }
 

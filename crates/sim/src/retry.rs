@@ -188,13 +188,12 @@ impl RetryPolicy {
 
 /// The jitter hash of `(stream, attempt)` under the workspace seed.
 fn mix(stream: u64, attempt: u32) -> u64 {
-    let mut z = crate::rng::DEFAULT_SEED
-        .wrapping_add(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(stream.wrapping_mul(0xbf58_476d_1ce4_e5b9))
-        .wrapping_add(u64::from(attempt).wrapping_mul(0x94d0_49bb_1331_11eb));
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    crate::rng::splitmix64(
+        crate::rng::DEFAULT_SEED
+            .wrapping_add(0x9e37_79b9_7f4a_7c15)
+            .wrapping_add(stream.wrapping_mul(0xbf58_476d_1ce4_e5b9))
+            .wrapping_add(u64::from(attempt).wrapping_mul(0x94d0_49bb_1331_11eb)),
+    )
 }
 
 /// `x << shift` that saturates at `u64::MAX` instead of wrapping.

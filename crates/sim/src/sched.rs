@@ -166,14 +166,11 @@ pub fn yield_instead_of_sleep() -> bool {
 // Scheduling policies
 // ---------------------------------------------------------------------------
 
-/// SplitMix64 step — the same mixer as [`crate::rng`], so schedules are a
-/// pure function of their seed.
+/// SplitMix64 step — [`crate::rng::splitmix64`] of the advanced state, so
+/// schedules are a pure function of their seed.
 fn mix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    crate::rng::splitmix64(*state)
 }
 
 /// How the next runnable task is chosen at each step.

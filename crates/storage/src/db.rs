@@ -121,11 +121,6 @@ pub(crate) struct Shard {
 /// A shard refreshes the reclamation horizon every this many installs.
 pub(crate) const PRUNE_EVERY: u32 = 32;
 
-/// Shards a committer writes of a pending WAL checkpoint: a checkpoint is
-/// spread over `SHARD_COUNT / CHECKPOINT_STEP` commits, so no one commit
-/// pays for a pass over every row.
-const CHECKPOINT_STEP: usize = 8;
-
 /// Stripe count for the active-transaction registry (begin/finish touch one
 /// stripe; only pruning and crash simulation touch them all).
 const ACTIVE_STRIPES: usize = 16;
@@ -205,10 +200,9 @@ pub(crate) struct DbInner {
     /// from committed state and — like the lock table — forgotten on
     /// crash. See [`crate::escrow`].
     pub(crate) escrow: crate::escrow::EscrowLedger,
-    /// The next shard the open WAL checkpoint writes (0 when none is
-    /// open). Held while shard frames are written, so one writer at a
-    /// time advances it.
-    checkpoint: Mutex<usize>,
+    /// The one WAL checkpoint writer: held from the checkpoint's start to
+    /// its end, so no checkpoint is left open when it is released.
+    checkpoint: Mutex<()>,
 }
 
 /// The table catalog: an append-only list of table handles, read without
@@ -339,7 +333,7 @@ impl Database {
                 wal,
                 commit_flush,
                 escrow: crate::escrow::EscrowLedger::default(),
-                checkpoint: Mutex::new(0),
+                checkpoint: Mutex::new(()),
                 commits: AtomicU64::new(0),
                 aborts: AtomicU64::new(0),
                 serialization_failures: AtomicU64::new(0),
@@ -895,9 +889,9 @@ impl Database {
     /// installed under its rows' shard guards, so the version a frame
     /// carries is at least as new as any record of that row the
     /// truncation drops; records the checkpoint races replay over it by
-    /// commit timestamp. A checkpoint committers have begun (they write
-    /// one a few shards at a time once the log has grown enough) is
-    /// finished rather than restarted.
+    /// commit timestamp. A commit whose append finds one due writes it the
+    /// same way, whole, once it has released its locks: one writer at a
+    /// time, and no checkpoint is left open between two calls.
     /// Returns false when the database has no WAL.
     pub fn checkpoint(&self) -> bool {
         self.write_checkpoint(CheckpointEnd::Truncate)
@@ -905,37 +899,28 @@ impl Database {
 
     /// [`checkpoint`](Self::checkpoint), ending as `end` says.
     pub(crate) fn write_checkpoint(&self, end: CheckpointEnd) -> bool {
-        let mut next = self.inner.checkpoint.lock();
-        self.checkpoint_shards(&mut next, SHARD_COUNT, end)
+        self.checkpoint_with(Wal::begin_checkpoint, end)
     }
 
-    /// A committer's share of a pending checkpoint: the next
-    /// `CHECKPOINT_STEP` shards, unless another committer is writing some.
-    /// The flag is read again under the cursor: the committer that ended
-    /// the checkpoint cleared it there, so a committer that read it set
-    /// just before does not open a checkpoint nobody asked for.
-    pub(crate) fn checkpoint_step(&self) {
-        let Some(mut next) = self.inner.checkpoint.try_lock() else {
-            return;
-        };
-        if self.wal().is_some_and(Wal::checkpoint_pending) {
-            self.checkpoint_shards(&mut next, CHECKPOINT_STEP, CheckpointEnd::Truncate);
-        }
+    /// The checkpoint a commit's append reported due, written whole after
+    /// the commit released its locks. It opens only if it is still due:
+    /// another writer may have ended it since the report.
+    pub(crate) fn write_due_checkpoint(&self) -> bool {
+        self.checkpoint_with(Wal::begin_due_checkpoint, CheckpointEnd::Truncate)
     }
 
-    /// Write the frames of up to `shards` more shards of the open
-    /// checkpoint, from shard `next`, opening one if none is, and end it
-    /// as `end` says once every shard is written. Returns whether it
-    /// ended one.
-    fn checkpoint_shards(&self, next: &mut usize, shards: usize, end: CheckpointEnd) -> bool {
+    /// Under the writer lock, open a checkpoint with `begin`, write every
+    /// shard's frame and end it as `end` says. Returns whether it wrote
+    /// one.
+    fn checkpoint_with(&self, begin: fn(&Wal) -> Option<usize>, end: CheckpointEnd) -> bool {
         let Some(wal) = self.wal() else {
             return false;
         };
-        if *next == 0 && wal.begin_checkpoint().is_none() {
+        let _writer = self.inner.checkpoint.lock();
+        if begin(wal).is_none() {
             return false;
         }
-        let to = (*next + shards).min(SHARD_COUNT);
-        for shard in &self.inner.shards[*next..to] {
+        for shard in &self.inner.shards {
             let shard = shard.lock();
             if shard.rows.is_empty() {
                 continue;
@@ -954,11 +939,6 @@ impl Database {
                 }
             });
         }
-        if to < SHARD_COUNT {
-            *next = to;
-            return false;
-        }
-        *next = 0;
         let end_lsn = wal.end_checkpoint();
         match end {
             CheckpointEnd::Truncate => {
@@ -1573,17 +1553,47 @@ mod tests {
         assert_eq!(row.values[1].as_int(), -1, "the commit after it");
     }
 
-    /// A committer that read the pending flag just before another ended
-    /// the checkpoint finds it clear under the cursor, and opens none.
+    /// One committer: the commit whose append finds a checkpoint due
+    /// returns with that checkpoint written whole. The log then holds it
+    /// and nothing else: it ended, its end frame is durable, and the
+    /// records below its start, that commit's own included, are gone.
     #[test]
-    fn a_stale_pending_flag_opens_no_checkpoint() {
+    fn the_commit_that_finds_a_checkpoint_due_writes_it_whole() {
+        const ROWS: i64 = 256;
+        let db = skus(DbConfig::in_memory(EngineProfile::PostgresLike).with_wal());
+        for id in 1..=ROWS {
+            insert(&db, "skus", id, id);
+        }
+        let wal = db.wal().unwrap();
+        let mut i = 0;
+        let before = loop {
+            let before = wal.stats();
+            i += 1;
+            set_quantity(&db, i % ROWS + 1, i);
+            if wal.stats().checkpoint_bytes > before.checkpoint_bytes {
+                break before;
+            }
+        };
+        let after = wal.stats();
+        assert_eq!(after.checkpoints, before.checkpoints + 1);
+        assert_eq!(after.held, after.checkpoint_bytes - before.checkpoint_bytes);
+        let image = crate::wal::decode_stream(&wal.durable_bytes());
+        assert_eq!(image.tail, crate::wal::WalTail::Clean);
+        assert_eq!(image.checkpoint.len() as i64, ROWS);
+        assert!(image.records.is_empty());
+    }
+
+    /// A commit whose due report went stale, because another writer ended
+    /// that checkpoint first, opens no checkpoint.
+    #[test]
+    fn a_commit_whose_due_report_went_stale_opens_no_checkpoint() {
         let db = one_row(DbConfig::in_memory(EngineProfile::PostgresLike).with_wal());
         let wal = db.wal().unwrap();
-        assert!(db.checkpoint());
+        let append = |ts| wal.append_streamed(ts, |enc| enc.write("skus", 1, None));
+        assert!((1..).any(|ts| append(ts).checkpoint_due));
+        assert!(db.checkpoint(), "another writer ends it first");
         let before = wal.stats();
-        db.checkpoint_step();
+        assert!(!db.write_due_checkpoint());
         assert_eq!(wal.stats(), before);
-        assert!(!wal.checkpoint_pending());
-        assert_eq!(*db.inner.checkpoint.lock(), 0);
     }
 }

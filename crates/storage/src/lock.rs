@@ -33,7 +33,6 @@
 use crate::error::{DbError, TxnId};
 use crate::fasthash::{FastMap, FastSet};
 use crate::predicate::ValueInterval;
-use crate::shard::{shard_of, ShardSet};
 use crate::value::Value;
 use crate::Result;
 use parking_lot::{Condvar, Mutex};
@@ -291,28 +290,6 @@ impl LockManager {
             LockMode::Exclusive,
             cap,
         )
-    }
-
-    /// The row-state shards covered by the locks `txn` currently holds:
-    /// the [`shard_of`] each record lock, every shard for a table lock.
-    /// Advisory and unique-key locks guard namespaces orthogonal to the
-    /// shard map and contribute nothing. Upper layers use this to compare
-    /// a transaction's lock footprint against its commit
-    /// [`Footprint`](crate::Footprint) without touching engine-global
-    /// state.
-    pub fn held_shards(&self, txn: TxnId) -> ShardSet {
-        let inner = self.inner.lock();
-        let mut set = ShardSet::empty();
-        if let Some(ids) = inner.held.get(&txn) {
-            for id in ids {
-                match id {
-                    ResourceId::Record(table, row) => set.insert(shard_of(*table, *row)),
-                    ResourceId::Table(_) => return ShardSet::all(),
-                    ResourceId::Advisory(_) | ResourceId::UniqueKey(..) => {}
-                }
-            }
-        }
-        set
     }
 
     /// Try to acquire an advisory lock without blocking.
@@ -583,22 +560,6 @@ mod tests {
 
     fn mgr() -> Arc<LockManager> {
         Arc::new(LockManager::new(Duration::from_secs(5)))
-    }
-
-    #[test]
-    fn held_shards_tracks_row_locks_only() {
-        let m = mgr();
-        assert!(m.held_shards(1).is_empty());
-        m.lock_record(1, 0, 42, LockMode::Exclusive, None).unwrap();
-        m.lock_advisory(1, 7, None).unwrap();
-        let shards = m.held_shards(1);
-        assert_eq!(shards.len(), 1);
-        assert!(shards.contains(crate::shard::shard_of(0, 42)));
-        // A table lock covers every shard of the table's rows.
-        m.lock_table(1, 3, LockMode::Shared, None).unwrap();
-        assert_eq!(m.held_shards(1).len(), crate::shard::SHARD_COUNT);
-        m.release_all(1);
-        assert!(m.held_shards(1).is_empty());
     }
 
     #[test]

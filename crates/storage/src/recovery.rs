@@ -304,7 +304,7 @@ mod tests {
         let stats = db.wal().unwrap().stats();
         assert!(stats.checkpoints > 50, "{stats:?}");
         // One checkpoint is the live image; the log holds at most the last
-        // one, the floor's worth of records after it and one being written.
+        // one and the records that make the next one due.
         let image = stats.checkpoint_bytes / stats.checkpoints as usize;
         assert!(image < 32 * ROWS as usize, "{image} B for {ROWS} rows");
         assert!(
@@ -350,11 +350,13 @@ mod tests {
             "{} B held, {image} B image",
             stats.held
         );
-        // A checkpoint still open is written by the next commits.
-        for i in 0..crate::SHARD_COUNT as i64 {
-            set_balance(&db, i % ROWS, i);
-        }
-        assert!(!db.wal().unwrap().checkpoint_pending());
+        // No checkpoint was left open: the next one opens, and leaves the
+        // log holding it alone.
+        let wal = db.wal().unwrap();
+        assert!(db.checkpoint());
+        let after = wal.stats();
+        assert_eq!(after.checkpoints, stats.checkpoints + 1);
+        assert_eq!(after.held, after.checkpoint_bytes - stats.checkpoint_bytes);
         let reborn = wal_db();
         restart_from(&db, &reborn).unwrap();
         assert_eq!(observed(&reborn), observed(&db));

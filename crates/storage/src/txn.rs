@@ -24,7 +24,7 @@ use crate::schema::{row_from_pairs, Row};
 use crate::shard::{shard_of, Footprint, ShardSet};
 use crate::table::{CommitTs, RowVersion, Table, VersionChain};
 use crate::value::{ColumnType, Value};
-use crate::wal::{Wal, WalEncoder};
+use crate::wal::WalEncoder;
 use crate::Result;
 use adhoc_sim::{Deadline, Transport, TransportError};
 use parking_lot::MutexGuard;
@@ -1106,13 +1106,13 @@ impl Transaction {
             _ => {}
         }
         match self.try_commit(WalOutcome::Policy) {
-            Ok(installed) => {
+            Ok((installed, checkpoint_due)) => {
                 self.finish(true);
                 self.retire(installed);
-                // A pending checkpoint is written a share at a time, by
-                // committers holding no lock and no registration.
-                if self.db.wal().is_some_and(Wal::checkpoint_pending) {
-                    self.db.checkpoint_step();
+                // The checkpoint this commit's append found due is written
+                // whole, holding no lock and no registration.
+                if checkpoint_due {
+                    self.db.write_due_checkpoint();
                 }
                 Ok(())
             }
@@ -1129,7 +1129,7 @@ impl Transaction {
     /// connection instead of an acknowledgement.
     fn crash_commit(&mut self, outcome: WalOutcome) -> Result<()> {
         match self.try_commit(outcome) {
-            Ok(installed) => {
+            Ok((installed, _)) => {
                 self.finish(true);
                 self.retire(installed);
                 self.wire().record_outcome(true);
@@ -1186,8 +1186,9 @@ impl Transaction {
     /// validate, install, release, then retire the commit timestamp into
     /// the snapshot watermark. Returns that timestamp when the commit
     /// installed versions, with `pending` holding the rows whose chains
-    /// keep an older version.
-    fn try_commit(&mut self, wal_outcome: WalOutcome) -> Result<Option<CommitTs>> {
+    /// keep an older version, and whether its WAL append found a
+    /// checkpoint due.
+    fn try_commit(&mut self, wal_outcome: WalOutcome) -> Result<(Option<CommitTs>, bool)> {
         let writes = self.write_shards();
         let mut lock_set = writes;
         let mut cert_reads: FastSet<(usize, i64)> = FastSet::default();
@@ -1223,7 +1224,7 @@ impl Transaction {
             if !self.db.is_active(self.id) {
                 return Err(DbError::TxnNotActive { txn: self.id });
             }
-            return Ok(None);
+            return Ok((None, false));
         }
 
         let mut guards = self.db.lock_shards(lock_set);
@@ -1343,7 +1344,7 @@ impl Transaction {
             }
         }
         if self.pending.is_empty() {
-            return Ok(None);
+            return Ok((None, false));
         }
 
         // Drawing the timestamp *under* the write-shard locks keeps every
@@ -1368,6 +1369,7 @@ impl Transaction {
         // is settled after the guards drop (see below).
         let wal = self.db.wal();
         let mut group_lsn = None;
+        let mut checkpoint_due = false;
         if let Some(wal) = wal {
             let db = &self.db;
             let pending = &self.pending;
@@ -1384,6 +1386,7 @@ impl Transaction {
                     if !append.durable {
                         group_lsn = Some(append.end);
                     }
+                    checkpoint_due = append.checkpoint_due;
                 }
                 WalOutcome::Forced | WalOutcome::Checkpoint(_) => {
                     wal.append_streamed_no_sync(commit_ts, encode);
@@ -1498,7 +1501,7 @@ impl Transaction {
         // acknowledging it to the client.
         self.db.complete_commit(commit_ts);
         self.db.charge_flush();
-        Ok(Some(commit_ts))
+        Ok((Some(commit_ts), checkpoint_due))
     }
 
     /// Roll back explicitly.

@@ -17,14 +17,14 @@
 //! durable, it drops the log before the checkpoint's start
 //! ([`Wal::truncate`]). The bytes move down in the one buffer, whose
 //! capacity stays, and the LSNs do not move: an LSN taken before a
-//! truncation still names the same frame. [`Database::checkpoint`] writes
-//! one whole. Otherwise one is due once the log has grown past the last
-//! checkpoint's end by [`CHECKPOINT_GROWTH`] times its bytes (and by
-//! [`CHECKPOINT_FLOOR`]); committers then write it a few shards at a time
-//! after releasing their locks, and it ends with the last shard. The log
-//! keeps the checkpoint's state under its one mutex: where the open one
-//! started, its bytes so far, and the last one's span. Its pending flag,
-//! which committers read without that mutex, means "due or open".
+//! truncation still names the same frame. A checkpoint is due once the log
+//! has grown past the last one's end by [`CHECKPOINT_GROWTH`] times its
+//! bytes (and by [`CHECKPOINT_FLOOR`]). The append that makes it due says
+//! so to its own committer ([`WalAppend::checkpoint_due`]), which writes
+//! it whole after releasing its locks, as [`Database::checkpoint`] does:
+//! a checkpoint opens and ends inside one call, never across commits. The
+//! log keeps the checkpoint's state under its one mutex: where the open
+//! one started, its bytes so far, and the last one's span.
 //!
 //! The fsync boundary is driven by the engine's deterministic clock
 //! through [`WalSyncPolicy`]: `OnCommit` syncs inside every commit (the
@@ -55,7 +55,6 @@
 use crate::value::Value;
 use adhoc_sim::SharedClock;
 use parking_lot::{Condvar, Mutex, MutexGuard};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -173,6 +172,16 @@ impl WalInner {
             && self.end() - last.end > (CHECKPOINT_GROWTH * last.bytes).max(CHECKPOINT_FLOOR)
     }
 
+    /// Open a checkpoint at the end of the log; returns its start LSN.
+    fn begin_checkpoint(&mut self) -> usize {
+        let start = self.end();
+        self.open_checkpoint = Some(CheckpointSpan {
+            start,
+            ..CheckpointSpan::default()
+        });
+        start
+    }
+
     /// Append one frame, `[len][crc]` backpatched around the payload `f`
     /// writes. Returns the frame's bytes.
     fn frame(&mut self, f: impl FnOnce(&mut Vec<u8>)) -> usize {
@@ -196,12 +205,6 @@ struct WalShared {
     state: Mutex<WalInner>,
     /// Signalled when an in-flight flush completes (`flushing` cleared).
     flushed: Condvar,
-    /// A checkpoint is due or open: set by the append that makes one due
-    /// and by [`Wal::begin_checkpoint`], cleared by
-    /// [`Wal::end_checkpoint`], all under the log mutex. A committer reads
-    /// it without that mutex. `Relaxed`: it publishes nothing, the
-    /// checkpoint itself is read under the log mutex.
-    pending: AtomicBool,
 }
 
 /// The shared log handle. Cheap to clone (`Arc` inside).
@@ -248,7 +251,6 @@ impl Wal {
                     flushing: false,
                 }),
                 flushed: Condvar::new(),
-                pending: AtomicBool::new(false),
             }),
             policy,
             clock,
@@ -286,16 +288,18 @@ impl Wal {
     /// log buffer — no intermediate payload allocation — then sync
     /// according to the policy. `f` receives a [`WalEncoder`] and must
     /// write the record's rows in install order. Returns whether the
-    /// record is durable and the end offset (LSN) of the appended frame,
-    /// for [`ensure_durable`](Self::ensure_durable).
+    /// record is durable, the end offset (LSN) of the appended frame, for
+    /// [`ensure_durable`](Self::ensure_durable), and whether a checkpoint
+    /// is due.
     pub fn append_streamed(
         &self,
         commit_ts: u64,
         f: impl FnOnce(&mut WalEncoder<'_>),
     ) -> WalAppend {
         let mut inner = self.shared.state.lock();
-        self.encode_streamed(&mut inner, commit_ts, f);
+        Self::encode_streamed(&mut inner, commit_ts, f);
         let end = inner.end();
+        let checkpoint_due = inner.checkpoint_due();
         let durable = match self.policy {
             WalSyncPolicy::OnCommit => {
                 // The naive discipline: this commit issues (and pays for)
@@ -305,7 +309,11 @@ impl Wal {
             }
             WalSyncPolicy::GroupCommit => false,
         };
-        WalAppend { durable, end }
+        WalAppend {
+            durable,
+            end,
+            checkpoint_due,
+        }
     }
 
     /// Append one streamed record *without* syncing, regardless of policy
@@ -316,32 +324,16 @@ impl Wal {
         f: impl FnOnce(&mut WalEncoder<'_>),
     ) -> usize {
         let mut inner = self.shared.state.lock();
-        self.encode_streamed(&mut inner, commit_ts, f);
+        Self::encode_streamed(&mut inner, commit_ts, f);
         inner.end()
     }
 
-    fn encode_streamed(
-        &self,
-        inner: &mut WalInner,
-        commit_ts: u64,
-        f: impl FnOnce(&mut WalEncoder<'_>),
-    ) {
+    fn encode_streamed(inner: &mut WalInner, commit_ts: u64, f: impl FnOnce(&mut WalEncoder<'_>)) {
         inner.commit_bytes += inner.frame(|buf| {
             put_var(buf, commit_ts);
             f(&mut WalEncoder { buf });
         });
         inner.records += 1;
-        if inner.checkpoint_due() {
-            self.shared.pending.store(true, Ordering::Relaxed);
-        }
-    }
-
-    /// Whether a checkpoint is due (an append has taken the log far
-    /// enough past the last one) or open, one load and no lock. Each
-    /// committer that reads `true` after releasing its locks writes a
-    /// share of it.
-    pub(crate) fn checkpoint_pending(&self) -> bool {
-        self.shared.pending.load(Ordering::Relaxed)
     }
 
     /// Open a checkpoint at the log's end LSN and return that start, or
@@ -352,16 +344,18 @@ impl Wal {
     /// every record of it below the start.
     pub fn begin_checkpoint(&self) -> Option<usize> {
         let mut inner = self.shared.state.lock();
-        if inner.open_checkpoint.is_some() {
-            return None;
-        }
-        let start = inner.end();
-        inner.open_checkpoint = Some(CheckpointSpan {
-            start,
-            ..CheckpointSpan::default()
-        });
-        self.shared.pending.store(true, Ordering::Relaxed);
-        Some(start)
+        inner
+            .open_checkpoint
+            .is_none()
+            .then(|| inner.begin_checkpoint())
+    }
+
+    /// [`begin_checkpoint`](Self::begin_checkpoint), but only while one is
+    /// due: an append's due report can go stale once another writer ends
+    /// a checkpoint, so the writer asks again under the log mutex.
+    pub(crate) fn begin_due_checkpoint(&self) -> Option<usize> {
+        let mut inner = self.shared.state.lock();
+        inner.checkpoint_due().then(|| inner.begin_checkpoint())
     }
 
     /// Append one checkpoint frame of row images to the open checkpoint.
@@ -396,7 +390,6 @@ impl Wal {
         ended.end = inner.end();
         inner.last_checkpoint = ended;
         inner.checkpoints += 1;
-        self.shared.pending.store(false, Ordering::Relaxed);
         ended.end
     }
 
@@ -529,6 +522,9 @@ pub struct WalAppend {
     pub durable: bool,
     /// End LSN of the appended frame.
     pub end: usize,
+    /// The log has grown far enough past the last checkpoint for the next
+    /// one, and none is open: the committer writes it.
+    pub checkpoint_due: bool,
 }
 
 /// Streaming record serializer handed out by [`Wal::append_streamed`]:
@@ -946,6 +942,7 @@ pub fn decode_stream(bytes: &[u8]) -> WalImage {
 mod tests {
     use super::*;
     use adhoc_sim::VirtualClock;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn test_wal(policy: WalSyncPolicy) -> Wal {
         Wal::new(policy, VirtualClock::shared(), Duration::ZERO)
@@ -1414,46 +1411,51 @@ mod tests {
         assert_eq!(image.tail, WalTail::Clean);
     }
 
-    /// The pending flag reads "due or open": a checkpoint opened before one
-    /// is due still reads pending until it ends.
-    #[test]
-    fn an_open_checkpoint_is_pending_until_it_ends() {
-        let wal = test_wal(WalSyncPolicy::OnCommit);
-        wal.append(&sample(1));
-        assert!(!wal.checkpoint_pending());
-        wal.begin_checkpoint().unwrap();
-        assert!(wal.checkpoint_pending());
-        wal.append(&sample(2));
-        assert!(wal.checkpoint_pending());
-        wal.end_checkpoint();
-        assert!(!wal.checkpoint_pending());
+    /// Append `sample(ts)`, the next timestamp; returns the due report.
+    fn append_sample(wal: &Wal, ts: &mut u64) -> bool {
+        *ts += 1;
+        let record = sample(*ts);
+        let encode = |enc: &mut WalEncoder<'_>| {
+            for w in &record.writes {
+                enc.write(&w.table, w.id, w.row.as_deref());
+            }
+        };
+        wal.append_streamed(*ts, encode).checkpoint_due
     }
 
+    /// Append until an append reports a checkpoint due; returns the bytes
+    /// the log grew by.
+    fn append_until_due(wal: &Wal, ts: &mut u64) -> usize {
+        let from = wal.stats().durable_len;
+        while !append_sample(wal, ts) {}
+        wal.stats().durable_len - from
+    }
+
+    /// The append that takes the log past the floor reports a checkpoint
+    /// due, and so does every append after it until one opens. None is due
+    /// while one is open, nor after it ends until the log has grown twice
+    /// the checkpoint's size.
     #[test]
-    fn a_checkpoint_is_pending_past_the_floor_then_twice_its_size() {
+    fn a_checkpoint_is_due_past_the_floor_then_twice_its_size() {
         let wal = test_wal(WalSyncPolicy::OnCommit);
         let mut ts = 0;
-        let mut append_until_pending = |wal: &Wal| {
-            let from = wal.stats().durable_len;
-            while !wal.checkpoint_pending() {
-                ts += 1;
-                wal.append(&sample(ts));
-            }
-            wal.stats().durable_len - from
-        };
-        let grown = append_until_pending(&wal);
+        let grown = append_until_due(&wal, &mut ts);
         assert!((CHECKPOINT_FLOOR..CHECKPOINT_FLOOR + 64).contains(&grown));
+        assert!(append_sample(&wal, &mut ts), "due until one opens");
         // A checkpoint bigger than half the floor moves the threshold.
         wal.begin_checkpoint().unwrap();
-        assert!(wal.checkpoint_pending(), "pending until it ends");
+        assert!(!append_sample(&wal, &mut ts), "not due while one is open");
+        assert_eq!(wal.begin_due_checkpoint(), None);
         checkpoint_rows(&wal, 0..4_000);
         let end = wal.end_checkpoint();
-        assert!(!wal.checkpoint_pending());
         wal.ensure_durable(end);
         wal.truncate();
+        assert!(!append_sample(&wal, &mut ts), "not due just after one ends");
+        assert_eq!(wal.begin_due_checkpoint(), None);
         let image = wal.stats().checkpoint_bytes;
         assert!(CHECKPOINT_GROWTH * image > CHECKPOINT_FLOOR);
-        let grown = append_until_pending(&wal);
+        let grown = append_until_due(&wal, &mut ts);
         assert!((CHECKPOINT_GROWTH * image..CHECKPOINT_GROWTH * image + 64).contains(&grown));
+        assert!(wal.begin_due_checkpoint().is_some());
     }
 }

@@ -336,3 +336,97 @@ fn handed_out_rows_never_change() {
         assert_eq!(qty_now, [10, 40]);
     }
 }
+
+/// Every seeded hash in the workspace is `sim::rng::splitmix64` or
+/// `sim::rng::fnv1a` of the input its site builds. These outputs were
+/// recorded when each site still carried its own copy of the mixer, so a
+/// change to either function, or to an input a site builds, shows here:
+/// worker streams, fault-plan rolls (four rules, first match wins, so
+/// later rules read the rolls earlier ones missed), zipfian scrambling,
+/// KV stripes and advisory key ids.
+#[test]
+fn seeded_hashes_match_their_recorded_outputs() {
+    use adhoc_transactions::kv::stripe_of;
+    use adhoc_transactions::orm::coord::hash_key;
+    use adhoc_transactions::sim::faults::{FaultKind, FaultPlan, FaultRule, OpClass};
+    use adhoc_transactions::sim::rng::{for_worker, seeded, Zipfian, DEFAULT_SEED};
+    use rand::Rng;
+
+    let mut draws = Vec::new();
+    for (seed, worker) in [(7, 0), (7, 1), (DEFAULT_SEED, 3)] {
+        let mut rng = for_worker(seed, worker);
+        draws.extend((0..3).map(|_| rng.gen::<u64>()));
+    }
+    assert_eq!(
+        draws,
+        [
+            0x4c06_c108_0caa_5417,
+            0xfb21_61e3_a8c4_d3d5,
+            0x5221_466c_14d2_8fa8,
+            0x6308_2863_6c7b_a355,
+            0xec30_87c4_0254_0256,
+            0xf2ab_e1ad_a3ac_3fe5,
+            0xd1b6_06ea_53d7_0f60,
+            0xde93_f332_095c_54a7,
+            0x2123_8b9c_46c7_3b47,
+        ]
+    );
+
+    let kinds = [
+        (FaultKind::CommitFailed, 'c'),
+        (FaultKind::TornWrite, 't'),
+        (FaultKind::ReplyLost, 'r'),
+        (FaultKind::DbPartitioned, 'p'),
+    ];
+    let rules = kinds.map(|(kind, _)| FaultRule::with_probability(kind, 0.5));
+    let plan = FaultPlan::new(11, rules.to_vec());
+    let rolls = |class| -> String {
+        (0..48)
+            .map(|_| match plan.arm(class) {
+                Some(fault) => kinds.iter().find(|(k, _)| *k == fault.kind).unwrap().1,
+                None => '.',
+            })
+            .collect()
+    };
+    assert_eq!(
+        rolls(OpClass::DbCommit),
+        "t.ttt.ccctcccctt....c..ccct.cccc...ccc.ttttcccc."
+    );
+    assert_eq!(
+        rolls(OpClass::KvCommand),
+        ".rr..rr.....rrr....rr.rrr.....rr..rrr..r...rrrr."
+    );
+    assert_eq!(
+        rolls(OpClass::DbStatement),
+        "....p...pppp..pppp.ppp.p...p.p.pp.pp.p...p..pppp"
+    );
+
+    let zipf = Zipfian::new(1_000_000);
+    let mut rng = seeded(7);
+    let keys: Vec<u64> = (0..8).map(|_| zipf.next_scrambled(&mut rng)).collect();
+    assert_eq!(
+        keys,
+        [230514, 390401, 963428, 224430, 554286, 208768, 607535, 348110]
+    );
+
+    let names = [
+        "",
+        "a",
+        "cart:1",
+        "lock:order:42",
+        "rate:client:9",
+        "payment/7",
+    ];
+    assert_eq!(names.map(stripe_of), [5, 12, 10, 4, 13, 7]);
+    assert_eq!(
+        names.map(hash_key),
+        [
+            5472609002491880229,
+            3414815163700866188,
+            7726982140997225434,
+            1337915415701608692,
+            481849305785851677,
+            5115545354619921239,
+        ]
+    );
+}

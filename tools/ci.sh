@@ -236,6 +236,36 @@ for pinned in \
     { echo "front-door decisions gate: paper-eval $ablation digest $got, recorded $digest"; exit 1; }
 done
 
+# Golden-outputs gate: the crash oracle's 63 sorted `finding:` lines, the
+# paper's tables, findings and playbook as `paper-eval` prints them, and
+# the study corpus, which tools/gen_corpus.py generates: regenerated into
+# target/ and formatted, it must equal the committed file byte for byte.
+# All are deterministic. They move only in a PR whose purpose is to change
+# them; such a PR re-records them here and says why.
+echo "==> golden-outputs gate (crash findings, paper-eval outputs, generated corpus)"
+findings=a5e4f8b00d84b19f18ebaab2a0d743448292e37c18dc09efd059ac6526f978b7
+got=$(cargo test -q --release --test crash_recovery_oracle -- --nocapture 2>&1 |
+  grep -o 'finding:.*' | sort | sha256sum | cut -d' ' -f1)
+[ "$got" = "$findings" ] ||
+  { echo "golden-outputs gate: crash findings digest $got, recorded $findings"; exit 1; }
+for pinned in \
+  "tables 1082b8078af5e3f367518b9da99b14fa3e491c7c1d8abf60b5f888371f43d487" \
+  "findings a5fc77735e8f1c5852123ca04b2eb8beba38c2804eb60565fa0e0c2a367198cb" \
+  "confluence 43caba7d21174bfa8523ddd18f93d45f2869eeb0e5607d6a1a53c2ad94b01de9" \
+  "extension e05083439d839d6a66926f028ca1f58ef980bd829be8305de3e15797ee5e738c" \
+  "playbook 29813c529056fbaf703c27508722d75d641bb90b2cd783096a3c5c72e3aa2386"; do
+  read -r output digest <<<"$pinned"
+  got=$(./target/release/paper-eval "$output" | sha256sum | cut -d' ' -f1)
+  [ "$got" = "$digest" ] ||
+    { echo "golden-outputs gate: paper-eval $output digest $got, recorded $digest"; exit 1; }
+done
+corpus=target/golden-corpus
+rm -rf "$corpus" && mkdir -p "$corpus/crates/study/src"
+(cd "$corpus" && python3 ../../tools/gen_corpus.py >/dev/null)
+rustfmt --edition 2021 "$corpus/crates/study/src/corpus_data.rs"
+cmp "$corpus/crates/study/src/corpus_data.rs" crates/study/src/corpus_data.rs ||
+  { echo "golden-outputs gate: tools/gen_corpus.py no longer generates corpus_data.rs"; exit 1; }
+
 # The three timed ablations, once at smoke scale: they must run to the
 # end and print their rows (means are noise at this scale; the exact
 # counts are asserted in adhoc-bench's unit tests).
