@@ -3,7 +3,8 @@
 //! Usage:
 //! ```text
 //! paper-eval [table1|table2|table3|table4|table5a|table5b|table6|table7a|table7b]
-//! paper-eval [findings|fig2|fig3|fig4|tables|all]
+//! paper-eval [confluence|findings|extension|playbook]
+//! paper-eval [fig2|fig3|fig4|tables|all]
 //! paper-eval [ablation-ttl|ablation-isolation|ablation-gap|ablation-kv-rtt|ablation-rmw-lock]
 //! paper-eval [ablation-resilience|ablation-traffic]
 //! paper-eval bench-json [outdir]

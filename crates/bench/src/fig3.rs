@@ -122,17 +122,23 @@ pub struct Fig3Row {
     pub serialization_failures: u64,
 }
 
-fn networked_db(profile: EngineProfile, latency: LatencyModel) -> Database {
-    Database::new(DbConfig::networked(profile, RealClock::shared(), latency))
-}
-
-/// Run one (granularity, mode, contention) cell and return its bar.
+/// Run one (granularity, mode, contention) cell and return its bar, on a
+/// networked database of the engine profile its [`SETUPS`] row names.
 pub fn run_granularity(granularity: Granularity, mode: Mode, cfg: &Fig3Config) -> Fig3Row {
-    let (run, db) = match granularity {
-        Granularity::Rmw => run_rmw(mode, cfg),
-        Granularity::AssociatedAccess => run_aa(mode, cfg),
-        Granularity::ColumnBased => run_cbc(mode, cfg),
-        Granularity::PredicateBased => run_pbc(mode, cfg),
+    let setup = SETUPS
+        .iter()
+        .find(|s| s.granularity == granularity)
+        .expect("every granularity has a Table 6 setup");
+    let db = Database::new(DbConfig::networked(
+        setup.rdbms,
+        RealClock::shared(),
+        cfg.latency,
+    ));
+    let run = match granularity {
+        Granularity::Rmw => run_rmw(&db, mode, cfg),
+        Granularity::AssociatedAccess => run_aa(&db, mode, cfg),
+        Granularity::ColumnBased => run_cbc(&db, mode, cfg),
+        Granularity::PredicateBased => run_pbc(&db, mode, cfg),
     };
     let stats = db.stats();
     Fig3Row {
@@ -147,9 +153,8 @@ pub fn run_granularity(granularity: Granularity, mode: Mode, cfg: &Fig3Config) -
 }
 
 /// Table 6 RMW: Broadleaf check-out on a MySQL-like engine.
-fn run_rmw(mode: Mode, cfg: &Fig3Config) -> (Measured, Database) {
-    let db = networked_db(EngineProfile::MySqlLike, cfg.latency);
-    let orm = broadleaf::setup(&db).expect("schema");
+fn run_rmw(db: &Database, mode: Mode, cfg: &Fig3Config) -> Measured {
+    let orm = broadleaf::setup(db).expect("schema");
     let app = Arc::new(
         broadleaf::Broadleaf::new(orm, Arc::new(MemLock::new()), mode)
             .with_request_cpu_work(cfg.request_cpu_work),
@@ -157,21 +162,19 @@ fn run_rmw(mode: Mode, cfg: &Fig3Config) -> (Measured, Database) {
     for sku in 0..cfg.threads as i64 {
         app.seed_sku(sku + 1, i64::MAX / 2).expect("seed");
     }
-    let run = measure(cfg.threads, cfg.duration, |t| {
+    measure(cfg.threads, cfg.duration, |t| {
         let sku = if cfg.contention { 1 } else { t as i64 + 1 };
         let app = &app;
         move |_| {
             assert!(app.check_out(sku, 1).expect("checkout"));
             true
         }
-    });
-    (run, db)
+    })
 }
 
 /// Table 6 AA: Discourse like-post on a PostgreSQL-like engine.
-fn run_aa(mode: Mode, cfg: &Fig3Config) -> (Measured, Database) {
-    let db = networked_db(EngineProfile::PostgresLike, cfg.latency);
-    let orm = discourse::setup(&db).expect("schema");
+fn run_aa(db: &Database, mode: Mode, cfg: &Fig3Config) -> Measured {
+    let orm = discourse::setup(db).expect("schema");
     let kv = Client::new(Store::new(), RealClock::shared(), cfg.latency);
     // Discourse's real lock, polling fast enough not to dominate handoff.
     let lock = Arc::new(KvMultiLock::new(kv).with_config(AcquireConfig {
@@ -203,7 +206,7 @@ fn run_aa(mode: Mode, cfg: &Fig3Config) -> (Measured, Database) {
         }
         post_ids.push(ids);
     }
-    let run = measure(cfg.threads, cfg.duration, |t| {
+    measure(cfg.threads, cfg.duration, |t| {
         let topic = if cfg.contention {
             t % contended_topics
         } else {
@@ -216,14 +219,12 @@ fn run_aa(mode: Mode, cfg: &Fig3Config) -> (Measured, Database) {
             app.like_post(post).expect("like");
             true
         }
-    });
-    (run, db)
+    })
 }
 
 /// Table 6 CBC: Discourse create-post & toggle-answer at PG Repeatable Read.
-fn run_cbc(mode: Mode, cfg: &Fig3Config) -> (Measured, Database) {
-    let db = networked_db(EngineProfile::PostgresLike, cfg.latency);
-    let orm = discourse::setup(&db).expect("schema");
+fn run_cbc(db: &Database, mode: Mode, cfg: &Fig3Config) -> Measured {
+    let orm = discourse::setup(db).expect("schema");
     let kv = Client::new(Store::new(), RealClock::shared(), cfg.latency);
     let lock = Arc::new(KvMultiLock::new(kv).with_config(AcquireConfig {
         retry_interval: Duration::from_micros(100),
@@ -243,7 +244,7 @@ fn run_cbc(mode: Mode, cfg: &Fig3Config) -> (Measured, Database) {
         seed_posts.push(app.seed_post(topic + 1, "seed", 0).expect("seed post"));
     }
     let contention = cfg.contention;
-    let run = measure(cfg.threads, cfg.duration, |t| {
+    measure(cfg.threads, cfg.duration, |t| {
         let topic = if contention {
             (t / 2) as i64 + 1
         } else {
@@ -260,14 +261,12 @@ fn run_cbc(mode: Mode, cfg: &Fig3Config) -> (Measured, Database) {
             }
             true
         }
-    });
-    (run, db)
+    })
 }
 
 /// Table 6 PBC: Spree add-payment at PG Serializable.
-fn run_pbc(mode: Mode, cfg: &Fig3Config) -> (Measured, Database) {
-    let db = networked_db(EngineProfile::PostgresLike, cfg.latency);
-    let orm = spree::setup(&db).expect("schema");
+fn run_pbc(db: &Database, mode: Mode, cfg: &Fig3Config) -> Measured {
+    let orm = spree::setup(db).expect("schema");
     let app = Arc::new(
         spree::Spree::new(orm, Arc::new(MemLock::new()), mode)
             .with_request_cpu_work(cfg.request_cpu_work),
@@ -288,7 +287,7 @@ fn run_pbc(mode: Mode, cfg: &Fig3Config) -> (Measured, Database) {
         }
     }
     let threads = cfg.threads as i64;
-    let run = measure(cfg.threads, cfg.duration, |t| {
+    measure(cfg.threads, cfg.duration, |t| {
         let (app, next_fresh, contention) = (&app, &next_fresh, cfg.contention);
         move |i| {
             let order = if contention {
@@ -302,8 +301,7 @@ fn run_pbc(mode: Mode, cfg: &Fig3Config) -> (Measured, Database) {
             app.add_payment(order).expect("payment");
             true
         }
-    });
-    (run, db)
+    })
 }
 
 #[cfg(test)]
@@ -360,7 +358,16 @@ mod tests {
     fn table6_lists_four_setups() {
         assert_eq!(SETUPS.len(), 4);
         assert_eq!(SETUPS[0].granularity, Granularity::Rmw);
-        assert_eq!(SETUPS[0].rdbms, EngineProfile::MySqlLike);
+        let profiles: Vec<EngineProfile> = SETUPS.iter().map(|s| s.rdbms).collect();
+        assert_eq!(
+            profiles,
+            [
+                EngineProfile::MySqlLike,
+                EngineProfile::PostgresLike,
+                EngineProfile::PostgresLike,
+                EngineProfile::PostgresLike,
+            ]
+        );
         assert_eq!(SETUPS[2].dbt_isolation, IsolationLevel::RepeatableRead);
     }
 }

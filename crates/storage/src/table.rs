@@ -390,15 +390,6 @@ impl Table {
     }
 
     /// Primary keys whose *latest committed* indexed key falls in `interval`.
-    pub fn index_candidates(&self, column: usize, interval: &ValueInterval) -> Result<Vec<i64>> {
-        let index = self.index.lock();
-        let state = index
-            .indexes
-            .get(&column)
-            .ok_or_else(|| self.no_index(column))?;
-        Ok(Self::index_candidates_in(state, interval))
-    }
-
     fn index_candidates_in(state: &IndexState, interval: &ValueInterval) -> Vec<i64> {
         let keys = state
             .map
@@ -414,19 +405,6 @@ impl Table {
 
     /// The nearest committed index keys strictly outside `interval`
     /// (`prev`, `next`) — the neighbours a next-key lock widens to.
-    pub fn index_neighbors(
-        &self,
-        column: usize,
-        interval: &ValueInterval,
-    ) -> Result<(Option<Value>, Option<Value>)> {
-        let index = self.index.lock();
-        let state = index
-            .indexes
-            .get(&column)
-            .ok_or_else(|| self.no_index(column))?;
-        Ok(Self::index_neighbors_in(state, interval))
-    }
-
     fn index_neighbors_in(
         state: &IndexState,
         interval: &ValueInterval,
@@ -652,8 +630,8 @@ mod tests {
         rows.apply(&t, 2, Some(pay(&t, 2, 12, None)), 2);
         let col = t.schema.column_index("order_id").unwrap();
         let point = ValueInterval::point(Value::Int(10));
-        assert!(t.index_candidates(col, &point).unwrap().is_empty());
-        let (prev, next) = t.index_neighbors(col, &point).unwrap();
+        let (candidates, (prev, next)) = t.index_scan(col, &point).unwrap();
+        assert!(candidates.is_empty());
         assert_eq!(prev, Some(Value::Int(9)));
         assert_eq!(next, Some(Value::Int(12)));
         // The widened gap covers 10 and 11 — the false-conflict interval.
@@ -668,7 +646,7 @@ mod tests {
         rows.apply(&t, 1, Some(pay(&t, 1, 9, None)), 1);
         let col = t.schema.column_index("order_id").unwrap();
         let point = ValueInterval::point(Value::Int(100));
-        let (prev, next) = t.index_neighbors(col, &point).unwrap();
+        let (_, (prev, next)) = t.index_scan(col, &point).unwrap();
         assert_eq!(prev, Some(Value::Int(9)));
         assert_eq!(next, None); // the (latest, +inf) hot interval
     }
@@ -680,16 +658,16 @@ mod tests {
         rows.apply(&t, 1, Some(pay(&t, 1, 9, None)), 1);
         let col = t.schema.column_index("order_id").unwrap();
         let all = ValueInterval::all();
-        assert_eq!(t.index_candidates(col, &all).unwrap(), vec![1]);
+        assert_eq!(t.index_scan(col, &all).unwrap().0, vec![1]);
         // Update moves the key.
         rows.apply(&t, 1, Some(pay(&t, 1, 20, None)), 2);
         let point9 = ValueInterval::point(Value::Int(9));
-        assert!(t.index_candidates(col, &point9).unwrap().is_empty());
+        assert!(t.index_scan(col, &point9).unwrap().0.is_empty());
         let point20 = ValueInterval::point(Value::Int(20));
-        assert_eq!(t.index_candidates(col, &point20).unwrap(), vec![1]);
+        assert_eq!(t.index_scan(col, &point20).unwrap().0, vec![1]);
         // Delete clears it.
         rows.apply(&t, 1, None, 3);
-        assert!(t.index_candidates(col, &all).unwrap().is_empty());
+        assert!(t.index_scan(col, &all).unwrap().0.is_empty());
     }
 
     #[test]
@@ -725,10 +703,10 @@ mod tests {
     #[test]
     fn missing_index_errors() {
         let t = table();
-        // "id" has no secondary index; candidates on it should error.
+        // "id" has no secondary index; a scan on it should error.
         let id_col = t.schema.column_index("id").unwrap();
         assert!(matches!(
-            t.index_candidates(id_col, &ValueInterval::all()),
+            t.index_scan(id_col, &ValueInterval::all()),
             Err(DbError::NoIndex { .. })
         ));
     }
@@ -868,10 +846,7 @@ mod tests {
         assert!(chain.visible(5).is_none());
         assert!(chain.visible(6).is_some());
         let col = t.schema.column_index("order_id").unwrap();
-        assert_eq!(
-            t.index_candidates(col, &ValueInterval::all()).unwrap(),
-            vec![5]
-        );
+        assert_eq!(t.index_scan(col, &ValueInterval::all()).unwrap().0, vec![5]);
     }
 
     #[test]
@@ -882,8 +857,9 @@ mod tests {
         let t = Arc::clone(db.resolve_table("payments").unwrap());
         let col = t.schema.column_index("order_id").unwrap();
         let ids_at = |order: i64| {
-            t.index_candidates(col, &ValueInterval::point(Value::Int(order)))
+            t.index_scan(col, &ValueInterval::point(Value::Int(order)))
                 .unwrap()
+                .0
         };
         let chain = |id: i64| {
             db.with_chain(t.id, id, |c| {
@@ -1067,13 +1043,14 @@ mod tests {
                 let at = format!("seed {seed} step {step}");
                 for (col, all) in [(order, &order_intervals), (token, &token_intervals)] {
                     for interval in all {
+                        let (candidates, neighbors) = t.index_scan(col, interval).unwrap();
                         assert_eq!(
-                            t.index_candidates(col, interval).unwrap(),
+                            candidates,
                             reference.candidates(col, interval),
                             "{at}: candidates on column {col} over {interval:?}"
                         );
                         assert_eq!(
-                            t.index_neighbors(col, interval).unwrap(),
+                            neighbors,
                             reference.neighbors(col, interval),
                             "{at}: neighbours on column {col} over {interval:?}"
                         );

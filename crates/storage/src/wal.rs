@@ -512,6 +512,14 @@ impl Wal {
             held: inner.buf.len(),
         }
     }
+
+    /// The last checkpoint that ended: its LSN span, from its start to
+    /// just past its end frame, and its own frame bytes.
+    #[cfg(test)]
+    pub(crate) fn last_checkpoint(&self) -> (std::ops::Range<usize>, usize) {
+        let last = self.shared.state.lock().last_checkpoint;
+        (last.start..last.end, last.bytes)
+    }
 }
 
 /// Result of [`Wal::append_streamed`]: whether the frame is already

@@ -1,5 +1,6 @@
 //! Case records and the application enumeration.
 
+use crate::confluence::Confluence;
 use adhoc_core::taxonomy::{CcAlgorithm, FailureHandling, IssueCategory, LockImpl, ValidationImpl};
 
 /// The eight studied applications (Table 2), in the paper's row order.
@@ -104,6 +105,11 @@ pub struct Case {
     pub report: Option<&'static str>,
     /// Whether that report was acknowledged by developers.
     pub acknowledged: bool,
+    /// The least coordination [`Case::invariant`] admits (this
+    /// reconstruction's analysis; the paper does not classify confluence).
+    pub confluence: Confluence,
+    /// The invariant the ad hoc transaction defends, named.
+    pub invariant: &'static str,
 }
 
 impl Case {
@@ -160,6 +166,8 @@ mod tests {
             severe_consequence: None,
             report: None,
             acknowledged: false,
+            confluence: Confluence::Coordinated,
+            invariant: "",
         }
     }
 

@@ -22,8 +22,11 @@
 //!   cured path unchanged.
 //!
 //! The per-case labels are this reconstruction's analysis (the paper does
-//! not classify confluence); the tests pin the classification to the
-//! corpus one-to-one so the split stays auditable.
+//! not classify confluence). Each lives on its corpus record
+//! ([`crate::Case::confluence`] and [`crate::Case::invariant`]), so every
+//! case has exactly one bucket and the split stays auditable.
+
+use crate::corpus_data::CASES;
 
 /// How much coordination a case's invariant actually requires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -74,506 +77,12 @@ impl std::fmt::Display for Confluence {
     }
 }
 
-/// One case's classification: the invariant its ad hoc transaction
-/// defends and the least coordination that invariant admits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Classification {
-    /// Case id, matching [`crate::corpus_data::CASES`].
-    pub id: &'static str,
-    /// The confluence bucket.
-    pub class: Confluence,
-    /// The invariant, named.
-    pub invariant: &'static str,
-}
-
-/// The classification table: exactly one entry per corpus case, in
-/// corpus order (the tests assert the bijection).
-pub static CLASSIFICATION: &[Classification] = &[
-    // ── Discourse ──────────────────────────────────────────────────
-    c(
-        "discourse/create-post",
-        Confluence::Coordinated,
-        "post numbers are dense and ordered per topic",
-    ),
-    c(
-        "discourse/toggle-answer",
-        Confluence::Coordinated,
-        "at most one accepted answer per topic",
-    ),
-    c(
-        "discourse/like-post",
-        Confluence::Confluent,
-        "topics.total_likes equals the sum of posts.like_cnt (bumps commute)",
-    ),
-    c(
-        "discourse/edit-post",
-        Confluence::Coordinated,
-        "no lost content update across concurrent edits",
-    ),
-    c(
-        "discourse/rebake-post",
-        Confluence::Confluent,
-        "cooked HTML is a pure function of raw content (idempotent recompute)",
-    ),
-    c(
-        "discourse/image-upload",
-        Confluence::Coordinated,
-        "upload side effects and post rows appear atomically",
-    ),
-    c(
-        "discourse/notification-fanout",
-        Confluence::Confluent,
-        "each follower is notified at most once (idempotent set insert)",
-    ),
-    c(
-        "discourse/badge-grant",
-        Confluence::Coordinated,
-        "a badge is granted to a user at most once",
-    ),
-    c(
-        "discourse/topic-view-track",
-        Confluence::Confluent,
-        "view count equals the number of views (bumps commute)",
-    ),
-    c(
-        "discourse/user-avatar-refresh",
-        Confluence::Confluent,
-        "avatar derivatives are a pure function of the source (idempotent refresh)",
-    ),
-    c(
-        "discourse/shrink-image",
-        Confluence::Coordinated,
-        "image rewrite and every referencing post change together",
-    ),
-    c(
-        "discourse/reviewable-claim",
-        Confluence::Coordinated,
-        "a reviewable is claimed by at most one reviewer",
-    ),
-    c(
-        "discourse/draft-save",
-        Confluence::Coordinated,
-        "draft saves apply in sequence order (stale writers refused)",
-    ),
-    // ── Mastodon ───────────────────────────────────────────────────
-    c(
-        "mastodon/timeline-insert",
-        Confluence::Confluent,
-        "timeline membership is a set keyed by status id (idempotent insert)",
-    ),
-    c(
-        "mastodon/timeline-remove",
-        Confluence::Confluent,
-        "removing one status id commutes with inserting others",
-    ),
-    c(
-        "mastodon/invite-redeem",
-        Confluence::Escrow,
-        "invites.redeems <= invites.max_redeems",
-    ),
-    c(
-        "mastodon/status-delete",
-        Confluence::Coordinated,
-        "a deleted status leaves no dangling fan-out rows",
-    ),
-    c(
-        "mastodon/follow-request",
-        Confluence::Coordinated,
-        "at most one follow edge per (follower, followee), state-machine advanced",
-    ),
-    c(
-        "mastodon/media-attach",
-        Confluence::Coordinated,
-        "media rows attach to exactly one status before publish",
-    ),
-    c(
-        "mastodon/conversation-read",
-        Confluence::Confluent,
-        "last-read marker is monotonic (max-merge)",
-    ),
-    c(
-        "mastodon/notification-dedupe",
-        Confluence::Confluent,
-        "notifications are a set keyed by activity (idempotent insert)",
-    ),
-    c(
-        "mastodon/account-migrate",
-        Confluence::Coordinated,
-        "migration moves followers exactly once, in one direction",
-    ),
-    c(
-        "mastodon/list-membership",
-        Confluence::Confluent,
-        "list membership is a set keyed by (list, account)",
-    ),
-    c(
-        "mastodon/relationship-sync",
-        Confluence::Confluent,
-        "relationship rows mirror follow edges (idempotent reconciliation)",
-    ),
-    c(
-        "mastodon/poll-vote",
-        Confluence::Confluent,
-        "option tallies equal the number of recorded votes (bumps commute)",
-    ),
-    c(
-        "mastodon/status-edit",
-        Confluence::Coordinated,
-        "no lost update across concurrent status edits",
-    ),
-    c(
-        "mastodon/pin-status",
-        Confluence::Escrow,
-        "pinned statuses per account <= pin limit",
-    ),
-    c(
-        "mastodon/filter-update",
-        Confluence::Coordinated,
-        "filter read-modify-write applies against the latest version",
-    ),
-    c(
-        "mastodon/bookmark-sync",
-        Confluence::Confluent,
-        "bookmarks are a set keyed by (account, status)",
-    ),
-    // ── Spree ──────────────────────────────────────────────────────
-    c(
-        "spree/order-stock-decrement",
-        Confluence::Escrow,
-        "skus.quantity >= 0",
-    ),
-    c(
-        "spree/order-payment-state",
-        Confluence::Coordinated,
-        "order payment state advances through the state machine once",
-    ),
-    c(
-        "spree/order-shipment-sync",
-        Confluence::Coordinated,
-        "shipment rows agree with the order's line items",
-    ),
-    c(
-        "spree/order-promotion-apply",
-        Confluence::Coordinated,
-        "promotion eligibility is re-checked atomically with application",
-    ),
-    c(
-        "spree/payment-capture-check",
-        Confluence::Coordinated,
-        "capture happens at most once per authorized payment",
-    ),
-    c(
-        "spree/refund-reconcile",
-        Confluence::Escrow,
-        "refunded total <= captured total",
-    ),
-    c(
-        "spree/payment-process",
-        Confluence::Coordinated,
-        "payment state advances exactly once (no stuck 'processing')",
-    ),
-    c(
-        "spree/payment-void",
-        Confluence::Coordinated,
-        "void only transitions from a voidable state",
-    ),
-    c(
-        "spree/coupon-apply",
-        Confluence::Escrow,
-        "coupon redemptions <= usage limit",
-    ),
-    c(
-        "spree/payment-json-handler",
-        Confluence::Coordinated,
-        "at most one payment per order (uniqueness)",
-    ),
-    // ── Redmine ────────────────────────────────────────────────────
-    c(
-        "redmine/issue-assign",
-        Confluence::Coordinated,
-        "progress updates apply against the latest issue state",
-    ),
-    c(
-        "redmine/issue-status",
-        Confluence::Coordinated,
-        "issue status follows the allowed transition graph",
-    ),
-    c(
-        "redmine/attachment-add",
-        Confluence::Confluent,
-        "attachments_count equals the number of attachment rows (insert+bump commute)",
-    ),
-    c(
-        "redmine/category-reorder",
-        Confluence::Coordinated,
-        "category positions stay a dense permutation",
-    ),
-    c(
-        "redmine/version-close",
-        Confluence::Coordinated,
-        "no open issue targets a closed version (cross-row check-then-act)",
-    ),
-    c(
-        "redmine/news-comment",
-        Confluence::Confluent,
-        "comments_count equals the number of comment rows (insert+bump commute)",
-    ),
-    c(
-        "redmine/wiki-edit",
-        Confluence::Coordinated,
-        "wiki versions advance by one; stale edits are refused",
-    ),
-    c(
-        "redmine/issue-journal",
-        Confluence::Coordinated,
-        "journal entries form a single total order per issue",
-    ),
-    c(
-        "redmine/settings-save",
-        Confluence::Coordinated,
-        "settings read-modify-write applies against the latest values",
-    ),
-    // ── Broadleaf ──────────────────────────────────────────────────
-    c(
-        "broadleaf/cart-session-lock",
-        Confluence::Coordinated,
-        "one request mutates a cart session at a time",
-    ),
-    c(
-        "broadleaf/cart-total-update",
-        Confluence::Coordinated,
-        "cart total equals the sum of its items, recomputed atomically",
-    ),
-    c(
-        "broadleaf/offer-audit",
-        Confluence::Coordinated,
-        "at most one audit row per (offer, order)",
-    ),
-    c(
-        "broadleaf/checkout-workflow",
-        Confluence::Coordinated,
-        "checkout activities run exactly once, in workflow order",
-    ),
-    c(
-        "broadleaf/inventory-db-lock",
-        Confluence::Escrow,
-        "inventory quantity >= 0",
-    ),
-    c(
-        "broadleaf/sku-availability",
-        Confluence::Escrow,
-        "sku available quantity >= 0",
-    ),
-    c(
-        "broadleaf/promotion-uses",
-        Confluence::Escrow,
-        "promotion uses <= max uses",
-    ),
-    c(
-        "broadleaf/order-total-verify",
-        Confluence::Coordinated,
-        "verified order total matches the priced line items",
-    ),
-    c(
-        "broadleaf/fulfillment-price",
-        Confluence::Coordinated,
-        "fulfillment price agrees with the order snapshot it priced",
-    ),
-    c(
-        "broadleaf/payment-confirm",
-        Confluence::Coordinated,
-        "payment confirmation transitions a pending payment exactly once",
-    ),
-    c(
-        "broadleaf/price-list-sync",
-        Confluence::Coordinated,
-        "derived price rows reflect one consistent price-list version",
-    ),
-    // ── SCM Suite ──────────────────────────────────────────────────
-    c(
-        "scm-suite/account-balance",
-        Confluence::Escrow,
-        "accounts.balance >= 0",
-    ),
-    c(
-        "scm-suite/account-credit",
-        Confluence::Confluent,
-        "credits commute (balance has no upper bound)",
-    ),
-    c(
-        "scm-suite/merchandise-receive",
-        Confluence::Confluent,
-        "receives commute (stock has no upper bound)",
-    ),
-    c(
-        "scm-suite/merchandise-ship",
-        Confluence::Escrow,
-        "merchandise.stock >= 0",
-    ),
-    c(
-        "scm-suite/warehouse-transfer",
-        Confluence::Coordinated,
-        "total stock is conserved across warehouses (two-row atomicity)",
-    ),
-    c(
-        "scm-suite/settlement-run",
-        Confluence::Coordinated,
-        "a settlement totals one consistent snapshot of its accounts",
-    ),
-    c(
-        "scm-suite/supplier-update",
-        Confluence::Coordinated,
-        "supplier read-modify-write applies against the latest record",
-    ),
-    c(
-        "scm-suite/member-points",
-        Confluence::Confluent,
-        "points accrual commutes (no bound enforced)",
-    ),
-    c(
-        "scm-suite/stock-version-track",
-        Confluence::Confluent,
-        "recorded stock movements commute (tracking enforces no bound)",
-    ),
-    c(
-        "scm-suite/price-version-track",
-        Confluence::Coordinated,
-        "price updates are last-writer-wins guarded by version",
-    ),
-    c(
-        "scm-suite/order-version-track",
-        Confluence::Coordinated,
-        "order updates are last-writer-wins guarded by version",
-    ),
-    // ── JumpServer ─────────────────────────────────────────────────
-    c(
-        "jumpserver/grant-privilege",
-        Confluence::Coordinated,
-        "at most one grant per (user, asset)",
-    ),
-    c(
-        "jumpserver/asset-update",
-        Confluence::Coordinated,
-        "asset read-modify-write applies against the latest record",
-    ),
-    c(
-        "jumpserver/session-limit",
-        Confluence::Escrow,
-        "concurrent sessions per user <= limit",
-    ),
-    c(
-        "jumpserver/node-move",
-        Confluence::Coordinated,
-        "the asset tree stays acyclic and connected",
-    ),
-    c(
-        "jumpserver/credential-rotate",
-        Confluence::Coordinated,
-        "one rotation at a time per credential",
-    ),
-    // ── Saleor ─────────────────────────────────────────────────────
-    c(
-        "saleor/checkout-complete",
-        Confluence::Coordinated,
-        "a checkout completes into exactly one order",
-    ),
-    c(
-        "saleor/payment-capture",
-        Confluence::Coordinated,
-        "capture happens at most once per authorization",
-    ),
-    c(
-        "saleor/payment-refund",
-        Confluence::Escrow,
-        "refunded total <= captured total",
-    ),
-    c(
-        "saleor/stock-allocate",
-        Confluence::Escrow,
-        "stocks.quantity covers every open allocation (stock >= 0)",
-    ),
-    c(
-        "saleor/stock-deallocate",
-        Confluence::Confluent,
-        "deallocation credits commute (returns have no bound)",
-    ),
-    c(
-        "saleor/stock-adjust",
-        Confluence::Escrow,
-        "stocks.quantity >= 0 under negative adjustments",
-    ),
-    c(
-        "saleor/order-fulfill",
-        Confluence::Coordinated,
-        "fulfillment consumes each allocation exactly once",
-    ),
-    c(
-        "saleor/order-cancel",
-        Confluence::Coordinated,
-        "cancellation releases allocations and advances state once",
-    ),
-    c(
-        "saleor/gift-card-redeem",
-        Confluence::Escrow,
-        "gift-card balance >= 0",
-    ),
-    c(
-        "saleor/voucher-apply",
-        Confluence::Escrow,
-        "voucher uses <= usage limit",
-    ),
-    c(
-        "saleor/checkout-shipping",
-        Confluence::Coordinated,
-        "shipping method matches the address it was quoted for",
-    ),
-    c(
-        "saleor/checkout-billing",
-        Confluence::Coordinated,
-        "billing updates apply against the latest checkout state",
-    ),
-    c(
-        "saleor/payment-void",
-        Confluence::Coordinated,
-        "void only transitions from a voidable state",
-    ),
-    c(
-        "saleor/warehouse-assign",
-        Confluence::Coordinated,
-        "each order line is sourced from exactly one warehouse",
-    ),
-    c(
-        "saleor/digital-download",
-        Confluence::Escrow,
-        "downloads <= max downloads per purchase",
-    ),
-    c(
-        "saleor/checkout-lines",
-        Confluence::Confluent,
-        "line quantities accumulate commutatively per variant",
-    ),
-];
-
-/// Const constructor keeping the table readable.
-const fn c(id: &'static str, class: Confluence, invariant: &'static str) -> Classification {
-    Classification {
-        id,
-        class,
-        invariant,
-    }
-}
-
-/// Look up a case's classification by id.
-pub fn classify(id: &str) -> Option<&'static Classification> {
-    CLASSIFICATION.iter().find(|c| c.id == id)
-}
-
 /// Number of corpus cases in each bucket, in [`Confluence::all`] order.
 pub fn counts() -> [(Confluence, usize); 3] {
     Confluence::all().map(|class| {
         (
             class,
-            CLASSIFICATION.iter().filter(|c| c.class == class).count(),
+            CASES.iter().filter(|c| c.confluence == class).count(),
         )
     })
 }
@@ -581,15 +90,7 @@ pub fn counts() -> [(Confluence, usize); 3] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corpus_data::CASES;
-
-    #[test]
-    fn classification_is_a_bijection_with_the_corpus() {
-        assert_eq!(CLASSIFICATION.len(), CASES.len());
-        for (case, class) in CASES.iter().zip(CLASSIFICATION) {
-            assert_eq!(case.id, class.id, "classification must follow corpus order");
-        }
-    }
+    use crate::corpus::case;
 
     #[test]
     fn every_bucket_is_populated_and_totals_add_up() {
@@ -607,14 +108,11 @@ mod tests {
 
     #[test]
     fn escrow_cases_name_a_budget_bound() {
-        for class in CLASSIFICATION
-            .iter()
-            .filter(|c| c.class == Confluence::Escrow)
-        {
+        for c in CASES.iter().filter(|c| c.confluence == Confluence::Escrow) {
             assert!(
-                class.invariant.contains("<=") || class.invariant.contains(">="),
+                c.invariant.contains("<=") || c.invariant.contains(">="),
                 "escrow invariant must state its bound: {}",
-                class.id
+                c.id
             );
         }
     }
@@ -624,33 +122,33 @@ mod tests {
         // The apps layer specializes exactly these hot paths; keep the
         // classification honest about them.
         assert_eq!(
-            classify("discourse/like-post").unwrap().class,
+            case("discourse/like-post").unwrap().confluence,
             Confluence::Confluent
         );
         assert_eq!(
-            classify("mastodon/notification-dedupe").unwrap().class,
+            case("mastodon/notification-dedupe").unwrap().confluence,
             Confluence::Confluent
         );
         assert_eq!(
-            classify("mastodon/invite-redeem").unwrap().class,
+            case("mastodon/invite-redeem").unwrap().confluence,
             Confluence::Escrow
         );
         assert_eq!(
-            classify("saleor/stock-allocate").unwrap().class,
+            case("saleor/stock-allocate").unwrap().confluence,
             Confluence::Escrow
         );
         assert_eq!(
-            classify("spree/order-stock-decrement").unwrap().class,
+            case("spree/order-stock-decrement").unwrap().confluence,
             Confluence::Escrow
         );
         assert_eq!(
-            classify("scm-suite/account-balance").unwrap().class,
+            case("scm-suite/account-balance").unwrap().confluence,
             Confluence::Escrow
         );
         assert_eq!(
-            classify("discourse/create-post").unwrap().class,
+            case("discourse/create-post").unwrap().confluence,
             Confluence::Coordinated
         );
-        assert!(classify("nonexistent/case").is_none());
+        assert!(case("nonexistent/case").is_none());
     }
 }

@@ -218,7 +218,7 @@ pub fn render_table7b() -> String {
 /// The invariant-confluence classification of the corpus: per-app bucket
 /// counts plus the legend explaining what each bucket buys at runtime.
 pub fn render_confluence() -> String {
-    use crate::confluence::{Confluence, CLASSIFICATION};
+    use crate::confluence::Confluence;
     let mut out = String::new();
     writeln!(
         out,
@@ -231,26 +231,19 @@ pub fn render_confluence() -> String {
     }
     writeln!(out, " {:>6}", "Total").unwrap();
     for app in crate::App::all() {
-        let ids: Vec<&str> = crate::CASES
-            .iter()
-            .filter(|case| case.app == app)
-            .map(|case| case.id)
-            .collect();
+        let cases = crate::corpus::cases_for(app);
         write!(out, "  {:<11}", app.name()).unwrap();
         for class in Confluence::all() {
-            let n = CLASSIFICATION
-                .iter()
-                .filter(|c| c.class == class && ids.contains(&c.id))
-                .count();
+            let n = cases.iter().filter(|c| c.confluence == class).count();
             write!(out, " {n:>6}").unwrap();
         }
-        writeln!(out, " {:>6}", ids.len()).unwrap();
+        writeln!(out, " {:>6}", cases.len()).unwrap();
     }
     write!(out, "  {:<11}", "Total").unwrap();
     for (_, n) in crate::confluence::counts() {
         write!(out, " {n:>6}").unwrap();
     }
-    writeln!(out, " {:>6}", CLASSIFICATION.len()).unwrap();
+    writeln!(out, " {:>6}", crate::CASES.len()).unwrap();
     writeln!(
         out,
         "  Legend: CONF  = invariant-confluent; commits as a commutative delta,"

@@ -236,15 +236,15 @@ for pinned in \
     { echo "front-door decisions gate: paper-eval $ablation digest $got, recorded $digest"; exit 1; }
 done
 
-# Golden-outputs gate: the crash oracle's 63 sorted `finding:` lines, the
-# paper's tables, findings and playbook as `paper-eval` prints them, and
-# the study corpus, which tools/gen_corpus.py generates: regenerated into
-# target/ and formatted, it must equal the committed file byte for byte.
-# All are deterministic. They move only in a PR whose purpose is to change
-# them; such a PR re-records them here and says why.
-echo "==> golden-outputs gate (crash findings, paper-eval outputs, generated corpus)"
+# Golden-outputs gate: the crash oracle's 63 sorted `finding:` lines and
+# the paper's tables, findings, confluence split, extension and playbook
+# as `paper-eval` prints them. All are deterministic. They move only in a
+# PR whose purpose is to change them; such a PR re-records them here and
+# says why. The findings are read from stderr alone: libtest's progress
+# dots go to stdout and must not land inside a finding line.
+echo "==> golden-outputs gate (crash findings, paper-eval outputs)"
 findings=a5e4f8b00d84b19f18ebaab2a0d743448292e37c18dc09efd059ac6526f978b7
-got=$(cargo test -q --release --test crash_recovery_oracle -- --nocapture 2>&1 |
+got=$(cargo test -q --release --test crash_recovery_oracle -- --nocapture 2>&1 >/dev/null |
   grep -o 'finding:.*' | sort | sha256sum | cut -d' ' -f1)
 [ "$got" = "$findings" ] ||
   { echo "golden-outputs gate: crash findings digest $got, recorded $findings"; exit 1; }
@@ -259,12 +259,6 @@ for pinned in \
   [ "$got" = "$digest" ] ||
     { echo "golden-outputs gate: paper-eval $output digest $got, recorded $digest"; exit 1; }
 done
-corpus=target/golden-corpus
-rm -rf "$corpus" && mkdir -p "$corpus/crates/study/src"
-(cd "$corpus" && python3 ../../tools/gen_corpus.py >/dev/null)
-rustfmt --edition 2021 "$corpus/crates/study/src/corpus_data.rs"
-cmp "$corpus/crates/study/src/corpus_data.rs" crates/study/src/corpus_data.rs ||
-  { echo "golden-outputs gate: tools/gen_corpus.py no longer generates corpus_data.rs"; exit 1; }
 
 # The three timed ablations, once at smoke scale: they must run to the
 # end and print their rows (means are noise at this scale; the exact
