@@ -5,7 +5,7 @@
 //! a 200-tick run — swept across three configurations:
 //!
 //! * `full` — deadlines + retry budget + circuit breaker + per-app
-//!   admission doors with read-only degraded mode.
+//!   admission slots with read-only degraded mode.
 //! * `breaker_only` — the breaker fails outage traffic fast, but clients
 //!   still queue unbounded and nothing drops stale work.
 //! * `naive` — eager in-place retries, unbounded queueing, no deadlines.
@@ -16,8 +16,8 @@
 //! completes already missed its client's patience window, so the work is
 //! wasted, the client has already resubmitted, and goodput pins near
 //! zero on a healthy backend. The `full` stack breaks every link of that
-//! loop: each request holds its front-door permit while queued or in
-//! flight (a resubmitted copy must pass the door again), deadlines drop
+//! loop: each request holds its app's admission slot while queued or in
+//! flight (a resubmitted copy must be admitted again), deadlines drop
 //! stale work for free, the breaker turns outage traffic into instant
 //! local rejections, a retry budget bounds the amplification, and
 //! read-only degraded mode serves reads off the replica while writes
@@ -37,15 +37,16 @@
 
 use adhoc_kv::{Client, KvError, Store};
 use adhoc_sim::{
-    BreakerState, CircuitBreaker, Clock, Deadline, FaultKind, FaultPlan, FaultRule, FrontDoor,
-    LatencyModel, Permit, RetryBudget, VirtualClock, Workload,
+    BreakerState, CircuitBreaker, Clock, Deadline, FaultKind, FaultPlan, FaultRule, LatencyModel,
+    Permit, RetryBudget, SlotCounter, VirtualClock,
 };
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
 /// The eight applications of Table 2; a request's app number indexes
-/// this (and the world's front doors), and the name keys its KV entries.
+/// this (and the world's admission slots), and the name keys its KV
+/// entries.
 pub const APPS: [&str; 8] = [
     "broadleaf",
     "discourse",
@@ -76,7 +77,7 @@ pub const STORM_START: u64 = 60;
 pub const STORM_END: u64 = 90;
 /// Naive ablation: in-place attempts per request before requeueing.
 const NAIVE_ATTEMPTS: u32 = 4;
-/// Per-app front-door concurrency bound (`full` only).
+/// Per-app admission concurrency bound (`full` only).
 pub const DOOR_CAPACITY: usize = 3;
 /// Retry tokens in the `full` stack's budget.
 pub const RETRY_TOKENS: u32 = 4;
@@ -92,7 +93,7 @@ pub struct Resilience {
     /// Circuit breaker on the shared KV connection.
     pub breaker: bool,
     /// Per-request deadlines (stale work drops free, errors return to the
-    /// caller instead of requeueing) and per-app admission doors with
+    /// caller instead of requeueing) and per-app admission slots with
     /// read-only degraded mode.
     pub shedding: bool,
 }
@@ -132,9 +133,10 @@ pub struct ResilienceRow {
     pub goodput: Vec<u64>,
     /// Reads served from the replica in degraded mode during the storm.
     pub storm_replica_reads: u64,
-    /// Front-door sheds plus deadline drops.
+    /// Requests shed with every admission slot taken, plus deadline
+    /// drops.
     pub shed: u64,
-    /// Writes refused at the door by degraded mode.
+    /// Writes refused at admission by degraded mode.
     pub refused_writes: u64,
     /// Writes acknowledged to clients.
     pub acked: u64,
@@ -152,7 +154,7 @@ struct Req<'d> {
     read: bool,
     /// The impatient client already resubmitted a fresh copy.
     respawned: bool,
-    /// Front-door slot, held (never read) while queued and in flight;
+    /// Admission slot, held (never read) while queued and in flight;
     /// dropping it releases the slot.
     _permit: Option<Permit<'d>>,
 }
@@ -167,7 +169,7 @@ pub fn run_config(config: &'static str, res: Resilience) -> ResilienceRow {
     let plan = FaultPlan::new(
         SEED,
         FaultRule::storm(
-            &[FaultKind::PartitionInbound],
+            &[FaultKind::ConnError],
             1.0,
             at_tick(STORM_START),
             at_tick(STORM_END),
@@ -179,18 +181,20 @@ pub fn run_config(config: &'static str, res: Resilience) -> ResilienceRow {
     if res.breaker {
         base = base.with_breaker(Arc::clone(&breaker));
     }
-    let doors: [FrontDoor; APPS.len()] = std::array::from_fn(|_| FrontDoor::new(DOOR_CAPACITY));
-    // `None` when the door refuses; no door at all admits everyone.
-    let admit = |app: usize, read: bool| -> Option<Option<Permit<'_>>> {
+    let slots: [SlotCounter; APPS.len()] = std::array::from_fn(|_| SlotCounter::new(DOOR_CAPACITY));
+    let mut refused_writes = 0u64;
+    // `None` when admission refuses: a write while degraded (counted
+    // here), or every slot of the app taken (counted by its counter).
+    // Without shedding nothing is refused and no slot is held.
+    let mut admit = |app: usize, read: bool, degraded: bool| -> Option<Option<Permit<'_>>> {
         if !res.shedding {
             return Some(None);
         }
-        let workload = if read {
-            Workload::Read
-        } else {
-            Workload::Write
-        };
-        doors[app].admit(workload).ok().map(Some)
+        if degraded && !read {
+            refused_writes += 1;
+            return None;
+        }
+        slots[app].try_take().map(Some)
     };
 
     let mut queue: VecDeque<Req> = VecDeque::new();
@@ -205,22 +209,19 @@ pub fn run_config(config: &'static str, res: Resilience) -> ResilienceRow {
 
     for tick in 0..TICKS {
         let storming = (STORM_START..STORM_END).contains(&tick);
-        // Degraded mode follows the breaker: while Open, writes shed at
-        // the door and reads come off the replica. Half-open un-degrades
-        // so the probe write can go through.
+        // Degraded mode follows the breaker: while Open, writes are
+        // refused at admission and reads come off the replica. Half-open
+        // un-degrades so the probe write can go through.
         let degraded =
             res.shedding && res.breaker && matches!(breaker.state(clock.now()), BreakerState::Open);
-        for door in &doors {
-            door.set_read_only(degraded);
-        }
 
         for _ in 0..ARRIVALS {
             let id = next_id;
             next_id += 1;
             let app = (id % APPS.len() as u64) as usize;
             let read = id % 4 == 3;
-            // Shed or refused at the door: the client hears now.
-            let Some(permit) = admit(app, read) else {
+            // Shed or refused at admission: the client hears now.
+            let Some(permit) = admit(app, read, degraded) else {
                 continue;
             };
             queue.push_back(Req {
@@ -247,10 +248,10 @@ pub fn run_config(config: &'static str, res: Resilience) -> ResilienceRow {
             };
             let stale = tick - req.born > PATIENCE;
             if stale && !req.respawned {
-                // The impatient client resubmits through the door; without
+                // The impatient client resubmits through admission; without
                 // deadlines the stale original stays queued and is served.
                 req.respawned = true;
-                if let Some(permit) = admit(req.app, req.read) {
+                if let Some(permit) = admit(req.app, req.read, degraded) {
                     let id = next_id;
                     next_id += 1;
                     queue.push_back(Req {
@@ -348,8 +349,8 @@ pub fn run_config(config: &'static str, res: Resilience) -> ResilienceRow {
         times_opened: breaker.times_opened(),
         goodput: goodput_by_tick,
         storm_replica_reads,
-        shed: deadline_drops + doors.iter().map(|d| d.stats().shed).sum::<u64>(),
-        refused_writes: doors.iter().map(|d| d.stats().refused_writes).sum(),
+        shed: deadline_drops + slots.iter().map(SlotCounter::refused).sum::<u64>(),
+        refused_writes,
         acked: acked_keys.len() as u64,
         retry_tokens: budget.tokens(),
         violations,

@@ -37,8 +37,8 @@ impl Client {
 
     /// Attach a fault plan: every fallible command consults it (class
     /// [`OpClass::KvCommand`]) and may lose its reply, lose its connection,
-    /// partition, stall, skew the server clock, or find the store freshly
-    /// restarted. Fault consultation charges no extra round trips.
+    /// stall, or find the store freshly restarted. Fault consultation
+    /// charges no extra round trips.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
         self
@@ -88,23 +88,19 @@ impl Client {
     /// One fault-eligible round trip: check deadline and breaker (both
     /// fail fast *without* paying the wire or yielding to the scheduler,
     /// so opting in never perturbs pinned schedules), pay, consult the
-    /// plan, then run `apply` against the store at the (possibly delayed
-    /// or skewed) server-side arrival time.
+    /// plan, then run `apply` against the store at the (possibly delayed)
+    /// server-side arrival time.
     ///
-    /// * `ConnError` / `PartitionInbound` — the command never reaches the
-    ///   server: `apply` is skipped and the caller sees
-    ///   [`KvError::ConnectionLost`].
-    /// * `ReplyLost` / `PartitionOutbound` — `apply` runs (the server did
-    ///   the work) but the caller still sees [`KvError::ConnectionLost`]:
-    ///   the ambiguous outcome of §3.4.1.
+    /// * `ConnError` — the command never reaches the server (a dropped
+    ///   connection or the inbound half of a partition): `apply` is
+    ///   skipped and the caller sees [`KvError::ConnectionLost`].
+    /// * `ReplyLost` — `apply` runs (the server did the work) but the
+    ///   reply is dropped (or the outbound half of a partition eats it),
+    ///   so the caller still sees [`KvError::ConnectionLost`]: the
+    ///   ambiguous outcome of §3.4.1.
     /// * `LatencySpike` — the command stalls in flight for the injected
     ///   delay before being applied; with a virtual clock this is how a
     ///   holder overstays its lease.
-    /// * `ReplyDelay` — the *reply* stalls: the server applies at the
-    ///   original arrival instant, the client resumes late with a stale
-    ///   answer (the asymmetric half of a partition).
-    /// * `ClockSkew` — the server evaluates the command at a clock skewed
-    ///   forward by the injected delay, so TTLs expire early there.
     /// * `StoreRestart` — the server bounces (volatile entries lost) just
     ///   before serving the command, which then succeeds normally.
     fn round_trip<R>(&self, apply: impl FnOnce(Duration) -> R) -> Result<R, KvError> {
@@ -120,10 +116,8 @@ impl Client {
         if let Some(plan) = &self.faults {
             if let Some(fault) = plan.arm_at(OpClass::KvCommand, now) {
                 match fault.kind {
-                    FaultKind::ConnError | FaultKind::PartitionInbound => {
-                        return Err(KvError::ConnectionLost)
-                    }
-                    FaultKind::ReplyLost | FaultKind::PartitionOutbound => {
+                    FaultKind::ConnError => return Err(KvError::ConnectionLost),
+                    FaultKind::ReplyLost => {
                         apply(now);
                         return Err(KvError::ConnectionLost);
                     }
@@ -131,12 +125,6 @@ impl Client {
                         self.transport.sleep(fault.delay);
                         now = self.transport.now();
                     }
-                    FaultKind::ReplyDelay => {
-                        let reply = apply(now);
-                        self.transport.sleep(fault.delay);
-                        return Ok(reply);
-                    }
-                    FaultKind::ClockSkew => now += fault.delay,
                     FaultKind::StoreRestart => self.store.restart(now),
                     // DbCommit/DbStatement kinds never arm on
                     // OpClass::KvCommand.
@@ -497,67 +485,6 @@ mod tests {
         plan.enable();
         assert_eq!(c.get("lease").unwrap(), None, "lease gone after restart");
         assert_eq!(c.get("durable").unwrap(), Some("v".into()));
-    }
-
-    #[test]
-    fn inbound_partition_drops_the_request() {
-        use adhoc_sim::{FaultKind, FaultPlan, FaultRule};
-        let plan = FaultPlan::new(
-            1,
-            vec![FaultRule::at_ops(FaultKind::PartitionInbound, &[0])],
-        );
-        let c = client().with_faults(plan);
-        assert_eq!(c.set("k", "v"), Err(KvError::ConnectionLost));
-        assert_eq!(c.get("k").unwrap(), None, "request never arrived");
-    }
-
-    #[test]
-    fn outbound_partition_applies_but_drops_the_reply() {
-        use adhoc_sim::{FaultKind, FaultPlan, FaultRule};
-        let plan = FaultPlan::new(
-            1,
-            vec![FaultRule::at_ops(FaultKind::PartitionOutbound, &[0])],
-        );
-        let c = client().with_faults(plan);
-        assert_eq!(c.del("k"), Err(KvError::ConnectionLost));
-        // The one-way partition is indistinguishable from ReplyLost at the
-        // client; the server-side effect is what the fault models.
-        assert_eq!(c.set_nx("k", "v"), Ok(true), "DEL did apply server-side");
-    }
-
-    #[test]
-    fn reply_delay_serves_at_the_original_instant() {
-        use adhoc_sim::{FaultKind, FaultPlan, FaultRule};
-        let plan = FaultPlan::new(
-            1,
-            vec![FaultRule::at_ops(FaultKind::ReplyDelay, &[1]).delay(Duration::from_secs(9))],
-        );
-        let clock = Arc::new(VirtualClock::new());
-        let c = Client::new(Store::new(), clock.clone(), LatencyModel::zero()).with_faults(plan);
-        assert!(c.set_nx_px("lease", "a", Duration::from_secs(5)).unwrap());
-        // Op 1's *reply* stalls 9s: the server granted nothing (lease "a"
-        // was live at arrival) and the client learns that 9s late — by
-        // which time the lease has actually expired.
-        assert!(!c.set_nx_px("lease", "b", Duration::from_secs(5)).unwrap());
-        assert_eq!(clock.now(), Duration::from_secs(9));
-        assert_eq!(c.get("lease").unwrap(), None, "lease expired mid-reply");
-    }
-
-    #[test]
-    fn clock_skew_expires_ttls_early_on_the_server() {
-        use adhoc_sim::{FaultKind, FaultPlan, FaultRule};
-        let plan = FaultPlan::new(
-            1,
-            vec![FaultRule::at_ops(FaultKind::ClockSkew, &[1]).delay(Duration::from_secs(9))],
-        );
-        let clock = Arc::new(VirtualClock::new());
-        let c = Client::new(Store::new(), clock.clone(), LatencyModel::zero()).with_faults(plan);
-        assert!(c.set_nx_px("lease", "a", Duration::from_secs(5)).unwrap());
-        // The server evaluates op 1 at now+9s, so the 5s lease looks
-        // already expired there — a second holder is admitted while the
-        // first still believes itself covered.
-        assert!(c.set_nx_px("lease", "b", Duration::from_secs(5)).unwrap());
-        assert_eq!(clock.now(), Duration::ZERO, "client clock never moved");
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! exactly one service round trip through whichever pooled connection it
 //! drew. When every connection is busy the caller learns immediately
 //! (fail-fast), instead of queueing invisibly inside a connection layer.
-//! The bound is an [`adhoc_sim::SlotCounter`], the slot count under
-//! [`adhoc_sim::FrontDoor`] too. [`Service`](crate::Service) serves one
+//! The bound is an [`adhoc_sim::SlotCounter`], the slot count the storm
+//! world's per-app admission uses too. [`Service`](crate::Service) serves one
 //! request at a time and holds its transport directly; the pool is for
 //! callers that serve several at once.
 

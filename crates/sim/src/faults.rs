@@ -67,12 +67,14 @@ impl OpClass {
 /// What goes wrong when a rule fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
-    /// KV: the command is applied server-side but the reply never arrives —
-    /// the ambiguous-`SETNX` case (§3.4.1): the caller cannot tell an
-    /// acquired lock from a failed acquisition.
+    /// KV: the command is applied server-side but the reply never arrives
+    /// (a dropped connection, or the server→client half of a partitioned
+    /// link) — the ambiguous-`SETNX` case (§3.4.1): the caller cannot tell
+    /// an acquired lock from a failed acquisition.
     ReplyLost,
-    /// KV: the connection drops before the command reaches the server;
-    /// nothing is applied.
+    /// KV: the connection drops, or the client→server half of the link is
+    /// partitioned, before the command reaches the server; nothing is
+    /// applied.
     ConnError,
     /// KV: the command succeeds but only after an injected delay — a GC
     /// pause or network stall that can outlive a lease TTL (the Mastodon
@@ -112,27 +114,6 @@ pub enum FaultKind {
     /// the acknowledgement is lost. It races no other leader: the
     /// checkpoint's own flush has made the record durable by then.
     TruncateBeforeWait,
-    /// KV: client→server half of the link is down — the request is dropped
-    /// before it reaches the store, nothing is applied, and the client sees
-    /// a connection error. One direction of an asymmetric partition.
-    PartitionInbound,
-    /// KV: server→client half of the link is down — the request arrives and
-    /// is applied, but the reply is dropped. The other direction of an
-    /// asymmetric partition: indistinguishable from [`PartitionInbound`] at
-    /// the client, opposite server-side truth.
-    ///
-    /// [`PartitionInbound`]: FaultKind::PartitionInbound
-    PartitionOutbound,
-    /// KV: asymmetric one-way delay — the request arrives on time and is
-    /// applied at the original instant, but the *reply* is delayed by the
-    /// rule's `delay`. The client resumes late while the server-side state
-    /// (and any TTL it started) is already `delay` old.
-    ReplyDelay,
-    /// KV: the store serves this command with its clock skewed *forward*
-    /// by the rule's `delay` — TTLs evaluated under the skew expire early,
-    /// so a lease the client believes it still holds is already reaped
-    /// server-side (the lease-expiry hazard without any real delay).
-    ClockSkew,
     /// DB: the client↔DB link is partitioned at a statement boundary — the
     /// statement never reaches the engine. Unlike a commit-time
     /// [`CommitFailed`](FaultKind::CommitFailed) there is no ambiguity:
@@ -156,10 +137,6 @@ impl FaultKind {
             FaultKind::CheckpointTorn => "checkpoint-torn",
             FaultKind::CrashBeforeTruncate => "crash-before-truncate",
             FaultKind::TruncateBeforeWait => "truncate-before-wait",
-            FaultKind::PartitionInbound => "partition-inbound",
-            FaultKind::PartitionOutbound => "partition-outbound",
-            FaultKind::ReplyDelay => "reply-delay",
-            FaultKind::ClockSkew => "clock-skew",
             FaultKind::DbPartitioned => "db-partitioned",
         }
     }
@@ -170,11 +147,7 @@ impl FaultKind {
             FaultKind::ReplyLost
             | FaultKind::ConnError
             | FaultKind::LatencySpike
-            | FaultKind::StoreRestart
-            | FaultKind::PartitionInbound
-            | FaultKind::PartitionOutbound
-            | FaultKind::ReplyDelay
-            | FaultKind::ClockSkew => OpClass::KvCommand,
+            | FaultKind::StoreRestart => OpClass::KvCommand,
             FaultKind::CommitFailed
             | FaultKind::CrashAfterDurable
             | FaultKind::CrashBeforeDurable
@@ -211,7 +184,7 @@ pub struct FaultRule {
     trigger: Trigger,
     /// Stop firing after this many injections (`None` = unlimited).
     max_fires: Option<u32>,
-    /// Injected delay (latency spikes, reply delays) or clock skew.
+    /// Injected delay (latency spikes).
     delay: Duration,
     /// Virtual-clock window `[start, end)` the rule is live in. Windowed
     /// rules only match when armed through [`FaultPlan::arm_at`] with a
@@ -251,12 +224,8 @@ impl FaultRule {
         self
     }
 
-    /// Set the injected delay ([`LatencySpike`], [`ReplyDelay`]) or the
-    /// forward clock skew ([`ClockSkew`]).
-    ///
-    /// [`LatencySpike`]: FaultKind::LatencySpike
-    /// [`ReplyDelay`]: FaultKind::ReplyDelay
-    /// [`ClockSkew`]: FaultKind::ClockSkew
+    /// Set the in-flight stall of a
+    /// [`LatencySpike`](FaultKind::LatencySpike).
     pub fn delay(mut self, d: Duration) -> Self {
         self.delay = d;
         self
@@ -274,7 +243,7 @@ impl FaultRule {
 
     /// A correlated fault *storm*: one windowed probability rule per kind,
     /// all sharing the same window and probability — the simultaneous,
-    /// correlated failures (partition + delay + skew at once) that trigger
+    /// correlated failures (partition + delay at once) that trigger
     /// metastable collapse, as opposed to independent single faults.
     pub fn storm(kinds: &[FaultKind], p: f64, start: Duration, end: Duration) -> Vec<Self> {
         kinds
@@ -487,11 +456,6 @@ impl FaultPlan {
     pub fn ops_seen(&self, class: OpClass) -> u64 {
         self.inner.counters[class.index()].load(Ordering::SeqCst)
     }
-
-    /// The seed the plan was built with.
-    pub fn seed(&self) -> u64 {
-        self.inner.seed
-    }
 }
 
 impl fmt::Debug for FaultPlan {
@@ -684,10 +648,7 @@ mod tests {
         let ms = Duration::from_millis;
         let plan = FaultPlan::new(
             1,
-            vec![
-                FaultRule::with_probability(FaultKind::PartitionInbound, 1.0)
-                    .during(ms(100), ms(200)),
-            ],
+            vec![FaultRule::with_probability(FaultKind::ConnError, 1.0).during(ms(100), ms(200))],
         );
         assert!(plan.arm_at(OpClass::KvCommand, ms(50)).is_none());
         assert!(plan.arm_at(OpClass::KvCommand, ms(100)).is_some());
@@ -706,16 +667,16 @@ mod tests {
     fn storm_rules_are_correlated_in_one_window() {
         let ms = Duration::from_millis;
         let kinds = [
-            FaultKind::PartitionInbound,
-            FaultKind::PartitionOutbound,
-            FaultKind::ClockSkew,
+            FaultKind::ConnError,
+            FaultKind::ReplyLost,
+            FaultKind::LatencySpike,
         ];
         let plan = FaultPlan::new(7, FaultRule::storm(&kinds, 1.0, ms(10), ms(20)));
         assert!(plan.arm_at(OpClass::KvCommand, ms(5)).is_none());
         let hit = plan
             .arm_at(OpClass::KvCommand, ms(15))
             .expect("inside the storm");
-        assert_eq!(hit.kind, FaultKind::PartitionInbound, "first rule wins");
+        assert_eq!(hit.kind, FaultKind::ConnError, "first rule wins");
         assert!(
             plan.arm_at(OpClass::KvCommand, ms(25)).is_none(),
             "storm healed"
@@ -734,12 +695,12 @@ mod tests {
     }
 
     #[test]
-    fn partition_kinds_attach_to_kv_commands() {
+    fn kv_kinds_attach_to_kv_commands() {
         for kind in [
-            FaultKind::PartitionInbound,
-            FaultKind::PartitionOutbound,
-            FaultKind::ReplyDelay,
-            FaultKind::ClockSkew,
+            FaultKind::ReplyLost,
+            FaultKind::ConnError,
+            FaultKind::LatencySpike,
+            FaultKind::StoreRestart,
         ] {
             assert_eq!(kind.class(), OpClass::KvCommand, "{kind}");
         }

@@ -25,8 +25,8 @@
 //!   (compact `SCHED=` witness strings), not by wall-clock luck.
 //! * [`resilience`] — absolute [`Deadline`]s, token-bucket
 //!   [`RetryBudget`]s, a deterministic [`CircuitBreaker`] and the
-//!   [`FrontDoor`] admission gate over a [`SlotCounter`], the primitives
-//!   that keep a fault storm from becoming a metastable retry storm.
+//!   [`SlotCounter`] that bounds admission, the primitives that keep a
+//!   fault storm from becoming a metastable retry storm.
 //! * [`transport`] — the shared simulated-wire shim ([`Transport`]):
 //!   admission (deadline + breaker), the wire hop (yield + count + latency
 //!   charge), and outcome bookkeeping, extracted once for the KV client and
@@ -48,8 +48,7 @@ pub use clock::{Clock, RealClock, SharedClock, VirtualClock};
 pub use faults::{FaultKind, FaultPlan, FaultRecord, FaultRule, InjectedFault, OpClass};
 pub use latency::LatencyModel;
 pub use resilience::{
-    BreakerState, CircuitBreaker, Deadline, DoorStats, FrontDoor, Permit, Rejected, RetryBudget,
-    SlotCounter, Workload,
+    BreakerState, CircuitBreaker, Deadline, Permit, RetryBudget, SlotCounter, Workload,
 };
 pub use retry::{GiveUp, RetryObserver, RetryPolicy};
 pub use sched::{

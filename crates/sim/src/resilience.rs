@@ -1,5 +1,6 @@
 //! Resilience primitives: absolute deadlines, retry budgets, a
-//! deterministic circuit breaker, and an admission-control front door.
+//! deterministic circuit breaker, and a lock-free slot counter for
+//! admission control.
 //!
 //! §3.4 of the paper shows what failure handling looks like when every
 //! call site improvises it: unbounded retries, no deadline, and no notion
@@ -21,11 +22,11 @@
 //! * [`CircuitBreaker`] — the closed → open → half-open machine that stops
 //!   sending work to a backend that keeps failing, probes it once per
 //!   cooldown, and closes again on the first success.
-//! * [`FrontDoor`] — bounded-concurrency admission control with load
-//!   shedding and a read-only degraded mode: work beyond capacity is shed
-//!   at the door instead of queueing behind a slow backend. Its bound is
-//!   a [`SlotCounter`], the one lock-free slot count in the workspace
-//!   (the service's session pool counts its connections with it too).
+//! * [`SlotCounter`] — bounded-concurrency admission: work beyond
+//!   capacity is refused at once instead of queueing behind a slow
+//!   backend. It is the one lock-free slot count in the workspace: the
+//!   storm world's per-app admission and the service's session pool both
+//!   count with it.
 
 use crate::clock::Clock;
 use parking_lot::Mutex;
@@ -356,12 +357,12 @@ impl CircuitBreaker {
 }
 
 // ---------------------------------------------------------------------------
-// SlotCounter and FrontDoor
+// SlotCounter
 // ---------------------------------------------------------------------------
 
 /// A fixed number of slots, taken and given back without locks: the one
-/// bounded-concurrency primitive under [`FrontDoor`] and the service's
-/// session pool.
+/// bounded-concurrency primitive, under the storm world's per-app
+/// admission and the service's session pool.
 ///
 /// A slot is taken by one compare-and-swap that succeeds only below
 /// capacity, so a refused caller never holds a slot, even for an
@@ -426,112 +427,19 @@ impl Drop for Permit<'_> {
     }
 }
 
-/// Why the front door refused a request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Rejected {
-    /// The bounded queue is full: the request is shed immediately rather
-    /// than parked behind work that will miss its deadline anyway.
-    Shed,
-    /// The app is in read-only degraded mode and the request is a write.
-    ReadOnly,
-}
-
-impl std::fmt::Display for Rejected {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Rejected::Shed => write!(f, "shed: admission queue full"),
-            Rejected::ReadOnly => write!(f, "rejected: app is in read-only degraded mode"),
-        }
-    }
-}
-
 /// Whether an admitted request intends to write.
 ///
-/// Degraded mode only refuses [`Workload::Write`]; reads keep flowing, so
-/// a partitioned backend degrades to stale-but-available instead of
-/// unavailable — the per-app knob the overload runbooks in the studied
-/// applications implement by hand (when they implement it at all).
+/// Read-only degraded mode only refuses [`Workload::Write`]; reads keep
+/// flowing, so a partitioned backend degrades to stale-but-available
+/// instead of unavailable — the per-app knob the overload runbooks in
+/// the studied applications implement by hand (when they implement it at
+/// all).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Workload {
     /// Read-only request: admitted even in degraded mode.
     Read,
     /// Mutating request: refused while degraded.
     Write,
-}
-
-/// Bounded-concurrency admission control for one application.
-///
-/// The front door is the first thing a request meets: at most `capacity`
-/// requests are in flight at once, and everything beyond that is shed
-/// *immediately* ([`Rejected::Shed`]) instead of queueing. Shedding at
-/// the door is the anti-metastability move — queued work behind a slow
-/// backend keeps deadlines expiring and retries flowing long after the
-/// fault clears, while shed work leaves the system the moment it arrives.
-///
-/// Operators (or the breaker-watching automation in the oracle) can also
-/// flip the app into read-only degraded mode: writes are refused with
-/// [`Rejected::ReadOnly`] while reads pass, bounding the blast radius of
-/// a partitioned write path.
-///
-/// All state is atomic; the door takes no locks and never blocks. Its
-/// in-flight bound is a [`SlotCounter`].
-#[derive(Debug)]
-pub struct FrontDoor {
-    slots: SlotCounter,
-    read_only: AtomicBool,
-    refused_writes: AtomicU64,
-}
-
-/// Counters describing what a [`FrontDoor`] has done so far.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DoorStats {
-    /// Requests shed because the door was at capacity.
-    pub shed: u64,
-    /// Writes refused while in read-only degraded mode.
-    pub refused_writes: u64,
-    /// Requests in flight right now.
-    pub in_flight: usize,
-}
-
-impl FrontDoor {
-    /// A front door admitting at most `capacity` concurrent requests (a
-    /// capacity of 0 admits one).
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            slots: SlotCounter::new(capacity.max(1)),
-            read_only: AtomicBool::new(false),
-            refused_writes: AtomicU64::new(0),
-        }
-    }
-
-    /// Try to admit one request. Returns a [`Permit`] releasing the slot
-    /// on drop, or the reason the request was refused. Never blocks.
-    pub fn admit(&self, workload: Workload) -> Result<Permit<'_>, Rejected> {
-        if workload == Workload::Write && self.read_only.load(Ordering::Acquire) {
-            self.refused_writes.fetch_add(1, Ordering::Relaxed);
-            return Err(Rejected::ReadOnly);
-        }
-        self.slots.try_take().ok_or(Rejected::Shed)
-    }
-
-    /// Enter or leave read-only degraded mode.
-    pub fn set_read_only(&self, degraded: bool) {
-        self.read_only.store(degraded, Ordering::Release);
-    }
-
-    /// Is the app currently degraded to read-only?
-    pub fn is_read_only(&self) -> bool {
-        self.read_only.load(Ordering::Acquire)
-    }
-
-    /// Counters so far.
-    pub fn stats(&self) -> DoorStats {
-        DoorStats {
-            shed: self.slots.refused(),
-            refused_writes: self.refused_writes.load(Ordering::Relaxed),
-            in_flight: self.slots.in_use(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -808,43 +716,29 @@ mod tests {
     }
 
     #[test]
-    fn door_bounds_concurrency_and_sheds_the_rest() {
-        let door = FrontDoor::new(2);
-        let a = door.admit(Workload::Write).unwrap();
-        let _b = door.admit(Workload::Read).unwrap();
-        assert_eq!(door.admit(Workload::Read).unwrap_err(), Rejected::Shed);
-        assert_eq!(door.stats().shed, 1);
-        assert_eq!(door.stats().in_flight, 2);
+    fn slots_bound_concurrency_and_refuse_the_rest() {
+        let slots = SlotCounter::new(2);
+        let a = slots.try_take().unwrap();
+        let _b = slots.try_take().unwrap();
+        assert!(slots.try_take().is_none());
+        assert_eq!(slots.refused(), 1);
+        assert_eq!(slots.in_use(), 2);
         // Releasing a permit frees the slot immediately.
         drop(a);
-        let _c = door.admit(Workload::Write).unwrap();
-        assert_eq!(door.stats().in_flight, 2);
-    }
-
-    #[test]
-    fn read_only_mode_refuses_writes_but_admits_reads() {
-        let door = FrontDoor::new(8);
-        door.set_read_only(true);
-        assert!(door.is_read_only());
-        assert_eq!(door.admit(Workload::Write).unwrap_err(), Rejected::ReadOnly);
-        let _r = door.admit(Workload::Read).unwrap();
-        assert_eq!(door.stats().refused_writes, 1);
-        assert_eq!(door.stats().in_flight, 1);
-        // Leaving degraded mode restores writes.
-        door.set_read_only(false);
-        let _w = door.admit(Workload::Write).unwrap();
+        let _c = slots.try_take().unwrap();
+        assert_eq!(slots.in_use(), 2);
     }
 
     #[test]
     fn permits_release_on_panic_unwind() {
-        let door = FrontDoor::new(1);
+        let slots = SlotCounter::new(1);
         let result = std::panic::catch_unwind(|| {
-            let _p = door.admit(Workload::Write).unwrap();
+            let _p = slots.try_take().unwrap();
             panic!("handler died");
         });
         assert!(result.is_err());
-        assert_eq!(door.stats().in_flight, 0, "permit released by unwind");
-        door.admit(Workload::Write).unwrap();
+        assert_eq!(slots.in_use(), 0, "permit released by unwind");
+        slots.try_take().unwrap();
     }
 
     /// A refused take must not refuse one that fits. The test holds one
@@ -901,12 +795,5 @@ mod tests {
             refusals.len()
         );
         assert_eq!(slots.in_use(), 1);
-    }
-
-    #[test]
-    fn zero_capacity_is_clamped_to_one() {
-        let door = FrontDoor::new(0);
-        let _p = door.admit(Workload::Read).unwrap();
-        assert_eq!(door.admit(Workload::Read).unwrap_err(), Rejected::Shed);
     }
 }

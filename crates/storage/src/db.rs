@@ -894,25 +894,27 @@ impl Database {
     /// time, and no checkpoint is left open between two calls.
     /// Returns false when the database has no WAL.
     pub fn checkpoint(&self) -> bool {
-        self.write_checkpoint(CheckpointEnd::Truncate)
+        self.write_checkpoint(None)
     }
 
-    /// [`checkpoint`](Self::checkpoint), ending as `end` says.
-    pub(crate) fn write_checkpoint(&self, end: CheckpointEnd) -> bool {
-        self.checkpoint_with(Wal::begin_checkpoint, end)
+    /// [`checkpoint`](Self::checkpoint), crashing as the commit fault
+    /// `crash` says.
+    pub(crate) fn write_checkpoint(&self, crash: Option<FaultKind>) -> bool {
+        self.checkpoint_with(Wal::begin_checkpoint, crash)
     }
 
     /// The checkpoint a commit's append reported due, written whole after
     /// the commit released its locks. It opens only if it is still due:
     /// another writer may have ended it since the report.
     pub(crate) fn write_due_checkpoint(&self) -> bool {
-        self.checkpoint_with(Wal::begin_due_checkpoint, CheckpointEnd::Truncate)
+        self.checkpoint_with(Wal::begin_due_checkpoint, None)
     }
 
     /// Under the writer lock, open a checkpoint with `begin`, write every
-    /// shard's frame and end it as `end` says. Returns whether it wrote
-    /// one.
-    fn checkpoint_with(&self, begin: fn(&Wal) -> Option<usize>, end: CheckpointEnd) -> bool {
+    /// shard's frame and end it: its end frame made durable, then the log
+    /// before its start dropped, unless the commit fault `crash` kills the
+    /// process first. Returns whether it wrote one.
+    fn checkpoint_with(&self, begin: fn(&Wal) -> Option<usize>, crash: Option<FaultKind>) -> bool {
         let Some(wal) = self.wal() else {
             return false;
         };
@@ -940,13 +942,15 @@ impl Database {
             });
         }
         let end_lsn = wal.end_checkpoint();
-        match end {
-            CheckpointEnd::Truncate => {
+        match crash {
+            // The fsync watermark stops inside the checkpoint's frames,
+            // before its end frame.
+            Some(FaultKind::CheckpointTorn) => wal.sync_torn(),
+            Some(FaultKind::CrashBeforeTruncate) => wal.ensure_durable(end_lsn),
+            _ => {
                 wal.ensure_durable(end_lsn);
                 wal.truncate();
             }
-            CheckpointEnd::CrashBeforeTruncate => wal.ensure_durable(end_lsn),
-            CheckpointEnd::Torn => wal.sync_torn(),
         }
         true
     }
@@ -1030,19 +1034,6 @@ impl std::fmt::Debug for Database {
             .field("stats", &self.stats())
             .finish_non_exhaustive()
     }
-}
-
-/// How a checkpoint ends: normally, or in a crash shape a commit fault
-/// forces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CheckpointEnd {
-    /// The end frame is made durable, then the log before the start goes.
-    Truncate,
-    /// The end frame is made durable; the process dies before truncating.
-    CrashBeforeTruncate,
-    /// The process dies mid-flush: the fsync watermark stops inside the
-    /// checkpoint's frames, before its end frame.
-    Torn,
 }
 
 /// Opaque session identifier for advisory locks.

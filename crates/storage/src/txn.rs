@@ -14,7 +14,7 @@
 //! timestamp into the snapshot watermark. Commits with disjoint footprints
 //! never share a lock.
 
-use crate::db::{CheckpointEnd, CommittedTxn, Database, Shard};
+use crate::db::{CommittedTxn, Database, Shard};
 use crate::engine::{AccessEvent, IsolationLevel, Rules, StatementObserver};
 use crate::error::{DbError, TxnId};
 use crate::fasthash::FastSet;
@@ -26,41 +26,12 @@ use crate::table::{CommitTs, RowVersion, Table, VersionChain};
 use crate::value::{ColumnType, Value};
 use crate::wal::WalEncoder;
 use crate::Result;
-use adhoc_sim::{Deadline, Transport, TransportError};
+use adhoc_sim::{Deadline, FaultKind, Transport, TransportError};
 use parking_lot::MutexGuard;
 use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-
-/// How this commit's write-ahead record reaches (or fails to reach) the
-/// durable medium — the fault-injected shapes of the fsync boundary. Only
-/// meaningful when the database has a WAL configured.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WalOutcome {
-    /// Normal commit: append, then sync per the configured policy.
-    Policy,
-    /// [`FaultKind::CrashAfterDurable`](adhoc_sim::FaultKind): the record
-    /// is unconditionally fsynced (the commit *is* durable) before the
-    /// acknowledgement is lost.
-    Forced,
-    /// [`FaultKind::CrashBeforeDurable`](adhoc_sim::FaultKind): the record
-    /// reaches the page cache only; the fsync never happens.
-    NoSync,
-    /// [`FaultKind::TornWrite`](adhoc_sim::FaultKind): the crash lands
-    /// mid-flush, leaving a partial frame on the durable medium.
-    Torn,
-    /// The checkpoint crashes ([`FaultKind::CheckpointTorn`],
-    /// [`CrashBeforeTruncate`], [`TruncateBeforeWait`]): the record is
-    /// made durable — fsynced, or, when the checkpoint truncates, by the
-    /// checkpoint's own flush before the commit's group-commit wait — and
-    /// a checkpoint after it ends as given.
-    ///
-    /// [`FaultKind::CheckpointTorn`]: adhoc_sim::FaultKind::CheckpointTorn
-    /// [`CrashBeforeTruncate`]: adhoc_sim::FaultKind::CrashBeforeTruncate
-    /// [`TruncateBeforeWait`]: adhoc_sim::FaultKind::TruncateBeforeWait
-    Checkpoint(CheckpointEnd),
-}
 
 /// One buffered write: `row = None` is a deletion.
 #[derive(Debug, Clone)]
@@ -1066,74 +1037,34 @@ impl Transaction {
         // is where §3.3/§3.4 races live; make it a preemption point.
         adhoc_sim::sched::yield_point(adhoc_sim::sched::SchedPoint::DbCommit);
         self.ensure_active()?;
-        match self.db.arm_commit_fault() {
-            // The commit request never takes effect: the engine rolls the
-            // transaction back and the client sees a dropped connection.
-            Some(adhoc_sim::FaultKind::CommitFailed) => {
-                self.finish(false);
-                self.wire().record_outcome(true);
-                return Err(DbError::ConnectionLost { txn: self.id });
-            }
-            // The commit goes through and becomes durable, but the
-            // acknowledgement is lost: same client-visible error, opposite
-            // server-side truth — the §3.4.2 ambiguity.
-            Some(adhoc_sim::FaultKind::CrashAfterDurable) => {
-                return self.crash_commit(WalOutcome::Forced);
-            }
-            // The process dies after the record enters the page cache but
-            // before the fsync: the in-memory commit happened, the durable
-            // record did not — recovery rolls the transaction back.
-            Some(adhoc_sim::FaultKind::CrashBeforeDurable) => {
-                return self.crash_commit(WalOutcome::NoSync);
-            }
-            // The process dies mid-flush: a torn (partial) frame reaches
-            // the durable medium for recovery to detect and truncate.
-            Some(adhoc_sim::FaultKind::TornWrite) => {
-                return self.crash_commit(WalOutcome::Torn);
-            }
-            // The commit is durable, and the process dies in the
-            // checkpoint that follows it, or in the truncation after it.
-            Some(adhoc_sim::FaultKind::CheckpointTorn) => {
-                return self.crash_commit(WalOutcome::Checkpoint(CheckpointEnd::Torn));
-            }
-            Some(adhoc_sim::FaultKind::CrashBeforeTruncate) => {
-                let end = CheckpointEnd::CrashBeforeTruncate;
-                return self.crash_commit(WalOutcome::Checkpoint(end));
-            }
-            Some(adhoc_sim::FaultKind::TruncateBeforeWait) => {
-                return self.crash_commit(WalOutcome::Checkpoint(CheckpointEnd::Truncate));
-            }
-            _ => {}
+        let fault = self.db.arm_commit_fault();
+        // The commit request never takes effect: the engine rolls the
+        // transaction back and the client sees a dropped connection.
+        if fault == Some(FaultKind::CommitFailed) {
+            self.finish(false);
+            self.wire().record_outcome(true);
+            return Err(DbError::ConnectionLost { txn: self.id });
         }
-        match self.try_commit(WalOutcome::Policy) {
+        match self.try_commit(fault) {
             Ok((installed, checkpoint_due)) => {
                 self.finish(true);
                 self.retire(installed);
+                // Every other commit fault is crash-shaped: the commit
+                // applies server-side (its WAL record meeting the fate
+                // `try_commit` gives the kind), the process dies, and the
+                // client sees a dropped connection instead of an
+                // acknowledgement — the §3.4.2 ambiguity. A dead process
+                // writes no due checkpoint.
+                if fault.is_some() {
+                    self.wire().record_outcome(true);
+                    return Err(DbError::ConnectionLost { txn: self.id });
+                }
                 // The checkpoint this commit's append found due is written
                 // whole, holding no lock and no registration.
                 if checkpoint_due {
                     self.db.write_due_checkpoint();
                 }
                 Ok(())
-            }
-            Err(e) => {
-                self.finish(false);
-                Err(e)
-            }
-        }
-    }
-
-    /// The shared shape of every commit-adjacent crash fault: the commit
-    /// applies server-side (its WAL record meeting the fate `outcome`
-    /// describes), the process dies, and the client sees a dropped
-    /// connection instead of an acknowledgement.
-    fn crash_commit(&mut self, outcome: WalOutcome) -> Result<()> {
-        match self.try_commit(outcome) {
-            Ok((installed, _)) => {
-                self.finish(true);
-                self.retire(installed);
-                self.wire().record_outcome(true);
-                Err(DbError::ConnectionLost { txn: self.id })
             }
             Err(e) => {
                 self.finish(false);
@@ -1187,8 +1118,10 @@ impl Transaction {
     /// the snapshot watermark. Returns that timestamp when the commit
     /// installed versions, with `pending` holding the rows whose chains
     /// keep an older version, and whether its WAL append found a
-    /// checkpoint due.
-    fn try_commit(&mut self, wal_outcome: WalOutcome) -> Result<(Option<CommitTs>, bool)> {
+    /// checkpoint due. `fault` is the crash-shaped commit fault armed for
+    /// it, if any, which decides how its WAL record reaches (or fails to
+    /// reach) the durable medium.
+    fn try_commit(&mut self, fault: Option<FaultKind>) -> Result<(Option<CommitTs>, bool)> {
         let writes = self.write_shards();
         let mut lock_set = writes;
         let mut cert_reads: FastSet<(usize, i64)> = FastSet::default();
@@ -1379,8 +1312,10 @@ impl Transaction {
                     enc.write(&t.schema.table, p.id, p.row.as_ref().map(|r| &r.values[..]));
                 }
             };
-            match wal_outcome {
-                WalOutcome::Policy | WalOutcome::Checkpoint(CheckpointEnd::Truncate) => {
+            match fault {
+                // Append and sync per the configured policy; a checkpoint
+                // that truncates makes the record durable before the wait.
+                None | Some(FaultKind::TruncateBeforeWait) => {
                     let append = wal.append_streamed(commit_ts, encode);
                     // Only group commit leaves an append undurable.
                     if !append.durable {
@@ -1388,16 +1323,23 @@ impl Transaction {
                     }
                     checkpoint_due = append.checkpoint_due;
                 }
-                WalOutcome::Forced | WalOutcome::Checkpoint(_) => {
-                    wal.append_streamed_no_sync(commit_ts, encode);
-                    wal.sync();
-                }
-                WalOutcome::NoSync => {
+                // The process dies after the record enters the page cache
+                // but before the fsync: recovery rolls the commit back.
+                Some(FaultKind::CrashBeforeDurable) => {
                     wal.append_streamed_no_sync(commit_ts, encode);
                 }
-                WalOutcome::Torn => {
+                // The process dies mid-flush: a torn (partial) frame
+                // reaches the durable medium for recovery to truncate.
+                Some(FaultKind::TornWrite) => {
                     wal.append_streamed_no_sync(commit_ts, encode);
                     wal.sync_torn();
+                }
+                // The record is fsynced (the commit *is* durable) before
+                // the process dies: after the commit, or in the checkpoint
+                // that follows it.
+                Some(_) => {
+                    wal.append_streamed_no_sync(commit_ts, encode);
+                    wal.sync();
                 }
             }
         }
@@ -1487,8 +1429,15 @@ impl Transaction {
         drop(guards);
         // A crash-shaped checkpoint runs with no guard held and before the
         // durability wait below, which must survive its truncation.
-        if let WalOutcome::Checkpoint(end) = wal_outcome {
-            self.db.write_checkpoint(end);
+        if matches!(
+            fault,
+            Some(
+                FaultKind::CheckpointTorn
+                    | FaultKind::CrashBeforeTruncate
+                    | FaultKind::TruncateBeforeWait
+            )
+        ) {
+            self.db.write_checkpoint(fault);
         }
         // Group-commit durability point, *after* the shard guards drop so
         // concurrent committers batch behind one leader fsync: free-ride

@@ -258,32 +258,6 @@ impl Wal {
         }
     }
 
-    /// Append one commit record to the volatile tail, then sync according
-    /// to the policy. Returns whether the record is durable on return —
-    /// under `OnCommit` always true, under `GroupCommit` never (the
-    /// committer follows up with [`ensure_durable`]).
-    ///
-    /// [`ensure_durable`]: Self::ensure_durable
-    pub fn append(&self, record: &WalRecord) -> bool {
-        self.append_streamed(record.commit_ts, |enc| {
-            for w in &record.writes {
-                enc.write(&w.table, w.id, w.row.as_deref());
-            }
-        })
-        .durable
-    }
-
-    /// Append one commit record *without* syncing, regardless of policy —
-    /// the `CrashBeforeDurable` shape: the record made it into the page
-    /// cache, the fsync never happened.
-    pub fn append_no_sync(&self, record: &WalRecord) {
-        self.append_streamed_no_sync(record.commit_ts, |enc| {
-            for w in &record.writes {
-                enc.write(&w.table, w.id, w.row.as_deref());
-            }
-        });
-    }
-
     /// Append one commit record by streaming its writes straight into the
     /// log buffer — no intermediate payload allocation — then sync
     /// according to the policy. `f` receives a [`WalEncoder`] and must
@@ -979,6 +953,15 @@ mod tests {
         }
     }
 
+    /// `record`'s writes, streamed in order as a commit streams its rows.
+    fn writes(record: &WalRecord) -> impl FnOnce(&mut WalEncoder<'_>) + '_ {
+        move |enc| {
+            for w in &record.writes {
+                enc.write(&w.table, w.id, w.row.as_deref());
+            }
+        }
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // The canonical IEEE check value.
@@ -1140,7 +1123,7 @@ mod tests {
     fn stream_roundtrip_and_clean_tail() {
         let wal = test_wal(WalSyncPolicy::OnCommit);
         for ts in 1..=5u64 {
-            assert!(wal.append(&sample(ts)));
+            assert!(wal.append_streamed(ts, writes(&sample(ts))).durable);
         }
         let image = decode_stream(&wal.durable_bytes());
         assert_eq!(image.tail, WalTail::Clean);
@@ -1153,8 +1136,8 @@ mod tests {
     #[test]
     fn unsynced_tail_is_invisible_after_a_crash() {
         let wal = test_wal(WalSyncPolicy::OnCommit);
-        wal.append(&sample(1));
-        wal.append_no_sync(&sample(2));
+        wal.append_streamed(1, writes(&sample(1)));
+        wal.append_streamed_no_sync(2, writes(&sample(2)));
         let image = decode_stream(&wal.durable_bytes());
         assert_eq!(image.records.len(), 1, "the unsynced record is lost");
         assert_eq!(image.tail, WalTail::Clean);
@@ -1165,8 +1148,8 @@ mod tests {
     #[test]
     fn torn_sync_leaves_a_truncatable_partial_frame() {
         let wal = test_wal(WalSyncPolicy::OnCommit);
-        wal.append(&sample(1));
-        wal.append_no_sync(&sample(2));
+        wal.append_streamed(1, writes(&sample(1)));
+        wal.append_streamed_no_sync(2, writes(&sample(2)));
         wal.sync_torn();
         let bytes = wal.durable_bytes();
         let image = decode_stream(&bytes);
@@ -1181,8 +1164,8 @@ mod tests {
     #[test]
     fn corrupt_frame_truncates_at_crc() {
         let wal = test_wal(WalSyncPolicy::OnCommit);
-        wal.append(&sample(1));
-        wal.append(&sample(2));
+        wal.append_streamed(1, writes(&sample(1)));
+        wal.append_streamed(2, writes(&sample(2)));
         let mut bytes = wal.durable_bytes();
         // Flip one bit inside the second record's payload.
         let n = bytes.len();
@@ -1197,11 +1180,7 @@ mod tests {
         let streamed = test_wal(WalSyncPolicy::OnCommit);
         let reference = test_wal(WalSyncPolicy::OnCommit);
         let r = sample(42);
-        streamed.append_streamed(r.commit_ts, |enc| {
-            for w in &r.writes {
-                enc.write(&w.table, w.id, w.row.as_deref());
-            }
-        });
+        streamed.append_streamed(r.commit_ts, writes(&r));
         let mut buf = Vec::new();
         let payload = encode_payload(&r);
         buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -1242,11 +1221,11 @@ mod tests {
     #[test]
     fn checkpoint_frames_decode_once_their_end_frame_is_read() {
         let wal = test_wal(WalSyncPolicy::OnCommit);
-        wal.append(&sample(1));
+        wal.append_streamed(1, writes(&sample(1)));
         let start = wal.begin_checkpoint().unwrap();
         assert_eq!(wal.begin_checkpoint(), None, "one checkpoint at a time");
         checkpoint_rows(&wal, 0..3);
-        wal.append(&sample(2));
+        wal.append_streamed(2, writes(&sample(2)));
         checkpoint_rows(&wal, 3..4);
         wal.sync();
         // No end frame yet: the rows are not a checkpoint.
@@ -1284,7 +1263,7 @@ mod tests {
     #[test]
     fn a_torn_checkpoint_leaves_the_log_before_it() {
         let wal = test_wal(WalSyncPolicy::OnCommit);
-        wal.append(&sample(1));
+        wal.append_streamed(1, writes(&sample(1)));
         wal.begin_checkpoint().unwrap();
         checkpoint_rows(&wal, 0..40);
         wal.end_checkpoint();
@@ -1303,7 +1282,7 @@ mod tests {
     fn truncation_keeps_the_buffer_the_lsns_and_the_counters() {
         let wal = test_wal(WalSyncPolicy::OnCommit);
         for ts in 1..=50 {
-            wal.append(&sample(ts));
+            wal.append_streamed(ts, writes(&sample(ts)));
         }
         let before = wal.stats();
         let capacity = wal.shared.state.lock().buf.capacity();
@@ -1422,13 +1401,8 @@ mod tests {
     /// Append `sample(ts)`, the next timestamp; returns the due report.
     fn append_sample(wal: &Wal, ts: &mut u64) -> bool {
         *ts += 1;
-        let record = sample(*ts);
-        let encode = |enc: &mut WalEncoder<'_>| {
-            for w in &record.writes {
-                enc.write(&w.table, w.id, w.row.as_deref());
-            }
-        };
-        wal.append_streamed(*ts, encode).checkpoint_due
+        wal.append_streamed(*ts, writes(&sample(*ts)))
+            .checkpoint_due
     }
 
     /// Append until an append reports a checkpoint due; returns the bytes

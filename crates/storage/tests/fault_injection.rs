@@ -92,6 +92,85 @@ fn connection_lost_is_not_blindly_retried_by_the_dbt_wrapper() {
     assert_eq!(db.stats().commits, 1, "exactly one (unacknowledged) commit");
 }
 
+/// What one commit-class fault does to a single-row update on a WAL
+/// database: whether the client is acknowledged, the `DbStats`
+/// (commits, aborts) and `WalStats` (records, syncs, checkpoints) deltas,
+/// and the value a fresh database holds after replaying the crashed one's
+/// durable log. The first row is the fault-free control.
+#[test]
+fn each_commit_fault_has_one_outcome() {
+    use adhoc_storage::restart_from;
+    type Outcome = (bool, (u64, u64), (u64, u64, u64), i64);
+    let table: [(Option<FaultKind>, Outcome); 8] = [
+        (None, (true, (1, 0), (1, 1, 0), 2)),
+        (Some(FaultKind::CommitFailed), (false, (0, 1), (0, 0, 0), 1)),
+        (
+            Some(FaultKind::CrashAfterDurable),
+            (false, (1, 0), (1, 1, 0), 2),
+        ),
+        (
+            Some(FaultKind::CrashBeforeDurable),
+            (false, (1, 0), (1, 0, 0), 1),
+        ),
+        (Some(FaultKind::TornWrite), (false, (1, 0), (1, 1, 0), 1)),
+        (
+            Some(FaultKind::CheckpointTorn),
+            (false, (1, 0), (1, 2, 1), 2),
+        ),
+        (
+            Some(FaultKind::CrashBeforeTruncate),
+            (false, (1, 0), (1, 2, 1), 2),
+        ),
+        (
+            Some(FaultKind::TruncateBeforeWait),
+            (false, (1, 0), (1, 1, 1), 2),
+        ),
+    ];
+    for (kind, expected) in table {
+        let rules = kind
+            .map(|k| FaultRule::at_ops(k, &[0]))
+            .into_iter()
+            .collect();
+        let plan = FaultPlan::new_disabled(1, rules);
+        let config = match kind {
+            Some(FaultKind::TruncateBeforeWait) => {
+                DbConfig::in_memory(EngineProfile::PostgresLike).with_wal_group_commit()
+            }
+            _ => DbConfig::in_memory(EngineProfile::PostgresLike).with_wal(),
+        };
+        let db = with_table(config.with_faults(plan.clone()));
+        insert_row(&db, 1).unwrap();
+        let (stats, wal) = (db.stats(), db.wal().unwrap().stats());
+        plan.enable();
+        let mut txn = db.begin();
+        txn.update("t", 1, &[("v", Value::Int(2))]).unwrap();
+        let result = txn.commit();
+        let acked = match result {
+            Ok(()) => true,
+            Err(DbError::ConnectionLost { .. }) => false,
+            Err(e) => panic!("{kind:?}: unexpected {e}"),
+        };
+        let (after, wal_after) = (db.stats(), db.wal().unwrap().stats());
+        let reborn = with_table(DbConfig::in_memory(EngineProfile::PostgresLike).with_wal());
+        restart_from(&db, &reborn).unwrap();
+        let row = reborn.latest_committed("t", 1).unwrap().expect("row 1");
+        let Value::Int(v) = row.values[1] else {
+            panic!("{kind:?}: v is not an Int")
+        };
+        let observed = (
+            acked,
+            (after.commits - stats.commits, after.aborts - stats.aborts),
+            (
+                wal_after.records - wal.records,
+                wal_after.syncs - wal.syncs,
+                wal_after.checkpoints - wal.checkpoints,
+            ),
+            v,
+        );
+        assert_eq!(observed, expected, "{kind:?}");
+    }
+}
+
 #[test]
 fn fault_free_plan_changes_nothing() {
     let db = db_with_table(FaultPlan::new(1, vec![]));

@@ -96,7 +96,7 @@ fn payload_bytes() -> impl Strategy<Value = Vec<u8>> {
     ]
 }
 
-/// Frame a record exactly the way `Wal::append` does:
+/// Frame a record exactly the way `Wal::append_streamed` does:
 /// `[payload_len: u32 LE][crc32: u32 LE][payload]`.
 fn frame(record: &WalRecord, buf: &mut Vec<u8>) {
     let payload = encode_payload(record);

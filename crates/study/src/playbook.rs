@@ -18,7 +18,10 @@ pub struct PlaybookEntry {
     pub paper_ref: &'static str,
     /// The implementing module/function in this workspace.
     pub artifact: &'static str,
-    /// A test or example that demonstrates it end to end.
+    /// What demonstrates it end to end, `; `-separated: `example <name>`,
+    /// a `tests/<file>.rs`, a `paper-eval <subcommand>`, a contention row
+    /// of `tests/mode_table.rs`, or a unit test `<module>::tests::<fn>`
+    /// (`{<fn>, <fn>}` for several). `tests/cross_crate.rs` resolves each.
     pub demonstrated_by: &'static str,
 }
 
@@ -28,13 +31,13 @@ pub static PLAYBOOK: &[PlaybookEntry] = &[
         case_id: "broadleaf/cart-total-update",
         paper_ref: "Figure 1a",
         artifact: "adhoc_apps::broadleaf::Broadleaf::add_to_cart",
-        demonstrated_by: "example quickstart; broadleaf::tests::concurrent_add_to_cart_stays_consistent_adhoc",
+        demonstrated_by: "example quickstart; contention row `broadleaf_cart` (`tests/mode_table.rs`)",
     },
     PlaybookEntry {
         case_id: "mastodon/invite-redeem",
         paper_ref: "Figure 1b",
         artifact: "adhoc_apps::mastodon::Mastodon::redeem_invite",
-        demonstrated_by: "example quickstart; mastodon::tests::invite_limit_holds_in_both_modes",
+        demonstrated_by: "example quickstart; contention row `mastodon_invites` (`tests/mode_table.rs`)",
     },
     PlaybookEntry {
         case_id: "mastodon/poll-vote",
@@ -46,7 +49,7 @@ pub static PLAYBOOK: &[PlaybookEntry] = &[
         case_id: "spree/order-stock-decrement",
         paper_ref: "§3.1.1 listing; §4.2 issue [61]",
         artifact: "adhoc_apps::spree::Spree::decrement_stock (+ the ORM touch cascade)",
-        demonstrated_by: "spree::tests::concurrent_decrements_conserve_stock_dbt_despite_cascade_aborts; example ecommerce_checkout",
+        demonstrated_by: "contention row `spree_checkout` (`tests/mode_table.rs`); example ecommerce_checkout",
     },
     PlaybookEntry {
         case_id: "discourse/edit-post",
@@ -64,25 +67,25 @@ pub static PLAYBOOK: &[PlaybookEntry] = &[
         case_id: "saleor/stock-allocate",
         paper_ref: "§3.2.1 FOR-UPDATE listing",
         artifact: "adhoc_apps::saleor::Saleor::allocate",
-        demonstrated_by: "saleor::tests::concurrent_allocations_never_oversell",
+        demonstrated_by: "contention row `saleor_allocate` (`tests/mode_table.rs`)",
     },
     PlaybookEntry {
         case_id: "discourse/create-post",
         paper_ref: "§3.3.1 CBC listing; Table 6",
         artifact: "adhoc_apps::discourse::Discourse::{create_post, toggle_answer}",
-        demonstrated_by: "discourse::tests::create_post_and_toggle_answer_commute_in_adhoc_mode; bench granularity (CBC)",
+        demonstrated_by: "discourse::tests::create_post_and_toggle_answer_commute_in_adhoc_mode; paper-eval fig3 (CBC)",
     },
     PlaybookEntry {
         case_id: "spree/payment-json-handler",
         paper_ref: "§3.3.2 PBC listing; §4.2 issue [59]",
         artifact: "adhoc_apps::spree::Spree::{add_payment, add_payment_json}",
-        demonstrated_by: "spree::tests::forgotten_json_handler_duplicates_payments; bench granularity (PBC)",
+        demonstrated_by: "spree::tests::forgotten_json_handler_duplicates_payments; paper-eval fig3 (PBC)",
     },
     PlaybookEntry {
         case_id: "discourse/shrink-image",
         paper_ref: "§3.4.1 listing; §4.3 issue [64]; Figure 4",
         artifact: "adhoc_apps::discourse::Discourse::shrink_image",
-        demonstrated_by: "discourse::tests::shrink_repair_survives_concurrent_edits; bench rollback",
+        demonstrated_by: "discourse::tests::shrink_repair_survives_concurrent_edits; paper-eval fig4",
     },
     PlaybookEntry {
         case_id: "discourse/reviewable-claim",
@@ -118,25 +121,25 @@ pub static PLAYBOOK: &[PlaybookEntry] = &[
         case_id: "broadleaf/checkout-workflow",
         paper_ref: "Table 6 RMW workload; §4.2 issue [67]",
         artifact: "adhoc_apps::broadleaf::Broadleaf::check_out",
-        demonstrated_by: "broadleaf::tests::omitted_sku_coordination_loses_updates; bench granularity (RMW)",
+        demonstrated_by: "broadleaf::tests::omitted_sku_coordination_loses_updates; paper-eval fig3 (RMW)",
     },
     PlaybookEntry {
         case_id: "discourse/like-post",
         paper_ref: "Table 6 AA workload",
         artifact: "adhoc_apps::discourse::Discourse::like_post",
-        demonstrated_by: "discourse::tests::likes_are_conserved_in_both_modes; bench granularity (AA)",
+        demonstrated_by: "contention row `discourse_posts_and_likes` (`tests/mode_table.rs`); paper-eval fig3 (AA)",
     },
     PlaybookEntry {
         case_id: "redmine/attachment-add",
         paper_ref: "§3.2.1 (SELECT … FOR UPDATE); Table 5 row-level cases",
         artifact: "adhoc_apps::redmine::Redmine::add_attachment",
-        demonstrated_by: "redmine::tests::attachment_counter_cache_stays_exact_in_both_modes",
+        demonstrated_by: "contention row `redmine_progress_and_attachments` (`tests/mode_table.rs`)",
     },
     PlaybookEntry {
         case_id: "redmine/version-close",
         paper_ref: "§3.1.2 check-then-act; Table 3 AA cases",
         artifact: "adhoc_apps::redmine::Redmine::{close_version, assign_version} (+ _unchecked variants)",
-        demonstrated_by: "redmine::tests::{coordinated_close_vs_assign_race_keeps_the_invariant, unchecked_close_vs_assign_can_strand_an_open_issue}",
+        demonstrated_by: "contention row `redmine_version_close` (`tests/mode_table.rs`); redmine::tests::unchecked_close_vs_assign_can_strand_an_open_issue",
     },
     PlaybookEntry {
         case_id: "scm-suite/settlement-run",
@@ -160,7 +163,7 @@ pub static PLAYBOOK: &[PlaybookEntry] = &[
         case_id: "discourse/draft-save",
         paper_ref: "§3.2.2 hand-crafted validation; Table 5b value-validation cases",
         artifact: "adhoc_apps::discourse::Discourse::save_draft (client sequence check + unique index)",
-        demonstrated_by: "discourse::tests::{stale_draft_sequences_are_rejected, concurrent_draft_saves_keep_the_highest_sequence, concurrent_first_saves_never_duplicate_the_draft_row}",
+        demonstrated_by: "contention row `discourse_drafts` (`tests/mode_table.rs`)",
     },
     PlaybookEntry {
         case_id: "jumpserver/node-move",

@@ -180,6 +180,63 @@ fn corpus_references_are_backed_by_implementations() {
     assert_eq!(seen.len(), 7, "all seven implementations exercised");
 }
 
+/// Every playbook `demonstrated_by` item names something that exists: an
+/// example, a file under `tests/`, a `paper-eval` subcommand, a contention
+/// row, or unit tests `<module path>::tests::<fn>` found in the module's
+/// source file in some crate.
+#[test]
+fn playbook_demonstrations_resolve() {
+    use std::path::Path;
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let source = |path: &Path| std::fs::read_to_string(root.join(path)).unwrap_or_default();
+    let crates: Vec<_> = std::fs::read_dir(root.join("crates"))
+        .expect("the crates directory")
+        .map(|d| d.expect("a crate directory").path())
+        .collect();
+    let resolves = |item: &str| -> bool {
+        if let Some(example) = item.strip_prefix("example ") {
+            return root.join(format!("examples/{example}.rs")).is_file();
+        }
+        if let Some(run) = item.strip_prefix("paper-eval ") {
+            let sub = run.split(' ').next().unwrap_or_default();
+            let cli = source(Path::new("crates/bench/src/bin/paper_eval.rs"));
+            return cli.contains(&format!("\"{sub}\" =>"));
+        }
+        if let Some(row) = item.strip_prefix("contention row `") {
+            let name = row.split('`').next().unwrap_or_default();
+            return row.ends_with("(`tests/mode_table.rs`)")
+                && root.join("tests/mode_table.rs").is_file()
+                && adhoc_bench::contention::ROWS.iter().any(|r| r.name == name);
+        }
+        if item.starts_with("tests/") {
+            return root.join(item).is_file();
+        }
+        let Some((module, fns)) = item.split_once("::tests::") else {
+            return false;
+        };
+        let file = module.replace("::", "/");
+        let fns = fns.trim_start_matches('{').trim_end_matches('}');
+        crates.iter().any(|krate| {
+            let text = [format!("src/{file}.rs"), format!("src/{file}/mod.rs")]
+                .iter()
+                .map(|rel| std::fs::read_to_string(krate.join(rel)).unwrap_or_default())
+                .collect::<String>();
+            fns.split(", ").all(|f| text.contains(&format!("fn {f}(")))
+        })
+    };
+    let unresolved: Vec<String> = study::playbook::PLAYBOOK
+        .iter()
+        .flat_map(|e| {
+            e.demonstrated_by
+                .split("; ")
+                .map(move |item| (e.case_id, item))
+        })
+        .filter(|(_, item)| !resolves(item))
+        .map(|(case, item)| format!("{case}: {item}"))
+        .collect();
+    assert!(unresolved.is_empty(), "unresolved: {unresolved:#?}");
+}
+
 /// Crash-restart drill: the database survives, in-flight work is gone, and
 /// boot recovery restores serviceability (issue \[60\]'s fix, generalized).
 #[test]

@@ -144,10 +144,7 @@ fn lost_del_reply_is_not_a_held_lease() {
     let clock = Arc::new(VirtualClock::new());
     // Op 0 is the SETNX acquire; op 1 is the unlock's DEL, whose reply the
     // partition eats *after* the server applied it.
-    let plan = FaultPlan::new(
-        SEED,
-        vec![FaultRule::at_ops(FaultKind::PartitionOutbound, &[1])],
-    );
+    let plan = FaultPlan::new(SEED, vec![FaultRule::at_ops(FaultKind::ReplyLost, &[1])]);
     let client = faulted_client(clock, plan.clone());
     let lock = KvSetNxLock::new(client.clone());
     let guard = lock.lock("job:42").expect("uncontended acquire");
@@ -181,10 +178,7 @@ fn owner_checked_unlock_survives_the_lost_del_reply() {
     // After the SETNX acquire (op 0), the leased unlock conversation
     // pays GET (op 1) and EXEC (op 2): lose the EXEC reply after the
     // atomic delete commits.
-    let plan = FaultPlan::new(
-        SEED,
-        vec![FaultRule::at_ops(FaultKind::PartitionOutbound, &[2])],
-    );
+    let plan = FaultPlan::new(SEED, vec![FaultRule::at_ops(FaultKind::ReplyLost, &[2])]);
     let client = faulted_client(clock, plan.clone());
     let lock = KvSetNxLock::new(client.clone()).with_ttl(Duration::from_secs(60));
     let guard = lock.lock("job:43").expect("uncontended acquire");

@@ -18,8 +18,8 @@ use adhoc_bench::resilience::{
 };
 use adhoc_transactions::kv::{Client, KvError, Store};
 use adhoc_transactions::sim::{
-    BreakerState, CircuitBreaker, Clock, FaultKind, FaultPlan, FaultRule, FrontDoor, LatencyModel,
-    VirtualClock, Workload,
+    BreakerState, CircuitBreaker, Clock, FaultKind, FaultPlan, FaultRule, LatencyModel,
+    SlotCounter, VirtualClock,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -57,7 +57,7 @@ fn hardened_world_recovers_to_baseline_within_bound() {
         "read-only degraded mode must serve reads during the storm, got {}",
         m.storm_replica_reads
     );
-    // and writes are refused at the door instead of queueing.
+    // and writes are refused at admission instead of queueing.
     assert!(m.refused_writes > 0, "degraded mode must refuse writes");
 
     // Recovery: back to >= 90% of baseline over ticks 10..30 after the
@@ -72,10 +72,10 @@ fn hardened_world_recovers_to_baseline_within_bound() {
         "recovery must hold through the end of the run ({})",
         m.tail
     );
-    // The bounded front door means the backlog died with the storm.
+    // Bounded admission means the backlog died with the storm.
     assert!(
         m.end_queue <= APPS.len() * DOOR_CAPACITY,
-        "queue must stay door-bounded, got {}",
+        "queue must stay admission-bounded, got {}",
         m.end_queue
     );
 }
@@ -126,7 +126,7 @@ fn run_occ_rides_out_a_kv_partition_storm() {
     };
     let clock = Arc::new(VirtualClock::new());
     let storm = FaultRule::storm(
-        &[FaultKind::PartitionInbound],
+        &[FaultKind::ConnError],
         1.0,
         at_tick(STORM_START),
         at_tick(STORM_END),
@@ -337,20 +337,23 @@ fn degraded_mode_exits_when_the_breaker_closes() {
     let client = Client::new(Store::new(), clock.clone(), LatencyModel::zero())
         .with_faults(plan)
         .with_breaker(Arc::clone(&breaker));
-    let door = FrontDoor::new(DOOR_CAPACITY);
+    // The storm world's admission: while the breaker is open the world
+    // is degraded, so a write is refused and a read takes a slot.
+    let slots = SlotCounter::new(DOOR_CAPACITY);
+    let admit = |read: bool| {
+        let degraded = matches!(breaker.state(clock.now()), BreakerState::Open);
+        (read || !degraded).then(|| slots.try_take()).flatten()
+    };
 
     // Storm trips the breaker; the world degrades writes.
     for _ in 0..2 {
         let _ = client.set("k", "v");
     }
     assert_eq!(breaker.state(clock.now()), BreakerState::Open);
-    door.set_read_only(true);
 
-    // Degraded: writes are refused at the door, reads still pass.
-    assert!(door.admit(Workload::Write).is_err());
-    let permit = door
-        .admit(Workload::Read)
-        .expect("reads pass in degraded mode");
+    // Degraded: writes are refused at admission, reads still pass.
+    assert!(admit(false).is_none());
+    let permit = admit(true).expect("reads pass in degraded mode");
     drop(permit);
 
     // Cooldown elapsed and the storm is over: the probe succeeds, the
@@ -358,12 +361,9 @@ fn degraded_mode_exits_when_the_breaker_closes() {
     clock.advance(cooldown);
     client.set("k", "v").expect("probe succeeds");
     assert_eq!(breaker.state(clock.now()), BreakerState::Closed);
-    door.set_read_only(false);
 
-    // Writes resume through the same door.
-    let permit = door
-        .admit(Workload::Write)
-        .expect("writes resume after degraded-mode exit");
+    // Writes resume through the same slots.
+    let permit = admit(false).expect("writes resume after degraded-mode exit");
     drop(permit);
-    assert!(!door.is_read_only());
+    assert_eq!(slots.in_use(), 0);
 }

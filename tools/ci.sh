@@ -150,7 +150,7 @@ timeout 120 cargo test -q --release --test crash_recovery_oracle -- \
 # watchdogs, the shim condvar's waiter-count balance, wake-up and
 # differential tests, "a refused take never refuses one that fits" on
 # the one slot counter (sim::resilience::SlotCounter, under both the
-# front door and the session pool), and the in-process lock tests. The
+# storm world's admission and the session pool), and the in-process lock tests. The
 # keyed lock table (crates/core/src/locks/mem.rs) is the toolkit's one
 # in-process wait loop: MEM, MEM-LRU, SYNC and WD all grant, wait, release
 # and detect wait-for cycles through it, so a lost wake-up or a stale
@@ -174,7 +174,7 @@ timeout 60 cargo test -q --release -p adhoc-storage --lib engine
 timeout 60 cargo test -q --release -p adhoc-storage --test engine_behaviors
 timeout 60 cargo test -q --release --test serializability_oracle
 timeout 60 cargo test -q --release -p adhoc-storage --lib predicate
-echo "==> primitive races in release (watermark, condvar, front door, session pool, lock table, table catalog, version retirement, <60s each)"
+echo "==> primitive races in release (watermark, condvar, slot counter, session pool, lock table, table catalog, version retirement, <60s each)"
 timeout 60 cargo test -q --release -p adhoc-storage --lib epoch
 timeout 60 cargo test -q --release -p parking_lot
 timeout 60 cargo test -q --release -p adhoc-sim --lib resilience
@@ -198,15 +198,19 @@ timeout 60 cargo test -q --release -p adhoc-storage --lib recovery
 
 # Chaos smoke gate: the metastability oracle — a seeded 30-tick partition
 # storm through the full resilience stack (deadlines, retry budget,
-# breaker, admission doors, fencing) vs the naive ablation, plus the
-# ambiguous-reply fault family. Fully virtual-clock-driven and
+# breaker, per-app admission slots, fencing) vs the naive ablation, plus
+# the ambiguous-reply fault family. Fully virtual-clock-driven and
 # deterministic; the timeout guards only against accidental inflation.
 echo "==> chaos smoke gate (partition storm + fault suite, <60s)"
 timeout 60 cargo test -q --release --test resilience_oracle --test fault_suite
 # The database's own connection gate: deadline and breaker admission (a
-# refused statement pays no round trip), statement partitions, and the
-# commit faults that feed the breaker.
+# refused statement pays no round trip), statement partitions, the
+# commit faults that feed the breaker, and each_commit_fault_has_one_outcome
+# (every commit-class fault's ack, commit/abort and WAL record/sync/
+# checkpoint deltas, and what a restart recovers). Then the KV client's
+# fault dispatch, one match arm per KV fault kind.
 timeout 60 cargo test -q --release -p adhoc-storage --test fault_injection
+timeout 60 cargo test -q --release -p adhoc-kv --lib client
 # The oracle runs the bench's storm world (adhoc-bench's resilience
 # module, the one tick loop); its own tests pin the breaker_only arm, the
 # refilled retry budget and the world's invariant counters.
@@ -253,7 +257,7 @@ for pinned in \
   "findings a5fc77735e8f1c5852123ca04b2eb8beba38c2804eb60565fa0e0c2a367198cb" \
   "confluence 43caba7d21174bfa8523ddd18f93d45f2869eeb0e5607d6a1a53c2ad94b01de9" \
   "extension e05083439d839d6a66926f028ca1f58ef980bd829be8305de3e15797ee5e738c" \
-  "playbook 29813c529056fbaf703c27508722d75d641bb90b2cd783096a3c5c72e3aa2386"; do
+  "playbook b57d94412a89d400f65fc0467d8a42115c44c78b48a5e72eac725fa3a16d9509"; do
   read -r output digest <<<"$pinned"
   got=$(./target/release/paper-eval "$output" | sha256sum | cut -d' ' -f1)
   [ "$got" = "$digest" ] ||
